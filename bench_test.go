@@ -48,8 +48,10 @@ func BenchmarkFigure1(b *testing.B) {
 		name  string
 		build func() (bench.System, error)
 	}{
-		{"CRDTPaxos", func() (bench.System, error) { return bench.NewCRDTSystem(3, 0, benchNet()) }},
-		{"CRDTPaxosBatched", func() (bench.System, error) { return bench.NewCRDTSystem(3, 5*time.Millisecond, benchNet()) }},
+		{"CRDTPaxos", func() (bench.System, error) { return bench.NewCRDTSystem(3, bench.CRDTOpts{}, benchNet()) }},
+		{"CRDTPaxosBatched", func() (bench.System, error) {
+			return bench.NewCRDTSystem(3, bench.CRDTOpts{Batch: 5 * time.Millisecond}, benchNet())
+		}},
 		{"Raft", func() (bench.System, error) { return bench.NewRaftSystem(3, benchNet()) }},
 		{"MultiPaxos", func() (bench.System, error) { return bench.NewPaxosSystem(3, benchNet()) }},
 	}
@@ -78,7 +80,7 @@ func BenchmarkFigure2(b *testing.B) {
 	for _, clients := range []int{1, 16, 64, 128} {
 		b.Run(fmt.Sprintf("clients=%d/CRDTPaxos", clients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := bench.NewCRDTSystem(3, 0, benchNet())
+				sys, err := bench.NewCRDTSystem(3, bench.CRDTOpts{}, benchNet())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -88,7 +90,7 @@ func BenchmarkFigure2(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("clients=%d/CRDTPaxosBatched", clients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				sys, err := bench.NewCRDTSystem(3, 5*time.Millisecond, benchNet())
+				sys, err := bench.NewCRDTSystem(3, bench.CRDTOpts{Batch: 5 * time.Millisecond}, benchNet())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -113,7 +115,7 @@ func BenchmarkFigure3(b *testing.B) {
 					if batched {
 						window = 5 * time.Millisecond
 					}
-					sys, err := bench.NewCRDTSystem(3, window, benchNet())
+					sys, err := bench.NewCRDTSystem(3, bench.CRDTOpts{Batch: window}, benchNet())
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -145,7 +147,7 @@ func BenchmarkFigure4(b *testing.B) {
 				if batched {
 					window = 5 * time.Millisecond
 				}
-				sys, err := bench.NewCRDTSystem(3, window, benchNet())
+				sys, err := bench.NewCRDTSystem(3, bench.CRDTOpts{Batch: window}, benchNet())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -269,7 +271,7 @@ func BenchmarkAblationSeedPrepare(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				opts := core.DefaultOptions()
 				opts.SeedPrepare = seeded
-				sys, err := bench.NewCRDTSystemOpts(3, 0, benchNet(), opts)
+				sys, err := bench.NewCRDTSystem(3, bench.CRDTOpts{Protocol: opts}, benchNet())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -34,7 +34,7 @@ func TestChaosCrashRestartLinearizable(t *testing.T) {
 		requestTimeout = 500 * time.Millisecond
 	)
 	cc := startServedClusterWith(t, replicas, 11, requestTimeout, func(cfg *cluster.Config) {
-		cfg.StateTransfer = core.TransferDelta
+		cfg.Options.Transfer = core.TransferDelta
 		cfg.DataDir = t.TempDir()
 	})
 	n := cc.ids

@@ -36,7 +36,7 @@ func startServedCluster(t *testing.T, n int, seed int64, requestTimeout time.Dur
 // wire state-transfer mode (the chaos sweep runs with deltas on).
 func startServedClusterMode(t *testing.T, n int, seed int64, requestTimeout time.Duration, mode core.StateTransfer) *servedCluster {
 	return startServedClusterWith(t, n, seed, requestTimeout, func(cfg *cluster.Config) {
-		cfg.StateTransfer = mode
+		cfg.Options.Transfer = mode
 	})
 }
 

@@ -148,8 +148,12 @@ func serve(args []string) error {
 		if len(kv) != 2 {
 			return fmt.Errorf("bad peer %q (want id=addr)", pair)
 		}
-		peers[transport.NodeID(kv[0])] = kv[1]
-		members = append(members, transport.NodeID(kv[0]))
+		pid := transport.NodeID(kv[0])
+		if _, dup := peers[pid]; dup {
+			return fmt.Errorf("-peers lists %s twice", pid)
+		}
+		peers[pid] = kv[1]
+		members = append(members, pid)
 	}
 	if _, ok := peers[transport.NodeID(*id)]; !ok && !*join {
 		return fmt.Errorf("-id %q does not appear in -peers (use -join to start outside the member set)", *id)
@@ -157,6 +161,7 @@ func serve(args []string) error {
 
 	opts := core.DefaultOptions()
 	opts.Lease = *lease
+	opts.Transfer = mode
 
 	var tcpErr error
 	var mesh *transport.TCP
@@ -167,7 +172,6 @@ func serve(args []string) error {
 		InitialForKey: server.TypedKeyInitial(*payload),
 		Options:       opts,
 		BatchInterval: *batch,
-		StateTransfer: mode,
 		Shards:        *shards,
 		DataDir:       *dataDir,
 		PersistSync:   syncPolicy,

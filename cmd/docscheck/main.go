@@ -1,10 +1,7 @@
-// Command docscheck is the documentation-and-API gate run by CI: it
-// fails on broken intra-repo markdown links in the maintained docs
-// (README.md and docs/*.md), on gofmt drift or parse errors in the Go
-// code blocks of README.md, and on any regrowth of the deprecated
-// internal/client shim (new exported symbols there, or in-tree imports
-// of it — the client library lives in the public crdtsmr/client package
-// now; see apiguard.go).
+// Command docscheck is the documentation gate run by CI: it fails on
+// broken intra-repo markdown links in the maintained docs (README.md and
+// docs/*.md) and on gofmt drift or parse errors in the Go code blocks of
+// README.md.
 //
 //	go run ./cmd/docscheck [repo-root]
 package main
@@ -49,6 +46,5 @@ func Check(root string) []error {
 	if data, err := os.ReadFile(readme); err == nil {
 		errs = append(errs, checkGoBlocks(readme, string(data))...)
 	}
-	errs = append(errs, checkClientShim(root)...)
 	return errs
 }

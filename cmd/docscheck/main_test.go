@@ -54,61 +54,3 @@ func TestCheckGoBlocks(t *testing.T) {
 		t.Fatal("unterminated block accepted")
 	}
 }
-
-func TestCheckClientShim(t *testing.T) {
-	root := t.TempDir()
-	shim := filepath.Join(root, "internal", "client")
-	if err := os.MkdirAll(shim, 0o755); err != nil {
-		t.Fatal(err)
-	}
-
-	// An empty shim (doc.go only, nothing exported) passes.
-	writeFile := func(path, content string) {
-		t.Helper()
-		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeFile(filepath.Join(shim, "doc.go"), "// Deprecated: gone.\npackage client\n")
-	if errs := checkClientShim(root); len(errs) != 0 {
-		t.Fatalf("empty shim rejected: %v", errs)
-	}
-
-	// Any exported symbol regrowing in the shim fails: a func, a type,
-	// and a const each count once.
-	writeFile(filepath.Join(shim, "regrown.go"),
-		"package client\n\nconst Exported = 1\n\ntype Client struct{}\n\nfunc New() *Client { return nil }\n\nfunc internalOnly() {}\n")
-	if errs := checkClientShim(root); len(errs) != 3 {
-		t.Fatalf("regrown exports: got %d errors, want 3: %v", len(errs), errs)
-	}
-	if err := os.Remove(filepath.Join(shim, "regrown.go")); err != nil {
-		t.Fatal(err)
-	}
-
-	// A nested package under the shim cannot smuggle exports past the
-	// guard either.
-	writeFile(filepath.Join(shim, "v2", "api.go"),
-		"package v2\n\nfunc Smuggled() {}\n")
-	if errs := checkClientShim(root); len(errs) != 1 {
-		t.Fatalf("nested regrown export: got %d errors, want 1: %v", len(errs), errs)
-	}
-	if err := os.RemoveAll(filepath.Join(shim, "v2")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Importing the shim — or anything nested under it — from anywhere
-	// else in the tree fails.
-	writeFile(filepath.Join(root, "cmd", "x", "main.go"),
-		"package main\n\nimport (\n\t_ \"crdtsmr/internal/client\"\n\t_ \"crdtsmr/internal/client/v2\"\n)\n\nfunc main() {}\n")
-	if errs := checkClientShim(root); len(errs) != 2 {
-		t.Fatalf("shim imports: got %d errors, want 2: %v", len(errs), errs)
-	}
-
-	// A deleted shim satisfies the guard.
-	if errs := checkClientShim(t.TempDir()); len(errs) != 0 {
-		t.Fatalf("missing shim rejected: %v", errs)
-	}
-}

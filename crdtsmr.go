@@ -39,10 +39,11 @@
 // daemon it talks to. The packages under internal/ hold the
 // implementation: the protocol (internal/core), the CRDT library
 // (internal/crdt), transports (internal/transport), the runtime
-// (internal/cluster), the sharded store (internal/store), the network
-// serving layer (internal/server — see docs/PROTOCOL.md for the wire
-// format), the Multi-Paxos and Raft baselines, the correctness checker,
-// and the benchmark harness. For a map from the paper's sections to the
+// (internal/cluster, which also owns the keyspace: per-key replicas on
+// key-hashed event-loop shards), the network serving layer
+// (internal/server — see docs/PROTOCOL.md for the wire format), the
+// Multi-Paxos and Raft baselines, the correctness checker, and the
+// benchmark harness. For a map from the paper's sections to the
 // packages, see docs/ARCHITECTURE.md.
 package crdtsmr
 
@@ -54,7 +55,6 @@ import (
 	"crdtsmr/internal/cluster"
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
-	"crdtsmr/internal/store"
 	"crdtsmr/internal/transport"
 )
 
@@ -136,9 +136,9 @@ func WithObjectInitial(initial func(key string) State) Option {
 
 // Cluster is a running replica group serving a keyspace of CRDT objects.
 type Cluster struct {
-	mesh *transport.Mesh
-	st   *store.Store
-	ids  []NodeID
+	mesh  *transport.Mesh
+	clust *cluster.Cluster
+	ids   []NodeID
 }
 
 // NewLocalCluster starts n replicas in this process connected by an
@@ -162,7 +162,7 @@ func NewLocalCluster(n int, initial State, opts ...Option) (*Cluster, error) {
 	for i := range ids {
 		ids[i] = NodeID(fmt.Sprintf("n%d", i+1))
 	}
-	st, err := store.New(mesh, cluster.Config{
+	clust, err := cluster.New(mesh, cluster.Config{
 		Members:       ids,
 		Initial:       initial,
 		InitialForKey: o.initialForKey,
@@ -173,7 +173,7 @@ func NewLocalCluster(n int, initial State, opts ...Option) (*Cluster, error) {
 		mesh.Close()
 		return nil, err
 	}
-	return &Cluster{mesh: mesh, st: st, ids: ids}, nil
+	return &Cluster{mesh: mesh, clust: clust, ids: ids}, nil
 }
 
 // NodeIDs returns the replica IDs in order.
@@ -183,31 +183,44 @@ func (c *Cluster) NodeIDs() []NodeID { return append([]NodeID(nil), c.ids...) }
 // named replica and waits for it to be durable on a quorum (one round
 // trip).
 func (c *Cluster) Update(ctx context.Context, at NodeID, fu Update) error {
-	_, err := c.st.Update(ctx, at, DefaultKey, fu)
-	return err
+	return c.Object(DefaultKey).Update(ctx, at, fu)
 }
 
 // Query learns a linearizable state of the default object at the named
 // replica.
 func (c *Cluster) Query(ctx context.Context, at NodeID) (State, QueryStats, error) {
-	return c.st.Query(ctx, at, DefaultKey)
+	return c.Object(DefaultKey).Query(ctx, at)
 }
 
 // Keys returns the object keys instantiated at the named replica, sorted
 // (the default object is key "").
-func (c *Cluster) Keys(at NodeID) []string { return c.st.Keys(at) }
+func (c *Cluster) Keys(at NodeID) []string {
+	n := c.clust.Node(at)
+	if n == nil {
+		return nil
+	}
+	return n.Keys()
+}
 
 // Crash simulates a crash of the named replica; its state is retained
 // (crash-recovery model).
-func (c *Cluster) Crash(id NodeID) { c.st.Crash(id) }
+func (c *Cluster) Crash(id NodeID) { c.clust.Crash(id) }
 
 // Recover brings a crashed replica back.
-func (c *Cluster) Recover(id NodeID) { c.st.Recover(id) }
+func (c *Cluster) Recover(id NodeID) { c.clust.Recover(id) }
 
 // Close stops every replica.
 func (c *Cluster) Close() {
-	c.st.Close()
+	c.clust.Close()
 	c.mesh.Close()
+}
+
+// node resolves the replica a command names.
+func (c *Cluster) node(at NodeID) (*cluster.Node, error) {
+	if n := c.clust.Node(at); n != nil {
+		return n, nil
+	}
+	return nil, fmt.Errorf("crdtsmr: unknown replica %s", at)
 }
 
 // Object addresses one key of the cluster's keyspace. Each key is an
@@ -229,13 +242,21 @@ func (o *Object) Key() string { return o.key }
 // Update applies a monotone update function to this object at the named
 // replica (one round trip).
 func (o *Object) Update(ctx context.Context, at NodeID, fu Update) error {
-	_, err := o.c.st.Update(ctx, at, o.key, fu)
+	n, err := o.c.node(at)
+	if err != nil {
+		return err
+	}
+	_, err = n.UpdateKey(ctx, o.key, fu)
 	return err
 }
 
 // Query learns a linearizable state of this object at the named replica.
 func (o *Object) Query(ctx context.Context, at NodeID) (State, QueryStats, error) {
-	return o.c.st.Query(ctx, at, o.key)
+	n, err := o.c.node(at)
+	if err != nil {
+		return nil, QueryStats{}, err
+	}
+	return n.QueryKey(ctx, o.key)
 }
 
 // Counter returns a typed G-Counter handle on this object, bound to the

@@ -58,12 +58,13 @@ func main() {
 		_ = ln.Close()
 	}
 
+	opts := core.DefaultOptions()
+	opts.Transfer = mode
 	cfg := cluster.Config{
 		Members:            ids,
 		Initial:            crdt.NewGCounter(),
 		InitialForKey:      server.TypedKeyInitial(crdt.TypeGCounter),
-		Options:            core.DefaultOptions(),
-		StateTransfer:      mode,
+		Options:            opts,
 		RetransmitInterval: 20 * time.Millisecond,
 	}
 	var nodes []*cluster.Node

@@ -20,7 +20,7 @@ func tinyScale() Scale {
 }
 
 func TestRunCRDTSystem(t *testing.T) {
-	sys, err := NewCRDTSystem(3, 0, NetProfile{Seed: 1})
+	sys, err := NewCRDTSystem(3, CRDTOpts{}, NetProfile{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestRunPaxosSystem(t *testing.T) {
 }
 
 func TestRunWithFailureInjection(t *testing.T) {
-	sys, err := NewCRDTSystem(3, 0, NetProfile{Seed: 1})
+	sys, err := NewCRDTSystem(3, CRDTOpts{}, NetProfile{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

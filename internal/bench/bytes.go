@@ -68,11 +68,12 @@ func runBytesPoint(replicas, size, ops int, mode core.StateTransfer) (BytesPoint
 	mesh := transport.NewMesh(transport.WithSeed(1))
 	defer mesh.Close()
 	ids := members(replicas)
+	opts := core.DefaultOptions()
+	opts.Transfer = mode
 	clust, err := cluster.New(mesh, cluster.Config{
 		Members:            ids,
 		Initial:            crdt.NewORSet(),
-		Options:            core.DefaultOptions(),
-		StateTransfer:      mode,
+		Options:            opts,
 		RetransmitInterval: time.Second,
 	})
 	if err != nil {

@@ -17,104 +17,93 @@ import (
 
 	"crdtsmr/client"
 	"crdtsmr/internal/cluster"
-	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/server"
-	"crdtsmr/internal/store"
-	"crdtsmr/internal/transport"
 )
 
-// NetSystem is the sharded store behind the network serving layer. Bench
+// frontend fronts every node of a cluster with a TCP server on an
+// ephemeral loopback port and one client-library instance bound to that
+// server alone: bench clients of a replica share its pool and pipeline
+// over a few connections, and a crashed replica surfaces errors instead of
+// silently failing over.
+type frontend struct {
+	servers []*server.Server
+	clients []*client.Client // one per server, shared by bench clients
+}
+
+func frontNodes(nodes []*cluster.Node, so server.Options, co ...client.Option) (*frontend, error) {
+	f := &frontend{}
+	for _, node := range nodes {
+		srv, err := server.Start(node, "127.0.0.1:0", so)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		f.servers = append(f.servers, srv)
+		cl, err := client.New([]string{srv.Addr()}, co...)
+		if err != nil {
+			f.Close()
+			return nil, err
+		}
+		f.clients = append(f.clients, cl)
+	}
+	return f, nil
+}
+
+func (f *frontend) Close() {
+	for _, cl := range f.clients {
+		_ = cl.Close()
+	}
+	for _, srv := range f.servers {
+		_ = srv.Close()
+	}
+}
+
+// NetSystem is a CRDTSystem behind the network serving layer. Bench
 // client i works key i mod nKeys through the server of replica
 // (i / nKeys) mod replicas, one pooled pipelined client library instance
 // per server.
 type NetSystem struct {
-	name    string
-	mesh    *transport.Mesh
-	st      *store.Store
-	ids     []transport.NodeID
-	servers []*server.Server
-	clients []*client.Client // one per server, shared by bench clients
-	keys    []string
+	*CRDTSystem
+	front *frontend
 }
 
-// NewNetSystem starts the sharded store over n replicas and nKeys keys,
+// NewNetSystem starts the keyed store over n replicas and nKeys keys,
 // each replica fronted by a TCP server on an ephemeral loopback port.
 func NewNetSystem(n, nKeys int, batch time.Duration, net NetProfile) (*NetSystem, error) {
 	if nKeys <= 0 {
 		return nil, fmt.Errorf("bench: need at least one key, got %d", nKeys)
 	}
-	name := fmt.Sprintf("CRDT Paxos served(%d keys)", nKeys)
-	if batch > 0 {
-		name = fmt.Sprintf("CRDT Paxos served(%d keys) w/batching(%s)", nKeys, batch)
-	}
-	mesh := net.mesh()
-	ids := members(n)
-	st, err := store.New(mesh, cluster.Config{
-		Members:            ids,
-		Initial:            crdt.NewGCounter(),
-		Options:            core.DefaultOptions(),
-		BatchInterval:      batch,
-		RetransmitInterval: 10 * time.Millisecond,
-	})
+	sys, err := NewCRDTSystem(n, CRDTOpts{Keys: nKeys, Batch: batch}, net)
 	if err != nil {
-		mesh.Close()
 		return nil, err
 	}
-	s := &NetSystem{name: name, mesh: mesh, st: st, ids: ids}
-	for _, id := range ids {
-		srv, err := server.Start(st.Node(id), "127.0.0.1:0", server.Options{})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.servers = append(s.servers, srv)
-		// Each server gets one client-library instance bound to it alone:
-		// bench clients of a replica share its pool and pipeline over a
-		// few connections, and a crashed replica surfaces errors instead
-		// of silently failing over (Run redirects, as for other systems).
-		cl, err := client.New([]string{srv.Addr()},
-			client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 1}),
-			client.WithPool(4))
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.clients = append(s.clients, cl)
+	sys.name = fmt.Sprintf("CRDT Paxos served(%d keys)", nKeys)
+	if batch > 0 {
+		sys.name += fmt.Sprintf(" w/batching(%s)", batch)
 	}
-	s.keys = make([]string, nKeys)
-	for i := range s.keys {
-		s.keys[i] = fmt.Sprintf("obj/%04d", i)
+	// One attempt, no fail-over: Run redirects, as for other systems.
+	front, err := frontNodes(sys.clust.Nodes(), server.Options{},
+		client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 1}),
+		client.WithPool(4))
+	if err != nil {
+		sys.Close()
+		return nil, err
 	}
-	return s, nil
+	return &NetSystem{CRDTSystem: sys, front: front}, nil
 }
-
-// Name implements System.
-func (s *NetSystem) Name() string { return s.name }
 
 // Client implements System.
 func (s *NetSystem) Client(i int) Client {
 	key := s.keys[i%len(s.keys)]
-	cl := s.clients[(i/len(s.keys))%len(s.clients)]
+	cl := s.front.clients[(i/len(s.keys))%len(s.front.clients)]
 	return &netClient{cl: cl, key: key, ctr: cl.Counter(key)}
 }
 
-// Crash implements System.
-func (s *NetSystem) Crash(replica int) { s.st.Crash(s.ids[replica%len(s.ids)]) }
-
-// Recover implements System.
-func (s *NetSystem) Recover(replica int) { s.st.Recover(s.ids[replica%len(s.ids)]) }
-
 // Close implements System.
 func (s *NetSystem) Close() {
-	for _, cl := range s.clients {
-		_ = cl.Close()
-	}
-	for _, srv := range s.servers {
-		_ = srv.Close()
-	}
-	s.st.Close()
-	s.mesh.Close()
+	s.front.Close()
+	s.CRDTSystem.Close()
 }
 
 type netClient struct {

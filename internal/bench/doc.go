@@ -4,4 +4,9 @@
 // submitting the next; clients are spread evenly over replicas; throughput
 // is aggregated in 1 s intervals and reported as the median), plus the
 // drivers that regenerate every figure of the evaluation section.
+//
+// Two System implementations start replicas: CRDTSystem (the paper's
+// protocol over a cluster.Cluster, one or many keys; NetSystem fronts the
+// same nodes with TCP servers) and LogSystem (Raft or Multi-Paxos replicas
+// on rsm.Node).
 package bench

@@ -38,8 +38,8 @@ type systemSpec struct {
 
 func (s Scale) systems() []systemSpec {
 	return []systemSpec{
-		{"CRDT Paxos", func() (System, error) { return NewCRDTSystem(s.Replicas, 0, s.Net) }},
-		{"CRDT Paxos w/batching", func() (System, error) { return NewCRDTSystem(s.Replicas, s.Batch, s.Net) }},
+		{"CRDT Paxos", func() (System, error) { return NewCRDTSystem(s.Replicas, CRDTOpts{}, s.Net) }},
+		{"CRDT Paxos w/batching", func() (System, error) { return NewCRDTSystem(s.Replicas, CRDTOpts{Batch: s.Batch}, s.Net) }},
 		{"Raft", func() (System, error) { return NewRaftSystem(s.Replicas, s.Net) }},
 		{"Multi-Paxos", func() (System, error) { return NewPaxosSystem(s.Replicas, s.Net) }},
 	}
@@ -155,7 +155,7 @@ func Figure3(w io.Writer, s Scale, clientCounts []int) (headline float64, err er
 		}
 		fmt.Fprintln(w)
 		for _, clients := range clientCounts {
-			sys, err := NewCRDTSystem(s.Replicas, batch, s.Net)
+			sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{Batch: batch}, s.Net)
 			if err != nil {
 				return 0, err
 			}
@@ -196,7 +196,7 @@ func Figure4(w io.Writer, s Scale, clients int) error {
 		if batch > 0 {
 			label = fmt.Sprintf("with %s batching", batch)
 		}
-		sys, err := NewCRDTSystem(s.Replicas, batch, s.Net)
+		sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{Batch: batch}, s.Net)
 		if err != nil {
 			return err
 		}

@@ -1,149 +1,10 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
-
-	"crdtsmr/internal/cluster"
-	"crdtsmr/internal/core"
-	"crdtsmr/internal/crdt"
-	"crdtsmr/internal/persist"
-	"crdtsmr/internal/store"
-	"crdtsmr/internal/transport"
 )
-
-// --- sharded multi-object store under benchmark ---
-
-// MultiCRDTSystem runs the paper's protocol as a sharded store: nKeys
-// independent G-Counter objects over one replica group, every key its own
-// replication instance multiplexed on the nodes' event loops. Client i
-// works key i mod nKeys at replica (i / nKeys) mod replicas, so each key's
-// clients are spread across replicas.
-type MultiCRDTSystem struct {
-	name string
-	mesh *transport.Mesh
-	st   *store.Store
-	ids  []transport.NodeID
-	keys []string
-}
-
-// NewMultiCRDTSystem starts the sharded store over n replicas and nKeys
-// keys. batch enables per-key §3.6 batching.
-func NewMultiCRDTSystem(n, nKeys int, batch time.Duration, net NetProfile) (*MultiCRDTSystem, error) {
-	return NewMultiCRDTSystemOpts(n, nKeys, MultiOpts{Batch: batch}, net)
-}
-
-// MultiOpts configures the store beyond the defaults: batching, event-loop
-// sharding, and the durability pipeline. The zero value reproduces
-// NewMultiCRDTSystem's volatile, default-sharded store.
-type MultiOpts struct {
-	// Batch enables per-key §3.6 batching.
-	Batch time.Duration
-	// DataDir, when non-empty, makes every node durable (each persists
-	// into its own subdirectory).
-	DataDir string
-	// Shards sets the per-node event-loop shard count (0 = default).
-	Shards int
-	// SerialPersist forces the synchronous one-Save-per-event durability
-	// path — the pre-group-commit baseline the shards figure compares
-	// against.
-	SerialPersist bool
-	// PersistSync and PersistWriteDelay pass through to the snapshot
-	// store: the sync policy and the emulated per-write device latency.
-	PersistSync       persist.SyncPolicy
-	PersistWriteDelay time.Duration
-	// Retransmit overrides the 10 ms retransmit interval. The durability
-	// benchmarks must: with per-write flush latency, op latencies sit in
-	// the 10-500 ms range, and a 10 ms timer floods the slow rows' event
-	// queues with duplicate MERGEs until fresh frames are dropped.
-	Retransmit time.Duration
-}
-
-// NewMultiCRDTSystemOpts is NewMultiCRDTSystem with explicit store
-// options; the durability benchmarks use it to pit the serial-persist
-// baseline against the sharded group-commit pipeline.
-func NewMultiCRDTSystemOpts(n, nKeys int, o MultiOpts, net NetProfile) (*MultiCRDTSystem, error) {
-	if nKeys <= 0 {
-		return nil, fmt.Errorf("bench: need at least one key, got %d", nKeys)
-	}
-	name := fmt.Sprintf("CRDT Paxos sharded(%d keys)", nKeys)
-	if o.Batch > 0 {
-		name = fmt.Sprintf("CRDT Paxos sharded(%d keys) w/batching(%s)", nKeys, o.Batch)
-	}
-	retransmit := o.Retransmit
-	if retransmit <= 0 {
-		retransmit = 10 * time.Millisecond
-	}
-	mesh := net.mesh()
-	ids := members(n)
-	st, err := store.New(mesh, cluster.Config{
-		Members:            ids,
-		Initial:            crdt.NewGCounter(),
-		Options:            core.DefaultOptions(),
-		BatchInterval:      o.Batch,
-		RetransmitInterval: retransmit,
-		Shards:             o.Shards,
-		DataDir:            o.DataDir,
-		SerialPersist:      o.SerialPersist,
-		PersistSync:        o.PersistSync,
-		PersistWriteDelay:  o.PersistWriteDelay,
-	})
-	if err != nil {
-		mesh.Close()
-		return nil, err
-	}
-	keys := make([]string, nKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("obj/%04d", i)
-	}
-	return &MultiCRDTSystem{name: name, mesh: mesh, st: st, ids: ids, keys: keys}, nil
-}
-
-// Name implements System.
-func (s *MultiCRDTSystem) Name() string { return s.name }
-
-// Client implements System.
-func (s *MultiCRDTSystem) Client(i int) Client {
-	key := s.keys[i%len(s.keys)]
-	at := s.ids[(i/len(s.keys))%len(s.ids)]
-	return &multiClient{st: s.st, at: at, key: key, slot: string(at)}
-}
-
-// Crash implements System.
-func (s *MultiCRDTSystem) Crash(replica int) { s.st.Crash(s.ids[replica%len(s.ids)]) }
-
-// Recover implements System.
-func (s *MultiCRDTSystem) Recover(replica int) { s.st.Recover(s.ids[replica%len(s.ids)]) }
-
-// Close implements System.
-func (s *MultiCRDTSystem) Close() {
-	s.st.Close()
-	s.mesh.Close()
-}
-
-type multiClient struct {
-	st   *store.Store
-	at   transport.NodeID
-	key  string
-	slot string
-}
-
-func (c *multiClient) Inc(ctx context.Context) error {
-	_, err := c.st.Update(ctx, c.at, c.key, func(s crdt.State) (crdt.State, error) {
-		return s.(*crdt.GCounter).Inc(c.slot, 1), nil
-	})
-	return err
-}
-
-func (c *multiClient) Read(ctx context.Context) (int64, int, error) {
-	s, stats, err := c.st.Query(ctx, c.at, c.key)
-	if err != nil {
-		return 0, 0, err
-	}
-	return int64(s.(*crdt.GCounter).Value()), stats.RoundTrips, nil
-}
 
 // --- keys-vs-throughput sweep ---
 
@@ -169,7 +30,10 @@ type KeySweepPoint struct {
 func RunKeysSweep(s Scale, keyCounts []int, clientsPerKey int, readFraction float64, batch time.Duration) ([]KeySweepPoint, error) {
 	points := make([]KeySweepPoint, 0, len(keyCounts))
 	for _, k := range keyCounts {
-		sys, err := NewMultiCRDTSystem(s.Replicas, k, batch, s.Net)
+		if k <= 0 {
+			return nil, fmt.Errorf("bench: need at least one key, got %d", k)
+		}
+		sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{Keys: k, Batch: batch}, s.Net)
 		if err != nil {
 			return nil, err
 		}

@@ -7,8 +7,8 @@ import (
 	"time"
 )
 
-func TestRunMultiCRDTSystem(t *testing.T) {
-	sys, err := NewMultiCRDTSystem(3, 16, 0, NetProfile{Seed: 1})
+func TestRunKeyedCRDTSystem(t *testing.T) {
+	sys, err := NewCRDTSystem(3, CRDTOpts{Keys: 16}, NetProfile{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,24 +25,24 @@ func TestRunMultiCRDTSystem(t *testing.T) {
 	}
 }
 
-func TestMultiCRDTSystemClientSpread(t *testing.T) {
-	sys, err := NewMultiCRDTSystem(3, 4, 0, NetProfile{Seed: 1})
+func TestKeyedCRDTSystemClientSpread(t *testing.T) {
+	sys, err := NewCRDTSystem(3, CRDTOpts{Keys: 4}, NetProfile{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sys.Close()
 	// Clients 0..3 hit distinct keys; clients 0, 4, 8 share a key but sit
 	// on distinct replicas.
-	c0 := sys.Client(0).(*multiClient)
-	c4 := sys.Client(4).(*multiClient)
-	c8 := sys.Client(8).(*multiClient)
+	c0 := sys.Client(0).(*crdtClient)
+	c4 := sys.Client(4).(*crdtClient)
+	c8 := sys.Client(8).(*crdtClient)
 	if c0.key != c4.key || c4.key != c8.key {
 		t.Fatalf("clients 0/4/8 keys = %s/%s/%s, want same key", c0.key, c4.key, c8.key)
 	}
-	if c0.at == c4.at || c4.at == c8.at || c0.at == c8.at {
-		t.Fatalf("clients 0/4/8 replicas = %s/%s/%s, want all distinct", c0.at, c4.at, c8.at)
+	if c0.slot == c4.slot || c4.slot == c8.slot || c0.slot == c8.slot {
+		t.Fatalf("clients 0/4/8 replicas = %s/%s/%s, want all distinct", c0.slot, c4.slot, c8.slot)
 	}
-	c1 := sys.Client(1).(*multiClient)
+	c1 := sys.Client(1).(*crdtClient)
 	if c0.key == c1.key {
 		t.Fatalf("clients 0/1 share key %s, want distinct keys", c0.key)
 	}

@@ -26,7 +26,7 @@ func FigureMembers(w io.Writer, s Scale, clients int) (*FigureJSON, error) {
 	if clients <= 0 {
 		clients = 64
 	}
-	sys, err := NewCRDTSystem(s.Replicas, 0, s.Net)
+	sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{}, s.Net)
 	if err != nil {
 		return nil, err
 	}

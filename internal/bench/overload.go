@@ -21,11 +21,7 @@ import (
 	"time"
 
 	"crdtsmr/client"
-	"crdtsmr/internal/cluster"
-	"crdtsmr/internal/core"
-	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/server"
-	"crdtsmr/internal/store"
 )
 
 // Admission limits for the "admission on" series. Deliberately small so
@@ -58,56 +54,26 @@ type overloadResult struct {
 // on, which is exactly the contract StatusBusy promises (the operation
 // provably did not execute).
 func runOverload(offered int, opts server.Options, duration, warmup time.Duration, net NetProfile) (overloadResult, error) {
-	mesh := net.mesh()
-	ids := members(overloadReplicas)
-	st, err := store.New(mesh, cluster.Config{
-		Members:            ids,
-		Initial:            crdt.NewGCounter(),
-		Options:            core.DefaultOptions(),
-		RetransmitInterval: 10 * time.Millisecond,
-	})
+	sys, err := NewCRDTSystem(overloadReplicas, CRDTOpts{Keys: overloadKeys}, net)
 	if err != nil {
-		mesh.Close()
 		return overloadResult{}, err
 	}
-	defer mesh.Close()
-	defer st.Close()
-
-	var servers []*server.Server
-	var clients []*client.Client
-	defer func() {
-		for _, cl := range clients {
-			_ = cl.Close()
-		}
-		for _, srv := range servers {
-			_ = srv.Close()
-		}
-	}()
-	for _, id := range ids {
-		srv, err := server.Start(st.Node(id), "127.0.0.1:0", opts)
-		if err != nil {
-			return overloadResult{}, err
-		}
-		servers = append(servers, srv)
-		// The retry budget absorbs shedding: backoff long enough to let
-		// the executing set drain, attempts plentiful enough that giving
-		// up stays the exception even at the top of the sweep.
-		// Pool 4 × per-conn cap 8 lets the connections collectively offer
-		// twice the server-wide cap, so the global tier actually trips:
-		// per-conn semaphores alone would otherwise gate the executing
-		// set at exactly MaxTotalInFlight and nothing would ever shed.
-		cl, err := client.New([]string{srv.Addr()},
-			client.WithPool(4),
-			client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 8, Backoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond}))
-		if err != nil {
-			return overloadResult{}, err
-		}
-		clients = append(clients, cl)
+	defer sys.Close()
+	// The retry budget absorbs shedding: backoff long enough to let
+	// the executing set drain, attempts plentiful enough that giving
+	// up stays the exception even at the top of the sweep.
+	// Pool 4 × per-conn cap 8 lets the connections collectively offer
+	// twice the server-wide cap, so the global tier actually trips:
+	// per-conn semaphores alone would otherwise gate the executing
+	// set at exactly MaxTotalInFlight and nothing would ever shed.
+	front, err := frontNodes(sys.clust.Nodes(), opts,
+		client.WithPool(4),
+		client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 8, Backoff: time.Millisecond, MaxBackoff: 20 * time.Millisecond}))
+	if err != nil {
+		return overloadResult{}, err
 	}
-	keys := make([]string, overloadKeys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("obj/%04d", i)
-	}
+	defer front.Close()
+	clients, keys := front.clients, sys.keys
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -173,7 +139,7 @@ func runOverload(offered int, opts server.Options, duration, warmup time.Duratio
 	res.Completed = len(all)
 	res.Goodput = float64(res.Completed) / elapsed.Seconds()
 	res.Lat = summarize(all)
-	for _, srv := range servers {
+	for _, srv := range front.servers {
 		res.ShedReqs += srv.ShedRequests()
 		res.ShedConns += srv.ShedConns()
 	}

@@ -86,7 +86,8 @@ func RunShardsSweep(s Scale, shardCounts []int) ([]ShardsPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys, err := NewMultiCRDTSystemOpts(s.Replicas, shardsFigKeys, MultiOpts{
+		sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{
+			Keys:              shardsFigKeys,
 			DataDir:           dir,
 			Shards:            row.shards,
 			SerialPersist:     row.serial,

@@ -9,6 +9,7 @@ import (
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/paxos"
+	"crdtsmr/internal/persist"
 	"crdtsmr/internal/raft"
 	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/transport"
@@ -70,46 +71,96 @@ func members(n int) []transport.NodeID {
 
 // --- CRDT Paxos (this paper) ---
 
-// CRDTSystem runs the paper's protocol on a replicated G-Counter.
+// CRDTOpts configures a CRDTSystem beyond the paper's defaults. The zero
+// value is the single-counter, volatile, unbatched deployment of §4.
+type CRDTOpts struct {
+	// Keys is how many independent G-Counter objects the clients work
+	// (default 1, the paper's single replicated counter).
+	Keys int
+	// Batch enables per-key §3.6 batching (the paper evaluates 5 ms).
+	Batch time.Duration
+	// Protocol overrides core.DefaultOptions(), which the zero value
+	// selects; the ablation and lease benchmarks set it.
+	Protocol core.Options
+	// DataDir, when non-empty, makes every node durable (each persists
+	// into its own subdirectory).
+	DataDir string
+	// Shards sets the per-node event-loop shard count (0 = default).
+	Shards int
+	// SerialPersist forces the synchronous one-Save-per-event durability
+	// path — the pre-group-commit baseline the shards figure compares
+	// against.
+	SerialPersist bool
+	// PersistSync and PersistWriteDelay pass through to the snapshot
+	// store: the sync policy and the emulated per-write device latency.
+	PersistSync       persist.SyncPolicy
+	PersistWriteDelay time.Duration
+	// Retransmit overrides the 10 ms retransmit interval. The durability
+	// benchmarks must: with per-write flush latency, op latencies sit in
+	// the 10-500 ms range, and a 10 ms timer floods the slow rows' event
+	// queues with duplicate MERGEs until fresh frames are dropped.
+	Retransmit time.Duration
+}
+
+// CRDTSystem runs the paper's protocol on a keyspace of replicated
+// G-Counters: every key its own replication instance multiplexed on the
+// nodes' event loops. Client i works key i mod Keys at replica
+// (i / Keys) mod replicas, so each key's clients are spread across
+// replicas (and with one key, clients spread evenly over replicas).
 type CRDTSystem struct {
 	name  string
 	mesh  *transport.Mesh
 	clust *cluster.Cluster
 	ids   []transport.NodeID
+	keys  []string
 	cfg   cluster.Config // kept for starting joiners (FigureMembers)
 }
 
-// NewCRDTSystem starts the paper's protocol over n replicas. batch enables
-// §3.6 batching (the paper evaluates 5 ms).
-func NewCRDTSystem(n int, batch time.Duration, net NetProfile) (*CRDTSystem, error) {
-	return NewCRDTSystemOpts(n, batch, net, core.DefaultOptions())
-}
-
-// NewCRDTSystemOpts is NewCRDTSystem with explicit protocol options, used
-// by the ablation benchmarks (e.g. seeded prepares, §3.2).
-func NewCRDTSystemOpts(n int, batch time.Duration, net NetProfile, opts core.Options) (*CRDTSystem, error) {
+// NewCRDTSystem starts the paper's protocol over n replicas.
+func NewCRDTSystem(n int, o CRDTOpts, net NetProfile) (*CRDTSystem, error) {
+	if o.Keys <= 0 {
+		o.Keys = 1
+	}
 	name := "CRDT Paxos"
-	if batch > 0 {
-		name = fmt.Sprintf("CRDT Paxos w/batching(%s)", batch)
+	if o.Keys > 1 {
+		name += fmt.Sprintf(" sharded(%d keys)", o.Keys)
+	}
+	if o.Batch > 0 {
+		name += fmt.Sprintf(" w/batching(%s)", o.Batch)
+	}
+	if o.Protocol == (core.Options{}) {
+		o.Protocol = core.DefaultOptions()
+	}
+	// The retransmit timeout doubles as the vote-grace period when a
+	// crashed acceptor leaves a denied vote undecidable (Figure 4); keep
+	// it a small multiple of the protocol round trip.
+	if o.Retransmit <= 0 {
+		o.Retransmit = 10 * time.Millisecond
 	}
 	mesh := net.mesh()
 	ids := members(n)
 	cfg := cluster.Config{
-		Members:       ids,
-		Initial:       crdt.NewGCounter(),
-		Options:       opts,
-		BatchInterval: batch,
-		// The retransmit timeout doubles as the vote-grace period when a
-		// crashed acceptor leaves a denied vote undecidable (Figure 4);
-		// keep it a small multiple of the protocol round trip.
-		RetransmitInterval: 10 * time.Millisecond,
+		Members:            ids,
+		Initial:            crdt.NewGCounter(),
+		Options:            o.Protocol,
+		BatchInterval:      o.Batch,
+		RetransmitInterval: o.Retransmit,
+		Shards:             o.Shards,
+		DataDir:            o.DataDir,
+		SerialPersist:      o.SerialPersist,
+		PersistSync:        o.PersistSync,
+		PersistWriteDelay:  o.PersistWriteDelay,
 	}
 	clust, err := cluster.New(mesh, cfg)
 	if err != nil {
 		mesh.Close()
 		return nil, err
 	}
-	return &CRDTSystem{name: name, mesh: mesh, clust: clust, ids: ids, cfg: cfg}, nil
+	keys := make([]string, o.Keys)
+	for i := range keys {
+		keys[i] = fmt.Sprintf("obj/%04d", i)
+	}
+	return &CRDTSystem{name: name, mesh: mesh, clust: clust, ids: ids, keys: keys, cfg: cfg}, nil
 }
 
 // Name implements System.
@@ -117,8 +168,8 @@ func (s *CRDTSystem) Name() string { return s.name }
 
 // Client implements System.
 func (s *CRDTSystem) Client(i int) Client {
-	id := s.ids[i%len(s.ids)]
-	return &crdtClient{node: s.clust.Node(id), slot: string(id)}
+	at := s.ids[(i/len(s.keys))%len(s.ids)]
+	return &crdtClient{node: s.clust.Node(at), key: s.keys[i%len(s.keys)], slot: string(at)}
 }
 
 // Pinned returns a view of the system whose clients all attach to one
@@ -135,7 +186,7 @@ type pinnedSystem struct {
 }
 
 // Client implements System: every client index maps to the pinned replica.
-func (p *pinnedSystem) Client(int) Client { return p.CRDTSystem.Client(p.replica) }
+func (p *pinnedSystem) Client(int) Client { return p.CRDTSystem.Client(p.replica * len(p.keys)) }
 
 // Grow starts a fresh joiner on the mesh and reconfigures it into the
 // member group from an existing member, returning once the round commits
@@ -196,169 +247,113 @@ func (s *CRDTSystem) Close() {
 
 type crdtClient struct {
 	node *cluster.Node
+	key  string
 	slot string
 }
 
 func (c *crdtClient) Inc(ctx context.Context) error {
-	_, err := c.node.Update(ctx, func(s crdt.State) (crdt.State, error) {
+	_, err := c.node.UpdateKey(ctx, c.key, func(s crdt.State) (crdt.State, error) {
 		return s.(*crdt.GCounter).Inc(c.slot, 1), nil
 	})
 	return err
 }
 
 func (c *crdtClient) Read(ctx context.Context) (int64, int, error) {
-	s, stats, err := c.node.Query(ctx)
+	s, stats, err := c.node.QueryKey(ctx, c.key)
 	if err != nil {
 		return 0, 0, err
 	}
 	return int64(s.(*crdt.GCounter).Value()), stats.RoundTrips, nil
 }
 
-// --- Raft baseline ---
+// --- log-based baselines (Raft, Multi-Paxos) ---
 
-// RaftSystem runs the Raft baseline on a replicated integer.
-type RaftSystem struct {
+// logElectionTimeout is the baselines' leader-liveness timeout; the
+// Multi-Paxos read lease spans four of them.
+const logElectionTimeout = 100 * time.Millisecond
+
+// LogSystem runs a log-based baseline on a replicated integer: n replicas
+// of one protocol, each driven by an rsm.Node on the wall clock.
+type LogSystem struct {
+	name  string
 	mesh  *transport.Mesh
-	nodes []*raft.Node
+	nodes []*rsm.Node
 }
 
-// NewRaftSystem starts a Raft cluster of n replicas.
-func NewRaftSystem(n int, net NetProfile) (*RaftSystem, error) {
-	mesh := net.mesh()
+// NewRaftSystem starts a Raft cluster of n replicas. The paper's Raft
+// baseline appends consistent reads to the log.
+func NewRaftSystem(n int, net NetProfile) (*LogSystem, error) {
+	return newLogSystem("Raft", n, net, func(id transport.NodeID, ids []transport.NodeID) (rsm.Replica, error) {
+		return raft.NewReplica(id, ids, rsm.NewCounter())
+	})
+}
+
+// NewPaxosSystem starts a Multi-Paxos cluster of n replicas; reads go
+// through the lease fast path at the leader.
+func NewPaxosSystem(n int, net NetProfile) (*LogSystem, error) {
+	return newLogSystem("Multi-Paxos", n, net, func(id transport.NodeID, ids []transport.NodeID) (rsm.Replica, error) {
+		rep, err := paxos.NewReplica(id, ids, rsm.NewCounter())
+		if err != nil {
+			return nil, err
+		}
+		rep.LeaseDuration = 4 * logElectionTimeout
+		return rep, nil
+	})
+}
+
+func newLogSystem(name string, n int, net NetProfile, newReplica func(id transport.NodeID, ids []transport.NodeID) (rsm.Replica, error)) (*LogSystem, error) {
+	s := &LogSystem{name: name, mesh: net.mesh()}
 	ids := members(n)
-	cfg := raft.Config{Members: ids, ElectionTimeout: 100 * time.Millisecond}
-	s := &RaftSystem{mesh: mesh}
 	for _, id := range ids {
-		node, err := raft.NewNode(id, cfg, rsm.NewCounter(), func(id transport.NodeID, h transport.Handler) transport.Conn {
-			return mesh.Join(id, h)
-		})
+		rep, err := newReplica(id, ids)
 		if err != nil {
 			s.Close()
 			return nil, err
 		}
-		s.nodes = append(s.nodes, node)
+		s.nodes = append(s.nodes, rsm.NewNode(rep, rsm.Config{ElectionTimeout: logElectionTimeout},
+			func(id transport.NodeID, h transport.Handler) transport.Conn { return s.mesh.Join(id, h) }))
 	}
 	return s, nil
 }
 
 // Name implements System.
-func (s *RaftSystem) Name() string { return "Raft" }
+func (s *LogSystem) Name() string { return s.name }
 
 // Client implements System.
-func (s *RaftSystem) Client(i int) Client {
-	return &raftClient{node: s.nodes[i%len(s.nodes)]}
-}
+func (s *LogSystem) Client(i int) Client { return logClient{node: s.nodes[i%len(s.nodes)]} }
 
 // Crash implements System.
-func (s *RaftSystem) Crash(replica int) {
+func (s *LogSystem) Crash(replica int) {
 	node := s.nodes[replica%len(s.nodes)]
 	s.mesh.SetDown(node.ID(), true)
 	node.SetCrashed(true)
 }
 
 // Recover implements System.
-func (s *RaftSystem) Recover(replica int) {
+func (s *LogSystem) Recover(replica int) {
 	node := s.nodes[replica%len(s.nodes)]
 	s.mesh.SetDown(node.ID(), false)
 	node.SetCrashed(false)
 }
 
 // Close implements System.
-func (s *RaftSystem) Close() {
+func (s *LogSystem) Close() {
 	for _, node := range s.nodes {
 		_ = node.Close()
 	}
 	s.mesh.Close()
 }
 
-type raftClient struct {
-	node *raft.Node
+type logClient struct {
+	node *rsm.Node
 }
 
-func (c *raftClient) Inc(ctx context.Context) error {
+func (c logClient) Inc(ctx context.Context) error {
 	_, err := c.node.Execute(ctx, rsm.EncodeInc(1))
 	return err
 }
 
-func (c *raftClient) Read(ctx context.Context) (int64, int, error) {
-	// The paper's Raft baseline appends consistent reads to the log.
-	res, err := c.node.Execute(ctx, rsm.EncodeRead())
-	if err != nil {
-		return 0, 0, err
-	}
-	v, err := rsm.DecodeValue(res)
-	return v, 0, err
-}
-
-// --- Multi-Paxos baseline ---
-
-// PaxosSystem runs the Multi-Paxos baseline (with leader read leases) on a
-// replicated integer.
-type PaxosSystem struct {
-	mesh  *transport.Mesh
-	nodes []*paxos.Node
-}
-
-// NewPaxosSystem starts a Multi-Paxos cluster of n replicas.
-func NewPaxosSystem(n int, net NetProfile) (*PaxosSystem, error) {
-	mesh := net.mesh()
-	ids := members(n)
-	cfg := paxos.Config{Members: ids, ElectionTimeout: 100 * time.Millisecond}
-	s := &PaxosSystem{mesh: mesh}
-	for _, id := range ids {
-		node, err := paxos.NewNode(id, cfg, rsm.NewCounter(), func(id transport.NodeID, h transport.Handler) transport.Conn {
-			return mesh.Join(id, h)
-		})
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		s.nodes = append(s.nodes, node)
-	}
-	return s, nil
-}
-
-// Name implements System.
-func (s *PaxosSystem) Name() string { return "Multi-Paxos" }
-
-// Client implements System.
-func (s *PaxosSystem) Client(i int) Client {
-	return &paxosClient{node: s.nodes[i%len(s.nodes)]}
-}
-
-// Crash implements System.
-func (s *PaxosSystem) Crash(replica int) {
-	node := s.nodes[replica%len(s.nodes)]
-	s.mesh.SetDown(node.ID(), true)
-	node.SetCrashed(true)
-}
-
-// Recover implements System.
-func (s *PaxosSystem) Recover(replica int) {
-	node := s.nodes[replica%len(s.nodes)]
-	s.mesh.SetDown(node.ID(), false)
-	node.SetCrashed(false)
-}
-
-// Close implements System.
-func (s *PaxosSystem) Close() {
-	for _, node := range s.nodes {
-		_ = node.Close()
-	}
-	s.mesh.Close()
-}
-
-type paxosClient struct {
-	node *paxos.Node
-}
-
-func (c *paxosClient) Inc(ctx context.Context) error {
-	_, err := c.node.Execute(ctx, rsm.EncodeInc(1))
-	return err
-}
-
-func (c *paxosClient) Read(ctx context.Context) (int64, int, error) {
-	// Reads go through the lease fast path at the leader.
+func (c logClient) Read(ctx context.Context) (int64, int, error) {
 	res, err := c.node.Read(ctx, rsm.EncodeRead())
 	if err != nil {
 		return 0, 0, err

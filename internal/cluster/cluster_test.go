@@ -399,10 +399,15 @@ func TestClusterUpdateFunctionError(t *testing.T) {
 func TestNewClusterRejectsBadConfig(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
-	cfg := testConfig(3)
-	cfg.Initial = nil
-	if _, err := New(mesh, cfg); err == nil {
-		t.Fatal("nil initial state accepted")
+	for name, breakCfg := range map[string]func(*Config){
+		"nil initial state": func(cfg *Config) { cfg.Initial = nil },
+		"duplicate member":  func(cfg *Config) { cfg.Members = []transport.NodeID{"n1", "n1", "n2"} },
+	} {
+		cfg := testConfig(3)
+		breakCfg(&cfg)
+		if _, err := New(mesh, cfg); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
 	}
 }
 
@@ -417,7 +422,7 @@ func TestClusterStateTransferModes(t *testing.T) {
 			mesh := transport.NewMesh(transport.WithSeed(5))
 			defer mesh.Close()
 			cfg := testConfig(3)
-			cfg.StateTransfer = mode
+			cfg.Options.Transfer = mode
 			c, err := New(mesh, cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -17,7 +17,10 @@
 // protocol messages carry an object-ID envelope (internal/wire) that
 // routes them to the right instance. Replicas are instantiated lazily on
 // first touch — locally by a command, remotely by the first inbound
-// message for the key.
+// message for the key. Node.UpdateKey and Node.QueryKey are the keyed
+// store's whole API; Cluster is the one place n nodes are started in a
+// process, and the facade, the tests and the benchmark harness all call
+// it directly.
 //
 // Durable nodes (Config.DataDir) decouple disk latency from the loops:
 // each shard owns a persister goroutine that commits snapshot writes in

@@ -1,52 +1,24 @@
-package store
+package cluster
+
+// The keyed-store behaviour of a replica group: every key an independent
+// replication instance, addressed through Node.UpdateKey/QueryKey.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"crdtsmr/internal/checker"
-	"crdtsmr/internal/cluster"
-	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
 )
 
-func members(n int) []transport.NodeID {
-	out := make([]transport.NodeID, n)
-	for i := range out {
-		out[i] = transport.NodeID(fmt.Sprintf("n%d", i+1))
-	}
-	return out
-}
-
-func testConfig(n int) cluster.Config {
-	return cluster.Config{
-		Members:            members(n),
-		Initial:            crdt.NewGCounter(),
-		Options:            core.DefaultOptions(),
-		RetransmitInterval: 20 * time.Millisecond,
-	}
-}
-
-func testCtx(t *testing.T, d time.Duration) context.Context {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), d)
-	t.Cleanup(cancel)
-	return ctx
-}
-
-func inc(slot string) crdt.Update {
-	return func(s crdt.State) (crdt.State, error) {
-		return s.(*crdt.GCounter).Inc(slot, 1), nil
-	}
-}
-
-func TestStoreKeysAreIndependent(t *testing.T) {
+func TestKeyedKeysAreIndependent(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	st, err := New(mesh, testConfig(3))
@@ -54,26 +26,26 @@ func TestStoreKeysAreIndependent(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 10*time.Second)
+	ctx := ctxWith(t, 10*time.Second)
 
-	if _, err := st.Update(ctx, "n1", "a", inc("n1")); err != nil {
+	if _, err := st.Node("n1").UpdateKey(ctx, "a", incBy("n1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Update(ctx, "n2", "b", inc("n2")); err != nil {
+	if _, err := st.Node("n2").UpdateKey(ctx, "b", incBy("n2", 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Update(ctx, "n2", "b", inc("n2")); err != nil {
+	if _, err := st.Node("n2").UpdateKey(ctx, "b", incBy("n2", 1)); err != nil {
 		t.Fatal(err)
 	}
 
-	sa, _, err := st.Query(ctx, "n3", "a")
+	sa, _, err := st.Node("n3").QueryKey(ctx, "a")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := sa.(*crdt.GCounter).Value(); got != 1 {
 		t.Fatalf("key a = %d, want 1", got)
 	}
-	sb, _, err := st.Query(ctx, "n1", "b")
+	sb, _, err := st.Node("n1").QueryKey(ctx, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +53,7 @@ func TestStoreKeysAreIndependent(t *testing.T) {
 		t.Fatalf("key b = %d, want 2", got)
 	}
 	// A never-touched key reads as the bottom element, linearizably.
-	sc, _, err := st.Query(ctx, "n2", "c")
+	sc, _, err := st.Node("n2").QueryKey(ctx, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +62,7 @@ func TestStoreKeysAreIndependent(t *testing.T) {
 	}
 }
 
-func TestStoreLazyInstantiation(t *testing.T) {
+func TestKeyedLazyInstantiation(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	st, err := New(mesh, testConfig(3))
@@ -102,41 +74,47 @@ func TestStoreLazyInstantiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := testCtx(t, 10*time.Second)
+	ctx := ctxWith(t, 10*time.Second)
 
 	// Only the default object exists at startup.
-	if got := st.Objects("n1"); got != 1 {
+	if got := st.Node("n1").Objects(); got != 1 {
 		t.Fatalf("objects at start = %d, want 1 (default)", got)
 	}
 
 	// An update at n1 instantiates the key on a quorum (the proposer and
 	// the acceptors that merged), and retransmits eventually reach n3 too.
-	if _, err := st.Update(ctx, "n1", "fresh", inc("n1")); err != nil {
+	if _, err := st.Node("n1").UpdateKey(ctx, "fresh", incBy("n1", 1)); err != nil {
 		t.Fatal(err)
 	}
-	keys := st.Keys("n1")
-	if len(keys) != 2 || keys[0] != cluster.DefaultKey || keys[1] != "fresh" {
+	keys := st.Node("n1").Keys()
+	if len(keys) != 2 || keys[0] != DefaultKey || keys[1] != "fresh" {
 		t.Fatalf("keys at n1 = %q", keys)
 	}
 
 	// A remote replica instantiates on first inbound message for the key:
 	// querying at n3 must see the update, so n3 has the object by then.
-	s, _, err := st.Query(ctx, "n3", "fresh")
+	s, _, err := st.Node("n3").QueryKey(ctx, "fresh")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.(*crdt.GCounter).Value(); got != 1 {
 		t.Fatalf("value at n3 = %d, want 1", got)
 	}
-	if got := st.Objects("n3"); got != 2 {
+	if got := st.Node("n3").Objects(); got != 2 {
 		t.Fatalf("objects at n3 = %d, want 2", got)
 	}
-	if all := st.AllKeys(); len(all) != 2 {
-		t.Fatalf("union keys = %q", all)
+	all := make(map[string]bool)
+	for _, n := range st.Nodes() {
+		for _, k := range n.Keys() {
+			all[k] = true
+		}
+	}
+	if len(all) != 2 {
+		t.Fatalf("union keys = %v", all)
 	}
 }
 
-func TestStoreMixedTypesPerKey(t *testing.T) {
+func TestKeyedMixedTypesPerKey(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	cfg := testConfig(3)
@@ -151,25 +129,25 @@ func TestStoreMixedTypesPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 10*time.Second)
+	ctx := ctxWith(t, 10*time.Second)
 
-	if _, err := st.Update(ctx, "n1", "flags", func(s crdt.State) (crdt.State, error) {
+	if _, err := st.Node("n1").UpdateKey(ctx, "flags", func(s crdt.State) (crdt.State, error) {
 		return s.(*crdt.ORSet).Add("beta", "n1", 1), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Update(ctx, "n2", "hits", inc("n2")); err != nil {
+	if _, err := st.Node("n2").UpdateKey(ctx, "hits", incBy("n2", 1)); err != nil {
 		t.Fatal(err)
 	}
 
-	s, _, err := st.Query(ctx, "n3", "flags")
+	s, _, err := st.Node("n3").QueryKey(ctx, "flags")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := s.(*crdt.ORSet).Elements(); len(got) != 1 || got[0] != "beta" {
 		t.Fatalf("flags = %v", got)
 	}
-	h, _, err := st.Query(ctx, "n3", "hits")
+	h, _, err := st.Node("n3").QueryKey(ctx, "hits")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +160,7 @@ func TestStoreMixedTypesPerKey(t *testing.T) {
 // cluster serves 64 independent keys concurrently, every key driven by
 // clients on different replicas, and the recorded multi-object history is
 // verified per-key linearizable by the checker.
-func TestStoreManyKeysLinearizable(t *testing.T) {
+func TestKeyedManyKeysLinearizable(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	st, err := New(mesh, testConfig(3))
@@ -190,11 +168,11 @@ func TestStoreManyKeysLinearizable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 60*time.Second)
+	ctx := ctxWith(t, 60*time.Second)
 
 	const nKeys = 64
 	const opsPerClient = 12
-	ids := st.NodeIDs()
+	ids := members(3)
 	kh := checker.NewKeyedHistory()
 	var wg sync.WaitGroup
 	var failures atomic.Int64
@@ -211,7 +189,7 @@ func TestStoreManyKeysLinearizable(t *testing.T) {
 				h := kh.For(key)
 				for i := 0; i < opsPerClient; i++ {
 					id := h.Begin(checker.OpInc)
-					if _, err := st.Update(ctx, at, key, inc(slot)); err != nil {
+					if _, err := st.Node(at).UpdateKey(ctx, key, incBy(slot, 1)); err != nil {
 						h.Discard(id)
 						failures.Add(1)
 						return
@@ -220,7 +198,7 @@ func TestStoreManyKeysLinearizable(t *testing.T) {
 
 					if i%3 == 0 {
 						id = h.Begin(checker.OpRead)
-						s, _, err := st.Query(ctx, at, key)
+						s, _, err := st.Node(at).QueryKey(ctx, key)
 						if err != nil {
 							h.Discard(id)
 							failures.Add(1)
@@ -247,7 +225,7 @@ func TestStoreManyKeysLinearizable(t *testing.T) {
 	// Every key's final value must equal its increments (2 clients × ops).
 	for k := 0; k < nKeys; k++ {
 		key := fmt.Sprintf("obj/%02d", k)
-		s, _, err := st.Query(ctx, ids[k%len(ids)], key)
+		s, _, err := st.Node(ids[k%len(ids)]).QueryKey(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,7 +236,7 @@ func TestStoreManyKeysLinearizable(t *testing.T) {
 
 	// All 64 keys multiplexed over each node's one connection and loop.
 	for _, id := range ids {
-		if got := st.Objects(id); got < nKeys {
+		if got := st.Node(id).Objects(); got < nKeys {
 			t.Fatalf("node %s instantiated %d objects, want ≥ %d", id, got, nKeys)
 		}
 	}
@@ -268,7 +246,7 @@ func TestStoreManyKeysLinearizable(t *testing.T) {
 // Mesh.SetDown against the store mid-workload — crash a minority, keep
 // operating, recover, crash a different node — and then checks every key's
 // history for linearizability and the final values for lost updates.
-func TestStorePartitionFailover(t *testing.T) {
+func TestKeyedPartitionFailover(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	cfg := testConfig(3)
@@ -278,10 +256,10 @@ func TestStorePartitionFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 60*time.Second)
+	ctx := ctxWith(t, 60*time.Second)
 
 	const nKeys = 8
-	ids := st.NodeIDs()
+	ids := members(3)
 	kh := checker.NewKeyedHistory()
 	var expected [nKeys]atomic.Uint64
 
@@ -303,7 +281,7 @@ func TestStorePartitionFailover(t *testing.T) {
 				h := kh.For(key)
 				for i := 0; i < 6; i++ {
 					id := h.Begin(checker.OpInc)
-					if _, err := st.Update(ctx, at, key, inc(string(at)+key)); err != nil {
+					if _, err := st.Node(at).UpdateKey(ctx, key, incBy(string(at)+key, 1)); err != nil {
 						// An aborted increment may or may not have taken
 						// effect; treating it as absent could under-count,
 						// so fail the test instead of guessing.
@@ -315,7 +293,7 @@ func TestStorePartitionFailover(t *testing.T) {
 					expected[k].Add(1)
 
 					id = h.Begin(checker.OpRead)
-					s, _, err := st.Query(ctx, at, key)
+					s, _, err := st.Node(at).QueryKey(ctx, key)
 					if err != nil {
 						h.Discard(id)
 						t.Errorf("query %s at %s: %v", key, at, err)
@@ -345,7 +323,7 @@ func TestStorePartitionFailover(t *testing.T) {
 	for k := 0; k < nKeys; k++ {
 		key := fmt.Sprintf("key/%d", k)
 		for _, at := range ids {
-			s, _, err := st.Query(ctx, at, key)
+			s, _, err := st.Node(at).QueryKey(ctx, key)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -356,7 +334,7 @@ func TestStorePartitionFailover(t *testing.T) {
 	}
 }
 
-func TestStoreMajorityDownBlocksKey(t *testing.T) {
+func TestKeyedMajorityDownBlocksKey(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	st, err := New(mesh, testConfig(3))
@@ -369,12 +347,12 @@ func TestStoreMajorityDownBlocksKey(t *testing.T) {
 	mesh.SetDown("n3", true)
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	if _, err := st.Update(ctx, "n1", "k", inc("n1")); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := st.Node("n1").UpdateKey(ctx, "k", incBy("n1", 1)); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want deadline exceeded without a quorum", err)
 	}
 }
 
-func TestStoreBatchingPerKey(t *testing.T) {
+func TestKeyedBatchingPerKey(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	cfg := testConfig(3)
@@ -384,7 +362,7 @@ func TestStoreBatchingPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 30*time.Second)
+	ctx := ctxWith(t, 30*time.Second)
 
 	const nKeys = 4
 	const clientsPerKey = 4
@@ -398,7 +376,7 @@ func TestStoreBatchingPerKey(t *testing.T) {
 			go func(key, slot string) {
 				defer wg.Done()
 				for i := 0; i < ops; i++ {
-					if _, err := st.Update(ctx, "n1", key, inc(slot)); err != nil {
+					if _, err := st.Node("n1").UpdateKey(ctx, key, incBy(slot, 1)); err != nil {
 						failed.Add(1)
 						return
 					}
@@ -412,7 +390,7 @@ func TestStoreBatchingPerKey(t *testing.T) {
 	}
 	for k := 0; k < nKeys; k++ {
 		key := fmt.Sprintf("batched/%d", k)
-		s, _, err := st.Query(ctx, "n2", key)
+		s, _, err := st.Node("n2").QueryKey(ctx, key)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -428,30 +406,22 @@ func TestStoreBatchingPerKey(t *testing.T) {
 	}
 }
 
-func TestStoreRejectsBadConfig(t *testing.T) {
+func TestKeyedRejectsUnknownReplica(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
-	cfg := testConfig(3)
-	cfg.Initial = nil
-	if _, err := New(mesh, cfg); err == nil {
-		t.Fatal("nil initial payload accepted")
-	}
-
 	st, err := New(mesh, testConfig(3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 2*time.Second)
-	if _, err := st.Update(ctx, "ghost", "k", inc("x")); err == nil {
+	// Commands name the replica they run at; an unknown ID has no node to
+	// run them (the crdtsmr facade turns this into its error).
+	if st.Node("ghost") != nil {
 		t.Fatal("unknown replica accepted")
-	}
-	if _, _, err := st.Query(ctx, "ghost", "k"); err == nil {
-		t.Fatal("unknown replica accepted for query")
 	}
 }
 
-func TestStoreRejectedKey(t *testing.T) {
+func TestKeyedRejectedKey(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
 	cfg := testConfig(3)
@@ -466,11 +436,52 @@ func TestStoreRejectedKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	ctx := testCtx(t, 5*time.Second)
-	if _, err := st.Update(ctx, "n1", "forbidden", inc("x")); err == nil {
+	ctx := ctxWith(t, 5*time.Second)
+	if _, err := st.Node("n1").UpdateKey(ctx, "forbidden", incBy("x", 1)); err == nil {
 		t.Fatal("key with nil initial state accepted")
 	}
-	if _, err := st.Update(ctx, "n1", "allowed", inc("x")); err != nil {
+	if _, err := st.Node("n1").UpdateKey(ctx, "allowed", incBy("x", 1)); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestClusterCloseLeavesNoGoroutines pins the boundedness claim behind
+// Close: every shard loop, persister and timer callback a replica group
+// started is gone once Close returns. The count is polled because mesh
+// deliveries in flight at Close take a moment to run out.
+func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	mesh := transport.NewMesh()
+	cfg := testConfig(3)
+	cfg.DataDir = t.TempDir()
+	cfg.BatchInterval = time.Millisecond
+	cfg.Shards = 4
+	st, err := New(mesh, cfg)
+	if err != nil {
+		mesh.Close()
+		t.Fatal(err)
+	}
+	ctx := ctxWith(t, 10*time.Second)
+	for k := 0; k < 8; k++ {
+		at := cfg.Members[k%3]
+		key := fmt.Sprintf("leak/%d", k)
+		if _, err := st.Node(at).UpdateKey(ctx, key, incBy(string(at), 1)); err != nil {
+			t.Error(err)
+		}
+		if _, _, err := st.Node(cfg.Members[(k+1)%3]).QueryKey(ctx, key); err != nil {
+			t.Error(err)
+		}
+	}
+	st.Close()
+	mesh.Close()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines after Close, %d before start:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -263,7 +263,7 @@ func TestMembershipChaosGrowAndShrink(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.Shards = 4
 	cfg.RetransmitInterval = 10 * time.Millisecond
-	cfg.StateTransfer = core.TransferDelta
+	cfg.Options.Transfer = core.TransferDelta
 	c, err := New(mesh, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -76,11 +76,6 @@ type Config struct {
 	// runtime.GOMAXPROCS(0). Single-key deployments gain nothing from
 	// more than one shard.
 	Shards int
-	// StateTransfer selects the replica-wire state-transfer strategy for
-	// every key: full payloads (default), digest-suppressed, or delta
-	// (docs/PROTOCOL.md §3). It is copied into Options.Transfer unless
-	// Options already selects a non-default mode.
-	StateTransfer core.StateTransfer
 	// DataDir, when non-empty, makes the node durable: every object's
 	// acceptor payload and consensus metadata is snapshotted to this
 	// directory after each durable-state transition — before the
@@ -144,9 +139,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = defaultShards()
-	}
-	if c.Options.Transfer == core.TransferFull {
-		c.Options.Transfer = c.StateTransfer
 	}
 	if c.LinkBudget > 0 && c.LinkBurst <= 0 {
 		c.LinkBurst = c.LinkBudget

@@ -82,7 +82,7 @@ func TestShardedChaosPartitionRollingRestart(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.Shards = 4
 	cfg.RetransmitInterval = 10 * time.Millisecond
-	cfg.StateTransfer = core.TransferDelta
+	cfg.Options.Transfer = core.TransferDelta
 	cfg.DataDir = t.TempDir()
 	c, err := New(mesh, cfg)
 	if err != nil {

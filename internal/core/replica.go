@@ -300,12 +300,17 @@ type ackInfo struct {
 }
 
 // NewReplica creates a protocol participant at the initial configuration
-// (epoch 0). id must appear in members, which lists the full cluster (the
-// quorum system is majority over members). s0 is the initial payload
+// (epoch 0). id must appear in members, which lists the full cluster once
+// each (the quorum system is majority over members — a repeated id would
+// raise the quorum without adding a node to meet it). The list is kept in
+// the order given: flush offsets index into it. s0 is the initial payload
 // state, identical on every replica.
 func NewReplica(id transport.NodeID, members []transport.NodeID, s0 crdt.State, opts Options) (*Replica, error) {
 	if !contains(members, id) {
 		return nil, fmt.Errorf("core: replica %s not in member list %v", id, members)
+	}
+	if _, err := normalizeMembers(members); err != nil {
+		return nil, err
 	}
 	return NewReplicaConfig(id, Config{Members: members}, s0, opts)
 }

@@ -685,6 +685,9 @@ func TestNewReplicaValidation(t *testing.T) {
 	if _, err := NewReplica("a", members, nil, DefaultOptions()); err == nil {
 		t.Fatal("nil initial state should fail")
 	}
+	if _, err := NewReplica("a", []transport.NodeID{"a", "a", "b"}, crdt.NewGCounter(), DefaultOptions()); err == nil {
+		t.Fatal("duplicate member should fail")
+	}
 	r, err := NewReplica("a", members, crdt.NewGCounter(), DefaultOptions())
 	if err != nil {
 		t.Fatal(err)

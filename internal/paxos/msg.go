@@ -131,9 +131,3 @@ func decodeMessage(p []byte) (*message, error) {
 	}
 	return m, nil
 }
-
-// Envelope is an outbound message for the runtime to transmit.
-type Envelope struct {
-	To      transport.NodeID
-	Payload []byte
-}

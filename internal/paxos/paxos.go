@@ -11,14 +11,11 @@ import (
 )
 
 // ErrNoLeader is reported when a command cannot be routed to a leader.
-var ErrNoLeader = errors.New("paxos: no known leader")
+const ErrNoLeader = rsm.Transient("paxos: no known leader")
 
 // ErrLostLeadership is reported when a pending command's leader was
 // superseded before the command was chosen.
-var ErrLostLeadership = errors.New("paxos: leadership lost before commit")
-
-// Done receives a chosen command's result.
-type Done func(result []byte, err error)
+const ErrLostLeadership = rsm.Transient("paxos: leadership lost before commit")
 
 type role uint8
 
@@ -74,7 +71,7 @@ type Replica struct {
 	readBarrier uint64
 
 	// Client forwarding (origin side).
-	forwards      map[uint64]Done
+	forwards      map[uint64]rsm.Done
 	nextForwardID uint64
 
 	// Forward dedup (receiver side): request IDs already seen per origin.
@@ -93,13 +90,15 @@ type Replica struct {
 	// falling back to snapshot transfer when it returns (0 = never).
 	MaxRetained int
 
-	outbox []Envelope
+	outbox []rsm.Envelope
 }
 
 type proposal struct {
 	ballot Ballot
-	done   Done
+	done   rsm.Done
 }
+
+var _ rsm.Replica = (*Replica)(nil)
 
 // NewReplica creates a Multi-Paxos participant. members must include id.
 func NewReplica(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (*Replica, error) {
@@ -123,7 +122,7 @@ func NewReplica(id transport.NodeID, members []transport.NodeID, sm rsm.StateMac
 		role:          follower,
 		base:          1,
 		nextSlot:      1,
-		forwards:      make(map[uint64]Done),
+		forwards:      make(map[uint64]rsm.Done),
 		forwardSeen:   make(map[transport.NodeID]map[uint64]struct{}),
 		forwardMax:    make(map[transport.NodeID]uint64),
 		LeaseDuration: 500 * time.Millisecond,
@@ -149,14 +148,14 @@ func (r *Replica) Leader() transport.NodeID {
 func (r *Replica) LogLen() int { return len(r.slots) }
 
 // TakeOutbox returns and clears pending outbound messages.
-func (r *Replica) TakeOutbox() []Envelope {
+func (r *Replica) TakeOutbox() []rsm.Envelope {
 	out := r.outbox
 	r.outbox = nil
 	return out
 }
 
 func (r *Replica) send(to transport.NodeID, m *message) {
-	r.outbox = append(r.outbox, Envelope{To: to, Payload: m.encode()})
+	r.outbox = append(r.outbox, rsm.Envelope{To: to, Payload: m.encode()})
 }
 
 func (r *Replica) broadcast(m *message) {
@@ -177,10 +176,10 @@ func (r *Replica) slotAt(n uint64) *slot {
 
 // --- leadership ---
 
-// StartElection begins phase 1 with a ballot exceeding every ballot seen.
+// ElectionTimeout begins phase 1 with a ballot exceeding every ballot seen.
 // The runtime calls this on leader-liveness timeout; now is the lease
 // clock (a follower that recently renewed another leader's lease refuses).
-func (r *Replica) StartElection(now time.Time) {
+func (r *Replica) ElectionTimeout(now time.Time) {
 	if r.role == leading {
 		// A leader holding a valid lease is its own liveness proof: the
 		// runtime's election timer only resets on messages that indicate a
@@ -260,7 +259,7 @@ func (r *Replica) maybeLead() {
 // Propose submits a command. Leaders assign it a slot; followers forward to
 // the known leader; with no leader known the callback fires with
 // ErrNoLeader.
-func (r *Replica) Propose(cmd []byte, done Done) {
+func (r *Replica) Propose(cmd []byte, done rsm.Done) {
 	r.submit(cmd, false, done)
 }
 
@@ -270,11 +269,11 @@ func (r *Replica) Propose(cmd []byte, done Done) {
 // answered by the leaseholder). Leaders fall back to the log when their
 // lease is not valid; the node runtime short-circuits the leader-local
 // case before calling this.
-func (r *Replica) ProposeRead(cmd []byte, done Done) {
+func (r *Replica) ProposeRead(cmd []byte, done rsm.Done) {
 	r.submit(cmd, true, done)
 }
 
-func (r *Replica) submit(cmd []byte, read bool, done Done) {
+func (r *Replica) submit(cmd []byte, read bool, done rsm.Done) {
 	switch {
 	case r.role == leading:
 		n := r.nextSlot
@@ -321,7 +320,7 @@ func (r *Replica) FailForwards() {
 	}
 }
 
-func (r *Replica) proposeSlot(n uint64, cmd []byte, done Done) {
+func (r *Replica) proposeSlot(n uint64, cmd []byte, done rsm.Done) {
 	s := r.slotAt(n)
 	s.ballot = r.prepareBallot
 	s.cmd = cmd
@@ -433,6 +432,13 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte, now time.Time) 
 		r.onForwardResp(m)
 	}
 	return false
+}
+
+// Crash fails every forwarded and proposed command still in flight and
+// gives up leadership.
+func (r *Replica) Crash() {
+	r.FailForwards()
+	r.stepDown(r.promised, "")
 }
 
 func (r *Replica) stepDown(b Ballot, leaderID transport.NodeID) {

@@ -114,7 +114,7 @@ func (nw *pnet) drainDropping(match func(penv) bool) {
 
 func (nw *pnet) elect(id transport.NodeID) {
 	nw.t.Helper()
-	nw.reps[id].StartElection(nw.now)
+	nw.reps[id].ElectionTimeout(nw.now)
 	nw.pump()
 	nw.drain()
 	if !nw.reps[id].IsLeader() {
@@ -218,7 +218,7 @@ func TestLeaseBlocksCompetingElection(t *testing.T) {
 
 	// n2 campaigns while followers are inside the lease window: both n1 and
 	// n3 must refuse, so n2 cannot assemble a quorum (its own promise only).
-	nw.reps["n2"].StartElection(nw.now)
+	nw.reps["n2"].ElectionTimeout(nw.now)
 	nw.pump()
 	nw.drain()
 	if nw.reps["n2"].IsLeader() {
@@ -227,7 +227,7 @@ func TestLeaseBlocksCompetingElection(t *testing.T) {
 
 	// Once the lease expires, the same campaign succeeds.
 	nw.advance(nw.reps["n1"].LeaseDuration + time.Millisecond)
-	nw.reps["n2"].StartElection(nw.now)
+	nw.reps["n2"].ElectionTimeout(nw.now)
 	nw.pump()
 	nw.drain()
 	if !nw.reps["n2"].IsLeader() {
@@ -249,7 +249,7 @@ func TestNewLeaderAdoptsAcceptedCommands(t *testing.T) {
 	// n2 campaigns after the lease window: its promise carries the accepted
 	// command, which the new leader must re-propose and commit.
 	nw.advance(nw.reps["n1"].LeaseDuration + time.Millisecond)
-	nw.reps["n2"].StartElection(nw.now)
+	nw.reps["n2"].ElectionTimeout(nw.now)
 	nw.pump()
 	nw.deliver(func(e penv) bool { return e.to == "n3" || e.from == "n3" })
 	if !nw.reps["n2"].IsLeader() {
@@ -276,7 +276,7 @@ func TestStaleLeaderStepsDown(t *testing.T) {
 
 	// n2 wins an election that n1 never hears about (partition), so n1
 	// still believes it leads.
-	nw.reps["n2"].StartElection(nw.now)
+	nw.reps["n2"].ElectionTimeout(nw.now)
 	nw.pump()
 	nw.drainDropping(func(e penv) bool { return e.to == "n1" || e.from == "n1" })
 	if !nw.reps["n2"].IsLeader() {

@@ -3,7 +3,6 @@ package raft
 import (
 	"fmt"
 
-	"crdtsmr/internal/transport"
 	"crdtsmr/internal/wire"
 )
 
@@ -103,10 +102,4 @@ func decodeMessage(p []byte) (*message, error) {
 		return nil, fmt.Errorf("raft: unknown message type %d", m.Type)
 	}
 	return m, nil
-}
-
-// Envelope is an outbound message for the runtime to transmit.
-type Envelope struct {
-	To      transport.NodeID
-	Payload []byte
 }

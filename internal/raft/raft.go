@@ -3,17 +3,18 @@ package raft
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/transport"
 )
 
 // ErrNoLeader is reported when a command cannot be routed to a leader.
-var ErrNoLeader = errors.New("raft: no known leader")
+const ErrNoLeader = rsm.Transient("raft: no known leader")
 
 // ErrLostLeadership is reported when a proposed entry was overwritten by a
 // competing leader before committing.
-var ErrLostLeadership = errors.New("raft: leadership lost before commit")
+const ErrLostLeadership = rsm.Transient("raft: leadership lost before commit")
 
 type role uint8
 
@@ -22,9 +23,6 @@ const (
 	candidate
 	leader
 )
-
-// Done receives a committed command's result.
-type Done func(result []byte, err error)
 
 // Replica is the pure Raft state machine. All methods must be called from
 // one goroutine; outbound messages accumulate in the outbox.
@@ -61,7 +59,7 @@ type Replica struct {
 
 	// Client plumbing.
 	proposals     map[uint64]*proposal // by log index (leader side)
-	forwards      map[uint64]Done      // by forward request ID (origin side)
+	forwards      map[uint64]rsm.Done  // by forward request ID (origin side)
 	nextForwardID uint64
 
 	// Forward dedup (receiver side): request IDs already seen per origin.
@@ -74,13 +72,15 @@ type Replica struct {
 	// beyond the last snapshot (0 disables compaction).
 	CompactEvery int
 
-	outbox []Envelope
+	outbox []rsm.Envelope
 }
 
 type proposal struct {
 	term uint64
-	done Done
+	done rsm.Done
 }
+
+var _ rsm.Replica = (*Replica)(nil)
 
 // NewReplica creates a Raft participant. members must include id.
 func NewReplica(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (*Replica, error) {
@@ -103,7 +103,7 @@ func NewReplica(id transport.NodeID, members []transport.NodeID, sm rsm.StateMac
 		sm:           sm,
 		role:         follower,
 		proposals:    make(map[uint64]*proposal),
-		forwards:     make(map[uint64]Done),
+		forwards:     make(map[uint64]rsm.Done),
 		forwardSeen:  make(map[transport.NodeID]map[uint64]struct{}),
 		forwardMax:   make(map[transport.NodeID]uint64),
 		CompactEvery: 4096,
@@ -131,14 +131,14 @@ func (r *Replica) Term() uint64 { return r.term }
 func (r *Replica) LogLen() int { return len(r.log) }
 
 // TakeOutbox returns and clears pending outbound messages.
-func (r *Replica) TakeOutbox() []Envelope {
+func (r *Replica) TakeOutbox() []rsm.Envelope {
 	out := r.outbox
 	r.outbox = nil
 	return out
 }
 
 func (r *Replica) send(to transport.NodeID, m *message) {
-	r.outbox = append(r.outbox, Envelope{To: to, Payload: m.encode()})
+	r.outbox = append(r.outbox, rsm.Envelope{To: to, Payload: m.encode()})
 }
 
 func (r *Replica) lastIndex() uint64 { return r.snapIndex + uint64(len(r.log)) }
@@ -167,8 +167,9 @@ func (r *Replica) entriesFrom(idx uint64) []Entry {
 // --- timers (driven by the runtime) ---
 
 // ElectionTimeout starts an election (follower/candidate) or is ignored by
-// a leader.
-func (r *Replica) ElectionTimeout() {
+// a leader. Raft keeps no lease, so the runtime's clock is unused here and
+// in HeartbeatTick and Deliver.
+func (r *Replica) ElectionTimeout(time.Time) {
 	if r.role == leader {
 		return
 	}
@@ -190,7 +191,7 @@ func (r *Replica) ElectionTimeout() {
 }
 
 // HeartbeatTick makes a leader replicate/heartbeat to every follower.
-func (r *Replica) HeartbeatTick() {
+func (r *Replica) HeartbeatTick(time.Time) {
 	if r.role != leader {
 		return
 	}
@@ -234,7 +235,7 @@ func (r *Replica) replicateTo(p transport.NodeID) {
 // follower it is forwarded to the known leader; with no known leader the
 // callback fires immediately with ErrNoLeader so the caller can retry.
 // done fires exactly once.
-func (r *Replica) Propose(cmd []byte, done Done) {
+func (r *Replica) Propose(cmd []byte, done rsm.Done) {
 	switch {
 	case r.role == leader:
 		r.appendLocal(cmd, done)
@@ -248,6 +249,13 @@ func (r *Replica) Propose(cmd []byte, done Done) {
 	}
 }
 
+// ProposeRead rides the log like any command: the paper's Raft baseline
+// "appends both updates and consistent reads to its command log" (§4.1).
+func (r *Replica) ProposeRead(cmd []byte, done rsm.Done) { r.Propose(cmd, done) }
+
+// ReadLocal never serves: there is no read lease.
+func (r *Replica) ReadLocal(time.Time, []byte) ([]byte, bool) { return nil, false }
+
 // FailForwards aborts forwarded commands still waiting for a leader reply;
 // the runtime calls this on retry timeouts.
 func (r *Replica) FailForwards() {
@@ -260,7 +268,7 @@ func (r *Replica) FailForwards() {
 // PendingForwards returns the number of forwarded commands awaiting replies.
 func (r *Replica) PendingForwards() int { return len(r.forwards) }
 
-func (r *Replica) appendLocal(cmd []byte, done Done) {
+func (r *Replica) appendLocal(cmd []byte, done rsm.Done) {
 	r.log = append(r.log, Entry{Term: r.term, Cmd: cmd})
 	idx := r.lastIndex()
 	if done != nil {
@@ -280,7 +288,7 @@ func (r *Replica) appendLocal(cmd []byte, done Done) {
 // Deliver processes one inbound message. It returns true if the message
 // was a valid heartbeat/append/vote-grant that should reset the caller's
 // election timer.
-func (r *Replica) Deliver(from transport.NodeID, payload []byte) bool {
+func (r *Replica) Deliver(from transport.NodeID, payload []byte, _ time.Time) bool {
 	m, err := decodeMessage(payload)
 	if err != nil {
 		return false
@@ -319,6 +327,12 @@ func (r *Replica) becomeFollower(term uint64, leaderID transport.NodeID) {
 	if wasLeader {
 		r.failProposals()
 	}
+}
+
+// Crash fails every forwarded and proposed command still in flight.
+func (r *Replica) Crash() {
+	r.FailForwards()
+	r.failProposals()
 }
 
 func (r *Replica) failProposals() {

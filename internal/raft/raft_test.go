@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/transport"
@@ -69,7 +70,7 @@ func (nw *rnet) deliver(match func(renv) bool) int {
 		}
 		nw.pool = append(nw.pool[:i], nw.pool[i+1:]...)
 		if rep, ok := nw.reps[e.to]; ok {
-			rep.Deliver(e.from, e.payload)
+			rep.Deliver(e.from, e.payload, time.Time{})
 			nw.pump()
 		}
 		delivered++
@@ -97,7 +98,7 @@ func (nw *rnet) drop(match func(renv) bool) {
 // draining the network.
 func (nw *rnet) elect(id transport.NodeID) {
 	nw.t.Helper()
-	nw.reps[id].ElectionTimeout()
+	nw.reps[id].ElectionTimeout(time.Time{})
 	nw.pump()
 	nw.drain()
 	if !nw.reps[id].IsLeader() {
@@ -153,7 +154,7 @@ func TestProposeCommitApply(t *testing.T) {
 		t.Fatal("proposal did not commit")
 	}
 	// A heartbeat propagates the leader's commit index to followers.
-	nw.reps["n1"].HeartbeatTick()
+	nw.reps["n1"].HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
 	for id, sm := range nw.sms {
@@ -219,7 +220,7 @@ func TestLeaderStepsDownOnHigherTerm(t *testing.T) {
 	nw := newRNet(t, 3)
 	nw.elect("n1")
 	// n2 becomes a candidate at a higher term (e.g. after a partition).
-	nw.reps["n2"].ElectionTimeout()
+	nw.reps["n2"].ElectionTimeout(time.Time{})
 	nw.pump()
 	nw.drain()
 	if nw.reps["n1"].IsLeader() && nw.reps["n2"].IsLeader() {
@@ -247,7 +248,7 @@ func TestUncommittedEntriesFailOnLeaderChange(t *testing.T) {
 
 	// n2 wins a new election (its log is as up to date as n1's committed
 	// prefix; n3 grants).
-	nw.reps["n2"].ElectionTimeout()
+	nw.reps["n2"].ElectionTimeout(time.Time{})
 	nw.pump()
 	nw.deliver(func(e renv) bool { return e.to == "n3" || e.from == "n3" })
 	if !nw.reps["n2"].IsLeader() {
@@ -255,7 +256,7 @@ func TestUncommittedEntriesFailOnLeaderChange(t *testing.T) {
 	}
 	nw.drain()
 	// Old leader learns the new term and fails its dangling proposal.
-	nw.reps["n2"].HeartbeatTick()
+	nw.reps["n2"].HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
 	if !fired {
@@ -279,7 +280,7 @@ func TestConflictingSuffixTruncated(t *testing.T) {
 	lenBefore := nw.reps["n1"].LogLen()
 
 	// n2 becomes leader via n3 and commits a different entry.
-	nw.reps["n2"].ElectionTimeout()
+	nw.reps["n2"].ElectionTimeout(time.Time{})
 	nw.pump()
 	nw.deliver(func(e renv) bool { return e.to == "n3" || e.from == "n3" })
 	if !nw.reps["n2"].IsLeader() {
@@ -300,10 +301,10 @@ func TestConflictingSuffixTruncated(t *testing.T) {
 	}
 
 	// n1 rejoins; the new leader overwrites its conflicting suffix.
-	nw.reps["n2"].HeartbeatTick()
+	nw.reps["n2"].HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
-	nw.reps["n2"].HeartbeatTick()
+	nw.reps["n2"].HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
 	if v := nw.sms["n1"].Value(); v != 1 {
@@ -338,7 +339,7 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	}
 	nw.reps["n3"] = fresh
 	nw.sms["n3"] = freshSM
-	fresh.ElectionTimeout()
+	fresh.ElectionTimeout(time.Time{})
 	nw.pump()
 	nw.drain()
 	if fresh.IsLeader() {
@@ -365,10 +366,10 @@ func TestCompactionAndSnapshotCatchUp(t *testing.T) {
 	}
 
 	// n3 reconnects: replication must fall back to a snapshot.
-	leaderRep.HeartbeatTick()
+	leaderRep.HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
-	leaderRep.HeartbeatTick()
+	leaderRep.HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
 	if v := nw.sms["n3"].Value(); v != 10 {
@@ -378,8 +379,8 @@ func TestCompactionAndSnapshotCatchUp(t *testing.T) {
 
 func TestDeliverGarbage(t *testing.T) {
 	nw := newRNet(t, 3)
-	nw.reps["n1"].Deliver("n2", []byte{0xde, 0xad})
-	nw.reps["n1"].Deliver("n2", nil)
+	nw.reps["n1"].Deliver("n2", []byte{0xde, 0xad}, time.Time{})
+	nw.reps["n1"].Deliver("n2", nil, time.Time{})
 	// Still functional.
 	nw.elect("n1")
 }

@@ -19,4 +19,8 @@
 //     internal/checker's counter linearizability checker, and
 //   - the property tests for internal/paxos and internal/raft reuse the
 //     backends to assert "same seed, same decided log" determinism.
+//
+// The two log-based backends are one logNode runtime over rsm.Replica, the
+// interface raft.Replica and paxos.Replica satisfy directly — the
+// virtual-time counterpart of rsm.Node.
 package shootout

@@ -15,79 +15,14 @@ import (
 // time.Time (the Paxos lease logic). Virtual instant d maps to epoch+d.
 var epoch = time.Unix(0, 0)
 
-// logRep is the narrow waist over the two log-based pure replicas, letting
-// one virtual-time node runtime (logNode) drive both. It mirrors what
-// paxos.Node and raft.Node do over goroutines and wall clocks.
-type logRep interface {
-	propose(cmd []byte, done func([]byte, error))
-	proposeRead(cmd []byte, done func([]byte, error))
-	readLocal(now time.Time, cmd []byte) ([]byte, bool)
-	deliver(from transport.NodeID, payload []byte, now time.Time) bool
-	electionTick(now time.Time)
-	heartbeat(now time.Time)
-	flushTo(conn transport.Conn)
-	retryable(err error) bool
-}
-
-type paxosRep struct{ r *paxos.Replica }
-
-func (p paxosRep) propose(cmd []byte, done func([]byte, error)) { p.r.Propose(cmd, paxos.Done(done)) }
-func (p paxosRep) proposeRead(cmd []byte, done func([]byte, error)) {
-	p.r.ProposeRead(cmd, paxos.Done(done))
-}
-func (p paxosRep) readLocal(now time.Time, cmd []byte) ([]byte, bool) {
-	return p.r.ReadLocal(now, cmd)
-}
-func (p paxosRep) deliver(from transport.NodeID, payload []byte, now time.Time) bool {
-	return p.r.Deliver(from, payload, now)
-}
-func (p paxosRep) electionTick(now time.Time) {
-	p.r.StartElection(now)
-	p.r.FailForwards()
-}
-func (p paxosRep) heartbeat(now time.Time) { p.r.HeartbeatTick(now) }
-func (p paxosRep) flushTo(conn transport.Conn) {
-	for _, e := range p.r.TakeOutbox() {
-		conn.Send(e.To, e.Payload)
-	}
-}
-func (p paxosRep) retryable(err error) bool {
-	return errors.Is(err, paxos.ErrNoLeader) || errors.Is(err, paxos.ErrLostLeadership)
-}
-
-type raftRep struct{ r *raft.Replica }
-
-func (q raftRep) propose(cmd []byte, done func([]byte, error)) { q.r.Propose(cmd, raft.Done(done)) }
-
-// proposeRead rides the log: the Raft baseline has no read lease, so
-// linearizable reads pay a full commit round (rsm.EncodeReadKey results
-// are produced at the read's log position).
-func (q raftRep) proposeRead(cmd []byte, done func([]byte, error)) { q.r.Propose(cmd, raft.Done(done)) }
-func (q raftRep) readLocal(time.Time, []byte) ([]byte, bool)       { return nil, false }
-func (q raftRep) deliver(from transport.NodeID, payload []byte, _ time.Time) bool {
-	return q.r.Deliver(from, payload)
-}
-func (q raftRep) electionTick(time.Time) {
-	q.r.ElectionTimeout()
-	q.r.FailForwards()
-}
-func (q raftRep) heartbeat(time.Time) { q.r.HeartbeatTick() }
-func (q raftRep) flushTo(conn transport.Conn) {
-	for _, e := range q.r.TakeOutbox() {
-		conn.Send(e.To, e.Payload)
-	}
-}
-func (q raftRep) retryable(err error) bool {
-	return errors.Is(err, raft.ErrNoLeader) || errors.Is(err, raft.ErrLostLeadership)
-}
-
-// logNode is the single-threaded virtual-time equivalent of the goroutine
-// node runtimes: election timer with seeded jitter, heartbeat cadence, and
-// outbox flushing after every replica interaction.
+// logNode is the single-threaded virtual-time equivalent of rsm.Node,
+// driving either log-based replica through the same rsm.Replica interface:
+// election timer with seeded jitter, heartbeat cadence, and outbox flushing
+// after every replica interaction.
 type logNode struct {
 	sim   *Sim
 	id    transport.NodeID
-	rep   logRep
+	rep   rsm.Replica
 	rec   *rsm.Recorder
 	store *rsm.Store
 	conn  transport.Conn
@@ -102,27 +37,23 @@ type logBackend struct {
 }
 
 func newPaxosBackend(s *Sim, n int) (Backend, error) {
-	return newLogBackend(s, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (logRep, error) {
+	return newLogBackend(s, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (rsm.Replica, error) {
 		rep, err := paxos.NewReplica(id, members, sm)
 		if err != nil {
 			return nil, err
 		}
 		rep.LeaseDuration = LeaseDuration
-		return paxosRep{r: rep}, nil
+		return rep, nil
 	})
 }
 
 func newRaftBackend(s *Sim, n int) (Backend, error) {
-	return newLogBackend(s, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (logRep, error) {
-		rep, err := raft.NewReplica(id, members, sm)
-		if err != nil {
-			return nil, err
-		}
-		return raftRep{r: rep}, nil
+	return newLogBackend(s, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (rsm.Replica, error) {
+		return raft.NewReplica(id, members, sm)
 	})
 }
 
-func newLogBackend(s *Sim, n int, mk func(transport.NodeID, []transport.NodeID, rsm.StateMachine) (logRep, error)) (Backend, error) {
+func newLogBackend(s *Sim, n int, mk func(transport.NodeID, []transport.NodeID, rsm.StateMachine) (rsm.Replica, error)) (Backend, error) {
 	b := &logBackend{sim: s}
 	members := Members(n)
 	for _, id := range members {
@@ -144,7 +75,7 @@ func newLogBackend(s *Sim, n int, mk func(transport.NodeID, []transport.NodeID, 
 			if node.down {
 				return
 			}
-			if node.rep.deliver(from, payload, epoch.Add(s.Now())) {
+			if node.rep.Deliver(from, payload, epoch.Add(s.Now())) {
 				node.resetElection()
 			}
 			node.flush()
@@ -160,7 +91,9 @@ func (n *logNode) flush() {
 	if n.down {
 		return
 	}
-	n.rep.flushTo(n.conn)
+	for _, e := range n.rep.TakeOutbox() {
+		n.conn.Send(e.To, e.Payload)
+	}
 }
 
 func (n *logNode) resetElection() {
@@ -168,7 +101,8 @@ func (n *logNode) resetElection() {
 	d := ElectionTimeout + time.Duration(n.rng.Int63n(int64(ElectionTimeout)))
 	n.elect = n.sim.After(d, func() {
 		if !n.down {
-			n.rep.electionTick(epoch.Add(n.sim.Now()))
+			n.rep.ElectionTimeout(epoch.Add(n.sim.Now()))
+			n.rep.FailForwards()
 			n.flush()
 		}
 		n.resetElection()
@@ -178,7 +112,7 @@ func (n *logNode) resetElection() {
 func (n *logNode) scheduleHeartbeat() {
 	n.sim.After(HeartbeatInterval, func() {
 		if !n.down {
-			n.rep.heartbeat(epoch.Add(n.sim.Now()))
+			n.rep.HeartbeatTick(epoch.Add(n.sim.Now()))
 			n.flush()
 		}
 		n.scheduleHeartbeat()
@@ -199,7 +133,7 @@ func (n *logNode) execute(cmd []byte, read bool, done func([]byte, error)) {
 
 func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done func([]byte, error)) {
 	if read {
-		if res, ok := n.rep.readLocal(epoch.Add(n.sim.Now()), cmd); ok {
+		if res, ok := n.rep.ReadLocal(epoch.Add(n.sim.Now()), cmd); ok {
 			done(res, nil)
 			return
 		}
@@ -244,16 +178,17 @@ func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done fu
 		handle(res, err)
 	}
 	if read {
-		n.rep.proposeRead(cmd, submit)
+		n.rep.ProposeRead(cmd, submit)
 	} else {
-		n.rep.propose(cmd, submit)
+		n.rep.Propose(cmd, submit)
 	}
 	sync = false
 	n.flush()
 	if syncDone {
 		// The callback fired inside propose: nothing was transmitted for
 		// this attempt, so even a write is safe to retry.
-		if syncErr != nil && n.rep.retryable(syncErr) {
+		var transient rsm.Transient
+		if errors.As(syncErr, &transient) {
 			retryLater()
 			return
 		}
