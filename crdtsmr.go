@@ -345,14 +345,27 @@ func (h *Set) Add(ctx context.Context, element string) error {
 	})
 }
 
-// Remove deletes the element's observed additions.
+// Remove deletes the element's observed additions. It observes first: the
+// payload of the replica it is bound to may lack an add another replica
+// already acknowledged, so it learns the set with a linearizable query and
+// removes what that saw. A remove therefore costs one more round trip than
+// an add.
 func (h *Set) Remove(ctx context.Context, element string) error {
+	learned, _, err := h.obj.Query(ctx, h.at)
+	if err != nil {
+		return err
+	}
+	observed, ok := learned.(*ORSet)
+	if !ok {
+		return fmt.Errorf("crdtsmr: payload of %q is %T, not an OR-Set", h.obj.key, learned)
+	}
+	removed := observed.Remove(element)
 	return h.obj.Update(ctx, h.at, func(s State) (State, error) {
-		set, ok := s.(*ORSet)
-		if !ok {
+		merged, err := s.Merge(removed)
+		if err != nil {
 			return nil, fmt.Errorf("crdtsmr: payload of %q is %T, not an OR-Set", h.obj.key, s)
 		}
-		return set.Remove(element), nil
+		return merged.(*ORSet).Remove(element), nil
 	})
 }
 

@@ -67,6 +67,29 @@ func TestFacadeSet(t *testing.T) {
 	}
 }
 
+// TestFacadeSetRemoveObserves: Set.Remove through a replica that has not
+// merged an acknowledged add yet (its link from the adding replica is held)
+// still removes it.
+func TestFacadeSetRemoveObserves(t *testing.T) {
+	cl, err := NewLocalCluster(3, NewORSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := testCtx(t)
+
+	cl.mesh.Block("n1", "n2")
+	if err := cl.Set("n1").Add(ctx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Set("n2").Remove(ctx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.Set("n2").Elements(ctx); err != nil || len(got) != 0 {
+		t.Fatalf("elements = %v, %v; want none", got, err)
+	}
+}
+
 func TestFacadeCrashRecover(t *testing.T) {
 	cl, err := NewLocalCluster(3, NewGCounter())
 	if err != nil {

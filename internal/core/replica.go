@@ -448,6 +448,18 @@ func (r *Replica) Pending(reqID uint64) bool {
 }
 
 func (r *Replica) send(to transport.NodeID, m *message) {
+	r.sendAll([]transport.NodeID{to}, m)
+}
+
+// broadcast queues m for every peer.
+func (r *Replica) broadcast(m *message) {
+	r.sendAll(r.peers, m)
+}
+
+// sendAll encodes m once and queues the same bytes for every recipient.
+// Envelope payloads are read-only from here on (the runtimes copy them
+// into a wire envelope or decode them), so sharing one buffer is safe.
+func (r *Replica) sendAll(to []transport.NodeID, m *message) {
 	// Every outbound message is stamped with the current config epoch, so
 	// receivers can refuse traffic from a stale configuration before it
 	// reaches the protocol handlers (docs/PROTOCOL.md §6).
@@ -460,12 +472,8 @@ func (r *Replica) send(to transport.NodeID, m *message) {
 		r.counters.MalformedMsgs++
 		return
 	}
-	r.outbox = append(r.outbox, Envelope{To: to, Payload: p})
-}
-
-func (r *Replica) broadcast(m *message) {
-	for _, p := range r.peers {
-		r.send(p, m)
+	for _, id := range to {
+		r.outbox = append(r.outbox, Envelope{To: id, Payload: p})
 	}
 }
 
@@ -513,6 +521,11 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 		return req.id, nil
 	}
 	r.updates[req.id] = req
+	if !req.hasDig {
+		// Full transfer: every peer gets the same frame, encoded once.
+		r.broadcast(&message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease})
+		return req.id, nil
+	}
 	for _, p := range r.peers {
 		r.sendMerge(req, p)
 	}

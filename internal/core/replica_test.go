@@ -720,3 +720,30 @@ func TestReplicaIgnoresGarbageMessages(t *testing.T) {
 		t.Fatal("replica wedged after garbage")
 	}
 }
+
+// TestBroadcastEncodesOnce: a PREPARE and a full-transfer MERGE go to every
+// peer as one encoded buffer, not one marshal of the state per peer.
+func TestBroadcastEncodesOnce(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Transfer = TransferFull
+	r, err := NewReplica("a", []transport.NodeID{"a", "b", "c"}, crdt.NewGCounter(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(what string) {
+		t.Helper()
+		out := r.TakeOutbox()
+		if len(out) != 2 || out[0].To == out[1].To {
+			t.Fatalf("%s: outbox %v, want one envelope per peer", what, out)
+		}
+		if &out[0].Payload[0] != &out[1].Payload[0] || len(out[0].Payload) != len(out[1].Payload) {
+			t.Fatalf("%s: peers got separately encoded payloads", what)
+		}
+	}
+	r.SubmitQuery(func(crdt.State, QueryStats, error) {})
+	check("PREPARE")
+	if _, err := r.SubmitUpdate(incAt(r), func(UpdateStats, error) {}); err != nil {
+		t.Fatal(err)
+	}
+	check("MERGE")
+}

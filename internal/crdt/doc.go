@@ -5,8 +5,11 @@
 // Every payload type implements State. A State is a point in a join
 // semilattice: Merge computes the least upper bound (⊔) and Compare the
 // partial order (⊑). States are immutable values: Merge and all mutators
-// return fresh payloads and never modify their operands, so states can be
-// shared freely between replicas, protocol goroutines, and histories.
+// never modify their operands, so states can be shared freely between
+// replicas, protocol goroutines, and histories. A result is not necessarily
+// a private copy — it may share memory with its operands, or be one of them
+// (see ORSet) — which is safe for exactly as long as nobody writes to a
+// State after building it.
 //
 // The package ships the G-Counter of the paper's Algorithm 1 plus the
 // common state-based types from the CRDT literature (PN-Counter, Max- and

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -78,6 +80,27 @@ func (e *encBuf) strSet(m map[string]struct{}) {
 	}
 }
 
+// strs encodes an ascending string slice; the bytes equal strSet's for the
+// same members.
+func (e *encBuf) strs(xs []string) {
+	e.uvarint(uint64(len(xs)))
+	for _, x := range xs {
+		e.str(x)
+	}
+}
+
+// uvarintLen is the encoded size of a non-negative length or count.
+func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+
+// strsLen is the encoded size of strs(xs).
+func strsLen(xs []string) int {
+	size := uvarintLen(len(xs))
+	for _, x := range xs {
+		size += uvarintLen(len(x)) + len(x)
+	}
+	return size
+}
+
 type decBuf struct {
 	b []byte
 }
@@ -98,6 +121,21 @@ func (d *decBuf) uvarint() (uint64, error) {
 	}
 	d.b = d.b[n:]
 	return v, nil
+}
+
+// count reads the element count of a length-prefixed collection. Every
+// element occupies at least one byte, so a count above the bytes remaining
+// can only come from a truncated or hostile frame; rejecting it here keeps
+// a decoder from sizing an allocation by a number read off the wire.
+func (d *decBuf) count() (int, error) {
+	n, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if n > uint64(len(d.b)) {
+		return 0, errTruncated
+	}
+	return int(n), nil
 }
 
 func (d *decBuf) varint() (int64, error) {
@@ -155,12 +193,12 @@ func (d *decBuf) bool() (bool, error) {
 }
 
 func (d *decBuf) strU64Map() (map[string]uint64, error) {
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
 	m := make(map[string]uint64, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k, err := d.str()
 		if err != nil {
 			return nil, err
@@ -175,12 +213,12 @@ func (d *decBuf) strU64Map() (map[string]uint64, error) {
 }
 
 func (d *decBuf) strSet() (map[string]struct{}, error) {
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
 	m := make(map[string]struct{}, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k, err := d.str()
 		if err != nil {
 			return nil, err
@@ -188,6 +226,32 @@ func (d *decBuf) strSet() (map[string]struct{}, error) {
 		m[k] = struct{}{}
 	}
 	return m, nil
+}
+
+// sortedStrs decodes a string collection into an ascending, duplicate-free
+// slice. Input in any order and with repeats is accepted; only input that is
+// not already strictly ascending is sorted.
+func (d *decBuf) sortedStrs() ([]string, error) {
+	n, err := d.count()
+	if err != nil {
+		return nil, err
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	xs := make([]string, n)
+	ascending := true
+	for i := range xs {
+		if xs[i], err = d.str(); err != nil {
+			return nil, err
+		}
+		ascending = ascending && (i == 0 || xs[i-1] < xs[i])
+	}
+	if !ascending {
+		slices.Sort(xs)
+		xs = slices.Compact(xs)
+	}
+	return xs, nil
 }
 
 func sortedKeys(m map[string]uint64) []string {

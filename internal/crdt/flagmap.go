@@ -278,12 +278,12 @@ func (m *LWWMap) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements Unmarshaler.
 func (m *LWWMap) UnmarshalBinary(data []byte) error {
 	d := newDecBuf(data)
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return err
 	}
 	entries := make(map[string]lwwMapEntry, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		k, err := d.str()
 		if err != nil {
 			return err

@@ -322,12 +322,12 @@ func (r *MVRegister) MarshalBinary() ([]byte, error) {
 // UnmarshalBinary implements Unmarshaler.
 func (r *MVRegister) UnmarshalBinary(data []byte) error {
 	d := newDecBuf(data)
-	n, err := d.uvarint()
+	n, err := d.count()
 	if err != nil {
 		return err
 	}
 	entries := make([]mvEntry, 0, n)
-	for i := uint64(0); i < n; i++ {
+	for i := 0; i < n; i++ {
 		val, err := d.str()
 		if err != nil {
 			return err

@@ -118,6 +118,10 @@ func TestMembershipAdmin(t *testing.T) {
 	if epoch != 1 || len(members) != 4 {
 		t.Fatalf("after member-add: epoch %d with %d members, want 1 with 4", epoch, len(members))
 	}
+	// The commit needs a joint quorum, not everyone: wait until every
+	// member answers from the new epoch, or the round-robin client may put
+	// the next verb to a replica that still judges it against the old view.
+	waitEpoch(ctx, t, 1, memberAddrs["n1"], memberAddrs["n2"], memberAddrs["n3"], memberAddrs["n4"])
 	if _, _, err := c.MemberAdd(ctx, "n4", "", ""); err == nil {
 		t.Fatal("member-add of an existing member succeeded")
 	}
@@ -146,6 +150,7 @@ func TestMembershipAdmin(t *testing.T) {
 			t.Fatal("n1 still in the member list after member-remove")
 		}
 	}
+	waitEpoch(ctx, t, 2, memberAddrs["n2"], memberAddrs["n3"], memberAddrs["n4"])
 	if _, _, err := c.MemberRemove(ctx, "nope"); err == nil {
 		t.Fatal("member-remove of a non-member succeeded")
 	}
@@ -162,6 +167,30 @@ func TestMembershipAdmin(t *testing.T) {
 		t.Fatalf("update after shrink: %v", err)
 	}
 	waitValue(ctx, t, c, "views", 6, "survivors after shrink")
+}
+
+// waitEpoch polls the members verb on each address until every one of them
+// answers from the given epoch.
+func waitEpoch(ctx context.Context, t *testing.T, epoch uint64, addrs ...string) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for _, addr := range addrs {
+		c, err := client.New([]string{addr}, client.WithRequestTimeout(2*time.Second))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		for {
+			got, _, err := c.Members(ctx)
+			if err == nil && got == epoch {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: epoch %d, %v; want epoch %d", addr, got, err, epoch)
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
 }
 
 // waitValue polls the counter until it reads want, riding out the window

@@ -9,6 +9,7 @@ package server
 // registers, plus the PN-Counter.
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"time"
@@ -54,17 +55,20 @@ func typeErrf(key string, got crdt.State, want string) error {
 
 // updateFor translates an update request into the update closure submitted
 // to the local replica. The closure validates the payload type at apply
-// time, like the facade's typed handles.
-func (s *Server) updateFor(req *wire.Request) (crdt.Update, error) {
+// time, like the facade's typed handles. A mutation that has to observe
+// before it writes (or-set remove) runs its linearizable query here;
+// observeRTTs is what that query cost, zero for every other mutation. An
+// error means nothing was submitted.
+func (s *Server) updateFor(ctx context.Context, req *wire.Request) (fu crdt.Update, observeRTTs int, err error) {
 	slot := string(s.node.ID())
 	switch req.CRDTType {
 	case crdt.TypeGCounter:
 		if req.Mutation != wire.MutInc {
-			return nil, badRequestf("server: unknown g-counter mutation %q", req.Mutation)
+			return nil, 0, badRequestf("server: unknown g-counter mutation %q", req.Mutation)
 		}
 		n, err := argUint(req, 0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		return func(st crdt.State) (crdt.State, error) {
 			c, ok := st.(*crdt.GCounter)
@@ -72,15 +76,15 @@ func (s *Server) updateFor(req *wire.Request) (crdt.Update, error) {
 				return nil, typeErrf(req.Key, st, req.CRDTType)
 			}
 			return c.Inc(slot, n), nil
-		}, nil
+		}, 0, nil
 
 	case crdt.TypePNCounter:
 		if req.Mutation != wire.MutInc && req.Mutation != wire.MutDec {
-			return nil, badRequestf("server: unknown pn-counter mutation %q", req.Mutation)
+			return nil, 0, badRequestf("server: unknown pn-counter mutation %q", req.Mutation)
 		}
 		n, err := argUint(req, 0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		dec := req.Mutation == wire.MutDec
 		return func(st crdt.State) (crdt.State, error) {
@@ -92,12 +96,12 @@ func (s *Server) updateFor(req *wire.Request) (crdt.Update, error) {
 				return c.Dec(slot, n), nil
 			}
 			return c.Inc(slot, n), nil
-		}, nil
+		}, 0, nil
 
 	case crdt.TypeORSet:
 		elem, err := argStr(req, 0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		switch req.Mutation {
 		case wire.MutAdd:
@@ -112,26 +116,40 @@ func (s *Server) updateFor(req *wire.Request) (crdt.Update, error) {
 					return nil, typeErrf(req.Key, st, req.CRDTType)
 				}
 				return set.Add(elem, slot, seq), nil
-			}, nil
+			}, 0, nil
 		case wire.MutRemove:
+			// A remove tombstones the tags it has observed, and the payload
+			// of the serving replica is not an observation: it may lack an
+			// add another replica already acknowledged. Learn the state
+			// first, so every add acknowledged before this request is seen,
+			// and carry what was learned into the update.
+			learned, stats, err := s.node.QueryKey(ctx, req.Key)
+			if err != nil {
+				return nil, 0, err
+			}
+			observed, ok := learned.(*crdt.ORSet)
+			if !ok {
+				return nil, 0, typeErrf(req.Key, learned, req.CRDTType)
+			}
+			removed := observed.Remove(elem)
 			return func(st crdt.State) (crdt.State, error) {
-				set, ok := st.(*crdt.ORSet)
-				if !ok {
+				merged, err := st.Merge(removed)
+				if err != nil {
 					return nil, typeErrf(req.Key, st, req.CRDTType)
 				}
-				return set.Remove(elem), nil
-			}, nil
+				return merged.(*crdt.ORSet).Remove(elem), nil
+			}, stats.RoundTrips, nil
 		default:
-			return nil, badRequestf("server: unknown or-set mutation %q", req.Mutation)
+			return nil, 0, badRequestf("server: unknown or-set mutation %q", req.Mutation)
 		}
 
 	case crdt.TypeLWWRegister:
 		if req.Mutation != wire.MutSet {
-			return nil, badRequestf("server: unknown lww-register mutation %q", req.Mutation)
+			return nil, 0, badRequestf("server: unknown lww-register mutation %q", req.Mutation)
 		}
 		val, err := argStr(req, 0)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		ts := uint64(time.Now().UnixNano())
 		return func(st crdt.State) (crdt.State, error) {
@@ -140,9 +158,9 @@ func (s *Server) updateFor(req *wire.Request) (crdt.Update, error) {
 				return nil, typeErrf(req.Key, st, req.CRDTType)
 			}
 			return reg.Set(val, ts, slot), nil
-		}, nil
+		}, 0, nil
 
 	default:
-		return nil, badRequestf("server: no mutations for CRDT type %q", req.CRDTType)
+		return nil, 0, badRequestf("server: no mutations for CRDT type %q", req.CRDTType)
 	}
 }

@@ -383,16 +383,16 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 
 	switch req.Op {
 	case wire.OpUpdate:
-		fu, err := s.updateFor(req)
+		fu, observeRTTs, err := s.updateFor(ctx, req)
 		if err != nil {
-			return fail(resp, err, false)
+			return fail(resp, err, true) // nothing submitted yet
 		}
 		stats, err := s.node.UpdateKey(ctx, req.Key, fu)
 		if err != nil {
 			return fail(resp, err, false)
 		}
 		resp.Status = wire.StatusOK
-		resp.RoundTrips = uint64(stats.RoundTrips)
+		resp.RoundTrips = uint64(observeRTTs + stats.RoundTrips)
 
 	case wire.OpQuery:
 		st, stats, err := s.node.QueryKey(ctx, req.Key)

@@ -31,7 +31,15 @@ func startCluster(t *testing.T, n int) (addrs []string, cl *cluster.Cluster, sto
 // admission-control tests that squeeze the load limits.
 func startClusterOpts(t *testing.T, n int, opts server.Options) (addrs []string, servers []*server.Server, cl *cluster.Cluster, stop func()) {
 	t.Helper()
-	mesh := transport.NewMesh(transport.WithSeed(1))
+	addrs, servers, cl, _, stop = startClusterMesh(t, n, opts)
+	return addrs, servers, cl, stop
+}
+
+// startClusterMesh is startClusterOpts that also hands out the mesh, for
+// tests that hold or cut links between replicas.
+func startClusterMesh(t *testing.T, n int, opts server.Options) (addrs []string, servers []*server.Server, cl *cluster.Cluster, mesh *transport.Mesh, stop func()) {
+	t.Helper()
+	mesh = transport.NewMesh(transport.WithSeed(1))
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
 		ids[i] = transport.NodeID(fmt.Sprintf("n%d", i+1))
@@ -55,7 +63,7 @@ func startClusterOpts(t *testing.T, n int, opts server.Options) (addrs []string,
 		servers = append(servers, srv)
 		addrs = append(addrs, srv.Addr())
 	}
-	return addrs, servers, cl, func() {
+	return addrs, servers, cl, mesh, func() {
 		for _, srv := range servers {
 			_ = srv.Close()
 		}
@@ -415,5 +423,35 @@ func TestServeUnavailable(t *testing.T) {
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Status != client.StatusUnavailable {
 		t.Fatalf("error %v carries no StatusError with StatusUnavailable", err)
+	}
+}
+
+// TestRemoveObservesAcknowledgedAdd: a remove served by a replica whose
+// acceptor has not merged an acknowledged add yet must still remove it. The
+// n1→n2 link is held, so the add acknowledged through n1 (quorum n1+n3)
+// never reaches n2's payload; the remove and the read both go through n2.
+func TestRemoveObservesAcknowledgedAdd(t *testing.T) {
+	addrs, _, _, mesh, stop := startClusterMesh(t, 3, server.Options{RequestTimeout: 5 * time.Second})
+	defer stop()
+	ctx := context.Background()
+	via1 := newClient(t, addrs[0]).Set("or-set/sessions")
+	via2 := newClient(t, addrs[1]).Set("or-set/sessions")
+
+	mesh.Block("n1", "n2")
+	for _, name := range []string{"alice", "bob"} {
+		if err := via1.Add(ctx, name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := via2.Remove(ctx, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	elems, err := via2.Elements(ctx)
+	if err != nil || len(elems) != 1 || elems[0] != "bob" {
+		t.Fatalf("set = %v, %v; want [bob]", elems, err)
+	}
+	mesh.Unblock("n1", "n2")
+	if elems, err := via1.Elements(ctx); err != nil || len(elems) != 1 || elems[0] != "bob" {
+		t.Fatalf("after the link healed, set = %v, %v; want [bob]", elems, err)
 	}
 }
