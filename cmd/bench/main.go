@@ -1,29 +1,11 @@
 // Command bench regenerates the paper's evaluation figures (§4) against
-// the Go reimplementation: throughput sweeps (Figure 1), tail latency
-// (Figure 2), read round-trip distributions (Figure 3), and the
-// node-failure timeline (Figure 4). Beyond the paper, -figure keys runs
-// the sharded-store scaling sweep (aggregate throughput vs key count with
-// a fixed per-key client load), -figure clients runs the served-store
-// sweep: closed-loop clients driving the store through the real TCP
-// client/server stack (crdtsmr/client, internal/server) with the replica
-// mesh emulated, one throughput grid of clients × keyspace size, and
-// -figure bytes runs the state-transfer sweep: replica-wire bytes per
-// operation vs object size for the full/digest/delta -state-transfer
-// modes, measured with transport byte counters (wall-clock independent),
-// -figure lease measures the round-lease query fast path on a hot-key
-// read-after-write session, -figure protocols races the paper's
-// protocol against Multi-Paxos RSM, Raft RSM, and generalized lattice
-// agreement on a shared keyed workload in virtual time (deterministic
-// per seed; see internal/shootout), and -figure overload sweeps offered
-// closed-loop load past the admission caps and reports goodput and p99
-// completion latency with admission control on (StatusBusy sheds plus
-// client backoff) and off (everything queues), and -figure shards
-// measures the durable store's update throughput as persistence moves
-// from the seed's serial one-Save-per-event loop to the asynchronous
-// group-commit pipeline across event-loop shard counts, under an
-// emulated per-write device flush, and -figure members runs a timeline
-// across an online membership change (grow by a joiner, then remove a
-// boot member mid-workload) with built-in stall and shed guards.
+// the Go reimplementation — throughput sweeps (Figure 1), tail latency
+// (Figure 2), read round-trip distributions (Figure 3), the node-failure
+// timeline (Figure 4) — and the comparisons beyond the paper that the
+// repo benchmark (BENCHMARK.json, `bash benchmark/run.sh`) cannot make:
+// the round-lease fast path, the virtual-time protocol shootout and the
+// online membership-change timeline. bench.Figures is the one table of
+// them; `bench -h` prints it.
 //
 // The default scale finishes in minutes; raise -duration and -clients to
 // approach the paper's 10-minute, 4096-client runs.
@@ -33,9 +15,6 @@
 //	bench -figure all
 //	bench -figure 1 -duration 10s -clients 1,8,64,512,4096
 //	bench -figure 3 -batch 5ms
-//	bench -figure keys -keys 1,4,16,64,256 -per-key 2
-//	bench -figure clients -keys 1,4,16 -clients 8,64,256
-//	bench -figure bytes -sizes 10,100,1000
 //	bench -figure protocols -out .
 package main
 
@@ -61,8 +40,9 @@ func main() {
 }
 
 func run() error {
+	valid := strings.Join(bench.FigureNames(), ", ") + ", or all"
 	var (
-		figure   = flag.String("figure", "all", "figure to regenerate: 1, 2, 3, 4, keys, clients, bytes, lease, protocols, overload, shards, members, or all")
+		figure   = flag.String("figure", "all", "figure to regenerate: "+valid)
 		duration = flag.Duration("duration", 2*time.Second, "measurement duration per data point (paper: 10m)")
 		warmup   = flag.Duration("warmup", 300*time.Millisecond, "warm-up excluded from statistics")
 		clients  = flag.String("clients", "1,8,64,256", "comma-separated client sweep (paper: 1..4096)")
@@ -71,23 +51,20 @@ func run() error {
 		minDelay = flag.Duration("min-delay", 50*time.Microsecond, "emulated per-message network delay, lower bound")
 		maxDelay = flag.Duration("max-delay", 200*time.Microsecond, "emulated per-message network delay, upper bound")
 		seed     = flag.Int64("seed", 1, "network RNG seed")
-		keys     = flag.String("keys", "1,4,16,64", "comma-separated key counts for the sharded-store sweep (figure keys)")
-		perKey   = flag.Int("per-key", 2, "closed-loop clients per key for the sharded-store sweep")
-		sizes    = flag.String("sizes", "10,100,1000", "comma-separated or-set sizes for the bytes sweep (figure bytes)")
-		byteOps  = flag.Int("byte-ops", 30, "operations per data point for the bytes sweep")
 		outDir   = flag.String("out", "", "directory to write BENCH_<figure>.json records into (figures that emit them)")
 	)
+	flag.Usage = func() {
+		w := flag.CommandLine.Output()
+		fmt.Fprintf(w, "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintln(w, "\nFigures:")
+		for _, f := range bench.Figures {
+			fmt.Fprintf(w, "  %-10s %s\n", f.Name, f.Question)
+		}
+	}
 	flag.Parse()
 
 	sweep, err := parseClients(*clients)
-	if err != nil {
-		return err
-	}
-	keySweep, err := parseClients(*keys)
-	if err != nil {
-		return err
-	}
-	sizeSweep, err := parseClients(*sizes)
 	if err != nil {
 		return err
 	}
@@ -101,11 +78,23 @@ func run() error {
 	}
 
 	out := os.Stdout
-	// saveFig persists a figure's machine-readable record when -out is
-	// set; the text table already went to stdout either way.
-	saveFig := func(fig *bench.FigureJSON) error {
+	ran := false
+	for _, f := range bench.Figures {
+		if *figure != "all" && *figure != f.Name {
+			continue
+		}
+		if ran {
+			fmt.Fprintln(out)
+		}
+		ran = true
+		fig, err := f.Run(out, scale)
+		if err != nil {
+			return err
+		}
+		// The text table already went to stdout; -out also persists the
+		// figure's machine-readable record, when it emits one.
 		if *outDir == "" || fig == nil {
-			return nil
+			continue
 		}
 		if fig.GitSHA == "" {
 			fig.GitSHA = gitHead()
@@ -115,70 +104,11 @@ func run() error {
 			return err
 		}
 		fmt.Fprintln(out, "wrote", path)
-		return nil
 	}
-	runOne := func(fig string) error {
-		switch fig {
-		case "1":
-			return bench.Figure1(out, scale)
-		case "2":
-			return bench.Figure2(out, scale)
-		case "3":
-			_, err := bench.Figure3(out, scale, filterAtMost(sweep, 512))
-			return err
-		case "4":
-			return bench.Figure4(out, scale, 64)
-		case "keys":
-			return bench.FigureKeys(out, scale, keySweep, *perKey)
-		case "clients":
-			return bench.FigureClients(out, scale, keySweep, sweep)
-		case "bytes":
-			return bench.FigureBytes(out, *replicas, sizeSweep, *byteOps)
-		case "lease":
-			fig, err := bench.FigureLease(out, scale)
-			if err != nil {
-				return err
-			}
-			return saveFig(fig)
-		case "protocols":
-			fig, err := bench.FigureProtocols(out, scale)
-			if err != nil {
-				return err
-			}
-			return saveFig(fig)
-		case "overload":
-			fig, err := bench.FigureOverload(out, scale)
-			if err != nil {
-				return err
-			}
-			return saveFig(fig)
-		case "shards":
-			fig, err := bench.FigureShards(out, scale)
-			if err != nil {
-				return err
-			}
-			return saveFig(fig)
-		case "members":
-			fig, err := bench.FigureMembers(out, scale, 64)
-			if err != nil {
-				return err
-			}
-			return saveFig(fig)
-		default:
-			return fmt.Errorf("unknown figure %q", fig)
-		}
+	if !ran {
+		return fmt.Errorf("unknown figure %q (want %s)", *figure, valid)
 	}
-
-	if *figure == "all" {
-		for _, fig := range []string{"1", "2", "3", "4", "keys", "clients", "bytes", "lease", "protocols", "overload", "shards", "members"} {
-			if err := runOne(fig); err != nil {
-				return err
-			}
-			fmt.Fprintln(out)
-		}
-		return nil
-	}
-	return runOne(*figure)
+	return nil
 }
 
 // gitHead is the fallback revision stamp for `go run` builds, which
@@ -202,17 +132,4 @@ func parseClients(s string) ([]int, error) {
 		out = append(out, n)
 	}
 	return out, nil
-}
-
-func filterAtMost(sweep []int, max int) []int {
-	var out []int
-	for _, n := range sweep {
-		if n <= max {
-			out = append(out, n)
-		}
-	}
-	if len(out) == 0 {
-		out = []int{16}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 // Command docscheck is the documentation gate run by CI: it fails on
-// broken intra-repo markdown links in the maintained docs (README.md and
-// docs/*.md) and on gofmt drift or parse errors in the Go code blocks of
+// broken intra-repo markdown links and on `-figure X` mentions naming a
+// figure cmd/bench no longer has in the maintained docs (README.md and
+// docs/*.md), and on gofmt drift or parse errors in the Go code blocks of
 // README.md.
 //
 //	go run ./cmd/docscheck [repo-root]
@@ -10,6 +11,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+
+	"crdtsmr/internal/bench"
 )
 
 func main() {
@@ -41,10 +47,32 @@ func Check(root string) []error {
 			continue
 		}
 		errs = append(errs, checkLinks(root, doc, string(data))...)
+		errs = append(errs, checkFigures(doc, string(data))...)
 	}
 	readme := filepath.Join(root, "README.md")
 	if data, err := os.ReadFile(readme); err == nil {
 		errs = append(errs, checkGoBlocks(readme, string(data))...)
+	}
+	return errs
+}
+
+// figureRE matches a cmd/bench figure selection; the flag and its value
+// may sit on either side of a wrapped prose line.
+var figureRE = regexp.MustCompile(`-figure[\s=]+(\w+)`)
+
+// checkFigures verifies every `-figure X` in doc names an entry of
+// bench.Figures (or "all"), so deleting a figure cannot leave the docs
+// advertising a dead command.
+func checkFigures(doc, text string) []error {
+	var errs []error
+	valid := bench.FigureNames()
+	for _, m := range figureRE.FindAllStringSubmatchIndex(text, -1) {
+		name := text[m[2]:m[3]]
+		if name == "all" || slices.Contains(valid, name) {
+			continue
+		}
+		line := 1 + strings.Count(text[:m[0]], "\n")
+		errs = append(errs, fmt.Errorf("%s:%d: -figure %s is not a cmd/bench figure (have %s)", doc, line, name, strings.Join(valid, ", ")))
 	}
 	return errs
 }

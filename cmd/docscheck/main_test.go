@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,21 @@ func TestCheckLinks(t *testing.T) {
 	errs := checkLinks(root, doc, text)
 	if len(errs) != 2 {
 		t.Fatalf("got %d errors, want 2 (broken + escape): %v", len(errs), errs)
+	}
+}
+
+func TestCheckFigures(t *testing.T) {
+	live := "`bench -figure protocols -out .` and `-figure=3`, or `bench -figure\nlease` wrapped; `-figure all` runs the table\n"
+	if errs := checkFigures("doc", live); len(errs) != 0 {
+		t.Fatalf("live figures rejected: %v", errs)
+	}
+	dead := "intro\n`go run ./cmd/bench -figure keys -clients 4`\n"
+	errs := checkFigures("doc", dead)
+	if len(errs) != 1 {
+		t.Fatalf("got %d errors, want 1 for the dead figure: %v", len(errs), errs)
+	}
+	if msg := errs[0].Error(); !strings.Contains(msg, "doc:2:") || !strings.Contains(msg, "keys") || !strings.Contains(msg, "protocols") {
+		t.Fatalf("error %q should carry the line, the dead name and the valid names", msg)
 	}
 }
 

@@ -11,12 +11,12 @@
 // (docs/PROTOCOL.md §3); the demo reports the replica-wire bytes the run
 // cost, so the modes can be compared directly. Note the payloads here
 // are tiny counters, smaller than a 32-byte digest — on this workload
-// full transfer wins, and digest/delta pay off as objects grow (the
-// bench sweep shows the crossover):
+// full transfer wins, and digest/delta pay off as objects grow
+// (TestTransferModesByteReduction in internal/core counts the gap on a
+// 1k-element or-set):
 //
 //	go run ./examples/netcluster
 //	go run ./examples/netcluster -state-transfer full
-//	go run ./cmd/bench -figure bytes -sizes 10,100,1000   # the full sweep
 package main
 
 import (
@@ -173,7 +173,7 @@ func main() {
 	}
 
 	// The replica wire's byte bill for the whole run: compare across
-	// -state-transfer modes (bench -figure bytes runs the proper sweep).
+	// -state-transfer modes.
 	var meshBytes, meshMsgs uint64
 	for _, t := range meshConns {
 		st := t.Stats()

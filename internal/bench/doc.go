@@ -6,7 +6,8 @@
 // drivers that regenerate every figure of the evaluation section.
 //
 // Two System implementations start replicas: CRDTSystem (the paper's
-// protocol over a cluster.Cluster, one or many keys; NetSystem fronts the
-// same nodes with TCP servers) and LogSystem (Raft or Multi-Paxos replicas
-// on rsm.Node).
+// protocol over a cluster.Cluster, one replicated counter) and LogSystem
+// (Raft or Multi-Paxos replicas on rsm.Node). Figures is the table of
+// what cmd/bench runs; the served path (TCP clients, keyed store,
+// durability, overload) is measured by benchmark/ instead.
 package bench

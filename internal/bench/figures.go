@@ -30,6 +30,53 @@ func DefaultScale() Scale {
 	}
 }
 
+// Figures is the one table of what cmd/bench can regenerate, in the order
+// `-figure all` runs them. A figure belongs here only if no BENCHMARK.json
+// workload or per-layer probe answers its question (README, "Benchmarks").
+// Run prints the figure's table to w; a non-nil record is what -out
+// persists as BENCH_<name>.json.
+var Figures = []struct {
+	Name     string
+	Question string
+	Run      func(w io.Writer, s Scale) (*FigureJSON, error)
+}{
+	{"1", "paper Fig. 1: throughput vs clients and read mix, against Raft and Multi-Paxos", func(w io.Writer, s Scale) (*FigureJSON, error) {
+		return nil, Figure1(w, s)
+	}},
+	{"2", "paper Fig. 2: p95 read/update latency vs clients at 10% updates, same four systems", func(w io.Writer, s Scale) (*FigureJSON, error) {
+		return nil, Figure2(w, s)
+	}},
+	{"3", "paper Fig. 3: share of reads done within k round trips, with and without batching", func(w io.Writer, s Scale) (*FigureJSON, error) {
+		// The -clients sweep capped at 512; Figure3 falls back to its own
+		// sweep when none is left.
+		var counts []int
+		for _, n := range s.Clients {
+			if n <= 512 {
+				counts = append(counts, n)
+			}
+		}
+		_, err := Figure3(w, s, counts)
+		return nil, err
+	}},
+	{"4", "paper Fig. 4: p95 latency timeline across a replica crash (no leader, no outage)", func(w io.Writer, s Scale) (*FigureJSON, error) {
+		return nil, Figure4(w, s, 64)
+	}},
+	{"lease", "how much read-after-write latency the round lease saves as the quorum widens", FigureLease},
+	{"protocols", "this protocol vs Multi-Paxos, Raft and lattice agreement on one keyed workload, virtual time", FigureProtocols},
+	{"members", "does an online membership change (grow, then shrink) ever close the availability window", func(w io.Writer, s Scale) (*FigureJSON, error) {
+		return FigureMembers(w, s, 64)
+	}},
+}
+
+// FigureNames lists the names of Figures, in table order.
+func FigureNames() []string {
+	names := make([]string, len(Figures))
+	for i, f := range Figures {
+		names[i] = f.Name
+	}
+	return names
+}
+
 // systemSpec names a system constructor for the sweeps.
 type systemSpec struct {
 	name  string

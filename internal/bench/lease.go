@@ -80,7 +80,7 @@ func FigureLease(w io.Writer, s Scale) (*FigureJSON, error) {
 		for i, lease := range []bool{false, true} {
 			opts := core.DefaultOptions()
 			opts.Lease = lease
-			sys, err := NewCRDTSystem(reps, CRDTOpts{Protocol: opts}, net)
+			sys, err := NewCRDTSystem(reps, CRDTOpts{Protocol: &opts}, net)
 			if err != nil {
 				return nil, err
 			}

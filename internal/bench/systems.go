@@ -9,7 +9,6 @@ import (
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/paxos"
-	"crdtsmr/internal/persist"
 	"crdtsmr/internal/raft"
 	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/transport"
@@ -72,95 +71,53 @@ func members(n int) []transport.NodeID {
 // --- CRDT Paxos (this paper) ---
 
 // CRDTOpts configures a CRDTSystem beyond the paper's defaults. The zero
-// value is the single-counter, volatile, unbatched deployment of §4.
+// value is the volatile, unbatched deployment of §4.
 type CRDTOpts struct {
-	// Keys is how many independent G-Counter objects the clients work
-	// (default 1, the paper's single replicated counter).
-	Keys int
-	// Batch enables per-key §3.6 batching (the paper evaluates 5 ms).
+	// Batch enables §3.6 batching (the paper evaluates 5 ms).
 	Batch time.Duration
-	// Protocol overrides core.DefaultOptions(), which the zero value
-	// selects; the ablation and lease benchmarks set it.
-	Protocol core.Options
-	// DataDir, when non-empty, makes every node durable (each persists
-	// into its own subdirectory).
-	DataDir string
-	// Shards sets the per-node event-loop shard count (0 = default).
-	Shards int
-	// SerialPersist forces the synchronous one-Save-per-event durability
-	// path — the pre-group-commit baseline the shards figure compares
-	// against.
-	SerialPersist bool
-	// PersistSync and PersistWriteDelay pass through to the snapshot
-	// store: the sync policy and the emulated per-write device latency.
-	PersistSync       persist.SyncPolicy
-	PersistWriteDelay time.Duration
-	// Retransmit overrides the 10 ms retransmit interval. The durability
-	// benchmarks must: with per-write flush latency, op latencies sit in
-	// the 10-500 ms range, and a 10 ms timer floods the slow rows' event
-	// queues with duplicate MERGEs until fresh frames are dropped.
-	Retransmit time.Duration
+	// Protocol overrides core.DefaultOptions() when non-nil; the lease
+	// figure sets it.
+	Protocol *core.Options
 }
 
-// CRDTSystem runs the paper's protocol on a keyspace of replicated
-// G-Counters: every key its own replication instance multiplexed on the
-// nodes' event loops. Client i works key i mod Keys at replica
-// (i / Keys) mod replicas, so each key's clients are spread across
-// replicas (and with one key, clients spread evenly over replicas).
+// CRDTSystem runs the paper's protocol on one replicated G-Counter.
+// Client i attaches to replica i mod replicas, spreading clients evenly.
 type CRDTSystem struct {
 	name  string
 	mesh  *transport.Mesh
 	clust *cluster.Cluster
 	ids   []transport.NodeID
-	keys  []string
 	cfg   cluster.Config // kept for starting joiners (FigureMembers)
 }
 
 // NewCRDTSystem starts the paper's protocol over n replicas.
 func NewCRDTSystem(n int, o CRDTOpts, net NetProfile) (*CRDTSystem, error) {
-	if o.Keys <= 0 {
-		o.Keys = 1
-	}
 	name := "CRDT Paxos"
-	if o.Keys > 1 {
-		name += fmt.Sprintf(" sharded(%d keys)", o.Keys)
-	}
 	if o.Batch > 0 {
 		name += fmt.Sprintf(" w/batching(%s)", o.Batch)
 	}
-	if o.Protocol == (core.Options{}) {
-		o.Protocol = core.DefaultOptions()
-	}
-	// The retransmit timeout doubles as the vote-grace period when a
-	// crashed acceptor leaves a denied vote undecidable (Figure 4); keep
-	// it a small multiple of the protocol round trip.
-	if o.Retransmit <= 0 {
-		o.Retransmit = 10 * time.Millisecond
+	protocol := core.DefaultOptions()
+	if o.Protocol != nil {
+		protocol = *o.Protocol
 	}
 	mesh := net.mesh()
 	ids := members(n)
 	cfg := cluster.Config{
-		Members:            ids,
-		Initial:            crdt.NewGCounter(),
-		Options:            o.Protocol,
-		BatchInterval:      o.Batch,
-		RetransmitInterval: o.Retransmit,
-		Shards:             o.Shards,
-		DataDir:            o.DataDir,
-		SerialPersist:      o.SerialPersist,
-		PersistSync:        o.PersistSync,
-		PersistWriteDelay:  o.PersistWriteDelay,
+		Members:       ids,
+		Initial:       crdt.NewGCounter(),
+		Options:       protocol,
+		BatchInterval: o.Batch,
+		// The retransmit timeout doubles as the vote-grace period when a
+		// crashed acceptor leaves a denied vote undecidable (Figure 4);
+		// keep it a small multiple of the protocol round trip.
+		RetransmitInterval: 10 * time.Millisecond,
 	}
 	clust, err := cluster.New(mesh, cfg)
 	if err != nil {
 		mesh.Close()
 		return nil, err
 	}
-	keys := make([]string, o.Keys)
-	for i := range keys {
-		keys[i] = fmt.Sprintf("obj/%04d", i)
-	}
-	return &CRDTSystem{name: name, mesh: mesh, clust: clust, ids: ids, keys: keys, cfg: cfg}, nil
+	return &CRDTSystem{name: name, mesh: mesh, clust: clust, ids: ids, cfg: cfg}, nil
 }
 
 // Name implements System.
@@ -168,8 +125,8 @@ func (s *CRDTSystem) Name() string { return s.name }
 
 // Client implements System.
 func (s *CRDTSystem) Client(i int) Client {
-	at := s.ids[(i/len(s.keys))%len(s.ids)]
-	return &crdtClient{node: s.clust.Node(at), key: s.keys[i%len(s.keys)], slot: string(at)}
+	at := s.ids[i%len(s.ids)]
+	return &crdtClient{node: s.clust.Node(at), slot: string(at)}
 }
 
 // Pinned returns a view of the system whose clients all attach to one
@@ -186,7 +143,7 @@ type pinnedSystem struct {
 }
 
 // Client implements System: every client index maps to the pinned replica.
-func (p *pinnedSystem) Client(int) Client { return p.CRDTSystem.Client(p.replica * len(p.keys)) }
+func (p *pinnedSystem) Client(int) Client { return p.CRDTSystem.Client(p.replica) }
 
 // Grow starts a fresh joiner on the mesh and reconfigures it into the
 // member group from an existing member, returning once the round commits
@@ -247,19 +204,18 @@ func (s *CRDTSystem) Close() {
 
 type crdtClient struct {
 	node *cluster.Node
-	key  string
 	slot string
 }
 
 func (c *crdtClient) Inc(ctx context.Context) error {
-	_, err := c.node.UpdateKey(ctx, c.key, func(s crdt.State) (crdt.State, error) {
+	_, err := c.node.Update(ctx, func(s crdt.State) (crdt.State, error) {
 		return s.(*crdt.GCounter).Inc(c.slot, 1), nil
 	})
 	return err
 }
 
 func (c *crdtClient) Read(ctx context.Context) (int64, int, error) {
-	s, stats, err := c.node.QueryKey(ctx, c.key)
+	s, stats, err := c.node.Query(ctx)
 	if err != nil {
 		return 0, 0, err
 	}

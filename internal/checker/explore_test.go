@@ -94,25 +94,11 @@ func TestExploreUpdateOnly(t *testing.T) {
 	}
 }
 
-func TestExploreWithoutGLAStability(t *testing.T) {
-	// The base protocol (§3.2, without the §3.4 refinement) must still pass
-	// Validity/Stability/Consistency and counter linearizability.
-	opts := core.Options{GLAStability: false}
-	for seed := 0; seed < 40; seed++ {
-		if _, err := Explore(ExploreConfig{
-			Seed:      int64(2000 + seed),
-			Replicas:  3,
-			Ops:       50,
-			ReadRatio: 0.5,
-			Options:   opts,
-		}); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-	}
-}
-
+// TestExploreWithSeededPrepares sweeps with the lease off, so every query
+// runs the two-phase path and every retry re-prepares seeded with the LUB
+// it gathered (§3.6).
 func TestExploreWithSeededPrepares(t *testing.T) {
-	opts := core.Options{GLAStability: true, SeedPrepare: true}
+	opts := core.Options{}
 	for seed := 0; seed < 40; seed++ {
 		if _, err := Explore(ExploreConfig{
 			Seed:      int64(3000 + seed),

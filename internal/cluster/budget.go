@@ -42,9 +42,6 @@ type delayedEnvelope struct {
 }
 
 func newLinkBudget(rate, burst float64, now time.Time) *linkBudget {
-	if burst < rate/10 {
-		burst = rate / 10 // at least 100 ms of rate, so small frames always fit
-	}
 	return &linkBudget{rate: rate, burst: burst, tokens: burst, last: now}
 }
 
@@ -147,21 +144,26 @@ func (b *linkBudget) eta(now time.Time) time.Duration {
 // lazily. The node's configured budget divides evenly across shards —
 // each shard paces its own keys' share of the link without cross-shard
 // coordination, so the node-wide rate still sums to Config.LinkBudget
-// (exactly under even key spread, approximately under skew).
+// (exactly under even key spread, approximately under skew). The bucket
+// holds one second of that rate.
 func (s *shard) budgetFor(peer transport.NodeID) *linkBudget {
 	if b, ok := s.budgets[peer]; ok {
 		return b
 	}
-	shards := float64(len(s.n.shards))
-	b := newLinkBudget(float64(s.n.cfg.LinkBudget)/shards, float64(s.n.cfg.LinkBurst)/shards, s.n.cfg.Clock.Now())
+	rate := float64(s.n.cfg.LinkBudget) / float64(len(s.n.shards))
+	b := newLinkBudget(rate, rate, s.n.cfg.Clock.Now())
 	s.budgets[peer] = b
 	return b
 }
 
-// sendBudgeted transmits one packed frame to peer, or queues it when the
-// link's budget cannot admit it yet, arming a drain timer for the queued
-// head. Called only from the shard's event loop.
-func (s *shard) sendBudgeted(peer transport.NodeID, key string, packed []byte) {
+// send transmits one packed frame to peer. Under a link budget the frame
+// is queued when the budget cannot admit it yet, arming a drain timer for
+// the queued head. Called only from the shard's event loop.
+func (s *shard) send(peer transport.NodeID, key string, packed []byte) {
+	if s.n.cfg.LinkBudget <= 0 {
+		s.n.conn.Send(peer, packed)
+		return
+	}
 	b := s.budgetFor(peer)
 	if b.take(s.n.cfg.Clock.Now(), len(packed)) {
 		s.n.conn.Send(peer, packed)

@@ -153,12 +153,23 @@ func TestClusterLinkBudgetPacesAndConverges(t *testing.T) {
 	defer mesh.Close()
 	cfg := testConfig(3)
 	cfg.LinkBudget = 512
-	cfg.LinkBurst = 64 // one small frame, then the 512 B/s rate governs
 	c, err := New(mesh, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// Drain every link's one-second bucket, so the 512 B/s rate governs
+	// from the first frame.
+	for _, n := range c.Nodes() {
+		for _, s := range n.shards {
+			s.call(func() {
+				for _, peer := range cfg.Members {
+					b := s.budgetFor(peer)
+					b.take(s.n.cfg.Clock.Now(), int(b.tokens))
+				}
+			})
+		}
+	}
 
 	ctx := ctxWith(t, 30*time.Second)
 	n1 := c.Node("n1")

@@ -27,6 +27,5 @@
 // groups (persist.Store.SaveBatch — one directory sync per batch), and
 // the loop releases a key's outbound envelopes and client completions
 // only after the writes ordered before them have landed
-// (persist-before-ack, kept per key). Config.SerialPersist restores the
-// synchronous one-Save-per-event path for comparison.
+// (persist-before-ack, kept per key).
 package cluster

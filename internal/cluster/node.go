@@ -72,9 +72,9 @@ type Config struct {
 	// path, so different keys' protocol work spreads across cores
 	// (the per-object independence the paper's protocol guarantees —
 	// replicas of different keys share nothing). Zero selects the
-	// CRDTSMR_SHARDS environment variable when set, else
-	// runtime.GOMAXPROCS(0). Single-key deployments gain nothing from
-	// more than one shard.
+	// CRDTSMR_SHARDS environment variable when set (NewNode rejects a
+	// value that is not a positive integer), else runtime.GOMAXPROCS(0).
+	// Single-key deployments gain nothing from more than one shard.
 	Shards int
 	// DataDir, when non-empty, makes the node durable: every object's
 	// acceptor payload and consensus metadata is snapshotted to this
@@ -89,17 +89,6 @@ type Config struct {
 	// default: atomic renames survive process crashes; SyncAlways also
 	// survives power loss).
 	PersistSync persist.SyncPolicy
-	// SerialPersist reverts durability to the synchronous
-	// write-inside-the-event-loop path: each key's snapshot is saved
-	// before the loop moves to the next event, so one key's disk flush
-	// stalls every key on the shard. The default (false) runs a per-shard
-	// persister goroutine with group commit instead: snapshot writes for
-	// many keys accumulate while the disk is busy and land in one batch
-	// with a single directory sync, overlapping disk latency with
-	// protocol processing. Both paths uphold persist-before-ack per key.
-	// This knob exists as the measured baseline of `bench -figure shards`
-	// and as an operational escape hatch.
-	SerialPersist bool
 	// PersistWriteDelay emulates device flush latency for benchmarks and
 	// tests: every persist.Store.Save sleeps this long, and every
 	// SaveBatch sleeps it once for the whole batch (the group-commit
@@ -112,16 +101,13 @@ type Config struct {
 	// decision).
 	Recover persist.RecoverPolicy
 	// LinkBudget, when positive, caps each outbound replica link at this
-	// many payload bytes per second (token bucket, capacity LinkBurst).
-	// Envelopes over budget are delayed and coalesced per key instead of
-	// flooding the wire — see docs/ARCHITECTURE.md, "Overload and
-	// backpressure". The budget divides evenly across shards (each shard
+	// many payload bytes per second (token bucket holding one second of
+	// budget). Envelopes over budget are delayed and coalesced per key
+	// instead of flooding the wire — see docs/ARCHITECTURE.md, "Overload
+	// and backpressure". The budget divides evenly across shards (each shard
 	// paces its own keys' traffic independently), so a single hot key is
 	// governed by its shard's slice. Zero disables budgeting.
 	LinkBudget int
-	// LinkBurst is the bucket capacity in bytes. Defaults to one second
-	// of LinkBudget; values below LinkBudget/10 are raised to it.
-	LinkBurst int
 
 	// persistHook, when set by tests, is installed as the snapshot
 	// store's BeforeBatchRename hook: it runs after a group-commit
@@ -130,7 +116,7 @@ type Config struct {
 	persistHook func(keys []string) error
 }
 
-func (c Config) withDefaults() Config {
+func (c Config) withDefaults() (Config, error) {
 	if c.Clock == nil {
 		c.Clock = clock.Real()
 	}
@@ -138,24 +124,29 @@ func (c Config) withDefaults() Config {
 		c.RetransmitInterval = 100 * time.Millisecond
 	}
 	if c.Shards <= 0 {
-		c.Shards = defaultShards()
+		n, err := defaultShards()
+		if err != nil {
+			return c, err
+		}
+		c.Shards = n
 	}
-	if c.LinkBudget > 0 && c.LinkBurst <= 0 {
-		c.LinkBurst = c.LinkBudget
-	}
-	return c
+	return c, nil
 }
 
 // defaultShards resolves Config.Shards when unset: the CRDTSMR_SHARDS
 // environment variable (the CI matrix knob), else one shard per
-// schedulable CPU.
-func defaultShards() int {
-	if v := os.Getenv("CRDTSMR_SHARDS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			return n
-		}
+// schedulable CPU. A set but unusable value is an error, not a fallback:
+// a mistyped matrix row must not run green on the wrong shard count.
+func defaultShards() (int, error) {
+	v := os.Getenv("CRDTSMR_SHARDS")
+	if v == "" {
+		return runtime.GOMAXPROCS(0), nil
 	}
-	return runtime.GOMAXPROCS(0)
+	n, err := strconv.Atoi(v)
+	if err != nil || n <= 0 {
+		return 0, fmt.Errorf("cluster: CRDTSMR_SHARDS=%q: want a positive integer", v)
+	}
+	return n, nil
 }
 
 // initialFor resolves the initial payload for an object key.
@@ -300,7 +291,10 @@ type queryResult struct {
 // NewNode creates and starts a node. join binds the node's ID and inbound
 // handler to a transport (e.g. a wrapper around Mesh.Join or NewTCP).
 func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transport.Handler) transport.Conn) (*Node, error) {
-	cfg = cfg.withDefaults()
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	n := &Node{
 		id:        id,
 		cfg:       cfg,
@@ -330,7 +324,6 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 	// A joiner starts it with the empty configuration instead — it must
 	// refuse commands until reconfigured in.
 	var rep *core.Replica
-	var err error
 	if cfg.Joining {
 		rep, err = core.NewReplicaConfig(id, core.Config{}, cfg.Initial, cfg.Options)
 	} else {

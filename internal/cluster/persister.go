@@ -10,17 +10,16 @@ import (
 
 var errRestartVolatile = errors.New("cluster: Restart requires a DataDir (volatile nodes can only Recover)")
 
-// The group-commit persistence pipeline. On a durable node (unless
-// Config.SerialPersist), the shard's event loop never writes a snapshot
-// itself: after each event it packages the touched keys' snapshot
-// records, outbound envelopes, and deferred client completions into
-// persistReqs and hands them to this shard's persister goroutine. The
-// persister drains its queue opportunistically — every request that
-// arrives while the disk is busy joins the next batch — and commits a
-// whole batch with persist.Store.SaveBatch: every key's temp file
-// written, then renamed, then ONE directory sync for all of them. Each
-// committed request is pushed onto the shard's release queue, and the
-// loop (woken by relSig) releases its envelopes and completions.
+// The group-commit persistence pipeline. On a durable node the shard's
+// event loop never writes a snapshot itself: after each event it packages
+// the touched keys' snapshot records, outbound envelopes, and deferred
+// client completions into persistReqs and hands them to this shard's
+// persister goroutine. The persister drains its queue opportunistically —
+// every request that arrives while the disk is busy joins the next batch —
+// and commits a whole batch with persist.Store.SaveBatch: every key's temp
+// file written, then renamed, then ONE directory sync for all of them.
+// Each committed request is pushed onto the shard's release queue, and
+// the loop (woken by relSig) releases its envelopes and completions.
 //
 // The persist-before-ack contract survives intact, per key: a request's
 // envelopes and completions are released only after every snapshot write
@@ -106,11 +105,7 @@ func (s *shard) flushOutboxAsync() {
 				req.envs = append(req.envs, outEnv{to: e.To, frame: wire.PackEnvelope(key, e.Payload)})
 			}
 		}
-		for reqID := range s.timers[key] {
-			if !rep.Pending(reqID) {
-				s.disarmTimer(key, reqID)
-			}
-		}
+		s.disarmCompleted(key, rep)
 		if req.rec != nil || len(req.envs) > 0 {
 			reqIdx[key] = len(reqs)
 			reqs = append(reqs, req)
@@ -248,11 +243,7 @@ func (s *shard) processReleases() {
 		}
 		if !s.crashed {
 			for _, e := range d.req.envs {
-				if s.n.cfg.LinkBudget > 0 {
-					s.sendBudgeted(e.to, key, e.frame)
-				} else {
-					s.n.conn.Send(e.to, e.frame)
-				}
+				s.send(e.to, key, e.frame)
 			}
 		}
 		for _, fn := range d.req.notify {
@@ -267,9 +258,6 @@ func (s *shard) processReleases() {
 // (restartPrep); no new requests can be enqueued meanwhile because the
 // loop is here.
 func (s *shard) drainPersister() error {
-	if s.persistq == nil {
-		return nil
-	}
 	b := make(chan struct{})
 	select {
 	case s.persistq <- persistReq{key: "", barrier: b}:

@@ -47,8 +47,8 @@ type shard struct {
 	persistErrs   uint64              // failed snapshot writes (outbox + completions dropped)
 	notify        []keyedNotify       // client completions deferred past persistence
 
-	// Group-commit persistence pipeline; nil on volatile nodes and under
-	// Config.SerialPersist (see persister.go).
+	// Group-commit persistence pipeline; nil on volatile nodes (see
+	// persister.go).
 	persistq chan persistReq
 	relMu    sync.Mutex
 	rel      []persistDone
@@ -72,7 +72,7 @@ func newShard(n *Node, idx int) *shard {
 		inflight:      make(map[string]uint64),
 		persistBroken: make(map[string]struct{}),
 	}
-	if n.store != nil && !n.cfg.SerialPersist {
+	if n.store != nil {
 		s.persistq = make(chan persistReq, 1024)
 		s.relSig = make(chan struct{}, 1)
 	}
@@ -441,14 +441,23 @@ func (s *shard) disarmTimer(key string, reqID uint64) {
 	}
 }
 
+// disarmCompleted disarms key's timers whose requests are no longer
+// pending at rep.
+func (s *shard) disarmCompleted(key string, rep *core.Replica) {
+	for reqID := range s.timers[key] {
+		if !rep.Pending(reqID) {
+			s.disarmTimer(key, reqID)
+		}
+	}
+}
+
 // flushAfterEvent runs after every loop iteration: it drains the outbox
 // of every replica the event touched and releases deferred client
-// completions, through whichever durability path the node runs —
-// synchronous (volatile nodes and SerialPersist) or the group-commit
-// persister pipeline.
+// completions — directly on a volatile node, through the group-commit
+// persister pipeline on a durable one.
 func (s *shard) flushAfterEvent() {
-	if s.persistq == nil {
-		s.flushOutboxSerial()
+	if s.n.store == nil {
+		s.flushOutboxVolatile()
 		return
 	}
 	s.flushOutboxAsync()
@@ -461,68 +470,30 @@ func (s *shard) clearDirty() {
 	s.dirty = s.dirty[:0]
 }
 
-// flushOutboxSerial transmits pending envelopes of every replica touched
-// by the last event — wrapped in the key's object-ID envelope — and
-// disarms timers of requests that completed. Only dirty keys are visited,
-// so per-event cost is independent of the size of the keyspace.
-//
-// On a durable node the key's snapshot is written first, whenever its
-// durable state advanced: an ACK promising a round, a MERGED confirming a
-// merge, must never outrun the disk. A failed snapshot write drops the
-// key's outbound envelopes AND withholds the key's client completions
-// instead — to its peers and clients alike the node behaves like a lossy
-// link (the clients' requests time out and surface as uncertain), never
-// like a liar claiming durability the disk does not hold. Surviving
-// completions are released last, after the persistence point, so an
-// acknowledged command is durable here even on a single-node cluster.
-func (s *shard) flushOutboxSerial() {
-	var persistFailed map[string]bool
+// flushOutboxVolatile transmits pending envelopes of every replica touched
+// by the last event — wrapped in the key's object-ID envelope — disarms
+// timers of requests that completed, and releases the event's client
+// completions. Only dirty keys are visited, so per-event cost is
+// independent of the size of the keyspace.
+func (s *shard) flushOutboxVolatile() {
 	for _, key := range s.dirty {
 		rep, ok := s.replicas[key]
 		if !ok {
 			continue
 		}
 		out := rep.TakeOutbox()
-		if s.n.store != nil && !s.crashed {
-			if v := rep.StateVersion(); v != s.savedVersion[key] {
-				if err := s.n.store.SaveSnapshot(key, rep.Snapshot()); err != nil {
-					s.persistErrs++
-					if persistFailed == nil {
-						persistFailed = make(map[string]bool, 1)
-					}
-					persistFailed[key] = true
-					out = nil
-				} else {
-					s.savedVersion[key] = v
-				}
+		if !s.crashed {
+			for _, e := range out {
+				s.send(e.To, key, wire.PackEnvelope(key, e.Payload))
 			}
 		}
-		for _, e := range out {
-			if s.crashed {
-				continue
-			}
-			packed := wire.PackEnvelope(key, e.Payload)
-			if s.n.cfg.LinkBudget > 0 {
-				s.sendBudgeted(e.To, key, packed)
-			} else {
-				s.n.conn.Send(e.To, packed)
-			}
-		}
-		for reqID := range s.timers[key] {
-			if !rep.Pending(reqID) {
-				s.disarmTimer(key, reqID)
-			}
-		}
+		s.disarmCompleted(key, rep)
 	}
 	s.clearDirty()
-	if len(s.notify) > 0 {
-		for _, kn := range s.notify {
-			if !persistFailed[kn.key] {
-				kn.fn()
-			}
-		}
-		s.notify = s.notify[:0]
+	for _, kn := range s.notify {
+		kn.fn()
 	}
+	s.notify = s.notify[:0]
 }
 
 // failEverything aborts in-flight and batched requests upon crash; their

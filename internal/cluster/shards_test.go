@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -54,16 +55,47 @@ func TestShardForDeterministicAndSpread(t *testing.T) {
 // CRDTSMR_SHARDS (the CI matrix knob) before falling back to GOMAXPROCS.
 func TestDefaultShardsEnvOverride(t *testing.T) {
 	t.Setenv("CRDTSMR_SHARDS", "3")
-	if got := defaultShards(); got != 3 {
-		t.Fatalf("defaultShards() = %d with CRDTSMR_SHARDS=3", got)
-	}
-	t.Setenv("CRDTSMR_SHARDS", "bogus")
-	if got := defaultShards(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("defaultShards() = %d with bogus env, want GOMAXPROCS", got)
+	if got, err := defaultShards(); err != nil || got != 3 {
+		t.Fatalf("defaultShards() = %d, %v with CRDTSMR_SHARDS=3", got, err)
 	}
 	t.Setenv("CRDTSMR_SHARDS", "")
-	if got := defaultShards(); got != runtime.GOMAXPROCS(0) {
-		t.Fatalf("defaultShards() = %d with empty env, want GOMAXPROCS", got)
+	if got, err := defaultShards(); err != nil || got != runtime.GOMAXPROCS(0) {
+		t.Fatalf("defaultShards() = %d, %v with empty env, want GOMAXPROCS", got, err)
+	}
+}
+
+// TestNewNodeRejectsBadShardsEnv: a CRDTSMR_SHARDS value that is set but
+// not a positive integer fails startup with an error naming it, instead
+// of silently running the default shard count (a mistyped CI matrix row
+// would otherwise test nothing).
+func TestNewNodeRejectsBadShardsEnv(t *testing.T) {
+	start := func(env string) (*Node, error) {
+		t.Setenv("CRDTSMR_SHARDS", env)
+		mesh := transport.NewMesh()
+		t.Cleanup(mesh.Close)
+		return NewNode("n1", testConfig(1), func(id transport.NodeID, h transport.Handler) transport.Conn {
+			return mesh.Join(id, h)
+		})
+	}
+	for _, bad := range []string{"four", "0", "-1"} {
+		n, err := start(bad)
+		if err == nil {
+			n.Close()
+			t.Fatalf("CRDTSMR_SHARDS=%q: node started with %d shards, want an error", bad, n.Shards())
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Fatalf("CRDTSMR_SHARDS=%q: error %q does not name the value", bad, err)
+		}
+	}
+	for env, want := range map[string]int{"": runtime.GOMAXPROCS(0), "4": 4} {
+		n, err := start(env)
+		if err != nil {
+			t.Fatalf("CRDTSMR_SHARDS=%q: %v", env, err)
+		}
+		if got := n.Shards(); got != want {
+			t.Errorf("CRDTSMR_SHARDS=%q: %d shards, want %d", env, got, want)
+		}
+		n.Close()
 	}
 }
 
@@ -291,42 +323,5 @@ func TestShardFanoutCrashAndForget(t *testing.T) {
 		if _, err := n1.UpdateKey(ctx, key, incBy("n1", 1)); err != nil {
 			t.Fatalf("update %q after recover: %v", key, err)
 		}
-	}
-}
-
-// TestSerialPersistPathStillWorks: the SerialPersist escape hatch (and
-// bench baseline) must behave exactly like the seed's synchronous path,
-// including surviving a full restart.
-func TestSerialPersistPathStillWorks(t *testing.T) {
-	mesh := transport.NewMesh()
-	defer mesh.Close()
-	cfg := testConfig(3)
-	cfg.Shards = 2
-	cfg.SerialPersist = true
-	cfg.DataDir = t.TempDir()
-	c, err := New(mesh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := ctxWith(t, 20*time.Second)
-
-	if _, err := c.Node("n1").UpdateKey(ctx, "k", incBy("n1", 5)); err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range members(3) {
-		c.Crash(id)
-	}
-	for _, id := range members(3) {
-		if err := c.Restart(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, _, err := c.Node("n2").QueryKey(ctx, "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.(*crdt.GCounter).Value(); got != 5 {
-		t.Fatalf("serial-persist cluster read %d after restart, want 5", got)
 	}
 }

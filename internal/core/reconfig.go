@@ -215,7 +215,7 @@ func (r *Replica) migrateInFlight() {
 	for _, id := range qIDs {
 		req := r.queries[id]
 		req.leased = false
-		r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
+		r.startAttempt(req, Round{Number: NumberIncremental})
 	}
 }
 

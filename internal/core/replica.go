@@ -12,20 +12,6 @@ import (
 
 // Options configure optional protocol behaviours.
 type Options struct {
-	// GLAStability, when true, makes the replica remember its largest
-	// learned state and return the maximum of it and each newly learned
-	// state, upgrading the paper's Stability condition to GLA-Stability
-	// (§3.4: "states learned at the same process increase monotonically").
-	GLAStability bool
-
-	// SeedPrepare, when true, includes the local acceptor's current payload
-	// in the first PREPARE of every query. §3.2 notes this "can speed-up
-	// convergence of the payload states held by acceptors"; §3.6 notes
-	// omitting a payload saves bandwidth. Retries after a NACK always seed
-	// with the LUB of every payload received so far, regardless of this
-	// option.
-	SeedPrepare bool
-
 	// Transfer selects the state-transfer strategy of the replica wire:
 	// full payloads (the paper's format, the default), digest-suppressed
 	// payloads, or deltas (docs/PROTOCOL.md §3). It changes only how many
@@ -46,7 +32,7 @@ type Options struct {
 // the §3.6 bandwidth optimizations on, GLA-Stability maintained, and the
 // §3.6 prepare-skip round lease enabled.
 func DefaultOptions() Options {
-	return Options{GLAStability: true, SeedPrepare: false, Lease: true}
+	return Options{Lease: true}
 }
 
 // LearnPath records how a query learned its state, for the round-trip
@@ -587,35 +573,24 @@ func (r *Replica) SubmitQuery(done QueryDone) uint64 {
 	if r.opts.Lease && r.lease != nil {
 		r.startLeaseAttempt(req)
 	} else {
-		r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(nil))
+		r.startAttempt(req, Round{Number: NumberIncremental})
 	}
 	return req.id
 }
 
-// prepareSeed decides which payload accompanies a PREPARE. Per §3.6, s0 is
-// never sent; the first prepare is empty unless SeedPrepare is set, and
-// retries send the LUB gathered so far.
-func (r *Replica) prepareSeed(gathered crdt.State) crdt.State {
-	if gathered != nil {
-		return gathered
-	}
-	if r.opts.SeedPrepare {
-		return r.acc.state
-	}
-	return nil
-}
-
 // startAttempt begins a (re)prepare attempt for a query with the given
-// round template (incremental or fixed) and optional payload seed.
-// Retries are counted here and nowhere else — every path that restarts a
-// query (NACK, inconsistent rounds, vote denial, lease fallback) funnels
-// through this function, so Retries == Σ(Attempts−1) holds exactly.
-func (r *Replica) startAttempt(req *queryReq, round Round, seed crdt.State) {
+// round template (incremental or fixed). Its PREPARE carries the LUB the
+// query has gathered so far: per §3.6 nothing on the first attempt (s0 is
+// never sent), the retry seed after that. Retries are counted here and
+// nowhere else — every path that restarts a query (NACK, inconsistent
+// rounds, vote denial, lease fallback) funnels through this function, so
+// Retries == Σ(Attempts−1) holds exactly.
+func (r *Replica) startAttempt(req *queryReq, round Round) {
 	req.attempt++
 	if req.attempt > 1 {
 		r.counters.Retries++
 	}
-	r.beginPrepare(req, round, seed)
+	r.beginPrepare(req, round)
 }
 
 // beginPrepare resets the attempt's phase state and broadcasts its
@@ -623,7 +598,7 @@ func (r *Replica) startAttempt(req *queryReq, round Round, seed crdt.State) {
 // the local acceptor can morph into an incremental prepare without
 // burning another attempt — nothing of the denied prepare was broadcast,
 // so reusing the attempt number is safe and no retry is recorded.
-func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
+func (r *Replica) beginPrepare(req *queryReq, round Round) {
 	req.phase = phasePrepare
 	req.leased = false
 	req.leasable = false
@@ -632,6 +607,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
 	req.denials = nil
 	req.proposed = nil
 	req.prepared, req.preparedDig, req.hasPrepared = nil, crdt.Digest{}, false
+	seed := req.gathered
 	req.seed = seed
 
 	// nextSeq advances and the local acceptor (below) merges the seed and
@@ -655,7 +631,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round, seed crdt.State) {
 		// A fixed prepare below the local round: morph into an incremental
 		// prepare (always self-accepted, so this recurses at most once).
 		req.gathered = r.mergeGathered(req.gathered, accState)
-		r.beginPrepare(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
+		r.beginPrepare(req, Round{Number: NumberIncremental})
 		return
 	}
 	req.rtts++
@@ -755,7 +731,7 @@ func (r *Replica) leaseFallback(req *queryReq) {
 	r.counters.LeaseFallbacks++
 	r.lease = nil
 	req.leased = false
-	r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
+	r.startAttempt(req, Round{Number: NumberIncremental})
 }
 
 func (r *Replica) mergeGathered(acc, s crdt.State) crdt.State {
@@ -1225,7 +1201,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 			max = a.round
 		}
 	}
-	r.startAttempt(req, Round{Number: max.Number + 1}, r.prepareSeed(req.gathered))
+	r.startAttempt(req, Round{Number: max.Number + 1})
 }
 
 func (r *Replica) onVoted(from transport.NodeID, m *message) {
@@ -1307,7 +1283,7 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 // guarantees eventual liveness; each failed iteration folds at least one
 // more acceptor's updates into the seed (§3.5).
 func (r *Replica) retryQuery(req *queryReq) {
-	r.startAttempt(req, Round{Number: NumberIncremental}, r.prepareSeed(req.gathered))
+	r.startAttempt(req, Round{Number: NumberIncremental})
 }
 
 func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath) {
@@ -1338,18 +1314,16 @@ func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath)
 		}
 	}
 
-	if r.opts.GLAStability {
-		// §3.4: remember the largest learned state; return the max. The
-		// two are always comparable because the protocol guarantees
-		// Consistency (Theorem 3.8).
-		le, err := r.learned.Compare(learned)
-		switch {
-		case err == nil && le:
-			r.learned = learned
-			r.version++
-		case err == nil:
-			learned = r.learned
-		}
+	// GLA-Stability (§3.4): remember the largest learned state; return the
+	// max. The two are always comparable because the protocol guarantees
+	// Consistency (Theorem 3.8).
+	le, err := r.learned.Compare(learned)
+	switch {
+	case err == nil && le:
+		r.learned = learned
+		r.version++
+	case err == nil:
+		learned = r.learned
 	}
 
 	if req.done != nil {

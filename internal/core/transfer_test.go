@@ -383,3 +383,113 @@ func TestDigestRing(t *testing.T) {
 		t.Fatal("duplicate add evicted the oldest entry")
 	}
 }
+
+// drainBytes drains the pool like drain and returns the payload bytes of
+// every message delivered on the way.
+func (nw *net) drainBytes() int {
+	total := 0
+	for len(nw.pool) > 0 {
+		nw.deliver(func(e env) bool {
+			total += len(e.payload)
+			return true
+		})
+	}
+	return total
+}
+
+// TestTransferModesByteReduction is the bytes gate of the state-transfer
+// modes: on a converged 3-replica or-set at 1k elements, digest and delta
+// transfer must cut the replica-wire bytes of a read by at least 5x
+// against full-state transfer, delta must cut a growing add by 5x (full
+// and digest re-ship the whole set), and an add that leaves the state
+// unchanged must collapse by 5x in both cheap modes. Stepped delivery, so
+// the byte counts are exact and the same on every run.
+func TestTransferModesByteReduction(t *testing.T) {
+	const size = 1000
+	full := crdt.NewORSet()
+	for i := 0; i < size; i++ {
+		full = full.Add(fmt.Sprintf("elem-%06d", i), "seed", uint64(i))
+	}
+	raw, err := crdt.Marshal(full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stateLen := len(raw)
+	if stateLen < 10000 {
+		t.Fatalf("1k-element state marshals to only %dB — object not at size", stateLen)
+	}
+
+	type cost struct{ read, add, noop int }
+	measure := func(mode StateTransfer) cost {
+		nw := newNetWith(t, 3, digestOpts(mode), func() crdt.State { return crdt.NewORSet() })
+		n1 := nw.reps["n1"]
+		update := func(rep *Replica, fu crdt.Update) int {
+			t.Helper()
+			done := false
+			if _, err := rep.SubmitUpdate(fu, func(_ UpdateStats, err error) {
+				if err != nil {
+					t.Fatalf("%v update: %v", mode, err)
+				}
+				done = true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			n := nw.drainBytes()
+			if !done {
+				t.Fatalf("%v update did not complete", mode)
+			}
+			return n
+		}
+		// Converge on the 1k-element set: one populating update, then a
+		// no-op update per replica, so every replica holds the state and
+		// has acknowledged a MERGE from every other (the per-peer views
+		// the cheap frames are built against).
+		update(n1, func(s crdt.State) (crdt.State, error) { return s.Merge(full) })
+		for _, id := range []transport.NodeID{"n1", "n2", "n3"} {
+			update(nw.reps[id], func(s crdt.State) (crdt.State, error) { return s, nil })
+		}
+
+		var c cost
+		var learned crdt.State
+		nw.reps["n2"].SubmitQuery(func(s crdt.State, _ QueryStats, err error) {
+			if err != nil {
+				t.Fatalf("%v query: %v", mode, err)
+			}
+			learned = s
+		})
+		nw.pump()
+		c.read = nw.drainBytes()
+		if learned == nil || len(learned.(*crdt.ORSet).Elements()) != size {
+			t.Fatalf("%v query did not learn the %d-element set", mode, size)
+		}
+		c.add = update(n1, func(s crdt.State) (crdt.State, error) {
+			return s.(*crdt.ORSet).Add("new-000000", "w", size), nil
+		})
+		c.noop = update(n1, func(s crdt.State) (crdt.State, error) { return s, nil })
+		return c
+	}
+	fullCost, digest, delta := measure(TransferFull), measure(TransferDigest), measure(TransferDelta)
+
+	// Full mode ships the state in every ACK: a read must cost state-scale
+	// bytes, or the baseline itself is broken.
+	if fullCost.read < stateLen {
+		t.Fatalf("full-mode read = %d B, below one state (%d B)", fullCost.read, stateLen)
+	}
+	for _, m := range []struct {
+		mode StateTransfer
+		c    cost
+	}{{TransferDigest, digest}, {TransferDelta, delta}} {
+		if fullCost.read < 5*m.c.read {
+			t.Errorf("%v read = %d B vs full %d B, want ≥ 5x reduction", m.mode, m.c.read, fullCost.read)
+		}
+		// Digest mode cannot shrink a growing add (the state changed), but
+		// an unchanged state must cost digest-scale bytes in both modes.
+		if fullCost.noop < 5*m.c.noop {
+			t.Errorf("%v no-op add = %d B vs full %d B, want ≥ 5x reduction", m.mode, m.c.noop, fullCost.noop)
+		}
+	}
+	if fullCost.add < 5*delta.add {
+		t.Errorf("delta add = %d B vs full %d B, want ≥ 5x reduction", delta.add, fullCost.add)
+	}
+}

@@ -523,15 +523,6 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// SaveSnapshot marshals and saves one key's replica snapshot.
-func (s *Store) SaveSnapshot(key string, snap core.Snapshot) error {
-	rec, err := FromSnapshot(key, snap)
-	if err != nil {
-		return err
-	}
-	return s.Save(rec)
-}
-
 // KeySnapshot is one rehydratable key: the object key and its decoded
 // replica snapshot.
 type KeySnapshot struct {

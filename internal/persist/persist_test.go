@@ -273,6 +273,15 @@ func TestDecodeRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
+// saveSnapshot marshals and saves one key's replica snapshot.
+func saveSnapshot(st *Store, key string, snap core.Snapshot) error {
+	rec, err := FromSnapshot(key, snap)
+	if err != nil {
+		return err
+	}
+	return st.Save(rec)
+}
+
 // TestStoreSaveLoadAll: saved snapshots come back keyed and sorted, with
 // weird key strings (empty, path separators) intact.
 func TestStoreSaveLoadAll(t *testing.T) {
@@ -287,7 +296,7 @@ func TestStoreSaveLoadAll(t *testing.T) {
 			State:   crdt.NewGCounter().Inc("n1", uint64(i+1)),
 			NextReq: uint64(i),
 		}
-		if err := st.SaveSnapshot(key, snap); err != nil {
+		if err := saveSnapshot(st, key, snap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -326,7 +335,7 @@ func TestStoreSaveOverwrites(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		snap := core.Snapshot{State: crdt.NewGCounter().Inc("n1", uint64(i))}
-		if err := st.SaveSnapshot("k", snap); err != nil {
+		if err := saveSnapshot(st, "k", snap); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -351,10 +360,10 @@ func TestLoadAllRecoverPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveSnapshot("good", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 2)}); err != nil {
+	if err := saveSnapshot(st, "good", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 2)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveSnapshot("bad", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 9)}); err != nil {
+	if err := saveSnapshot(st, "bad", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 9)}); err != nil {
 		t.Fatal(err)
 	}
 	badPath := st.Path("bad")
@@ -389,7 +398,7 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.SaveSnapshot("k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 5)}); err != nil {
+	if err := saveSnapshot(st, "k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 5)}); err != nil {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected fs error")
@@ -400,7 +409,7 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 		}
 		return injected
 	}
-	err = st.SaveSnapshot("k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 99)})
+	err = saveSnapshot(st, "k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 99)})
 	if !errors.Is(err, injected) {
 		t.Fatalf("save err = %v, want the injected error", err)
 	}
@@ -451,7 +460,7 @@ func TestLongKeysGetBoundedFilenames(t *testing.T) {
 		t.Fatal("distinct long keys collided")
 	}
 	for i, key := range []string{long, long + "x", short} {
-		if err := st.SaveSnapshot(key, core.Snapshot{State: crdt.NewGCounter().Inc("n1", uint64(i+1))}); err != nil {
+		if err := saveSnapshot(st, key, core.Snapshot{State: crdt.NewGCounter().Inc("n1", uint64(i+1))}); err != nil {
 			t.Fatalf("save %d: %v", i, err)
 		}
 	}

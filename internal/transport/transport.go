@@ -33,8 +33,8 @@ var ErrClosed = errors.New("transport: closed")
 
 // Stats aggregates transport-level counters, used by the evaluation to
 // report message and byte overhead. All three substrates (Mesh, Fabric,
-// TCP) fill every field, so byte-level comparisons — e.g. the state
-// transfer modes of bench -figure bytes — read identically everywhere.
+// TCP) fill every field, so byte-level comparisons — e.g. the
+// benchmark's wire_bytes_per_op — read identically everywhere.
 type Stats struct {
 	Sent      uint64 // messages submitted to Send
 	Delivered uint64 // messages handed to handlers
