@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
@@ -93,6 +94,18 @@ func waitReady(t *testing.T, addr string) {
 		time.Sleep(50 * time.Millisecond)
 	}
 	t.Fatalf("daemon at %s never became ready", addr)
+}
+
+// TestServeRejectsUnservedPayload: -payload accepts exactly the served
+// types, and the startup error names all of them.
+func TestServeRejectsUnservedPayload(t *testing.T) {
+	err := serve([]string{"-id", "n1", "-listen", "127.0.0.1:0", "-peers", "n1=127.0.0.1:0", "-payload", "ew-flag"})
+	if err == nil {
+		t.Fatal("serve -payload ew-flag started")
+	}
+	if want := "(known types: g-counter, lww-register, or-set, pn-counter)"; !strings.HasSuffix(err.Error(), want) {
+		t.Fatalf("error %q does not end with %q", err, want)
+	}
 }
 
 func TestKillDashNineRecovery(t *testing.T) {

@@ -1,14 +1,16 @@
 // Command docscheck is the documentation gate run by CI: it fails on
 // broken intra-repo markdown links and on `-figure X` mentions naming a
 // figure cmd/bench no longer has in the maintained docs (README.md and
-// docs/*.md), and on gofmt drift or parse errors in the Go code blocks of
-// README.md.
+// docs/*.md), on gofmt drift or parse errors in the Go code blocks of
+// README.md, and when the mutation table of docs/PROTOCOL.md §2.3 and the
+// codec registry disagree on which payload types exist.
 //
 //	go run ./cmd/docscheck [repo-root]
 package main
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,6 +18,7 @@ import (
 	"strings"
 
 	"crdtsmr/internal/bench"
+	"crdtsmr/internal/crdt"
 )
 
 func main() {
@@ -53,6 +56,12 @@ func Check(root string) []error {
 	if data, err := os.ReadFile(readme); err == nil {
 		errs = append(errs, checkGoBlocks(readme, string(data))...)
 	}
+	protocol := filepath.Join(root, "docs", "PROTOCOL.md")
+	if data, err := os.ReadFile(protocol); err != nil {
+		errs = append(errs, fmt.Errorf("%s: %w", protocol, err))
+	} else {
+		errs = append(errs, checkTypes(protocol, string(data))...)
+	}
 	return errs
 }
 
@@ -73,6 +82,44 @@ func checkFigures(doc, text string) []error {
 		}
 		line := 1 + strings.Count(text[:m[0]], "\n")
 		errs = append(errs, fmt.Errorf("%s:%d: -figure %s is not a cmd/bench figure (have %s)", doc, line, name, strings.Join(valid, ", ")))
+	}
+	return errs
+}
+
+// checkTypes verifies that the backticked names in the first column of the
+// mutation table in §2.3 of doc (the table headed `crdtType`) are exactly
+// crdt.Names(): a payload type is served end to end or not registered.
+func checkTypes(doc, text string) []error {
+	documented := map[string]bool{}
+	inSection, inTable := false, false
+	for _, line := range strings.Split(text, "\n") {
+		if strings.HasPrefix(line, "#") {
+			inSection, inTable = strings.HasPrefix(line, "### 2.3 "), false
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if !inSection || len(cells) < 3 {
+			inTable = false
+			continue
+		}
+		first := strings.TrimSpace(cells[1])
+		if first == "`crdtType`" {
+			inTable = true
+		} else if name, ok := strings.CutPrefix(first, "`"); inTable && ok {
+			documented[strings.TrimSuffix(name, "`")] = true
+		}
+	}
+	var errs []error
+	registered := crdt.Names()
+	for _, name := range registered {
+		if !documented[name] {
+			errs = append(errs, fmt.Errorf("%s: §2.3 mutation table has no rows for registered type %s", doc, name))
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(documented)) {
+		if !slices.Contains(registered, name) {
+			errs = append(errs, fmt.Errorf("%s: §2.3 mutation table lists %s, which is not a registered type (have %s)", doc, name, strings.Join(registered, ", ")))
+		}
 	}
 	return errs
 }

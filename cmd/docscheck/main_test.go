@@ -70,3 +70,27 @@ func TestCheckGoBlocks(t *testing.T) {
 		t.Fatal("unterminated block accepted")
 	}
 }
+
+func TestCheckTypes(t *testing.T) {
+	table := "### 2.3 Requests\n\n| `op` | Request |\n| ---- | ------- |\n| `0x01` | update |\n\n" +
+		"| `crdtType` | `mutation` |\n| ---------- | ---------- |\n" +
+		"| `g-counter` | `inc` |\n| `pn-counter` | `inc` |\n| `pn-counter` | `dec` |\n" +
+		"| `or-set` | `add` |\n| `or-set` | `remove` |\n| `lww-register` | `set` |\n"
+	after := "\n### 2.4 Responses\n\n| `status` | Name |\n| --- | --- |\n| `0` | `ok` |\n"
+	if errs := checkTypes("doc", table+after); len(errs) != 0 {
+		t.Fatalf("census table rejected: %v", errs)
+	}
+	extra := table + "| `ew-flag` | `enable` |\n" + after
+	if errs := checkTypes("doc", extra); len(errs) != 1 || !strings.Contains(errs[0].Error(), "ew-flag") {
+		t.Fatalf("extra ew-flag row: got %v, want one error naming it", errs)
+	}
+	var noORSet []string
+	for _, line := range strings.Split(table, "\n") {
+		if !strings.Contains(line, "`or-set`") {
+			noORSet = append(noORSet, line)
+		}
+	}
+	if errs := checkTypes("doc", strings.Join(noORSet, "\n")+after); len(errs) != 1 || !strings.Contains(errs[0].Error(), "or-set") {
+		t.Fatalf("missing or-set rows: got %v, want one error naming it", errs)
+	}
+}

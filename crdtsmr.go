@@ -76,8 +76,6 @@ type (
 	ORSet = crdt.ORSet
 	// LWWRegister is a last-writer-wins register.
 	LWWRegister = crdt.LWWRegister
-	// LWWMap is a last-writer-wins map.
-	LWWMap = crdt.LWWMap
 )
 
 // Constructors for the common payloads.
@@ -90,8 +88,6 @@ var (
 	NewORSet = crdt.NewORSet
 	// NewLWWRegister returns an unwritten last-writer-wins register.
 	NewLWWRegister = crdt.NewLWWRegister
-	// NewLWWMap returns an empty last-writer-wins map.
-	NewLWWMap = crdt.NewLWWMap
 )
 
 // DefaultKey is the object key the single-object API (Update, Query,

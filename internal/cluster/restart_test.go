@@ -251,7 +251,7 @@ func TestRestartPreservesTypedKeys(t *testing.T) {
 		Initial: crdt.NewGCounter(),
 		InitialForKey: func(key string) crdt.State {
 			if key == "set" {
-				return crdt.NewGSet()
+				return crdt.NewORSet()
 			}
 			return crdt.NewGCounter()
 		},
@@ -266,7 +266,7 @@ func TestRestartPreservesTypedKeys(t *testing.T) {
 	defer cancel()
 
 	if _, err := cl.Node("n1").UpdateKey(ctx, "set", func(s crdt.State) (crdt.State, error) {
-		return s.(*crdt.GSet).Add("alice"), nil
+		return s.(*crdt.ORSet).Add("alice", "n1", 1), nil
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestRestartPreservesTypedKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.(*crdt.GSet).Contains("alice") {
-		t.Fatal("g-set key lost its element across a full restart")
+	if !s.(*crdt.ORSet).Contains("alice") {
+		t.Fatal("or-set key lost its element across a full restart")
 	}
 }

@@ -109,8 +109,7 @@ func (t msgType) String() string {
 // The trailing state frame describes the payload transfer: by value
 // (State), by digest (Digest), or by delta (State as the delta plus
 // Baseline/Digest naming the states it connects). A zero Kind with a
-// non-nil State encodes as wire.StateFull, keeping pre-digest callers and
-// the legacy wire layout unchanged.
+// non-nil State encodes as wire.StateFull.
 type message struct {
 	Type    msgType
 	Req     uint64

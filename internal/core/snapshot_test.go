@@ -153,8 +153,8 @@ func TestRestoredProposerRoundIDsStayFresh(t *testing.T) {
 // type must be rejected, not merged.
 func TestRestoreRejectsMismatchedPayload(t *testing.T) {
 	rep := newSnapReplica(t, "n1")
-	if err := rep.Restore(Snapshot{State: crdt.NewGSet()}); err == nil {
-		t.Fatal("restore accepted a g-set snapshot into a g-counter replica")
+	if err := rep.Restore(Snapshot{State: crdt.NewORSet()}); err == nil {
+		t.Fatal("restore accepted an or-set snapshot into a g-counter replica")
 	}
 	if err := rep.Restore(Snapshot{}); err == nil {
 		t.Fatal("restore accepted a nil payload")

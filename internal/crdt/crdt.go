@@ -32,7 +32,7 @@ type State interface {
 	Compare(other State) (bool, error)
 
 	// TypeName returns the name under which the payload type is registered
-	// in the codec registry (see Register). It must be constant per type.
+	// in the codec registry (see Names). It must be constant per type.
 	TypeName() string
 
 	// MarshalBinary encodes the payload in the type's deterministic wire

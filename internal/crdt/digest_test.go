@@ -9,8 +9,9 @@ import (
 
 // TestDigestEqualityIffEquivalence is the contract the replica wire's
 // digest frames stand on: for every registered payload type — including
-// the types the protocol gives no deltas, like ew-flag and lww-map —
-// digest equality must coincide exactly with state equivalence. One
+// the lww-register, which has no deltas and so always travels as a full
+// state or a digest — digest equality must coincide exactly with state
+// equivalence. One
 // direction is marshal determinism (equivalent states encode identically),
 // the other is collision-freedom on the generated sample.
 func TestDigestEqualityIffEquivalence(t *testing.T) {

@@ -11,9 +11,9 @@
 // (see ORSet) — which is safe for exactly as long as nobody writes to a
 // State after building it.
 //
-// The package ships the G-Counter of the paper's Algorithm 1 plus the
-// common state-based types from the CRDT literature (PN-Counter, Max- and
-// LWW-Registers, MV-Register, G-Set, 2P-Set, OR-Set, EW-Flag, LWW-Map,
-// vector clocks) and a delta-mutation extension (Almeida et al., NETYS 2015)
-// used by the delta-merge ablation benchmark.
+// The package ships exactly the four types the server serves: the G-Counter
+// of the paper's Algorithm 1, the PN-Counter, the OR-Set and the
+// LWW-Register. A type is registered only if a served mutation can change
+// it. The counters and the OR-Set also implement join decomposition
+// (DeltaState, after Almeida et al., NETYS 2015) for delta state transfer.
 package crdt

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math"
 	"math/bits"
 	"slices"
 	"sort"
@@ -12,7 +11,7 @@ import (
 
 // The wire format used by all payload codecs is deterministic: map keys are
 // emitted in sorted order so that equivalent states marshal to identical
-// bytes. Integers use uvarint/varint encoding; strings and byte slices are
+// bytes. Integers use uvarint encoding; strings and byte slices are
 // length-prefixed.
 
 var errTruncated = errors.New("crdt: truncated payload")
@@ -31,14 +30,6 @@ func (e *encBuf) uvarint(v uint64) {
 	e.b = binary.AppendUvarint(e.b, v)
 }
 
-func (e *encBuf) varint(v int64) {
-	e.b = binary.AppendVarint(e.b, v)
-}
-
-func (e *encBuf) float64(v float64) {
-	e.b = binary.BigEndian.AppendUint64(e.b, math.Float64bits(v))
-}
-
 func (e *encBuf) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
@@ -47,14 +38,6 @@ func (e *encBuf) str(s string) {
 func (e *encBuf) raw(p []byte) {
 	e.uvarint(uint64(len(p)))
 	e.b = append(e.b, p...)
-}
-
-func (e *encBuf) bool(v bool) {
-	if v {
-		e.b = append(e.b, 1)
-	} else {
-		e.b = append(e.b, 0)
-	}
 }
 
 // strU64Map encodes a map[string]uint64 deterministically.
@@ -67,21 +50,7 @@ func (e *encBuf) strU64Map(m map[string]uint64) {
 	}
 }
 
-// strSet encodes a map[string]struct{} deterministically.
-func (e *encBuf) strSet(m map[string]struct{}) {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	e.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-	}
-}
-
-// strs encodes an ascending string slice; the bytes equal strSet's for the
-// same members.
+// strs encodes an ascending string slice.
 func (e *encBuf) strs(xs []string) {
 	e.uvarint(uint64(len(xs)))
 	for _, x := range xs {
@@ -138,24 +107,6 @@ func (d *decBuf) count() (int, error) {
 	return int(n), nil
 }
 
-func (d *decBuf) varint() (int64, error) {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		return 0, errTruncated
-	}
-	d.b = d.b[n:]
-	return v, nil
-}
-
-func (d *decBuf) float64() (float64, error) {
-	if len(d.b) < 8 {
-		return 0, errTruncated
-	}
-	v := math.Float64frombits(binary.BigEndian.Uint64(d.b))
-	d.b = d.b[8:]
-	return v, nil
-}
-
 func (d *decBuf) str() (string, error) {
 	n, err := d.uvarint()
 	if err != nil {
@@ -183,15 +134,6 @@ func (d *decBuf) raw() ([]byte, error) {
 	return p, nil
 }
 
-func (d *decBuf) bool() (bool, error) {
-	if len(d.b) < 1 {
-		return false, errTruncated
-	}
-	v := d.b[0] != 0
-	d.b = d.b[1:]
-	return v, nil
-}
-
 func (d *decBuf) strU64Map() (map[string]uint64, error) {
 	n, err := d.count()
 	if err != nil {
@@ -208,22 +150,6 @@ func (d *decBuf) strU64Map() (map[string]uint64, error) {
 			return nil, err
 		}
 		m[k] = v
-	}
-	return m, nil
-}
-
-func (d *decBuf) strSet() (map[string]struct{}, error) {
-	n, err := d.count()
-	if err != nil {
-		return nil, err
-	}
-	m := make(map[string]struct{}, n)
-	for i := 0; i < n; i++ {
-		k, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		m[k] = struct{}{}
 	}
 	return m, nil
 }
@@ -269,14 +195,6 @@ func cloneStrU64(m map[string]uint64) map[string]uint64 {
 	out := make(map[string]uint64, len(m))
 	for k, v := range m {
 		out[k] = v
-	}
-	return out
-}
-
-func cloneStrSet(m map[string]struct{}) map[string]struct{} {
-	out := make(map[string]struct{}, len(m))
-	for k := range m {
-		out[k] = struct{}{}
 	}
 	return out
 }

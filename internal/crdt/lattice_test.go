@@ -33,45 +33,12 @@ var generators = map[string]genState{
 		}
 		return c
 	},
-	TypeMaxRegister: func(r *rand.Rand) State {
-		m := NewMaxRegister()
-		for i := 0; i < r.Intn(4); i++ {
-			m = m.Set(int64(r.Intn(100) - 50))
-		}
-		return m
-	},
 	TypeLWWRegister: func(r *rand.Rand) State {
 		l := NewLWWRegister()
 		for i := 0; i < r.Intn(4); i++ {
 			l = l.Set(fmt.Sprintf("v%d", r.Intn(8)), uint64(r.Intn(20)), fmt.Sprintf("a%d", r.Intn(3)))
 		}
 		return l
-	},
-	TypeMVRegister: func(r *rand.Rand) State {
-		m := NewMVRegister()
-		for i := 0; i < r.Intn(4); i++ {
-			m = m.Set(fmt.Sprintf("v%d", r.Intn(8)), fmt.Sprintf("a%d", r.Intn(3)))
-		}
-		return m
-	},
-	TypeGSet: func(r *rand.Rand) State {
-		s := NewGSet()
-		for i := 0; i < r.Intn(6); i++ {
-			s = s.Add(fmt.Sprintf("e%d", r.Intn(10)))
-		}
-		return s
-	},
-	TypeTwoPSet: func(r *rand.Rand) State {
-		s := NewTwoPSet()
-		for i := 0; i < r.Intn(6); i++ {
-			e := fmt.Sprintf("e%d", r.Intn(10))
-			if r.Intn(3) == 0 {
-				s = s.Remove(e)
-			} else {
-				s = s.Add(e)
-			}
-		}
-		return s
 	},
 	TypeORSet: func(r *rand.Rand) State {
 		s := NewORSet()
@@ -84,36 +51,6 @@ var generators = map[string]genState{
 			}
 		}
 		return s
-	},
-	TypeEWFlag: func(r *rand.Rand) State {
-		f := NewEWFlag()
-		for i := 0; i < r.Intn(5); i++ {
-			if r.Intn(3) == 0 {
-				f = f.Disable()
-			} else {
-				f = f.Enable(fmt.Sprintf("a%d", r.Intn(3)), uint64(r.Intn(100)))
-			}
-		}
-		return f
-	},
-	TypeLWWMap: func(r *rand.Rand) State {
-		m := NewLWWMap()
-		for i := 0; i < r.Intn(6); i++ {
-			k := fmt.Sprintf("k%d", r.Intn(5))
-			if r.Intn(4) == 0 {
-				m = m.Delete(k, uint64(r.Intn(20)), fmt.Sprintf("a%d", r.Intn(3)))
-			} else {
-				m = m.Set(k, fmt.Sprintf("v%d", r.Intn(8)), uint64(r.Intn(20)), fmt.Sprintf("a%d", r.Intn(3)))
-			}
-		}
-		return m
-	},
-	TypeVClock: func(r *rand.Rand) State {
-		v := NewVClock()
-		for i := 0; i < r.Intn(6); i++ {
-			v = v.Tick(fmt.Sprintf("a%d", r.Intn(4)))
-		}
-		return v
 	},
 }
 

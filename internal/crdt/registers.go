@@ -1,94 +1,6 @@
 package crdt
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
-
-// MaxRegister holds the maximum of all written int64 values: the simplest
-// non-trivial join semilattice (the total order on int64). Its bottom
-// element is the minimum int64.
-type MaxRegister struct {
-	v       int64
-	written bool
-}
-
-var (
-	_ State       = (*MaxRegister)(nil)
-	_ Unmarshaler = (*MaxRegister)(nil)
-)
-
-// NewMaxRegister returns the register's bottom element.
-func NewMaxRegister() *MaxRegister { return &MaxRegister{} }
-
-// Set returns a copy holding max(current, v).
-func (r *MaxRegister) Set(v int64) *MaxRegister {
-	if r.written && r.v >= v {
-		return &MaxRegister{v: r.v, written: true}
-	}
-	return &MaxRegister{v: v, written: true}
-}
-
-// Value returns the largest written value and whether any write happened.
-func (r *MaxRegister) Value() (int64, bool) { return r.v, r.written }
-
-// Merge keeps the maximum.
-func (r *MaxRegister) Merge(other State) (State, error) {
-	o, ok := other.(*MaxRegister)
-	if !ok {
-		return nil, typeMismatch(r, other)
-	}
-	switch {
-	case !r.written:
-		return &MaxRegister{v: o.v, written: o.written}, nil
-	case !o.written || r.v >= o.v:
-		return &MaxRegister{v: r.v, written: true}, nil
-	default:
-		return &MaxRegister{v: o.v, written: true}, nil
-	}
-}
-
-// Compare is ≤ on values, with the unwritten bottom below everything.
-func (r *MaxRegister) Compare(other State) (bool, error) {
-	o, ok := other.(*MaxRegister)
-	if !ok {
-		return false, typeMismatch(r, other)
-	}
-	if !r.written {
-		return true, nil
-	}
-	return o.written && r.v <= o.v, nil
-}
-
-// TypeName implements State.
-func (r *MaxRegister) TypeName() string { return TypeMaxRegister }
-
-// MarshalBinary implements State.
-func (r *MaxRegister) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(10)
-	e.bool(r.written)
-	e.varint(r.v)
-	return e.bytes(), nil
-}
-
-// UnmarshalBinary implements Unmarshaler.
-func (r *MaxRegister) UnmarshalBinary(data []byte) error {
-	d := newDecBuf(data)
-	w, err := d.bool()
-	if err != nil {
-		return err
-	}
-	v, err := d.varint()
-	if err != nil {
-		return err
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	r.v, r.written = v, w
-	return nil
-}
+import "fmt"
 
 // LWWRegister is a last-writer-wins register: each write is stamped with a
 // (timestamp, actor) pair and the lattice order is the lexicographic order
@@ -200,170 +112,4 @@ func stampLess(ts1 uint64, a1 string, ts2 uint64, a2 string) bool {
 		return ts1 < ts2
 	}
 	return a1 < a2
-}
-
-// MVRegister is a multi-value register: concurrent writes are all retained
-// and surfaced to the reader for application-level reconciliation. Each
-// write carries the writer's vector clock; the state is the antichain of
-// causally-maximal (value, clock) pairs. The lattice order is dominance:
-// a ⊑ b iff every entry of a is dominated by (or equal to) some entry of b.
-type MVRegister struct {
-	entries []mvEntry
-}
-
-type mvEntry struct {
-	val string
-	vc  *VClock
-}
-
-var (
-	_ State       = (*MVRegister)(nil)
-	_ Unmarshaler = (*MVRegister)(nil)
-)
-
-// NewMVRegister returns the register's bottom element (no writes).
-func NewMVRegister() *MVRegister { return &MVRegister{} }
-
-// Set returns a copy where the write (val) supersedes all current entries:
-// its clock is the join of all current clocks ticked at actor.
-func (r *MVRegister) Set(val string, actor string) *MVRegister {
-	vc := NewVClock()
-	for _, e := range r.entries {
-		vc = mustVClock(vc.Merge(e.vc))
-	}
-	vc = vc.Tick(actor)
-	return &MVRegister{entries: []mvEntry{{val: val, vc: vc}}}
-}
-
-// Values returns the concurrent values, sorted for determinism.
-func (r *MVRegister) Values() []string {
-	out := make([]string, 0, len(r.entries))
-	for _, e := range r.entries {
-		out = append(out, e.val)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merge unions the entries and discards dominated ones.
-func (r *MVRegister) Merge(other State) (State, error) {
-	o, ok := other.(*MVRegister)
-	if !ok {
-		return nil, typeMismatch(r, other)
-	}
-	all := make([]mvEntry, 0, len(r.entries)+len(o.entries))
-	all = append(all, r.entries...)
-	all = append(all, o.entries...)
-	var kept []mvEntry
-	for i, e := range all {
-		dominated := false
-		for j, f := range all {
-			if i == j {
-				continue
-			}
-			le, _ := e.vc.Compare(f.vc)
-			ge, _ := f.vc.Compare(e.vc)
-			eq := le && ge && e.val == f.val
-			if (le && !ge) || (eq && j < i) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			kept = append(kept, e)
-		}
-	}
-	sortMVEntries(kept)
-	return &MVRegister{entries: kept}, nil
-}
-
-// Compare is entry-wise dominance: every entry must be strictly dominated
-// by, or identical to, some entry of other. Identity requires the value as
-// well as the clock — an entry with the same clock but a different value
-// is a concurrent sibling, not a cover, and Merge retains both. (A
-// non-strict clock-only check would call states with different surviving
-// values "equivalent", breaking digest equality ⇔ state equality.)
-func (r *MVRegister) Compare(other State) (bool, error) {
-	o, ok := other.(*MVRegister)
-	if !ok {
-		return false, typeMismatch(r, other)
-	}
-	for _, e := range r.entries {
-		found := false
-		for _, f := range o.entries {
-			le, _ := e.vc.Compare(f.vc)
-			ge, _ := f.vc.Compare(e.vc)
-			if (le && !ge) || (le && ge && e.val == f.val) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// TypeName implements State.
-func (r *MVRegister) TypeName() string { return TypeMVRegister }
-
-// MarshalBinary implements State.
-func (r *MVRegister) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(32 * (len(r.entries) + 1))
-	e.uvarint(uint64(len(r.entries)))
-	for _, en := range r.entries {
-		e.str(en.val)
-		e.strU64Map(en.vc.clock)
-	}
-	return e.bytes(), nil
-}
-
-// UnmarshalBinary implements Unmarshaler.
-func (r *MVRegister) UnmarshalBinary(data []byte) error {
-	d := newDecBuf(data)
-	n, err := d.count()
-	if err != nil {
-		return err
-	}
-	entries := make([]mvEntry, 0, n)
-	for i := 0; i < n; i++ {
-		val, err := d.str()
-		if err != nil {
-			return err
-		}
-		m, err := d.strU64Map()
-		if err != nil {
-			return err
-		}
-		entries = append(entries, mvEntry{val: val, vc: &VClock{clock: m}})
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	r.entries = entries
-	return nil
-}
-
-// String renders the register for logs and test failures.
-func (r *MVRegister) String() string {
-	return fmt.Sprintf("MVRegister{%s}", strings.Join(r.Values(), ","))
-}
-
-func sortMVEntries(entries []mvEntry) {
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].val != entries[j].val {
-			return entries[i].val < entries[j].val
-		}
-		bi, _ := entries[i].vc.MarshalBinary()
-		bj, _ := entries[j].vc.MarshalBinary()
-		return string(bi) < string(bj)
-	})
-}
-
-func mustVClock(s State, err error) *VClock {
-	if err != nil {
-		panic(err)
-	}
-	return s.(*VClock)
 }

@@ -3,54 +3,39 @@ package crdt
 import (
 	"fmt"
 	"sort"
-	"sync"
 )
 
 // The codec registry maps payload type names to factories so that payloads
 // can be reconstructed from the self-describing wire format produced by
-// Marshal. All payload types shipped with this package are registered by
-// the package itself; applications adding custom CRDTs must Register them
-// on every replica before exchanging states.
+// Marshal. It is a fixed table of exactly the types the server serves.
 
 // Unmarshaler is implemented by payload types that can decode themselves
-// from the bytes produced by their MarshalBinary. Factories returned by the
-// registry must produce values implementing both State and Unmarshaler.
+// from the bytes produced by their MarshalBinary. Factories in the registry
+// produce values implementing both State and Unmarshaler.
 type Unmarshaler interface {
 	UnmarshalBinary(data []byte) error
 }
 
-type registry struct {
-	mu        sync.RWMutex
-	factories map[string]func() State
-}
+// Registered type names for the payload types.
+const (
+	TypeGCounter    = "g-counter"
+	TypePNCounter   = "pn-counter"
+	TypeLWWRegister = "lww-register"
+	TypeORSet       = "or-set"
+)
 
-var defaultRegistry = &registry{factories: make(map[string]func() State)}
-
-// Register adds a payload type factory under the given name. The factory
-// must return a fresh zero-value payload whose concrete type implements
-// Unmarshaler. Register panics if the name is already taken with a
-// different factory, mirroring gob.Register semantics: codec registration
-// is a wiring error, not a runtime condition.
-func Register(name string, factory func() State) {
-	defaultRegistry.mu.Lock()
-	defer defaultRegistry.mu.Unlock()
-	if name == "" {
-		panic("crdt: Register with empty type name")
-	}
-	if _, dup := defaultRegistry.factories[name]; dup {
-		panic(fmt.Sprintf("crdt: Register called twice for type %q", name))
-	}
-	if _, ok := factory().(Unmarshaler); !ok {
-		panic(fmt.Sprintf("crdt: payload type %q does not implement Unmarshaler", name))
-	}
-	defaultRegistry.factories[name] = factory
+// factories maps each registered name to a constructor of its bottom
+// element; every concrete type it returns implements Unmarshaler.
+var factories = map[string]func() State{
+	TypeGCounter:    func() State { return NewGCounter() },
+	TypePNCounter:   func() State { return NewPNCounter() },
+	TypeLWWRegister: func() State { return NewLWWRegister() },
+	TypeORSet:       func() State { return NewORSet() },
 }
 
 // New returns a fresh zero-value payload of the named registered type.
 func New(name string) (State, error) {
-	defaultRegistry.mu.RLock()
-	factory, ok := defaultRegistry.factories[name]
-	defaultRegistry.mu.RUnlock()
+	factory, ok := factories[name]
 	if !ok {
 		return nil, fmt.Errorf("crdt: unregistered payload type %q", name)
 	}
@@ -61,10 +46,8 @@ func New(name string) (State, error) {
 // used by the property and fuzz tests to sweep the full registry and by
 // tooling that enumerates available payload types.
 func Names() []string {
-	defaultRegistry.mu.RLock()
-	defer defaultRegistry.mu.RUnlock()
-	names := make([]string, 0, len(defaultRegistry.factories))
-	for name := range defaultRegistry.factories {
+	names := make([]string, 0, len(factories))
+	for name := range factories {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -84,8 +67,7 @@ func Marshal(s State) ([]byte, error) {
 	return e.bytes(), nil
 }
 
-// Unmarshal decodes a state previously encoded with Marshal. The payload
-// type must have been registered on this process.
+// Unmarshal decodes a state previously encoded with Marshal.
 func Unmarshal(data []byte) (State, error) {
 	d := newDecBuf(data)
 	name, err := d.str()
@@ -107,35 +89,4 @@ func Unmarshal(data []byte) (State, error) {
 		return nil, fmt.Errorf("crdt: unmarshal %s: %w", name, err)
 	}
 	return s, nil
-}
-
-// Registered type names for the built-in payload types.
-const (
-	TypeGCounter    = "g-counter"
-	TypePNCounter   = "pn-counter"
-	TypeMaxRegister = "max-register"
-	TypeLWWRegister = "lww-register"
-	TypeMVRegister  = "mv-register"
-	TypeGSet        = "g-set"
-	TypeTwoPSet     = "2p-set"
-	TypeORSet       = "or-set"
-	TypeEWFlag      = "ew-flag"
-	TypeLWWMap      = "lww-map"
-	TypeVClock      = "vector-clock"
-)
-
-// Built-in payloads are registered once at package initialization, the same
-// pattern encoding/gob uses for its concrete-type registry.
-func init() {
-	Register(TypeGCounter, func() State { return NewGCounter() })
-	Register(TypePNCounter, func() State { return NewPNCounter() })
-	Register(TypeMaxRegister, func() State { return NewMaxRegister() })
-	Register(TypeLWWRegister, func() State { return NewLWWRegister() })
-	Register(TypeMVRegister, func() State { return NewMVRegister() })
-	Register(TypeGSet, func() State { return NewGSet() })
-	Register(TypeTwoPSet, func() State { return NewTwoPSet() })
-	Register(TypeORSet, func() State { return NewORSet() })
-	Register(TypeEWFlag, func() State { return NewEWFlag() })
-	Register(TypeLWWMap, func() State { return NewLWWMap() })
-	Register(TypeVClock, func() State { return NewVClock() })
 }

@@ -3,228 +3,9 @@ package crdt
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 )
-
-// GSet is a grow-only set of strings: the lattice is (2^E, ⊆, ∪). Elements
-// can only be added; removal requires TwoPSet or ORSet.
-type GSet struct {
-	elems map[string]struct{}
-}
-
-var (
-	_ State       = (*GSet)(nil)
-	_ Unmarshaler = (*GSet)(nil)
-)
-
-// NewGSet returns the empty (bottom) set.
-func NewGSet() *GSet { return &GSet{elems: map[string]struct{}{}} }
-
-// Add returns a copy containing e.
-func (s *GSet) Add(e string) *GSet {
-	out := &GSet{elems: cloneStrSet(s.elems)}
-	out.elems[e] = struct{}{}
-	return out
-}
-
-// Contains reports membership of e.
-func (s *GSet) Contains(e string) bool {
-	_, ok := s.elems[e]
-	return ok
-}
-
-// Len returns the number of elements.
-func (s *GSet) Len() int { return len(s.elems) }
-
-// Elements returns the members in sorted order.
-func (s *GSet) Elements() []string {
-	out := make([]string, 0, len(s.elems))
-	for e := range s.elems {
-		out = append(out, e)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merge is set union.
-func (s *GSet) Merge(other State) (State, error) {
-	o, ok := other.(*GSet)
-	if !ok {
-		return nil, typeMismatch(s, other)
-	}
-	out := &GSet{elems: cloneStrSet(s.elems)}
-	for e := range o.elems {
-		out.elems[e] = struct{}{}
-	}
-	return out, nil
-}
-
-// Compare is set inclusion.
-func (s *GSet) Compare(other State) (bool, error) {
-	o, ok := other.(*GSet)
-	if !ok {
-		return false, typeMismatch(s, other)
-	}
-	for e := range s.elems {
-		if _, ok := o.elems[e]; !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// TypeName implements State.
-func (s *GSet) TypeName() string { return TypeGSet }
-
-// MarshalBinary implements State.
-func (s *GSet) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(16 * (len(s.elems) + 1))
-	e.strSet(s.elems)
-	return e.bytes(), nil
-}
-
-// UnmarshalBinary implements Unmarshaler.
-func (s *GSet) UnmarshalBinary(data []byte) error {
-	d := newDecBuf(data)
-	m, err := d.strSet()
-	if err != nil {
-		return err
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	s.elems = m
-	return nil
-}
-
-// String renders the set for logs and test failures.
-func (s *GSet) String() string { return fmt.Sprintf("GSet%v", s.Elements()) }
-
-// TwoPSet is a two-phase set: the product of an add G-Set and a remove
-// G-Set (tombstones). Once removed, an element can never be re-added —
-// remove wins permanently. Tombstones accumulate; the paper's related-work
-// section points to garbage-collection literature for this inflation.
-type TwoPSet struct {
-	added   map[string]struct{}
-	removed map[string]struct{}
-}
-
-var (
-	_ State       = (*TwoPSet)(nil)
-	_ Unmarshaler = (*TwoPSet)(nil)
-)
-
-// NewTwoPSet returns the empty (bottom) set.
-func NewTwoPSet() *TwoPSet {
-	return &TwoPSet{added: map[string]struct{}{}, removed: map[string]struct{}{}}
-}
-
-// Add returns a copy with e added. Adding a removed element has no visible
-// effect (remove wins).
-func (s *TwoPSet) Add(e string) *TwoPSet {
-	out := s.clone()
-	out.added[e] = struct{}{}
-	return out
-}
-
-// Remove returns a copy with e tombstoned.
-func (s *TwoPSet) Remove(e string) *TwoPSet {
-	out := s.clone()
-	out.added[e] = struct{}{} // removal implies observation
-	out.removed[e] = struct{}{}
-	return out
-}
-
-// Contains reports whether e was added and never removed.
-func (s *TwoPSet) Contains(e string) bool {
-	if _, rm := s.removed[e]; rm {
-		return false
-	}
-	_, ok := s.added[e]
-	return ok
-}
-
-// Elements returns the live members in sorted order.
-func (s *TwoPSet) Elements() []string {
-	out := make([]string, 0, len(s.added))
-	for e := range s.added {
-		if _, rm := s.removed[e]; !rm {
-			out = append(out, e)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-func (s *TwoPSet) clone() *TwoPSet {
-	return &TwoPSet{added: cloneStrSet(s.added), removed: cloneStrSet(s.removed)}
-}
-
-// Merge unions both component sets.
-func (s *TwoPSet) Merge(other State) (State, error) {
-	o, ok := other.(*TwoPSet)
-	if !ok {
-		return nil, typeMismatch(s, other)
-	}
-	out := s.clone()
-	for e := range o.added {
-		out.added[e] = struct{}{}
-	}
-	for e := range o.removed {
-		out.removed[e] = struct{}{}
-	}
-	return out, nil
-}
-
-// Compare is component-wise inclusion.
-func (s *TwoPSet) Compare(other State) (bool, error) {
-	o, ok := other.(*TwoPSet)
-	if !ok {
-		return false, typeMismatch(s, other)
-	}
-	for e := range s.added {
-		if _, ok := o.added[e]; !ok {
-			return false, nil
-		}
-	}
-	for e := range s.removed {
-		if _, ok := o.removed[e]; !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// TypeName implements State.
-func (s *TwoPSet) TypeName() string { return TypeTwoPSet }
-
-// MarshalBinary implements State.
-func (s *TwoPSet) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(16 * (len(s.added) + len(s.removed) + 1))
-	e.strSet(s.added)
-	e.strSet(s.removed)
-	return e.bytes(), nil
-}
-
-// UnmarshalBinary implements Unmarshaler.
-func (s *TwoPSet) UnmarshalBinary(data []byte) error {
-	d := newDecBuf(data)
-	added, err := d.strSet()
-	if err != nil {
-		return err
-	}
-	removed, err := d.strSet()
-	if err != nil {
-		return err
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	s.added, s.removed = added, removed
-	return nil
-}
 
 // ORSet is an observed-remove (add-wins) set. Every add attaches a unique
 // tag; a remove tombstones exactly the tags observed at the removing

@@ -82,33 +82,6 @@ func TestPNCounterCanGoNegative(t *testing.T) {
 	}
 }
 
-func TestMaxRegister(t *testing.T) {
-	m := NewMaxRegister()
-	if _, ok := m.Value(); ok {
-		t.Fatal("fresh register should be unwritten")
-	}
-	m = m.Set(5).Set(2)
-	if v, ok := m.Value(); !ok || v != 5 {
-		t.Fatalf("value = %d,%t want 5,true", v, ok)
-	}
-	m = m.Set(-1)
-	if v, _ := m.Value(); v != 5 {
-		t.Fatalf("Set(-1) lowered the register to %d", v)
-	}
-	// Negative maxima still work when nothing larger was written.
-	n := NewMaxRegister().Set(-10).Set(-20)
-	if v, _ := n.Value(); v != -10 {
-		t.Fatalf("value = %d, want -10", v)
-	}
-	// Bottom is below everything, including negatives.
-	if le, _ := NewMaxRegister().Compare(n); !le {
-		t.Fatal("bottom should be ⊑ any written register")
-	}
-	if le, _ := n.Compare(NewMaxRegister()); le {
-		t.Fatal("written register should not be ⊑ bottom")
-	}
-}
-
 func TestLWWRegisterLastWriteWins(t *testing.T) {
 	r := NewLWWRegister().Set("a", 1, "n1").Set("b", 3, "n2").Set("c", 2, "n1")
 	v, ts, actor := r.Value()
@@ -129,57 +102,6 @@ func TestLWWRegisterTieBreaksOnActor(t *testing.T) {
 	}
 	if v1 != "from-b" { // n2 > n1 lexicographically
 		t.Fatalf("tie should resolve to higher actor, got %q", v1)
-	}
-}
-
-func TestMVRegisterConcurrentWritesSurface(t *testing.T) {
-	base := NewMVRegister()
-	a := base.Set("left", "n1")
-	b := base.Set("right", "n2")
-	m := MustMerge(a, b).(*MVRegister)
-	got := m.Values()
-	if len(got) != 2 || got[0] != "left" || got[1] != "right" {
-		t.Fatalf("concurrent values = %v, want [left right]", got)
-	}
-	// A subsequent write on the merged state subsumes both.
-	c := m.Set("final", "n1")
-	if vals := c.Values(); len(vals) != 1 || vals[0] != "final" {
-		t.Fatalf("values after overwrite = %v, want [final]", vals)
-	}
-	if le, _ := m.Compare(c); !le {
-		t.Fatal("overwrite should dominate the merged state")
-	}
-}
-
-func TestMVRegisterSequentialOverwrite(t *testing.T) {
-	r := NewMVRegister().Set("v1", "n1").Set("v2", "n1")
-	if vals := r.Values(); len(vals) != 1 || vals[0] != "v2" {
-		t.Fatalf("values = %v, want [v2]", vals)
-	}
-}
-
-func TestGSetMembership(t *testing.T) {
-	s := NewGSet().Add("x").Add("y").Add("x")
-	if !s.Contains("x") || !s.Contains("y") || s.Contains("z") {
-		t.Fatalf("membership wrong: %v", s)
-	}
-	if s.Len() != 2 {
-		t.Fatalf("len = %d, want 2", s.Len())
-	}
-	if got := s.Elements(); len(got) != 2 || got[0] != "x" || got[1] != "y" {
-		t.Fatalf("elements = %v", got)
-	}
-}
-
-func TestTwoPSetRemoveWinsForever(t *testing.T) {
-	s := NewTwoPSet().Add("x").Remove("x").Add("x")
-	if s.Contains("x") {
-		t.Fatal("re-add after remove should not resurrect element in 2P-set")
-	}
-	// Remove of a never-added element also blocks future adds.
-	s2 := NewTwoPSet().Remove("y").Add("y")
-	if s2.Contains("y") {
-		t.Fatal("remove-then-add should leave element dead")
 	}
 }
 
@@ -211,95 +133,8 @@ func TestORSetRemoveOnlyObservedTags(t *testing.T) {
 	}
 }
 
-func TestEWFlagEnableWins(t *testing.T) {
-	base := NewEWFlag().Enable("A", 1)
-	disabled := base.Disable()
-	reenabled := base.Enable("B", 1)
-	m := MustMerge(disabled, reenabled).(*EWFlag)
-	if !m.Enabled() {
-		t.Fatal("concurrent enable should win over disable")
-	}
-	if m.Disable().Enabled() {
-		t.Fatal("disable after observing all enables should clear flag")
-	}
-}
-
-func TestLWWMapSetGetDelete(t *testing.T) {
-	m := NewLWWMap().Set("k", "v1", 1, "n1").Set("k", "v2", 2, "n1")
-	if v, ok := m.Get("k"); !ok || v != "v2" {
-		t.Fatalf("get = %q,%t want v2,true", v, ok)
-	}
-	m = m.Delete("k", 3, "n1")
-	if _, ok := m.Get("k"); ok {
-		t.Fatal("deleted key still visible")
-	}
-	// A stale write (older stamp) does not resurrect the key.
-	m = m.Set("k", "old", 2, "n2")
-	if _, ok := m.Get("k"); ok {
-		t.Fatal("stale write resurrected deleted key")
-	}
-	if m.Len() != 0 {
-		t.Fatalf("len = %d, want 0", m.Len())
-	}
-}
-
-func TestLWWMapMergePerKey(t *testing.T) {
-	a := NewLWWMap().Set("x", "ax", 5, "n1").Set("y", "ay", 1, "n1")
-	b := NewLWWMap().Set("x", "bx", 3, "n2").Set("y", "by", 2, "n2").Set("z", "bz", 1, "n2")
-	m := MustMerge(a, b).(*LWWMap)
-	for k, want := range map[string]string{"x": "ax", "y": "by", "z": "bz"} {
-		if v, ok := m.Get(k); !ok || v != want {
-			t.Errorf("key %s = %q,%t want %q", k, v, ok, want)
-		}
-	}
-	if got := m.Keys(); len(got) != 3 {
-		t.Fatalf("keys = %v", got)
-	}
-}
-
-func TestVClockOrdering(t *testing.T) {
-	a := NewVClock().Tick("n1").Tick("n1")
-	b := a.Tick("n2")
-	if le, _ := a.Compare(b); !le {
-		t.Fatal("a should precede b")
-	}
-	if le, _ := b.Compare(a); le {
-		t.Fatal("b should not precede a")
-	}
-	c := NewVClock().Tick("n3")
-	if !a.Concurrent(c) {
-		t.Fatal("a and c should be concurrent")
-	}
-	if a.Concurrent(b) {
-		t.Fatal("a and b are ordered, not concurrent")
-	}
-	if got := b.Get("n1"); got != 2 {
-		t.Fatalf("n1 component = %d, want 2", got)
-	}
-}
-
 func TestRegistryNewUnknownType(t *testing.T) {
 	if _, err := New("definitely-not-registered"); err == nil {
 		t.Fatal("New of unknown type should fail")
 	}
-}
-
-func TestRegisterDuplicatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("duplicate Register should panic")
-		}
-	}()
-	Register(TypeGCounter, func() State { return NewGCounter() })
-}
-
-func TestRegisterValidation(t *testing.T) {
-	t.Run("empty name", func(t *testing.T) {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("empty-name Register should panic")
-			}
-		}()
-		Register("", func() State { return NewGCounter() })
-	})
 }

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"crypto/sha256"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -45,15 +46,15 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 }
 
-// TestDecodeAcceptsVersion1: a pre-reconfiguration (v1) snapshot file —
-// identical layout, no config section — still decodes, with a zero
-// config, so upgraded binaries recover directories written before the
-// format bump.
-func TestDecodeAcceptsVersion1(t *testing.T) {
+// TestDecodeRejectsVersion1: a pre-reconfiguration (v1) snapshot file —
+// the version-2 layout without the config section, correctly checksummed —
+// is refused like any other unknown version. Nothing ever wrote v1 files
+// that a current binary must recover.
+func TestDecodeRejectsVersion1(t *testing.T) {
 	rec := sampleRecord(t)
 	w := wire.NewWriter(256)
 	w.Fixed([]byte(magic))
-	w.Byte(versionNoConfig)
+	w.Byte(1)
 	w.Str(rec.Key)
 	w.Varint(rec.Round.Number)
 	w.Str(string(rec.Round.ID.Proposer))
@@ -65,21 +66,7 @@ func TestDecodeAcceptsVersion1(t *testing.T) {
 	sum := sha256.Sum256(w.Bytes())
 	w.Fixed(sum[:])
 
-	got, err := DecodeRecord(w.Bytes())
-	if err != nil {
-		t.Fatalf("v1 record rejected: %v", err)
-	}
-	if got.Key != rec.Key || got.Round != rec.Round || got.NextReq != rec.NextReq {
-		t.Fatalf("v1 decode mismatch: got %+v want %+v", got, rec)
-	}
-	if got.Epoch != 0 || got.Source != "" || got.Members != nil {
-		t.Fatalf("v1 config should be zero, got epoch %d source %q members %v", got.Epoch, got.Source, got.Members)
-	}
-	snap, err := got.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if snap.Config.Epoch != 0 || len(snap.Config.Members) != 0 {
-		t.Fatalf("v1 snapshot config = %+v, want zero", snap.Config)
+	if _, err := DecodeRecord(w.Bytes()); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("v1 record: err = %v, want ErrCorrupt", err)
 	}
 }

@@ -33,12 +33,7 @@ const (
 	// version is the current snapshot format version. Decoders reject
 	// unknown versions: the format carries consensus metadata, and
 	// guessing at it would be a safety bug, not a compatibility feature.
-	// Version 2 added the membership configuration section; version-1
-	// files (fixed membership, epoch 0) are still accepted.
 	version = 2
-	// versionNoConfig is the pre-reconfiguration format: identical except
-	// that no config section follows nextSeq.
-	versionNoConfig = 1
 	// suffix names snapshot files; everything else in the directory
 	// (including temp files from interrupted saves) is ignored on load.
 	suffix = ".snap"
@@ -53,9 +48,9 @@ type Record struct {
 	Round   core.Round
 	NextReq uint64
 	NextSeq uint64
-	Epoch   uint64   // membership config epoch (zero for v1 files)
+	Epoch   uint64   // membership config epoch
 	Source  string   // proposer that minted the config
-	Members []string // the config's member set (nil for v1 files)
+	Members []string // the config's member set
 	State   []byte   // crdt.Marshal encoding of the acceptor payload
 	Learned []byte   // nil when equivalent to State (the common case)
 }
@@ -67,10 +62,9 @@ type Record struct {
 //	configFrame | payload stateFrame | learned stateFrame | sha256[32]
 //
 // The config frame (internal/wire/config.go) carries the membership
-// configuration the replica had adopted; version-1 files predate it and
-// decode with a zero config. The two state frames reuse the replica
-// wire's state-frame codec (internal/wire/state.go): the payload is a
-// full frame, the learned state a none frame when it equals the payload.
+// configuration the replica had adopted. The two state frames reuse the
+// replica wire's state-frame codec (internal/wire/state.go): the payload is
+// a full frame, the learned state a none frame when it equals the payload.
 // The trailing SHA-256 covers every preceding byte.
 func EncodeRecord(rec Record) []byte {
 	w := wire.NewWriter(len(rec.State) + len(rec.Learned) + len(rec.Key) + 64)
@@ -115,8 +109,8 @@ func DecodeRecord(p []byte) (Record, error) {
 		return Record{}, corruptf("bad magic %q", body[:len(magic)])
 	}
 	v := body[len(magic)]
-	if v != version && v != versionNoConfig {
-		return Record{}, corruptf("unsupported snapshot version %d (want %d or %d)", v, versionNoConfig, version)
+	if v != version {
+		return Record{}, corruptf("unsupported snapshot version %d (want %d)", v, version)
 	}
 	r := wire.NewReader(body[len(magic)+1:])
 	rec := Record{Key: r.Str()}
@@ -125,10 +119,8 @@ func DecodeRecord(p []byte) (Record, error) {
 	rec.Round.ID.Seq = r.Uvarint()
 	rec.NextReq = r.Uvarint()
 	rec.NextSeq = r.Uvarint()
-	if v >= version {
-		cf := wire.ReadConfigFrame(r)
-		rec.Epoch, rec.Source, rec.Members = cf.Epoch, cf.Source, cf.Members
-	}
+	cf := wire.ReadConfigFrame(r)
+	rec.Epoch, rec.Source, rec.Members = cf.Epoch, cf.Source, cf.Members
 	payload := wire.ReadStateFrame(r)
 	learned := wire.ReadStateFrame(r)
 	if err := r.Done(); err != nil {

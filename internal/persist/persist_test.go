@@ -39,45 +39,12 @@ var stateGen = map[string]func(r *rand.Rand) crdt.State{
 		}
 		return c
 	},
-	crdt.TypeMaxRegister: func(r *rand.Rand) crdt.State {
-		m := crdt.NewMaxRegister()
-		for i := 0; i < r.Intn(4); i++ {
-			m = m.Set(int64(r.Intn(100) - 50))
-		}
-		return m
-	},
 	crdt.TypeLWWRegister: func(r *rand.Rand) crdt.State {
 		l := crdt.NewLWWRegister()
 		for i := 0; i < r.Intn(4); i++ {
 			l = l.Set(fmt.Sprintf("v%d", r.Intn(8)), uint64(r.Intn(20)), fmt.Sprintf("a%d", r.Intn(3)))
 		}
 		return l
-	},
-	crdt.TypeMVRegister: func(r *rand.Rand) crdt.State {
-		m := crdt.NewMVRegister()
-		for i := 0; i < r.Intn(4); i++ {
-			m = m.Set(fmt.Sprintf("v%d", r.Intn(8)), fmt.Sprintf("a%d", r.Intn(3)))
-		}
-		return m
-	},
-	crdt.TypeGSet: func(r *rand.Rand) crdt.State {
-		s := crdt.NewGSet()
-		for i := 0; i < r.Intn(6); i++ {
-			s = s.Add(fmt.Sprintf("e%d", r.Intn(10)))
-		}
-		return s
-	},
-	crdt.TypeTwoPSet: func(r *rand.Rand) crdt.State {
-		s := crdt.NewTwoPSet()
-		for i := 0; i < r.Intn(6); i++ {
-			e := fmt.Sprintf("e%d", r.Intn(10))
-			if r.Intn(3) == 0 {
-				s = s.Remove(e)
-			} else {
-				s = s.Add(e)
-			}
-		}
-		return s
 	},
 	crdt.TypeORSet: func(r *rand.Rand) crdt.State {
 		s := crdt.NewORSet()
@@ -90,36 +57,6 @@ var stateGen = map[string]func(r *rand.Rand) crdt.State{
 			}
 		}
 		return s
-	},
-	crdt.TypeEWFlag: func(r *rand.Rand) crdt.State {
-		f := crdt.NewEWFlag()
-		for i := 0; i < r.Intn(5); i++ {
-			if r.Intn(3) == 0 {
-				f = f.Disable()
-			} else {
-				f = f.Enable(fmt.Sprintf("a%d", r.Intn(3)), uint64(r.Intn(100)))
-			}
-		}
-		return f
-	},
-	crdt.TypeLWWMap: func(r *rand.Rand) crdt.State {
-		m := crdt.NewLWWMap()
-		for i := 0; i < r.Intn(6); i++ {
-			k := fmt.Sprintf("k%d", r.Intn(5))
-			if r.Intn(4) == 0 {
-				m = m.Delete(k, uint64(r.Intn(20)), fmt.Sprintf("a%d", r.Intn(3)))
-			} else {
-				m = m.Set(k, fmt.Sprintf("v%d", r.Intn(8)), uint64(r.Intn(20)), fmt.Sprintf("a%d", r.Intn(3)))
-			}
-		}
-		return m
-	},
-	crdt.TypeVClock: func(r *rand.Rand) crdt.State {
-		v := crdt.NewVClock()
-		for i := 0; i < r.Intn(6); i++ {
-			v = v.Tick(fmt.Sprintf("a%d", r.Intn(4)))
-		}
-		return v
 	},
 }
 

@@ -2,19 +2,17 @@ package wire
 
 import "fmt"
 
-// State-transfer frames are the versioned extension of the replica
-// protocol that lets a message describe its payload state by value, by
-// digest, or by delta (docs/PROTOCOL.md §3). Every protocol message ends
-// with one state frame:
+// State frames let a replica protocol message describe its payload state
+// by value, by digest, or by delta (docs/PROTOCOL.md §3). Every protocol
+// message ends with one state frame:
 //
 //	stateFrame := kind:u8 body
 //
-// where body depends on the kind. Kinds 0 and 1 are byte-for-byte the
-// legacy hasState:bool encoding, so pre-extension frames decode unchanged;
-// kinds 2-4 are additive. An unknown kind is a decode error — the receiver
-// drops the message, which the protocols tolerate as loss — so new kinds
-// can only be introduced together with a cluster-wide rollout (the
-// version-bump rules of PROTOCOL.md §3.4).
+// where body depends on the kind: 0 is none, 1 is full, and kinds 2-4
+// name the state by digest or delta. An unknown kind is a decode error —
+// the receiver drops the message, which the protocols tolerate as loss —
+// so new kinds can only be introduced together with a cluster-wide
+// rollout (the version-bump rules of PROTOCOL.md §3.4).
 
 // DigestSize is the byte length of a state digest on the wire (SHA-256).
 const DigestSize = 32
@@ -23,9 +21,9 @@ const DigestSize = 32
 type StateKind uint8
 
 const (
-	// StateNone: no payload and no digest (legacy hasState=0).
+	// StateNone: no payload and no digest.
 	StateNone StateKind = 0
-	// StateFull: the complete marshaled payload (legacy hasState=1).
+	// StateFull: the complete marshaled payload.
 	StateFull StateKind = 1
 	// StateDigest: only the digest of the sender's state; the receiver is
 	// expected to recognize it.

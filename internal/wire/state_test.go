@@ -41,9 +41,9 @@ func TestStateFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestStateFrameLegacyCompat pins the wire compatibility claim: kinds 0
-// and 1 must encode exactly like the pre-extension hasState:bool layout.
-func TestStateFrameLegacyCompat(t *testing.T) {
+// TestStateFrameNoneAndFullBytes pins the two kinds a full-mode cluster
+// emits: none is the single byte 00, full is 01 followed by the raw state.
+func TestStateFrameNoneAndFullBytes(t *testing.T) {
 	w := NewWriter(8)
 	StateFrame{Kind: StateNone}.Append(w)
 	if !bytes.Equal(w.Bytes(), []byte{0}) {
@@ -51,11 +51,11 @@ func TestStateFrameLegacyCompat(t *testing.T) {
 	}
 	w = NewWriter(8)
 	StateFrame{Kind: StateFull, State: []byte("ab")}.Append(w)
-	legacy := NewWriter(8)
-	legacy.Bool(true)
-	legacy.Raw([]byte("ab"))
-	if !bytes.Equal(w.Bytes(), legacy.Bytes()) {
-		t.Fatalf("full = %x, want legacy %x", w.Bytes(), legacy.Bytes())
+	want := NewWriter(8)
+	want.Bool(true)
+	want.Raw([]byte("ab"))
+	if !bytes.Equal(w.Bytes(), want.Bytes()) {
+		t.Fatalf("full = %x, want %x", w.Bytes(), want.Bytes())
 	}
 }
 
