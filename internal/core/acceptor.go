@@ -2,6 +2,8 @@ package core
 
 import (
 	"crdtsmr/internal/crdt"
+	"crdtsmr/internal/transport"
+	"crdtsmr/internal/wire"
 )
 
 // acceptor is the replicated-storage role of Algorithm 2 (lines 25-47).
@@ -31,13 +33,25 @@ func (a *acceptor) applyUpdate(fu crdt.Update, keep Round) (crdt.State, error) {
 	return s, nil
 }
 
-// handleMerge merges a remote update's payload (lines 32-35).
-func (a *acceptor) handleMerge(s crdt.State, keep Round) error {
+// join merges s, when present, into the payload. Every path that grows
+// the payload without an update function goes through it.
+func (a *acceptor) join(s crdt.State) error {
+	if s == nil {
+		return nil
+	}
 	merged, err := a.state.Merge(s)
 	if err != nil {
 		return err
 	}
 	a.state = merged
+	return nil
+}
+
+// handleMerge merges a remote update's payload (lines 32-35).
+func (a *acceptor) handleMerge(s crdt.State, keep Round) error {
+	if err := a.join(s); err != nil {
+		return err
+	}
 	a.clobberRound(keep)
 	return nil
 }
@@ -68,12 +82,8 @@ func (a *acceptor) clobberRound(keep Round) {
 // re-acknowledged idempotently, so proposers can retransmit over lossy
 // links without being forced into a retry.
 func (a *acceptor) handlePrepare(r Round, s crdt.State) (reply msgType, round Round, state crdt.State, err error) {
-	if s != nil {
-		merged, mergeErr := a.state.Merge(s)
-		if mergeErr != nil {
-			return 0, Round{}, nil, mergeErr
-		}
-		a.state = merged
+	if err := a.join(s); err != nil {
+		return 0, Round{}, nil, err
 	}
 	if r.Incremental() {
 		if a.round.ID == r.ID {
@@ -103,15 +113,207 @@ func (a *acceptor) handlePrepare(r Round, s crdt.State) (reply msgType, round Ro
 // VOTED reply). The vote succeeds only if the acceptor's round still equals
 // the proposal's round, i.e. no update or competing prepare intervened.
 func (a *acceptor) handleVote(r Round, s crdt.State) (reply msgType, round Round, state crdt.State, err error) {
-	if s != nil {
-		merged, mergeErr := a.state.Merge(s)
-		if mergeErr != nil {
-			return 0, Round{}, nil, mergeErr
-		}
-		a.state = merged
+	if err := a.join(s); err != nil {
+		return 0, Round{}, nil, err
 	}
 	if r == a.round {
 		return msgVoted, a.round, nil, nil
 	}
 	return msgNack, a.round, a.state, nil
+}
+
+// The Replica's acceptor-side message handlers: they decode what the pure
+// acceptor above needs, run it, and answer over the wire.
+
+func (r *Replica) onMerge(from transport.NodeID, m *message) {
+	// A node tracks per-peer merge digests only when digest transfer is
+	// on locally; a full-mode node still answers digest and delta frames
+	// correctly (safety never depends on the cache), it just recognizes
+	// fewer baselines and forces more full-state fallbacks.
+	track := r.opts.Transfer != TransferFull && r.isPeer(from)
+	// A lease-holder MERGE names the round the sender's lease rests on;
+	// acceptors still at exactly that round keep it (clobberRound).
+	keep := Round{}
+	if m.Lease {
+		keep = m.Round
+	}
+	switch m.Kind {
+	case wire.StateFull, wire.StateFullDigest:
+		if m.State == nil {
+			r.counters.MalformedMsgs++
+			return
+		}
+		if err := r.acc.handleMerge(m.State, keep); err != nil {
+			r.counters.MalformedMsgs++
+			return
+		}
+		r.version++
+		if track && len(m.StateRaw) > 0 {
+			// Fingerprint the sender's state from the wire bytes — the
+			// digest is defined over exactly this encoding.
+			r.xfer.ring(from).add(crdt.DigestOfMarshaled(m.StateRaw))
+		}
+	case wire.StateDigest:
+		// Payload suppressed: the sender believes this acceptor already
+		// holds a state dominating the one with this digest. Verify, or
+		// demand the full payload.
+		if !r.dominates(from, m.Digest, track) {
+			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
+			return
+		}
+	case wire.StateDelta:
+		if m.State == nil {
+			r.counters.MalformedMsgs++
+			return
+		}
+		if r.dominates(from, m.Digest, track) {
+			// The resulting state is already covered here (duplicate or
+			// reordered delta): acknowledge without merging.
+			break
+		}
+		if !r.dominates(from, m.Baseline, track) {
+			// Unknown baseline: merging the delta alone could lose the
+			// part of the sender's state the baseline carried.
+			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
+			return
+		}
+		if err := r.acc.handleMerge(m.State, keep); err != nil {
+			r.counters.MalformedMsgs++
+			return
+		}
+		r.version++
+		if track {
+			// baseline ⊔ delta = the sender's full state: merged here, so
+			// its digest is now a recognized baseline for future deltas.
+			r.xfer.ring(from).add(m.Digest)
+		}
+	default:
+		r.counters.MalformedMsgs++
+		return
+	}
+	r.send(from, &message{Type: msgMerged, Req: m.Req})
+}
+
+// dominates reports whether the local payload provably dominates the state
+// with digest d as last shipped by peer from: either that exact state was
+// merged here earlier (the per-peer digest ring — payloads only grow, so
+// once merged, dominated forever) or the local payload IS that state.
+func (r *Replica) dominates(from transport.NodeID, d crdt.Digest, track bool) bool {
+	if d.IsZero() {
+		return false
+	}
+	if ring, ok := r.xfer.seen[from]; ok && ring.contains(d) {
+		return true
+	}
+	if own, err := r.xfer.digests.Of(r.acc.state); err == nil && own == d {
+		if track {
+			r.xfer.ring(from).add(d)
+		}
+		return true
+	}
+	return false
+}
+
+func (r *Replica) onPrepare(from transport.NodeID, m *message) {
+	reply, round, state, err := r.acc.handlePrepare(m.Round, m.State)
+	if err != nil {
+		r.counters.MalformedMsgs++
+		return
+	}
+	// The prepare may have merged a seed and adopted a round; bumping on
+	// NACKs too overcounts at worst (StateVersion is allowed to).
+	r.version++
+	if reply == msgAck {
+		r.counters.PreparesAccepted++
+	} else {
+		r.counters.PreparesRejected++
+	}
+	// Lease is the capability hint (docs/PROTOCOL.md §5): this acceptor
+	// understands round leases, so a proposer quorum of hinted replies may
+	// install one. Old binaries never set the bit.
+	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state, Lease: true}
+	if m.Kind.HasDigest() && state != nil {
+		// The PREPARE announced the proposer's payload digest. If the
+		// local post-prepare payload matches, the proposer already holds
+		// this exact state: answer with the digest alone (the converged
+		// fast path that makes a quorum read cost O(digest) bytes).
+		if own, derr := r.xfer.digests.Of(state); derr == nil && own == m.Digest {
+			out.State, out.Kind, out.Digest = nil, wire.StateDigest, own
+			r.counters.DigestReplies++
+		}
+	}
+	r.send(from, out)
+}
+
+func (r *Replica) onVote(from transport.NodeID, m *message) {
+	digestVerified := false
+	if m.Kind == wire.StateDigest {
+		// Digest-suppressed leased VOTE: the holder proposes the exact
+		// state it believes this acceptor already has. Verify by digest —
+		// on a match the merge-before-reply of handleVote is a no-op and
+		// voting is a pure round check; on a mismatch deny with the full
+		// local state so the proposer gathers it and falls back.
+		own, derr := r.xfer.digests.Of(r.acc.state)
+		if derr != nil || own != m.Digest {
+			r.denyVote(from, m)
+			return
+		}
+		digestVerified = true
+		m.State = nil
+	} else if m.Lease {
+		// A leased VOTE skipped the prepare phase, so the round-equality
+		// check alone does not prove the proposal covers this acceptor —
+		// an incremental PREPARE delivered late can re-mint the leased
+		// round (Number = local+1 collides) at an acceptor whose payload
+		// moved on. Re-verify the consistent-quorum condition here: vote
+		// only if the local payload is covered by the proposal. Any update
+		// committed before the read began sits in a quorum of payloads and
+		// so forces a denial in every intersecting vote quorum.
+		if m.State == nil {
+			r.counters.MalformedMsgs++
+			return
+		}
+		le, cerr := r.acc.state.Compare(m.State)
+		if cerr != nil {
+			r.counters.MalformedMsgs++
+			return
+		}
+		if !le {
+			// Merge-before-deny (Lemma 3.4(ii)): the proposer gathers the
+			// denial's state, so its fallback retry converges.
+			if r.acc.join(m.State) == nil {
+				r.version++
+			}
+			r.denyVote(from, m)
+			return
+		}
+	}
+	reply, round, state, err := r.acc.handleVote(m.Round, m.State)
+	if err != nil {
+		r.counters.MalformedMsgs++
+		return
+	}
+	r.version++ // the vote's proposed state was merged into the payload
+	if reply == msgVoted {
+		r.counters.VotesAccepted++
+	} else {
+		r.counters.VotesRejected++
+	}
+	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state, Lease: true}
+	if reply == msgNack && digestVerified {
+		// Round-mismatch denial of a digest-verified leased VOTE: the
+		// payload here IS the proposer's proposal, so the digest alone
+		// lets the proposer resolve the denial's state without shipping
+		// a full payload back.
+		out.State, out.Kind, out.Digest = nil, wire.StateDigest, m.Digest
+	}
+	r.send(from, out)
+}
+
+// denyVote refuses a leased VOTE whose proposal does not cover the local
+// payload, answering with the acceptor's round and full state so the
+// proposer gathers it and falls back.
+func (r *Replica) denyVote(to transport.NodeID, m *message) {
+	r.counters.VotesRejected++
+	r.send(to, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state, Lease: true})
 }

@@ -72,33 +72,17 @@ const (
 // as an invalid type, which the protocols tolerate as message loss.
 const msgFlagLease = 0x80
 
+var msgNames = [...]string{
+	msgMerge: "MERGE", msgMerged: "MERGED", msgPrepare: "PREPARE", msgAck: "ACK",
+	msgVote: "VOTE", msgVoted: "VOTED", msgNack: "NACK", msgMergeNack: "MERGE-NACK",
+	msgReconfig: "RECONFIG", msgReconfigAck: "RECONFIG-ACK", msgEpochNack: "EPOCH-NACK",
+}
+
 func (t msgType) String() string {
-	switch t {
-	case msgMerge:
-		return "MERGE"
-	case msgMerged:
-		return "MERGED"
-	case msgPrepare:
-		return "PREPARE"
-	case msgAck:
-		return "ACK"
-	case msgVote:
-		return "VOTE"
-	case msgVoted:
-		return "VOTED"
-	case msgNack:
-		return "NACK"
-	case msgMergeNack:
-		return "MERGE-NACK"
-	case msgReconfig:
-		return "RECONFIG"
-	case msgReconfigAck:
-		return "RECONFIG-ACK"
-	case msgEpochNack:
-		return "EPOCH-NACK"
-	default:
-		return fmt.Sprintf("msgType(%d)", uint8(t))
+	if t >= msgMerge && t <= msgEpochNack {
+		return msgNames[t]
 	}
+	return fmt.Sprintf("msgType(%d)", uint8(t))
 }
 
 // message is the single wire format for all protocol messages. Req and

@@ -80,12 +80,6 @@ func (r *Replica) sendReconfig(to transport.NodeID, reqID uint64) {
 	})
 }
 
-// pushConfig is sendReconfig in its anti-entropy role, named for the call
-// sites that repair a lagging peer.
-func (r *Replica) pushConfig(to transport.NodeID, reqID uint64) {
-	r.sendReconfig(to, reqID)
-}
-
 // sendEpochNack tells a peer holding a different configuration what this
 // replica's config is (members, no payload). The peer adopts it if it
 // supersedes its own, or pushes its greater config back.
@@ -106,12 +100,8 @@ func (r *Replica) adoptConfig(cand Config, state crdt.State) bool {
 	if !cand.Supersedes(r.cfg) {
 		return false
 	}
-	if state != nil {
-		if merged, err := r.acc.state.Merge(state); err == nil {
-			r.acc.state = merged
-		} else {
-			r.counters.MalformedMsgs++
-		}
+	if err := r.acc.join(state); err != nil {
+		r.counters.MalformedMsgs++
 	}
 	// The quorum system changed under every in-flight vote: clobber the
 	// acceptor round (as an update would) so no VOTE counted under the old
@@ -150,26 +140,17 @@ func (r *Replica) adoptConfig(cand Config, state crdt.State) bool {
 // instead — clients refresh their member list and retry elsewhere.
 func (r *Replica) migrateInFlight() {
 	if !r.member {
-		ids := make([]uint64, 0, len(r.updates)+len(r.queries))
-		for id := range r.updates {
-			ids = append(ids, id)
-		}
-		for id := range r.queries {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
+		for _, id := range r.inFlightIDs() {
 			if req, ok := r.updates[id]; ok {
 				delete(r.updates, id)
 				if req.done != nil {
 					req.done(UpdateStats{}, ErrNotMember)
 				}
-				continue
-			}
-			req := r.queries[id]
-			delete(r.queries, id)
-			if req.done != nil {
-				req.done(nil, QueryStats{RoundTrips: req.rtts, Attempts: int(req.attempt)}, ErrNotMember)
+			} else if req, ok := r.queries[id]; ok {
+				delete(r.queries, id)
+				if req.done != nil {
+					req.done(nil, QueryStats{RoundTrips: req.rtts, Attempts: int(req.attempt)}, ErrNotMember)
+				}
 			}
 		}
 		return
@@ -181,13 +162,11 @@ func (r *Replica) migrateInFlight() {
 	// completes; one that needs more is re-driven by retransmission
 	// (Retransmit sends full-state MERGEs to every unacked current peer,
 	// including members that just joined).
-	upIDs := make([]uint64, 0, len(r.updates))
-	for id := range r.updates {
-		upIDs = append(upIDs, id)
-	}
-	sort.Slice(upIDs, func(i, j int) bool { return upIDs[i] < upIDs[j] })
-	for _, id := range upIDs {
-		req := r.updates[id]
+	for _, id := range r.inFlightIDs() {
+		req, ok := r.updates[id]
+		if !ok {
+			continue
+		}
 		acked := 0
 		for _, p := range r.peers {
 			if req.acked[p] {
@@ -204,18 +183,15 @@ func (r *Replica) migrateInFlight() {
 		}
 	}
 
-	// Queries: the attempt in flight was addressed to the old member set
-	// under a round the adoption just clobbered; restart it (counted as a
-	// retry) under the new configuration.
-	qIDs := make([]uint64, 0, len(r.queries))
-	for id := range r.queries {
-		qIDs = append(qIDs, id)
-	}
-	sort.Slice(qIDs, func(i, j int) bool { return qIDs[i] < qIDs[j] })
-	for _, id := range qIDs {
-		req := r.queries[id]
-		req.leased = false
-		r.startAttempt(req, Round{Number: NumberIncremental})
+	// [Q18] Queries: the attempt in flight was addressed to the old member
+	// set under a round the adoption just clobbered; restart it (counted as
+	// a retry) under the new configuration. The adoption already dropped
+	// the lease, so a leased attempt restarts without a fallback.
+	for _, id := range r.inFlightIDs() {
+		if req, ok := r.queries[id]; ok {
+			req.leased = false
+			r.startAttempt(req, Round{Number: NumberIncremental})
+		}
 	}
 }
 
@@ -246,12 +222,10 @@ func (r *Replica) onReconfig(from transport.NodeID, m *message) {
 	switch {
 	case sameConfig(cand, r.cfg):
 		if m.State != nil {
-			merged, err := r.acc.state.Merge(m.State)
-			if err != nil {
+			if err := r.acc.join(m.State); err != nil {
 				r.counters.MalformedMsgs++
 				return
 			}
-			r.acc.state = merged
 			r.acc.clobberRound(Round{})
 			r.version++
 		}
@@ -294,6 +268,6 @@ func (r *Replica) onEpochNack(from transport.NodeID, m *message) {
 	case sameConfig(cand, r.cfg):
 		// Crossed messages during convergence; nothing to repair.
 	default:
-		r.pushConfig(from, m.Req)
+		r.sendReconfig(from, m.Req)
 	}
 }

@@ -46,16 +46,12 @@ func (t StateTransfer) String() string {
 
 // ParseStateTransfer parses the -state-transfer flag values.
 func ParseStateTransfer(s string) (StateTransfer, error) {
-	switch s {
-	case "full":
-		return TransferFull, nil
-	case "digest":
-		return TransferDigest, nil
-	case "delta":
-		return TransferDelta, nil
-	default:
-		return TransferFull, fmt.Errorf("core: unknown state-transfer mode %q (want full, digest, or delta)", s)
+	for t := TransferFull; t <= TransferDelta; t++ {
+		if t.String() == s {
+			return t, nil
+		}
 	}
+	return TransferFull, fmt.Errorf("core: unknown state-transfer mode %q (want full, digest, or delta)", s)
 }
 
 // peerView is the proposer-side record of the last payload state a peer
@@ -67,6 +63,22 @@ func ParseStateTransfer(s string) (StateTransfer, error) {
 type peerView struct {
 	state  crdt.State // nil under TransferDigest
 	digest crdt.Digest
+}
+
+// setView records that peer acknowledged merging the state s with digest
+// d — a MERGED for an update, or a VOTED for a leased proposal. Any
+// acknowledged state is a sound delta baseline forever (the peer's payload
+// only grows), so it replaces the peer's view. Views are kept only for
+// configured peers, which bounds them by the membership.
+func (r *Replica) setView(peer transport.NodeID, d crdt.Digest, s crdt.State) {
+	if !r.isPeer(peer) {
+		return
+	}
+	view := &peerView{digest: d}
+	if r.opts.Transfer == TransferDelta {
+		view.state = s
+	}
+	r.xfer.views[peer] = view
 }
 
 // digestRingSize bounds the per-peer digest cache: how many of a peer's
