@@ -109,7 +109,7 @@ func serve(args []string) error {
 	batch := fs.Duration("batch", 0, "per-key batching window (0 disables; the paper evaluated 5ms)")
 	payload := fs.String("payload", crdt.TypeGCounter, "CRDT type of keys without a type prefix")
 	transfer := fs.String("state-transfer", "full", "replica-wire state transfer: full, digest, or delta (docs/PROTOCOL.md §3; use one mode cluster-wide)")
-	lease := fs.Bool("lease", true, "round-lease query fast path (docs/PROTOCOL.md §5); safe in mixed clusters — leases only form when every quorum member advertises support")
+	lease := fs.Bool("lease", true, "round-lease query fast path (docs/PROTOCOL.md §5); changes round trips, never outcomes")
 	dataDir := fs.String("data-dir", "", "snapshot directory for crash recovery; a killed replica re-exec'd with the same directory serves its pre-crash data (empty: volatile)")
 	recoverFlag := fs.String("recover", "strict", "corrupt-snapshot policy at startup: strict (refuse to start) or ignore-corrupt (affected keys start fresh and re-learn from the cluster)")
 	fsync := fs.Bool("fsync", false, "fsync every snapshot write (survives power loss, not just process death)")

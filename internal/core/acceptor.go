@@ -228,10 +228,7 @@ func (r *Replica) onPrepare(from transport.NodeID, m *message) {
 	} else {
 		r.counters.PreparesRejected++
 	}
-	// Lease is the capability hint (docs/PROTOCOL.md §5): this acceptor
-	// understands round leases, so a proposer quorum of hinted replies may
-	// install one. Old binaries never set the bit.
-	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state, Lease: true}
+	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state}
 	if m.Kind.HasDigest() && state != nil {
 		// The PREPARE announced the proposer's payload digest. If the
 		// local post-prepare payload matches, the proposer already holds
@@ -299,7 +296,7 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 	} else {
 		r.counters.VotesRejected++
 	}
-	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state, Lease: true}
+	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state}
 	if reply == msgNack && digestVerified {
 		// Round-mismatch denial of a digest-verified leased VOTE: the
 		// payload here IS the proposer's proposal, so the digest alone
@@ -315,5 +312,5 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 // proposer gathers it and falls back.
 func (r *Replica) denyVote(to transport.NodeID, m *message) {
 	r.counters.VotesRejected++
-	r.send(to, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state, Lease: true})
+	r.send(to, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state})
 }

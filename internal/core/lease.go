@@ -8,9 +8,8 @@ import (
 
 // leaseState is the proposer-side record of a round lease: the last
 // learned state and the round a full quorum confirmed as the highest
-// established, with every member advertising the lease capability. The
-// digest (kept under digest/delta transfer) lets a quiescent leased VOTE
-// ship no payload at all.
+// established. The digest (kept under digest/delta transfer) lets a
+// quiescent leased VOTE ship no payload at all.
 type leaseState struct {
 	round  Round
 	state  crdt.State
@@ -104,10 +103,9 @@ func (r *Replica) settleLease(req *queryReq, learned crdt.State) {
 		}
 	} else if req.leasable {
 		// Install a fresh lease: the attempt proved leaseRound is the
-		// highest round established in a quorum with every member
-		// lease-capable. Never replace a newer lease with an older round —
-		// a concurrent query may have installed one while this attempt's
-		// stragglers arrived.
+		// highest round established in a quorum. Never replace a newer
+		// lease with an older round — a concurrent query may have installed
+		// one while this attempt's stragglers arrived.
 		if r.lease == nil || !req.leaseRound.Less(r.lease.round) {
 			r.installLease(req.leaseRound, learned)
 		}

@@ -62,14 +62,12 @@ const (
 	msgEpochNack
 )
 
-// msgFlagLease is OR'd into the wire type byte (docs/PROTOCOL.md §5). On
-// ACK/VOTED it is the acceptor's lease capability hint: replicas that
-// understand round leases always set it, so a proposer only installs a
-// lease when every quorum member advertised the capability — a mixed
-// cluster with pre-lease binaries simply never forms leases. On MERGE it
-// marks a lease-holder update whose round the acceptor may preserve
-// instead of clobbering. Pre-lease decoders reject the unknown high bit
-// as an invalid type, which the protocols tolerate as message loss.
+// msgFlagLease is OR'd into the wire type byte (docs/PROTOCOL.md §5.1).
+// On VOTE it marks a leased proposal that skipped the prepare phase; on
+// MERGE it marks a lease-holder update whose round the acceptor may
+// preserve instead of clobbering. Replies never carry it. Decoders that
+// predate leases reject the high bit as an invalid type, which the
+// protocol tolerates as message loss.
 const msgFlagLease = 0x80
 
 var msgNames = [...]string{
@@ -114,8 +112,8 @@ type message struct {
 	Source   transport.NodeID
 	Members  []transport.NodeID
 
-	// Lease carries the msgFlagLease bit: a capability hint on ACK/VOTED
-	// replies, a preserve-this-round marker on lease-holder MERGEs.
+	// Lease carries the msgFlagLease bit: a leased VOTE, or a
+	// preserve-this-round marker on a lease-holder MERGE.
 	Lease bool
 
 	Kind     wire.StateKind

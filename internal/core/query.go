@@ -110,9 +110,8 @@ type queryReq struct {
 	seed crdt.State
 
 	// leased marks an attempt running the prepare-skip fast path;
-	// leasable/leaseRound accumulate whether the current attempt proved a
-	// round quorum-established with every member lease-capable, making it
-	// installable on completion.
+	// leasable/leaseRound record that the current attempt's ACK quorum
+	// agreed on one round, making a lease installable on completion.
 	leased     bool
 	leasable   bool
 	leaseRound Round
@@ -130,7 +129,6 @@ type queryReq struct {
 type ackInfo struct {
 	round Round
 	state crdt.State
-	lease bool // the acceptor advertised the lease capability
 }
 
 // SubmitQuery starts a query command (Algorithm 2, lines 7-24). done fires
@@ -221,7 +219,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 	// same serial process (§3.2). Remote acceptors get it broadcast.
 	reply, accRound, accState, err := r.acc.handlePrepare(round, req.seed)
 	if err == nil && reply == msgAck {
-		req.acks[r.id] = ackInfo{round: accRound, state: accState, lease: true}
+		req.acks[r.id] = ackInfo{round: accRound, state: accState}
 	} else if err == nil {
 		// [Q4] A fixed prepare below the local round: morph into an
 		// incremental prepare (always self-accepted, so this recurses at
@@ -302,7 +300,7 @@ func (r *Replica) onAck(from transport.NodeID, m *message) {
 		return
 	}
 	// [Q5]
-	req.acks[from] = ackInfo{round: m.Round, state: state, lease: m.Lease}
+	req.acks[from] = ackInfo{round: m.Round, state: state}
 	req.gathered = r.mergeGathered(req.gathered, state)
 	r.maybeDecidePrepare(req)
 }
@@ -314,13 +312,13 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 	if req.phase != phasePrepare || len(req.acks) < r.quorum {
 		return
 	}
-	// One sweep over the quorum: state identity, round agreement, and the
-	// lease capability hints. Round agreement is the lease precondition
-	// and is NOT automatic even when every ACK answered our own prepare —
-	// under incremental prepares each acceptor substitutes its own
-	// number+1, so concurrent traffic leaves them disagreeing.
+	// One sweep over the quorum: state identity and round agreement. Round
+	// agreement is the lease precondition and is NOT automatic even when
+	// every ACK answered our own prepare — under incremental prepares each
+	// acceptor substitutes its own number+1, so concurrent traffic leaves
+	// them disagreeing.
 	states := make([]crdt.State, 0, len(req.acks))
-	identical, sameRound, allLeased := true, true, true
+	identical, sameRound := true, true
 	var common, max Round
 	for _, a := range req.acks {
 		if len(states) == 0 {
@@ -333,14 +331,11 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 			max = a.round
 		}
 		states = append(states, a.state)
-		if !a.lease {
-			allLeased = false
-		}
 	}
-	if r.opts.Lease && sameRound && allLeased {
+	if r.opts.Lease && sameRound {
 		// Whatever this attempt learns, the quorum has confirmed common as
-		// the highest round established and every member is lease-capable:
-		// the lease is installable once the query completes.
+		// the highest round established: the lease is installable once the
+		// query completes.
 		req.leasable, req.leaseRound = true, common
 	}
 	if identical {
@@ -412,9 +407,6 @@ func (r *Replica) onVoted(from transport.NodeID, m *message) {
 	}
 	// [Q11]
 	req.votes[from] = true
-	if !m.Lease {
-		req.leasable = false
-	}
 	if req.leased && req.hasPropDig {
 		// VOTED to a leased VOTE confirms the peer merged the proposal
 		// before replying, so the proposal is a sound per-peer baseline —

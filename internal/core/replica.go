@@ -17,12 +17,11 @@ type Options struct {
 	Transfer StateTransfer
 
 	// Lease enables the §3.6 prepare-skip fast path (docs/PROTOCOL.md §5):
-	// after a query learns with every quorum member agreeing on the round
-	// and advertising the lease capability, the proposer records a round
-	// lease and subsequent queries go straight to the vote phase. Any
-	// NACK, lease steal, peer-failure signal, or restart falls back to the
-	// unmodified two-phase protocol, so the option changes round trips,
-	// never outcomes.
+	// after a query learns with every quorum member agreeing on the round,
+	// the proposer records a round lease and subsequent queries go straight
+	// to the vote phase. Any NACK, lease steal, peer-failure signal, or
+	// restart falls back to the unmodified two-phase protocol, so the
+	// option changes round trips, never outcomes.
 	Lease bool
 }
 
