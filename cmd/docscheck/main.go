@@ -2,8 +2,10 @@
 // broken intra-repo markdown links and on `-figure X` mentions naming a
 // figure cmd/bench no longer has in the maintained docs (README.md and
 // docs/*.md), on gofmt drift or parse errors in the Go code blocks of
-// README.md, and when the mutation table of docs/PROTOCOL.md §2.3 and the
-// codec registry disagree on which payload types exist.
+// README.md, when the mutation table of docs/PROTOCOL.md §2.3 and the
+// codec registry disagree on which payload types exist, and when the query
+// phase table of docs/PROTOCOL.md §1.4 and the [Qn] cites in internal/core
+// disagree on which transitions exist.
 //
 //	go run ./cmd/docscheck [repo-root]
 package main
@@ -61,8 +63,24 @@ func Check(root string) []error {
 		errs = append(errs, fmt.Errorf("%s: %w", protocol, err))
 	} else {
 		errs = append(errs, checkTypes(protocol, string(data))...)
+		errs = append(errs, checkQueryRows(protocol, string(data), coreSources(root))...)
 	}
 	return errs
+}
+
+// coreSources reads the non-test Go files of internal/core, by file name.
+func coreSources(root string) map[string]string {
+	sources := map[string]string{}
+	files, _ := filepath.Glob(filepath.Join(root, "internal", "core", "*.go"))
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		if data, err := os.ReadFile(f); err == nil {
+			sources[filepath.Base(f)] = string(data)
+		}
+	}
+	return sources
 }
 
 // figureRE matches a cmd/bench figure selection; the flag and its value
@@ -86,26 +104,33 @@ func checkFigures(doc, text string) []error {
 	return errs
 }
 
-// checkTypes verifies that the backticked names in the first column of the
-// mutation table in §2.3 of doc (the table headed `crdtType`) are exactly
-// crdt.Names(): a payload type is served end to end or not registered.
-func checkTypes(doc, text string) []error {
-	documented := map[string]bool{}
-	inSection, inTable := false, false
+// firstColumn returns the first-column cells below the header of every
+// markdown table in text whose header row starts with the cell header.
+func firstColumn(text, header string) []string {
+	var cells []string
+	inTable := false
 	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, "#") {
-			inSection, inTable = strings.HasPrefix(line, "### 2.3 "), false
-			continue
-		}
-		cells := strings.Split(line, "|")
-		if !inSection || len(cells) < 3 {
+		row := strings.Split(line, "|")
+		if len(row) < 3 {
 			inTable = false
 			continue
 		}
-		first := strings.TrimSpace(cells[1])
-		if first == "`crdtType`" {
+		if first := strings.TrimSpace(row[1]); first == header {
 			inTable = true
-		} else if name, ok := strings.CutPrefix(first, "`"); inTable && ok {
+		} else if inTable {
+			cells = append(cells, first)
+		}
+	}
+	return cells
+}
+
+// checkTypes verifies that the backticked names in the first column of the
+// mutation table of doc (§2.3, the table headed `crdtType`) are exactly
+// crdt.Names(): a payload type is served end to end or not registered.
+func checkTypes(doc, text string) []error {
+	documented := map[string]bool{}
+	for _, cell := range firstColumn(text, "`crdtType`") {
+		if name, ok := strings.CutPrefix(cell, "`"); ok {
 			documented[strings.TrimSuffix(name, "`")] = true
 		}
 	}
@@ -119,6 +144,44 @@ func checkTypes(doc, text string) []error {
 	for _, name := range slices.Sorted(maps.Keys(documented)) {
 		if !slices.Contains(registered, name) {
 			errs = append(errs, fmt.Errorf("%s: §2.3 mutation table lists %s, which is not a registered type (have %s)", doc, name, strings.Join(registered, ", ")))
+		}
+	}
+	return errs
+}
+
+var (
+	rowRE  = regexp.MustCompile(`^Q\d+$`)
+	citeRE = regexp.MustCompile(`\[(Q\d+)\]`)
+)
+
+// checkQueryRows verifies that the row ids of the query phase table in doc
+// (the table headed `Row`) are exactly the [Qn] transition cites in
+// sources, so every documented transition is cited where the code makes it
+// and every cited one is documented.
+func checkQueryRows(doc, text string, sources map[string]string) []error {
+	documented := map[string]bool{}
+	for _, cell := range firstColumn(text, "Row") {
+		if rowRE.MatchString(cell) {
+			documented[cell] = true
+		}
+	}
+	cited := map[string]string{} // row id → first file citing it
+	for _, name := range slices.Sorted(maps.Keys(sources)) {
+		for _, m := range citeRE.FindAllStringSubmatch(sources[name], -1) {
+			if _, ok := cited[m[1]]; !ok {
+				cited[m[1]] = name
+			}
+		}
+	}
+	var errs []error
+	for _, id := range slices.Sorted(maps.Keys(cited)) {
+		if !documented[id] {
+			errs = append(errs, fmt.Errorf("%s: query phase table has no row %s, cited in internal/core/%s", doc, id, cited[id]))
+		}
+	}
+	for _, id := range slices.Sorted(maps.Keys(documented)) {
+		if _, ok := cited[id]; !ok {
+			errs = append(errs, fmt.Errorf("%s: query phase table row %s is cited nowhere in internal/core", doc, id))
 		}
 	}
 	return errs

@@ -94,3 +94,20 @@ func TestCheckTypes(t *testing.T) {
 		t.Fatalf("missing or-set rows: got %v, want one error naming it", errs)
 	}
 }
+
+func TestCheckQueryRows(t *testing.T) {
+	table := "### 1.4 Query phases\n\n| Row | Phase | Event |\n| --- | ----- | ----- |\n" +
+		"| Q1 | — | submit |\n| Q2 | prepare | ACK |\n\n| `type` | Message |\n| --- | --- |\n| Q9 | not a row |\n"
+	code := map[string]string{"query.go": "r.start() // [Q1]\n// [Q2] record the ACK\n// [Qn] is prose\n"}
+	if errs := checkQueryRows("doc", table, code); len(errs) != 0 {
+		t.Fatalf("matching table rejected: %v", errs)
+	}
+	extra := map[string]string{"query.go": code["query.go"], "lease.go": "// [Q3] fall back\n"}
+	if errs := checkQueryRows("doc", table, extra); len(errs) != 1 || !strings.Contains(errs[0].Error(), "no row Q3, cited in internal/core/lease.go") {
+		t.Fatalf("row missing from the docs: got %v, want one error naming Q3", errs)
+	}
+	uncited := map[string]string{"query.go": "r.start() // [Q1]\n"}
+	if errs := checkQueryRows("doc", table, uncited); len(errs) != 1 || !strings.Contains(errs[0].Error(), "row Q2 is cited nowhere") {
+		t.Fatalf("row missing from the code: got %v, want one error naming Q2", errs)
+	}
+}

@@ -129,8 +129,9 @@ func (r *Replica) onMerge(from transport.NodeID, m *message) {
 	// A node tracks per-peer merge digests only when digest transfer is
 	// on locally; a full-mode node still answers digest and delta frames
 	// correctly (safety never depends on the cache), it just recognizes
-	// fewer baselines and forces more full-state fallbacks.
-	track := r.opts.Transfer != TransferFull && r.isPeer(from)
+	// fewer baselines and forces more full-state fallbacks. Caches are kept
+	// only for configured peers, which bounds them by the membership.
+	track := r.opts.Transfer != TransferFull && contains(r.peers, from)
 	// A lease-holder MERGE names the round the sender's lease rests on;
 	// acceptors still at exactly that round keep it (clobberRound).
 	keep := Round{}

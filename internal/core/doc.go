@@ -10,4 +10,10 @@
 // interleaving checker (internal/checker) drives it synchronously from a
 // seeded scheduler. The protocol state per replica beyond the CRDT payload
 // itself is a single round — no command log, no leader.
+//
+// One file per role: replica.go holds the Replica struct, its constructors,
+// Deliver dispatch, the outbox and Abort; update.go the update proposer;
+// query.go the query proposer (its phase table is docs/PROTOCOL.md §1.4);
+// lease.go the round lease; retransmit.go retransmission; acceptor.go the
+// pure acceptor and its message handlers; reconfig.go membership change.
 package core

@@ -65,22 +65,39 @@ const (
 // msgFlagLease is OR'd into the wire type byte (docs/PROTOCOL.md §5.1).
 // On VOTE it marks a leased proposal that skipped the prepare phase; on
 // MERGE it marks a lease-holder update whose round the acceptor may
-// preserve instead of clobbering. Replies never carry it. Decoders that
-// predate leases reject the high bit as an invalid type, which the
-// protocol tolerates as message loss.
+// preserve instead of clobbering. Replies never carry it. Binaries that
+// predate leases are unsupported: they reject the high bit as an invalid
+// type, so a query or update that needs one of them for its quorum never
+// completes.
 const msgFlagLease = 0x80
 
-var msgNames = [...]string{
-	msgMerge: "MERGE", msgMerged: "MERGED", msgPrepare: "PREPARE", msgAck: "ACK",
-	msgVote: "VOTE", msgVoted: "VOTED", msgNack: "NACK", msgMergeNack: "MERGE-NACK",
-	msgReconfig: "RECONFIG", msgReconfigAck: "RECONFIG-ACK", msgEpochNack: "EPOCH-NACK",
-}
-
 func (t msgType) String() string {
-	if t >= msgMerge && t <= msgEpochNack {
-		return msgNames[t]
+	switch t {
+	case msgMerge:
+		return "MERGE"
+	case msgMerged:
+		return "MERGED"
+	case msgPrepare:
+		return "PREPARE"
+	case msgAck:
+		return "ACK"
+	case msgVote:
+		return "VOTE"
+	case msgVoted:
+		return "VOTED"
+	case msgNack:
+		return "NACK"
+	case msgMergeNack:
+		return "MERGE-NACK"
+	case msgReconfig:
+		return "RECONFIG"
+	case msgReconfigAck:
+		return "RECONFIG-ACK"
+	case msgEpochNack:
+		return "EPOCH-NACK"
+	default:
+		return fmt.Sprintf("msgType(%d)", uint8(t))
 	}
-	return fmt.Sprintf("msgType(%d)", uint8(t))
 }
 
 // message is the single wire format for all protocol messages. Req and

@@ -8,35 +8,8 @@ import (
 	"crdtsmr/internal/wire"
 )
 
-// The query phase machine: a query is in the prepare phase (PREPARE sent,
-// gathering ACKs) or the vote phase (VOTE sent, gathering VOTEDs) until it
-// is learned. The code cites each row as [Qn] at its transition, and
-// docs/PROTOCOL.md §1.4 reproduces the table (checked by cmd/docscheck).
-//
-//	row  phase    event                                    action                                              next
-//	Q1   —        SubmitQuery, no lease held               incremental PREPARE carrying no state (§3.6)        prepare
-//	Q2   —        SubmitQuery, lease held                  local vote, VOTE(lease ⊔ local) at the lease round  vote
-//	Q3   vote     local acceptor denies Q2's VOTE          restart before sending anything                     prepare
-//	Q4   prepare  local acceptor NACKs a fixed PREPARE     gather; incremental PREPARE, same attempt           prepare
-//	Q5   prepare  ACK, no quorum yet                       record, gather                                      prepare
-//	Q6   prepare  ACK quorum, states all equivalent        learn their LUB by consistent quorum                learned
-//	Q7   prepare  ACK quorum, states differ, rounds agree  local vote, VOTE(LUB) at the common round           vote
-//	Q8   vote     local acceptor denies Q7's VOTE          gather; restart                                     prepare
-//	Q9   prepare  ACK quorum, rounds differ                fixed PREPARE at the max round + 1, seeded          prepare
-//	Q10  prepare  NACK, or ACK states that cannot merge    gather; restart                                     prepare
-//	Q11  vote     VOTED, no quorum yet                     record (leased: the proposal is the peer's view)    vote
-//	Q12  vote     VOTED quorum                             learn the proposal by vote                          learned
-//	Q13  vote     NACK, a vote quorum still possible       record the denial, gather                           vote
-//	Q14  vote     NACK, no vote quorum possible            restart                                             prepare
-//	Q15  prepare  retransmit timeout                       resend the PREPARE to peers without an ACK          prepare
-//	Q16  vote     retransmit timeout, no denial            resend the full VOTE to peers that did not answer   vote
-//	Q17  vote     retransmit timeout, a denial             restart                                             prepare
-//	Q18  any      configuration adopted                    incremental PREPARE under the new config (a retry)  prepare
-//
-// restart = restartQuery: a retry with an incremental PREPARE seeded with
-// everything gathered; a leased attempt first falls back, dropping the
-// lease. learned = finishQuery: install or refresh the lease, and return at
-// least the largest state learned before (GLA-Stability).
+// The query proposer. Its phase machine (prepare → vote → learned) is the
+// table of docs/PROTOCOL.md §1.4; the code cites each row as [Qn].
 
 // LearnPath records how a query learned its state, for the round-trip
 // distribution of Figure 3.

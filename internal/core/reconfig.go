@@ -70,27 +70,22 @@ func (r *Replica) SubmitReconfigure(members []transport.NodeID, done func(error)
 // payload makes it the complete bootstrap of a joining replica — the
 // paper's log-free state is one CRDT join away, no log replay.
 func (r *Replica) sendReconfig(to transport.NodeID, reqID uint64) {
-	r.send(to, &message{
-		Type:     msgReconfig,
-		Req:      reqID,
-		NewEpoch: r.cfg.Epoch,
-		Source:   r.cfg.Source,
-		Members:  r.cfg.Members,
-		State:    r.acc.state,
-	})
+	m := r.configMsg(msgReconfig, reqID)
+	m.State = r.acc.state
+	r.send(to, m)
 }
 
 // sendEpochNack tells a peer holding a different configuration what this
 // replica's config is (members, no payload). The peer adopts it if it
 // supersedes its own, or pushes its greater config back.
 func (r *Replica) sendEpochNack(to transport.NodeID, reqID uint64) {
-	r.send(to, &message{
-		Type:     msgEpochNack,
-		Req:      reqID,
-		NewEpoch: r.cfg.Epoch,
-		Source:   r.cfg.Source,
-		Members:  r.cfg.Members,
-	})
+	r.send(to, r.configMsg(msgEpochNack, reqID))
+}
+
+// configMsg is a config frame of type t carrying the replica's current
+// configuration.
+func (r *Replica) configMsg(t msgType, reqID uint64) *message {
+	return &message{Type: t, Req: reqID, NewEpoch: r.cfg.Epoch, Source: r.cfg.Source, Members: r.cfg.Members}
 }
 
 // adoptConfig installs cand if it supersedes the current config, merging
@@ -175,10 +170,7 @@ func (r *Replica) migrateInFlight() {
 		}
 		req.pending = r.quorum - 1 - acked
 		if req.pending <= 0 {
-			delete(r.updates, id)
-			if req.hasDig && acked < len(r.peers) {
-				r.retired = req
-			}
+			r.retire(req, acked)
 			r.completeUpdate(req)
 		}
 	}

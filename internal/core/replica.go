@@ -209,11 +209,6 @@ func (r *Replica) setConfig(cfg Config) {
 	r.member = contains(cfg.Members, r.id)
 }
 
-// isPeer reports whether id is a configured remote peer. Digest and delta
-// caches are only maintained for configured peers, which bounds them by
-// the membership.
-func (r *Replica) isPeer(id transport.NodeID) bool { return contains(r.peers, id) }
-
 // ForgetPeer drops every digest/delta transfer assumption held about the
 // given peer: the last state it acknowledged (delta baselines) and the
 // digests of its MERGE payloads merged here. The runtime calls it when it
@@ -379,15 +374,8 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
 // no-op.
 func (r *Replica) Abort(reqID uint64) {
 	if req, ok := r.updates[reqID]; ok {
-		delete(r.updates, reqID)
-		if req.hasDig && len(req.acked) < len(r.peers) {
-			// The client gives up, but the payload must still reach every
-			// peer: a digest or delta MERGE a peer rejects is answered
-			// from the retired slot with the full state (onMergeNack) —
-			// without this, an aborted delta-mode update could leave that
-			// peer unconverged until unrelated later traffic.
-			r.retired = req
-		}
+		// The client gives up, but the payload must still reach every peer.
+		r.retire(req, len(req.acked))
 		if req.done != nil {
 			req.done(UpdateStats{}, ErrAborted)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"crdtsmr/internal/crdt"
@@ -119,6 +120,26 @@ func counterValue(t *testing.T, s crdt.State) uint64 {
 		t.Fatalf("state is %T, want *crdt.GCounter", s)
 	}
 	return c.Value()
+}
+
+// TestCountersAddCoversEveryField: Add is hand-listed, so a field it
+// misses silently reads 0 in every aggregated snapshot (Node.Counters,
+// the benchmark's traced probes). Give every field a distinct value and
+// require Add to carry each one into a zero Counters.
+func TestCountersAddCoversEveryField(t *testing.T) {
+	var in Counters
+	v := reflect.ValueOf(&in).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(uint64(i + 1))
+	}
+	var sum Counters
+	sum.Add(in)
+	got := reflect.ValueOf(sum)
+	for i := 0; i < v.NumField(); i++ {
+		if a, b := got.Field(i).Uint(), v.Field(i).Uint(); a != b {
+			t.Errorf("Add(%s = %d) left %d", v.Type().Field(i).Name, b, a)
+		}
+	}
 }
 
 // --- update path ---

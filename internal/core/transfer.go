@@ -46,12 +46,16 @@ func (t StateTransfer) String() string {
 
 // ParseStateTransfer parses the -state-transfer flag values.
 func ParseStateTransfer(s string) (StateTransfer, error) {
-	for t := TransferFull; t <= TransferDelta; t++ {
-		if t.String() == s {
-			return t, nil
-		}
+	switch s {
+	case "full":
+		return TransferFull, nil
+	case "digest":
+		return TransferDigest, nil
+	case "delta":
+		return TransferDelta, nil
+	default:
+		return TransferFull, fmt.Errorf("core: unknown state-transfer mode %q (want full, digest, or delta)", s)
 	}
-	return TransferFull, fmt.Errorf("core: unknown state-transfer mode %q (want full, digest, or delta)", s)
 }
 
 // peerView is the proposer-side record of the last payload state a peer
@@ -65,13 +69,11 @@ type peerView struct {
 	digest crdt.Digest
 }
 
-// setView records that peer acknowledged merging the state s with digest
-// d — a MERGED for an update, or a VOTED for a leased proposal. Any
-// acknowledged state is a sound delta baseline forever (the peer's payload
-// only grows), so it replaces the peer's view. Views are kept only for
-// configured peers, which bounds them by the membership.
+// setView makes s (digest d) the peer's view once the peer acknowledged
+// merging it — a MERGED for an update, or a VOTED for a leased proposal.
+// Views are kept only for configured peers.
 func (r *Replica) setView(peer transport.NodeID, d crdt.Digest, s crdt.State) {
-	if !r.isPeer(peer) {
+	if !contains(r.peers, peer) {
 		return
 	}
 	view := &peerView{digest: d}

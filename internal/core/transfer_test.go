@@ -240,58 +240,78 @@ func TestDigestModeSuppressesUnchangedMerge(t *testing.T) {
 	}
 }
 
-// TestMergeNackFallsBackToFull: a receiver that does not recognize a
-// delta's baseline must MERGE-NACK, and the sender must resend the full
-// payload so the update still completes.
+// TestMergeNackFallsBackToFull: a receiver that recognizes neither a
+// delta's baseline nor a digest-only MERGE's digest must MERGE-NACK, and
+// the sender must resend the full payload so the update still completes.
 func TestMergeNackFallsBackToFull(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDelta))
-	n1, n2 := nw.reps["n1"], nw.reps["n2"]
+	noop := func(s crdt.State) (crdt.State, error) { return s, nil }
+	for _, tc := range []struct {
+		name string
+		kind wire.StateKind // what n1 ships to n2 before the fallback
+		fu   func(*Replica) crdt.Update
+	}{
+		{"delta", wire.StateDelta, incAt},
+		// A no-op update leaves n1's payload at the state n2 last
+		// acknowledged, so n1 ships the digest alone.
+		{"digest", wire.StateDigest, func(*Replica) crdt.Update { return noop }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := newNet(t, 3, digestOpts(TransferDelta))
+			n1, n2 := nw.reps["n1"], nw.reps["n2"]
 
-	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
-		t.Fatal(err)
-	}
-	nw.pump()
-	nw.drain()
+			if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			nw.drain()
 
-	// n2 loses its digest cache (the runtime declared n1 down and back),
-	// and its payload moves past n1's baseline via a local update whose
-	// MERGEs n1 never sees — so neither the ring nor the own-state check
-	// can recognize the baseline.
-	n2.ForgetPeer("n1")
-	if _, err := n2.SubmitUpdate(incAt(n2), nil); err != nil {
-		t.Fatal(err)
-	}
-	nw.pump()
-	nw.drop(func(e env) bool { return e.from == "n2" && e.typ == msgMerge })
+			// n2 loses its digest cache (the runtime declared n1 down and
+			// back), and its payload moves past n1's baseline via a local
+			// update whose MERGEs n1 never sees — so neither the ring nor
+			// the own-state check can recognize what n1 ships.
+			n2.ForgetPeer("n1")
+			if _, err := n2.SubmitUpdate(incAt(n2), nil); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			nw.drop(func(e env) bool { return e.from == "n2" && e.typ == msgMerge })
 
-	done := false
-	if _, err := n1.SubmitUpdate(incAt(n1), func(UpdateStats, error) { done = true }); err != nil {
-		t.Fatal(err)
+			done := false
+			if _, err := n1.SubmitUpdate(tc.fu(n1), func(UpdateStats, error) { done = true }); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			toN2 := func(e env) bool { return e.typ == msgMerge && e.to == "n2" }
+			if got := nw.kinds(toN2); len(got) != 1 || got[0] != tc.kind {
+				t.Fatalf("MERGE kinds to n2 = %v, want [%v]", got, tc.kind)
+			}
+			nw.deliver(toN2)
+			if got := nw.kinds(func(e env) bool { return e.typ == msgMergeNack }); len(got) != 1 {
+				t.Fatalf("got %d MERGE-NACKs, want 1", len(got))
+			}
+			nw.drain()
+			if !done {
+				t.Fatal("update never completed after fallback")
+			}
+			if got := n1.Counters().MergeFallbacks; got != 1 {
+				t.Fatalf("MergeFallbacks = %d, want 1", got)
+			}
+			if le, err := n1.LocalState().Compare(n2.LocalState()); err != nil || !le {
+				t.Fatalf("n2 does not hold n1's update after the fallback (le=%v, err=%v)", le, err)
+			}
+			// The fallback re-baselines: the next update to n2 is a delta again.
+			if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			for _, k := range nw.kinds(toN2) {
+				if k != wire.StateDelta {
+					t.Fatalf("post-fallback MERGE kind = %v, want delta", k)
+				}
+			}
+			nw.drain()
+		})
 	}
-	nw.pump()
-	// n1 ships deltas; n2 must refuse its unknown baseline.
-	nw.deliver(func(e env) bool { return e.typ == msgMerge && e.to == "n2" })
-	if got := nw.kinds(func(e env) bool { return e.typ == msgMergeNack }); len(got) != 1 {
-		t.Fatalf("got %d MERGE-NACKs, want 1", len(got))
-	}
-	nw.drain()
-	if !done {
-		t.Fatal("update never completed after fallback")
-	}
-	if got := n1.Counters().MergeFallbacks; got != 1 {
-		t.Fatalf("MergeFallbacks = %d, want 1", got)
-	}
-	// The fallback re-baselines: the next update to n2 is a delta again.
-	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
-		t.Fatal(err)
-	}
-	nw.pump()
-	for _, k := range nw.kinds(func(e env) bool { return e.typ == msgMerge && e.to == "n2" }) {
-		if k != wire.StateDelta {
-			t.Fatalf("post-fallback MERGE kind = %v, want delta", k)
-		}
-	}
-	nw.drain()
 }
 
 // TestTransferModesLearnIdenticalStates drives the same workload through

@@ -114,40 +114,46 @@ func (r *Replica) sendMerge(req *updateReq, to transport.NodeID) {
 }
 
 func (r *Replica) onMerged(from transport.NodeID, m *message) {
-	req, ok := r.updates[m.Req]
-	if !ok {
-		if r.retired != nil && r.retired.id == m.Req && !r.retired.acked[from] {
-			// A straggler MERGED for an already-answered update: no client
-			// to notify, but the peer's view still advances.
-			r.retired.acked[from] = true
-			r.noteAcked(r.retired, from)
-			if len(r.retired.acked) >= len(r.peers) {
-				r.retired = nil
-			}
-			return
+	req, live := r.updates[m.Req]
+	if !live && r.retired != nil && r.retired.id == m.Req {
+		// A straggler MERGED for an already-answered update: no client to
+		// notify, but the peer's view still advances.
+		req = r.retired
+	}
+	if req == nil || req.acked[from] {
+		if !live {
+			r.counters.StaleMsgs++
 		}
-		r.counters.StaleMsgs++
 		return
 	}
-	if req.acked[from] {
-		return // duplicate
-	}
+	// The peer durably merged req.state: it is the peer's view from now on.
 	req.acked[from] = true
-	r.noteAcked(req, from)
+	if req.hasDig {
+		r.setView(from, req.digest, req.state)
+	}
+	if !live {
+		if len(req.acked) >= len(r.peers) {
+			r.retired = nil
+		}
+		return
+	}
 	req.pending--
 	if req.pending <= 0 {
-		delete(r.updates, req.id)
-		if req.hasDig && len(req.acked) < len(r.peers) {
-			r.retired = req
-		}
+		r.retire(req, len(req.acked))
 		r.completeUpdate(req)
 	}
 }
 
-// noteAcked records that the peer durably merged req.state (setView).
-func (r *Replica) noteAcked(req *updateReq, from transport.NodeID) {
-	if req.hasDig {
-		r.setView(from, req.digest, req.state)
+// retire removes req from the in-flight set. While a peer has not
+// acknowledged it (acked < peers), it stays in the retired slot: a digest
+// or delta MERGE that peer rejects is answered from there with the full
+// state (onMergeNack), and a late MERGED still advances the peer's view.
+// Without it, an answered or aborted update could leave that peer
+// unconverged until unrelated later traffic.
+func (r *Replica) retire(req *updateReq, acked int) {
+	delete(r.updates, req.id)
+	if req.hasDig && acked < len(r.peers) {
+		r.retired = req
 	}
 }
 

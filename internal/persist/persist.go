@@ -271,11 +271,11 @@ type Options struct {
 	// happens to serialize to under contention. Production stores leave
 	// WriteDelay zero and get real fsyncs.
 	WriteDelay time.Duration
-	// BeforeBatchRename, when set, runs after a SaveBatch's temp files
-	// are all written (and synced, under SyncAlways) but before any of
-	// them is renamed into place — the injection point for modeling a
-	// crash that tears a whole group-commit batch. An error fails the
-	// batch: the temps are removed and no key's snapshot changes.
+	// BeforeBatchRename, when set, runs after a Save's or SaveBatch's
+	// temp files are all written (and synced, under SyncAlways) but before
+	// any of them is renamed into place — the injection point for modeling
+	// a crash that tears a write. An error fails the batch: the temps are
+	// removed and no key's snapshot changes.
 	BeforeBatchRename func(keys []string) error
 }
 
@@ -289,11 +289,6 @@ type Options struct {
 type Store struct {
 	dir  string
 	opts Options
-
-	// beforeRename, when set by tests, runs after the temp file is fully
-	// written but before the atomic rename — the injection point for
-	// modeling a filesystem failure mid-save (torn-write safety test).
-	beforeRename func(tmp string) error
 }
 
 // Open creates (if needed) and opens a snapshot directory. Temp files
@@ -343,57 +338,10 @@ func (s *Store) Path(key string) string {
 	return filepath.Join(s.dir, "k"+name+suffix)
 }
 
-// Save atomically replaces the key's snapshot file: encode, write to a
-// temp file in the same directory, then rename over the old file. A crash
-// anywhere in between leaves the previous snapshot intact — the torn
-// write lands in the temp file, which Open sweeps away.
-func (s *Store) Save(rec Record) error {
-	data := EncodeRecord(rec)
-	f, err := os.CreateTemp(s.dir, tmpPrefix)
-	if err != nil {
-		return fmt.Errorf("persist: save %q: %w", rec.Key, err)
-	}
-	tmp := f.Name()
-	fail := func(err error) error {
-		_ = f.Close()
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: save %q: %w", rec.Key, err)
-	}
-	if _, err := f.Write(data); err != nil {
-		return fail(err)
-	}
-	if s.realSync() {
-		if err := f.Sync(); err != nil {
-			return fail(err)
-		}
-	}
-	if s.beforeRename != nil {
-		if err := s.beforeRename(tmp); err != nil {
-			return fail(err)
-		}
-	}
-	if err := f.Close(); err != nil {
-		return fail(err)
-	}
-	s.emulateFlush()
-	if err := os.Rename(tmp, s.Path(rec.Key)); err != nil {
-		_ = os.Remove(tmp)
-		return fmt.Errorf("persist: save %q: %w", rec.Key, err)
-	}
-	if s.realSync() {
-		if err := syncDir(s.dir); err != nil {
-			return fmt.Errorf("persist: save %q: %w", rec.Key, err)
-		}
-	}
-	return nil
-}
-
-// emulateFlush charges Options.WriteDelay, the emulated device flush.
-func (s *Store) emulateFlush() {
-	if s.opts.WriteDelay > 0 {
-		time.Sleep(s.opts.WriteDelay)
-	}
-}
+// Save atomically replaces one key's snapshot file, as a SaveBatch of one
+// record: a crash at any point leaves the previous snapshot intact — the
+// torn write lands in a temp file, which Open sweeps away.
+func (s *Store) Save(rec Record) error { return s.SaveBatch([]Record{rec}) }
 
 // realSync reports whether saves issue physical fsync barriers: yes
 // under SyncAlways with a real device, no when an emulated device
@@ -487,7 +435,9 @@ func (s *Store) SaveBatch(recs []Record) error {
 			return fmt.Errorf("persist: save batch: %w", err)
 		}
 	}
-	s.emulateFlush()
+	if s.opts.WriteDelay > 0 {
+		time.Sleep(s.opts.WriteDelay) // the emulated device flush
+	}
 	for i := range recs {
 		if err := os.Rename(tmps[i], s.Path(recs[i].Key)); err != nil {
 			// Already-renamed keys hold their NEW snapshot — that is safe

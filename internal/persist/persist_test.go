@@ -339,18 +339,26 @@ func TestTornWriteLeavesOldSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	injected := errors.New("injected fs error")
-	st.beforeRename = func(tmp string) error {
-		// Model a torn write: scribble on the temp file, then fail.
-		if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
-			t.Fatal(err)
+	torn, err := Open(dir, Options{BeforeBatchRename: func([]string) error {
+		// Model a torn write: scribble on the temp files, then fail.
+		tmps, err := filepath.Glob(filepath.Join(dir, tmpPrefix+"*"))
+		if err != nil || len(tmps) == 0 {
+			t.Fatalf("no temp file to tear (%v)", err)
+		}
+		for _, tmp := range tmps {
+			if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
+				t.Fatal(err)
+			}
 		}
 		return injected
+	}})
+	if err != nil {
+		t.Fatal(err)
 	}
-	err = saveSnapshot(st, "k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 99)})
+	err = saveSnapshot(torn, "k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 99)})
 	if !errors.Is(err, injected) {
 		t.Fatalf("save err = %v, want the injected error", err)
 	}
-	st.beforeRename = nil
 
 	// Reopen (sweeping temp files, like a restart would) and load: the
 	// old snapshot must be byte-for-byte recoverable.
