@@ -3,12 +3,11 @@ package client_test
 // The overload scenario: far more client concurrency than a small
 // cluster's admission limits allow, all planes squeezed at once — the
 // connection cap (busy-close handshakes), the server-wide in-flight cap
-// (StatusBusy sheds), the per-connection pipelining cap, and the replica
-// links' byte budgets. The system's obligation under that load is
-// degradation, not failure: every admitted operation completes, the shed
-// ones retry with backoff and eventually land, every worker makes
-// progress, the replica wire never wedges, and the full recorded history
-// stays per-key linearizable.
+// (StatusBusy sheds) and the per-connection pipelining cap. The system's
+// obligation under that load is degradation, not failure: every admitted
+// operation completes, the shed ones retry with backoff and eventually
+// land, every worker makes progress, the replica wire never wedges, and
+// the full recorded history stays per-key linearizable.
 
 import (
 	"context"
@@ -29,8 +28,7 @@ import (
 )
 
 // startOverloadCluster runs n replicas with deliberately small admission
-// limits and budgeted replica links, returning the servers so the test
-// can read the shed counters.
+// limits, returning the servers so the test can read the shed counters.
 func startOverloadCluster(t *testing.T, n int, opts server.Options) (addrs []string, servers []*server.Server, cl *cluster.Cluster) {
 	t.Helper()
 	mesh := transport.NewMesh(transport.WithSeed(23))
@@ -44,7 +42,6 @@ func startOverloadCluster(t *testing.T, n int, opts server.Options) (addrs []str
 		InitialForKey:      server.TypedKeyInitial(crdt.TypeGCounter),
 		Options:            core.DefaultOptions(),
 		RetransmitInterval: 20 * time.Millisecond,
-		LinkBudget:         1 << 20, // 1 MiB/s: present on the hot path, generous enough not to stall
 	})
 	if err != nil {
 		mesh.Close()

@@ -116,7 +116,6 @@ func serve(args []string) error {
 	shards := fs.Int("shards", 0, "key-sharded event loops per replica; keys hash to a shard and shards share nothing on the hot path (0: CRDTSMR_SHARDS env, else one per CPU)")
 	maxConns := fs.Int("max-conns", 0, "client connection cap; further connections get one busy frame and a close (0: default 1024)")
 	maxInflight := fs.Int("max-inflight", 0, "server-wide executing-request cap; excess is answered busy instead of queued (0: default 4096)")
-	linkBudget := fs.Int("link-budget", 0, "per-peer replica-link byte budget in bytes/sec, delaying and coalescing MERGE traffic over it (0 disables)")
 	join := fs.Bool("join", false, "start as a joiner: empty member set, refuses commands until an existing member reconfigures it in with member-add (-peers then lists the current members, for the mesh)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -176,7 +175,6 @@ func serve(args []string) error {
 		DataDir:       *dataDir,
 		PersistSync:   syncPolicy,
 		Recover:       recoverPolicy,
-		LinkBudget:    *linkBudget,
 	}, func(nid transport.NodeID, h transport.Handler) transport.Conn {
 		remote := map[transport.NodeID]string{}
 		for p, a := range peers {

@@ -12,6 +12,7 @@ import (
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
+	"crdtsmr/internal/wire"
 )
 
 func members(n int) []transport.NodeID {
@@ -485,5 +486,57 @@ func TestClusterStateTransferModes(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestHandleInboundNeverBlocks is the regression test for the
+// head-of-line bug: handleInbound runs on the transport's delivery
+// goroutine, and with a shard's event loop wedged and its 8192-slot
+// event queue full it used to park that goroutine — stalling every
+// peer's replica traffic behind one slow node. It must instead drop,
+// count, and return immediately, and the node must serve normally once
+// the loop resumes.
+func TestHandleInboundNeverBlocks(t *testing.T) {
+	mesh := transport.NewMesh()
+	defer mesh.Close()
+	c, err := New(mesh, testConfig(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	n1 := c.Node("n1")
+
+	// Wedge the default key's shard loop on a side-band call. Frames are
+	// routed by envelope key before they reach any loop, so the flood
+	// must target the wedged shard's keys to fill its queue.
+	sh := n1.shardOf(DefaultKey)
+	started, unblock := make(chan struct{}), make(chan struct{})
+	go sh.call(func() { close(started); <-unblock })
+	<-started
+
+	// Flood well past the queue capacity from this (foreign) goroutine,
+	// exactly as the transport's delivery goroutine would, with decodable
+	// envelopes addressed to the wedged shard.
+	frame := wire.PackEnvelope(DefaultKey, []byte("junk"))
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3*cap(sh.events); i++ {
+			n1.handleInbound("n2", frame)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("handleInbound blocked on a full event queue")
+	}
+
+	close(unblock)
+	ctx := ctxWith(t, 10*time.Second)
+	if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
+		t.Fatalf("node wedged after inbound flood: %v", err)
+	}
+	if got := n1.Counters().InboundDropped; got == 0 {
+		t.Fatal("no dropped inbound frame was counted")
 	}
 }

@@ -100,14 +100,6 @@ type Config struct {
 	// cluster (persist.RecoverIgnoreCorrupt, an explicit operator
 	// decision).
 	Recover persist.RecoverPolicy
-	// LinkBudget, when positive, caps each outbound replica link at this
-	// many payload bytes per second (token bucket holding one second of
-	// budget). Envelopes over budget are delayed and coalesced per key
-	// instead of flooding the wire — see docs/ARCHITECTURE.md, "Overload
-	// and backpressure". The budget divides evenly across shards (each shard
-	// paces its own keys' traffic independently), so a single hot key is
-	// governed by its shard's slice. Zero disables budgeting.
-	LinkBudget int
 
 	// persistHook, when set by tests, is installed as the snapshot
 	// store's BeforeBatchRename hook: it runs after a group-commit
@@ -264,7 +256,6 @@ const (
 	evSetCrashed
 	evRestartPrep // drop volatile state, quiesce the persister, stay crashed
 	evRestore     // rehydrate from the given snapshots and resume serving
-	evBudget      // drain the link budget queue of peer `from`
 	evReconfig    // drive this shard's keys through a membership change
 )
 
@@ -559,10 +550,6 @@ func (n *Node) Counters() core.Counters {
 				sum.Add(rep.Counters())
 			}
 			sum.MalformedMsgs += s.droppedFrames
-			for _, b := range s.budgets {
-				sum.BudgetDelayed += b.delayed
-				sum.BudgetCoalesced += b.coalesced
-			}
 		})
 	}
 	sum.MalformedMsgs += n.malformedFrames.Load()

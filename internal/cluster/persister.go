@@ -243,7 +243,7 @@ func (s *shard) processReleases() {
 		}
 		if !s.crashed {
 			for _, e := range d.req.envs {
-				s.send(e.to, key, e.frame)
+				s.n.conn.Send(e.to, e.frame)
 			}
 		}
 		for _, fn := range d.req.notify {

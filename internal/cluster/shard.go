@@ -11,7 +11,6 @@ import (
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/persist"
-	"crdtsmr/internal/transport"
 	"crdtsmr/internal/wire"
 )
 
@@ -32,11 +31,9 @@ type shard struct {
 	// Loop-owned state (accessed only from this shard's event loop).
 	replicas      map[string]*core.Replica
 	timers        map[string]map[uint64]clock.Timer
-	budgets       map[transport.NodeID]*linkBudget // per-link byte budgets (LinkBudget > 0)
-	budgetTimers  map[transport.NodeID]bool        // links with a pending drain timer
-	dirty         []string                         // keys whose replica may hold outbox envelopes
-	dirtySet      map[string]struct{}              // membership of dirty (one entry per key per event)
-	droppedFrames uint64                           // inbound frames dropped before reaching a replica
+	dirty         []string            // keys whose replica may hold outbox envelopes
+	dirtySet      map[string]struct{} // membership of dirty (one entry per key per event)
+	droppedFrames uint64              // inbound frames dropped before reaching a replica
 	crashed       bool
 	batchUpdates  map[string][]*updateOp
 	batchQueries  map[string][]*queryOp
@@ -63,8 +60,6 @@ func newShard(n *Node, idx int) *shard {
 		calls:         make(chan func()),
 		replicas:      make(map[string]*core.Replica),
 		timers:        make(map[string]map[uint64]clock.Timer),
-		budgets:       make(map[transport.NodeID]*linkBudget),
-		budgetTimers:  make(map[transport.NodeID]bool),
 		dirtySet:      make(map[string]struct{}),
 		batchUpdates:  make(map[string][]*updateOp),
 		batchQueries:  make(map[string][]*queryOp),
@@ -252,13 +247,10 @@ func (s *shard) handle(ev nodeEvent) {
 		}
 	case evReconfig:
 		s.startReconfigure(ev.reconfig)
-	case evBudget:
-		s.drainBudget(ev.from)
 	case evSetCrashed:
 		s.crashed = ev.crash
 		if ev.crash {
 			s.failEverything()
-			s.dropBudgetQueues()
 		}
 		// Entering or leaving a crash invalidates every round lease this
 		// node holds: while it was down (or from the instant it stops
@@ -484,7 +476,7 @@ func (s *shard) flushOutboxVolatile() {
 		out := rep.TakeOutbox()
 		if !s.crashed {
 			for _, e := range out {
-				s.send(e.To, key, wire.PackEnvelope(key, e.Payload))
+				s.n.conn.Send(e.To, wire.PackEnvelope(key, e.Payload))
 			}
 		}
 		s.disarmCompleted(key, rep)
@@ -585,7 +577,6 @@ func (s *shard) restartPrep() error {
 	s.inflight = make(map[string]uint64)
 	s.persistBroken = make(map[string]struct{})
 	s.clearDirty()
-	s.dropBudgetQueues()
 	s.crashed = true
 	return nil
 }

@@ -118,9 +118,8 @@ type Counters struct {
 	// Runtime-level overload counters. The replica itself never sets
 	// them; the cluster runtime fills them into its aggregated snapshot
 	// (like the node's malformed-frame count rides MalformedMsgs).
-	InboundDropped  uint64 // inbound replica frames dropped on a full event queue
-	BudgetDelayed   uint64 // outbound envelopes delayed by a link's byte budget
-	BudgetCoalesced uint64 // delayed envelopes superseded by a newer one for the same key
+	InboundDropped uint64 // inbound replica frames dropped on a full event queue
+	BudgetDelayed  uint64 // always 0: there is no link budget; kept for the benchmark's probe
 }
 
 // Add accumulates o into c, field by field. Runtimes aggregating many
@@ -151,7 +150,6 @@ func (c *Counters) Add(o Counters) {
 	c.ReconfigCommits += o.ReconfigCommits
 	c.InboundDropped += o.InboundDropped
 	c.BudgetDelayed += o.BudgetDelayed
-	c.BudgetCoalesced += o.BudgetCoalesced
 }
 
 // NewReplica creates a protocol participant at the initial configuration
