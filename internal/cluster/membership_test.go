@@ -249,6 +249,101 @@ func TestBatchedClusterSurvivesReconfigure(t *testing.T) {
 	}
 }
 
+// TestReconfigureCoversKeyInstantiatedMidFanOut stages the
+// reconfigure/instantiation race deterministically. n1's Reconfigure fans
+// out to both shards; the shard without DefaultKey sweeps first and finds
+// no keys. A peer's MERGE then instantiates k there while DefaultKey's
+// shard, the one that publishes the new view, has not run yet, so k
+// starts from the old member set. Reconfigure must still bring k to the
+// new set, or the removed node keeps serving k forever.
+func TestReconfigureCoversKeyInstantiatedMidFanOut(t *testing.T) {
+	mesh := transport.NewMesh()
+	defer mesh.Close()
+	cfg := testConfig(3)
+	cfg.Shards = 2
+	c, err := New(mesh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := ctxWith(t, 30*time.Second)
+	n1 := c.Node("n1")
+	k := "k"
+	for i := 0; n1.shardFor(k) == n1.shardFor(DefaultKey); i++ {
+		k = fmt.Sprintf("k%d", i)
+	}
+	home, away := n1.shardOf(DefaultKey), n1.shardOf(k)
+	keyConfig := func(s *shard) (cfg core.Config, ok bool) {
+		s.call(func() {
+			var rep *core.Replica
+			if rep, ok = s.replicas[k]; ok {
+				cfg = rep.ConfigState()
+			}
+		})
+		return cfg, ok
+	}
+
+	// Wedge both shards so the fan-out queues one evReconfig on each.
+	wedge := func(s *shard) func() {
+		started, unblock := make(chan struct{}), make(chan struct{})
+		go s.call(func() { close(started); <-unblock })
+		<-started
+		return sync.OnceFunc(func() { close(unblock) })
+	}
+	unwedgeHome, unwedgeAway := wedge(home), wedge(away)
+	defer unwedgeHome()
+	defer unwedgeAway()
+	reconfigured := make(chan error, 1)
+	go func() { reconfigured <- n1.Reconfigure(ctx, []transport.NodeID{"n1", "n2"}) }()
+	waitFor(t, "the fan-out to queue on both shards", func() bool {
+		return len(home.events) == 1 && len(away.events) == 1
+	})
+	// Let only the away shard run its (empty) sweep.
+	unwedgeAway()
+	waitFor(t, "the away shard to take its evReconfig", func() bool { return len(away.events) == 0 })
+	away.call(func() {})
+
+	if _, err := c.Node("n2").UpdateKey(ctx, k, incBy("n2", 1)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "n2's MERGE to instantiate k at n1", func() bool {
+		_, ok := keyConfig(away)
+		return ok
+	})
+	if cfg, _ := keyConfig(away); cfg.Epoch != 0 {
+		t.Fatalf("k instantiated at epoch %d, want 0: the race was not staged", cfg.Epoch)
+	}
+
+	unwedgeHome()
+	if err := <-reconfigured; err != nil {
+		t.Fatalf("reconfigure 3→2: %v", err)
+	}
+	got, _ := keyConfig(away)
+	if want := n1.Epoch(); got.Epoch != want || fmt.Sprint(got.Members) != "[n1 n2]" {
+		t.Fatalf("n1's k config = epoch %d members %v, want epoch %d members [n1 n2]", got.Epoch, got.Members, want)
+	}
+	n3 := c.Node("n3")
+	waitFor(t, "n3 to adopt k's new config", func() bool {
+		cfg, _ := keyConfig(n3.shardOf(k))
+		return cfg.Epoch == got.Epoch
+	})
+	if _, err := n3.UpdateKey(ctx, k, incBy("n3", 1)); !errors.Is(err, core.ErrNotMember) {
+		t.Fatalf("removed node update of k err = %v, want ErrNotMember", err)
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestMembershipChaosGrowAndShrink is the acceptance chaos test: a live
 // 3-node cluster scales to 5 and back to 3 mid-workload, and the full
 // recorded history must be per-key linearizable — clients may see

@@ -236,13 +236,17 @@ type nodeEvent struct {
 	restarted chan error            // evRestartPrep / evRestore: receives the phase result
 }
 
-// reconfigOp is one node-wide reconfiguration fanned out to every shard.
-// Each shard submits the new member set to each of its instantiated keys
-// and reports exactly one aggregate error (nil on success) once all of its
-// keys' reconfiguration rounds have committed or failed.
+// reconfigOp is one pass of a node-wide reconfiguration fanned out to
+// every shard. Each shard submits the new member set to each of its
+// instantiated keys (only to those whose config the node view supersedes,
+// when behindOnly) and reports exactly one aggregate error (nil on
+// success) once all of its keys' reconfiguration rounds have committed or
+// failed.
 type reconfigOp struct {
-	members []transport.NodeID
-	done    chan error // buffered to the shard count; one send per shard
+	members    []transport.NodeID
+	behindOnly bool
+	swept      atomic.Int64 // keys submitted, summed across shards
+	done       chan error   // buffered to the shard count; one send per shard
 }
 
 type eventKind uint8
@@ -461,11 +465,27 @@ func (n *Node) Epoch() uint64 { return n.currentConfig().Epoch }
 // changes through one admin at a time. Keys instantiated on other nodes
 // but never on this one are repaired lazily, by the epoch anti-entropy on
 // their next frame.
+//
+// A peer's frame can instantiate a key on a shard after that shard's
+// sweep but before any shard has published the new view; such a key
+// starts from the old configuration. So after the first pass, Reconfigure
+// re-sweeps the keys whose configuration the node view supersedes, until
+// a pass finds none.
 func (n *Node) Reconfigure(ctx context.Context, members []transport.NodeID) error {
-	op := &reconfigOp{
-		members: append([]transport.NodeID(nil), members...),
-		done:    make(chan error, len(n.shards)),
+	for behindOnly := false; ; behindOnly = true {
+		op := &reconfigOp{
+			members:    append([]transport.NodeID(nil), members...),
+			behindOnly: behindOnly,
+			done:       make(chan error, len(n.shards)),
+		}
+		if err := n.reconfigurePass(ctx, op); err != nil || op.swept.Load() == 0 {
+			return err
+		}
 	}
+}
+
+// reconfigurePass fans op out to every shard and joins their errors.
+func (n *Node) reconfigurePass(ctx context.Context, op *reconfigOp) error {
 	for _, s := range n.shards {
 		if err := s.submit(ctx, nodeEvent{kind: evReconfig, reconfig: op}); err != nil {
 			return err

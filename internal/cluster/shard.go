@@ -355,8 +355,9 @@ func (a *reconfigAgg) maybeFinish() {
 }
 
 // startReconfigure submits the new member set to every key instantiated
-// on this shard, in sorted key order for determinism. Each key runs its
-// own reconfiguration round (configuration is per-key state); the shard
+// on this shard (or, on a behindOnly pass, to every key the node view has
+// moved past), in sorted key order for determinism. Each key runs its own
+// reconfiguration round (configuration is per-key state); the shard
 // reports once, when all of them have committed or failed. Lost RECONFIGs
 // are re-driven by the same retransmit timers as any other request.
 func (s *shard) startReconfigure(op *reconfigOp) {
@@ -364,11 +365,15 @@ func (s *shard) startReconfigure(op *reconfigOp) {
 		op.done <- ErrUnavailable
 		return
 	}
+	view := s.n.currentConfig()
 	keys := make([]string, 0, len(s.replicas))
-	for k := range s.replicas {
-		keys = append(keys, k)
+	for k, rep := range s.replicas {
+		if !op.behindOnly || view.Supersedes(rep.ConfigState()) {
+			keys = append(keys, k)
+		}
 	}
 	sort.Strings(keys)
+	op.swept.Add(int64(len(keys)))
 	agg := &reconfigAgg{op: op}
 	for _, key := range keys {
 		rep := s.replicas[key]
