@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"syscall"
 	"testing"
@@ -105,6 +106,58 @@ func TestServeRejectsUnservedPayload(t *testing.T) {
 	}
 	if want := "(known types: g-counter, lww-register, or-set, pn-counter)"; !strings.HasSuffix(err.Error(), want) {
 		t.Fatalf("error %q does not end with %q", err, want)
+	}
+}
+
+// TestDocumentedServeFlagsExist keeps the docs honest about the daemon:
+// every flag on a `crdtsmrd serve` command line in README.md or docs/*.md,
+// continuation lines included, must be one `serve -h` lists.
+func TestDocumentedServeFlagsExist(t *testing.T) {
+	out, err := exec.Command(buildDaemon(t), "serve", "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("serve -h: %v\n%s", err, out)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^  -([\w-]+)`).FindAllStringSubmatch(string(out), -1) {
+		defined[m[1]] = true
+	}
+	docs, err := filepath.Glob("../../docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flagRE := regexp.MustCompile(`^--?([a-zA-Z][\w-]*)`)
+	checked := 0
+	for _, path := range append(docs, "../../README.md") {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		for i, line := range lines {
+			_, cmd, ok := strings.Cut(line, "crdtsmrd serve")
+			if !ok {
+				continue
+			}
+			for j := i; ; {
+				cmd, _, _ = strings.Cut(cmd, "`") // an inline code span ends here
+				cmd, _, _ = strings.Cut(cmd, "#")
+				for _, tok := range strings.Fields(cmd) {
+					if m := flagRE.FindStringSubmatch(tok); m != nil {
+						checked++
+						if !defined[m[1]] {
+							t.Errorf("%s:%d: crdtsmrd serve has no -%s flag", path, j+1, m[1])
+						}
+					}
+				}
+				if j++; !strings.HasSuffix(strings.TrimSpace(cmd), "\\") || j == len(lines) {
+					break
+				}
+				cmd = lines[j]
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("found no documented serve flags; the scan is broken")
 	}
 }
 

@@ -335,12 +335,15 @@ func TestReconfigureCoversKeyInstantiatedMidFanOut(t *testing.T) {
 // waitFor polls cond until it holds, failing the test after 10 s.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.After(10 * time.Second)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
 	for !cond() {
-		if time.Now().After(deadline) {
+		select {
+		case <-deadline:
 			t.Fatalf("timed out waiting for %s", what)
+		case <-tick.C:
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 
