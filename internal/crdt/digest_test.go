@@ -1,6 +1,7 @@
 package crdt
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -58,6 +59,53 @@ func TestDigestEqualityIffEquivalence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestEquivalentCountersMarshalIdentically: equivalent counters must
+// marshal to identical bytes however they were built — with zero
+// increments, merged in either order, or decoded from a frame that spells
+// a zero slot out — or digest equality would stop meaning equivalence.
+func TestEquivalentCountersMarshalIdentically(t *testing.T) {
+	sameBytes := func(a, b State) {
+		t.Helper()
+		eq, err := Equivalent(a, b)
+		if err != nil || !eq {
+			t.Fatalf("%v and %v not equivalent (err=%v)", a, b, err)
+		}
+		ra, err := Marshal(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rb, err := Marshal(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(ra, rb) {
+			t.Fatalf("equivalent %v and %v marshal differently: %x vs %x", a, b, ra, rb)
+		}
+	}
+	zero := NewGCounter().Inc("n1", 0)
+	sameBytes(MustMerge(zero, NewGCounter()), MustMerge(NewGCounter(), zero))
+	sameBytes(NewPNCounter().Inc("n1", 0).Dec("n2", 0), NewPNCounter())
+
+	spelled, err := (&GCounter{slots: map[string]uint64{"n1": 0, "n2": 3}}).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decoded GCounter
+	if err := decoded.UnmarshalBinary(spelled); err != nil {
+		t.Fatal(err)
+	}
+	sameBytes(&decoded, NewGCounter().Inc("n2", 3))
+
+	r := rand.New(rand.NewSource(11))
+	for _, name := range []string{TypeGCounter, TypePNCounter} {
+		gen := generators[name]
+		for i := 0; i < 300; i++ {
+			a, b := gen(r), gen(r)
+			sameBytes(MustMerge(a, b), MustMerge(b, a))
+		}
 	}
 }
 
@@ -203,7 +251,8 @@ func TestDeltaSmallOnConvergedORSet(t *testing.T) {
 }
 
 // FuzzDigestEquivalence fuzzes the digest ⇔ equivalence property across
-// the registry from seed-generated states.
+// the registry from seed-generated states, including the pair a ⊔ b and
+// b ⊔ a, which are always equivalent.
 func FuzzDigestEquivalence(f *testing.F) {
 	f.Add(uint8(0), int64(1), int64(2))
 	f.Add(uint8(5), int64(42), int64(42))
@@ -229,6 +278,17 @@ func FuzzDigestEquivalence(f *testing.F) {
 		}
 		if eq != (da == db) {
 			t.Fatalf("%s: equivalent=%t digest-equal=%t: %v vs %v", name, eq, da == db, a, b)
+		}
+		dab, err := DigestOf(MustMerge(a, b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dba, err := DigestOf(MustMerge(b, a))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dab != dba {
+			t.Fatalf("%s: a ⊔ b and b ⊔ a digest differently: %v vs %v", name, a, b)
 		}
 	})
 }

@@ -134,6 +134,9 @@ func (d *decBuf) raw() ([]byte, error) {
 	return p, nil
 }
 
+// strU64Map decodes a counter slot map. Zero values are dropped: a slot
+// holding 0 equals an absent one, so the decoded map is the canonical form
+// strU64Map encodes for every equivalent counter.
 func (d *decBuf) strU64Map() (map[string]uint64, error) {
 	n, err := d.count()
 	if err != nil {
@@ -149,7 +152,9 @@ func (d *decBuf) strU64Map() (map[string]uint64, error) {
 		if err != nil {
 			return nil, err
 		}
-		m[k] = v
+		if v != 0 {
+			m[k] = v
+		}
 	}
 	return m, nil
 }

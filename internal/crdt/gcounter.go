@@ -26,7 +26,12 @@ func NewGCounter() *GCounter {
 
 // Inc returns a copy of the counter with replica's slot incremented by n.
 // It corresponds to Algorithm 1's update executed n times at that replica.
+// Inc by 0 returns the receiver: a slot holding 0 equals an absent one, and
+// keeping it would give two equivalent counters two encodings.
 func (c *GCounter) Inc(replica string, n uint64) *GCounter {
+	if n == 0 {
+		return c
+	}
 	out := &GCounter{slots: cloneStrU64(c.slots)}
 	out.slots[replica] += n
 	return out
@@ -107,7 +112,7 @@ func (c *GCounter) String() string {
 // full state yields the same result as Inc, but the delta's encoding is
 // O(1) instead of O(#replicas); see the delta-merge ablation benchmark.
 func (c *GCounter) IncDelta(replica string, n uint64) *GCounter {
-	return &GCounter{slots: map[string]uint64{replica: c.slots[replica] + n}}
+	return NewGCounter().Inc(replica, c.slots[replica]+n)
 }
 
 var _ DeltaState = (*GCounter)(nil)

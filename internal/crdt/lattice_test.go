@@ -12,12 +12,13 @@ import (
 type genState func(r *rand.Rand) State
 
 // generators drives the lattice-law and codec property tests across every
-// payload type shipped by the package.
+// payload type shipped by the package. Counter increments include 0, the
+// amount a served `inc <key> 0` passes through.
 var generators = map[string]genState{
 	TypeGCounter: func(r *rand.Rand) State {
 		c := NewGCounter()
 		for i := 0; i < r.Intn(5); i++ {
-			c = c.Inc(fmt.Sprintf("r%d", r.Intn(4)), uint64(r.Intn(10)+1))
+			c = c.Inc(fmt.Sprintf("r%d", r.Intn(4)), uint64(r.Intn(11)))
 		}
 		return c
 	},
@@ -26,9 +27,9 @@ var generators = map[string]genState{
 		for i := 0; i < r.Intn(5); i++ {
 			rep := fmt.Sprintf("r%d", r.Intn(4))
 			if r.Intn(2) == 0 {
-				c = c.Inc(rep, uint64(r.Intn(10)+1))
+				c = c.Inc(rep, uint64(r.Intn(11)))
 			} else {
-				c = c.Dec(rep, uint64(r.Intn(10)+1))
+				c = c.Dec(rep, uint64(r.Intn(11)))
 			}
 		}
 		return c
