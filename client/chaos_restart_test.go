@@ -7,9 +7,9 @@ package client_test
 // clients work several keys over the real TCP serving path. Every
 // completed operation lands in a keyed history checked with the per-key
 // linearizability checker: the paper's guarantee must hold across
-// process-death recovery, not just clean runs and partitions. Delta state
-// transfer stays on, so the PR 4 digest caches must survive the
-// Restart/ForgetPeer interplay too.
+// process-death recovery, not just clean runs and partitions. The keys
+// are padded above the replica wire's size switch, so the digest caches
+// must survive the Restart/ForgetPeer interplay too.
 
 import (
 	"context"
@@ -20,7 +20,6 @@ import (
 	"crdtsmr/client"
 	"crdtsmr/internal/checker"
 	"crdtsmr/internal/cluster"
-	"crdtsmr/internal/core"
 	"crdtsmr/internal/transport"
 )
 
@@ -34,7 +33,7 @@ func TestChaosCrashRestartLinearizable(t *testing.T) {
 		requestTimeout = 500 * time.Millisecond
 	)
 	cc := startServedClusterWith(t, replicas, 11, requestTimeout, func(cfg *cluster.Config) {
-		cfg.Options.Transfer = core.TransferDelta
+		padKeys(cfg)
 		cfg.DataDir = t.TempDir()
 	})
 	n := cc.ids
@@ -107,7 +106,7 @@ func TestChaosCrashRestartLinearizable(t *testing.T) {
 		for _, key := range keys {
 			h := hist.For(key)
 			opID := h.Begin(checker.OpRead)
-			v, err := c.Counter(key).Value(ctx)
+			v, err := padded(ctx, c.Counter(key))
 			if err != nil {
 				h.Discard(opID)
 				t.Fatalf("final read of %s via %s: %v", key, id, err)

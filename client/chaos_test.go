@@ -20,12 +20,11 @@ import (
 
 	"crdtsmr/client"
 	"crdtsmr/internal/checker"
-	"crdtsmr/internal/core"
 	"crdtsmr/internal/transport"
 )
 
-// workload runs one writer and one reader per key against the given
-// server addresses, recording every completed operation. It returns the
+// workload runs one writer and one reader per padded key against the
+// given server addresses, recording every completed operation. It returns the
 // number of increments recorded per key. Phase clients are closed when
 // the phase ends, so stale pools never accumulate across partitions.
 func workload(t *testing.T, hist *checker.KeyedHistory, addrs, keys []string, opsEach int) map[string]int {
@@ -73,7 +72,7 @@ func workload(t *testing.T, hist *checker.KeyedHistory, addrs, keys []string, op
 			ctr := reader.Counter(key)
 			for i := 0; i < opsEach; i++ {
 				id := h.Begin(checker.OpRead)
-				v, err := ctr.Value(ctx)
+				v, err := padded(ctx, ctr)
 				if err != nil {
 					h.Discard(id) // reads have no effects; discarding is sound
 					t.Errorf("read %s: %v", key, err)
@@ -94,11 +93,11 @@ func workload(t *testing.T, hist *checker.KeyedHistory, addrs, keys []string, op
 // TestChaosPartitionHealLinearizable is the partition sweep: healthy →
 // partition {n1,n2,n3}|{n4,n5} → heal → partition {n3,n4,n5}|{n1,n2} →
 // heal, with the workload pinned to whichever side holds a quorum and the
-// isolated minority probed for its error surface. It runs with delta
-// state transfer on: the digest caches and fallback paths must survive
-// partitions, not just clean runs (partitioned peers miss MERGEs, so
-// their baselines go stale and the MERGE-NACK → full-resend path is
-// exactly what a heal exercises).
+// isolated minority probed for its error surface. Its keys are padded
+// above the replica wire's size switch: the digest caches and fallback
+// paths must survive partitions, not just clean runs (partitioned peers
+// miss MERGEs, so their baselines go stale and the MERGE-NACK →
+// full-resend path is exactly what a heal exercises).
 func TestChaosPartitionHealLinearizable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second chaos test")
@@ -108,7 +107,7 @@ func TestChaosPartitionHealLinearizable(t *testing.T) {
 		opsEach        = 8
 		requestTimeout = 500 * time.Millisecond
 	)
-	cc := startServedClusterMode(t, replicas, 7, requestTimeout, core.TransferDelta)
+	cc := startServedClusterWith(t, replicas, 7, requestTimeout, padKeys)
 	n := cc.ids
 	keys := []string{"obj/0", "obj/1", "obj/2"}
 	hist := checker.NewKeyedHistory()
@@ -154,7 +153,7 @@ func TestChaosPartitionHealLinearizable(t *testing.T) {
 		for _, key := range keys {
 			h := hist.For(key)
 			opID := h.Begin(checker.OpRead)
-			v, err := c.Counter(key).Value(ctx)
+			v, err := padded(ctx, c.Counter(key))
 			if err != nil {
 				h.Discard(opID)
 				t.Fatalf("final read of %s via %s: %v", key, id, err)
@@ -213,7 +212,7 @@ func TestChaosLeaseHolderPartition(t *testing.T) {
 		requestTimeout = 500 * time.Millisecond
 		streamOps      = 120 // read-heavy: one increment per 8 operations
 	)
-	cc := startServedClusterMode(t, replicas, 13, requestTimeout, core.TransferDelta)
+	cc := startServedClusterWith(t, replicas, 13, requestTimeout, padKeys)
 	n := cc.ids
 	const key = "obj/hot"
 	hist := checker.NewKeyedHistory()
@@ -243,7 +242,7 @@ func TestChaosLeaseHolderPartition(t *testing.T) {
 		}
 		h.End(id, 0)
 		id = h.Begin(checker.OpRead)
-		v, err := ctr.Value(ctx)
+		v, err := padded(ctx, ctr)
 		if err != nil {
 			h.Discard(id)
 			t.Fatalf("phase-0 read: %v", err)
@@ -276,7 +275,7 @@ func TestChaosLeaseHolderPartition(t *testing.T) {
 				continue
 			}
 			id := h.Begin(checker.OpRead)
-			v, err := ctr.Value(ctx)
+			v, err := padded(ctx, ctr)
 			if err != nil {
 				h.Discard(id) // reads have no effects; discarding is sound
 				continue
@@ -308,7 +307,7 @@ func TestChaosLeaseHolderPartition(t *testing.T) {
 			t.Fatal("no survivor re-acquired the lease after the holder was partitioned away")
 		}
 		id := h.Begin(checker.OpRead)
-		v, err := ctr.Value(ctx)
+		v, err := padded(ctx, ctr)
 		if err != nil {
 			h.Discard(id)
 			t.Fatalf("survivor read: %v", err)
@@ -326,7 +325,7 @@ func TestChaosLeaseHolderPartition(t *testing.T) {
 			t.Fatal(err)
 		}
 		opID := h.Begin(checker.OpRead)
-		v, err := c.Counter(key).Value(ctx)
+		v, err := padded(ctx, c.Counter(key))
 		if err != nil {
 			h.Discard(opID)
 			t.Fatalf("final read via %s: %v", id, err)

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"crdtsmr/client"
+	"crdtsmr/internal/checker"
 	"crdtsmr/internal/cluster"
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
@@ -29,20 +30,29 @@ type servedCluster struct {
 }
 
 func startServedCluster(t *testing.T, n int, seed int64, requestTimeout time.Duration) *servedCluster {
-	return startServedClusterMode(t, n, seed, requestTimeout, core.TransferFull)
+	return startServedClusterWith(t, n, seed, requestTimeout, nil)
 }
 
-// startServedClusterMode is startServedCluster with an explicit replica
-// wire state-transfer mode (the chaos sweep runs with deltas on).
-func startServedClusterMode(t *testing.T, n int, seed int64, requestTimeout time.Duration, mode core.StateTransfer) *servedCluster {
-	return startServedClusterWith(t, n, seed, requestTimeout, func(cfg *cluster.Config) {
-		cfg.Options.Transfer = mode
-	})
+// padSlots sizes checker.PaddedCounter(padSlots), which padKeys makes
+// every key's initial payload: above the replica wire's size switch, so
+// the chaos tests run the digest and delta frames. Reads of padded keys
+// subtract its value, padSlots (padded).
+const padSlots = 128
+
+func padKeys(cfg *cluster.Config) {
+	initial := checker.PaddedCounter(padSlots)
+	cfg.InitialForKey = func(string) crdt.State { return initial }
+}
+
+// padded reads a padded key's counter net of the padding.
+func padded(ctx context.Context, ctr *client.Counter) (uint64, error) {
+	v, err := ctr.Value(ctx)
+	return v - padSlots, err
 }
 
 // startServedClusterWith is the fully general form: customize edits the
-// cluster config before the nodes start (state-transfer mode, a DataDir
-// for the crash/restart tests, ...).
+// cluster config before the nodes start (padded keys, a DataDir for the
+// crash/restart tests, ...).
 func startServedClusterWith(t *testing.T, n int, seed int64, requestTimeout time.Duration, customize func(*cluster.Config)) *servedCluster {
 	t.Helper()
 	mesh := transport.NewMesh(transport.WithSeed(seed))

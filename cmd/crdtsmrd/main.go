@@ -108,7 +108,6 @@ func serve(args []string) error {
 	peersFlag := fs.String("peers", "", "comma-separated id=addr pairs for the full cluster")
 	batch := fs.Duration("batch", 0, "per-key batching window (0 disables; the paper evaluated 5ms)")
 	payload := fs.String("payload", crdt.TypeGCounter, "CRDT type of keys without a type prefix")
-	transfer := fs.String("state-transfer", "full", "replica-wire state transfer: full, digest, or delta (docs/PROTOCOL.md §3; use one mode cluster-wide)")
 	lease := fs.Bool("lease", true, "round-lease query fast path (docs/PROTOCOL.md §5); changes round trips, never outcomes")
 	dataDir := fs.String("data-dir", "", "snapshot directory for crash recovery; a killed replica re-exec'd with the same directory serves its pre-crash data (empty: volatile)")
 	recoverFlag := fs.String("recover", "strict", "corrupt-snapshot policy at startup: strict (refuse to start) or ignore-corrupt (affected keys start fresh and re-learn from the cluster)")
@@ -126,10 +125,6 @@ func serve(args []string) error {
 	initial, err := crdt.New(*payload)
 	if err != nil {
 		return fmt.Errorf("-payload: %w (known types: %s)", err, strings.Join(crdt.Names(), ", "))
-	}
-	mode, err := core.ParseStateTransfer(*transfer)
-	if err != nil {
-		return fmt.Errorf("-state-transfer: %w", err)
 	}
 	recoverPolicy, err := persist.ParseRecoverPolicy(*recoverFlag)
 	if err != nil {
@@ -160,7 +155,6 @@ func serve(args []string) error {
 
 	opts := core.DefaultOptions()
 	opts.Lease = *lease
-	opts.Transfer = mode
 
 	var tcpErr error
 	var mesh *transport.TCP
@@ -241,8 +235,8 @@ func serve(args []string) error {
 			fmt.Fprintf(os.Stderr, "crdtsmrd: warning: skipped %d corrupt snapshot(s) under -recover=ignore-corrupt; affected keys re-learn from the cluster\n", skipped)
 		}
 	}
-	fmt.Printf("replica %s up: mesh %s, clients %s, default payload %s, state transfer %s, %d event-loop shard(s), %s\n",
-		*id, *listen, srv.Addr(), *payload, mode, node.Shards(), durability)
+	fmt.Printf("replica %s up: mesh %s, clients %s, default payload %s, %d event-loop shard(s), %s\n",
+		*id, *listen, srv.Addr(), *payload, node.Shards(), durability)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)

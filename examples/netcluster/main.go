@@ -7,21 +7,17 @@
 // driven by the public crdtsmr/client package — typed handles, pipelined
 // connections, and failover when a replica goes down mid-traffic.
 //
-// The -state-transfer flag selects the replica-wire transfer mode
-// (docs/PROTOCOL.md §3); the demo reports the replica-wire bytes the run
-// cost, so the modes can be compared directly. Note the payloads here
-// are tiny counters, smaller than a 32-byte digest — on this workload
-// full transfer wins, and digest/delta pay off as objects grow
-// (TestTransferModesByteReduction in internal/core counts the gap on a
-// 1k-element or-set):
+// The demo ends by reporting the replica-wire bytes the run cost. Its
+// payloads are tiny counters, far below the 1 KiB size switch of
+// docs/PROTOCOL.md §3, so every state travels in full frames; digests and
+// deltas take over as objects grow (TestTransferModesByteReduction in
+// internal/core counts both sides on or-sets):
 //
 //	go run ./examples/netcluster
-//	go run ./examples/netcluster -state-transfer full
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"log"
 	"net"
@@ -37,13 +33,6 @@ import (
 )
 
 func main() {
-	transferFlag := flag.String("state-transfer", "digest", "replica-wire state transfer: full, digest, or delta")
-	flag.Parse()
-	mode, err := core.ParseStateTransfer(*transferFlag)
-	if err != nil {
-		log.Fatal(err)
-	}
-
 	ids := []transport.NodeID{"n1", "n2", "n3"}
 
 	// Reserve a mesh address per replica so every node can be configured
@@ -58,13 +47,11 @@ func main() {
 		_ = ln.Close()
 	}
 
-	opts := core.DefaultOptions()
-	opts.Transfer = mode
 	cfg := cluster.Config{
 		Members:            ids,
 		Initial:            crdt.NewGCounter(),
 		InitialForKey:      server.TypedKeyInitial(crdt.TypeGCounter),
-		Options:            opts,
+		Options:            core.DefaultOptions(),
 		RetransmitInterval: 20 * time.Millisecond,
 	}
 	var nodes []*cluster.Node
@@ -172,15 +159,14 @@ func main() {
 		log.Fatalf("lost updates during failover: got %d", v)
 	}
 
-	// The replica wire's byte bill for the whole run: compare across
-	// -state-transfer modes.
+	// The replica wire's byte bill for the whole run.
 	var meshBytes, meshMsgs uint64
 	for _, t := range meshConns {
 		st := t.Stats()
 		meshBytes += st.BytesSent
 		meshMsgs += st.Sent
 	}
-	fmt.Printf("replica wire (%s transfer): %d messages, %d payload bytes\n", mode, meshMsgs, meshBytes)
+	fmt.Printf("replica wire: %d messages, %d payload bytes\n", meshMsgs, meshBytes)
 
 	fmt.Println("ok: network clients stayed linearizable across a replica crash")
 }

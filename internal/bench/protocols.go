@@ -14,10 +14,10 @@ import (
 // floor is about the figure meaning what it says, not about CPU noise.
 const protocolNetFloor = 500 * time.Microsecond
 
-// FigureProtocols races the paper's protocol (all three state-transfer
-// modes) against Multi-Paxos RSM, Raft RSM, and generalized lattice
-// agreement on one shared keyed counter/or-set workload over one
-// latency-emulated fabric (internal/shootout). Two phases:
+// FigureProtocols races the paper's protocol against Multi-Paxos RSM,
+// Raft RSM, and generalized lattice agreement on one shared keyed
+// counter/or-set workload over one latency-emulated fabric
+// (internal/shootout). Two phases:
 //
 //   - hot-key read-after-write sessions, client pinned at each replica in
 //     turn: the log-free protocol completes the session in quorum round

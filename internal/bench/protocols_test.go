@@ -75,7 +75,7 @@ func AssertProtocolsGuard(t *testing.T, fig *FigureJSON) {
 		}
 		return sess.Y[i]
 	}
-	crdt := get("crdtsmr/delta")
+	crdt := get("crdtsmr")
 	paxos := get("paxos")
 	raft := get("raft")
 	if crdt <= 0 || paxos <= 0 || raft <= 0 {

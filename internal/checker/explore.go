@@ -20,6 +20,13 @@ type ExploreConfig struct {
 	MaxSteps    int // safety bound on message deliveries (default 200k)
 	InjectEvery int // inject a command roughly every k scheduler actions (default 2)
 
+	// Initial is every replica's initial payload, joiners and restarted
+	// replicas included; nil is the empty counter. Every value the checks
+	// and the result report is net of Initial's value, so a padded counter
+	// (PaddedCounter) runs the same workload above the replica wire's
+	// digest/delta size switch.
+	Initial *crdt.GCounter
+
 	// Loss drops each delivered message with the given probability;
 	// Duplication re-enqueues it for a second delivery. Under either,
 	// the exploration stands in for the runtime's retransmit timers:
@@ -83,6 +90,17 @@ type ExploreResult struct {
 	FinalEpoch       uint64             // epoch of that configuration
 }
 
+// PaddedCounter returns a g-counter of value slots, about 10 encoded bytes
+// each: an initial payload that puts replicas above the replica wire's
+// digest/delta size switch (1 KiB, docs/PROTOCOL.md §3) from 128 slots.
+func PaddedCounter(slots int) *crdt.GCounter {
+	c := crdt.NewGCounter()
+	for i := 0; i < slots; i++ {
+		c = c.Inc(fmt.Sprintf("pad/%03d", i), 1)
+	}
+	return c
+}
+
 // Explore runs a cluster of core replicas over a deterministic fabric,
 // injecting increments and reads at random replicas while delivering
 // messages in seeded-random order, then drains the network and checks:
@@ -109,6 +127,12 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	if cfg.InjectEvery <= 0 {
 		cfg.InjectEvery = 2
 	}
+	initial := cfg.Initial
+	if initial == nil {
+		initial = crdt.NewGCounter()
+	}
+	offset := initial.Value()
+	value := func(s crdt.State) uint64 { return s.(*crdt.GCounter).Value() - offset }
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	fabric := transport.NewFabric(cfg.Seed + 1)
 	fabric.SetLoss(cfg.Loss)
@@ -139,7 +163,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		})
 	}
 	for _, id := range members {
-		rep, err := core.NewReplica(id, members, crdt.NewGCounter(), cfg.Options)
+		rep, err := core.NewReplica(id, members, initial, cfg.Options)
 		if err != nil {
 			return nil, err
 		}
@@ -177,7 +201,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 					res.MaxAttempts = stats.Attempts
 				}
 				res.QueriesDone++
-				hist.End(opID, s.(*crdt.GCounter).Value())
+				hist.End(opID, value(s))
 				res.Queries = append(res.Queries, QueryObs{
 					Invoke: invoke,
 					Return: hist.Clock(),
@@ -290,7 +314,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		// adopts a config that strictly supersedes the replica's, so a
 		// snapshot taken at the epoch the replica booted with must be
 		// seeded through the constructor, not the restore path.
-		rep, err := core.NewReplicaConfig(id, snaps[id].Config, crdt.NewGCounter(), cfg.Options)
+		rep, err := core.NewReplicaConfig(id, snaps[id].Config, initial, cfg.Options)
 		if err != nil {
 			panic(err) // a replica with this id was constructed before
 		}
@@ -330,7 +354,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			// reconfiguration round itself delivers, payload included).
 			joiners++
 			jid := transport.NodeID(fmt.Sprintf("j%d", joiners))
-			rep, err := core.NewReplicaConfig(jid, core.Config{}, crdt.NewGCounter(), cfg.Options)
+			rep, err := core.NewReplicaConfig(jid, core.Config{}, initial, cfg.Options)
 			if err != nil {
 				panic(err) // fresh id, empty config: cannot fail
 			}
@@ -456,8 +480,8 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	// update's MERGE to a non-quorum peer may have been lost with nothing
 	// in flight to retransmit it. Convergence is an eventual-delivery
 	// property, so model "eventually": one lossless no-op sync update per
-	// member re-ships every payload (or its digest, under digest/delta
-	// transfer — either way the receiver ends up dominating it). Crashes
+	// member re-ships every payload (or, for a large one, its digest —
+	// either way the receiver ends up dominating it). Crashes
 	// need the same treatment: an abandoned update is durable in its
 	// submitter's restored payload but has no proposer left to retransmit
 	// its MERGEs, so only the sync round provably spreads it. Reconfigured
@@ -503,14 +527,14 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	res.FinalMembers = append([]transport.NodeID(nil), final.Members...)
 	// Report the value a replica actually converged to (not the expected
 	// count — the convergence check below compares the two).
-	res.FinalValue = replicas[syncMembers[0]].LocalState().(*crdt.GCounter).Value()
-	if err := checkConditions(res, updatesSubmitted); err != nil {
+	res.FinalValue = value(replicas[syncMembers[0]].LocalState())
+	if err := checkConditions(res, updatesSubmitted, value); err != nil {
 		return res, err
 	}
 	if cfg.Reconfigs == 0 {
 		// Convergence: every replica's local payload holds every update.
 		for id, rep := range replicas {
-			if v := rep.LocalState().(*crdt.GCounter).Value(); v != uint64(updatesSubmitted) {
+			if v := value(rep.LocalState()); v != uint64(updatesSubmitted) {
 				return res, fmt.Errorf("checker: %s converged to %d, want %d", id, v, updatesSubmitted)
 			}
 		}
@@ -522,7 +546,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		// (single-member steps guarantee a surviving holder, the sync round
 		// spreads it), and it never exceeds the submissions.
 		for _, id := range syncMembers {
-			if v := replicas[id].LocalState().(*crdt.GCounter).Value(); v != res.FinalValue {
+			if v := value(replicas[id].LocalState()); v != res.FinalValue {
 				return res, fmt.Errorf("checker: final members diverge: %s at %d, %s at %d", id, v, syncMembers[0], res.FinalValue)
 			}
 		}
@@ -537,10 +561,10 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	return res, nil
 }
 
-func checkConditions(res *ExploreResult, updatesSubmitted int) error {
+func checkConditions(res *ExploreResult, updatesSubmitted int, value func(crdt.State) uint64) error {
 	// Validity: no learned value exceeds the submitted updates.
 	for i, q := range res.Queries {
-		if v := q.State.(*crdt.GCounter).Value(); v > uint64(updatesSubmitted) {
+		if v := value(q.State); v > uint64(updatesSubmitted) {
 			return fmt.Errorf("checker: validity: query %d learned %d with only %d updates submitted", i, v, updatesSubmitted)
 		}
 	}

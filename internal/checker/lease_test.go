@@ -8,8 +8,8 @@ import (
 
 // TestExploreLeaseEquivalence is the acceptance sweep of the round-lease
 // fast path (docs/PROTOCOL.md §5): the same seeds, the same injected
-// workload, driven with the lease on and off across every state-transfer
-// mode. Both runs must pass the full checker — Validity, Stability,
+// workload, driven with the lease on and off on both sides of the replica
+// wire's size switch. Both runs must pass the full checker — Validity, Stability,
 // Consistency, linearizability, convergence — and converge to identical
 // outcomes: the lease changes round trips, never results. The sweep must
 // also actually exercise the fast path (LeaseHits > 0), or the
@@ -19,14 +19,12 @@ func TestExploreLeaseEquivalence(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	modes := []core.StateTransfer{core.TransferFull, core.TransferDigest, core.TransferDelta}
 	var hits, fallbacks uint64
 	for seed := 0; seed < seeds; seed++ {
-		for _, mode := range modes {
+		for _, size := range stateSizes {
 			var results [2]*ExploreResult
 			for i, lease := range []bool{false, true} {
 				opts := core.DefaultOptions()
-				opts.Transfer = mode
 				opts.Lease = lease
 				// InjectEvery spaces the ops out; flooding them (1) keeps
 				// every round in motion and the fast path never fires.
@@ -37,23 +35,24 @@ func TestExploreLeaseEquivalence(t *testing.T) {
 					ReadRatio:   0.6,
 					InjectEvery: 6,
 					Options:     opts,
+					Initial:     size.initial,
 				})
 				if err != nil {
-					t.Fatalf("seed %d mode %v lease=%v: %v", seed, mode, lease, err)
+					t.Fatalf("seed %d %s lease=%v: %v", seed, size.name, lease, err)
 				}
 				results[i] = res
 			}
 			off, on := results[0], results[1]
 			if on.UpdatesSubmitted != off.UpdatesSubmitted {
-				t.Fatalf("seed %d mode %v: lease-on injected %d updates, lease-off %d — injection schedule diverged",
-					seed, mode, on.UpdatesSubmitted, off.UpdatesSubmitted)
+				t.Fatalf("seed %d %s: lease-on injected %d updates, lease-off %d — injection schedule diverged",
+					seed, size.name, on.UpdatesSubmitted, off.UpdatesSubmitted)
 			}
 			if on.FinalValue != off.FinalValue {
-				t.Fatalf("seed %d mode %v: lease-on converged to %d, lease-off to %d",
-					seed, mode, on.FinalValue, off.FinalValue)
+				t.Fatalf("seed %d %s: lease-on converged to %d, lease-off to %d",
+					seed, size.name, on.FinalValue, off.FinalValue)
 			}
 			if c := off.Counters; c.LeaseHits != 0 || c.LeaseFallbacks != 0 {
-				t.Fatalf("seed %d mode %v: lease-off run used the fast path: %+v", seed, mode, c)
+				t.Fatalf("seed %d %s: lease-off run used the fast path: %+v", seed, size.name, c)
 			}
 			hits += on.Counters.LeaseHits
 			fallbacks += on.Counters.LeaseFallbacks
@@ -81,7 +80,6 @@ func TestExploreLeaseEquivalenceUnderChaos(t *testing.T) {
 		var results [2]*ExploreResult
 		for i, lease := range []bool{false, true} {
 			opts := core.DefaultOptions()
-			opts.Transfer = core.TransferDelta
 			opts.Lease = lease
 			// InjectEvery spaces the ops out: flooding all of them at once
 			// keeps every round in motion and the fast path never fires,
@@ -96,6 +94,7 @@ func TestExploreLeaseEquivalenceUnderChaos(t *testing.T) {
 				Duplication: 0.10,
 				Crashes:     2,
 				Options:     opts,
+				Initial:     PaddedCounter(128),
 			})
 			if err != nil {
 				t.Fatalf("seed %d lease=%v: %v (retransmits=%d)", seed, lease, err, res.Retransmits)

@@ -4,28 +4,36 @@ import (
 	"testing"
 
 	"crdtsmr/internal/core"
+	"crdtsmr/internal/crdt"
 )
 
-// TestExploreStateTransferModesUnderLossAndDuplication is the
-// interleaving sweep of the state-transfer refactor: the same seeds, the
-// same injected workload (InjectEvery=1 pins the injection schedule to
-// the seed, independent of how many messages each mode produces), driven
-// through full, digest, and delta transfer over a fabric that loses and
-// duplicates messages. Every mode must pass the full checker — Validity,
-// Stability, Consistency, linearizability, convergence — and converge to
-// the identical final value as full-state mode.
-func TestExploreStateTransferModesUnderLossAndDuplication(t *testing.T) {
+// stateSizes are the two sides of the replica wire's size switch that
+// every sweep runs: the empty counter travels in full frames, the paper's
+// wire; a padded counter travels by digest and delta.
+var stateSizes = []struct {
+	name    string
+	initial *crdt.GCounter
+}{
+	{"small", nil},
+	{"large", PaddedCounter(128)},
+}
+
+// TestExploreStateSizesUnderLossAndDuplication is the interleaving sweep
+// of the size switch: the same seeds and the same injected workload
+// (InjectEvery=1 pins the injection schedule to the seed, independent of
+// how many messages each side produces), driven below and above the
+// switch over a fabric that loses and duplicates messages. Both sides must
+// pass the full checker — Validity, Stability, Consistency,
+// linearizability, convergence — and converge to the same final value.
+func TestExploreStateSizesUnderLossAndDuplication(t *testing.T) {
 	seeds := 40
 	if testing.Short() {
 		seeds = 8
 	}
-	modes := []core.StateTransfer{core.TransferFull, core.TransferDigest, core.TransferDelta}
 	var digestReplies, deltaMerges uint64
 	for seed := 0; seed < seeds; seed++ {
-		results := make(map[core.StateTransfer]*ExploreResult, len(modes))
-		for _, mode := range modes {
-			opts := core.DefaultOptions()
-			opts.Transfer = mode
+		var results [2]*ExploreResult
+		for i, size := range stateSizes {
 			res, err := Explore(ExploreConfig{
 				Seed:        int64(5000 + seed),
 				Replicas:    3,
@@ -34,49 +42,45 @@ func TestExploreStateTransferModesUnderLossAndDuplication(t *testing.T) {
 				InjectEvery: 1,
 				Loss:        0.10,
 				Duplication: 0.15,
-				Options:     opts,
+				Options:     core.DefaultOptions(),
+				Initial:     size.initial,
 			})
 			if err != nil {
-				t.Fatalf("seed %d mode %v: %v (retransmits=%d)", seed, mode, err, res.Retransmits)
+				t.Fatalf("seed %d %s: %v (retransmits=%d)", seed, size.name, err, res.Retransmits)
 			}
-			results[mode] = res
+			results[i] = res
 		}
-		full := results[core.TransferFull]
-		for _, mode := range modes[1:] {
-			r := results[mode]
-			if r.UpdatesSubmitted != full.UpdatesSubmitted {
-				t.Fatalf("seed %d: %v injected %d updates, full injected %d — injection schedule diverged",
-					seed, mode, r.UpdatesSubmitted, full.UpdatesSubmitted)
-			}
-			if r.FinalValue != full.FinalValue {
-				t.Fatalf("seed %d: %v converged to %d, full to %d", seed, mode, r.FinalValue, full.FinalValue)
-			}
+		small, large := results[0], results[1]
+		if large.UpdatesSubmitted != small.UpdatesSubmitted {
+			t.Fatalf("seed %d: large injected %d updates, small %d — injection schedule diverged",
+				seed, large.UpdatesSubmitted, small.UpdatesSubmitted)
 		}
-		if c := results[core.TransferFull].Counters; c.DigestReplies != 0 || c.DeltaMerges != 0 || c.DigestMerges != 0 {
-			t.Fatalf("seed %d: full mode used digest frames: %+v", seed, c)
+		if large.FinalValue != small.FinalValue {
+			t.Fatalf("seed %d: large converged to %d, small to %d", seed, large.FinalValue, small.FinalValue)
 		}
-		digestReplies += results[core.TransferDigest].Counters.DigestReplies
-		deltaMerges += results[core.TransferDelta].Counters.DeltaMerges
+		if c := small.Counters; c.DigestReplies != 0 || c.DeltaMerges != 0 || c.DigestMerges != 0 {
+			t.Fatalf("seed %d: a small state used digest frames: %+v", seed, c)
+		}
+		digestReplies += large.Counters.DigestReplies
+		deltaMerges += large.Counters.DeltaMerges
 	}
 	// The sweep must actually exercise the cheap frames, or the pass above
 	// proves nothing about them.
 	if digestReplies == 0 {
-		t.Fatal("digest mode never produced a digest-only reply across the sweep")
+		t.Fatal("large states never produced a digest-only reply across the sweep")
 	}
 	if deltaMerges == 0 {
-		t.Fatal("delta mode never shipped a delta across the sweep")
+		t.Fatal("large states never shipped a delta across the sweep")
 	}
 }
 
 // TestExploreLossRetransmitsDeterministic: the loss/duplication drain
 // (with its retransmit rounds) must stay reproducible from the seed.
 func TestExploreLossRetransmitsDeterministic(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Transfer = core.TransferDelta
 	run := func() *ExploreResult {
 		res, err := Explore(ExploreConfig{
 			Seed: 77, Replicas: 3, Ops: 30, ReadRatio: 0.5, InjectEvery: 1,
-			Loss: 0.2, Duplication: 0.2, Options: opts,
+			Loss: 0.2, Duplication: 0.2, Options: core.DefaultOptions(), Initial: PaddedCounter(128),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestExploreReconfigSweep is the satellite sweep of the online-membership
-// change: for each seed and each state-transfer mode it runs the workload
+// change: for each seed and each state size it runs the workload
 // twice — once with a static member set and once with reconfiguration
 // rounds (grow by a joiner, shrink back, repeatedly) interleaved with
 // message loss, duplication, and crash/restarts — and both runs must pass
@@ -24,12 +24,9 @@ func TestExploreReconfigSweep(t *testing.T) {
 	if testing.Short() {
 		seeds = 6
 	}
-	modes := []core.StateTransfer{core.TransferFull, core.TransferDigest, core.TransferDelta}
 	var committed, adoptions, epochNacks, abandoned int
 	for seed := 0; seed < seeds; seed++ {
-		for _, mode := range modes {
-			opts := core.DefaultOptions()
-			opts.Transfer = mode
+		for _, size := range stateSizes {
 			base := ExploreConfig{
 				Seed:        int64(9000 + seed),
 				Replicas:    3,
@@ -39,28 +36,29 @@ func TestExploreReconfigSweep(t *testing.T) {
 				Loss:        0.08,
 				Duplication: 0.10,
 				Crashes:     2,
-				Options:     opts,
+				Options:     core.DefaultOptions(),
+				Initial:     size.initial,
 			}
 
 			static := base
 			if _, err := Explore(static); err != nil {
-				t.Fatalf("seed %d mode %v static: %v", seed, mode, err)
+				t.Fatalf("seed %d %s static: %v", seed, size.name, err)
 			}
 
 			dynamic := base
 			dynamic.Reconfigs = 4
 			res, err := Explore(dynamic)
 			if err != nil {
-				t.Fatalf("seed %d mode %v reconfig: %v", seed, mode, err)
+				t.Fatalf("seed %d %s reconfig: %v", seed, size.name, err)
 			}
 			if res.Reconfigs+res.ReconfigFailures != dynamic.Reconfigs {
-				t.Fatalf("seed %d mode %v: %d committed + %d failed != %d scheduled rounds",
-					seed, mode, res.Reconfigs, res.ReconfigFailures, dynamic.Reconfigs)
+				t.Fatalf("seed %d %s: %d committed + %d failed != %d scheduled rounds",
+					seed, size.name, res.Reconfigs, res.ReconfigFailures, dynamic.Reconfigs)
 			}
 			// Single-member steps from a 3-replica base: the final member
 			// set is the base or the base plus the latest joiner.
 			if n := len(res.FinalMembers); n != 3 && n != 4 {
-				t.Fatalf("seed %d mode %v: final config has %d members (%v)", seed, mode, n, res.FinalMembers)
+				t.Fatalf("seed %d %s: final config has %d members (%v)", seed, size.name, n, res.FinalMembers)
 			}
 			committed += res.Reconfigs
 			adoptions += int(res.Counters.ConfigAdoptions)
@@ -120,12 +118,11 @@ func TestExploreReconfigAllCommitWithoutFaults(t *testing.T) {
 // TestExploreReconfigDeterministic: reconfiguration scheduling must stay
 // reproducible from the seed, like crash scheduling.
 func TestExploreReconfigDeterministic(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Transfer = core.TransferDigest
 	run := func() *ExploreResult {
 		res, err := Explore(ExploreConfig{
 			Seed: 99, Replicas: 3, Ops: 40, ReadRatio: 0.5, InjectEvery: 1,
-			Loss: 0.15, Duplication: 0.1, Crashes: 2, Reconfigs: 3, Options: opts,
+			Loss: 0.15, Duplication: 0.1, Crashes: 2, Reconfigs: 3,
+			Options: core.DefaultOptions(), Initial: PaddedCounter(128),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -8,27 +8,24 @@ import (
 
 // TestExploreCrashRestartModes is the crash/restart sweep of the
 // persistence subsystem: the same seeds driven with and without injected
-// crash/restart events, across all three state-transfer modes, under
-// message loss and duplication. Every run must pass the full checker
+// crash/restart events, on both sides of the replica wire's size switch,
+// under message loss and duplication. Every run must pass the full checker
 // (Validity, Stability, Consistency, linearizability, convergence), and
 // because the crash scheduler draws from its own RNG, the command
 // schedule — and therefore the converged final value — must be identical
 // between a crashing run and a never-crashing run of the same seed, and
-// across all modes: recovery from snapshots changes what survives a
+// across both sizes: recovery from snapshots changes what survives a
 // crash, never what the cluster computes.
 func TestExploreCrashRestartModes(t *testing.T) {
 	seeds := 25
 	if testing.Short() {
 		seeds = 6
 	}
-	modes := []core.StateTransfer{core.TransferFull, core.TransferDigest, core.TransferDelta}
 	totalRestarts, totalAbandoned := 0, 0
 	for seed := 0; seed < seeds; seed++ {
 		var baseline *ExploreResult
-		for _, mode := range modes {
+		for _, size := range stateSizes {
 			for _, crashes := range []int{0, 3} {
-				opts := core.DefaultOptions()
-				opts.Transfer = mode
 				res, err := Explore(ExploreConfig{
 					Seed:        int64(9000 + seed),
 					Replicas:    3,
@@ -38,29 +35,30 @@ func TestExploreCrashRestartModes(t *testing.T) {
 					Loss:        0.10,
 					Duplication: 0.10,
 					Crashes:     crashes,
-					Options:     opts,
+					Options:     core.DefaultOptions(),
+					Initial:     size.initial,
 				})
 				if err != nil {
-					t.Fatalf("seed %d mode %v crashes %d: %v (restarts=%d abandoned=%d)",
-						seed, mode, crashes, err, res.Restarts, res.Abandoned)
+					t.Fatalf("seed %d %s crashes %d: %v (restarts=%d abandoned=%d)",
+						seed, size.name, crashes, err, res.Restarts, res.Abandoned)
 				}
 				if crashes > 0 && res.Restarts != crashes {
-					t.Fatalf("seed %d mode %v: injected %d restarts, want %d", seed, mode, res.Restarts, crashes)
+					t.Fatalf("seed %d %s: injected %d restarts, want %d", seed, size.name, res.Restarts, crashes)
 				}
 				if crashes == 0 && res.Restarts != 0 {
-					t.Fatalf("seed %d mode %v: crash-free run restarted %d times", seed, mode, res.Restarts)
+					t.Fatalf("seed %d %s: crash-free run restarted %d times", seed, size.name, res.Restarts)
 				}
 				if baseline == nil {
 					baseline = res
 					continue
 				}
 				if res.UpdatesSubmitted != baseline.UpdatesSubmitted {
-					t.Fatalf("seed %d mode %v crashes %d: submitted %d updates, baseline %d — command schedule diverged",
-						seed, mode, crashes, res.UpdatesSubmitted, baseline.UpdatesSubmitted)
+					t.Fatalf("seed %d %s crashes %d: submitted %d updates, baseline %d — command schedule diverged",
+						seed, size.name, crashes, res.UpdatesSubmitted, baseline.UpdatesSubmitted)
 				}
 				if res.FinalValue != baseline.FinalValue {
-					t.Fatalf("seed %d mode %v crashes %d: converged to %d, baseline %d",
-						seed, mode, crashes, res.FinalValue, baseline.FinalValue)
+					t.Fatalf("seed %d %s crashes %d: converged to %d, baseline %d",
+						seed, size.name, crashes, res.FinalValue, baseline.FinalValue)
 				}
 				totalRestarts += res.Restarts
 				totalAbandoned += res.Abandoned
@@ -81,12 +79,10 @@ func TestExploreCrashRestartModes(t *testing.T) {
 // TestExploreCrashRestartDeterministic: crash/restart runs must stay
 // fully reproducible from the seed, histories included.
 func TestExploreCrashRestartDeterministic(t *testing.T) {
-	opts := core.DefaultOptions()
-	opts.Transfer = core.TransferDelta
 	run := func() *ExploreResult {
 		res, err := Explore(ExploreConfig{
 			Seed: 311, Replicas: 3, Ops: 30, ReadRatio: 0.5, InjectEvery: 1,
-			Loss: 0.15, Duplication: 0.1, Crashes: 4, Options: opts,
+			Loss: 0.15, Duplication: 0.1, Crashes: 4, Options: core.DefaultOptions(), Initial: PaddedCounter(128),
 		})
 		if err != nil {
 			t.Fatal(err)

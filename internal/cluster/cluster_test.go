@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"crdtsmr/internal/checker"
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
@@ -412,18 +413,27 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 	}
 }
 
-// TestClusterStateTransferModes runs a mixed workload through every
-// state-transfer mode over the mesh and requires identical linearizable
-// results, with the fast-path counters proving the cheap frames were
-// actually used, and a crash/recover cycle (which drops the survivors'
-// digest caches via ForgetPeer) surviving in delta mode.
-func TestClusterStateTransferModes(t *testing.T) {
-	for _, mode := range []core.StateTransfer{core.TransferFull, core.TransferDigest, core.TransferDelta} {
-		t.Run(mode.String(), func(t *testing.T) {
+// padSlots sizes checker.PaddedCounter(padSlots), the initial payload
+// that puts a test's keys above the replica wire's digest/delta size
+// switch; reads of such keys subtract its value, padSlots.
+const padSlots = 128
+
+// TestClusterStateSizes runs a mixed workload over the mesh below and
+// above the replica wire's size switch and requires identical
+// linearizable results, with the fast-path counters proving which frames
+// were used, and a crash/recover cycle (which drops the survivors' digest
+// caches via ForgetPeer) surviving on both sides.
+func TestClusterStateSizes(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		initial *crdt.GCounter
+	}{{"small", crdt.NewGCounter()}, {"large", checker.PaddedCounter(padSlots)}} {
+		t.Run(tc.name, func(t *testing.T) {
 			mesh := transport.NewMesh(transport.WithSeed(5))
 			defer mesh.Close()
 			cfg := testConfig(3)
-			cfg.Options.Transfer = mode
+			cfg.Initial = tc.initial
+			offset := tc.initial.Value()
 			c, err := New(mesh, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -438,7 +448,7 @@ func TestClusterStateTransferModes(t *testing.T) {
 				}
 				if s, _, err := n2.Query(ctx); err != nil {
 					t.Fatal(err)
-				} else if v := s.(*crdt.GCounter).Value(); v != uint64(i+1) {
+				} else if v := s.(*crdt.GCounter).Value() - offset; v != uint64(i+1) {
 					t.Fatalf("read %d after %d updates", v, i+1)
 				}
 			}
@@ -455,7 +465,7 @@ func TestClusterStateTransferModes(t *testing.T) {
 			for {
 				s, _, err := n3.Query(ctx)
 				if err == nil {
-					v = s.(*crdt.GCounter).Value()
+					v = s.(*crdt.GCounter).Value() - offset
 					break
 				}
 				if time.Now().After(deadline) {
@@ -470,20 +480,13 @@ func TestClusterStateTransferModes(t *testing.T) {
 			counters := n1.Counters()
 			counters.Add(n2.Counters())
 			counters.Add(n3.Counters())
-			switch mode {
-			case core.TransferFull:
+			if offset == 0 {
 				if counters.DigestReplies != 0 || counters.DeltaMerges != 0 || counters.DigestMerges != 0 {
-					t.Fatalf("full mode used digest frames: %+v", counters)
+					t.Fatalf("a small state used digest frames: %+v", counters)
 				}
-			case core.TransferDigest:
-				if counters.DigestReplies == 0 {
-					t.Fatal("digest mode never sent a digest-only reply")
-				}
-			case core.TransferDelta:
-				if counters.DigestReplies == 0 || counters.DeltaMerges == 0 {
-					t.Fatalf("delta mode fast paths unused: digestReplies=%d deltaMerges=%d",
-						counters.DigestReplies, counters.DeltaMerges)
-				}
+			} else if counters.DigestReplies == 0 || counters.DeltaMerges == 0 {
+				t.Fatalf("large-state fast paths unused: digestReplies=%d deltaMerges=%d",
+					counters.DigestReplies, counters.DeltaMerges)
 			}
 		})
 	}

@@ -361,7 +361,8 @@ func TestMembershipChaosGrowAndShrink(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.Shards = 4
 	cfg.RetransmitInterval = 10 * time.Millisecond
-	cfg.Options.Transfer = core.TransferDelta
+	padded := checker.PaddedCounter(padSlots)
+	cfg.InitialForKey = func(string) crdt.State { return padded }
 	c, err := New(mesh, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +401,7 @@ func TestMembershipChaosGrowAndShrink(t *testing.T) {
 						t.Errorf("query %s at %s: %v", key, at, err)
 						return
 					}
-					h.End(id, s.(*crdt.GCounter).Value())
+					h.End(id, s.(*crdt.GCounter).Value()-padSlots)
 				}
 			}(key, at)
 		}

@@ -649,13 +649,13 @@ func (n *Node) QueryKey(ctx context.Context, key string) (crdt.State, core.Query
 	}
 }
 
-// ForgetPeer drops the digest/delta state-transfer caches every object
-// replica on this node holds about the given peer — the per-key per-peer
-// digest cache of docs/PROTOCOL.md §3. The runtime calls it when it
-// declares a peer down; a peer that returns with its state intact simply
-// re-earns its cache entries, and one that returns empty is caught by the
-// MERGE-NACK fallback either way, so forgetting is purely conservative.
-// The drop fans out to the shards in index order.
+// ForgetPeer drops the digest/delta caches every object replica on this
+// node holds about the given peer — the per-key per-peer views and digest
+// rings that large states travel by (docs/PROTOCOL.md §3). The runtime
+// calls it when it declares a peer down; a peer that returns with its
+// state intact simply re-earns its cache entries, and one that returns
+// empty is caught by the MERGE-NACK fallback either way, so forgetting is
+// purely conservative. The drop fans out to the shards in index order.
 //
 // The peer stays marked down until the next frame arrives from it, and
 // the mark applies to replicas instantiated in between: a key first

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"crdtsmr/internal/checker"
-	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
 )
@@ -101,7 +100,8 @@ func TestNewNodeRejectsBadShardsEnv(t *testing.T) {
 
 // TestShardedChaosPartitionRollingRestart is the keyed-linearizability
 // chaos test for the sharded runtime: a durable 3-node cluster with 4
-// shards per node and delta state transfer serves a multi-key workload
+// shards per node and keys above the replica wire's size switch (digest
+// and delta frames) serves a multi-key workload
 // through a minority partition and a rolling restart of every node, and
 // (a) the recorded history must be per-key linearizable, (b) after ALL
 // nodes crash and restart — wiping every byte of volatile state,
@@ -114,7 +114,8 @@ func TestShardedChaosPartitionRollingRestart(t *testing.T) {
 	cfg := testConfig(3)
 	cfg.Shards = 4
 	cfg.RetransmitInterval = 10 * time.Millisecond
-	cfg.Options.Transfer = core.TransferDelta
+	padded := checker.PaddedCounter(padSlots)
+	cfg.InitialForKey = func(string) crdt.State { return padded }
 	cfg.DataDir = t.TempDir()
 	c, err := New(mesh, cfg)
 	if err != nil {
@@ -166,7 +167,7 @@ func TestShardedChaosPartitionRollingRestart(t *testing.T) {
 						t.Errorf("query %s at %s: %v", key, at, err)
 						return
 					}
-					h.End(id, s.(*crdt.GCounter).Value())
+					h.End(id, s.(*crdt.GCounter).Value()-padSlots)
 				}
 			}(k, key, at)
 		}
@@ -220,7 +221,7 @@ func TestShardedChaosPartitionRollingRestart(t *testing.T) {
 			if err != nil {
 				t.Fatalf("query %q at %s after full restart: %v", key, id, err)
 			}
-			if got := s.(*crdt.GCounter).Value(); got < want {
+			if got := s.(*crdt.GCounter).Value() - padSlots; got < want {
 				t.Fatalf("key %q at %s = %d after full restart, want ≥ %d acked (persist-before-ack violated)",
 					key, id, got, want)
 			}

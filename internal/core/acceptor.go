@@ -126,12 +126,10 @@ func (a *acceptor) handleVote(r Round, s crdt.State) (reply msgType, round Round
 // acceptor above needs, run it, and answer over the wire.
 
 func (r *Replica) onMerge(from transport.NodeID, m *message) {
-	// A node tracks per-peer merge digests only when digest transfer is
-	// on locally; a full-mode node still answers digest and delta frames
-	// correctly (safety never depends on the cache), it just recognizes
-	// fewer baselines and forces more full-state fallbacks. Caches are kept
-	// only for configured peers, which bounds them by the membership.
-	track := r.opts.Transfer != TransferFull && contains(r.peers, from)
+	// Per-peer digests are tracked only from frames that carry one — a
+	// large state's — and only for configured peers, which bounds the
+	// caches by the membership.
+	track := contains(r.peers, from)
 	// A lease-holder MERGE names the round the sender's lease rests on;
 	// acceptors still at exactly that round keep it (clobberRound).
 	keep := Round{}
@@ -149,10 +147,14 @@ func (r *Replica) onMerge(from transport.NodeID, m *message) {
 			return
 		}
 		r.version++
-		if track && len(m.StateRaw) > 0 {
-			// Fingerprint the sender's state from the wire bytes — the
-			// digest is defined over exactly this encoding.
-			r.xfer.ring(from).add(crdt.DigestOfMarshaled(m.StateRaw))
+		if track && m.Kind == wire.StateFullDigest {
+			// A large state arrives with its digest: a baseline for the
+			// sender's future deltas and, when the payload now IS that
+			// state, the payload's own digest — nothing to hash here.
+			r.xfer.ring(from).add(m.Digest)
+			if r.acc.state == m.State {
+				r.xfer.digests.Note(m.State, m.Digest)
+			}
 		}
 	case wire.StateDigest:
 		// Payload suppressed: the sender believes this acceptor already
@@ -196,9 +198,10 @@ func (r *Replica) onMerge(from transport.NodeID, m *message) {
 }
 
 // dominates reports whether the local payload provably dominates the state
-// with digest d as last shipped by peer from: either that exact state was
-// merged here earlier (the per-peer digest ring — payloads only grow, so
-// once merged, dominated forever) or the local payload IS that state.
+// with digest d as last shipped by peer from: either the per-peer digest
+// ring holds d (a state of that peer merged here, or vouched for in a
+// digest-only ACK — payloads only grow, so once held, dominated forever)
+// or the local payload IS that state.
 func (r *Replica) dominates(from transport.NodeID, d crdt.Digest, track bool) bool {
 	if d.IsZero() {
 		return false
@@ -238,6 +241,11 @@ func (r *Replica) onPrepare(from transport.NodeID, m *message) {
 		if own, derr := r.xfer.digests.Of(state); derr == nil && own == m.Digest {
 			out.State, out.Kind, out.Digest = nil, wire.StateDigest, own
 			r.counters.DigestReplies++
+			if contains(r.peers, from) {
+				// The proposer now knows this acceptor holds the state it
+				// announced and will build deltas on it: recognize it.
+				r.xfer.ring(from).add(own)
+			}
 		}
 	}
 	r.send(from, out)

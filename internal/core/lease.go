@@ -8,8 +8,8 @@ import (
 
 // leaseState is the proposer-side record of a round lease: the last
 // learned state and the round a full quorum confirmed as the highest
-// established. The digest (kept under digest/delta transfer) lets a
-// quiescent leased VOTE ship no payload at all.
+// established. The digest (kept for a large state) lets a quiescent leased
+// VOTE ship no payload at all.
 type leaseState struct {
 	round  Round
 	state  crdt.State
@@ -63,26 +63,28 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 	}
 	req.votes[r.id] = true
 	req.rtts++
-	if r.opts.Transfer != TransferFull {
+	if r.xfer.large() {
 		if d, derr := r.xfer.digests.Of(prop); derr == nil {
 			req.propDig, req.hasPropDig = d, true
 		}
 	}
+	full := &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: lease.round, State: prop, Lease: true}
+	var digestOnly *message
+	if req.hasPropDig {
+		digestOnly = &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: lease.round, Lease: true, Kind: wire.StateDigest, Digest: req.propDig}
+	}
+	quiescent := lease.hasDig && req.propDig == lease.digest
 	for _, p := range r.peers {
-		m := &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: lease.round, State: prop, Lease: true}
-		if req.hasPropDig {
-			// Digest-suppressed leased VOTE: ship no payload to a peer that
-			// provably already holds it — either the cluster is quiescent
-			// (the proposal still equals the leased state every quorum
-			// member confirmed) or this peer's last acknowledged state is
-			// exactly the proposal (it merged the holder's updates). The
-			// acceptor verifies the digest against its own payload and
-			// NACKs with the full state on any mismatch.
-			quiescent := lease.hasDig && req.propDig == lease.digest
-			view, seen := r.xfer.views[p]
-			if quiescent || (seen && view.digest == req.propDig) {
-				m.State, m.Kind, m.Digest = nil, wire.StateDigest, req.propDig
-			}
+		// Digest-suppressed leased VOTE: ship no payload to a peer that
+		// provably already holds it — either the cluster is quiescent (the
+		// proposal still equals the leased state every quorum member
+		// confirmed) or this peer's last acknowledged state is exactly the
+		// proposal (it merged the holder's updates). The acceptor verifies
+		// the digest against its own payload and NACKs with the full state
+		// on any mismatch.
+		m := full
+		if view, seen := r.xfer.views[p]; digestOnly != nil && (quiescent || (seen && view.digest == req.propDig)) {
+			m = digestOnly
 		}
 		r.send(p, m)
 	}
@@ -112,12 +114,12 @@ func (r *Replica) settleLease(req *queryReq, learned crdt.State) {
 	}
 }
 
-// installLease records (or refreshes) the round lease. The digest of the
-// leased state is memoized under digest/delta transfer so quiescent
-// leased VOTEs can ship no payload.
+// installLease records (or refreshes) the round lease. The digest of a
+// large leased state is kept so quiescent leased VOTEs can ship no
+// payload.
 func (r *Replica) installLease(round Round, state crdt.State) {
 	l := &leaseState{round: round, state: state}
-	if r.opts.Transfer != TransferFull {
+	if r.xfer.large() {
 		if d, err := r.xfer.digests.Of(state); err == nil {
 			l.digest, l.hasDig = d, true
 		}

@@ -247,11 +247,11 @@ func TestLeaseDropSignals(t *testing.T) {
 	}
 }
 
-// TestLeasedReadDigestSuppressed: under digest transfer a quiescent
-// leased read ships no payload — the VOTE carries the proposal's digest
-// and the acceptors verify it against their own payloads.
+// TestLeasedReadDigestSuppressed: a quiescent leased read of a large
+// state ships no payload — the VOTE carries the proposal's digest and the
+// acceptors verify it against their own payloads.
 func TestLeasedReadDigestSuppressed(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDigest))
+	nw := newLargeNet(t, 3)
 	n1 := nw.reps["n1"]
 	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
 		t.Fatal(err)

@@ -13,15 +13,15 @@ type msgType uint8
 
 const (
 	// msgMerge carries an updated payload state to remote acceptors
-	// (update path, line 4). Under digest or delta state transfer the
-	// payload may be replaced by a digest the receiver recognizes, or by
-	// a delta against a baseline it recognizes (docs/PROTOCOL.md §3).
+	// (update path, line 4). A large state's payload may be replaced by a
+	// digest the receiver recognizes, or by a delta against a baseline it
+	// recognizes (docs/PROTOCOL.md §3).
 	msgMerge msgType = iota + 1
 	// msgMerged acknowledges a MERGE (line 35).
 	msgMerged
 	// msgPrepare announces a proposer's intent to learn a state (line 10).
-	// Under digest state transfer it also carries the digest of the
-	// proposer's local payload, enabling digest-only replies.
+	// When the proposer's payload is large it also carries that payload's
+	// digest, enabling digest-only replies.
 	msgPrepare
 	// msgAck answers a successful PREPARE with the acceptor's round and
 	// payload state (line 42) — or, when the acceptor's state matches the
@@ -138,10 +138,14 @@ type message struct {
 	Digest   crdt.Digest // sender state digest (digest/full+digest), or delta result
 	Baseline crdt.Digest // delta baseline digest
 
-	// StateRaw is the marshaled payload exactly as received, kept by the
-	// decoder so receivers can fingerprint full states without
-	// re-encoding them. It is not consulted by encode.
+	// StateRaw is State marshaled: kept by the decoder exactly as
+	// received, and set by a sender that already encoded State so that
+	// encode does not marshal it again.
 	StateRaw []byte
+
+	// wire is the message as encoded by its first send, reused by every
+	// later send of the same message within one protocol step.
+	wire []byte
 }
 
 // hasConfig reports whether the message type carries a config frame.
@@ -154,7 +158,7 @@ func hasConfig(t msgType) bool { return t == msgReconfig || t == msgEpochNack }
 //
 // where the configFrame (internal/wire/config.go) is present only on
 // RECONFIG and EPOCH-NACK frames, and stateFrame is the versioned
-// state-transfer frame of internal/wire/state.go.
+// state frame of internal/wire/state.go.
 func (m *message) encode() ([]byte, error) {
 	kind := m.Kind
 	if kind == wire.StateNone && m.State != nil {
@@ -165,9 +169,12 @@ func (m *message) encode() ([]byte, error) {
 		if m.State == nil {
 			return nil, fmt.Errorf("core: encode %s: %v frame without a state", m.Type, kind)
 		}
-		raw, err := crdt.Marshal(m.State)
-		if err != nil {
-			return nil, fmt.Errorf("core: encode %s: %w", m.Type, err)
+		raw := m.StateRaw
+		if raw == nil {
+			var err error
+			if raw, err = crdt.Marshal(m.State); err != nil {
+				return nil, fmt.Errorf("core: encode %s: %w", m.Type, err)
+			}
 		}
 		frame.State = raw
 	}

@@ -89,9 +89,9 @@ type queryReq struct {
 	leasable   bool
 	leaseRound Round
 
-	// propDig is the digest of the leased attempt's proposal
-	// (digest/delta transfer only): it drives per-peer VOTE payload
-	// suppression and, once a peer VOTEDs, records that peer's view.
+	// propDig is the digest of the leased attempt's proposal (large
+	// states only): it drives per-peer VOTE payload suppression and, once
+	// a peer VOTEDs, records that peer's view.
 	propDig    crdt.Digest
 	hasPropDig bool
 
@@ -202,7 +202,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 		return
 	}
 	req.rtts++
-	if r.opts.Transfer != TransferFull {
+	if r.xfer.large() {
 		// Announce the digest of the local post-prepare payload: a remote
 		// acceptor whose payload matches answers with the digest alone,
 		// and onAck resolves it back to req.prepared. The digest is
@@ -250,6 +250,15 @@ func (r *Replica) mergeGathered(acc, s crdt.State) crdt.State {
 }
 
 func (r *Replica) onAck(from transport.NodeID, m *message) {
+	if m.Kind == wire.StateDigest {
+		// A digest-only ACK — a late one for a query already learned too —
+		// proves the acceptor holds the state it names. If that is the
+		// payload digested here last, it is the peer's view from now on:
+		// the next update ships the peer a delta.
+		if s, known := r.xfer.digests.Lookup(m.Digest); known {
+			r.setView(from, m.Digest, s)
+		}
+	}
 	req, ok := r.queries[m.Req]
 	if !ok || m.Attempt != req.attempt || req.phase != phasePrepare {
 		r.counters.StaleMsgs++
@@ -312,8 +321,8 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		req.leasable, req.leaseRound = true, common
 	}
 	if identical {
-		// [Q6] Every ACK resolved to the same state value — the norm under
-		// digest transfer, where digest-only ACKs all resolve to the
+		// [Q6] Every ACK resolved to the same state value — the norm for a
+		// converged large state, whose digest-only ACKs all resolve to the
 		// prepared state. Trivially a consistent quorum: skip the O(n)
 		// merge-and-compare sweep.
 		r.finishQuery(req, states[0], LearnConsistentQuorum)

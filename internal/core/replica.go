@@ -6,16 +6,11 @@ import (
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
+	"crdtsmr/internal/wire"
 )
 
 // Options configure optional protocol behaviours.
 type Options struct {
-	// Transfer selects the state-transfer strategy of the replica wire:
-	// full payloads (the paper's format, the default), digest-suppressed
-	// payloads, or deltas (docs/PROTOCOL.md §3). It changes only how many
-	// bytes move, never what is learned.
-	Transfer StateTransfer
-
 	// Lease enables the §3.6 prepare-skip fast path (docs/PROTOCOL.md §5):
 	// after a query learns with every quorum member agreeing on the round,
 	// the proposer records a round lease and subsequent queries go straight
@@ -64,7 +59,7 @@ type Replica struct {
 	reconfig *reconfigReq
 
 	acc  acceptor
-	xfer transferState // digest/delta bookkeeping (Transfer != TransferFull)
+	xfer transferState // digest/delta bookkeeping of states at or above largeState
 
 	// lease is the round lease of the prepare-skip fast path, nil when no
 	// lease is held. It is deliberately volatile: never snapshotted, and
@@ -209,7 +204,7 @@ func (r *Replica) setConfig(cfg Config) {
 
 // ForgetPeer drops every digest/delta transfer assumption held about the
 // given peer: the last state it acknowledged (delta baselines) and the
-// digests of its MERGE payloads merged here. The runtime calls it when it
+// digests of its states held here. The runtime calls it when it
 // declares a peer down; the caches repopulate as traffic resumes, and a
 // stale assumption would anyway only cost a MERGE-NACK round trip, never
 // correctness.
@@ -290,24 +285,28 @@ func (r *Replica) broadcast(m *message) {
 	r.sendAll(r.peers, m)
 }
 
-// sendAll encodes m once and queues the same bytes for every recipient.
-// Envelope payloads are read-only from here on (the runtimes copy them
-// into a wire envelope or decode them), so sharing one buffer is safe.
+// sendAll queues m for every recipient, encoding it once: the bytes stay
+// on m, so sending m again — to the next peer of a per-peer loop — shares
+// them. Envelope payloads are read-only from here on (the runtimes copy
+// them into a wire envelope or decode them), so sharing one buffer is safe.
 func (r *Replica) sendAll(to []transport.NodeID, m *message) {
-	// Every outbound message is stamped with the current config epoch, so
-	// receivers can refuse traffic from a stale configuration before it
-	// reaches the protocol handlers (docs/PROTOCOL.md §6).
-	m.Epoch = r.cfg.Epoch
-	p, err := m.encode()
-	if err != nil {
-		// Encoding fails only for unmarshalable states — a programming
-		// error in the payload type. Dropping the message degrades to a
-		// lost message, which the protocol tolerates.
-		r.counters.MalformedMsgs++
-		return
+	if m.wire == nil {
+		// Every outbound message is stamped with the current config epoch,
+		// so receivers can refuse traffic from a stale configuration
+		// before it reaches the protocol handlers (docs/PROTOCOL.md §6).
+		m.Epoch = r.cfg.Epoch
+		p, err := m.encode()
+		if err != nil {
+			// Encoding fails only for unmarshalable states — a programming
+			// error in the payload type. Dropping the message degrades to a
+			// lost message, which the protocol tolerates.
+			r.counters.MalformedMsgs++
+			return
+		}
+		m.wire = p
 	}
 	for _, id := range to {
-		r.outbox = append(r.outbox, Envelope{To: id, Payload: p})
+		r.outbox = append(r.outbox, Envelope{To: id, Payload: m.wire})
 	}
 }
 
@@ -318,6 +317,9 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
 	if err != nil {
 		r.counters.MalformedMsgs++
 		return
+	}
+	if m.Kind == wire.StateFull || m.Kind == wire.StateFullDigest {
+		r.xfer.size = len(m.StateRaw)
 	}
 	// Configuration traffic is handled before the epoch gate: it is the
 	// anti-entropy channel that repairs epoch mismatches.

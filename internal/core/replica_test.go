@@ -742,15 +742,12 @@ func TestReplicaIgnoresGarbageMessages(t *testing.T) {
 	}
 }
 
-// TestBroadcastEncodesOnce: a PREPARE and a full-transfer MERGE go to every
-// peer as one encoded buffer, not one marshal of the state per peer.
+// TestBroadcastEncodesOnce: a PREPARE, a MERGE and a leased VOTE go to
+// every peer as one encoded buffer, not one marshal of the state per peer
+// — for a small state, and for a large state's first full MERGE.
 func TestBroadcastEncodesOnce(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Transfer = TransferFull
-	r, err := NewReplica("a", []transport.NodeID{"a", "b", "c"}, crdt.NewGCounter(), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nw := newNet(t, 3, DefaultOptions())
+	r := nw.reps["n1"]
 	check := func(what string) {
 		t.Helper()
 		out := r.TakeOutbox()
@@ -767,4 +764,14 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("MERGE")
+	installLeaseAt(t, nw, r)
+	r.SubmitQuery(func(crdt.State, QueryStats, error) {})
+	check("leased VOTE")
+
+	large := newLargeNet(t, 3).reps["n1"]
+	if _, err := large.SubmitUpdate(incAt(large), func(UpdateStats, error) {}); err != nil {
+		t.Fatal(err)
+	}
+	r = large
+	check("large MERGE")
 }

@@ -13,9 +13,10 @@ import "sort"
 // the normal retry machinery.
 func (r *Replica) Retransmit(reqID uint64) {
 	if req, ok := r.updates[reqID]; ok {
+		m := req.fullMerge()
 		for _, p := range r.peers {
 			if !req.acked[p] {
-				r.send(p, req.fullMerge())
+				r.send(p, m)
 			}
 		}
 		return

@@ -274,7 +274,7 @@ func TestRetransmitVoteGraceLeased(t *testing.T) {
 	}
 }
 
-// --- aborted updates must still converge the cluster (delta mode) ---
+// --- aborted updates must still converge the cluster (large states) ---
 
 // TestAbortedUpdateStillServesFullPayload: a client abandons an update
 // whose delta MERGE a peer later rejects. The proposer no longer has an
@@ -282,7 +282,7 @@ func TestRetransmitVoteGraceLeased(t *testing.T) {
 // counted by the abort — the retired slot must answer the MERGE-NACK
 // with the full state, or the peer would silently miss the update.
 func TestAbortedUpdateStillServesFullPayload(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDelta))
+	nw := newLargeNet(t, 3)
 	n1, n2 := nw.reps["n1"], nw.reps["n2"]
 
 	// Converge once so n1 holds delta baselines for its peers.
@@ -331,7 +331,7 @@ func TestAbortedUpdateStillServesFullPayload(t *testing.T) {
 	// n2 holds all three updates despite the abort: the first converged
 	// round, its own, and the aborted one served in full from the retired
 	// slot.
-	if v := counterValue(t, n2.acc.state); v != 3 {
+	if v := grown(t, n2.acc.state); v != 3 {
 		t.Fatalf("n2 converged to %d, want 3", v)
 	}
 }

@@ -1,92 +1,40 @@
 package core
 
 import (
-	"fmt"
-
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
 )
 
-// StateTransfer selects how MERGE/ACK/NACK messages move payload state on
-// the replica wire (docs/PROTOCOL.md §3). All three modes implement the
-// same protocol and interoperate — receivers understand every frame kind
-// regardless of their own mode, and the mode only governs what a node
-// initiates (replies answer in whatever form the inbound frame asked
-// for: even a full-mode acceptor sends a digest-only ACK to a PREPARE
-// that announced a matching digest) — but a uniform cluster-wide
-// setting is what makes the savings land.
-type StateTransfer uint8
-
-const (
-	// TransferFull always ships complete payloads — the paper's wire
-	// format, and the default.
-	TransferFull StateTransfer = iota
-	// TransferDigest announces the proposer's state digest in PREPARE so
-	// converged acceptors answer digest-only ACKs/NACKs, and suppresses
-	// MERGE payloads a peer has already acknowledged.
-	TransferDigest
-	// TransferDelta additionally ships join-decomposition deltas in MERGE
-	// for payload types implementing crdt.DeltaState, against the last
-	// state each peer acknowledged.
-	TransferDelta
-)
-
-func (t StateTransfer) String() string {
-	switch t {
-	case TransferFull:
-		return "full"
-	case TransferDigest:
-		return "digest"
-	case TransferDelta:
-		return "delta"
-	default:
-		return fmt.Sprintf("StateTransfer(%d)", uint8(t))
-	}
-}
-
-// ParseStateTransfer parses the -state-transfer flag values.
-func ParseStateTransfer(s string) (StateTransfer, error) {
-	switch s {
-	case "full":
-		return TransferFull, nil
-	case "digest":
-		return TransferDigest, nil
-	case "delta":
-		return TransferDelta, nil
-	default:
-		return TransferFull, fmt.Errorf("core: unknown state-transfer mode %q (want full, digest, or delta)", s)
-	}
-}
+// largeState is the encoded size, in bytes, from which a payload state
+// travels the replica wire by digest or delta instead of in full
+// (docs/PROTOCOL.md §3). Below it states travel exactly as in the paper:
+// no hashing, no MERGE-NACK round, at most a kilobyte more per frame than
+// a digest. At or above it, a converged read ships digests and an update
+// a delta. Receivers decode every frame kind whatever the sender chose.
+const largeState = 1 << 10
 
 // peerView is the proposer-side record of the last payload state a peer
-// acknowledged merging from this replica. Any acknowledged state is a
-// sound delta baseline forever: the peer's payload only grows, so it
-// dominates everything it ever merged. The full state is retained only in
-// delta mode (it is the delta subtrahend); digest mode keeps the digest
-// alone.
+// acknowledged holding: a MERGE it acknowledged, a leased VOTE it voted
+// for, or the state its digest-only ACK vouched for. Any acknowledged state
+// is a sound delta baseline forever: the peer's payload only grows, so it
+// dominates everything it ever held.
 type peerView struct {
-	state  crdt.State // nil under TransferDigest
+	state  crdt.State
 	digest crdt.Digest
 }
 
 // setView makes s (digest d) the peer's view once the peer acknowledged
-// merging it — a MERGED for an update, or a VOTED for a leased proposal.
-// Views are kept only for configured peers.
+// holding it. Views are kept only for configured peers.
 func (r *Replica) setView(peer transport.NodeID, d crdt.Digest, s crdt.State) {
-	if !contains(r.peers, peer) {
-		return
+	if contains(r.peers, peer) {
+		r.xfer.views[peer] = &peerView{state: s, digest: d}
 	}
-	view := &peerView{digest: d}
-	if r.opts.Transfer == TransferDelta {
-		view.state = s
-	}
-	r.xfer.views[peer] = view
 }
 
 // digestRingSize bounds the per-peer digest cache: how many of a peer's
-// recent MERGE states an acceptor remembers having merged. A small ring
-// tolerates a few reordered or duplicated deltas in flight; anything
-// older falls back to a MERGE-NACK and a full-state resend.
+// recent states an acceptor remembers dominating. A small ring tolerates a
+// few reordered or duplicated deltas in flight; anything older falls back
+// to a MERGE-NACK and a full-state resend.
 const digestRingSize = 8
 
 // digestRing is a fixed-size record of recently merged state digests.
@@ -121,9 +69,15 @@ func (r *digestRing) contains(d crdt.Digest) bool {
 // per peer, entries created only for configured peers and dropped by
 // ForgetPeer when the runtime declares a peer down.
 type transferState struct {
+	// size is the encoded length of the last full payload state this
+	// replica shipped in a MERGE or received in any frame. It decides the
+	// messages whose state is not encoded at send time — a PREPARE's
+	// digest announcement and a leased VOTE's suppression — so a key's
+	// first contact, and every small key, costs no hashing.
+	size    int
 	digests crdt.MemoDigest                  // memoized digest of the local payload
 	views   map[transport.NodeID]*peerView   // proposer side: per-peer last-acked state
-	seen    map[transport.NodeID]*digestRing // acceptor side: per-peer merged digests
+	seen    map[transport.NodeID]*digestRing // acceptor side: per-peer dominated digests
 }
 
 func newTransferState() transferState {
@@ -132,6 +86,10 @@ func newTransferState() transferState {
 		seen:  make(map[transport.NodeID]*digestRing),
 	}
 }
+
+// large reports whether the payload last seen on the wire was at or above
+// largeState.
+func (t *transferState) large() bool { return t.size >= largeState }
 
 func (t *transferState) ring(from transport.NodeID) *digestRing {
 	r, ok := t.seen[from]

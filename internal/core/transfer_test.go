@@ -10,7 +10,7 @@ import (
 )
 
 // newNetWith is newNet with an explicit initial payload, for transfer
-// tests that need non-counter types.
+// tests that need large or non-counter states.
 func newNetWith(t *testing.T, n int, opts Options, s0 func() crdt.State) *net {
 	t.Helper()
 	members := make([]transport.NodeID, n)
@@ -28,10 +28,38 @@ func newNetWith(t *testing.T, n int, opts Options, s0 func() crdt.State) *net {
 	return nw
 }
 
-func digestOpts(mode StateTransfer) Options {
-	o := DefaultOptions()
-	o.Transfer = mode
-	return o
+// padSlots is how many padding slots largeCounter holds: enough to put
+// its encoding above largeState.
+const padSlots = 128
+
+// largeCounter is a g-counter of value padSlots whose encoding is above
+// largeState, so replicas of it take the digest and delta paths while
+// incAt still works; grown reads its value net of the padding.
+func largeCounter() crdt.State {
+	c := crdt.NewGCounter()
+	for i := 0; i < padSlots; i++ {
+		c = c.Inc(fmt.Sprintf("pad/%03d", i), 1)
+	}
+	return c
+}
+
+func grown(t *testing.T, s crdt.State) uint64 {
+	t.Helper()
+	return counterValue(t, s) - padSlots
+}
+
+// newLargeNet is newNet over largeCounter.
+func newLargeNet(t *testing.T, n int) *net {
+	return newNetWith(t, n, DefaultOptions(), largeCounter)
+}
+
+// orSetOf returns an or-set of n elements.
+func orSetOf(n int) *crdt.ORSet {
+	s := crdt.NewORSet()
+	for i := 0; i < n; i++ {
+		s = s.Add(fmt.Sprintf("elem-%06d", i), "seed", uint64(i))
+	}
+	return s
 }
 
 // kinds decodes the pool and returns the state-frame kind of every
@@ -51,23 +79,11 @@ func (nw *net) kinds(match func(env) bool) []wire.StateKind {
 	return out
 }
 
-func TestParseStateTransfer(t *testing.T) {
-	for _, mode := range []StateTransfer{TransferFull, TransferDigest, TransferDelta} {
-		got, err := ParseStateTransfer(mode.String())
-		if err != nil || got != mode {
-			t.Fatalf("ParseStateTransfer(%q) = %v, %v", mode.String(), got, err)
-		}
-	}
-	if _, err := ParseStateTransfer("compressed"); err == nil {
-		t.Fatal("unknown mode accepted")
-	}
-}
-
-// TestDigestModeConvergedQueryIsDigestOnly: once the cluster is converged,
-// a query's remote ACKs must carry only digests, and the query must still
+// TestDigestModeConvergedQuery: once a large state is converged, a
+// query's remote ACKs must carry only digests, and the query must still
 // learn the correct state by consistent quorum in one round trip.
 func TestDigestModeConvergedQuery(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDigest))
+	nw := newLargeNet(t, 3)
 	n1, n2 := nw.reps["n1"], nw.reps["n2"]
 
 	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
@@ -106,7 +122,7 @@ func TestDigestModeConvergedQuery(t *testing.T) {
 	if learned == nil {
 		t.Fatal("query did not complete")
 	}
-	if v := counterValue(t, learned); v != 1 {
+	if v := grown(t, learned); v != 1 {
 		t.Fatalf("learned %d, want 1", v)
 	}
 	if stats.Path != LearnConsistentQuorum || stats.RoundTrips != 1 {
@@ -118,13 +134,19 @@ func TestDigestModeConvergedQuery(t *testing.T) {
 	}
 }
 
-// TestDigestModeDivergedQueryFallsBackToFullAcks: an acceptor whose state
-// does not match the announced digest must answer with its full payload,
-// and the query must learn the join.
+// TestDigestModeDivergedQuery: an acceptor whose large state does not
+// match the announced digest must answer with its full payload, and the
+// query must learn the join.
 func TestDigestModeDivergedQuery(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDigest))
+	nw := newLargeNet(t, 3)
 	n1, n2 := nw.reps["n1"], nw.reps["n2"]
 
+	// Converge once, so every replica has seen the state's size.
+	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.drain()
 	// An update whose MERGEs never arrive leaves n1 ahead of n2/n3.
 	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
 		t.Fatal(err)
@@ -141,25 +163,30 @@ func TestDigestModeDivergedQuery(t *testing.T) {
 	})
 	nw.pump()
 	nw.deliver(ofType(msgPrepare))
-	for _, k := range nw.kinds(func(e env) bool { return e.typ == msgAck && e.from == "n1" }) {
-		if k != wire.StateFull {
-			t.Fatalf("diverged ACK kind = %v, want full", k)
+	for _, e := range []struct {
+		from transport.NodeID
+		want wire.StateKind
+	}{{"n1", wire.StateFull}, {"n3", wire.StateDigest}} {
+		got := nw.kinds(func(x env) bool { return x.typ == msgAck && x.from == e.from })
+		if len(got) != 1 || got[0] != e.want {
+			t.Fatalf("ACK kinds from %s = %v, want [%v]", e.from, got, e.want)
 		}
 	}
 	nw.drain()
 	if learned == nil {
 		t.Fatal("query did not complete")
 	}
-	if v := counterValue(t, learned); v != 1 {
-		t.Fatalf("learned %d, want 1 (n1's unmerged update must be visible)", v)
+	if v := grown(t, learned); v != 2 {
+		t.Fatalf("learned %d, want 2 (n1's unmerged update must be visible)", v)
 	}
 }
 
 // TestDeltaModeSendsDeltas: after a first full MERGE is acknowledged,
-// subsequent MERGEs to that peer must ship join-decomposition deltas, and
-// every replica must still converge to the full state.
+// subsequent MERGEs of a large state to that peer must ship
+// join-decomposition deltas, and every replica must still converge to the
+// full state.
 func TestDeltaModeSendsDeltas(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDelta))
+	nw := newLargeNet(t, 3)
 	n1 := nw.reps["n1"]
 
 	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
@@ -167,8 +194,8 @@ func TestDeltaModeSendsDeltas(t *testing.T) {
 	}
 	nw.pump()
 	for _, k := range nw.kinds(ofType(msgMerge)) {
-		if k != wire.StateFull {
-			t.Fatalf("first MERGE kind = %v, want full", k)
+		if k != wire.StateFullDigest {
+			t.Fatalf("first MERGE kind = %v, want full+digest", k)
 		}
 	}
 	nw.drain()
@@ -191,17 +218,17 @@ func TestDeltaModeSendsDeltas(t *testing.T) {
 		t.Fatalf("DeltaMerges = %d, want 2", got)
 	}
 	for id, rep := range nw.reps {
-		if v := counterValue(t, rep.LocalState()); v != 2 {
+		if v := grown(t, rep.LocalState()); v != 2 {
 			t.Fatalf("%s converged to %d, want 2", id, v)
 		}
 	}
 }
 
-// TestDigestModeSuppressesUnchangedMerge: an update that leaves the
+// TestDigestModeSuppressesUnchangedMerge: an update that leaves a large
 // payload unchanged (add-if-absent on a converged OR-set) must ship only
 // digests, not the set.
 func TestDigestModeSuppressesUnchangedMerge(t *testing.T) {
-	nw := newNetWith(t, 3, digestOpts(TransferDigest), func() crdt.State { return crdt.NewORSet() })
+	nw := newNetWith(t, 3, DefaultOptions(), func() crdt.State { return orSetOf(100) })
 	n1 := nw.reps["n1"]
 
 	addX := func(s crdt.State) (crdt.State, error) {
@@ -256,7 +283,7 @@ func TestMergeNackFallsBackToFull(t *testing.T) {
 		{"digest", wire.StateDigest, func(*Replica) crdt.Update { return noop }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			nw := newNet(t, 3, digestOpts(TransferDelta))
+			nw := newLargeNet(t, 3)
 			n1, n2 := nw.reps["n1"], nw.reps["n2"]
 
 			if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
@@ -310,16 +337,82 @@ func TestMergeNackFallsBackToFull(t *testing.T) {
 				}
 			}
 			nw.drain()
+			if got := n1.Counters().MergeFallbacks; got != 1 {
+				t.Fatalf("post-fallback delta was refused too: MergeFallbacks = %d", got)
+			}
 		})
 	}
 }
 
-// TestTransferModesLearnIdenticalStates drives the same workload through
-// all three transfer modes and requires identical convergence.
+// TestConvergedReadLearnsPeerViews: a digest-only ACK proves the acceptor
+// holds the prepared state, so after one converged read the reader's next
+// update ships deltas to both peers — even though it never sent them a
+// MERGE — and the acceptors recognize the baseline without a fallback,
+// even after their own payloads moved past it.
+func TestConvergedReadLearnsPeerViews(t *testing.T) {
+	nw := newNetWith(t, 3, DefaultOptions(), func() crdt.State { return crdt.NewORSet() })
+	n1, n2 := nw.reps["n1"], nw.reps["n2"]
+	full := orSetOf(1000)
+	if _, err := n1.SubmitUpdate(func(s crdt.State) (crdt.State, error) { return s.Merge(full) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.drain()
+
+	n2.SubmitQuery(func(_ crdt.State, _ QueryStats, err error) {
+		if err != nil {
+			t.Fatalf("query: %v", err)
+		}
+	})
+	nw.pump()
+	nw.drain()
+	if got := n2.Counters().Queries; got != 1 {
+		t.Fatalf("converged read did not complete: %d queries", got)
+	}
+	// n1 and n3 move past the state n2 read; n2 does not hear of it.
+	if _, err := n1.SubmitUpdate(func(s crdt.State) (crdt.State, error) {
+		return s.(*crdt.ORSet).Add("mid", "n1", 1), nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.drop(toNode("n2"))
+	nw.drain()
+
+	if _, err := n2.SubmitUpdate(func(s crdt.State) (crdt.State, error) {
+		return s.(*crdt.ORSet).Add("new", "n2", 1), nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	if got := nw.kinds(ofType(msgMerge)); len(got) != 2 || got[0] != wire.StateDelta || got[1] != wire.StateDelta {
+		t.Fatalf("MERGE kinds after a converged read = %v, want two deltas", got)
+	}
+	nw.drain()
+	c := n2.Counters()
+	if c.DeltaMerges != 2 || c.MergeFallbacks != 0 {
+		t.Fatalf("DeltaMerges = %d, MergeFallbacks = %d, want 2 and 0", c.DeltaMerges, c.MergeFallbacks)
+	}
+	for id, rep := range nw.reps {
+		if !rep.LocalState().(*crdt.ORSet).Contains("new") {
+			t.Fatalf("%s missed the delta-shipped add", id)
+		}
+	}
+}
+
+// TestTransferModesConvergeIdentically drives the same workload over a
+// small and a large counter and requires identical convergence.
 func TestTransferModesConvergeIdentically(t *testing.T) {
-	for _, mode := range []StateTransfer{TransferFull, TransferDigest, TransferDelta} {
-		t.Run(mode.String(), func(t *testing.T) {
-			nw := newNet(t, 3, digestOpts(mode))
+	for _, tc := range []struct {
+		name string
+		s0   func() crdt.State
+		pad  uint64
+	}{
+		{"small", func() crdt.State { return crdt.NewGCounter() }, 0},
+		{"large", largeCounter, padSlots},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := newNetWith(t, 3, DefaultOptions(), tc.s0)
 			for i := 0; i < 5; i++ {
 				rep := nw.reps[transport.NodeID(fmt.Sprintf("n%d", i%3+1))]
 				if _, err := rep.SubmitUpdate(incAt(rep), nil); err != nil {
@@ -337,11 +430,11 @@ func TestTransferModesConvergeIdentically(t *testing.T) {
 			})
 			nw.pump()
 			nw.drain()
-			if v := counterValue(t, learned); v != 5 {
+			if v := counterValue(t, learned) - tc.pad; v != 5 {
 				t.Fatalf("learned %d, want 5", v)
 			}
 			for id, rep := range nw.reps {
-				if v := counterValue(t, rep.LocalState()); v != 5 {
+				if v := counterValue(t, rep.LocalState()) - tc.pad; v != 5 {
 					t.Fatalf("%s converged to %d, want 5", id, v)
 				}
 			}
@@ -353,7 +446,7 @@ func TestTransferModesConvergeIdentically(t *testing.T) {
 // runtime's peer-down signal clears both sides of the digest cache for
 // exactly that peer.
 func TestForgetPeerDropsTransferCaches(t *testing.T) {
-	nw := newNet(t, 3, digestOpts(TransferDelta))
+	nw := newLargeNet(t, 3)
 	n1 := nw.reps["n1"]
 	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
 		t.Fatal(err)
@@ -417,38 +510,28 @@ func (nw *net) drainBytes() int {
 	return total
 }
 
-// TestTransferModesByteReduction is the bytes gate of the state-transfer
-// modes: on a converged 3-replica or-set at 1k elements, digest and delta
-// transfer must cut the replica-wire bytes of a read by at least 5x
-// against full-state transfer, delta must cut a growing add by 5x (full
-// and digest re-ship the whole set), and an add that leaves the state
-// unchanged must collapse by 5x in both cheap modes. Stepped delivery, so
-// the byte counts are exact and the same on every run.
+// TestTransferModesByteReduction is the bytes gate of the size switch, on
+// a converged 3-replica or-set: a read, a growing add and an add that
+// leaves the state unchanged, each stepped, so the byte counts are exact
+// and the same on every run. A 10-element set (below largeState) must
+// cost exactly what the paper's full-state wire costs; a 1k-element set
+// must cost digests and deltas only, far below one copy of its state.
 func TestTransferModesByteReduction(t *testing.T) {
-	const size = 1000
-	full := crdt.NewORSet()
-	for i := 0; i < size; i++ {
-		full = full.Add(fmt.Sprintf("elem-%06d", i), "seed", uint64(i))
-	}
-	raw, err := crdt.Marshal(full)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stateLen := len(raw)
-	if stateLen < 10000 {
-		t.Fatalf("1k-element state marshals to only %dB — object not at size", stateLen)
-	}
-
 	type cost struct{ read, add, noop int }
-	measure := func(mode StateTransfer) cost {
-		nw := newNetWith(t, 3, digestOpts(mode), func() crdt.State { return crdt.NewORSet() })
+	measure := func(size int) (cost, int) {
+		full := orSetOf(size)
+		raw, err := crdt.Marshal(full)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nw := newNetWith(t, 3, DefaultOptions(), func() crdt.State { return crdt.NewORSet() })
 		n1 := nw.reps["n1"]
 		update := func(rep *Replica, fu crdt.Update) int {
 			t.Helper()
 			done := false
 			if _, err := rep.SubmitUpdate(fu, func(_ UpdateStats, err error) {
 				if err != nil {
-					t.Fatalf("%v update: %v", mode, err)
+					t.Fatalf("%d-element update: %v", size, err)
 				}
 				done = true
 			}); err != nil {
@@ -457,14 +540,13 @@ func TestTransferModesByteReduction(t *testing.T) {
 			nw.pump()
 			n := nw.drainBytes()
 			if !done {
-				t.Fatalf("%v update did not complete", mode)
+				t.Fatalf("%d-element update did not complete", size)
 			}
 			return n
 		}
-		// Converge on the 1k-element set: one populating update, then a
-		// no-op update per replica, so every replica holds the state and
-		// has acknowledged a MERGE from every other (the per-peer views
-		// the cheap frames are built against).
+		// Converge on the set: one populating update, then a no-op update
+		// per replica, so every replica holds the state and has
+		// acknowledged a MERGE from every other.
 		update(n1, func(s crdt.State) (crdt.State, error) { return s.Merge(full) })
 		for _, id := range []transport.NodeID{"n1", "n2", "n3"} {
 			update(nw.reps[id], func(s crdt.State) (crdt.State, error) { return s, nil })
@@ -474,42 +556,32 @@ func TestTransferModesByteReduction(t *testing.T) {
 		var learned crdt.State
 		nw.reps["n2"].SubmitQuery(func(s crdt.State, _ QueryStats, err error) {
 			if err != nil {
-				t.Fatalf("%v query: %v", mode, err)
+				t.Fatalf("%d-element query: %v", size, err)
 			}
 			learned = s
 		})
 		nw.pump()
 		c.read = nw.drainBytes()
 		if learned == nil || len(learned.(*crdt.ORSet).Elements()) != size {
-			t.Fatalf("%v query did not learn the %d-element set", mode, size)
+			t.Fatalf("query did not learn the %d-element set", size)
 		}
 		c.add = update(n1, func(s crdt.State) (crdt.State, error) {
-			return s.(*crdt.ORSet).Add("new-000000", "w", size), nil
+			return s.(*crdt.ORSet).Add("new-000000", "w", uint64(size)), nil
 		})
 		c.noop = update(n1, func(s crdt.State) (crdt.State, error) { return s, nil })
-		return c
+		return c, len(raw)
 	}
-	fullCost, digest, delta := measure(TransferFull), measure(TransferDigest), measure(TransferDelta)
 
-	// Full mode ships the state in every ACK: a read must cost state-scale
-	// bytes, or the baseline itself is broken.
-	if fullCost.read < stateLen {
-		t.Fatalf("full-mode read = %d B, below one state (%d B)", fullCost.read, stateLen)
+	// Small: the full-state wire — every ACK and MERGE carries the set.
+	if got, stateLen := measure(10); stateLen >= largeState || got != (cost{read: 466, add: 492, noop: 492}) {
+		t.Errorf("10-element set (%d B): %+v, want the full-state bytes {read:466 add:492 noop:492}", stateLen, got)
 	}
-	for _, m := range []struct {
-		mode StateTransfer
-		c    cost
-	}{{TransferDigest, digest}, {TransferDelta, delta}} {
-		if fullCost.read < 5*m.c.read {
-			t.Errorf("%v read = %d B vs full %d B, want ≥ 5x reduction", m.mode, m.c.read, fullCost.read)
-		}
-		// Digest mode cannot shrink a growing add (the state changed), but
-		// an unchanged state must cost digest-scale bytes in both modes.
-		if fullCost.noop < 5*m.c.noop {
-			t.Errorf("%v no-op add = %d B vs full %d B, want ≥ 5x reduction", m.mode, m.c.noop, fullCost.noop)
-		}
+	// Large: digest-only ACKs, a delta add, a digest-only no-op.
+	got, stateLen := measure(1000)
+	if got != (cost{read: 168, add: 220, noop: 96}) {
+		t.Errorf("1000-element set: %+v, want {read:168 add:220 noop:96}", got)
 	}
-	if fullCost.add < 5*delta.add {
-		t.Errorf("delta add = %d B vs full %d B, want ≥ 5x reduction", delta.add, fullCost.add)
+	if 100*got.read > stateLen {
+		t.Errorf("1000-element read ships %d B, not ≪ one %d B state", got.read, stateLen)
 	}
 }

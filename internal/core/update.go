@@ -20,7 +20,7 @@ type UpdateDone func(UpdateStats, error)
 type updateReq struct {
 	id      uint64
 	state   crdt.State  // the merged payload broadcast in MERGE
-	digest  crdt.Digest // digest of state (digest/delta transfer only)
+	digest  crdt.Digest // digest of state, when state is large
 	hasDig  bool
 	round   Round // lease round the MERGE asks acceptors to preserve
 	lease   bool  // this update was issued while holding the lease
@@ -63,54 +63,66 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 		done:    done,
 		pending: r.quorum - 1, // the local acceptor already merged
 	}
-	if r.opts.Transfer != TransferFull {
-		if d, derr := r.xfer.digests.Of(s); derr == nil {
-			req.digest, req.hasDig = d, true
-		}
-	}
 	if req.pending <= 0 {
 		r.completeUpdate(req)
 		return req.id, nil
 	}
 	r.updates[req.id] = req
-	if !req.hasDig {
-		// Full transfer: every peer gets the same frame, encoded once.
-		r.broadcast(req.fullMerge())
-		return req.id, nil
+	// The state is encoded once, here: its size picks the transfer, a
+	// large state is digested over these very bytes, and every peer that
+	// gets it in full shares this encoding.
+	raw, err := crdt.Marshal(s)
+	if err == nil {
+		r.xfer.size = len(raw)
+		if len(raw) >= largeState {
+			req.digest, req.hasDig = crdt.DigestOfMarshaled(raw), true
+			r.xfer.digests.Note(s, req.digest)
+		}
 	}
+	full := req.fullMerge()
+	full.StateRaw = raw
 	for _, p := range r.peers {
-		r.sendMerge(req, p)
+		r.send(p, r.mergeTo(req, p, full))
 	}
 	return req.id, nil
 }
 
-// fullMerge is the update's MERGE with the complete payload: the full
-// transfer broadcast and every retransmit.
+// fullMerge is the update's MERGE with the complete payload: the first
+// contact with a peer, every retransmit and every MERGE-NACK fallback. A
+// large state's digest rides along, so the receiver records it as a delta
+// baseline without hashing the payload again.
 func (req *updateReq) fullMerge() *message {
-	return &message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease}
+	m := &message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease}
+	if req.hasDig {
+		m.Kind, m.Digest = wire.StateFullDigest, req.digest
+	}
+	return m
 }
 
-// sendMerge ships the update's payload to one peer in the cheapest form
-// the transfer mode and the per-peer view allow: a digest alone when the
-// peer already acknowledged exactly this state, a delta against the last
-// state it acknowledged (delta mode, delta-capable payloads), or the full
-// payload. Full is always safe; the other forms are verified by the
-// receiver against its own digest cache and fall back via MERGE-NACK.
-func (r *Replica) sendMerge(req *updateReq, to transport.NodeID) {
-	m := req.fullMerge()
-	if view, ok := r.xfer.views[to]; ok && req.hasDig {
-		ds, canDelta := req.state.(crdt.DeltaState)
-		if view.digest == req.digest {
-			r.counters.DigestMerges++
-			m.State, m.Kind, m.Digest = nil, wire.StateDigest, req.digest
-		} else if canDelta && r.opts.Transfer == TransferDelta && view.state != nil {
-			if delta, err := ds.Delta(view.state); err == nil {
-				r.counters.DeltaMerges++
-				m.State, m.Kind, m.Digest, m.Baseline = delta, wire.StateDelta, req.digest, view.digest
-			}
+// mergeTo picks the cheapest form of the update's MERGE to one peer: a
+// digest alone when the peer already acknowledged exactly this large
+// state, a delta against the last state it acknowledged, or full. Full is
+// always safe; the other forms are verified by the receiver against its
+// own digest cache and fall back via MERGE-NACK.
+func (r *Replica) mergeTo(req *updateReq, to transport.NodeID, full *message) *message {
+	view, ok := r.xfer.views[to]
+	if !ok || !req.hasDig {
+		return full
+	}
+	m := &message{Type: msgMerge, Req: req.id, Round: req.round, Lease: req.lease, Digest: req.digest}
+	if view.digest == req.digest {
+		r.counters.DigestMerges++
+		m.Kind = wire.StateDigest
+		return m
+	}
+	if ds, ok := req.state.(crdt.DeltaState); ok {
+		if delta, err := ds.Delta(view.state); err == nil {
+			r.counters.DeltaMerges++
+			m.State, m.Kind, m.Baseline = delta, wire.StateDelta, view.digest
+			return m
 		}
 	}
-	r.send(to, m)
+	return full
 }
 
 func (r *Replica) onMerged(from transport.NodeID, m *message) {
@@ -177,7 +189,7 @@ func (r *Replica) onMergeNack(from transport.NodeID, m *message) {
 	}
 	delete(r.xfer.views, from)
 	r.counters.MergeFallbacks++
-	r.send(from, &message{Type: msgMerge, Req: req.id, State: req.state})
+	r.send(from, req.fullMerge())
 }
 
 func (r *Replica) completeUpdate(req *updateReq) {

@@ -75,6 +75,17 @@ func (m *MemoDigest) Of(s State) (Digest, error) {
 	return d, nil
 }
 
+// Lookup returns the memoized state if its digest is d.
+func (m *MemoDigest) Lookup(d Digest) (State, bool) {
+	return m.last, m.last != nil && m.digest == d
+}
+
+// Note records d as the digest of s, for a caller that already hashed
+// s's encoding (DigestOfMarshaled) or received the digest alongside it.
+func (m *MemoDigest) Note(s State, d Digest) {
+	m.last, m.digest = s, d
+}
+
 // DeltaState is implemented by payload types that support join
 // decomposition (delta-state CRDTs, Almeida et al.): extracting a small
 // state that carries exactly what a given baseline is missing. Types

@@ -58,25 +58,11 @@ type Spec struct {
 	New  func(s *Sim, n int) (Backend, error)
 }
 
-// Specs returns every raced configuration: the paper's protocol in all
-// three state-transfer modes, the two log-based baselines, and GLA.
+// Specs returns every raced configuration: the paper's protocol, the two
+// log-based baselines, and GLA.
 func Specs() []Spec {
 	return []Spec{
-		{Name: "crdtsmr/full", New: newCRDTFull},
-		{Name: "crdtsmr/digest", New: newCRDTDigest},
-		{Name: "crdtsmr/delta", New: newCRDTDelta},
-		{Name: "paxos", New: newPaxosBackend},
-		{Name: "raft", New: newRaftBackend},
-		{Name: "gla", New: newGLABackend},
-	}
-}
-
-// ConformSpecs returns one configuration per protocol for the conformance
-// harness (the crdtsmr transfer modes share a round protocol; delta is the
-// most intricate, so it stands for the family).
-func ConformSpecs() []Spec {
-	return []Spec{
-		{Name: "crdtsmr", New: newCRDTDelta},
+		{Name: "crdtsmr", New: newCRDTBackend},
 		{Name: "paxos", New: newPaxosBackend},
 		{Name: "raft", New: newRaftBackend},
 		{Name: "gla", New: newGLABackend},

@@ -7,23 +7,12 @@ import (
 	"crdtsmr/internal/wire"
 )
 
-func newCRDTFull(s *Sim, n int) (Backend, error) {
-	return newCRDTBackend(s, n, core.TransferFull)
-}
-func newCRDTDigest(s *Sim, n int) (Backend, error) {
-	return newCRDTBackend(s, n, core.TransferDigest)
-}
-func newCRDTDelta(s *Sim, n int) (Backend, error) {
-	return newCRDTBackend(s, n, core.TransferDelta)
-}
-
 // crdtBackend races the paper's protocol: per-key log-free core.Replica
 // rounds, multiplexed over one fabric connection per node with the same
 // object-ID envelope cluster.Node uses. A periodic virtual timer drives
 // RetransmitAll for loss recovery, mirroring the node runtime.
 type crdtBackend struct {
 	sim   *Sim
-	opts  core.Options
 	nodes []*crdtNode
 }
 
@@ -37,10 +26,8 @@ type crdtNode struct {
 	seq     uint64   // or-set add tag sequence, unique per (actor, seq)
 }
 
-func newCRDTBackend(s *Sim, n int, mode core.StateTransfer) (Backend, error) {
-	opts := core.DefaultOptions()
-	opts.Transfer = mode
-	b := &crdtBackend{sim: s, opts: opts}
+func newCRDTBackend(s *Sim, n int) (Backend, error) {
+	b := &crdtBackend{sim: s}
 	members := Members(n)
 	for _, id := range members {
 		node := &crdtNode{b: b, id: id, members: members, reps: make(map[string]*core.Replica)}
@@ -89,7 +76,7 @@ func (node *crdtNode) replica(key string) (*core.Replica, error) {
 	if rep, ok := node.reps[key]; ok {
 		return rep, nil
 	}
-	rep, err := core.NewReplica(node.id, node.members, initialFor(key), node.b.opts)
+	rep, err := core.NewReplica(node.id, node.members, initialFor(key), core.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}

@@ -126,7 +126,7 @@ func TestReadAfterWriteLatencyOrdering(t *testing.T) {
 		}
 		return st
 	}
-	crdt := get("crdtsmr/delta")
+	crdt := get("crdtsmr")
 	paxos := get("paxos")
 	raft := get("raft")
 	t.Logf("session p50 medians: crdtsmr=%v paxos=%v raft=%v", crdt.Median, paxos.Median, raft.Median)
@@ -147,7 +147,7 @@ func TestConformAllProtocols(t *testing.T) {
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, spec := range ConformSpecs() {
+	for _, spec := range Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			for _, seed := range seeds {
@@ -192,11 +192,9 @@ func TestConformWithPartitions(t *testing.T) {
 	for _, name := range []string{"crdtsmr", "paxos", "raft"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			var spec Spec
-			for _, sp := range ConformSpecs() {
-				if sp.Name == name {
-					spec = sp
-				}
+			spec, err := SpecNamed(name)
+			if err != nil {
+				t.Fatal(err)
 			}
 			net := LAN()
 			net.Loss = 0.05

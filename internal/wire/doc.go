@@ -3,7 +3,7 @@
 // Multi-Paxos, GLA) and by the TCP framing layer, plus the message
 // formats built directly on it: the object envelope that multiplexes
 // per-key replication instances over one replica connection
-// (envelope.go), the state-transfer frames that let replica messages
+// (envelope.go), the state frames that let replica messages
 // carry payloads by value, digest, or delta (state.go, spec in
 // docs/PROTOCOL.md §3), and the client frame protocol spoken between
 // crdtsmr/client and internal/server (frame.go). docs/PROTOCOL.md is

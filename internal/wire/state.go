@@ -32,7 +32,8 @@ const (
 	// computed against and the digest of the resulting full state.
 	StateDelta StateKind = 3
 	// StateFullDigest: the complete payload plus the sender's state
-	// digest (a seeded PREPARE announcing its digest).
+	// digest (a seeded PREPARE announcing its digest, or a large state's
+	// full MERGE).
 	StateFullDigest StateKind = 4
 )
 
@@ -63,7 +64,7 @@ func (k StateKind) HasDigest() bool {
 	return k == StateDigest || k == StateDelta || k == StateFullDigest
 }
 
-// StateFrame is one decoded state-transfer frame.
+// StateFrame is one decoded state frame.
 type StateFrame struct {
 	Kind StateKind
 	// State is the marshaled payload: the full state for StateFull and
