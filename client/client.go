@@ -2,10 +2,12 @@ package client
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -48,7 +50,7 @@ var errInFlight = errors.New("client: context done with request in flight")
 // long-lived client follows the cluster through reconfigurations.
 type Client struct {
 	cfg  config
-	next atomic.Uint64 // round-robin address cursor
+	next atomic.Uint64 // cursor rotating keyless (admin) requests over the addresses
 
 	mu     sync.Mutex
 	pools  []*pool
@@ -56,9 +58,11 @@ type Client struct {
 }
 
 // New returns a client for the given cluster addresses (the replicas'
-// client-facing ports). Connections are dialed lazily on first use;
-// operations start at a round-robin-chosen address and fail over to the
-// others per the retry policy.
+// client-facing ports). Connections are dialed lazily on first use. An
+// update or query goes to its key's home address, chosen by rendezvous
+// hash over the current addresses, so every client sends a key to the same
+// replica; admin operations rotate over the addresses. Either kind fails
+// over to the others per the retry policy.
 func New(addrs []string, opts ...Option) (*Client, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("client: no server addresses")
@@ -187,12 +191,13 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 		defer cancel()
 	}
 
-	// The cursor spreads operations across addresses; each attempt
-	// re-snapshots the pool list so a concurrent SetAddrs takes effect
-	// mid-retry (failing over onto endpoints that still exist). Reduce the
-	// cursor modulo the pool count while still in uint64, so the int
-	// conversion can never go negative (32-bit platforms).
-	start := c.next.Add(1)
+	// Each attempt re-snapshots the pool list so a concurrent SetAddrs
+	// takes effect mid-retry (failing over onto endpoints that still
+	// exist). Only keyless requests advance the shared cursor.
+	var start uint64
+	if req.Key == "" {
+		start = c.next.Add(1)
+	}
 	var lastErr error
 	for attempt := 0; attempt < c.cfg.retry.MaxAttempts; attempt++ {
 		if attempt > 0 {
@@ -209,7 +214,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 		if err != nil {
 			return nil, err
 		}
-		p := pools[int((start+uint64(attempt))%uint64(len(pools)))]
+		p := pick(pools, req.Key, start, attempt)
 		cn, err := p.get(ctx)
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
@@ -301,10 +306,65 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 	return nil, fmt.Errorf("client: %d attempts exhausted: %w", c.cfg.retry.MaxAttempts, lastErr)
 }
 
+// --- key routing ---
+
+// pick returns the pool for attempt n (from 0) of a request. A keyed
+// request goes to the pools in the key's rendezvous order: the first
+// attempt to the pool scoring highest, the key's home, and each retry to
+// the next. Sending a key to one replica gives it one proposer, so its
+// queries stop invalidating each other's rounds and its round lease
+// stays where it was installed. The home is only a routing hint: every
+// replica serves every key, and changing the address set re-homes only
+// the keys of the addresses that left or now outscore the old home. A
+// keyless request rotates from the cursor position start.
+func pick(pools []*pool, key string, start uint64, n int) *pool {
+	if key == "" {
+		// Reduce modulo the pool count while still in uint64, so the int
+		// conversion can never go negative (32-bit platforms).
+		return pools[int((start+uint64(n))%uint64(len(pools)))]
+	}
+	if n%len(pools) == 0 {
+		home, best := pools[0], pools[0].score(key)
+		for _, p := range pools[1:] {
+			if s := p.score(key); s > best {
+				home, best = p, s
+			}
+		}
+		return home
+	}
+	order := slices.Clone(pools)
+	slices.SortStableFunc(order, func(a, b *pool) int { return cmp.Compare(b.score(key), a.score(key)) })
+	return order[n%len(order)]
+}
+
+// FNV-1a, 64 bit.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// score is the pool's rendezvous weight for key: FNV-1a over (address,
+// 0, key), then the splitmix64 finalizer. The finalizer is required: raw
+// FNV-1a scores of different addresses are too correlated to rank them
+// fairly (without it TestKeyHomesSpreadEvenly's 3,000 keys split
+// 1,000/1,200/800, and a handful of keys can all share one home).
+func (p *pool) score(key string) uint64 {
+	h := p.seed
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint64(key[i])) * fnvPrime
+	}
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // --- connection pool ---
 
 type pool struct {
 	addr string
+	seed uint64 // FNV-1a state after hashing addr and a 0 byte (score)
 	cfg  config
 
 	mu     sync.Mutex
@@ -314,7 +374,12 @@ type pool struct {
 }
 
 func newPool(addr string, cfg config) *pool {
-	return &pool{addr: addr, cfg: cfg, conns: make([]*conn, cfg.connsPerAddr)}
+	h := uint64(fnvOffset)
+	for i := 0; i < len(addr); i++ {
+		h = (h ^ uint64(addr[i])) * fnvPrime
+	}
+	h *= fnvPrime // the 0 separator: h ^ 0 == h
+	return &pool{addr: addr, seed: h, cfg: cfg, conns: make([]*conn, cfg.connsPerAddr)}
 }
 
 // get returns a live connection from the pool, dialing the slot if its

@@ -11,20 +11,36 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/wire"
 )
 
-// startPongServer answers every decodable admin request with "pong" and
-// returns the listen address.
-func startPongServer(t *testing.T) string {
+// fakeServer answers every decodable request with StatusOK: admin
+// requests with "pong", queries with an empty G-Counter. It counts the
+// requests it read, and with hangUp set it closes each connection right
+// after reading a request instead of answering.
+type fakeServer struct {
+	ln     net.Listener
+	addr   string
+	served atomic.Int32
+	hangUp atomic.Bool
+}
+
+func startFakeServer(t *testing.T) *fakeServer {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
+	state, err := crdt.Marshal(crdt.NewGCounter())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &fakeServer{ln: ln, addr: ln.Addr().String()}
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
@@ -48,11 +64,18 @@ func startPongServer(t *testing.T) string {
 					if err != nil {
 						return
 					}
+					s.served.Add(1)
+					if s.hangUp.Load() {
+						return
+					}
 					resp := &wire.Response{
 						Op:      req.Op | wire.RespBit,
 						ID:      req.ID,
 						Status:  wire.StatusOK,
 						Payload: []byte("pong"),
+					}
+					if req.Op == wire.OpQuery {
+						resp.State = state
 					}
 					if wire.WriteFrame(conn, resp.Encode()) != nil {
 						return
@@ -65,7 +88,13 @@ func startPongServer(t *testing.T) string {
 		_ = ln.Close()
 		wg.Wait()
 	})
-	return ln.Addr().String()
+	return s
+}
+
+// startPongServer starts a fakeServer and returns its listen address.
+func startPongServer(t *testing.T) string {
+	t.Helper()
+	return startFakeServer(t).addr
 }
 
 // TestRemovedEndpointPoolRetriesElsewhere: an operation that lands on a
@@ -93,7 +122,8 @@ func TestRemovedEndpointPoolRetriesElsewhere(t *testing.T) {
 	c.mu.Unlock()
 	removed.close()
 
-	// Round-robin guarantees some of these land on the closed pool first.
+	// Ping rotates over the addresses, so some of these land on the closed
+	// pool first.
 	for i := 0; i < 6; i++ {
 		if err := c.Ping(ctx); err != nil {
 			t.Fatalf("ping %d with a removed-endpoint pool in the set: %v", i, err)
