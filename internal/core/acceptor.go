@@ -169,9 +169,10 @@ func (r *Replica) onMerge(from transport.NodeID, m *message) {
 			r.counters.MalformedMsgs++
 			return
 		}
-		if r.dominates(from, m.Digest, track) {
+		if r.xfer.holds(from, m.Digest) {
 			// The resulting state is already covered here (duplicate or
-			// reordered delta): acknowledge without merging.
+			// reordered delta): acknowledge without merging. The ring
+			// alone decides, so this check never hashes the payload.
 			break
 		}
 		if !r.dominates(from, m.Baseline, track) {
@@ -180,11 +181,20 @@ func (r *Replica) onMerge(from transport.NodeID, m *message) {
 			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
 			return
 		}
+		base, memo := r.xfer.digests.Lookup(m.Baseline)
+		exact := memo && base == r.acc.state
 		if err := r.acc.handleMerge(m.State, keep); err != nil {
 			r.counters.MalformedMsgs++
 			return
 		}
 		r.version++
+		if exact {
+			// The payload was exactly the baseline, so baseline ⊔ delta
+			// makes it exactly the sender's state: its digest is known
+			// without hashing, and the next delta onto it or PREPARE
+			// announcing it costs no hashing either.
+			r.xfer.digests.Note(r.acc.state, m.Digest)
+		}
 		if track {
 			// baseline ⊔ delta = the sender's full state: merged here, so
 			// its digest is now a recognized baseline for future deltas.
@@ -206,7 +216,7 @@ func (r *Replica) dominates(from transport.NodeID, d crdt.Digest, track bool) bo
 	if d.IsZero() {
 		return false
 	}
-	if ring, ok := r.xfer.seen[from]; ok && ring.contains(d) {
+	if r.xfer.holds(from, d) {
 		return true
 	}
 	if own, err := r.xfer.digests.Of(r.acc.state); err == nil && own == d {

@@ -100,6 +100,12 @@ func (t *transferState) ring(from transport.NodeID) *digestRing {
 	return r
 }
 
+// holds reports whether peer from's digest ring records d.
+func (t *transferState) holds(from transport.NodeID, d crdt.Digest) bool {
+	ring, ok := t.seen[from]
+	return ok && ring.contains(d)
+}
+
 func (t *transferState) forget(peer transport.NodeID) {
 	delete(t.views, peer)
 	delete(t.seen, peer)

@@ -400,6 +400,83 @@ func TestConvergedReadLearnsPeerViews(t *testing.T) {
 	}
 }
 
+// TestDeltaOntoExactBaseline: an acceptor whose payload is exactly a
+// delta MERGE's baseline records the merged payload under the sender's
+// digest, so the next delta onto it or PREPARE announcing it needs no
+// hashing. A duplicate of that delta is still acknowledged, and a delta
+// onto a baseline the acceptor does not know still gets a MERGE-NACK.
+func TestDeltaOntoExactBaseline(t *testing.T) {
+	nw := newNetWith(t, 3, DefaultOptions(), func() crdt.State { return orSetOf(100) })
+	n1, n2 := nw.reps["n1"], nw.reps["n2"]
+	seq := uint64(0)
+	add := func(rep *Replica, e string) {
+		t.Helper()
+		seq++
+		actor := string(rep.ID())
+		if _, err := rep.SubmitUpdate(func(s crdt.State) (crdt.State, error) {
+			return s.(*crdt.ORSet).Add(e, actor, seq), nil
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		nw.pump()
+	}
+	toN2 := func(e env) bool { return e.typ == msgMerge && e.to == "n2" }
+	fromN2 := func(typ msgType) int {
+		n := 0
+		for _, e := range nw.pool {
+			if e.from == "n2" && e.typ == typ {
+				n++
+			}
+		}
+		return n
+	}
+
+	// First contact: full+digest, after which n2's payload is n1's state.
+	add(n1, "a")
+	nw.drain()
+
+	add(n1, "b")
+	if got := nw.kinds(toN2); len(got) != 1 || got[0] != wire.StateDelta {
+		t.Fatalf("MERGE kinds to n2 = %v, want [delta]", got)
+	}
+	var delta env
+	for _, e := range nw.pool {
+		if toN2(e) {
+			delta = e
+		}
+	}
+	nw.deliver(toN2)
+	want, err := crdt.DigestOf(n1.LocalState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s, ok := n2.xfer.digests.Lookup(want); !ok || s != n2.LocalState() {
+		t.Fatal("after a delta onto exactly its baseline, the sender's digest does not name n2's payload")
+	}
+	nw.drain()
+
+	nw.pool = append(nw.pool, delta)
+	nw.deliver(toN2)
+	if merged, nacks := fromN2(msgMerged), fromN2(msgMergeNack); merged != 1 || nacks != 0 {
+		t.Fatalf("duplicate delta answered with %d MERGED and %d MERGE-NACK, want 1 and 0", merged, nacks)
+	}
+	nw.drain()
+
+	// n2 forgets n1's digests and moves past the baseline n1 holds for it.
+	n2.ForgetPeer("n1")
+	add(n2, "c")
+	nw.drop(func(e env) bool { return e.from == "n2" })
+	add(n1, "d")
+	nw.deliver(toN2)
+	if nacks := fromN2(msgMergeNack); nacks != 1 {
+		t.Fatalf("delta onto an unknown baseline drew %d MERGE-NACKs, want 1", nacks)
+	}
+	nw.drain()
+	if le, err := n1.LocalState().Compare(n2.LocalState()); err != nil || !le {
+		t.Fatalf("n2 does not hold n1's update after the fallback (le=%v, err=%v)", le, err)
+	}
+}
+
 // TestTransferModesConvergeIdentically drives the same workload over a
 // small and a large counter and requires identical convergence.
 func TestTransferModesConvergeIdentically(t *testing.T) {
