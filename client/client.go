@@ -343,16 +343,21 @@ const (
 	fnvPrime  = 1099511628211
 )
 
+// fnv1a continues the FNV-1a hash state h over s.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
 // score is the pool's rendezvous weight for key: FNV-1a over (address,
 // 0, key), then the splitmix64 finalizer. The finalizer is required: raw
 // FNV-1a scores of different addresses are too correlated to rank them
 // fairly (without it TestKeyHomesSpreadEvenly's 3,000 keys split
 // 1,000/1,200/800, and a handful of keys can all share one home).
 func (p *pool) score(key string) uint64 {
-	h := p.seed
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * fnvPrime
-	}
+	h := fnv1a(p.seed, key)
 	h ^= h >> 30
 	h *= 0xbf58476d1ce4e5b9
 	h ^= h >> 27
@@ -374,12 +379,8 @@ type pool struct {
 }
 
 func newPool(addr string, cfg config) *pool {
-	h := uint64(fnvOffset)
-	for i := 0; i < len(addr); i++ {
-		h = (h ^ uint64(addr[i])) * fnvPrime
-	}
-	h *= fnvPrime // the 0 separator: h ^ 0 == h
-	return &pool{addr: addr, seed: h, cfg: cfg, conns: make([]*conn, cfg.connsPerAddr)}
+	seed := fnv1a(fnvOffset, addr) * fnvPrime // then the 0 separator: h ^ 0 == h
+	return &pool{addr: addr, seed: seed, cfg: cfg, conns: make([]*conn, cfg.connsPerAddr)}
 }
 
 // get returns a live connection from the pool, dialing the slot if its
