@@ -3,7 +3,6 @@ package core
 import (
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
-	"crdtsmr/internal/wire"
 )
 
 // acceptor is the replicated-storage role of Algorithm 2 (lines 25-47).
@@ -44,15 +43,6 @@ func (a *acceptor) join(s crdt.State) error {
 		return err
 	}
 	a.state = merged
-	return nil
-}
-
-// handleMerge merges a remote update's payload (lines 32-35).
-func (a *acceptor) handleMerge(s crdt.State, keep Round) error {
-	if err := a.join(s); err != nil {
-		return err
-	}
-	a.clobberRound(keep)
 	return nil
 }
 
@@ -122,110 +112,28 @@ func (a *acceptor) handleVote(r Round, s crdt.State) (reply msgType, round Round
 	return msgNack, a.round, a.state, nil
 }
 
-// The Replica's acceptor-side message handlers: they decode what the pure
-// acceptor above needs, run it, and answer over the wire.
+// The Replica's acceptor-side message handlers: they resolve the frame
+// (accept, transfer.go), run the pure acceptor above, and answer over the
+// wire.
 
 func (r *Replica) onMerge(from transport.NodeID, m *message) {
-	// Per-peer digests are tracked only from frames that carry one — a
-	// large state's — and only for configured peers, which bounds the
-	// caches by the membership.
-	track := contains(r.peers, from)
-	// A lease-holder MERGE names the round the sender's lease rests on;
-	// acceptors still at exactly that round keep it (clobberRound).
-	keep := Round{}
-	if m.Lease {
-		keep = m.Round
-	}
-	switch m.Kind {
-	case wire.StateFull, wire.StateFullDigest:
-		if m.State == nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		if err := r.acc.handleMerge(m.State, keep); err != nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		r.version++
-		if track && m.Kind == wire.StateFullDigest {
-			// A large state arrives with its digest: a baseline for the
-			// sender's future deltas and, when the payload now IS that
-			// state, the payload's own digest — nothing to hash here.
-			r.xfer.ring(from).add(m.Digest)
-			if r.acc.state == m.State {
-				r.xfer.digests.Note(m.State, m.Digest)
-			}
-		}
-	case wire.StateDigest:
-		// Payload suppressed: the sender believes this acceptor already
-		// holds a state dominating the one with this digest. Verify, or
-		// demand the full payload.
-		if !r.dominates(from, m.Digest, track) {
-			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
-			return
-		}
-	case wire.StateDelta:
-		if m.State == nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		if r.xfer.holds(from, m.Digest) {
-			// The resulting state is already covered here (duplicate or
-			// reordered delta): acknowledge without merging. The ring
-			// alone decides, so this check never hashes the payload.
-			break
-		}
-		if !r.dominates(from, m.Baseline, track) {
-			// Unknown baseline: merging the delta alone could lose the
-			// part of the sender's state the baseline carried.
-			r.send(from, &message{Type: msgMergeNack, Req: m.Req})
-			return
-		}
-		base, memo := r.xfer.digests.Lookup(m.Baseline)
-		exact := memo && base == r.acc.state
-		if err := r.acc.handleMerge(m.State, keep); err != nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		r.version++
-		if exact {
-			// The payload was exactly the baseline, so baseline ⊔ delta
-			// makes it exactly the sender's state: its digest is known
-			// without hashing, and the next delta onto it or PREPARE
-			// announcing it costs no hashing either.
-			r.xfer.digests.Note(r.acc.state, m.Digest)
-		}
-		if track {
-			// baseline ⊔ delta = the sender's full state: merged here, so
-			// its digest is now a recognized baseline for future deltas.
-			r.xfer.ring(from).add(m.Digest)
-		}
-	default:
+	switch r.accept(from, m) {
+	case acceptBad:
 		r.counters.MalformedMsgs++
 		return
+	case acceptUnknown:
+		r.send(from, &message{Type: msgMergeNack, Req: m.Req})
+		return
+	case acceptJoined:
+		// A lease-holder MERGE names the round the sender's lease rests
+		// on; acceptors still at exactly that round keep it.
+		keep := Round{}
+		if m.Lease {
+			keep = m.Round
+		}
+		r.acc.clobberRound(keep)
 	}
 	r.send(from, &message{Type: msgMerged, Req: m.Req})
-}
-
-// dominates reports whether the local payload provably dominates the state
-// with digest d as last shipped by peer from: either the per-peer digest
-// ring holds d (a state of that peer merged here, or vouched for in a
-// digest-only ACK — payloads only grow, so once held, dominated forever)
-// or the local payload IS that state.
-func (r *Replica) dominates(from transport.NodeID, d crdt.Digest, track bool) bool {
-	if d.IsZero() {
-		return false
-	}
-	if r.xfer.holds(from, d) {
-		return true
-	}
-	if own, err := r.xfer.digests.Of(r.acc.state); err == nil && own == d {
-		if track {
-			r.xfer.ring(from).add(d)
-		}
-		return true
-	}
-	return false
 }
 
 func (r *Replica) onPrepare(from transport.NodeID, m *message) {
@@ -243,93 +151,42 @@ func (r *Replica) onPrepare(from transport.NodeID, m *message) {
 		r.counters.PreparesRejected++
 	}
 	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state}
-	if m.Kind.HasDigest() && state != nil {
-		// The PREPARE announced the proposer's payload digest. If the
-		// local post-prepare payload matches, the proposer already holds
-		// this exact state: answer with the digest alone (the converged
-		// fast path that makes a quorum read cost O(digest) bytes).
-		if own, derr := r.xfer.digests.Of(state); derr == nil && own == m.Digest {
-			out.State, out.Kind, out.Digest = nil, wire.StateDigest, own
-			r.counters.DigestReplies++
-			if contains(r.peers, from) {
-				// The proposer now knows this acceptor holds the state it
-				// announced and will build deltas on it: recognize it.
-				r.xfer.ring(from).add(own)
-			}
-		}
-	}
+	r.answerPrepare(from, m, out)
 	r.send(from, out)
 }
 
 func (r *Replica) onVote(from transport.NodeID, m *message) {
-	digestVerified := false
-	if m.Kind == wire.StateDigest {
-		// Digest-suppressed leased VOTE: the holder proposes the exact
-		// state it believes this acceptor already has. Verify by digest —
-		// on a match the merge-before-reply of handleVote is a no-op and
-		// voting is a pure round check; on a mismatch deny with the full
-		// local state so the proposer gathers it and falls back.
-		own, derr := r.xfer.digests.Of(r.acc.state)
-		if derr != nil || own != m.Digest {
-			r.denyVote(from, m)
-			return
-		}
-		digestVerified = true
-		m.State = nil
-	} else if m.Lease {
-		// A leased VOTE skipped the prepare phase, so the round-equality
-		// check alone does not prove the proposal covers this acceptor —
-		// an incremental PREPARE delivered late can re-mint the leased
-		// round (Number = local+1 collides) at an acceptor whose payload
-		// moved on. Re-verify the consistent-quorum condition here: vote
-		// only if the local payload is covered by the proposal. Any update
-		// committed before the read began sits in a quorum of payloads and
-		// so forces a denial in every intersecting vote quorum.
-		if m.State == nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		le, cerr := r.acc.state.Compare(m.State)
-		if cerr != nil {
-			r.counters.MalformedMsgs++
-			return
-		}
-		if !le {
-			// Merge-before-deny (Lemma 3.4(ii)): the proposer gathers the
-			// denial's state, so its fallback retry converges.
-			if r.acc.join(m.State) == nil {
-				r.version++
-			}
-			r.denyVote(from, m)
-			return
-		}
-	}
-	reply, round, state, err := r.acc.handleVote(m.Round, m.State)
-	if err != nil {
+	// The proposal is joined whatever the outcome: Lemma 3.4(ii) needs the
+	// merge before any reply, and a denial's state then covers it.
+	res := r.accept(from, m)
+	if res == acceptBad {
 		r.counters.MalformedMsgs++
 		return
 	}
-	r.version++ // the vote's proposed state was merged into the payload
+	// A leased VOTE skipped the prepare phase, so the round-equality check
+	// alone does not prove the proposal covers this acceptor — an
+	// incremental PREPARE delivered late can re-mint the leased round
+	// (Number = local+1 collides) at an acceptor whose payload moved on.
+	// Re-verify the consistent-quorum condition here: vote only if the
+	// joined payload IS the proposal. Any update committed before the read
+	// began sits in a quorum of payloads and so forces a denial in every
+	// intersecting vote quorum. A digest or delta this acceptor cannot
+	// resolve is denied the same way, with the full state, so the proposer
+	// gathers it and falls back.
+	covered := res != acceptUnknown && (!m.Lease || r.isSenderState(m))
+	// accept already joined the proposal; a nil join cannot fail.
+	reply, round, state, _ := r.acc.handleVote(m.Round, nil)
+	if !covered {
+		reply, state = msgNack, r.acc.state
+	}
 	if reply == msgVoted {
 		r.counters.VotesAccepted++
 	} else {
 		r.counters.VotesRejected++
 	}
 	out := &message{Type: reply, Req: m.Req, Attempt: m.Attempt, Round: round, State: state}
-	if reply == msgNack && digestVerified {
-		// Round-mismatch denial of a digest-verified leased VOTE: the
-		// payload here IS the proposer's proposal, so the digest alone
-		// lets the proposer resolve the denial's state without shipping
-		// a full payload back.
-		out.State, out.Kind, out.Digest = nil, wire.StateDigest, m.Digest
+	if reply == msgNack && covered && m.Lease {
+		echoDigest(out, m)
 	}
 	r.send(from, out)
-}
-
-// denyVote refuses a leased VOTE whose proposal does not cover the local
-// payload, answering with the acceptor's round and full state so the
-// proposer gathers it and falls back.
-func (r *Replica) denyVote(to transport.NodeID, m *message) {
-	r.counters.VotesRejected++
-	r.send(to, &message{Type: msgNack, Req: m.Req, Attempt: m.Attempt, Round: r.acc.round, State: r.acc.state})
 }

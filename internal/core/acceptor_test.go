@@ -42,14 +42,17 @@ func TestAcceptorApplyUpdateSetsWriteMarker(t *testing.T) {
 }
 
 func TestAcceptorMergeSetsWriteMarker(t *testing.T) {
-	a := newAcceptor(crdt.NewGCounter())
-	if err := a.handleMerge(crdt.NewGCounter().Inc("x", 5), Round{}); err != nil {
+	nw := newNet(t, 3, DefaultOptions())
+	n1, n2 := nw.reps["n1"], nw.reps["n2"]
+	if _, err := n1.SubmitUpdate(inc("x"), nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := a.state.(*crdt.GCounter).Value(); got != 5 {
+	nw.pump()
+	nw.deliver(func(e env) bool { return e.typ == msgMerge && e.to == "n2" })
+	if got := n2.acc.state.(*crdt.GCounter).Value(); got != 1 {
 		t.Fatalf("value = %d", got)
 	}
-	if a.round.ID != writeID {
+	if n2.acc.round.ID != writeID {
 		t.Fatal("merge must clobber the round ID")
 	}
 }
@@ -179,7 +182,8 @@ func TestAcceptorStateMonotone(t *testing.T) {
 			case 0:
 				_, _ = a.applyUpdate(inc("n1"), Round{})
 			case 1:
-				_ = a.handleMerge(crdt.NewGCounter().Inc("m", uint64(op)), Round{})
+				_ = a.join(crdt.NewGCounter().Inc("m", uint64(op)))
+				a.clobberRound(Round{})
 			case 2:
 				_, _, _, _ = a.handlePrepare(Round{Number: NumberIncremental, ID: RoundID{Proposer: "p", Seq: seq}}, crdt.NewGCounter().Inc("s", uint64(op)))
 			case 3:

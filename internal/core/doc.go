@@ -15,5 +15,7 @@
 // Deliver dispatch, the outbox and Abort; update.go the update proposer;
 // query.go the query proposer (its phase table is docs/PROTOCOL.md §1.4);
 // lease.go the round lease; retransmit.go retransmission; acceptor.go the
-// pure acceptor and its message handlers; reconfig.go membership change.
+// pure acceptor and its message handlers; reconfig.go membership change;
+// transfer.go the one choice of every state frame's form (full, digest or
+// delta, docs/PROTOCOL.md §3) and the caches behind it.
 package core

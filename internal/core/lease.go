@@ -3,18 +3,14 @@ package core
 import (
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
-	"crdtsmr/internal/wire"
 )
 
 // leaseState is the proposer-side record of a round lease: the last
 // learned state and the round a full quorum confirmed as the highest
-// established. The digest (kept for a large state) lets a quiescent leased
-// VOTE ship no payload at all.
+// established.
 type leaseState struct {
-	round  Round
-	state  crdt.State
-	digest crdt.Digest
-	hasDig bool
+	round Round
+	state crdt.State
 }
 
 // Leased reports whether the replica currently holds a round lease.
@@ -63,30 +59,14 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 	}
 	req.votes[r.id] = true
 	req.rtts++
-	if r.xfer.large() {
-		if d, derr := r.xfer.digests.Of(prop); derr == nil {
-			req.propDig, req.hasPropDig = d, true
-		}
-	}
-	full := &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: lease.round, State: prop, Lease: true}
-	var digestOnly *message
-	if req.hasPropDig {
-		digestOnly = &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: lease.round, Lease: true, Kind: wire.StateDigest, Digest: req.propDig}
-	}
-	quiescent := lease.hasDig && req.propDig == lease.digest
+	// A large proposal goes to each peer in the form its view allows —
+	// a digest to a peer that voted for or merged exactly this state, a
+	// delta to one that holds an older one — and in full to the rest. The
+	// acceptor votes only if its joined payload IS the proposal.
+	req.leasedProp = r.digestIfLarge(prop)
+	full := req.voteMsg()
 	for _, p := range r.peers {
-		// Digest-suppressed leased VOTE: ship no payload to a peer that
-		// provably already holds it — either the cluster is quiescent (the
-		// proposal still equals the leased state every quorum member
-		// confirmed) or this peer's last acknowledged state is exactly the
-		// proposal (it merged the holder's updates). The acceptor verifies
-		// the digest against its own payload and NACKs with the full state
-		// on any mismatch.
-		m := full
-		if view, seen := r.xfer.views[p]; digestOnly != nil && (quiescent || (seen && view.digest == req.propDig)) {
-			m = digestOnly
-		}
-		r.send(p, m)
+		r.send(p, r.encode(p, full))
 	}
 	r.maybeDecideVote(req)
 }
@@ -97,11 +77,11 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 func (r *Replica) settleLease(req *queryReq, learned crdt.State) {
 	if req.leased {
 		r.counters.LeaseHits++
-		// Refresh the lease with the just-learned state so the next leased
-		// read's digest matches again — unless it was dropped or replaced
-		// while this read was in flight (never resurrect a dropped lease).
+		// Refresh the lease with the just-learned state — unless it was
+		// dropped or replaced while this read was in flight (never
+		// resurrect a dropped lease).
 		if r.lease != nil && r.lease.round == req.round {
-			r.installLease(req.round, learned)
+			r.lease = &leaseState{round: req.round, state: learned}
 		}
 	} else if req.leasable {
 		// Install a fresh lease: the attempt proved leaseRound is the
@@ -109,20 +89,7 @@ func (r *Replica) settleLease(req *queryReq, learned crdt.State) {
 		// lease with an older round — a concurrent query may have installed
 		// one while this attempt's stragglers arrived.
 		if r.lease == nil || !req.leaseRound.Less(r.lease.round) {
-			r.installLease(req.leaseRound, learned)
+			r.lease = &leaseState{round: req.leaseRound, state: learned}
 		}
 	}
-}
-
-// installLease records (or refreshes) the round lease. The digest of a
-// large leased state is kept so quiescent leased VOTEs can ship no
-// payload.
-func (r *Replica) installLease(round Round, state crdt.State) {
-	l := &leaseState{round: round, state: state}
-	if r.xfer.large() {
-		if d, err := r.xfer.digests.Of(state); err == nil {
-			l.digest, l.hasDig = d, true
-		}
-	}
-	r.lease = l
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"crdtsmr/internal/crdt"
+	"crdtsmr/internal/transport"
 	"crdtsmr/internal/wire"
 )
 
@@ -276,5 +277,166 @@ func TestLeasedReadDigestSuppressed(t *testing.T) {
 	nw.drain()
 	if !stats.Leased {
 		t.Fatalf("quiescent read fell off the fast path: %+v", stats)
+	}
+}
+
+// leaseHolderAddsToLargeSet leaves n1 holding the lease on a converged
+// 1,000-element or-set after it added "new": n2 merged the add and n1 has
+// its MERGED, while the MERGE to n3 is still in the pool. It returns the
+// set n3 last acknowledged.
+func leaseHolderAddsToLargeSet(t *testing.T) (*net, crdt.State) {
+	t.Helper()
+	nw := newNetWith(t, 3, DefaultOptions(), func() crdt.State { return crdt.NewORSet() })
+	n1 := nw.reps["n1"]
+	base := orSetOf(1000)
+	if _, err := n1.SubmitUpdate(func(s crdt.State) (crdt.State, error) { return s.Merge(base) }, nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.drain()
+	installLeaseAt(t, nw, n1)
+	if _, err := n1.SubmitUpdate(func(s crdt.State) (crdt.State, error) {
+		return s.(*crdt.ORSet).Add("new", "n1", 1), nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.deliver(func(e env) bool { return e.typ == msgMerge && e.to == "n2" })
+	nw.deliver(func(e env) bool { return e.typ == msgMerged && e.from == "n2" })
+	if n := len(nw.pool); n != 1 {
+		t.Fatalf("pool holds %d messages, want only the MERGE to n3", n)
+	}
+	return nw, base
+}
+
+// pooledVote decodes the one pooled VOTE to the given replica and returns
+// it with its encoded size.
+func (nw *net) pooledVote(to transport.NodeID) (*message, int) {
+	nw.t.Helper()
+	var found []env
+	for _, e := range nw.pool {
+		if e.typ == msgVote && e.to == to {
+			found = append(found, e)
+		}
+	}
+	if len(found) != 1 {
+		nw.t.Fatalf("%d pooled VOTEs to %s, want 1", len(found), to)
+	}
+	m, err := decodeMessage(found[0].payload)
+	if err != nil {
+		nw.t.Fatal(err)
+	}
+	return m, len(found[0].payload)
+}
+
+// TestLeasedVoteShipsDeltaToLaggingPeer: a leased VOTE takes the same
+// per-peer form a MERGE would. The peer whose MERGED came back gets the
+// proposal's digest; the peer whose MERGE is still in flight gets a delta
+// against the state it last acknowledged, not the 43 KB proposal. The
+// read stays on the fast path and learns the add.
+func TestLeasedVoteShipsDeltaToLaggingPeer(t *testing.T) {
+	nw, base := leaseHolderAddsToLargeSet(t)
+	n1 := nw.reps["n1"]
+	baseDig, err := crdt.DigestOf(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	propDig, err := crdt.DigestOf(n1.LocalState())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var got crdt.State
+	var stats QueryStats
+	n1.SubmitQuery(func(s crdt.State, st QueryStats, err error) {
+		if err != nil {
+			t.Fatalf("leased query: %v", err)
+		}
+		got, stats = s, st
+	})
+	nw.pump()
+	toN2, n2Bytes := nw.pooledVote("n2")
+	toN3, n3Bytes := nw.pooledVote("n3")
+	if toN2.Kind != wire.StateDigest || toN2.Digest != propDig {
+		t.Fatalf("VOTE to n2: kind %v digest %v, want digest %v", toN2.Kind, toN2.Digest, propDig)
+	}
+	if toN3.Kind != wire.StateDelta || toN3.Baseline != baseDig || toN3.Digest != propDig {
+		t.Fatalf("VOTE to n3: kind %v baseline %v digest %v, want delta %v → %v", toN3.Kind, toN3.Baseline, toN3.Digest, baseDig, propDig)
+	}
+	if n2Bytes != 42 || n3Bytes != 95 {
+		t.Fatalf("VOTE bytes: n2 %d, n3 %d, want 42 and 95", n2Bytes, n3Bytes)
+	}
+
+	nw.deliver(func(e env) bool { return e.typ == msgVote && e.to == "n3" })
+	nw.drain()
+	if got == nil {
+		t.Fatal("leased query did not complete")
+	}
+	if !stats.Leased || stats.Attempts != 1 {
+		t.Fatalf("stats = %+v, want a leased learn in one attempt", stats)
+	}
+	if !got.(*crdt.ORSet).Contains("new") {
+		t.Fatal("leased read missed the holder's add")
+	}
+	if c := nw.reps["n3"].Counters(); c.VotesAccepted != 1 || c.VotesRejected != 0 {
+		t.Fatalf("n3 votes accepted %d rejected %d, want 1/0", c.VotesAccepted, c.VotesRejected)
+	}
+}
+
+// TestDeltaVoteDeniedAfterForeignUpdate: a foreign update merged at n3
+// before the delta VOTE arrives makes baseline ⊔ delta a strict subset of
+// n3's payload. n3 must deny with its full state — not vote, and not echo
+// the proposal's digest — so the read falls back and learns the update.
+func TestDeltaVoteDeniedAfterForeignUpdate(t *testing.T) {
+	nw, _ := leaseHolderAddsToLargeSet(t)
+	n1, n2 := nw.reps["n1"], nw.reps["n2"]
+	if _, err := n2.SubmitUpdate(func(s crdt.State) (crdt.State, error) {
+		return s.(*crdt.ORSet).Add("foreign", "n2", 1), nil
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.deliver(func(e env) bool { return e.typ == msgMerge && e.from == "n2" && e.to == "n3" })
+	nw.drop(func(e env) bool { return e.from == "n2" || e.to == "n2" })
+
+	var got crdt.State
+	var stats QueryStats
+	n1.SubmitQuery(func(s crdt.State, st QueryStats, err error) {
+		if err != nil {
+			t.Fatalf("query: %v", err)
+		}
+		got, stats = s, st
+	})
+	nw.pump()
+	if m, _ := nw.pooledVote("n3"); m.Kind != wire.StateDelta {
+		t.Fatalf("VOTE to n3 kind = %v, want delta", m.Kind)
+	}
+	nw.deliver(func(e env) bool { return e.typ == msgVote && e.to == "n3" })
+	var denial *message
+	for _, e := range nw.pool {
+		if e.typ == msgNack && e.from == "n3" {
+			m, err := decodeMessage(e.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			denial = m
+		}
+	}
+	if denial == nil {
+		t.Fatal("n3 did not deny the delta VOTE")
+	}
+	if denial.Kind != wire.StateFull || !denial.State.(*crdt.ORSet).Contains("foreign") {
+		t.Fatalf("n3's denial is kind %v, want its full state with the foreign add", denial.Kind)
+	}
+	nw.drain()
+	if got == nil {
+		t.Fatal("query did not complete")
+	}
+	if stats.Leased || stats.Attempts != 2 {
+		t.Fatalf("stats = %+v, want a fallback in the second attempt", stats)
+	}
+	set := got.(*crdt.ORSet)
+	if !set.Contains("foreign") || !set.Contains("new") {
+		t.Fatal("fallback read missed the foreign update or the holder's add")
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
-	"crdtsmr/internal/wire"
 )
 
 // The query proposer. Its phase machine (prepare → vote → learned) is the
@@ -72,11 +71,9 @@ type queryReq struct {
 	gathered crdt.State                   // LUB of every payload seen (retry seed)
 
 	// prepared is the local payload whose digest the current attempt's
-	// PREPARE announced; digest-only ACK/NACK replies resolve to it
-	// (digest equality is state equality).
-	prepared    crdt.State
-	preparedDig crdt.Digest
-	hasPrepared bool
+	// PREPARE announced (large states only); digest-only ACK/NACK replies
+	// resolve to it (digest equality is state equality).
+	prepared digested
 
 	// seed is the payload the current attempt's PREPARE carried, kept so
 	// a retransmit can re-send the same attempt instead of burning it.
@@ -89,11 +86,10 @@ type queryReq struct {
 	leasable   bool
 	leaseRound Round
 
-	// propDig is the digest of the leased attempt's proposal (large
-	// states only): it drives per-peer VOTE payload suppression and, once
-	// a peer VOTEDs, records that peer's view.
-	propDig    crdt.Digest
-	hasPropDig bool
+	// leasedProp is the leased attempt's proposal with its digest (large
+	// states only): it picks each peer's VOTE form, resolves a digest-only
+	// denial and, once a peer VOTEDs, becomes that peer's view.
+	leasedProp digested
 
 	rtts int
 	done QueryDone
@@ -173,7 +169,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 	req.votes = nil
 	req.denials = nil
 	req.proposed = nil
-	req.prepared, req.preparedDig, req.hasPrepared = nil, crdt.Digest{}, false
+	req.prepared, req.leasedProp = digested{}, digested{}
 	req.seed = req.gathered
 
 	// nextSeq advances and the local acceptor (below) merges the seed and
@@ -202,16 +198,12 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 		return
 	}
 	req.rtts++
-	if r.xfer.large() {
-		// Announce the digest of the local post-prepare payload: a remote
-		// acceptor whose payload matches answers with the digest alone,
-		// and onAck resolves it back to req.prepared. The digest is
-		// computed after the local prepare so it covers the seed — the
-		// exact state a converged remote acceptor ends up with.
-		if d, derr := r.xfer.digests.Of(r.acc.state); derr == nil {
-			req.prepared, req.preparedDig, req.hasPrepared = r.acc.state, d, true
-		}
-	}
+	// Announce the digest of the local post-prepare payload: a remote
+	// acceptor whose payload matches answers with the digest alone, and
+	// onAck resolves it back to req.prepared. The digest is taken after
+	// the local prepare so it covers the seed — the exact state a
+	// converged remote acceptor ends up with.
+	req.prepared = r.digestIfLarge(r.acc.state)
 	r.broadcast(req.prepareMsg())
 
 	// A single-replica cluster decides immediately.
@@ -222,16 +214,14 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 // retransmitted: its round and seed, plus the announced digest when the
 // attempt has one.
 func (req *queryReq) prepareMsg() *message {
-	m := &message{Type: msgPrepare, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.seed}
-	if req.hasPrepared {
-		m.Digest = req.preparedDig
-		if req.seed == nil {
-			m.Kind = wire.StateDigest
-		} else {
-			m.Kind = wire.StateFullDigest
-		}
-	}
-	return m
+	return withDigest(&message{Type: msgPrepare, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.seed}, req.prepared)
+}
+
+// voteMsg is the current attempt's VOTE in full, as first broadcast and
+// as retransmitted. A leased proposal's frame names its digest when it
+// has one.
+func (req *queryReq) voteMsg() *message {
+	return withDigest(&message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.proposed, Lease: req.leased}, req.leasedProp)
 }
 
 func (r *Replica) mergeGathered(acc, s crdt.State) crdt.State {
@@ -250,15 +240,7 @@ func (r *Replica) mergeGathered(acc, s crdt.State) crdt.State {
 }
 
 func (r *Replica) onAck(from transport.NodeID, m *message) {
-	if m.Kind == wire.StateDigest {
-		// A digest-only ACK — a late one for a query already learned too —
-		// proves the acceptor holds the state it names. If that is the
-		// payload digested here last, it is the peer's view from now on:
-		// the next update ships the peer a delta.
-		if s, known := r.xfer.digests.Lookup(m.Digest); known {
-			r.setView(from, m.Digest, s)
-		}
-	}
+	r.learnFromAck(from, m)
 	req, ok := r.queries[m.Req]
 	if !ok || m.Attempt != req.attempt || req.phase != phasePrepare {
 		r.counters.StaleMsgs++
@@ -267,17 +249,9 @@ func (r *Replica) onAck(from transport.NodeID, m *message) {
 	if _, dup := req.acks[from]; dup {
 		return
 	}
-	state := m.State
-	if m.Kind == wire.StateDigest {
-		// Digest-only ACK: the acceptor's state equals the one whose
-		// digest our PREPARE announced — resolve it locally.
-		if !req.hasPrepared || m.Digest != req.preparedDig {
-			r.counters.MalformedMsgs++
-			return
-		}
-		state = req.prepared
-	}
-	if state == nil {
+	// A digest-only ACK names the state our PREPARE announced.
+	state, ok := resolve(m, req.prepared)
+	if !ok || state == nil {
 		r.counters.MalformedMsgs++
 		return
 	}
@@ -371,7 +345,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		if voteErr == nil {
 			req.votes[r.id] = true
 		}
-		r.broadcast(&message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: common, State: lub})
+		r.broadcast(req.voteMsg())
 		r.maybeDecideVote(req)
 		return
 	}
@@ -389,12 +363,10 @@ func (r *Replica) onVoted(from transport.NodeID, m *message) {
 	}
 	// [Q11]
 	req.votes[from] = true
-	if req.leased && req.hasPropDig {
-		// VOTED to a leased VOTE confirms the peer merged the proposal
-		// before replying, so the proposal is a sound per-peer baseline —
-		// the next leased read or digest/delta MERGE can build on it.
-		r.setView(from, req.propDig, req.proposed)
-	}
+	// VOTED to a leased VOTE confirms the peer merged the proposal before
+	// replying, so the proposal is a sound per-peer baseline — the next
+	// leased read or update can build on it.
+	r.learn(from, req.leasedProp)
 	r.maybeDecideVote(req)
 }
 
@@ -416,12 +388,8 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 	// quorum of ACK or VOTED messages must retry, with an incremental
 	// prepare seeded with the LUB of every payload received so far (this
 	// is what makes the retry loop converge, §3.5).
-	state := m.State
-	if m.Kind == wire.StateDigest && req.hasPrepared && m.Digest == req.preparedDig {
-		state = req.prepared // digest-only NACK: the acceptor holds our prepared state
-	} else if m.Kind == wire.StateDigest && req.hasPropDig && m.Digest == req.propDig {
-		state = req.proposed // digest-only NACK to a leased VOTE: it holds our proposal
-	}
+	// A digest-only NACK names our prepared state or our leased proposal.
+	state, _ := resolve(m, req.prepared, req.leasedProp)
 	if state != req.proposed {
 		// The proposal itself is never worth gathering: the local acceptor
 		// merged it when it voted, so a retry's learn already covers it.

@@ -6,7 +6,6 @@ import (
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
-	"crdtsmr/internal/wire"
 )
 
 // Options configure optional protocol behaviours.
@@ -318,9 +317,7 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
 		r.counters.MalformedMsgs++
 		return
 	}
-	if m.Kind == wire.StateFull || m.Kind == wire.StateFullDigest {
-		r.xfer.size = len(m.StateRaw)
-	}
+	r.observe(m)
 	// Configuration traffic is handled before the epoch gate: it is the
 	// anti-entropy channel that repairs epoch mismatches.
 	switch m.Type {

@@ -58,10 +58,10 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 			r.restartQuery(req)
 			return
 		}
-		// [Q16] Always the full proposal, never digest-suppressed: a lost
+		// [Q16] Always the full proposal, never a digest or delta: a lost
 		// leased VOTE is indistinguishable from a receiver that could not
-		// verify the digest.
-		m := &message{Type: msgVote, Req: req.id, Attempt: req.attempt, Round: req.round, State: req.proposed, Lease: req.leased}
+		// resolve one.
+		m := req.voteMsg()
 		for _, p := range r.peers {
 			if !req.votes[p] && !req.denials[p] {
 				r.send(p, m)

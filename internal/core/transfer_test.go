@@ -2,6 +2,11 @@ package core
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"crdtsmr/internal/crdt"
@@ -660,5 +665,45 @@ func TestTransferModesByteReduction(t *testing.T) {
 	}
 	if 100*got.read > stateLen {
 		t.Errorf("1000-element read ships %d B, not ≪ one %d B state", got.read, stateLen)
+	}
+}
+
+// TestStateFrameKindsChosenInTransfer is the census gate of the one
+// encoding decision: outside transfer.go (and msg.go, the codec), no
+// non-test file of the package names a wire.State* kind or touches the
+// transfer caches directly. A message that picks its own frame form again
+// fails here.
+func TestStateFrameKindsChosenInTransfer(t *testing.T) {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caches := map[string]bool{"views": true, "seen": true, "digests": true, "size": true}
+	fset := token.NewFileSet()
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") || name == "transfer.go" || name == "msg.go" {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok {
+				return true
+			}
+			switch x := sel.X.(type) {
+			case *ast.Ident:
+				if x.Name == "wire" && strings.HasPrefix(sel.Sel.Name, "State") {
+					t.Errorf("%s: names wire.%s; state frame kinds are chosen in transfer.go", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			case *ast.SelectorExpr:
+				if x.Sel.Name == "xfer" && caches[sel.Sel.Name] {
+					t.Errorf("%s: touches xfer.%s; the transfer caches are kept in transfer.go", fset.Position(sel.Pos()), sel.Sel.Name)
+				}
+			}
+			return true
+		})
 	}
 }

@@ -5,7 +5,6 @@ import (
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
-	"crdtsmr/internal/wire"
 )
 
 // UpdateStats describes a completed update. Updates always take exactly one
@@ -19,11 +18,9 @@ type UpdateDone func(UpdateStats, error)
 
 type updateReq struct {
 	id      uint64
-	state   crdt.State  // the merged payload broadcast in MERGE
-	digest  crdt.Digest // digest of state, when state is large
-	hasDig  bool
-	round   Round // lease round the MERGE asks acceptors to preserve
-	lease   bool  // this update was issued while holding the lease
+	payload digested // the merged payload broadcast in MERGE
+	round   Round    // lease round the MERGE asks acceptors to preserve
+	lease   bool     // this update was issued while holding the lease
 	acked   map[transport.NodeID]bool
 	done    UpdateDone
 	pending int // remote MERGED replies still needed
@@ -56,7 +53,7 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 	r.nextReq++
 	req := &updateReq{
 		id:      r.nextReq,
-		state:   s,
+		payload: digested{state: s},
 		round:   keep,
 		lease:   keep.ID.Proposer != "",
 		acked:   make(map[transport.NodeID]bool, len(r.peers)),
@@ -68,21 +65,12 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 		return req.id, nil
 	}
 	r.updates[req.id] = req
-	// The state is encoded once, here: its size picks the transfer, a
-	// large state is digested over these very bytes, and every peer that
-	// gets it in full shares this encoding.
-	raw, err := crdt.Marshal(s)
-	if err == nil {
-		r.xfer.size = len(raw)
-		if len(raw) >= largeState {
-			req.digest, req.hasDig = crdt.DigestOfMarshaled(raw), true
-			r.xfer.digests.Note(s, req.digest)
-		}
-	}
+	var raw []byte
+	req.payload, raw = r.marshalShipped(s)
 	full := req.fullMerge()
 	full.StateRaw = raw
 	for _, p := range r.peers {
-		r.send(p, r.mergeTo(req, p, full))
+		r.send(p, r.encode(p, full))
 	}
 	return req.id, nil
 }
@@ -92,37 +80,7 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 // large state's digest rides along, so the receiver records it as a delta
 // baseline without hashing the payload again.
 func (req *updateReq) fullMerge() *message {
-	m := &message{Type: msgMerge, Req: req.id, State: req.state, Round: req.round, Lease: req.lease}
-	if req.hasDig {
-		m.Kind, m.Digest = wire.StateFullDigest, req.digest
-	}
-	return m
-}
-
-// mergeTo picks the cheapest form of the update's MERGE to one peer: a
-// digest alone when the peer already acknowledged exactly this large
-// state, a delta against the last state it acknowledged, or full. Full is
-// always safe; the other forms are verified by the receiver against its
-// own digest cache and fall back via MERGE-NACK.
-func (r *Replica) mergeTo(req *updateReq, to transport.NodeID, full *message) *message {
-	view, ok := r.xfer.views[to]
-	if !ok || !req.hasDig {
-		return full
-	}
-	m := &message{Type: msgMerge, Req: req.id, Round: req.round, Lease: req.lease, Digest: req.digest}
-	if view.digest == req.digest {
-		r.counters.DigestMerges++
-		m.Kind = wire.StateDigest
-		return m
-	}
-	if ds, ok := req.state.(crdt.DeltaState); ok {
-		if delta, err := ds.Delta(view.state); err == nil {
-			r.counters.DeltaMerges++
-			m.State, m.Kind, m.Baseline = delta, wire.StateDelta, view.digest
-			return m
-		}
-	}
-	return full
+	return withDigest(&message{Type: msgMerge, Req: req.id, State: req.payload.state, Round: req.round, Lease: req.lease}, req.payload)
 }
 
 func (r *Replica) onMerged(from transport.NodeID, m *message) {
@@ -138,11 +96,9 @@ func (r *Replica) onMerged(from transport.NodeID, m *message) {
 		}
 		return
 	}
-	// The peer durably merged req.state: it is the peer's view from now on.
+	// The peer durably merged req.payload: it is the peer's view from now on.
 	req.acked[from] = true
-	if req.hasDig {
-		r.setView(from, req.digest, req.state)
-	}
+	r.learn(from, req.payload)
 	if !live {
 		if len(req.acked) >= len(r.peers) {
 			r.retired = nil
@@ -164,7 +120,7 @@ func (r *Replica) onMerged(from transport.NodeID, m *message) {
 // unconverged until unrelated later traffic.
 func (r *Replica) retire(req *updateReq, acked int) {
 	delete(r.updates, req.id)
-	if req.hasDig && acked < len(r.peers) {
+	if req.payload.ok && acked < len(r.peers) {
 		r.retired = req
 	}
 }
@@ -187,7 +143,7 @@ func (r *Replica) onMergeNack(from transport.NodeID, m *message) {
 		r.counters.StaleMsgs++
 		return
 	}
-	delete(r.xfer.views, from)
+	r.unlearn(from)
 	r.counters.MergeFallbacks++
 	r.send(from, req.fullMerge())
 }
