@@ -3,12 +3,13 @@
 // (Figure 2), read round-trip distributions (Figure 3), the node-failure
 // timeline (Figure 4) — and the comparisons beyond the paper that the
 // repo benchmark (BENCHMARK.json, `bash benchmark/run.sh`) cannot make:
-// the round-lease fast path, the virtual-time protocol shootout and the
-// online membership-change timeline. bench.Figures is the one table of
-// them; `bench -h` prints it.
+// the round-lease fast path and the protocol shootout. bench.Figures is
+// the one table of them; `bench -h` prints it.
 //
-// The default scale finishes in minutes; raise -duration and -clients to
-// approach the paper's 10-minute, 4096-client runs.
+// Every figure runs in virtual time on shootout.Sim, so its output is a
+// pure function of -seed and the scale, on any host. -duration sizes each
+// data point's op count; raise it and -clients to approach the paper's
+// 10-minute, 4096-client runs.
 //
 // Usage:
 //
@@ -30,6 +31,7 @@ import (
 	"time"
 
 	"crdtsmr/internal/bench"
+	"crdtsmr/internal/shootout"
 )
 
 func main() {
@@ -43,14 +45,13 @@ func run() error {
 	valid := strings.Join(bench.FigureNames(), ", ") + ", or all"
 	var (
 		figure   = flag.String("figure", "all", "figure to regenerate: "+valid)
-		duration = flag.Duration("duration", 2*time.Second, "measurement duration per data point (paper: 10m)")
-		warmup   = flag.Duration("warmup", 300*time.Millisecond, "warm-up excluded from statistics")
+		duration = flag.Duration("duration", 2*time.Second, "sizes each data point's op count in virtual time (paper: 10m)")
 		clients  = flag.String("clients", "1,8,64,256", "comma-separated client sweep (paper: 1..4096)")
 		batch    = flag.Duration("batch", 5*time.Millisecond, "batching window for the batched variant (paper: 5ms)")
 		replicas = flag.Int("replicas", 3, "number of replicas (paper: 3)")
 		minDelay = flag.Duration("min-delay", 50*time.Microsecond, "emulated per-message network delay, lower bound")
 		maxDelay = flag.Duration("max-delay", 200*time.Microsecond, "emulated per-message network delay, upper bound")
-		seed     = flag.Int64("seed", 1, "network RNG seed")
+		seed     = flag.Int64("seed", 1, "simulation seed")
 		outDir   = flag.String("out", "", "directory to write BENCH_<figure>.json records into (figures that emit them)")
 	)
 	flag.Usage = func() {
@@ -70,11 +71,11 @@ func run() error {
 	}
 	scale := bench.Scale{
 		Duration: *duration,
-		Warmup:   *warmup,
 		Clients:  sweep,
 		Batch:    *batch,
 		Replicas: *replicas,
-		Net:      bench.NetProfile{MinDelay: *minDelay, MaxDelay: *maxDelay, Seed: *seed},
+		Net:      shootout.Net{MinDelay: *minDelay, MaxDelay: *maxDelay},
+		Seed:     *seed,
 	}
 
 	out := os.Stdout

@@ -1,13 +1,11 @@
-// Package bench is the evaluation harness: a closed-loop load generator
-// equivalent to the paper's Basho Bench setup (§4: each client submits a
-// request to one of the three replicas and waits for the reply before
-// submitting the next; clients are spread evenly over replicas; throughput
-// is aggregated in 1 s intervals and reported as the median), plus the
-// drivers that regenerate every figure of the evaluation section.
+// Package bench regenerates the evaluation figures: the paper's Figures
+// 1–4 (§4: closed-loop clients spread evenly over the replicas, each
+// waiting for its reply before the next request, against the Raft and
+// Multi-Paxos baselines), the round lease, and the protocols race.
 //
-// Two System implementations start replicas: CRDTSystem (the paper's
-// protocol over a cluster.Cluster, one replicated counter) and LogSystem
-// (Raft or Multi-Paxos replicas on rsm.Node). Figures is the table of
-// what cmd/bench runs; the served path (TCP clients, keyed store,
-// durability, overload) is measured by benchmark/ instead.
+// Every figure runs in virtual time on shootout.Sim, so its numbers are a
+// pure function of the seed and the scale. The Sim has no CPU model and
+// no scheduler jitter; what those change, and the served path as a whole
+// (TCP clients, keyed store, durability, overload), is measured by
+// benchmark/ instead. Figures is the table of what cmd/bench runs.
 package bench

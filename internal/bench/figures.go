@@ -4,30 +4,21 @@ import (
 	"fmt"
 	"io"
 	"time"
+
+	"crdtsmr/internal/core"
+	"crdtsmr/internal/shootout"
 )
 
-// Scale shrinks or grows the experiments relative to the paper's setup so
-// the full evaluation can run anywhere from a CI job to a long unattended
-// sweep.
+// Scale shrinks or grows the experiments relative to the paper's setup.
+// Every figure runs in virtual time on shootout.Sim, so Duration is not a
+// wall-clock budget: it sizes each data point's op count.
 type Scale struct {
-	Duration time.Duration // per measurement (paper: 10 min)
-	Warmup   time.Duration
+	Duration time.Duration // sizes each data point (paper: 10 min)
 	Clients  []int         // client sweep (paper: 1..4096)
 	Batch    time.Duration // batching window (paper: 5 ms)
 	Replicas int           // paper: 3
-	Net      NetProfile
-}
-
-// DefaultScale finishes in a few minutes and preserves the figures' shape.
-func DefaultScale() Scale {
-	return Scale{
-		Duration: 2 * time.Second,
-		Warmup:   300 * time.Millisecond,
-		Clients:  []int{1, 8, 64, 256},
-		Batch:    5 * time.Millisecond,
-		Replicas: 3,
-		Net:      LANProfile(),
-	}
+	Net      shootout.Net
+	Seed     int64
 }
 
 // Figures is the one table of what cmd/bench can regenerate, in the order
@@ -40,32 +31,12 @@ var Figures = []struct {
 	Question string
 	Run      func(w io.Writer, s Scale) (*FigureJSON, error)
 }{
-	{"1", "paper Fig. 1: throughput vs clients and read mix, against Raft and Multi-Paxos", func(w io.Writer, s Scale) (*FigureJSON, error) {
-		return nil, Figure1(w, s)
-	}},
-	{"2", "paper Fig. 2: p95 read/update latency vs clients at 10% updates, same four systems", func(w io.Writer, s Scale) (*FigureJSON, error) {
-		return nil, Figure2(w, s)
-	}},
-	{"3", "paper Fig. 3: share of reads done within k round trips, with and without batching", func(w io.Writer, s Scale) (*FigureJSON, error) {
-		// The -clients sweep capped at 512; Figure3 falls back to its own
-		// sweep when none is left.
-		var counts []int
-		for _, n := range s.Clients {
-			if n <= 512 {
-				counts = append(counts, n)
-			}
-		}
-		_, err := Figure3(w, s, counts)
-		return nil, err
-	}},
-	{"4", "paper Fig. 4: p95 latency timeline across a replica crash (no leader, no outage)", func(w io.Writer, s Scale) (*FigureJSON, error) {
-		return nil, Figure4(w, s, 64)
-	}},
+	{"1", "paper Fig. 1: throughput vs clients and read mix, against Raft and Multi-Paxos", noRecord(figure1)},
+	{"2", "paper Fig. 2: p95 read/update latency vs clients at 10% updates, same four systems", noRecord(figure2)},
+	{"3", "paper Fig. 3: share of reads done within k round trips, with and without batching", noRecord(figure3)},
+	{"4", "paper Fig. 4: p95 latency timeline across a replica crash (no leader, no outage)", noRecord(figure4)},
 	{"lease", "how much read-after-write latency the round lease saves as the quorum widens", FigureLease},
-	{"protocols", "this protocol vs Multi-Paxos, Raft and lattice agreement on one keyed workload, virtual time", FigureProtocols},
-	{"members", "does an online membership change (grow, then shrink) ever close the availability window", func(w io.Writer, s Scale) (*FigureJSON, error) {
-		return FigureMembers(w, s, 64)
-	}},
+	{"protocols", "this protocol vs Multi-Paxos, Raft and lattice agreement on one keyed workload", FigureProtocols},
 }
 
 // FigureNames lists the names of Figures, in table order.
@@ -77,49 +48,92 @@ func FigureNames() []string {
 	return names
 }
 
-// systemSpec names a system constructor for the sweeps.
-type systemSpec struct {
-	name  string
-	build func() (System, error)
+func noRecord(fig func(io.Writer, Scale) error) func(io.Writer, Scale) (*FigureJSON, error) {
+	return func(w io.Writer, s Scale) (*FigureJSON, error) { return nil, fig(w, s) }
 }
 
-func (s Scale) systems() []systemSpec {
-	return []systemSpec{
-		{"CRDT Paxos", func() (System, error) { return NewCRDTSystem(s.Replicas, CRDTOpts{}, s.Net) }},
-		{"CRDT Paxos w/batching", func() (System, error) { return NewCRDTSystem(s.Replicas, CRDTOpts{Batch: s.Batch}, s.Net) }},
-		{"Raft", func() (System, error) { return NewRaftSystem(s.Replicas, s.Net) }},
-		{"Multi-Paxos", func() (System, error) { return NewPaxosSystem(s.Replicas, s.Net) }},
+// counter is one data point of Figures 1–4: the paper's single replicated
+// counter under clients closed-loop clients, readFrac of their ops reads.
+// One op per 250 µs of Duration, and at least 16 per client.
+func (s Scale) counter(clients int, readFrac float64) shootout.Workload {
+	ops := max(scaleCount(s.Duration, 250*time.Microsecond, 400, 40000), 16*clients)
+	return shootout.Workload{Clients: clients, Keys: 1, Ops: ops, ReadFrac: readFrac}
+}
+
+func (s Scale) run(spec shootout.Spec, w shootout.Workload) (shootout.MixedStats, error) {
+	return shootout.MixedWorkload(spec, s.Replicas, s.Net, s.Seed, w)
+}
+
+// roundTripNet is s.Net floored at LAN's 0.5–4 ms hop, for the figures
+// that compare protocol round-trip counts: the hops must dominate, and
+// their wide jitter is what puts replication traffic in flight while a
+// read runs.
+func (s Scale) roundTripNet() shootout.Net {
+	if s.Net.MaxDelay < 500*time.Microsecond {
+		return shootout.LAN()
 	}
+	return s.Net
 }
 
-// Figure1 regenerates the throughput comparison (paper Figure 1): median
+// system is one row of Figures 1 and 2.
+type system struct {
+	name string
+	spec shootout.Spec
+}
+
+func (s Scale) systems() ([]system, error) {
+	raft, err := shootout.SpecNamed("raft")
+	if err != nil {
+		return nil, err
+	}
+	paxos, err := shootout.SpecNamed("paxos")
+	if err != nil {
+		return nil, err
+	}
+	return []system{
+		{"CRDT Paxos", shootout.CRDTSpec(core.DefaultOptions(), 0)},
+		{"CRDT Paxos w/batching", shootout.CRDTSpec(core.DefaultOptions(), s.Batch)},
+		{"Raft", raft},
+		{"Multi-Paxos", paxos},
+	}, nil
+}
+
+func batchLabel(batch time.Duration) string {
+	if batch > 0 {
+		return fmt.Sprintf("with %s batching", batch)
+	}
+	return "without batching"
+}
+
+func clientsHeader(w io.Writer, label string, clients []int) {
+	fmt.Fprintf(w, "  %-24s", label)
+	for _, c := range clients {
+		fmt.Fprintf(w, "%12d", c)
+	}
+	fmt.Fprintln(w)
+}
+
+// figure1 regenerates the throughput comparison (paper Figure 1):
 // throughput vs. number of clients for five read mixes across the four
-// systems on three replicas.
-func Figure1(w io.Writer, s Scale) error {
-	readMixes := []float64{1.00, 0.95, 0.90, 0.50, 0.00}
-	fmt.Fprintf(w, "Figure 1: throughput (requests/s, median of %s intervals) on %d replicas\n", time.Second, s.Replicas)
-	for _, mix := range readMixes {
+// systems.
+func figure1(w io.Writer, s Scale) error {
+	systems, err := s.systems()
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "Figure 1: throughput (ops per virtual second) on %d replicas, seed %d\n", s.Replicas, s.Seed)
+	fmt.Fprintln(w, "  virtual time has no CPU model, so throughput grows with clients; served-path CPU throughput is benchmark/'s kv-read-heavy")
+	for _, mix := range []float64{1.00, 0.95, 0.90, 0.50, 0.00} {
 		fmt.Fprintf(w, "\n  %.0f%% reads\n", mix*100)
-		fmt.Fprintf(w, "  %-24s", "clients")
-		for _, c := range s.Clients {
-			fmt.Fprintf(w, "%12d", c)
-		}
-		fmt.Fprintln(w)
-		for _, spec := range s.systems() {
-			fmt.Fprintf(w, "  %-24s", spec.name)
+		clientsHeader(w, "clients", s.Clients)
+		for _, sys := range systems {
+			fmt.Fprintf(w, "  %-24s", sys.name)
 			for _, clients := range s.Clients {
-				sys, err := spec.build()
+				st, err := s.run(sys.spec, s.counter(clients, mix))
 				if err != nil {
-					return err
+					return fmt.Errorf("figure 1: %s: %w", sys.name, err)
 				}
-				res := Run(sys, RunConfig{
-					Clients:      clients,
-					ReadFraction: mix,
-					Duration:     s.Duration,
-					Warmup:       s.Warmup,
-				})
-				sys.Close()
-				fmt.Fprintf(w, "%12.0f", res.Throughput)
+				fmt.Fprintf(w, "%12.0f", st.Throughput)
 			}
 			fmt.Fprintln(w)
 		}
@@ -127,50 +141,37 @@ func Figure1(w io.Writer, s Scale) error {
 	return nil
 }
 
-// Figure2 regenerates the 95th-percentile latency comparison (paper
+// figure2 regenerates the 95th-percentile latency comparison (paper
 // Figure 2): read and update p95 latency vs. number of clients with 10 %
 // updates.
-func Figure2(w io.Writer, s Scale) error {
-	fmt.Fprintf(w, "Figure 2: 95th percentile latency with 10%% updates on %d replicas\n", s.Replicas)
-	type row struct {
-		name    string
-		reads   []time.Duration
-		updates []time.Duration
+func figure2(w io.Writer, s Scale) error {
+	systems, err := s.systems()
+	if err != nil {
+		return err
 	}
-	var rows []row
-	for _, spec := range s.systems() {
-		r := row{name: spec.name}
+	fmt.Fprintf(w, "Figure 2: 95th percentile latency with 10%% updates on %d replicas, virtual time, seed %d\n", s.Replicas, s.Seed)
+	fmt.Fprintln(w, "  virtual time has no CPU model: latency is message hops and protocol round trips only")
+	reads := make([][]time.Duration, len(systems))
+	updates := make([][]time.Duration, len(systems))
+	for i, sys := range systems {
 		for _, clients := range s.Clients {
-			sys, err := spec.build()
+			st, err := s.run(sys.spec, s.counter(clients, 0.90))
 			if err != nil {
-				return err
+				return fmt.Errorf("figure 2: %s: %w", sys.name, err)
 			}
-			res := Run(sys, RunConfig{
-				Clients:      clients,
-				ReadFraction: 0.90,
-				Duration:     s.Duration,
-				Warmup:       s.Warmup,
-			})
-			sys.Close()
-			r.reads = append(r.reads, res.ReadLat.P95)
-			r.updates = append(r.updates, res.UpdateLat.P95)
+			reads[i] = append(reads[i], st.ReadP95)
+			updates[i] = append(updates[i], st.UpdateP95)
 		}
-		rows = append(rows, r)
 	}
-	for _, part := range []string{"read", "update"} {
-		fmt.Fprintf(w, "\n  %s p95 latency\n", part)
-		fmt.Fprintf(w, "  %-24s", "clients")
-		for _, c := range s.Clients {
-			fmt.Fprintf(w, "%12d", c)
-		}
-		fmt.Fprintln(w)
-		for _, r := range rows {
-			fmt.Fprintf(w, "  %-24s", r.name)
-			vals := r.reads
-			if part == "update" {
-				vals = r.updates
-			}
-			for _, v := range vals {
+	for _, part := range []struct {
+		name string
+		vals [][]time.Duration
+	}{{"read", reads}, {"update", updates}} {
+		fmt.Fprintf(w, "\n  %s p95 latency\n", part.name)
+		clientsHeader(w, "clients", s.Clients)
+		for i, sys := range systems {
+			fmt.Fprintf(w, "  %-24s", sys.name)
+			for _, v := range part.vals[i] {
 				fmt.Fprintf(w, "%12s", fmtDur(v))
 			}
 			fmt.Fprintln(w)
@@ -179,98 +180,99 @@ func Figure2(w io.Writer, s Scale) error {
 	return nil
 }
 
-// Figure3 regenerates the read round-trip distribution (paper Figure 3):
+// figure3 regenerates the read round-trip distribution (paper Figure 3):
 // the cumulative percentage of reads processed within k round trips, with
-// and without batching, for several client counts at 10 % updates. The
-// paper's headline: with 5 ms batches, more than 97 % of reads finish
-// within two round trips.
-func Figure3(w io.Writer, s Scale, clientCounts []int) (headline float64, err error) {
-	if len(clientCounts) == 0 {
-		clientCounts = []int{16, 32, 64, 128}
-	}
-	const maxRTT = 15
-	fmt.Fprintf(w, "Figure 3: cumulative %% of reads by round trips (10%% updates, %d replicas)\n", s.Replicas)
-	for _, batch := range []time.Duration{0, s.Batch} {
-		label := "without batching"
-		if batch > 0 {
-			label = fmt.Sprintf("with %s batching", batch)
+// and without batching, for the -clients sweep capped at 512 clients (or
+// 16–128 when none is left) at 10 % updates. The paper's headline: with
+// 5 ms batches, more than 97 % of reads finish within two round trips.
+func figure3(w io.Writer, s Scale) error {
+	var counts []int
+	for _, n := range s.Clients {
+		if n <= 512 {
+			counts = append(counts, n)
 		}
-		fmt.Fprintf(w, "\n  %s\n", label)
+	}
+	if len(counts) == 0 {
+		counts = []int{16, 32, 64, 128}
+	}
+	fmt.Fprintf(w, "Figure 3: cumulative %% of reads by round trips (10%% updates, %d replicas, virtual time, seed %d)\n", s.Replicas, s.Seed)
+	fmt.Fprintln(w, "  virtual time has no scheduler jitter, so batch windows never overlap and a batched read takes one round trip")
+	headline := 100.0
+	for _, batch := range []time.Duration{0, s.Batch} {
+		fmt.Fprintf(w, "\n  %s\n", batchLabel(batch))
 		fmt.Fprintf(w, "  %-12s", "round trips")
 		for k := 1; k <= 8; k++ {
 			fmt.Fprintf(w, "%9d", k)
 		}
 		fmt.Fprintln(w)
-		for _, clients := range clientCounts {
-			sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{Batch: batch}, s.Net)
+		for _, clients := range counts {
+			st, err := s.run(shootout.CRDTSpec(core.DefaultOptions(), batch), s.counter(clients, 0.90))
 			if err != nil {
-				return 0, err
+				return fmt.Errorf("figure 3: %w", err)
 			}
-			res := Run(sys, RunConfig{
-				Clients:      clients,
-				ReadFraction: 0.90,
-				Duration:     s.Duration,
-				Warmup:       s.Warmup,
-			})
-			sys.Close()
-			cdf := res.ReadRTTs.CDF(maxRTT)
+			total := 0
+			for _, c := range st.ReadRTTs {
+				total += c
+			}
+			if total == 0 {
+				return fmt.Errorf("figure 3: %d clients completed no reads", clients)
+			}
 			fmt.Fprintf(w, "  %4d clients", clients)
-			for k := 0; k < 8; k++ {
-				fmt.Fprintf(w, "%8.1f%%", cdf[k])
+			cum := 0
+			for k := 1; k <= 8; k++ {
+				cum += st.ReadRTTs[k]
+				pct := 100 * float64(cum) / float64(total)
+				fmt.Fprintf(w, "%8.1f%%", pct)
+				// The headline is the worst batched row across client counts.
+				if k == 2 && batch > 0 {
+					headline = min(headline, pct)
+				}
 			}
 			fmt.Fprintln(w)
-			// The headline is the worst batched row across client counts.
-			if batch > 0 && (headline == 0 || cdf[1] < headline) {
-				headline = cdf[1]
-			}
 		}
 	}
 	fmt.Fprintf(w, "\n  headline (batching, ≤2 RTTs, worst client count): %.1f%% (paper: >97%%)\n", headline)
-	return headline, nil
+	return nil
 }
 
-// Figure4 regenerates the node-failure timeline (paper Figure 4): p95 read
-// and update latency per interval with one replica crashing mid-run, 64
-// clients, 10 % updates, with and without batching. The paper's point:
-// no leader means no unavailability window, only a modest latency bump.
-func Figure4(w io.Writer, s Scale, clients int) error {
-	if clients <= 0 {
-		clients = 64
-	}
-	fmt.Fprintf(w, "Figure 4: p95 latency per interval across a node failure (%d clients, 10%% updates)\n", clients)
+// figure4 regenerates the node-failure timeline (paper Figure 4): p95 read
+// and update latency per interval with the last replica crashing halfway
+// through the run, 64 clients, 10 % updates, with and without batching.
+// The paper's point: no leader means no unavailability window, only a
+// modest latency bump.
+func figure4(w io.Writer, s Scale) error {
+	const clients, intervals = 64, 8
+	fmt.Fprintf(w, "Figure 4: p95 latency per interval across a node failure (%d clients, 10%% updates, virtual time, seed %d)\n", clients, s.Seed)
+	fmt.Fprintln(w, "  virtual time has no CPU model; ops open at the crashed replica fail and their clients move to the next one")
 	for _, batch := range []time.Duration{0, s.Batch} {
-		label := "without batching"
-		if batch > 0 {
-			label = fmt.Sprintf("with %s batching", batch)
-		}
-		sys, err := NewCRDTSystem(s.Replicas, CRDTOpts{Batch: batch}, s.Net)
+		wl := s.counter(clients, 0.90)
+		wl.Ops *= 4 // the timeline needs several intervals
+		wl.CrashAfter = wl.Ops / 2
+		wl.Intervals = intervals
+		st, err := s.run(shootout.CRDTSpec(core.DefaultOptions(), batch), wl)
 		if err != nil {
-			return err
+			return fmt.Errorf("figure 4: %w", err)
 		}
-		duration := 4 * s.Duration // timeline needs several intervals
-		res := Run(sys, RunConfig{
-			Clients:      clients,
-			ReadFraction: 0.90,
-			Duration:     duration,
-			Warmup:       s.Warmup,
-			Interval:     duration / 8,
-			FailAfter:    duration / 2,
-			FailReplica:  2,
-		})
-		sys.Close()
-		fmt.Fprintf(w, "\n  %s (replica n3 fails at interval %d)\n", label, 4)
+		crashed := -1
+		for i, iv := range st.Timeline {
+			if iv.Crash {
+				crashed = i
+			}
+		}
+		fmt.Fprintf(w, "\n  %s (replica n%d fails at interval %d)\n", batchLabel(batch), s.Replicas, crashed)
 		fmt.Fprintf(w, "  %-10s %14s %14s %10s\n", "interval", "read p95", "update p95", "ops")
-		timeline := res.Timeline
-		for len(timeline) > 0 && timeline[len(timeline)-1].Ops == 0 {
-			timeline = timeline[:len(timeline)-1] // trailing partial interval
-		}
-		for _, iv := range timeline {
+		for i, iv := range st.Timeline {
 			marker := ""
-			if iv.Index == 4 {
+			if iv.Crash {
 				marker = "  <- failure"
 			}
-			fmt.Fprintf(w, "  %-10d %14s %14s %10d%s\n", iv.Index, fmtDur(iv.ReadP95), fmtDur(iv.UpdateP95), iv.Ops, marker)
+			fmt.Fprintf(w, "  %-10d %14s %14s %10d%s\n", i, fmtDur(iv.ReadP95), fmtDur(iv.UpdateP95), iv.Ops, marker)
 		}
 	}
 	return nil
+}
+
+// fmtDur renders a duration in milliseconds with two decimals.
+func fmtDur(d time.Duration) string {
+	return fmt.Sprintf("%.2fms", float64(d.Microseconds())/1000)
 }

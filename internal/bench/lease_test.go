@@ -9,17 +9,12 @@ import (
 // TestFigureLeaseFastPath is the acceptance run for the round-lease
 // figure: on the widest cluster in the sweep the lease must actually
 // fire (hits > 0) and cut the median read-after-write latency by at
-// least 30%. The run is latency-bound (FigureLease floors the emulated
-// hop delay), so the assertion holds on a single-CPU box where a
-// CPU-throughput claim would not.
+// least 30%. The run is virtual-time and latency-bound (FigureLease floors
+// the emulated hop delay), so the assertion holds on a single-CPU box.
 func TestFigureLeaseFastPath(t *testing.T) {
-	if testing.Short() {
-		t.Skip("latency-bound measurement")
-	}
 	s := Scale{
-		Duration: 900 * time.Millisecond,
-		Warmup:   150 * time.Millisecond,
-		Net:      NetProfile{Seed: 1}, // below the floor: FigureLease substitutes the WAN-ish profile
+		Duration: 900 * time.Millisecond, // 360 sessions per run
+		Seed:     1,                      // zero Net is below the floor: FigureLease substitutes the LAN profile
 	}
 	fig, err := FigureLease(io.Discard, s)
 	if err != nil {

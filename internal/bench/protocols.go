@@ -8,12 +8,6 @@ import (
 	"crdtsmr/internal/shootout"
 )
 
-// protocolNetFloor is the minimum emulated hop delay for the shootout: the
-// figure compares protocol round-trip counts, so the hops must dominate.
-// Unlike the wall-clock figures this one runs in virtual time, so the
-// floor is about the figure meaning what it says, not about CPU noise.
-const protocolNetFloor = 500 * time.Microsecond
-
 // FigureProtocols races the paper's protocol against Multi-Paxos RSM,
 // Raft RSM, and generalized lattice agreement on one shared keyed
 // counter/or-set workload over one latency-emulated fabric
@@ -32,11 +26,8 @@ const protocolNetFloor = 500 * time.Microsecond
 // function of the seed and the assertions CI makes over the output are
 // latency-bound, not CPU-bound.
 func FigureProtocols(w io.Writer, s Scale) (*FigureJSON, error) {
-	net := shootout.Net{MinDelay: s.Net.MinDelay, MaxDelay: s.Net.MaxDelay}
-	if net.MaxDelay < protocolNetFloor {
-		net = shootout.LAN()
-	}
-	seed := s.Net.Seed
+	net := s.roundTripNet()
+	seed := s.Seed
 	replicas := s.Replicas
 	if replicas <= 0 {
 		replicas = 3
@@ -105,7 +96,9 @@ func FigureProtocols(w io.Writer, s Scale) (*FigureJSON, error) {
 				worst = d
 			}
 		}
-		mx, err := shootout.MixedWorkload(sp, replicas, net, seed, mixedClients, mixedKeys, mixedOps, readFrac)
+		mx, err := shootout.MixedWorkload(sp, replicas, net, seed, shootout.Workload{
+			Clients: mixedClients, Keys: mixedKeys, Ops: mixedOps, ReadFrac: readFrac, Sets: true,
+		})
 		if err != nil {
 			return nil, fmt.Errorf("figure protocols: %w", err)
 		}
@@ -132,7 +125,7 @@ func FigureProtocols(w io.Writer, s Scale) (*FigureJSON, error) {
 	return fig, nil
 }
 
-// scaleCount maps a wall-clock -duration knob onto a virtual op count:
+// scaleCount maps the -duration knob onto a virtual op count:
 // one op per unit, clamped to [lo, hi].
 func scaleCount(d, unit time.Duration, lo, hi int) int {
 	n := int(d / unit)

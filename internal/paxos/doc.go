@@ -8,7 +8,7 @@
 // local state without any message exchange.
 //
 // As with internal/core and internal/raft, Replica is a pure,
-// single-threaded protocol state machine. It satisfies rsm.Replica, so
-// rsm.Node (wall clock) and the shootout's logNode (virtual time) add the
-// event loop, election/heartbeat timers, and the lease clock.
+// single-threaded protocol state machine. It satisfies rsm.Replica, so the
+// shootout's virtual-time logNode adds the event loop, election/heartbeat
+// timers, and the lease clock.
 package paxos

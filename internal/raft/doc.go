@@ -7,6 +7,6 @@
 // log", §4.1).
 //
 // Like internal/core, the Replica here is a pure single-threaded state
-// machine. It satisfies rsm.Replica, so rsm.Node (wall clock) and the
-// shootout's logNode (virtual time) drive it with an event loop and timers.
+// machine. It satisfies rsm.Replica, so the shootout's virtual-time logNode
+// drives it with an event loop and timers.
 package raft

@@ -5,7 +5,6 @@
 // Multi-Paxos and Raft, we used a simple replicated integer as the
 // counter", §4).
 //
-// It is also where "run a log-based replica" exists once: Replica is the
-// one interface both protocols' pure state machines satisfy, and Node is
-// the one runtime that drives a Replica on a wall clock.
+// Replica is the one interface both protocols' pure state machines
+// satisfy; internal/shootout drives it in virtual time.
 package rsm

@@ -38,10 +38,10 @@ func (e Transient) Error() string { return string(e) }
 
 // Replica is a log-based protocol participant (raft.Replica,
 // paxos.Replica): a pure single-threaded state machine with no goroutines
-// and no clock of its own. A runtime — Node on the wall clock, the
-// shootout's logNode in virtual time — serializes every call, supplies now,
-// and transmits TakeOutbox after each one. Raft ignores now and never
-// serves ReadLocal; its ProposeRead rides the log.
+// and no clock of its own. Its runtime, the shootout's logNode in virtual
+// time, serializes every call, supplies now, and transmits TakeOutbox
+// after each one. Raft ignores now and never serves ReadLocal; its
+// ProposeRead rides the log.
 type Replica interface {
 	ID() transport.NodeID
 	IsLeader() bool

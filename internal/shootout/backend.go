@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"crdtsmr/internal/core"
 	"crdtsmr/internal/transport"
 )
 
@@ -32,12 +33,17 @@ const (
 // as abandoned, never blindly retried.
 var ErrOpTimeout = errors.New("shootout: operation timed out")
 
+// ErrCrashed fails an operation submitted at, or still open at, a replica
+// that crashed. A write's fate is unknown, as with ErrOpTimeout.
+var ErrCrashed = errors.New("shootout: replica crashed")
+
 // Backend is one protocol wired into a Sim: n replicas joined to the
 // fabric, exposing the shared keyed counter/or-set workload surface. Done
 // callbacks fire inside the event loop, exactly once. By convention
 // counter keys start with 'c' and set keys with 's'. Write errors mean
 // "fate unknown" unless the backend documents otherwise; reads are
-// effect-free and may be retried freely.
+// effect-free and may be retried freely. The paper's protocol and the
+// log-based baselines can also Crash a replica for good.
 type Backend interface {
 	Inc(replica int, key string, done func(err error))
 	Read(replica int, key string, done func(val int64, err error))
@@ -58,11 +64,11 @@ type Spec struct {
 	New  func(s *Sim, n int) (Backend, error)
 }
 
-// Specs returns every raced configuration: the paper's protocol, the two
-// log-based baselines, and GLA.
+// Specs returns every raced configuration: the paper's protocol (default
+// options, no batching), the two log-based baselines, and GLA.
 func Specs() []Spec {
 	return []Spec{
-		{Name: "crdtsmr", New: newCRDTBackend},
+		CRDTSpec(core.DefaultOptions(), 0),
 		{Name: "paxos", New: newPaxosBackend},
 		{Name: "raft", New: newRaftBackend},
 		{Name: "gla", New: newGLABackend},

@@ -15,8 +15,8 @@ import (
 // time.Time (the Paxos lease logic). Virtual instant d maps to epoch+d.
 var epoch = time.Unix(0, 0)
 
-// logNode is the single-threaded virtual-time equivalent of rsm.Node,
-// driving either log-based replica through the same rsm.Replica interface:
+// logNode is the single-threaded virtual-time runtime of a log-based
+// replica, driving either protocol through the same rsm.Replica interface:
 // election timer with seeded jitter, heartbeat cadence, and outbox flushing
 // after every replica interaction.
 type logNode struct {
@@ -132,6 +132,10 @@ func (n *logNode) execute(cmd []byte, read bool, done func([]byte, error)) {
 }
 
 func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done func([]byte, error)) {
+	if n.down {
+		done(nil, ErrCrashed)
+		return
+	}
 	if read {
 		if res, ok := n.rep.ReadLocal(epoch.Add(n.sim.Now()), cmd); ok {
 			done(res, nil)
@@ -206,6 +210,15 @@ func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done fu
 		}
 		done(nil, ErrOpTimeout) // in-flight write: fate unknown
 	})
+}
+
+// Crash takes replica down for good: it drops inbound traffic, its timers
+// stop acting, rsm.Replica.Crash fails what it had in flight, and ops
+// submitted there later fail with ErrCrashed.
+func (b *logBackend) Crash(replica int) {
+	node := b.nodes[replica]
+	node.down = true
+	node.rep.Crash()
 }
 
 // Inc implements Backend.

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"crdtsmr/internal/checker"
+	"crdtsmr/internal/core"
 	"crdtsmr/internal/transport"
 )
 
@@ -65,7 +66,7 @@ func TestAllBackendsServeWorkload(t *testing.T) {
 	for _, spec := range Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			st, err := MixedWorkload(spec, 3, LAN(), 7, 6, 4, 60, 0.8)
+			st, err := MixedWorkload(spec, 3, LAN(), 7, Workload{Clients: 6, Keys: 4, Ops: 60, ReadFrac: 0.8, Sets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -91,11 +92,11 @@ func TestMixedWorkloadDeterministic(t *testing.T) {
 	for _, spec := range Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			a, err := MixedWorkload(spec, 3, LAN(), 21, 6, 4, 40, 0.8)
+			a, err := MixedWorkload(spec, 3, LAN(), 21, Workload{Clients: 6, Keys: 4, Ops: 40, ReadFrac: 0.8, Sets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := MixedWorkload(spec, 3, LAN(), 21, 6, 4, 40, 0.8)
+			b, err := MixedWorkload(spec, 3, LAN(), 21, Workload{Clients: 6, Keys: 4, Ops: 40, ReadFrac: 0.8, Sets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -214,5 +215,135 @@ func TestConformWithPartitions(t *testing.T) {
 			t.Logf("incs=%d abandoned=%d reads=%d failedReads=%d final=%v",
 				res.Incs, res.Abandoned, res.Reads, res.FailedRds, res.FinalReads)
 		})
+	}
+}
+
+// TestLeaderFailover kills the leader of each log-based baseline: once a
+// survivor leads, a survivor commits an increment and reads both.
+func TestLeaderFailover(t *testing.T) {
+	for _, name := range []string{"paxos", "raft"} {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			spec, err := SpecNamed(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sim := NewSim(1, LAN())
+			backend, err := spec.New(sim, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := backend.(*logBackend)
+			do := func(replica int, read bool) int64 {
+				t.Helper()
+				settled := false
+				var val int64
+				var opErr error
+				if read {
+					b.Read(replica, "c0", func(v int64, err error) { settled, val, opErr = true, v, err })
+				} else {
+					b.Inc(replica, "c0", func(err error) { settled, opErr = true, err })
+				}
+				if !sim.RunUntilDone(virtualCap, func() bool { return settled }) {
+					t.Fatal("op stalled")
+				}
+				if opErr != nil {
+					t.Fatal(opErr)
+				}
+				return val
+			}
+			sim.RunUntil(settleTime)
+			do(0, false)
+			leader := -1
+			for i, node := range b.nodes {
+				if node.rep.IsLeader() {
+					leader = i
+				}
+			}
+			if leader < 0 {
+				t.Fatal("no leader after the first commit")
+			}
+			b.Crash(leader)
+			if !sim.RunUntilDone(virtualCap, func() bool {
+				for i, node := range b.nodes {
+					if i != leader && node.rep.IsLeader() {
+						return true
+					}
+				}
+				return false
+			}) {
+				t.Fatal("no survivor took over")
+			}
+			survivor := (leader + 1) % 3
+			do(survivor, false)
+			if v := do(survivor, true); v != 2 {
+				t.Fatalf("read %d after fail-over, want 2", v)
+			}
+		})
+	}
+}
+
+// TestBatchedReadsShareOneQuery pins the crdtsmr backend's §3.6 batching,
+// as TestBatchQueriesShareOneProtocolRun does for cluster.Node: reads
+// queued at one replica within one window share one protocol query, so
+// sixteen of them leave the same schedule as one.
+func TestBatchedReadsShareOneQuery(t *testing.T) {
+	type outcome struct {
+		queries uint64
+		at      time.Duration
+		sent    uint64
+	}
+	run := func(reads int) outcome {
+		sim := NewSim(3, LAN())
+		backend, err := CRDTSpec(core.DefaultOptions(), 5*time.Millisecond).New(sim, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.RunUntil(settleTime)
+		done := 0
+		for i := 0; i < reads; i++ {
+			backend.Read(0, "c0", func(_ int64, err error) {
+				if err != nil {
+					t.Error(err)
+				}
+				done++
+			})
+		}
+		if !sim.RunUntilDone(virtualCap, func() bool { return done == reads }) {
+			t.Fatalf("%d/%d reads completed", done, reads)
+		}
+		return outcome{backend.(*crdtBackend).Counters().Queries, sim.Now(), sim.Fab.Stats().Sent}
+	}
+	one, many := run(1), run(16)
+	if one.queries != 1 || many != one {
+		t.Fatalf("16 batched reads: %+v; one read: %+v; want one query and the same schedule", many, one)
+	}
+}
+
+// TestCrashMovesClients crashes a replica of the paper's protocol mid-run:
+// each client bound to it fails one op and moves on, and every later span
+// of the timeline still completes ops.
+func TestCrashMovesClients(t *testing.T) {
+	const clients, ops = 9, 900
+	st, err := MixedWorkload(CRDTSpec(core.DefaultOptions(), 0), 3, LAN(), 4, Workload{
+		Clients: clients, Keys: 1, Ops: ops, ReadFrac: 0.9, CrashAfter: ops / 2, Intervals: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Failed != clients/3 || st.Completed+st.Failed != ops {
+		t.Fatalf("completed %d, failed %d: want %d failed of %d", st.Completed, st.Failed, clients/3, ops)
+	}
+	crashed := -1
+	for i, iv := range st.Timeline {
+		if iv.Crash {
+			crashed = i
+		}
+		if crashed >= 0 && iv.Ops == 0 {
+			t.Fatalf("span %d completed no ops after the crash: %+v", i, st.Timeline)
+		}
+	}
+	if crashed < 0 {
+		t.Fatalf("no span holds the crash: %+v", st.Timeline)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"crdtsmr/internal/core"
 	"crdtsmr/internal/transport"
 )
 
@@ -32,18 +33,16 @@ type SessionStats struct {
 	Errors int
 }
 
-// ReadAfterWrite runs the paper's hot-key session at every pin: fire an
-// increment, read the same key 100µs later (virtual), wait for both;
-// repeat. The first warmup sessions are discarded.
+// ReadAfterWrite runs the paper's hot-key Session at every pin.
 func ReadAfterWrite(spec Spec, n int, net Net, seed int64, sessions, warmup int) (SessionStats, error) {
 	out := SessionStats{PerReplica: make([]time.Duration, n)}
 	for pin := 0; pin < n; pin++ {
-		p50, errs, err := sessionRun(spec, n, net, seed, pin, sessions, warmup)
+		st, err := Session(spec, n, net, seed, pin, sessions, warmup)
 		if err != nil {
 			return SessionStats{}, fmt.Errorf("%s pin %d: %w", spec.Name, pin, err)
 		}
-		out.PerReplica[pin] = p50
-		out.Errors += errs
+		out.PerReplica[pin] = st.P50
+		out.Errors += st.Errors
 	}
 	sorted := append([]time.Duration(nil), out.PerReplica...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
@@ -51,11 +50,24 @@ func ReadAfterWrite(spec Spec, n int, net Net, seed int64, sessions, warmup int)
 	return out, nil
 }
 
-func sessionRun(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (time.Duration, int, error) {
+// PinStats is one Session run.
+type PinStats struct {
+	P50     time.Duration // whole session: increment submitted until both ops completed
+	ReadP50 time.Duration // the read alone
+	Errors  int           // sessions with a failed op, excluded from the samples
+	// Counters sums the paper's protocol's counters over every replica and
+	// key at the end of the run; it is zero for the other backends.
+	Counters core.Counters
+}
+
+// Session runs the hot-key session with the client pinned at one replica:
+// fire an increment, read the same key 100µs later (virtual), wait for
+// both; repeat. The first warmup sessions are discarded.
+func Session(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (PinStats, error) {
 	sim := NewSim(seed, net)
 	backend, err := spec.New(sim, n)
 	if err != nil {
-		return 0, 0, err
+		return PinStats{}, err
 	}
 	const key = "c-hot"
 	// Settle: elections, then one priming read at the pin so per-key state
@@ -64,11 +76,12 @@ func sessionRun(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int
 	primed := false
 	backend.Read(pin, key, func(int64, error) { primed = true })
 	if !sim.RunUntilDone(virtualCap, func() bool { return primed }) {
-		return 0, 0, fmt.Errorf("priming read never completed")
+		return PinStats{}, fmt.Errorf("priming read never completed")
 	}
 
-	var samples []time.Duration
-	errs, completed := 0, 0
+	var out PinStats
+	var samples, reads []time.Duration
+	completed := 0
 	var start func()
 	start = func() {
 		if completed >= sessions {
@@ -76,6 +89,7 @@ func sessionRun(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int
 		}
 		idx := completed
 		t0 := sim.Now()
+		var readLat time.Duration
 		incDone, readDone, failed := false, false, false
 		finish := func() {
 			if !incDone || !readDone {
@@ -83,9 +97,10 @@ func sessionRun(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int
 			}
 			completed++
 			if failed {
-				errs++
+				out.Errors++
 			} else if idx >= warmup {
 				samples = append(samples, sim.Now()-t0)
+				reads = append(reads, readLat)
 			}
 			start()
 		}
@@ -99,10 +114,12 @@ func sessionRun(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int
 		// The read trails the write by a virtual beat so it snapshots a
 		// state with the increment in flight — the read-after-write race.
 		sim.After(100*time.Microsecond, func() {
+			t1 := sim.Now()
 			backend.Read(pin, key, func(_ int64, err error) {
 				if err != nil {
 					failed = true
 				}
+				readLat = sim.Now() - t1
 				readDone = true
 				finish()
 			})
@@ -110,37 +127,78 @@ func sessionRun(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int
 	}
 	start()
 	if !sim.RunUntilDone(virtualCap, func() bool { return completed >= sessions }) {
-		return 0, 0, fmt.Errorf("stalled after %d/%d sessions", completed, sessions)
+		return PinStats{}, fmt.Errorf("stalled after %d/%d sessions", completed, sessions)
 	}
 	if len(samples) == 0 {
-		return 0, 0, fmt.Errorf("no successful sessions (%d errors)", errs)
+		return PinStats{}, fmt.Errorf("no successful sessions (%d errors)", out.Errors)
 	}
-	return percentile(samples, 50), errs, nil
+	out.P50, out.ReadP50 = percentile(samples, 50), percentile(reads, 50)
+	if c, ok := backend.(interface{ Counters() core.Counters }); ok {
+		out.Counters = c.Counters()
+	}
+	return out, nil
+}
+
+// Workload is the closed loop MixedWorkload offers: Clients clients,
+// pinned round-robin over the replicas, issue Ops ops between them,
+// ReadFrac of them reads, over the counters c0..c<Keys-1> and, with Sets,
+// a quarter of them over the or-sets s0..s<Keys-1>.
+type Workload struct {
+	Clients, Keys, Ops int
+	ReadFrac           float64
+	Sets               bool
+	// CrashAfter > 0 crashes the last replica once that many ops have
+	// completed (the paper's Figure 4).
+	CrashAfter int
+	// Intervals > 0 splits the measured window into that many equal spans
+	// of virtual time, by op start, for MixedStats.Timeline.
+	Intervals int
 }
 
 // MixedStats is the shared keyed-workload figure for one backend.
 type MixedStats struct {
 	Throughput   float64 // completed ops per virtual second
 	ReadP50      time.Duration
+	ReadP95      time.Duration
 	ReadP99      time.Duration
 	UpdateP50    time.Duration
+	UpdateP95    time.Duration
 	UpdateP99    time.Duration
 	BytesPerOp   float64 // replica-wire payload bytes per completed op
 	MaxLinkShare float64 // busiest directed link's share of wire bytes
 	Completed    int
 	Failed       int
+	// ReadRTTs counts completed reads by the protocol round trips they
+	// took, for the paper's protocol; nil for the other backends.
+	ReadRTTs map[int]int
+	Timeline []Interval
 }
 
-// MixedWorkload races one backend on the shared keyed workload: clients
-// pinned round-robin over replicas, each running a closed loop of ops
-// against a small keyspace of counters and or-sets, readFrac of them
-// reads. Latencies, throughput, and wire bytes are all virtual-time and
+// Interval is one span of MixedStats.Timeline.
+type Interval struct {
+	Ops       int // completed ops that started in the span
+	ReadP95   time.Duration
+	UpdateP95 time.Duration
+	Crash     bool // the replica crashed in this span
+}
+
+// sample is one completed op: its start, into the measured window, and
+// its latency.
+type sample struct{ at, lat time.Duration }
+
+// MixedWorkload races one backend on a keyed closed-loop workload. A
+// client whose op fails moves on to the next replica, as a client library
+// would. Latencies, throughput, and wire bytes are all virtual-time and
 // byte-counter based — deterministic for a given seed.
-func MixedWorkload(spec Spec, n int, net Net, seed int64, clients, keys, ops int, readFrac float64) (MixedStats, error) {
+func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStats, error) {
 	sim := NewSim(seed, net)
 	backend, err := spec.New(sim, n)
 	if err != nil {
 		return MixedStats{}, err
+	}
+	crasher, canCrash := backend.(interface{ Crash(replica int) })
+	if w.CrashAfter > 0 && !canCrash {
+		return MixedStats{}, fmt.Errorf("%s: backend cannot crash a replica", spec.Name)
 	}
 	sim.RunUntil(settleTime)
 	primed := 0
@@ -150,13 +208,18 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, clients, keys, ops int
 	if !sim.RunUntilDone(virtualCap, func() bool { return primed == n }) {
 		return MixedStats{}, fmt.Errorf("%s: priming reads stalled", spec.Name)
 	}
+	rtts, countsRTTs := backend.(interface{ TakeReadRTTs() map[int]int })
+	if countsRTTs {
+		rtts.TakeReadRTTs() // the priming reads
+	}
 
 	base := sim.Fab.Stats()
 	t0 := sim.Now()
-	var reads, updates []time.Duration
+	var reads, updates []sample
 	completed, failed, done := 0, 0, 0
-	perClient := (ops + clients - 1) / clients
-	for c := 0; c < clients; c++ {
+	crashedAt := time.Duration(-1)
+	perClient := (w.Ops + w.Clients - 1) / w.Clients
+	for c := 0; c < w.Clients; c++ {
 		c := c
 		rng := rand.New(rand.NewSource(seed + int64(c)*7919))
 		replica := c % n
@@ -169,15 +232,20 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, clients, keys, ops int
 			}
 			issued++
 			t1 := sim.Now()
-			isRead := rng.Float64() < readFrac
-			isSet := rng.Intn(4) == 0 // 25% of traffic on or-sets
-			j := rng.Intn(keys)
-			settle := func(err error, lat *[]time.Duration) {
+			isRead := rng.Float64() < w.ReadFrac
+			isSet := w.Sets && rng.Intn(4) == 0
+			j := rng.Intn(w.Keys)
+			settle := func(err error, into *[]sample) {
 				if err != nil {
 					failed++
+					replica = (replica + 1) % n
 				} else {
 					completed++
-					*lat = append(*lat, sim.Now()-t1)
+					*into = append(*into, sample{at: t1 - t0, lat: sim.Now() - t1})
+					if completed == w.CrashAfter {
+						crashedAt = sim.Now() - t0
+						crasher.Crash(n - 1)
+					}
 				}
 				next()
 			}
@@ -195,8 +263,8 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, clients, keys, ops int
 		}
 		next()
 	}
-	if !sim.RunUntilDone(virtualCap, func() bool { return done == clients }) {
-		return MixedStats{}, fmt.Errorf("%s: workload stalled (%d/%d clients done)", spec.Name, done, clients)
+	if !sim.RunUntilDone(virtualCap, func() bool { return done == w.Clients }) {
+		return MixedStats{}, fmt.Errorf("%s: workload stalled (%d/%d clients done)", spec.Name, done, w.Clients)
 	}
 	elapsed := sim.Now() - t0
 	if elapsed <= 0 || completed == 0 {
@@ -204,18 +272,55 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, clients, keys, ops int
 	}
 	stats := sim.Fab.Stats()
 	bytesDelta := float64(stats.BytesSent - base.BytesSent)
+	readLats, updateLats := latencies(reads), latencies(updates)
 	out := MixedStats{
 		Throughput:   float64(completed) / elapsed.Seconds(),
-		ReadP50:      percentile(reads, 50),
-		ReadP99:      percentile(reads, 99),
-		UpdateP50:    percentile(updates, 50),
-		UpdateP99:    percentile(updates, 99),
+		ReadP50:      percentile(readLats, 50),
+		ReadP95:      percentile(readLats, 95),
+		ReadP99:      percentile(readLats, 99),
+		UpdateP50:    percentile(updateLats, 50),
+		UpdateP95:    percentile(updateLats, 95),
+		UpdateP99:    percentile(updateLats, 99),
 		BytesPerOp:   bytesDelta / float64(completed),
 		MaxLinkShare: maxLinkShare(stats.Links, base.Links, bytesDelta),
 		Completed:    completed,
 		Failed:       failed,
 	}
+	if countsRTTs {
+		out.ReadRTTs = rtts.TakeReadRTTs()
+	}
+	if w.Intervals > 0 {
+		span := func(at time.Duration) int {
+			return min(int(int64(at)*int64(w.Intervals)/int64(elapsed)), w.Intervals-1)
+		}
+		rd := make([][]sample, w.Intervals)
+		up := make([][]sample, w.Intervals)
+		for _, s := range reads {
+			rd[span(s.at)] = append(rd[span(s.at)], s)
+		}
+		for _, s := range updates {
+			up[span(s.at)] = append(up[span(s.at)], s)
+		}
+		out.Timeline = make([]Interval, w.Intervals)
+		for i := range out.Timeline {
+			out.Timeline[i] = Interval{
+				Ops:       len(rd[i]) + len(up[i]),
+				ReadP95:   percentile(latencies(rd[i]), 95),
+				UpdateP95: percentile(latencies(up[i]), 95),
+				Crash:     crashedAt >= 0 && span(crashedAt) == i,
+			}
+		}
+	}
 	return out, nil
+}
+
+// latencies returns the latencies of samples.
+func latencies(samples []sample) []time.Duration {
+	out := make([]time.Duration, len(samples))
+	for i, s := range samples {
+		out[i] = s.lat
+	}
+	return out
 }
 
 // maxLinkShare finds the busiest directed link's share of measured bytes —
