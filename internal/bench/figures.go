@@ -53,8 +53,9 @@ func noRecord(fig func(io.Writer, Scale) error) func(io.Writer, Scale) (*FigureJ
 }
 
 // counter is one data point of Figures 1–4: the paper's single replicated
-// counter under clients closed-loop clients, readFrac of their ops reads.
-// One op per 250 µs of Duration, and at least 16 per client.
+// counter, driven by the given number of closed-loop clients, readFrac of
+// whose ops are reads. One op per 250 µs of Duration, at least 16 per
+// client.
 func (s Scale) counter(clients int, readFrac float64) shootout.Workload {
 	ops := max(scaleCount(s.Duration, 250*time.Microsecond, 400, 40000), 16*clients)
 	return shootout.Workload{Clients: clients, Keys: 1, Ops: ops, ReadFrac: readFrac}
@@ -98,21 +99,6 @@ func (s Scale) systems() ([]system, error) {
 	}, nil
 }
 
-func batchLabel(batch time.Duration) string {
-	if batch > 0 {
-		return fmt.Sprintf("with %s batching", batch)
-	}
-	return "without batching"
-}
-
-func clientsHeader(w io.Writer, label string, clients []int) {
-	fmt.Fprintf(w, "  %-24s", label)
-	for _, c := range clients {
-		fmt.Fprintf(w, "%12d", c)
-	}
-	fmt.Fprintln(w)
-}
-
 // figure1 regenerates the throughput comparison (paper Figure 1):
 // throughput vs. number of clients for five read mixes across the four
 // systems.
@@ -125,7 +111,11 @@ func figure1(w io.Writer, s Scale) error {
 	fmt.Fprintln(w, "  virtual time has no CPU model, so throughput grows with clients; served-path CPU throughput is benchmark/'s kv-read-heavy")
 	for _, mix := range []float64{1.00, 0.95, 0.90, 0.50, 0.00} {
 		fmt.Fprintf(w, "\n  %.0f%% reads\n", mix*100)
-		clientsHeader(w, "clients", s.Clients)
+		fmt.Fprintf(w, "  %-24s", "clients")
+		for _, c := range s.Clients {
+			fmt.Fprintf(w, "%12d", c)
+		}
+		fmt.Fprintln(w)
 		for _, sys := range systems {
 			fmt.Fprintf(w, "  %-24s", sys.name)
 			for _, clients := range s.Clients {
@@ -151,27 +141,38 @@ func figure2(w io.Writer, s Scale) error {
 	}
 	fmt.Fprintf(w, "Figure 2: 95th percentile latency with 10%% updates on %d replicas, virtual time, seed %d\n", s.Replicas, s.Seed)
 	fmt.Fprintln(w, "  virtual time has no CPU model: latency is message hops and protocol round trips only")
-	reads := make([][]time.Duration, len(systems))
-	updates := make([][]time.Duration, len(systems))
-	for i, sys := range systems {
+	type row struct {
+		name    string
+		reads   []time.Duration
+		updates []time.Duration
+	}
+	var rows []row
+	for _, sys := range systems {
+		r := row{name: sys.name}
 		for _, clients := range s.Clients {
 			st, err := s.run(sys.spec, s.counter(clients, 0.90))
 			if err != nil {
 				return fmt.Errorf("figure 2: %s: %w", sys.name, err)
 			}
-			reads[i] = append(reads[i], st.ReadP95)
-			updates[i] = append(updates[i], st.UpdateP95)
+			r.reads = append(r.reads, st.ReadP95)
+			r.updates = append(r.updates, st.UpdateP95)
 		}
+		rows = append(rows, r)
 	}
-	for _, part := range []struct {
-		name string
-		vals [][]time.Duration
-	}{{"read", reads}, {"update", updates}} {
-		fmt.Fprintf(w, "\n  %s p95 latency\n", part.name)
-		clientsHeader(w, "clients", s.Clients)
-		for i, sys := range systems {
-			fmt.Fprintf(w, "  %-24s", sys.name)
-			for _, v := range part.vals[i] {
+	for _, part := range []string{"read", "update"} {
+		fmt.Fprintf(w, "\n  %s p95 latency\n", part)
+		fmt.Fprintf(w, "  %-24s", "clients")
+		for _, c := range s.Clients {
+			fmt.Fprintf(w, "%12d", c)
+		}
+		fmt.Fprintln(w)
+		for _, r := range rows {
+			fmt.Fprintf(w, "  %-24s", r.name)
+			vals := r.reads
+			if part == "update" {
+				vals = r.updates
+			}
+			for _, v := range vals {
 				fmt.Fprintf(w, "%12s", fmtDur(v))
 			}
 			fmt.Fprintln(w)
@@ -199,7 +200,11 @@ func figure3(w io.Writer, s Scale) error {
 	fmt.Fprintln(w, "  virtual time has no scheduler jitter, so batch windows never overlap and a batched read takes one round trip")
 	headline := 100.0
 	for _, batch := range []time.Duration{0, s.Batch} {
-		fmt.Fprintf(w, "\n  %s\n", batchLabel(batch))
+		label := "without batching"
+		if batch > 0 {
+			label = fmt.Sprintf("with %s batching", batch)
+		}
+		fmt.Fprintf(w, "\n  %s\n", label)
 		fmt.Fprintf(w, "  %-12s", "round trips")
 		for k := 1; k <= 8; k++ {
 			fmt.Fprintf(w, "%9d", k)
@@ -245,6 +250,10 @@ func figure4(w io.Writer, s Scale) error {
 	fmt.Fprintf(w, "Figure 4: p95 latency per interval across a node failure (%d clients, 10%% updates, virtual time, seed %d)\n", clients, s.Seed)
 	fmt.Fprintln(w, "  virtual time has no CPU model; ops open at the crashed replica fail and their clients move to the next one")
 	for _, batch := range []time.Duration{0, s.Batch} {
+		label := "without batching"
+		if batch > 0 {
+			label = fmt.Sprintf("with %s batching", batch)
+		}
 		wl := s.counter(clients, 0.90)
 		wl.Ops *= 4 // the timeline needs several intervals
 		wl.CrashAfter = wl.Ops / 2
@@ -259,7 +268,7 @@ func figure4(w io.Writer, s Scale) error {
 				crashed = i
 			}
 		}
-		fmt.Fprintf(w, "\n  %s (replica n%d fails at interval %d)\n", batchLabel(batch), s.Replicas, crashed)
+		fmt.Fprintf(w, "\n  %s (replica n%d fails at interval %d)\n", label, s.Replicas, crashed)
 		fmt.Fprintf(w, "  %-10s %14s %14s %10s\n", "interval", "read p95", "update p95", "ops")
 		for i, iv := range st.Timeline {
 			marker := ""
