@@ -86,8 +86,8 @@ type Config struct {
 	// in-memory state, never Restart.
 	DataDir string
 	// PersistSync selects the snapshot sync policy (persist.SyncNone by
-	// default: atomic renames survive process crashes; SyncAlways also
-	// survives power loss).
+	// default: the snapshot file format survives process crashes;
+	// SyncAlways also survives power loss).
 	PersistSync persist.SyncPolicy
 	// PersistWriteDelay emulates device flush latency for benchmarks and
 	// tests: every persist.Store.Save sleeps this long, and every
@@ -102,9 +102,9 @@ type Config struct {
 	Recover persist.RecoverPolicy
 
 	// persistHook, when set by tests, is installed as the snapshot
-	// store's BeforeBatchRename hook: it runs after a group-commit
-	// batch's temp files are written but before any rename, modeling a
-	// crash that tears the whole batch.
+	// store's BeforeBatchWrite hook: it runs with a group-commit batch's
+	// keys before any file is touched, modeling a crash that tears the
+	// whole batch (by failing) or a slow disk (by blocking).
 	persistHook func(keys []string) error
 }
 
@@ -301,9 +301,9 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 	}
 	if cfg.DataDir != "" {
 		store, err := persist.Open(cfg.DataDir, persist.Options{
-			Sync:              cfg.PersistSync,
-			WriteDelay:        cfg.PersistWriteDelay,
-			BeforeBatchRename: cfg.persistHook,
+			Sync:             cfg.PersistSync,
+			WriteDelay:       cfg.PersistWriteDelay,
+			BeforeBatchWrite: cfg.persistHook,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("cluster: %s: %w", id, err)

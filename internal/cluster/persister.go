@@ -16,17 +16,20 @@ var errRestartVolatile = errors.New("cluster: Restart requires a DataDir (volati
 // client completions into persistReqs and hands them to this shard's
 // persister goroutine. The persister drains its queue opportunistically —
 // every request that arrives while the disk is busy joins the next batch —
-// and commits a whole batch with persist.Store.SaveBatch: every key's temp
-// file written, then renamed, then ONE directory sync for all of them.
-// Each committed request is pushed onto the shard's release queue, and
-// the loop (woken by relSig) releases its envelopes and completions.
+// and commits a whole batch with persist.Store.SaveBatch: one frame
+// appended to each key's file, the files flushed together. Each committed
+// request is pushed onto the shard's release queue, and the loop (woken
+// by relSig) releases its envelopes and completions.
 //
 // The persist-before-ack contract survives intact, per key: a request's
 // envelopes and completions are released only after every snapshot write
 // ordered before it (in the shard's FIFO pipeline) has landed, and a
 // failed write marks its key broken — that key's releases are withheld,
 // degrading it to a lossy link, until a later save succeeds — while every
-// other key's releases proceed.
+// other key's releases proceed. A request with no record for a key with
+// no request in the pipeline (s.queued) has nothing to wait for, so the
+// loop releases it at once instead of queueing it behind other keys'
+// batches: an update's completion at its proposer is the common case.
 //
 // The release queue is unbounded (mutex + slice) by design: the persister
 // must never block on the loop, because the loop blocks sending to
@@ -125,8 +128,15 @@ func (s *shard) flushOutboxAsync() {
 		reqs[i].notify = append(reqs[i].notify, kn.fn)
 	}
 	s.notify = s.notify[:0]
-	for i := range reqs {
-		s.enqueuePersist(reqs[i])
+	for _, req := range reqs {
+		// A request with nothing to write waits for no disk when its key has
+		// nothing in the pipeline: every write ordered before it has landed.
+		if _, broken := s.persistBroken[req.key]; req.rec == nil && s.queued[req.key] == 0 && !broken {
+			s.release(req)
+			continue
+		}
+		s.queued[req.key]++
+		s.enqueuePersist(req)
 	}
 }
 
@@ -158,24 +168,19 @@ func (s *shard) persister() {
 	}
 }
 
-// commitBatch writes the batch's snapshot records — deduplicated to the
-// last record per key, since a later record supersedes an earlier one
-// for the same key within a batch — in one SaveBatch, then pushes every
-// request onto the release queue with the batch's verdict. SaveBatch is
-// all-or-nothing, so a failure fails exactly the requests carrying
-// records in this batch (the torn-batch keys); record-less requests for
-// other keys ride through unharmed, and the loop's persistBroken
-// tracking withholds releases for any key whose disk state is behind.
+// commitBatch writes the batch's snapshot records in one SaveBatch (which
+// keeps each key's last record: a later record supersedes an earlier
+// one), then pushes every request onto the release queue with the
+// batch's verdict. A failed
+// SaveBatch may have landed some keys' records but vouches for none, so
+// a failure fails every request carrying a record in this batch (the
+// torn-batch keys); record-less requests for other keys ride through
+// unharmed, and the loop's persistBroken tracking withholds releases for
+// any key whose disk state is behind.
 func (s *shard) commitBatch(batch []persistReq) {
-	lastRec := make(map[string]int, len(batch))
-	for i, req := range batch {
-		if req.rec != nil {
-			lastRec[req.key] = i
-		}
-	}
 	var recs []persist.Record
-	for i, req := range batch {
-		if req.rec != nil && lastRec[req.key] == i {
+	for _, req := range batch {
+		if req.rec != nil {
 			recs = append(recs, *req.rec)
 		}
 	}
@@ -225,6 +230,9 @@ func (s *shard) processReleases() {
 	s.relMu.Unlock()
 	for _, d := range dones {
 		key := d.req.key
+		if s.queued[key]--; s.queued[key] == 0 {
+			delete(s.queued, key)
+		}
 		if d.req.rec != nil {
 			if d.ok {
 				s.savedVersion[key] = d.req.version
@@ -241,14 +249,19 @@ func (s *shard) processReleases() {
 		if _, broken := s.persistBroken[key]; broken || (d.req.rec != nil && !d.ok) {
 			continue
 		}
-		if !s.crashed {
-			for _, e := range d.req.envs {
-				s.n.conn.Send(e.to, e.frame)
-			}
+		s.release(d.req)
+	}
+}
+
+// release sends a request's envelopes and runs its completions.
+func (s *shard) release(req persistReq) {
+	if !s.crashed {
+		for _, e := range req.envs {
+			s.n.conn.Send(e.to, e.frame)
 		}
-		for _, fn := range d.req.notify {
-			fn()
-		}
+	}
+	for _, fn := range req.notify {
+		fn()
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -70,8 +71,8 @@ func TestAckImpliesDurableGroupCommit(t *testing.T) {
 }
 
 // TestGroupCommitTornBatchUncertainty is the crash-injection test for
-// group commit: a hook tears whole batches between temp-write and
-// rename, exactly where a process crash would. Every key in a torn
+// group commit: a hook tears whole batches before their writes, exactly
+// where a process crash would. Every key in a torn
 // batch must surface as an uncertain (timed-out) op with its completion
 // withheld; keys persisted before the tear must recover their
 // acknowledged values cleanly after a full restart; and the torn keys
@@ -82,17 +83,19 @@ func TestGroupCommitTornBatchUncertainty(t *testing.T) {
 	var tornBatches [][]string
 	var tornMu sync.Mutex
 	var firstTear sync.Once
+	stalled, release := make(chan struct{}), make(chan struct{})
 	hook := func(keys []string) error {
 		if !armed.Load() {
 			return nil
 		}
-		// Stall the first torn batch so the concurrently submitted keys
-		// pile into the next one — the multi-key torn batch under test.
-		firstTear.Do(func() { time.Sleep(100 * time.Millisecond) })
+		// Stall the first torn batch until the concurrently submitted keys
+		// have piled up behind it, so they form the next batch — the
+		// multi-key torn batch under test.
+		firstTear.Do(func() { close(stalled); <-release })
 		tornMu.Lock()
 		tornBatches = append(tornBatches, append([]string(nil), keys...))
 		tornMu.Unlock()
-		return errors.New("injected crash between temp-write and rename")
+		return errors.New("injected crash before the batch's writes")
 	}
 
 	mesh := transport.NewMesh()
@@ -108,6 +111,8 @@ func TestGroupCommitTornBatchUncertainty(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall()
 	ctx := ctxWith(t, 30*time.Second)
 	n1 := c.Node("n1")
 
@@ -129,19 +134,34 @@ func TestGroupCommitTornBatchUncertainty(t *testing.T) {
 	var wg sync.WaitGroup
 	for i, key := range tornKeys {
 		wg.Add(1)
-		go func(i int, key string) {
+		go func(key string) {
 			defer wg.Done()
-			if i > 0 {
-				time.Sleep(20 * time.Millisecond) // land inside the stalled first tear
-			}
 			opCtx, cancel := context.WithTimeout(ctx, 700*time.Millisecond)
 			defer cancel()
 			_, err := n1.UpdateKey(opCtx, key, incBy("n1", 1))
 			if !errors.Is(err, context.DeadlineExceeded) {
 				t.Errorf("torn-batch update %s: err = %v, want deadline exceeded (uncertain)", key, err)
 			}
-		}(i, key)
+		}(key)
+		if i == 0 {
+			select {
+			case <-stalled: // the first key's batch is on the stalled disk
+			case <-ctx.Done():
+				t.Fatal("the first torn batch never reached the disk")
+			}
+		}
 	}
+	sh := n1.shardOf(tornKeys[0])
+	waitFor(t, "the other torn keys to queue behind the stalled batch", func() bool {
+		behind := 0
+		sh.call(func() {
+			for _, key := range tornKeys[1:] {
+				behind += min(sh.queued[key], 1)
+			}
+		})
+		return behind == len(tornKeys)-1
+	})
+	unstall()
 	wg.Wait()
 	if t.Failed() {
 		return
@@ -191,8 +211,87 @@ func TestGroupCommitTornBatchUncertainty(t *testing.T) {
 			t.Fatalf("query %s after restart: %v", key, err)
 		}
 		if got := s.(*crdt.GCounter).Value(); got != 0 {
-			t.Fatalf("torn key %s = %d after restart, want 0 (its batch never renamed)", key, got)
+			t.Fatalf("torn key %s = %d after restart, want 0 (its batch was never written)", key, got)
 		}
+	}
+}
+
+// TestReleaseWithoutWriteSkipsStalledDisk: a request with nothing to
+// write, for a key with nothing in the persister pipeline, is released on
+// the loop at once instead of queueing behind another key's batch. n1's
+// update of "fast" is durable at n1 but its MERGEDs are dropped; then n1's
+// disk stalls on "slow". The retransmitted MERGE and fast's completion
+// carry no record, so fast must complete while slow is still stalled.
+func TestReleaseWithoutWriteSkipsStalledDisk(t *testing.T) {
+	var stallNext atomic.Bool
+	stalled, release := make(chan struct{}), make(chan struct{})
+	hook := func(keys []string) error {
+		if slices.Contains(keys, "slow") && stallNext.CompareAndSwap(true, false) {
+			close(stalled)
+			<-release
+		}
+		return nil
+	}
+	mesh := transport.NewMesh()
+	defer mesh.Close()
+	cfg := testConfig(3)
+	cfg.Shards = 1
+	cfg.DataDir = t.TempDir()
+	cfg.persistHook = hook
+	c, err := New(mesh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall()
+	ctx := ctxWith(t, 30*time.Second)
+	n1 := c.Node("n1")
+
+	mesh.Block("n2", "n1")
+	mesh.Block("n3", "n1")
+	fastDone := make(chan error, 1)
+	go func() {
+		_, err := n1.UpdateKey(ctx, "fast", incBy("n1", 1))
+		fastDone <- err
+	}()
+	sh := n1.shardOf("fast")
+	waitFor(t, "n1's write of fast to land", func() bool {
+		saved := false
+		sh.call(func() { saved = sh.savedVersion["fast"] > 0 })
+		return saved
+	})
+
+	stallNext.Store(true)
+	slowDone := make(chan error, 1)
+	go func() {
+		_, err := n1.UpdateKey(ctx, "slow", incBy("n1", 1))
+		slowDone <- err
+	}()
+	select {
+	case <-stalled:
+	case <-ctx.Done():
+		t.Fatal("slow's batch never reached the disk")
+	}
+	mesh.Unblock("n2", "n1")
+	mesh.Unblock("n3", "n1")
+
+	select {
+	case err := <-fastDone:
+		if err != nil {
+			t.Fatalf("fast: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("fast did not complete while slow's batch was stalled: its release waited behind the disk")
+	}
+	select {
+	case err := <-slowDone:
+		t.Fatalf("slow completed (err %v) while its write was stalled", err)
+	default:
+	}
+	unstall()
+	if err := <-slowDone; err != nil {
+		t.Fatalf("slow: %v", err)
 	}
 }
 

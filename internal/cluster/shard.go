@@ -41,6 +41,7 @@ type shard struct {
 	savedVersion  map[string]uint64   // per-key StateVersion last durably persisted
 	inflight      map[string]uint64   // per-key StateVersion submitted to the persister, not yet durable
 	persistBroken map[string]struct{} // keys whose persistence pipeline failed; releases withheld until a save succeeds
+	queued        map[string]int      // per-key requests handed to the persister and not yet through processReleases
 	persistErrs   uint64              // failed snapshot writes (outbox + completions dropped)
 	notify        []keyedNotify       // client completions deferred past persistence
 
@@ -66,6 +67,7 @@ func newShard(n *Node, idx int) *shard {
 		savedVersion:  make(map[string]uint64),
 		inflight:      make(map[string]uint64),
 		persistBroken: make(map[string]struct{}),
+		queued:        make(map[string]int),
 	}
 	if n.store != nil {
 		s.persistq = make(chan persistReq, 1024)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -53,9 +54,9 @@ func TestSaveBatchRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSaveBatchOverwritesAndLastWins: batches replace prior snapshots
-// atomically, and a (caller-error) duplicate key inside one batch
-// resolves to the later record, matching rename order.
+// TestSaveBatchOverwritesAndLastWins: batches supersede prior snapshots,
+// and a (caller-error) duplicate key inside one batch resolves to the
+// later record.
 func TestSaveBatchOverwritesAndLastWins(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{})
 	if err != nil {
@@ -76,16 +77,64 @@ func TestSaveBatchOverwritesAndLastWins(t *testing.T) {
 	}
 }
 
-// TestSaveBatchTornByHookChangesNothing: a hook failure between
-// temp-write and rename (the modeled crash point) must leave every
-// committed snapshot byte-identical and no batch file visible — and the
-// temp files must not survive a reopen.
+// TestSaveBatchConcurrentDisjointKeys: writers of disjoint key sets (one
+// per shard persister) may share a Store. Each goroutine saves its own
+// keys many times, so first saves, appends and compactions interleave
+// across goroutines; every key must load as its last save.
+func TestSaveBatchConcurrentDisjointKeys(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1,000 frames of ~80 bytes outgrow compactBytes once per key.
+	const writers, keys, rounds = 4, 4, 1000
+	batches := make([][][]Record, writers)
+	for w := range batches {
+		for r := 1; r <= rounds; r++ {
+			var recs []Record
+			for k := 0; k < keys; k++ {
+				recs = append(recs, batchRecord(t, fmt.Sprintf("w%d/k%d", w, k), uint64(r)))
+			}
+			batches[w] = append(batches[w], recs)
+		}
+	}
+	var wg sync.WaitGroup
+	for w := range batches {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r, recs := range batches[w] {
+				if err := st.SaveBatch(recs); err != nil {
+					t.Errorf("writer %d round %d: %v", w, r+1, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	got, _, err := st.LoadAll(RecoverStrict)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != writers*keys {
+		t.Fatalf("loaded %d keys, want %d", len(got), writers*keys)
+	}
+	for _, ks := range got {
+		if v := ks.Snap.State.(*crdt.GCounter).Value(); v != rounds {
+			t.Fatalf("key %q = %d, want the last save (%d)", ks.Key, v, rounds)
+		}
+	}
+}
+
+// TestSaveBatchTornByHookChangesNothing: a hook failure before the
+// batch's writes (the modeled crash point) must leave every committed
+// snapshot byte-identical, no batch file visible and no temp file behind.
 func TestSaveBatchTornByHookChangesNothing(t *testing.T) {
 	dir := t.TempDir()
 	boom := errors.New("boom")
 	var sawKeys []string
 	st, err := Open(dir, Options{
-		BeforeBatchRename: func(keys []string) error {
+		BeforeBatchWrite: func(keys []string) error {
 			sawKeys = append([]string(nil), keys...)
 			return boom
 		},
@@ -116,18 +165,13 @@ func TestSaveBatchTornByHookChangesNothing(t *testing.T) {
 	if len(got) != 1 || got[0].Key != "k0" || got[0].Snap.State.(*crdt.GCounter).Value() != 42 {
 		t.Fatalf("after torn batch: %+v (want only k0=42)", got)
 	}
-	// The tear already removed its temps; even if a real crash had left
-	// them, reopening sweeps them.
-	if _, err := Open(dir, Options{}); err != nil {
-		t.Fatal(err)
-	}
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range entries {
 		if strings.HasPrefix(e.Name(), tmpPrefix) {
-			t.Fatalf("temp file %q survived the torn batch + reopen", e.Name())
+			t.Fatalf("temp file %q survived the torn batch", e.Name())
 		}
 	}
 }

@@ -325,65 +325,248 @@ func TestLoadAllRecoverPolicies(t *testing.T) {
 	}
 }
 
-// TestTornWriteLeavesOldSnapshot is the atomicity test: a filesystem
-// error injected after the temp file is written but before the rename
-// must fail the save, leave no temp litter behind after reopen, and leave
-// the previous snapshot fully intact.
-func TestTornWriteLeavesOldSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := saveSnapshot(st, "k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 5)}); err != nil {
-		t.Fatal(err)
-	}
-	injected := errors.New("injected fs error")
-	torn, err := Open(dir, Options{BeforeBatchRename: func([]string) error {
-		// Model a torn write: scribble on the temp files, then fail.
-		tmps, err := filepath.Glob(filepath.Join(dir, tmpPrefix+"*"))
-		if err != nil || len(tmps) == 0 {
-			t.Fatalf("no temp file to tear (%v)", err)
-		}
-		for _, tmp := range tmps {
-			if err := os.WriteFile(tmp, []byte("torn"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return injected
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = saveSnapshot(torn, "k", core.Snapshot{State: crdt.NewGCounter().Inc("n1", 99)})
-	if !errors.Is(err, injected) {
-		t.Fatalf("save err = %v, want the injected error", err)
-	}
+// gcounterSnap is a snapshot holding a g-counter at v.
+func gcounterSnap(v uint64) core.Snapshot {
+	return core.Snapshot{State: crdt.NewGCounter().Inc("n1", v)}
+}
 
-	// Reopen (sweeping temp files, like a restart would) and load: the
-	// old snapshot must be byte-for-byte recoverable.
-	st2, err := Open(dir, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, skipped, err := st2.LoadAll(RecoverStrict)
+// loadValue loads the store's only key under RecoverStrict and returns its
+// g-counter value.
+func loadValue(t *testing.T, st *Store) uint64 {
+	t.Helper()
+	got, skipped, err := st.LoadAll(RecoverStrict)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if skipped != 0 || len(got) != 1 {
 		t.Fatalf("loaded %d records (skipped %d), want 1", len(got), skipped)
 	}
-	if v := got[0].Snap.State.(*crdt.GCounter).Value(); v != 5 {
-		t.Fatalf("value = %d, want the pre-failure snapshot (5)", v)
-	}
-	entries, err := os.ReadDir(dir)
+	return got[0].Snap.State.(*crdt.GCounter).Value()
+}
+
+// TestTornWriteLeavesOldSnapshot is the atomicity test: a trailing frame
+// cut short by the end of the file is a torn, never-acknowledged write,
+// so the key loads as its previous record; and the next save by a fresh
+// Store (a restarted process) rewrites the file rather than appending
+// behind the torn bytes.
+func TestTornWriteLeavesOldSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range entries {
-		if filepath.Ext(e.Name()) != suffix {
-			t.Fatalf("unexpected file %q left in snapshot dir", e.Name())
+	for _, v := range []uint64{5, 99} {
+		if err := saveSnapshot(st, "k", gcounterSnap(v)); err != nil {
+			t.Fatal(err)
 		}
+	}
+	path := st.Path("k")
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := FromSnapshot("k", gcounterSnap(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := len(appendFrame(nil, rec))
+	// Tear the second frame at lengths short of complete: inside its
+	// length header, and inside its record.
+	for _, keep := range []int{0, 3, frameHeader, frame - 1} {
+		if err := os.WriteFile(path, whole[:len(whole)-frame+keep], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if v := loadValue(t, st); v != 5 {
+			t.Fatalf("torn at %d of %d bytes: value = %d, want the previous record (5)", keep, frame, v)
+		}
+	}
+
+	st2, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := saveSnapshot(st2, "k", gcounterSnap(7)); err != nil {
+		t.Fatal(err)
+	}
+	if v := loadValue(t, st2); v != 7 {
+		t.Fatalf("value = %d after a save over a torn tail, want 7", v)
+	}
+	if data, err := os.ReadFile(path); err != nil || len(data) != len(fileHeader)+frame {
+		t.Fatalf("file is %d bytes (%v), want the header and one frame (%d)", len(data), err, len(fileHeader)+frame)
+	}
+}
+
+// TestCorruptFrameIsNeverRolledBack: a bit flip inside any complete
+// frame, or inside any frame's length header, makes the whole file
+// corrupt — a strict load fails and ignore-corrupt skips the key. It
+// never falls back to an older frame.
+func TestCorruptFrameIsNeverRolledBack(t *testing.T) {
+	dir := t.TempDir()
+	st, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []uint64{1, 2, 3} {
+		if err := saveSnapshot(st, "k", gcounterSnap(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := st.Path("k")
+	clean, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := FromSnapshot("k", gcounterSnap(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := len(appendFrame(nil, rec)) // all three frames are this long
+	first, last := len(fileHeader), len(fileHeader)+2*frame
+	flips := map[string]int{
+		"first length header":  first + 1,
+		"last length header":   last + 2,
+		"first record":         first + frameHeader + 20,
+		"middle record":        first + frame + frameHeader + 20,
+		"last record":          last + frameHeader + 20,
+		"last record checksum": len(clean) - 1,
+	}
+	for name, at := range flips {
+		data := append([]byte(nil), clean...)
+		data[at] ^= 0x10
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.LoadAll(RecoverStrict); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: strict load err = %v, want ErrCorrupt", name, err)
+		}
+		got, skipped, err := st.LoadAll(RecoverIgnoreCorrupt)
+		if err != nil || skipped != 1 || len(got) != 0 {
+			t.Errorf("%s: ignore-corrupt load = %d records, skipped %d, err %v; want the key skipped", name, len(got), skipped, err)
+		}
+	}
+}
+
+// TestFileWithoutCompleteFrameIsNoSnapshot: an empty file, a bare file
+// header or a torn first frame hold no snapshot — the key is simply
+// absent, not corrupt.
+func TestFileWithoutCompleteFrameIsNoSnapshot(t *testing.T) {
+	rec, err := FromSnapshot("k", gcounterSnap(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := appendFrame([]byte(fileHeader), rec)
+	for _, n := range []int{0, 3, len(fileHeader), len(fileHeader) + 5, len(whole) - 1} {
+		if _, found, err := DecodeFile(whole[:n]); found || err != nil {
+			t.Errorf("%d of %d bytes: found=%t err=%v, want no snapshot", n, len(whole), found, err)
+		}
+	}
+	if got, found, err := DecodeFile(whole); !found || err != nil || got.Key != "k" {
+		t.Fatalf("complete file: found=%t err=%v key=%q", found, err, got.Key)
+	}
+}
+
+// TestCompactionBoundsFileSize: however many saves a key takes, its file
+// stays within the header plus max(2×its latest frame, compactBytes), and
+// loads as the
+// latest record — for small records (many frames per file) and large
+// ones (a rewrite every other save).
+func TestCompactionBoundsFileSize(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		pad   int
+		saves int
+	}{{"small", 0, 2000}, {"large", 40 << 10, 12}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, err := Open(t.TempDir(), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := st.Path("k")
+			rewrites := 0
+			var prev int64
+			for i := 1; i <= tc.saves; i++ {
+				reg := crdt.NewLWWRegister().Set(strings.Repeat("x", tc.pad)+fmt.Sprint(i), uint64(i), "n1")
+				rec, err := FromSnapshot("k", core.Snapshot{State: reg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Save(rec); err != nil {
+					t.Fatal(err)
+				}
+				info, err := os.Stat(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				frame := int64(len(appendFrame(nil, rec)))
+				if bound := int64(len(fileHeader)) + max(2*frame, compactBytes); info.Size() > bound {
+					t.Fatalf("save %d: file is %d bytes, bound %d", i, info.Size(), bound)
+				}
+				if info.Size() < prev {
+					rewrites++
+				}
+				prev = info.Size()
+			}
+			if rewrites == 0 {
+				t.Fatal("the file was never compacted")
+			}
+			got, _, err := st.LoadAll(RecoverStrict)
+			if err != nil || len(got) != 1 {
+				t.Fatalf("load: %d records, %v", len(got), err)
+			}
+			if v, _, _ := got[0].Snap.State.(*crdt.LWWRegister).Value(); !strings.HasSuffix(v, fmt.Sprint(tc.saves)) {
+				t.Fatalf("loaded value ends %q, want the latest save (%d)", v[max(0, len(v)-8):], tc.saves)
+			}
+		})
+	}
+}
+
+// TestVersion2FileMigrates: a snapshot file written before frames (a bare
+// version-2 record, testdata/v2-views.snap) still loads, and the key's
+// next save rewrites it in the framed form that later saves append to.
+func TestVersion2FileMigrates(t *testing.T) {
+	v2, err := os.ReadFile(filepath.Join("testdata", "v2-views.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := Open(t.TempDir(), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := st.Path("views")
+	if err := os.WriteFile(path, v2, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := st.LoadAll(RecoverStrict)
+	if err != nil || len(got) != 1 {
+		t.Fatalf("load of the v2 file: %d records, %v", len(got), err)
+	}
+	want := sampleRecord(t)
+	if ks := got[0]; ks.Key != want.Key || ks.Snap.Round != want.Round ||
+		ks.Snap.NextReq != want.NextReq || ks.Snap.NextSeq != want.NextSeq ||
+		ks.Snap.State.(*crdt.GCounter).Value() != 4 {
+		t.Fatalf("v2 file loaded as %+v", ks)
+	}
+	for v := uint64(5); v <= 6; v++ {
+		if err := saveSnapshot(st, "views", gcounterSnap(v)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(data), fileHeader) {
+		t.Fatalf("file after a save starts %q, want the version-3 header", data[:len(fileHeader)])
+	}
+	rec, err := FromSnapshot("views", gcounterSnap(6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(fileHeader) + 2*len(appendFrame(nil, rec)); len(data) != n {
+		t.Fatalf("file is %d bytes, want the header and two frames (%d)", len(data), n)
+	}
+	if v := loadValue(t, st); v != 6 {
+		t.Fatalf("value = %d after migration, want 6", v)
 	}
 }
 
