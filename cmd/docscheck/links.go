@@ -38,6 +38,24 @@ func checkLinks(root, doc, text string) []error {
 	return errs
 }
 
+// pathRE matches a backticked repository path such as `internal/core` or
+// `cmd/bench/main.go`.
+var pathRE = regexp.MustCompile("`((?:internal|cmd|client|examples|benchmark)/[\\w./-]*)`")
+
+// checkPaths verifies every backticked repository path in doc exists, so
+// deleting a package or file cannot leave the docs pointing at it.
+func checkPaths(root, doc, text string) []error {
+	var errs []error
+	for lineNo, line := range strings.Split(text, "\n") {
+		for _, m := range pathRE.FindAllStringSubmatch(line, -1) {
+			if _, err := os.Stat(filepath.Join(root, m[1])); err != nil {
+				errs = append(errs, fmt.Errorf("%s:%d: path %s does not exist", doc, lineNo+1, m[1]))
+			}
+		}
+	}
+	return errs
+}
+
 // within reports whether path stays inside root after cleaning.
 func within(root, path string) bool {
 	rel, err := filepath.Rel(root, path)

@@ -1,7 +1,7 @@
 // Command docscheck is the documentation gate run by CI: it fails on
-// broken intra-repo markdown links and on `-figure X` mentions naming a
-// figure cmd/bench no longer has in the maintained docs (README.md and
-// docs/*.md), on gofmt drift or parse errors in the Go code blocks of
+// broken intra-repo markdown links, backticked repository paths that do
+// not exist, and `-figure X` mentions naming a figure cmd/bench no longer
+// has in the maintained docs (README.md and docs/*.md), on gofmt drift or parse errors in the Go code blocks of
 // README.md, when the mutation table of docs/PROTOCOL.md §2.3 and the
 // codec registry disagree on which payload types exist, and when the query
 // phase table of docs/PROTOCOL.md §1.4 and the [Qn] cites in internal/core
@@ -52,6 +52,7 @@ func Check(root string) []error {
 			continue
 		}
 		errs = append(errs, checkLinks(root, doc, string(data))...)
+		errs = append(errs, checkPaths(root, doc, string(data))...)
 		errs = append(errs, checkFigures(doc, string(data))...)
 	}
 	readme := filepath.Join(root, "README.md")

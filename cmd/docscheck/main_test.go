@@ -33,6 +33,28 @@ func TestCheckLinks(t *testing.T) {
 	}
 }
 
+func TestCheckPaths(t *testing.T) {
+	root := t.TempDir()
+	if err := os.MkdirAll(filepath.Join(root, "internal", "core"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(root, "internal", "core", "query.go"), []byte("x"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	live := "`internal/core` and `internal/core/query.go`; `./cmd/gone` and `go run ./x` are not paths\n"
+	if errs := checkPaths(root, "doc", live); len(errs) != 0 {
+		t.Fatalf("live paths rejected: %v", errs)
+	}
+	dead := "intro\nsee `internal/clock` and `cmd/gone/main.go`\n"
+	errs := checkPaths(root, "doc", dead)
+	if len(errs) != 2 {
+		t.Fatalf("got %d errors, want 2 for the dead paths: %v", len(errs), errs)
+	}
+	if msg := errs[0].Error(); !strings.Contains(msg, "doc:2:") || !strings.Contains(msg, "internal/clock") {
+		t.Fatalf("error %q should carry the line and the dead path", msg)
+	}
+}
+
 func TestCheckFigures(t *testing.T) {
 	live := "`bench -figure protocols -out .` and `-figure=3`, or `bench -figure\nlease` wrapped; `-figure all` runs the table\n"
 	if errs := checkFigures("doc", live); len(errs) != 0 {

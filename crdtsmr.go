@@ -50,6 +50,7 @@ package crdtsmr
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"crdtsmr/internal/cluster"
@@ -135,6 +136,10 @@ type Cluster struct {
 	mesh  *transport.Mesh
 	clust *cluster.Cluster
 	ids   []NodeID
+	// seq numbers the or-set add tags of every handle. Like the server's,
+	// it is seeded from the wall clock, so tags of different clusters
+	// differ too.
+	seq atomic.Uint64
 }
 
 // NewLocalCluster starts n replicas in this process connected by an
@@ -169,7 +174,9 @@ func NewLocalCluster(n int, initial State, opts ...Option) (*Cluster, error) {
 		mesh.Close()
 		return nil, err
 	}
-	return &Cluster{mesh: mesh, clust: clust, ids: ids}, nil
+	c := &Cluster{mesh: mesh, clust: clust, ids: ids}
+	c.seq.Store(uint64(time.Now().UnixNano()))
+	return c, nil
 }
 
 // NodeIDs returns the replica IDs in order.
@@ -262,8 +269,7 @@ func (o *Object) Counter(at NodeID) *Counter {
 }
 
 // Set returns a typed OR-Set handle on this object, bound to the given
-// replica. A Set handle is not safe for concurrent use; create one handle
-// per client goroutine.
+// replica.
 func (o *Object) Set(at NodeID) *Set {
 	return &Set{obj: o, at: at}
 }
@@ -313,9 +319,7 @@ func (h *Counter) Value(ctx context.Context) (uint64, error) {
 }
 
 // Set returns a typed handle for the default object's OR-Set payload bound
-// to the given replica. A Set handle is not safe for concurrent use;
-// create one handle per client goroutine. For keyed sets use
-// Object(key).Set(at).
+// to the given replica. For keyed sets use Object(key).Set(at).
 func (c *Cluster) Set(at NodeID) *Set {
 	return c.Object(DefaultKey).Set(at)
 }
@@ -324,20 +328,20 @@ func (c *Cluster) Set(at NodeID) *Set {
 type Set struct {
 	obj *Object
 	at  NodeID
-	seq uint64
 }
 
-// Add inserts an element (add-wins on concurrent removal).
+// Add inserts an element (add-wins on concurrent removal). Its tag is the
+// replica ID and a number from the cluster's counter, unique across every
+// handle, so a re-add after a remove is never hidden by the remove's
+// tombstones.
 func (h *Set) Add(ctx context.Context, element string) error {
-	h.seq++
-	seq := h.seq
-	actor := string(h.at) + "/" + element
+	seq := h.obj.c.seq.Add(1)
 	return h.obj.Update(ctx, h.at, func(s State) (State, error) {
 		set, ok := s.(*ORSet)
 		if !ok {
 			return nil, fmt.Errorf("crdtsmr: payload of %q is %T, not an OR-Set", h.obj.key, s)
 		}
-		return set.Add(element, actor, seq), nil
+		return set.Add(element, string(h.at), seq), nil
 	})
 }
 

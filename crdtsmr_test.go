@@ -90,6 +90,31 @@ func TestFacadeSetRemoveObserves(t *testing.T) {
 	}
 }
 
+// TestFacadeSetReAddAfterRemove: an add through a fresh handle after a
+// remove is acknowledged and stays visible; its tag is not one the remove
+// already tombstoned.
+func TestFacadeSetReAddAfterRemove(t *testing.T) {
+	cl, err := NewLocalCluster(3, NewORSet())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := testCtx(t)
+
+	if err := cl.Set("n1").Add(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Set("n1").Remove(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.Set("n1").Add(ctx, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := cl.Set("n1").Elements(ctx); err != nil || len(got) != 1 || got[0] != "x" {
+		t.Fatalf("elements = %v, %v; want [x]", got, err)
+	}
+}
+
 func TestFacadeCrashRecover(t *testing.T) {
 	cl, err := NewLocalCluster(3, NewGCounter())
 	if err != nil {

@@ -10,6 +10,9 @@ import (
 	"crdtsmr/internal/transport"
 )
 
+// maxSteps is Explore's safety bound on message deliveries, per phase.
+const maxSteps = 200000
+
 // ExploreConfig parameterizes one randomized protocol exploration.
 type ExploreConfig struct {
 	Seed        int64
@@ -17,7 +20,6 @@ type ExploreConfig struct {
 	Ops         int     // client commands to inject
 	ReadRatio   float64 // fraction of commands that are reads
 	Options     core.Options
-	MaxSteps    int // safety bound on message deliveries (default 200k)
 	InjectEvery int // inject a command roughly every k scheduler actions (default 2)
 
 	// Initial is every replica's initial payload, joiners and restarted
@@ -120,9 +122,6 @@ func PaddedCounter(slots int) *crdt.GCounter {
 func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 3
-	}
-	if cfg.MaxSteps <= 0 {
-		cfg.MaxSteps = 200000
 	}
 	if cfg.InjectEvery <= 0 {
 		cfg.InjectEvery = 2
@@ -412,7 +411,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	// (in member order, for determinism) and continuing.
 	injected := 0
 	steps := 0
-	for steps < cfg.MaxSteps && (injected < cfg.Ops || fabric.Pending() > 0 || inFlight() > 0 || len(recfgQueue) > 0) {
+	for steps < maxSteps && (injected < cfg.Ops || fabric.Pending() > 0 || inFlight() > 0 || len(recfgQueue) > 0) {
 		if injected < cfg.Ops && (fabric.Pending() == 0 || steps%cfg.InjectEvery == 0) {
 			inject()
 			injected++
@@ -442,7 +441,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		steps++
 	}
 	if fabric.Pending() > 0 {
-		return res, fmt.Errorf("checker: network not quiescent after %d steps", cfg.MaxSteps)
+		return res, fmt.Errorf("checker: network not quiescent after %d steps", maxSteps)
 	}
 	// Eventual liveness (§3.5): updates are finite and every lost message
 	// is eventually retransmitted, so after the drain no request may
@@ -498,7 +497,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			}
 			flush(id)
 		}
-		for n := 0; n < cfg.MaxSteps && (fabric.Pending() > 0 || inFlight() > 0); n++ {
+		for n := 0; n < maxSteps && (fabric.Pending() > 0 || inFlight() > 0); n++ {
 			if fabric.Step() {
 				res.Delivered++
 			} else if inFlight() > 0 {
@@ -510,7 +509,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			}
 		}
 		if fabric.Pending() > 0 {
-			return res, fmt.Errorf("checker: network not quiescent after %d lossless sync steps", cfg.MaxSteps)
+			return res, fmt.Errorf("checker: network not quiescent after %d lossless sync steps", maxSteps)
 		}
 		for id, rep := range replicas {
 			if rep.InFlight() != 0 {

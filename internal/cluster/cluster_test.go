@@ -223,32 +223,40 @@ func TestClusterMajorityCrashBlocks(t *testing.T) {
 }
 
 func TestClusterCrashRecoveryKeepsState(t *testing.T) {
-	mesh := transport.NewMesh()
-	defer mesh.Close()
-	c, err := New(mesh, testConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := ctxWith(t, 10*time.Second)
+	for _, mode := range []string{"volatile", "durable"} {
+		t.Run(mode, func(t *testing.T) {
+			mesh := transport.NewMesh()
+			defer mesh.Close()
+			cfg := testConfig(3)
+			if mode == "durable" {
+				cfg.DataDir = t.TempDir()
+			}
+			c, err := New(mesh, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			ctx := ctxWith(t, 10*time.Second)
 
-	n1, n3 := c.Node("n1"), c.Node("n3")
-	if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
-		t.Fatal(err)
-	}
-	c.Crash("n3")
-	for i := 0; i < 3; i++ {
-		if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.Recover("n3")
-	s, _, err := n3.Query(ctx)
-	if err != nil {
-		t.Fatalf("query on recovered node: %v", err)
-	}
-	if got := s.(*crdt.GCounter).Value(); got != 4 {
-		t.Fatalf("value = %d, want 4 (crash-recovery keeps state and learns the rest)", got)
+			n1, n3 := c.Node("n1"), c.Node("n3")
+			if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
+				t.Fatal(err)
+			}
+			c.Crash("n3")
+			for i := 0; i < 3; i++ {
+				if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			c.Recover("n3")
+			s, _, err := n3.Query(ctx)
+			if err != nil {
+				t.Fatalf("query on recovered node: %v", err)
+			}
+			if got := s.(*crdt.GCounter).Value(); got != 4 {
+				t.Fatalf("value = %d, want 4 (crash-recovery keeps state and learns the rest)", got)
+			}
+		})
 	}
 }
 

@@ -24,8 +24,14 @@
 //
 // Durable nodes (Config.DataDir) decouple disk latency from the loops:
 // each shard owns a persister goroutine that commits snapshot writes in
-// groups (persist.Store.SaveBatch — one directory sync per batch), and
-// the loop releases a key's outbound envelopes and client completions
-// only after the writes ordered before them have landed
-// (persist-before-ack, kept per key).
+// groups (persist.Store.SaveBatch — one frame appended per key per
+// batch), and the loop releases a key's outbound envelopes and client
+// completions only after the writes ordered before them have landed
+// (persist-before-ack, kept per key). Every node, durable or not, runs
+// the same flush after each event; a request with nothing to wait for,
+// which is every request of a volatile node, is released at once.
+//
+// Timers are wall-clock (time.AfterFunc). Node.ForgetPeer clears what
+// the replicas that exist hold about a peer; a replica created later
+// starts with nothing to clear.
 package cluster

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"crdtsmr/internal/clock"
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/persist"
@@ -57,8 +56,6 @@ type Config struct {
 	InitialForKey func(key string) crdt.State
 	// Options are the protocol options (see core.Options).
 	Options core.Options
-	// Clock supplies timers; defaults to the wall clock.
-	Clock clock.Clock
 	// RetransmitInterval is how long a request waits for its quorum before
 	// re-driving its messages. Default 100 ms.
 	RetransmitInterval time.Duration
@@ -109,9 +106,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() (Config, error) {
-	if c.Clock == nil {
-		c.Clock = clock.Real()
-	}
 	if c.RetransmitInterval <= 0 {
 		c.RetransmitInterval = 100 * time.Millisecond
 	}
@@ -187,12 +181,6 @@ type Node struct {
 	// exchanged for that key.
 	cfgMu  sync.RWMutex
 	curCfg core.Config
-	// forgotten holds peers declared down by ForgetPeer and not heard from
-	// since. Replicas instantiated while a peer is forgotten apply the
-	// same ForgetPeer treatment at birth, so declaring a peer down is a
-	// node-wide fact rather than a property of the replicas that happened
-	// to exist at the time. A frame from the peer clears it.
-	forgotten map[transport.NodeID]struct{}
 	// flushGen numbers the batch-flush cadence. Each (re)start of the
 	// flush chain bumps it and stamps its events; a flush event whose
 	// generation is stale belongs to a superseded cadence (the membership
@@ -291,10 +279,9 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 		return nil, err
 	}
 	n := &Node{
-		id:        id,
-		cfg:       cfg,
-		quit:      make(chan struct{}),
-		forgotten: make(map[transport.NodeID]struct{}),
+		id:   id,
+		cfg:  cfg,
+		quit: make(chan struct{}),
 	}
 	if !cfg.Joining {
 		n.curCfg = core.Config{Members: append([]transport.NodeID(nil), cfg.Members...)}
@@ -373,7 +360,7 @@ func (n *Node) startFlushChain() {
 	offset := flushOffset(n.currentConfig().Members, n.id, n.cfg.BatchInterval)
 	for _, s := range n.shards {
 		s := s
-		n.cfg.Clock.AfterFunc(offset, func() {
+		time.AfterFunc(offset, func() {
 			s.post(nodeEvent{kind: evFlush, gen: gen})
 		})
 	}
@@ -507,34 +494,6 @@ func (n *Node) reconfigurePass(ctx context.Context, op *reconfigOp) error {
 	return errors.Join(errs...)
 }
 
-// forgottenPeers snapshots the peers currently declared down.
-func (n *Node) forgottenPeers() []transport.NodeID {
-	n.cfgMu.RLock()
-	defer n.cfgMu.RUnlock()
-	if len(n.forgotten) == 0 {
-		return nil
-	}
-	out := make([]transport.NodeID, 0, len(n.forgotten))
-	for id := range n.forgotten {
-		out = append(out, id)
-	}
-	return out
-}
-
-// unforget clears a peer's down mark: a frame from it proves it is back,
-// and every transfer assumption built from here on is fresh.
-func (n *Node) unforget(id transport.NodeID) {
-	n.cfgMu.RLock()
-	_, down := n.forgotten[id]
-	n.cfgMu.RUnlock()
-	if !down {
-		return
-	}
-	n.cfgMu.Lock()
-	delete(n.forgotten, id)
-	n.cfgMu.Unlock()
-}
-
 // ID returns the node's ID.
 func (n *Node) ID() transport.NodeID { return n.id }
 
@@ -651,21 +610,18 @@ func (n *Node) QueryKey(ctx context.Context, key string) (crdt.State, core.Query
 
 // ForgetPeer drops the digest/delta caches every object replica on this
 // node holds about the given peer — the per-key per-peer views and digest
-// rings that large states travel by (docs/PROTOCOL.md §3). The runtime
-// calls it when it declares a peer down; a peer that returns with its
-// state intact simply re-earns its cache entries, and one that returns
-// empty is caught by the MERGE-NACK fallback either way, so forgetting is
-// purely conservative. The drop fans out to the shards in index order.
+// rings that large states travel by (docs/PROTOCOL.md §3) — and any round
+// lease. The runtime calls it when it declares a peer down; a peer that
+// returns with its state intact simply re-earns its cache entries, and one
+// that returns empty is caught by the MERGE-NACK fallback either way, so
+// forgetting is purely conservative. The drop fans out to the shards in
+// index order.
 //
-// The peer stays marked down until the next frame arrives from it, and
-// the mark applies to replicas instantiated in between: a key first
-// touched after the peer was declared down starts with the same forgotten
-// treatment, rather than resurrecting per-peer transfer assumptions a
-// node-wide down declaration was meant to clear.
+// It covers only the replicas that exist when it runs, and that is all it
+// needs to: a replica instantiated later starts with empty caches and no
+// lease, and it records an entry about a peer only while handling a frame
+// from that peer.
 func (n *Node) ForgetPeer(id transport.NodeID) {
-	n.cfgMu.Lock()
-	n.forgotten[id] = struct{}{}
-	n.cfgMu.Unlock()
 	for _, s := range n.shards {
 		s.call(func() {
 			for _, rep := range s.replicas {
@@ -816,7 +772,6 @@ func (n *Node) handleInbound(from transport.NodeID, payload []byte) {
 		n.malformedFrames.Add(1)
 		return
 	}
-	n.unforget(from)
 	s := n.shardOf(key)
 	select {
 	case s.events <- nodeEvent{kind: evInbound, from: from, key: key, payload: inner}:

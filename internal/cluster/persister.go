@@ -1,25 +1,22 @@
 package cluster
 
 import (
-	"errors"
-
 	"crdtsmr/internal/persist"
 	"crdtsmr/internal/transport"
 	"crdtsmr/internal/wire"
 )
 
-var errRestartVolatile = errors.New("cluster: Restart requires a DataDir (volatile nodes can only Recover)")
-
-// The group-commit persistence pipeline. On a durable node the shard's
-// event loop never writes a snapshot itself: after each event it packages
-// the touched keys' snapshot records, outbound envelopes, and deferred
-// client completions into persistReqs and hands them to this shard's
-// persister goroutine. The persister drains its queue opportunistically —
-// every request that arrives while the disk is busy joins the next batch —
-// and commits a whole batch with persist.Store.SaveBatch: one frame
-// appended to each key's file, the files flushed together. Each committed
-// request is pushed onto the shard's release queue, and the loop (woken
-// by relSig) releases its envelopes and completions.
+// The group-commit persistence pipeline. The shard's event loop never
+// writes a snapshot itself: after each event it packages the touched
+// keys' snapshot records (on a durable node), outbound envelopes, and
+// deferred client completions into persistReqs (flushOutbox). A request
+// with something to wait for goes to this shard's persister goroutine,
+// which drains its queue opportunistically — every request that arrives
+// while the disk is busy joins the next batch — and commits a whole
+// batch with persist.Store.SaveBatch: one frame appended to each key's
+// file, the files flushed together. Each committed request is pushed onto
+// the shard's release queue, and the loop (woken by relSig) releases its
+// envelopes and completions.
 //
 // The persist-before-ack contract survives intact, per key: a request's
 // envelopes and completions are released only after every snapshot write
@@ -30,6 +27,8 @@ var errRestartVolatile = errors.New("cluster: Restart requires a DataDir (volati
 // no request in the pipeline (s.queued) has nothing to wait for, so the
 // loop releases it at once instead of queueing it behind other keys'
 // batches: an update's completion at its proposer is the common case.
+// On a volatile node every request is such a request, and there is no
+// persister.
 //
 // The release queue is unbounded (mutex + slice) by design: the persister
 // must never block on the loop, because the loop blocks sending to
@@ -72,12 +71,15 @@ func (s *shard) enqueuePersist(req persistReq) {
 	}
 }
 
-// flushOutboxAsync is flushAfterEvent's durable-node path: it collects
-// each dirty key's outbox and (when the key's durable state advanced) its
-// snapshot record, attaches the event's deferred completions, and feeds
-// everything to the persister. Nothing is sent or acknowledged here — the
-// release happens in processReleases once the disk confirms.
-func (s *shard) flushOutboxAsync() {
+// flushOutbox runs after every loop iteration. It collects each dirty
+// key's outbox, disarms the timers of requests that completed, takes a
+// snapshot record when the node is durable and the key's durable state
+// advanced, and attaches the event's deferred completions to their key's
+// request. A request with nothing to wait for is released here; the rest
+// go to the persister and are released by processReleases once the disk
+// confirms. Only dirty keys are visited, so per-event cost is independent
+// of the size of the keyspace.
+func (s *shard) flushOutbox() {
 	if len(s.dirty) == 0 && len(s.notify) == 0 {
 		return
 	}
@@ -91,7 +93,7 @@ func (s *shard) flushOutboxAsync() {
 		out := rep.TakeOutbox()
 		req := persistReq{key: key}
 		if !s.crashed {
-			if v := rep.StateVersion(); v != s.savedVersion[key] && v != s.inflight[key] {
+			if v := rep.StateVersion(); s.n.store != nil && v != s.savedVersion[key] && v != s.inflight[key] {
 				rec, err := persist.FromSnapshot(key, rep.Snapshot())
 				if err != nil {
 					// Marshal failure is a persist failure: the key degrades
@@ -131,6 +133,9 @@ func (s *shard) flushOutboxAsync() {
 	for _, req := range reqs {
 		// A request with nothing to write waits for no disk when its key has
 		// nothing in the pipeline: every write ordered before it has landed.
+		// This always holds on a volatile node, which must never reach
+		// enqueuePersist: its persistq is nil, and a send on it would block
+		// until Close.
 		if _, broken := s.persistBroken[req.key]; req.rec == nil && s.queued[req.key] == 0 && !broken {
 			s.release(req)
 			continue

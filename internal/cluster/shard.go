@@ -6,12 +6,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
-	"crdtsmr/internal/clock"
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/persist"
-	"crdtsmr/internal/wire"
 )
 
 // shard is one of a node's independent event loops, owning a disjoint
@@ -30,14 +29,14 @@ type shard struct {
 
 	// Loop-owned state (accessed only from this shard's event loop).
 	replicas      map[string]*core.Replica
-	timers        map[string]map[uint64]clock.Timer
+	timers        map[string]map[uint64]*time.Timer
 	dirty         []string            // keys whose replica may hold outbox envelopes
 	dirtySet      map[string]struct{} // membership of dirty (one entry per key per event)
 	droppedFrames uint64              // inbound frames dropped before reaching a replica
 	crashed       bool
 	batchUpdates  map[string][]*updateOp
 	batchQueries  map[string][]*queryOp
-	flushTimer    clock.Timer
+	flushTimer    *time.Timer
 	savedVersion  map[string]uint64   // per-key StateVersion last durably persisted
 	inflight      map[string]uint64   // per-key StateVersion submitted to the persister, not yet durable
 	persistBroken map[string]struct{} // keys whose persistence pipeline failed; releases withheld until a save succeeds
@@ -60,7 +59,7 @@ func newShard(n *Node, idx int) *shard {
 		events:        make(chan nodeEvent, 8192),
 		calls:         make(chan func()),
 		replicas:      make(map[string]*core.Replica),
-		timers:        make(map[string]map[uint64]clock.Timer),
+		timers:        make(map[string]map[uint64]*time.Timer),
 		dirtySet:      make(map[string]struct{}),
 		batchUpdates:  make(map[string][]*updateOp),
 		batchQueries:  make(map[string][]*queryOp),
@@ -125,7 +124,7 @@ func (s *shard) loop() {
 		case <-s.relSig: // nil (blocks forever) without a persister
 			s.processReleases()
 		}
-		s.flushAfterEvent()
+		s.flushOutbox()
 	}
 }
 
@@ -147,9 +146,7 @@ func (s *shard) markDirty(key string) {
 // A fresh replica starts from the node's configuration view, not the
 // boot-time Config.Members: after a reconfiguration, a lazily created key
 // must address the current member set, not the group the node booted
-// with. Peers currently declared down get the same ForgetPeer treatment
-// existing replicas received, so the down declaration covers keys
-// instantiated after it.
+// with.
 func (s *shard) replicaFor(key string) (*core.Replica, error) {
 	if rep, ok := s.replicas[key]; ok {
 		s.markDirty(key)
@@ -162,9 +159,6 @@ func (s *shard) replicaFor(key string) (*core.Replica, error) {
 	rep, err := core.NewReplicaConfig(s.n.id, s.n.currentConfig(), s0, s.n.cfg.Options)
 	if err != nil {
 		return nil, err
-	}
-	for _, p := range s.n.forgottenPeers() {
-		rep.ForgetPeer(p)
 	}
 	s.replicas[key] = rep
 	s.markDirty(key)
@@ -243,7 +237,7 @@ func (s *shard) handle(ev nodeEvent) {
 		// exists to enable (§3.6).
 		if s.n.cfg.BatchInterval > 0 {
 			next := !ev.queries
-			s.flushTimer = s.n.cfg.Clock.AfterFunc(s.n.cfg.BatchInterval/2, func() {
+			s.flushTimer = time.AfterFunc(s.n.cfg.BatchInterval/2, func() {
 				s.post(nodeEvent{kind: evFlush, queries: next, gen: ev.gen})
 			})
 		}
@@ -422,10 +416,10 @@ func (s *shard) armTimer(key string, reqID uint64) {
 	s.disarmTimer(key, reqID)
 	byReq, ok := s.timers[key]
 	if !ok {
-		byReq = make(map[uint64]clock.Timer)
+		byReq = make(map[uint64]*time.Timer)
 		s.timers[key] = byReq
 	}
-	byReq[reqID] = s.n.cfg.Clock.AfterFunc(s.n.cfg.RetransmitInterval, func() {
+	byReq[reqID] = time.AfterFunc(s.n.cfg.RetransmitInterval, func() {
 		s.post(nodeEvent{kind: evTimeout, key: key, reqID: reqID})
 	})
 }
@@ -450,49 +444,11 @@ func (s *shard) disarmCompleted(key string, rep *core.Replica) {
 	}
 }
 
-// flushAfterEvent runs after every loop iteration: it drains the outbox
-// of every replica the event touched and releases deferred client
-// completions — directly on a volatile node, through the group-commit
-// persister pipeline on a durable one.
-func (s *shard) flushAfterEvent() {
-	if s.n.store == nil {
-		s.flushOutboxVolatile()
-		return
-	}
-	s.flushOutboxAsync()
-}
-
 func (s *shard) clearDirty() {
 	for _, key := range s.dirty {
 		delete(s.dirtySet, key)
 	}
 	s.dirty = s.dirty[:0]
-}
-
-// flushOutboxVolatile transmits pending envelopes of every replica touched
-// by the last event — wrapped in the key's object-ID envelope — disarms
-// timers of requests that completed, and releases the event's client
-// completions. Only dirty keys are visited, so per-event cost is
-// independent of the size of the keyspace.
-func (s *shard) flushOutboxVolatile() {
-	for _, key := range s.dirty {
-		rep, ok := s.replicas[key]
-		if !ok {
-			continue
-		}
-		out := rep.TakeOutbox()
-		if !s.crashed {
-			for _, e := range out {
-				s.n.conn.Send(e.To, wire.PackEnvelope(key, e.Payload))
-			}
-		}
-		s.disarmCompleted(key, rep)
-	}
-	s.clearDirty()
-	for _, kn := range s.notify {
-		kn.fn()
-	}
-	s.notify = s.notify[:0]
 }
 
 // failEverything aborts in-flight and batched requests upon crash; their
@@ -558,10 +514,9 @@ func (s *shard) installSnapshot(ks persist.KeySnapshot) error {
 // (pending group-commit batches land on disk and their surviving
 // completions are delivered — they were promised before the restart),
 // then drop every volatile structure and park crashed until restore.
+// Only Node.Restart posts it, and only on a durable node: drainPersister
+// sends on persistq, which a volatile node does not have.
 func (s *shard) restartPrep() error {
-	if s.n.store == nil {
-		return errRestartVolatile
-	}
 	if err := s.drainPersister(); err != nil {
 		return err
 	}

@@ -10,11 +10,17 @@ import (
 	"crdtsmr/internal/transport"
 )
 
+// The tests drive one counter of the keyed store.
+const ctrKey = "c"
+
+func incCmd(d int64) []byte { return rsm.EncodeIncKey(ctrKey, d) }
+func readCmd() []byte       { return rsm.EncodeReadKey(ctrKey) }
+
 // pnet is a manual message pool for deterministic Multi-Paxos tests.
 type pnet struct {
 	t    *testing.T
 	reps map[transport.NodeID]*Replica
-	sms  map[transport.NodeID]*rsm.Counter
+	sms  map[transport.NodeID]*rsm.Store
 	pool []penv
 	now  time.Time
 }
@@ -34,11 +40,11 @@ func newPNet(t *testing.T, n int) *pnet {
 	nw := &pnet{
 		t:    t,
 		reps: make(map[transport.NodeID]*Replica, n),
-		sms:  make(map[transport.NodeID]*rsm.Counter, n),
+		sms:  make(map[transport.NodeID]*rsm.Store, n),
 		now:  time.Unix(0, 0),
 	}
 	for _, id := range members {
-		sm := rsm.NewCounter()
+		sm := rsm.NewStore()
 		rep, err := NewReplica(id, members, sm)
 		if err != nil {
 			t.Fatal(err)
@@ -137,7 +143,7 @@ func TestProposeChooseApply(t *testing.T) {
 	nw.elect("n1")
 
 	done := false
-	nw.reps["n1"].Propose(rsm.EncodeInc(4), func(res []byte, err error) {
+	nw.reps["n1"].Propose(incCmd(4), func(res []byte, err error) {
 		if err != nil {
 			t.Fatalf("propose: %v", err)
 		}
@@ -153,7 +159,7 @@ func TestProposeChooseApply(t *testing.T) {
 	nw.pump()
 	nw.drain()
 	for id, sm := range nw.sms {
-		if v := sm.Value(); v != 4 {
+		if v := sm.CounterValue(ctrKey); v != 4 {
 			t.Fatalf("%s applied %d, want 4", id, v)
 		}
 	}
@@ -163,7 +169,7 @@ func TestForwardingFromFollower(t *testing.T) {
 	nw := newPNet(t, 3)
 	nw.elect("n1")
 	done := false
-	nw.reps["n3"].Propose(rsm.EncodeInc(2), func(res []byte, err error) {
+	nw.reps["n3"].Propose(incCmd(2), func(res []byte, err error) {
 		if err != nil {
 			t.Fatalf("forwarded: %v", err)
 		}
@@ -182,18 +188,18 @@ func TestReadLeaseLocalRead(t *testing.T) {
 	leaderRep := nw.reps["n1"]
 
 	// Before any heartbeat acks, the lease is not held.
-	if _, ok := leaderRep.ReadLocal(nw.now, rsm.EncodeRead()); ok {
+	if _, ok := leaderRep.ReadLocal(nw.now, readCmd()); ok {
 		t.Fatal("lease valid without any follower acks")
 	}
 	// Commit a value, then renew the lease by heartbeating.
-	leaderRep.Propose(rsm.EncodeInc(6), nil)
+	leaderRep.Propose(incCmd(6), nil)
 	nw.pump()
 	nw.drain()
 	leaderRep.HeartbeatTick(nw.now)
 	nw.pump()
 	nw.drain()
 
-	res, ok := leaderRep.ReadLocal(nw.now, rsm.EncodeRead())
+	res, ok := leaderRep.ReadLocal(nw.now, readCmd())
 	if !ok {
 		t.Fatal("lease should be valid after heartbeat acks")
 	}
@@ -204,7 +210,7 @@ func TestReadLeaseLocalRead(t *testing.T) {
 
 	// After the lease window passes without renewal, local reads stop.
 	nw.advance(leaderRep.LeaseDuration + time.Millisecond)
-	if _, ok := leaderRep.ReadLocal(nw.now, rsm.EncodeRead()); ok {
+	if _, ok := leaderRep.ReadLocal(nw.now, readCmd()); ok {
 		t.Fatal("lease still valid after expiry")
 	}
 }
@@ -241,7 +247,7 @@ func TestNewLeaderAdoptsAcceptedCommands(t *testing.T) {
 
 	// n1 gets a command accepted by n2 but crashes before committing.
 	fired := false
-	nw.reps["n1"].Propose(rsm.EncodeInc(9), func(res []byte, err error) { fired = true })
+	nw.reps["n1"].Propose(incCmd(9), func(res []byte, err error) { fired = true })
 	nw.pump()
 	nw.deliver(func(e penv) bool { return e.typ == mAccept && e.to == "n2" })
 	nw.drop(func(penv) bool { return true }) // n2's Accepted reply and n3's copy are lost
@@ -260,10 +266,10 @@ func TestNewLeaderAdoptsAcceptedCommands(t *testing.T) {
 	nw.pump()
 	nw.drain()
 
-	if v := nw.sms["n2"].Value(); v != 9 {
+	if v := nw.sms["n2"].CounterValue(ctrKey); v != 9 {
 		t.Fatalf("adopted command not applied at new leader: %d", v)
 	}
-	if v := nw.sms["n3"].Value(); v != 9 {
+	if v := nw.sms["n3"].CounterValue(ctrKey); v != 9 {
 		t.Fatalf("adopted command not applied at n3: %d", v)
 	}
 	_ = fired // the old leader's callback outcome depends on when it learns
@@ -289,7 +295,7 @@ func TestStaleLeaderStepsDown(t *testing.T) {
 	// n1's next proposal is rejected with the higher ballot; it steps down
 	// and fails the proposal.
 	var gotErr error
-	nw.reps["n1"].Propose(rsm.EncodeInc(1), func(res []byte, err error) { gotErr = err })
+	nw.reps["n1"].Propose(incCmd(1), func(res []byte, err error) { gotErr = err })
 	nw.pump()
 	nw.drain()
 	if nw.reps["n1"].IsLeader() {
@@ -303,7 +309,7 @@ func TestStaleLeaderStepsDown(t *testing.T) {
 func TestProposeNoLeaderFailsFast(t *testing.T) {
 	nw := newPNet(t, 3)
 	var gotErr error
-	nw.reps["n1"].Propose(rsm.EncodeInc(1), func(res []byte, err error) { gotErr = err })
+	nw.reps["n1"].Propose(incCmd(1), func(res []byte, err error) { gotErr = err })
 	if !errors.Is(gotErr, ErrNoLeader) {
 		t.Fatalf("err = %v, want ErrNoLeader", gotErr)
 	}
@@ -319,7 +325,7 @@ func TestLogTruncation(t *testing.T) {
 	}
 
 	for i := 0; i < 12; i++ {
-		leaderRep.Propose(rsm.EncodeInc(1), nil)
+		leaderRep.Propose(incCmd(1), nil)
 		nw.pump()
 		nw.drain()
 		leaderRep.HeartbeatTick(nw.now)
@@ -334,7 +340,7 @@ func TestLogTruncation(t *testing.T) {
 		t.Fatalf("leader log not truncated: %d slots", leaderRep.LogLen())
 	}
 	for id, sm := range nw.sms {
-		if v := sm.Value(); v != 12 {
+		if v := sm.CounterValue(ctrKey); v != 12 {
 			t.Fatalf("%s applied %d, want 12", id, v)
 		}
 	}
@@ -348,18 +354,18 @@ func TestCatchupAfterLostAccepts(t *testing.T) {
 	// n3 misses two commands, including the eager catch-up traffic that
 	// the commit notifications would trigger.
 	for i := 0; i < 2; i++ {
-		leaderRep.Propose(rsm.EncodeInc(1), nil)
+		leaderRep.Propose(incCmd(1), nil)
 		nw.pump()
 		nw.drainDropping(func(e penv) bool { return e.to == "n3" })
 	}
-	if v := nw.sms["n3"].Value(); v != 0 {
+	if v := nw.sms["n3"].CounterValue(ctrKey); v != 0 {
 		t.Fatalf("n3 unexpectedly applied %d", v)
 	}
 	// The next heartbeat announces the commits; n3 requests catch-up.
 	leaderRep.HeartbeatTick(nw.now)
 	nw.pump()
 	nw.drain()
-	if v := nw.sms["n3"].Value(); v != 2 {
+	if v := nw.sms["n3"].CounterValue(ctrKey); v != 2 {
 		t.Fatalf("n3 caught up to %d, want 2", v)
 	}
 }
@@ -377,7 +383,7 @@ func TestSnapshotForFarBehindFollower(t *testing.T) {
 	// (bounded retention).
 	dropN3 := func(e penv) bool { return e.to == "n3" }
 	for i := 0; i < 10; i++ {
-		leaderRep.Propose(rsm.EncodeInc(1), nil)
+		leaderRep.Propose(incCmd(1), nil)
 		nw.pump()
 		nw.drainDropping(dropN3)
 		leaderRep.HeartbeatTick(nw.now)
@@ -396,7 +402,7 @@ func TestSnapshotForFarBehindFollower(t *testing.T) {
 	leaderRep.HeartbeatTick(nw.now)
 	nw.pump()
 	nw.drain()
-	if v := nw.sms["n3"].Value(); v != 10 {
+	if v := nw.sms["n3"].CounterValue(ctrKey); v != 10 {
 		t.Fatalf("n3 caught up to %d, want 10", v)
 	}
 }
@@ -414,7 +420,7 @@ func TestMessageCodec(t *testing.T) {
 	in := &message{
 		Type:     mPromise,
 		Ballot:   Ballot{N: 3, ID: "n2"},
-		Accepted: []slotCmd{{Slot: 4, Ballot: Ballot{N: 2, ID: "n1"}, Cmd: rsm.EncodeInc(1)}},
+		Accepted: []slotCmd{{Slot: 4, Ballot: Ballot{N: 2, ID: "n1"}, Cmd: incCmd(1)}},
 		Applied:  3,
 	}
 	out, err := decodeMessage(in.encode())

@@ -265,9 +265,6 @@ func (r *Replica) FailForwards() {
 	}
 }
 
-// PendingForwards returns the number of forwarded commands awaiting replies.
-func (r *Replica) PendingForwards() int { return len(r.forwards) }
-
 func (r *Replica) appendLocal(cmd []byte, done rsm.Done) {
 	r.log = append(r.log, Entry{Term: r.term, Cmd: cmd})
 	idx := r.lastIndex()

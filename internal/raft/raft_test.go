@@ -10,12 +10,18 @@ import (
 	"crdtsmr/internal/transport"
 )
 
+// The tests drive one counter of the keyed store.
+const ctrKey = "c"
+
+func incCmd(d int64) []byte { return rsm.EncodeIncKey(ctrKey, d) }
+func readCmd() []byte       { return rsm.EncodeReadKey(ctrKey) }
+
 // rnet is a manual message pool for deterministic Raft tests, mirroring the
 // harness used for the core protocol.
 type rnet struct {
 	t    *testing.T
 	reps map[transport.NodeID]*Replica
-	sms  map[transport.NodeID]*rsm.Counter
+	sms  map[transport.NodeID]*rsm.Store
 	pool []renv
 }
 
@@ -34,10 +40,10 @@ func newRNet(t *testing.T, n int) *rnet {
 	nw := &rnet{
 		t:    t,
 		reps: make(map[transport.NodeID]*Replica, n),
-		sms:  make(map[transport.NodeID]*rsm.Counter, n),
+		sms:  make(map[transport.NodeID]*rsm.Store, n),
 	}
 	for _, id := range members {
-		sm := rsm.NewCounter()
+		sm := rsm.NewStore()
 		rep, err := NewReplica(id, members, sm)
 		if err != nil {
 			t.Fatal(err)
@@ -124,11 +130,11 @@ func TestSingleNodeClusterLeadsItself(t *testing.T) {
 	nw := newRNet(t, 1)
 	nw.elect("n1")
 	var got int64 = -1
-	nw.reps["n1"].Propose(rsm.EncodeInc(5), func(res []byte, err error) {
+	nw.reps["n1"].Propose(incCmd(5), func(res []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got = nw.sms["n1"].Value()
+		got = nw.sms["n1"].CounterValue(ctrKey)
 	})
 	nw.pump()
 	nw.drain()
@@ -142,7 +148,7 @@ func TestProposeCommitApply(t *testing.T) {
 	nw.elect("n1")
 
 	committed := false
-	nw.reps["n1"].Propose(rsm.EncodeInc(7), func(res []byte, err error) {
+	nw.reps["n1"].Propose(incCmd(7), func(res []byte, err error) {
 		if err != nil {
 			t.Fatalf("propose: %v", err)
 		}
@@ -158,7 +164,7 @@ func TestProposeCommitApply(t *testing.T) {
 	nw.pump()
 	nw.drain()
 	for id, sm := range nw.sms {
-		if v := sm.Value(); v != 7 {
+		if v := sm.CounterValue(ctrKey); v != 7 {
 			t.Fatalf("%s applied value = %d, want 7", id, v)
 		}
 	}
@@ -167,12 +173,12 @@ func TestProposeCommitApply(t *testing.T) {
 func TestReadThroughLog(t *testing.T) {
 	nw := newRNet(t, 3)
 	nw.elect("n1")
-	nw.reps["n1"].Propose(rsm.EncodeInc(3), nil)
+	nw.reps["n1"].Propose(incCmd(3), nil)
 	nw.pump()
 	nw.drain()
 
 	var got int64 = -1
-	nw.reps["n1"].Propose(rsm.EncodeRead(), func(res []byte, err error) {
+	nw.reps["n1"].Propose(readCmd(), func(res []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +200,7 @@ func TestForwardingFromFollower(t *testing.T) {
 	nw.elect("n1")
 
 	done := false
-	nw.reps["n2"].Propose(rsm.EncodeInc(1), func(res []byte, err error) {
+	nw.reps["n2"].Propose(incCmd(1), func(res []byte, err error) {
 		if err != nil {
 			t.Fatalf("forwarded propose: %v", err)
 		}
@@ -210,7 +216,7 @@ func TestForwardingFromFollower(t *testing.T) {
 func TestProposeWithNoLeaderFailsFast(t *testing.T) {
 	nw := newRNet(t, 3)
 	var gotErr error
-	nw.reps["n1"].Propose(rsm.EncodeInc(1), func(res []byte, err error) { gotErr = err })
+	nw.reps["n1"].Propose(incCmd(1), func(res []byte, err error) { gotErr = err })
 	if !errors.Is(gotErr, ErrNoLeader) {
 		t.Fatalf("err = %v, want ErrNoLeader", gotErr)
 	}
@@ -239,7 +245,7 @@ func TestUncommittedEntriesFailOnLeaderChange(t *testing.T) {
 	// n1 proposes, but replication to followers is lost.
 	var gotErr error
 	fired := false
-	nw.reps["n1"].Propose(rsm.EncodeInc(9), func(res []byte, err error) {
+	nw.reps["n1"].Propose(incCmd(9), func(res []byte, err error) {
 		fired = true
 		gotErr = err
 	})
@@ -273,8 +279,8 @@ func TestConflictingSuffixTruncated(t *testing.T) {
 	nw.drain()
 
 	// n1 appends two entries no one receives.
-	nw.reps["n1"].Propose(rsm.EncodeInc(100), func([]byte, error) {})
-	nw.reps["n1"].Propose(rsm.EncodeInc(200), func([]byte, error) {})
+	nw.reps["n1"].Propose(incCmd(100), func([]byte, error) {})
+	nw.reps["n1"].Propose(incCmd(200), func([]byte, error) {})
 	nw.pump()
 	nw.drop(func(renv) bool { return true })
 	lenBefore := nw.reps["n1"].LogLen()
@@ -288,7 +294,7 @@ func TestConflictingSuffixTruncated(t *testing.T) {
 	}
 	nw.drain()
 	committed := false
-	nw.reps["n2"].Propose(rsm.EncodeInc(1), func(res []byte, err error) {
+	nw.reps["n2"].Propose(incCmd(1), func(res []byte, err error) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +313,7 @@ func TestConflictingSuffixTruncated(t *testing.T) {
 	nw.reps["n2"].HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
-	if v := nw.sms["n1"].Value(); v != 1 {
+	if v := nw.sms["n1"].CounterValue(ctrKey); v != 1 {
 		t.Fatalf("n1 applied %d, want 1 (conflicting entries must not apply)", v)
 	}
 	_ = lenBefore
@@ -321,7 +327,7 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	nw := newRNet(t, 3)
 	nw.elect("n1")
 	committed := false
-	nw.reps["n1"].Propose(rsm.EncodeInc(1), func(res []byte, err error) { committed = err == nil })
+	nw.reps["n1"].Propose(incCmd(1), func(res []byte, err error) { committed = err == nil })
 	nw.pump()
 	nw.drain()
 	if !committed {
@@ -332,7 +338,7 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	// that immediately campaigns: with a stale log it must not win against
 	// replicas holding committed entries.
 	members := []transport.NodeID{"n1", "n2", "n3"}
-	freshSM := rsm.NewCounter()
+	freshSM := rsm.NewStore()
 	fresh, err := NewReplica("n3", members, freshSM)
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +362,7 @@ func TestCompactionAndSnapshotCatchUp(t *testing.T) {
 
 	// Commit entries while n3 hears nothing.
 	for i := 0; i < 10; i++ {
-		leaderRep.Propose(rsm.EncodeInc(1), nil)
+		leaderRep.Propose(incCmd(1), nil)
 		nw.pump()
 		nw.deliver(func(e renv) bool { return e.to != "n3" && e.from != "n3" })
 		nw.drop(func(e renv) bool { return e.to == "n3" })
@@ -372,7 +378,7 @@ func TestCompactionAndSnapshotCatchUp(t *testing.T) {
 	leaderRep.HeartbeatTick(time.Time{})
 	nw.pump()
 	nw.drain()
-	if v := nw.sms["n3"].Value(); v != 10 {
+	if v := nw.sms["n3"].CounterValue(ctrKey); v != 10 {
 		t.Fatalf("n3 caught up to %d, want 10", v)
 	}
 }
@@ -392,7 +398,7 @@ func TestMessageCodec(t *testing.T) {
 		PrevIndex: 4,
 		PrevTerm:  3,
 		Commit:    4,
-		Entries:   []Entry{{Term: 9, Cmd: rsm.EncodeInc(2)}, {Term: 9, Cmd: rsm.EncodeRead()}},
+		Entries:   []Entry{{Term: 9, Cmd: incCmd(2)}, {Term: 9, Cmd: readCmd()}},
 	}
 	out, err := decodeMessage(in.encode())
 	if err != nil {

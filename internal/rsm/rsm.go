@@ -1,12 +1,9 @@
 package rsm
 
 import (
-	"fmt"
-	"sync"
 	"time"
 
 	"crdtsmr/internal/transport"
-	"crdtsmr/internal/wire"
 )
 
 // StateMachine is the deterministic state machine replicated by a
@@ -65,101 +62,4 @@ type Replica interface {
 	// Crash fails everything in flight, as losing the process would.
 	Crash()
 	TakeOutbox() []Envelope
-}
-
-// Counter command opcodes.
-const (
-	opInc byte = iota + 1
-	opRead
-	opNoop
-)
-
-// EncodeInc builds an increment-by-delta command.
-func EncodeInc(delta int64) []byte {
-	w := wire.NewWriter(10)
-	w.Byte(opInc)
-	w.Varint(delta)
-	return w.Bytes()
-}
-
-// EncodeRead builds a read command. The paper's Raft baseline appends
-// consistent reads to the command log; the read's result is the counter
-// value at its position in the log.
-func EncodeRead() []byte { return []byte{opRead} }
-
-// EncodeNoop builds a no-op command (used by leaders to commit entries
-// from previous terms and to keep heartbeats uniform).
-func EncodeNoop() []byte { return []byte{opNoop} }
-
-// DecodeValue parses the result of a read command.
-func DecodeValue(result []byte) (int64, error) {
-	r := wire.NewReader(result)
-	v := r.Varint()
-	if err := r.Done(); err != nil {
-		return 0, fmt.Errorf("rsm: bad read result: %w", err)
-	}
-	return v, nil
-}
-
-// Counter is the replicated integer state machine. It is safe for
-// concurrent use; the log-based protocols apply from a single goroutine
-// but tests and metrics may read concurrently.
-type Counter struct {
-	mu sync.Mutex
-	v  int64
-}
-
-var _ StateMachine = (*Counter)(nil)
-
-// NewCounter returns a counter at zero.
-func NewCounter() *Counter { return &Counter{} }
-
-// Value returns the current value.
-func (c *Counter) Value() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.v
-}
-
-// Apply implements StateMachine.
-func (c *Counter) Apply(cmd []byte) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(cmd) == 0 {
-		return nil
-	}
-	r := wire.NewReader(cmd)
-	switch r.Byte() {
-	case opInc:
-		c.v += r.Varint()
-		return nil
-	case opRead:
-		w := wire.NewWriter(10)
-		w.Varint(c.v)
-		return w.Bytes()
-	default: // opNoop and unknown commands do nothing
-		return nil
-	}
-}
-
-// Snapshot implements StateMachine.
-func (c *Counter) Snapshot() []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w := wire.NewWriter(10)
-	w.Varint(c.v)
-	return w.Bytes()
-}
-
-// Restore implements StateMachine.
-func (c *Counter) Restore(snapshot []byte) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r := wire.NewReader(snapshot)
-	v := r.Varint()
-	if err := r.Done(); err != nil {
-		return fmt.Errorf("rsm: bad snapshot: %w", err)
-	}
-	c.v = v
-	return nil
 }

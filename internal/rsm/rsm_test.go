@@ -5,41 +5,44 @@ import (
 	"testing/quick"
 )
 
+// The counter tests drive one named counter of the Store.
+const ctr = "c"
+
 func TestCounterApplyIncAndRead(t *testing.T) {
-	c := NewCounter()
-	if res := c.Apply(EncodeInc(5)); res != nil {
+	s := NewStore()
+	if res := s.Apply(EncodeIncKey(ctr, 5)); res != nil {
 		t.Fatalf("inc returned %v", res)
 	}
-	c.Apply(EncodeInc(-2))
-	v, err := DecodeValue(c.Apply(EncodeRead()))
+	s.Apply(EncodeIncKey(ctr, -2))
+	v, err := DecodeValue(s.Apply(EncodeReadKey(ctr)))
 	if err != nil || v != 3 {
 		t.Fatalf("read = %d, %v; want 3", v, err)
 	}
-	if got := c.Value(); got != 3 {
-		t.Fatalf("Value = %d", got)
+	if got := s.CounterValue(ctr); got != 3 {
+		t.Fatalf("CounterValue = %d", got)
 	}
 }
 
 func TestCounterNoopAndGarbage(t *testing.T) {
-	c := NewCounter()
-	c.Apply(EncodeNoop())
-	c.Apply(nil)
-	c.Apply([]byte{0xFF, 1, 2})
-	if got := c.Value(); got != 0 {
+	s := NewStore()
+	s.Apply(EncodeNoop())
+	s.Apply(nil)
+	s.Apply([]byte{0xFF, 1, 2})
+	if got := s.CounterValue(ctr); got != 0 {
 		t.Fatalf("noop/garbage changed value to %d", got)
 	}
 }
 
 func TestCounterSnapshotRestore(t *testing.T) {
-	c := NewCounter()
-	c.Apply(EncodeInc(42))
-	snap := c.Snapshot()
+	s := NewStore()
+	s.Apply(EncodeIncKey(ctr, 42))
+	snap := s.Snapshot()
 
-	fresh := NewCounter()
+	fresh := NewStore()
 	if err := fresh.Restore(snap); err != nil {
 		t.Fatal(err)
 	}
-	if got := fresh.Value(); got != 42 {
+	if got := fresh.CounterValue(ctr); got != 42 {
 		t.Fatalf("restored value = %d, want 42", got)
 	}
 	if err := fresh.Restore([]byte{}); err == nil {
@@ -61,13 +64,13 @@ func TestDecodeValueRejectsGarbage(t *testing.T) {
 
 func TestQuickCounterSumsDeltas(t *testing.T) {
 	f := func(deltas []int16) bool {
-		c := NewCounter()
+		s := NewStore()
 		var want int64
 		for _, d := range deltas {
-			c.Apply(EncodeInc(int64(d)))
+			s.Apply(EncodeIncKey(ctr, int64(d)))
 			want += int64(d)
 		}
-		v, err := DecodeValue(c.Apply(EncodeRead()))
+		v, err := DecodeValue(s.Apply(EncodeReadKey(ctr)))
 		return err == nil && v == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
@@ -77,13 +80,13 @@ func TestQuickCounterSumsDeltas(t *testing.T) {
 
 func TestQuickSnapshotRoundTrip(t *testing.T) {
 	f := func(v int64) bool {
-		c := NewCounter()
-		c.Apply(EncodeInc(v))
-		fresh := NewCounter()
-		if err := fresh.Restore(c.Snapshot()); err != nil {
+		s := NewStore()
+		s.Apply(EncodeIncKey(ctr, v))
+		fresh := NewStore()
+		if err := fresh.Restore(s.Snapshot()); err != nil {
 			return false
 		}
-		return fresh.Value() == v
+		return fresh.CounterValue(ctr) == v
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

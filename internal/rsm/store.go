@@ -8,15 +8,31 @@ import (
 	"crdtsmr/internal/wire"
 )
 
-// Keyed command opcodes, extending the plain counter opcodes. The protocol
-// shootout drives every log-based baseline through one Store holding named
-// counters and named sets, so all protocols replicate the same workload.
+// Command opcodes. The protocol shootout drives every log-based baseline
+// through one Store holding named counters and named sets, so all
+// protocols replicate the same workload. The byte values are fixed: they
+// are in every encoded log entry, and 1 and 2 are retired.
 const (
+	opNoop    byte = 3
 	opIncKey  byte = 4 // key, varint delta
 	opReadKey byte = 5 // key
 	opAddKey  byte = 6 // key, element
 	opCardKey byte = 7 // key
 )
+
+// EncodeNoop builds a no-op command (used by leaders to commit entries
+// from previous terms and to keep heartbeats uniform).
+func EncodeNoop() []byte { return []byte{opNoop} }
+
+// DecodeValue parses the result of a read command.
+func DecodeValue(result []byte) (int64, error) {
+	r := wire.NewReader(result)
+	v := r.Varint()
+	if err := r.Done(); err != nil {
+		return 0, fmt.Errorf("rsm: bad read result: %w", err)
+	}
+	return v, nil
+}
 
 // Command is the decoded form of a state-machine command. Op is one of the
 // package opcodes; Key/Elem/Delta are filled per opcode.
@@ -37,9 +53,7 @@ func DecodeCommand(cmd []byte) (Command, error) {
 	r := wire.NewReader(cmd)
 	c := Command{Op: r.Byte()}
 	switch c.Op {
-	case opInc:
-		c.Delta = r.Varint()
-	case opRead, opNoop:
+	case opNoop:
 	case opIncKey:
 		c.Key = r.Str()
 		c.Delta = r.Varint()
@@ -61,7 +75,7 @@ func DecodeCommand(cmd []byte) (Command, error) {
 // served outside the log (e.g. from a leader lease), so replica applied
 // logs are only comparable after filtering them out.
 func (c Command) IsRead() bool {
-	return c.Op == opRead || c.Op == opReadKey || c.Op == opCardKey
+	return c.Op == opReadKey || c.Op == opCardKey
 }
 
 // Encode is the inverse of DecodeCommand.
@@ -69,8 +83,6 @@ func (c Command) Encode() []byte {
 	w := wire.NewWriter(2 + len(c.Key) + len(c.Elem) + 10)
 	w.Byte(c.Op)
 	switch c.Op {
-	case opInc:
-		w.Varint(c.Delta)
 	case opIncKey:
 		w.Str(c.Key)
 		w.Varint(c.Delta)
@@ -88,8 +100,9 @@ func EncodeIncKey(key string, delta int64) []byte {
 	return Command{Op: opIncKey, Key: key, Delta: delta}.Encode()
 }
 
-// EncodeReadKey builds a read command against a named counter. Like
-// EncodeRead, the read rides the log so its result is linearizable.
+// EncodeReadKey builds a read command against a named counter. The read
+// rides the log, so its result is the counter's value at its position
+// there: linearizable, as in the paper's Raft baseline.
 func EncodeReadKey(key string) []byte {
 	return Command{Op: opReadKey, Key: key}.Encode()
 }
@@ -104,10 +117,9 @@ func EncodeCardKey(key string) []byte {
 	return Command{Op: opCardKey, Key: key}.Encode()
 }
 
-// Store is the keyed replicated state machine: named int64 counters plus
-// named string sets. It also accepts the plain Counter opcodes, which act
-// on the counter with the empty key. Like Counter it is safe for
-// concurrent use.
+// Store is the replicated state machine: named int64 counters plus named
+// string sets. It is safe for concurrent use; the log-based protocols
+// apply from a single goroutine but tests may read concurrently.
 type Store struct {
 	mu       sync.Mutex
 	counters map[string]int64
@@ -148,10 +160,10 @@ func (s *Store) Apply(cmd []byte) []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch c.Op {
-	case opInc, opIncKey:
+	case opIncKey:
 		s.counters[c.Key] += c.Delta
 		return nil
-	case opRead, opReadKey:
+	case opReadKey:
 		w := wire.NewWriter(10)
 		w.Varint(s.counters[c.Key])
 		return w.Bytes()

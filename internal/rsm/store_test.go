@@ -11,9 +11,9 @@ import (
 // allOpcodeCommands is one command per opcode, covering every encoder.
 func allOpcodeCommands() [][]byte {
 	return [][]byte{
-		EncodeInc(7),
-		EncodeInc(-3),
-		EncodeRead(),
+		EncodeIncKey("", 7),
+		EncodeIncKey("", -3),
+		EncodeReadKey(""),
 		EncodeNoop(),
 		EncodeIncKey("c0", 5),
 		EncodeIncKey("c1", -2),
@@ -44,11 +44,6 @@ func TestStoreApplyKeyedOps(t *testing.T) {
 	if got, err := DecodeValue(s.Apply(EncodeCardKey("s0"))); err != nil || got != 2 {
 		t.Fatalf("card s0 = %d, %v", got, err)
 	}
-	// Plain counter opcodes act on the empty key.
-	s.Apply(EncodeInc(4))
-	if got, err := DecodeValue(s.Apply(EncodeRead())); err != nil || got != 4 {
-		t.Fatalf("read \"\" = %d, %v", got, err)
-	}
 }
 
 // TestStoreApplyDeterminism replays a seeded random command stream into
@@ -69,7 +64,7 @@ func TestStoreApplyDeterminism(t *testing.T) {
 		case 3:
 			cmds[i] = EncodeCardKey(key)
 		case 4:
-			cmds[i] = EncodeInc(int64(rng.Intn(5)))
+			cmds[i] = EncodeNoop()
 		default:
 			b := make([]byte, rng.Intn(6))
 			rng.Read(b)
@@ -141,7 +136,9 @@ func TestDecodeCommandRoundTrip(t *testing.T) {
 			t.Fatalf("re-encode mismatch: %x vs %x", c.Encode(), cmd)
 		}
 	}
-	for _, bad := range [][]byte{nil, {}, {0}, {99}, append(EncodeRead(), 0x01), EncodeIncKey("k", 1)[:3]} {
+	// Opcodes 1 and 2 are retired: an increment and a read of the unkeyed
+	// counter.
+	for _, bad := range [][]byte{nil, {}, {0}, {1, 2}, {2}, {99}, append(EncodeNoop(), 0x01), EncodeIncKey("k", 1)[:3]} {
 		if _, err := DecodeCommand(bad); err == nil {
 			t.Fatalf("DecodeCommand(%x) accepted a bad command", bad)
 		}

@@ -19,6 +19,11 @@ import (
 	"crdtsmr/internal/wire"
 )
 
+// writeTimeout bounds one response write. A client that pipelines
+// requests but stops reading would otherwise pin the connection's
+// responder goroutines on a full TCP window forever.
+const writeTimeout = 30 * time.Second
+
 // Options configure a Server.
 type Options struct {
 	// RequestTimeout bounds one request's protocol run. Default 10 s.
@@ -26,10 +31,6 @@ type Options struct {
 	// MaxInFlight caps concurrently executing requests per connection;
 	// further pipelined frames wait. Default 256.
 	MaxInFlight int
-	// WriteTimeout bounds one response write. A client that pipelines
-	// requests but stops reading would otherwise pin the connection's
-	// responder goroutines on a full TCP window forever. Default 30 s.
-	WriteTimeout time.Duration
 	// MaxConns caps concurrently served client connections. A connection
 	// accepted over the cap is answered with a single StatusBusy frame
 	// (request ID 0) and closed before any request is read — fd and
@@ -64,9 +65,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxInFlight <= 0 {
 		o.MaxInFlight = 256
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 	if o.MaxConns <= 0 {
 		o.MaxConns = 1024
@@ -259,7 +257,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 func (s *Server) refuseConn(conn net.Conn) {
 	defer s.wg.Done()
 	defer conn.Close()
-	_ = conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(writeTimeout))
 	resp := &wire.Response{
 		Op:     wire.OpAdmin | wire.RespBit,
 		ID:     0,
@@ -285,16 +283,15 @@ func (s *Server) refuseConn(conn net.Conn) {
 // write runs under a deadline so a non-reading client cannot pin the
 // connection's responders once its receive window fills.
 type connWriter struct {
-	mu      sync.Mutex
-	nc      net.Conn
-	bw      *bufio.Writer
-	timeout time.Duration
+	mu sync.Mutex
+	nc net.Conn
+	bw *bufio.Writer
 }
 
 func (w *connWriter) send(resp *wire.Response) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := w.nc.SetWriteDeadline(time.Now().Add(w.timeout)); err != nil {
+	if err := w.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
 	if err := wire.WriteFrame(w.bw, resp.Encode()); err != nil {
@@ -320,7 +317,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReader(conn)
-	cw := &connWriter{nc: conn, bw: bufio.NewWriter(conn), timeout: s.opts.WriteTimeout}
+	cw := &connWriter{nc: conn, bw: bufio.NewWriter(conn)}
 	sem := make(chan struct{}, s.opts.MaxInFlight)
 	for {
 		frame, err := wire.ReadFrame(br)

@@ -19,11 +19,13 @@ type ConformConfig struct {
 	Net      Net
 
 	// Partitions > 0 inserts that many partition episodes into the run:
-	// a rotating minority is cut off from the rest for PartitionFor, then
+	// a rotating minority is cut off from the rest for partitionFor, then
 	// healed. Episodes are spread evenly across the injection window.
-	Partitions   int
-	PartitionFor time.Duration
+	Partitions int
 }
+
+// partitionFor is how long each partition episode lasts.
+const partitionFor = 4 * ElectionTimeout
 
 // ConformResult is the evidence from one run, for the caller to judge.
 type ConformResult struct {
@@ -103,7 +105,7 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 		})
 	}
 
-	// Partition episodes: cut a rotating minority off for PartitionFor.
+	// Partition episodes: cut a rotating minority off for partitionFor.
 	window := time.Duration(cfg.Ops) * gap
 	for ep := 0; ep < cfg.Partitions; ep++ {
 		at := settleTime + window*time.Duration(ep)/time.Duration(cfg.Partitions)
@@ -116,10 +118,6 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 			for k := 0; k < minority; k++ {
 				cut = append(cut, members[(lo+k)%cfg.Replicas])
 			}
-		}
-		dur := cfg.PartitionFor
-		if dur == 0 {
-			dur = 4 * ElectionTimeout
 		}
 		sim.After(at-sim.Now(), func() {
 			for _, a := range cut {
@@ -136,7 +134,7 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 					}
 				}
 			}
-			sim.After(dur, func() {
+			sim.After(partitionFor, func() {
 				for _, a := range cut {
 					for _, m := range members {
 						sim.Fab.Unblock(a, m)

@@ -35,13 +35,17 @@ type Mesh struct {
 	links     linkTable
 }
 
+// meshInbox is the per-endpoint inbound queue length. When an inbox
+// overflows, messages are dropped (counted in Stats.Dropped): overload
+// behaves like loss, which the protocols must tolerate anyway.
+const meshInbox = 16384
+
 type meshConfig struct {
 	minDelay  time.Duration
 	maxDelay  time.Duration
 	loss      float64
 	duplicate float64
 	seed      int64
-	inboxSize int
 }
 
 // MeshOption configures a Mesh.
@@ -68,16 +72,9 @@ func WithSeed(seed int64) MeshOption {
 	return func(c *meshConfig) { c.seed = seed }
 }
 
-// WithInboxSize sets the per-endpoint inbound queue length. When an inbox
-// overflows, messages are dropped (counted in Stats.Dropped) — overload
-// behaves like loss, which the protocols must tolerate anyway.
-func WithInboxSize(n int) MeshOption {
-	return func(c *meshConfig) { c.inboxSize = n }
-}
-
 // NewMesh creates an empty mesh.
 func NewMesh(opts ...MeshOption) *Mesh {
-	cfg := meshConfig{seed: 1, inboxSize: 16384}
+	cfg := meshConfig{seed: 1}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -97,7 +94,7 @@ func (m *Mesh) Join(id NodeID, h Handler) *MeshConn {
 		mesh:    m,
 		id:      id,
 		handler: h,
-		inbox:   make(chan inbound, m.cfg.inboxSize),
+		inbox:   make(chan inbound, meshInbox),
 		quit:    make(chan struct{}),
 	}
 	m.mu.Lock()
