@@ -295,6 +295,105 @@ func TestReleaseWithoutWriteSkipsStalledDisk(t *testing.T) {
 	}
 }
 
+// TestLeasedReadSkipsStalledDisk: a leased read of a converged key changes
+// no payload and no round on any replica, so it writes no record and none
+// of its VOTEs, VOTEDs or client ack waits for a disk. Every persister is
+// stalled on another key's batch; the read must complete anyway, and no
+// batch the stalled disks see may hold the read key.
+func TestLeasedReadSkipsStalledDisk(t *testing.T) {
+	var (
+		armed   atomic.Bool
+		mu      sync.Mutex
+		stalled []string
+	)
+	release := make(chan struct{})
+	hook := func(keys []string) error {
+		if armed.Load() {
+			mu.Lock()
+			stalled = append(stalled, keys...)
+			mu.Unlock()
+			<-release
+		}
+		return nil
+	}
+	mesh := transport.NewMesh()
+	defer mesh.Close()
+	cfg := testConfig(3)
+	cfg.Shards = 1
+	cfg.DataDir = t.TempDir()
+	cfg.persistHook = hook
+	c, err := New(mesh, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	unstall := sync.OnceFunc(func() { close(release) })
+	defer unstall()
+	ctx := ctxWith(t, 30*time.Second)
+	n1 := c.Node("n1")
+
+	const key = "read"
+	if _, err := n1.UpdateKey(ctx, key, incBy("n1", 1)); err != nil {
+		t.Fatal(err)
+	}
+	for leased := false; !leased; {
+		_, st, err := n1.QueryKey(ctx, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leased = st.Leased
+	}
+	waitFor(t, "every replica of the key to be durable and idle", func() bool {
+		idle := true
+		for _, id := range members(3) {
+			sh := c.Node(id).shardOf(key)
+			sh.call(func() {
+				rep := sh.replicas[key]
+				idle = idle && rep != nil && rep.InFlight() == 0 && sh.queued[key] == 0 &&
+					rep.StateVersion() == sh.savedVersion[key]
+			})
+		}
+		return idle
+	})
+
+	// Each node's own update of another key stalls its persister (its
+	// MERGEs wait behind that record, so no node sees a peer's).
+	armed.Store(true)
+	otherDone := make(chan error, 3)
+	for _, id := range members(3) {
+		go func(n *Node) {
+			_, err := n.UpdateKey(ctx, "other", incSelf(n))
+			otherDone <- err
+		}(c.Node(id))
+	}
+	waitFor(t, "every persister to stall on other's batch", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(stalled) >= 3
+	})
+
+	readCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	s, st, err := n1.QueryKey(readCtx, key)
+	if err != nil {
+		t.Fatalf("leased read while every disk is stalled: %v", err)
+	}
+	if !st.Leased || s.(*crdt.GCounter).Value() != 1 {
+		t.Fatalf("read %v with stats %+v, want value 1 by a leased hit", s, st)
+	}
+	mu.Lock()
+	if slices.Contains(stalled, key) {
+		t.Errorf("the read wrote a record: stalled batches hold %v", stalled)
+	}
+	mu.Unlock()
+	unstall()
+	for range 3 {
+		if err := <-otherDone; err != nil {
+			t.Fatalf("other: %v", err)
+		}
+	}
+}
+
 // TestGroupCommitBatchesUnderLatency: concurrent updates to many keys on
 // one shard must complete in far less wall time than serial persistence
 // would need — the whole point of group commit is that N keys' flushes

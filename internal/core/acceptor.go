@@ -12,10 +12,34 @@ import (
 type acceptor struct {
 	state crdt.State
 	round Round
+
+	// changes counts the transitions that replaced state or moved round:
+	// the acceptor's share of StateVersion. A merge that learns nothing
+	// returns the payload itself (crdt types return a dominating operand,
+	// the receiver first), so a converged read changes neither and counts
+	// nothing. A payload replaced by an equivalent one counts; that only
+	// overcounts.
+	changes uint64
 }
 
 func newAcceptor(s0 crdt.State) acceptor {
 	return acceptor{state: s0, round: initRound()}
+}
+
+// setState replaces the payload, counting a change unless s is the payload.
+func (a *acceptor) setState(s crdt.State) {
+	if s != a.state {
+		a.state = s
+		a.changes++
+	}
+}
+
+// setRound moves the round, counting a change unless it stays put.
+func (a *acceptor) setRound(r Round) {
+	if r != a.round {
+		a.round = r
+		a.changes++
+	}
 }
 
 // applyUpdate executes an update function locally (lines 28-31): the new
@@ -27,7 +51,7 @@ func (a *acceptor) applyUpdate(fu crdt.Update, keep Round) (crdt.State, error) {
 	if err != nil {
 		return nil, err
 	}
-	a.state = s
+	a.setState(s)
 	a.clobberRound(keep)
 	return s, nil
 }
@@ -42,7 +66,7 @@ func (a *acceptor) join(s crdt.State) error {
 	if err != nil {
 		return err
 	}
-	a.state = merged
+	a.setState(merged)
 	return nil
 }
 
@@ -57,7 +81,7 @@ func (a *acceptor) join(s crdt.State) error {
 // initial round.
 func (a *acceptor) clobberRound(keep Round) {
 	if keep.ID.Proposer == "" || a.round != keep {
-		a.round.ID = writeID
+		a.setRound(Round{Number: a.round.Number, ID: writeID})
 	}
 }
 
@@ -87,7 +111,7 @@ func (a *acceptor) handlePrepare(r Round, s crdt.State) (reply msgType, round Ro
 	}
 	switch {
 	case a.round.Number < r.Number:
-		a.round = r
+		a.setRound(r)
 		return msgAck, a.round, a.state, nil
 	case a.round == r:
 		// Idempotent retransmit of an already-adopted fixed prepare.
@@ -142,9 +166,6 @@ func (r *Replica) onPrepare(from transport.NodeID, m *message) {
 		r.counters.MalformedMsgs++
 		return
 	}
-	// The prepare may have merged a seed and adopted a round; bumping on
-	// NACKs too overcounts at worst (StateVersion is allowed to).
-	r.version++
 	if reply == msgAck {
 		r.counters.PreparesAccepted++
 	} else {

@@ -49,7 +49,6 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 	// already stale here (a foreign update or competing prepare moved the
 	// local round), so fall back before broadcasting anything.
 	reply, _, _, err := r.acc.handleVote(lease.round, prop)
-	r.version++
 	if err != nil || reply != msgVoted {
 		// [Q3] Nothing was gathered from the wire yet, so the fallback
 		// starts like a fresh first attempt: unseeded (§3.6 — the local

@@ -105,18 +105,17 @@ type ackInfo struct {
 // function to the learned state (equivalently to line 15/24 sending
 // fq(s) to the client).
 func (r *Replica) SubmitQuery(done QueryDone) uint64 {
-	r.nextReq++
+	id := r.newReqID()
 	if !r.member {
 		// Fail through the callback (the signature has no error return):
 		// a non-member holds no quorum and must not serve reads.
-		id := r.nextReq
 		if done != nil {
 			done(nil, QueryStats{}, ErrNotMember)
 		}
 		return id
 	}
 	req := &queryReq{
-		id:   r.nextReq,
+		id:   id,
 		done: done,
 	}
 	r.queries[req.id] = req
@@ -172,8 +171,8 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 	req.prepared, req.leasedProp = digested{}, digested{}
 	req.seed = req.gathered
 
-	// nextSeq advances and the local acceptor (below) merges the seed and
-	// adopts the round: one durable transition either way.
+	// nextSeq advances: a durable transition of the proposer's own (the
+	// local acceptor below counts its merge and round adoption itself).
 	r.version++
 	r.nextSeq++
 	round.ID = RoundID{Proposer: r.id, Seq: r.nextSeq}
@@ -335,7 +334,6 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		// Local acceptor votes synchronously. A local denial means an
 		// update already intervened here; per §3.2 retry straight away.
 		reply, _, accState, voteErr := r.acc.handleVote(common, lub)
-		r.version++
 		if voteErr == nil && reply != msgVoted {
 			// [Q8]
 			req.gathered = r.mergeGathered(req.gathered, accState)
@@ -426,12 +424,13 @@ func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath)
 
 	// GLA-Stability (§3.4): remember the largest learned state; return the
 	// max. The two are always comparable because the protocol guarantees
-	// Consistency (Theorem 3.8).
+	// Consistency (Theorem 3.8). A new learned state is no durable
+	// transition of its own: it rides the next record (snapshot.go says
+	// why that is safe).
 	le, err := r.learned.Compare(learned)
 	switch {
 	case err == nil && le:
 		r.learned = learned
-		r.version++
 	case err == nil:
 		learned = r.learned
 	}

@@ -32,9 +32,8 @@ func (r *Replica) SubmitReconfigure(members []transport.NodeID, done func(error)
 	}
 	old := r.cfg
 	cand := Config{Epoch: old.Epoch + 1, Source: r.id, Members: norm}
-	r.nextReq++
 	req := &reconfigReq{
-		id:    r.nextReq,
+		id:    r.newReqID(),
 		cfg:   cand,
 		old:   old.Members,
 		acked: map[transport.NodeID]bool{r.id: true},
@@ -219,7 +218,6 @@ func (r *Replica) onReconfig(from transport.NodeID, m *message) {
 				return
 			}
 			r.acc.clobberRound(Round{})
-			r.version++
 		}
 		r.send(from, &message{Type: msgReconfigAck, Req: m.Req})
 	case cand.Supersedes(r.cfg):

@@ -67,8 +67,9 @@ type Replica struct {
 	lease *leaseState
 
 	nextReq  uint64
+	reqCeil  uint64 // request IDs up to here are reserved durably (see newReqID)
 	nextSeq  uint64
-	version  uint64 // durable-state transition counter (see StateVersion)
+	version  uint64 // the proposer's durable transitions (see StateVersion)
 	updates  map[uint64]*updateReq
 	queries  map[uint64]*queryReq
 	learned  crdt.State // largest learned state (GLA-Stability, §3.4)

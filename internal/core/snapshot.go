@@ -24,12 +24,23 @@ import (
 //     a quorum it no longer has.
 //   - State is the acceptor payload; Learned is the largest state this
 //     replica returned to a client (GLA-Stability, §3.4), so reads stay
-//     monotone across a restart too.
-//   - NextReq and NextSeq are the proposer's monotone counters. NextSeq
-//     feeds round IDs; restoring it keeps post-restart rounds distinct
-//     from every round this proposer issued before the crash (round IDs
-//     must never repeat, or late replies to a pre-crash request could be
-//     counted toward a post-crash one with the same ID).
+//     monotone across a restart too. A new Learned is no durable
+//     transition of its own: it is written with the key's next record, so
+//     a restart may restore an older one. That is safe because a read
+//     completes only once its learned state is in a quorum of durable
+//     payloads. A remote ACK or VOTED vouching for it leaves only after
+//     the record holding that acceptor's payload lands (a runtime
+//     releases a key's messages behind every record ordered before them),
+//     and the local acceptor's record is ahead of the completion in the
+//     same order. Every later quorum read meets that quorum, so after a
+//     restart it returns at least the acked state.
+//   - NextReq is the request-ID ceiling: every request ID this proposer
+//     issued is at or below it (newReqID reserves them in blocks), and a
+//     restored proposer issues above it. NextSeq feeds round IDs and is
+//     exact. Restoring either keeps post-restart IDs distinct from every
+//     pre-crash one: they must never repeat, or late replies to a
+//     pre-crash request or round could be counted toward a post-crash
+//     one with the same ID.
 //   - Config is the membership configuration the replica had adopted
 //     (docs/PROTOCOL.md §6). Persisting it is what keeps a reconfigured
 //     group safe across restarts: a replica that acked a new config and
@@ -51,19 +62,37 @@ func (r *Replica) Snapshot() Snapshot {
 		Round:   r.acc.round,
 		State:   r.acc.state,
 		Learned: r.learned,
-		NextReq: r.nextReq,
+		NextReq: r.reqCeil,
 		NextSeq: r.nextSeq,
 		Config:  r.ConfigState(),
 	}
 }
 
-// StateVersion counts durable-state transitions: it increases whenever a
-// Snapshot taken now could differ from one taken before (payload merged,
-// round adopted, state learned, a proposer counter advanced). Runtimes
-// persisting snapshots compare it against the version they last wrote to
-// skip no-op writes. It may overcount (bumping on a transition that left
-// the state equivalent) but never undercounts.
-func (r *Replica) StateVersion() uint64 { return r.version }
+// StateVersion counts durable-state transitions: it increases whenever
+// the payload or the round changed (the acceptor counts those itself),
+// nextSeq or the request-ID ceiling advanced, a configuration was adopted
+// or a snapshot restored. Runtimes persisting snapshots compare it
+// against the version they last wrote to skip no-op writes, so a read
+// that changes neither payload nor round writes nothing. A new learned
+// state alone does not count (see Snapshot). It may overcount (bumping on
+// a transition that left the state equivalent) but never undercounts.
+func (r *Replica) StateVersion() uint64 { return r.version + r.acc.changes }
+
+// reqBlock is how many request IDs one durable record reserves.
+const reqBlock = 1 << 16
+
+// newReqID issues the next request ID. An ID above the durable ceiling
+// raises it by reqBlock and counts a durable transition, so the record
+// holding the new ceiling lands before any message carrying the ID
+// leaves; within a block, a request writes nothing for its ID.
+func (r *Replica) newReqID() uint64 {
+	r.nextReq++
+	if r.nextReq > r.reqCeil {
+		r.reqCeil += reqBlock
+		r.version++
+	}
+	return r.nextReq
+}
 
 // Restore rehydrates a replica from a snapshot, merging it into the
 // replica's current state: the payload and learned states are joined, the
@@ -94,8 +123,13 @@ func (r *Replica) Restore(snap Snapshot) error {
 	if r.acc.round.Less(snap.Round) {
 		r.acc.round = snap.Round
 	}
-	if snap.NextReq > r.nextReq {
-		r.nextReq = snap.NextReq
+	// Issue above the restored ceiling: the IDs below it may have been
+	// used before the crash.
+	if snap.NextReq > r.reqCeil {
+		r.reqCeil = snap.NextReq
+	}
+	if r.nextReq < r.reqCeil {
+		r.nextReq = r.reqCeil
 	}
 	if snap.NextSeq > r.nextSeq {
 		r.nextSeq = snap.NextSeq

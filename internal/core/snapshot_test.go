@@ -119,8 +119,150 @@ func TestRestoreIsMonotone(t *testing.T) {
 	if got := rep.LocalState().(*crdt.GCounter).Value(); got != 3 {
 		t.Fatalf("stale restore changed payload value to %d", got)
 	}
-	if rep.nextReq != 3 {
+	if rep.nextReq < 3 {
 		t.Fatalf("stale restore regressed nextReq to %d", rep.nextReq)
+	}
+}
+
+// TestRequestIDsNotReissuedAfterRestore: leased reads write no record, so
+// the last record predates their IDs; a proposer restored from it must
+// still issue above every ID it used before the crash (NextReq is a
+// reservation ceiling), or a late reply to a pre-crash request could match
+// a new one.
+func TestRequestIDsNotReissuedAfterRestore(t *testing.T) {
+	nw := newNet(t, 3, DefaultOptions())
+	n1 := nw.reps["n1"]
+	installLeaseAt(t, nw, n1)
+	last, v := n1.Snapshot(), n1.StateVersion() // the last record a runtime wrote
+	var maxID uint64
+	for i := 0; i < 5; i++ {
+		id := n1.SubmitQuery(func(_ crdt.State, st QueryStats, err error) {
+			if err != nil || !st.Leased {
+				t.Fatalf("read %d: stats %+v err %v, want a leased hit", i, st, err)
+			}
+		})
+		maxID = max(maxID, id)
+		nw.pump()
+		nw.drain()
+		if got := n1.StateVersion(); got != v {
+			t.Fatalf("leased read %d moved StateVersion %d -> %d", i, v, got)
+		}
+	}
+
+	restored := newSnapReplica(t, "n1")
+	if err := restored.Restore(last); err != nil {
+		t.Fatal(err)
+	}
+	before := restored.StateVersion()
+	next := restored.SubmitQuery(nil)
+	if next <= maxID {
+		t.Fatalf("restored proposer reissued request ID %d (pre-crash IDs up to %d)", next, maxID)
+	}
+	// The raised ceiling is a durable transition: its record lands before
+	// the PREPARE carrying the new ID leaves.
+	if snap := restored.Snapshot(); snap.NextReq < next || restored.StateVersion() <= before {
+		t.Fatalf("ceiling %d after issuing %d, version %d -> %d", snap.NextReq, next, before, restored.StateVersion())
+	}
+}
+
+// TestConvergedLeasedReadIsNotDurable: on a converged group, a leased
+// read changes no payload and no round anywhere, so it moves no replica's
+// StateVersion — a durable runtime writes no record for it. Below and
+// above the transfer size switch, and after the holder's own update.
+func TestConvergedLeasedReadIsNotDurable(t *testing.T) {
+	for name, s0 := range map[string]func() crdt.State{
+		"small": func() crdt.State { return crdt.NewGCounter() },
+		"large": largeCounter,
+	} {
+		t.Run(name, func(t *testing.T) {
+			nw := newNetWith(t, 3, DefaultOptions(), s0)
+			n1 := nw.reps["n1"]
+			installLeaseAt(t, nw, n1)
+			if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			nw.drain()
+			for i := 0; i < 3; i++ {
+				versions := map[transport.NodeID]uint64{}
+				for id, rep := range nw.reps {
+					versions[id] = rep.StateVersion()
+				}
+				var stats QueryStats
+				n1.SubmitQuery(func(_ crdt.State, st QueryStats, err error) {
+					if err != nil {
+						t.Fatalf("leased read: %v", err)
+					}
+					stats = st
+				})
+				nw.pump()
+				nw.drain()
+				if !stats.Leased {
+					t.Fatalf("read %d: stats %+v, want a leased hit", i, stats)
+				}
+				for id, rep := range nw.reps {
+					if got := rep.StateVersion(); got != versions[id] {
+						t.Errorf("read %d moved %s's StateVersion %d -> %d", i, id, versions[id], got)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestLearnedSurvivesRestoreByQuorum: a read's learned state is not a
+// durable transition of its own. Ack a read that learns a peer's update,
+// crash the reader back to its pre-read record (which holds neither the
+// update nor the learned state), and the next read there still returns
+// at least the acked state: the quorum that established it is durable.
+func TestLearnedSurvivesRestoreByQuorum(t *testing.T) {
+	nw := newNet(t, 3, DefaultOptions())
+	n1, n2 := nw.reps["n1"], nw.reps["n2"]
+	preRead := n1.Snapshot()
+
+	// n2's update reaches n3 only: a quorum without n1.
+	if _, err := n2.SubmitUpdate(incAt(n2), nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.drop(toNode("n1"))
+	nw.drain()
+
+	var acked crdt.State
+	n1.SubmitQuery(func(s crdt.State, _ QueryStats, err error) {
+		if err != nil {
+			t.Fatalf("read: %v", err)
+		}
+		acked = s
+	})
+	nw.pump()
+	nw.drain()
+	if acked == nil || counterValue(t, acked) != 1 {
+		t.Fatalf("read acked %v, want the peer's update", acked)
+	}
+	if counterValue(t, preRead.Learned) != 0 {
+		t.Fatal("the pre-read record already holds the acked state")
+	}
+
+	restored := newSnapReplica(t, "n1")
+	if err := restored.Restore(preRead); err != nil {
+		t.Fatal(err)
+	}
+	nw.reps["n1"] = restored
+	var next crdt.State
+	restored.SubmitQuery(func(s crdt.State, _ QueryStats, err error) {
+		if err != nil {
+			t.Fatalf("read after restore: %v", err)
+		}
+		next = s
+	})
+	nw.pump()
+	nw.drain()
+	if next == nil {
+		t.Fatal("read after restore did not complete")
+	}
+	if le, err := acked.Compare(next); err != nil || !le {
+		t.Fatalf("read after restore returned %v, below the acked %v", next, acked)
 	}
 }
 
@@ -179,10 +321,29 @@ func TestStateVersionAdvancesOnDurableTransitions(t *testing.T) {
 	if v2 <= v1 {
 		t.Fatalf("query prepare did not advance version: %d -> %d", v1, v2)
 	}
+
+	// A MERGE that brings no new state but clobbers the round adopted by
+	// the prepare above still changes the snapshot; its duplicate does not.
+	peer := newSnapReplica(t, "n2")
+	noop := func(s crdt.State) (crdt.State, error) { return s, nil }
+	if _, err := peer.SubmitUpdate(noop, nil); err != nil {
+		t.Fatal(err)
+	}
+	merge := peer.TakeOutbox()[0].Payload
+	rep.Deliver("n2", merge)
+	v3 := rep.StateVersion()
+	if rep.acc.round.ID != writeID || v3 <= v2 {
+		t.Fatalf("round-only MERGE: round %v, version %d -> %d", rep.acc.round, v2, v3)
+	}
+	rep.Deliver("n2", merge)
+	if got := rep.StateVersion(); got != v3 {
+		t.Fatalf("duplicate MERGE moved version %d -> %d", v3, got)
+	}
+
 	if err := rep.Restore(rep.Snapshot()); err != nil {
 		t.Fatal(err)
 	}
-	if rep.StateVersion() <= v2 {
+	if rep.StateVersion() <= v3 {
 		t.Fatal("restore did not advance version")
 	}
 }

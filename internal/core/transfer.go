@@ -272,7 +272,6 @@ func (r *Replica) accept(from transport.NodeID, m *message) acceptance {
 		if m.State == nil || r.acc.join(m.State) != nil {
 			return acceptBad
 		}
-		r.version++
 		if m.Kind == wire.StateFullDigest {
 			// A large state arrives with its digest: a baseline for the
 			// sender's future deltas and, when the payload now IS that
@@ -310,7 +309,6 @@ func (r *Replica) accept(from transport.NodeID, m *message) acceptance {
 		if r.acc.join(m.State) != nil {
 			return acceptBad
 		}
-		r.version++
 		if exact {
 			// The payload was exactly the baseline, so baseline ⊔ delta
 			// makes it exactly the sender's state: its digest is known

@@ -49,10 +49,8 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 	if err != nil {
 		return 0, fmt.Errorf("core: update function: %w", err)
 	}
-	r.version++ // payload replaced, round clobbered, nextReq advances
-	r.nextReq++
 	req := &updateReq{
-		id:      r.nextReq,
+		id:      r.newReqID(),
 		payload: digested{state: s},
 		round:   keep,
 		lease:   keep.ID.Proposer != "",

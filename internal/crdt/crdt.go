@@ -24,6 +24,9 @@ var ErrTypeMismatch = errors.New("crdt: payload type mismatch")
 type State interface {
 	// Merge returns the least upper bound of the receiver and other.
 	// It fails with ErrTypeMismatch if other has a different payload type.
+	// When one operand dominates, Merge returns that operand itself, the
+	// receiver first: a replica tells a merge that learned nothing by
+	// pointer, and a fresh equivalent value costs it a durable write.
 	Merge(other State) (State, error)
 
 	// Compare reports whether the receiver precedes or equals other in the

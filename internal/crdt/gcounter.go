@@ -49,11 +49,24 @@ func (c *GCounter) Value() uint64 {
 // Slot returns the count contributed by a single replica.
 func (c *GCounter) Slot(replica string) uint64 { return c.slots[replica] }
 
-// Merge implements Algorithm 1's merge: the slot-wise maximum.
+// Merge implements Algorithm 1's merge: the slot-wise maximum. When one
+// operand already dominates the other it is returned as is, the receiver
+// first, so a merge that learns nothing allocates nothing and callers can
+// tell it by pointer.
 func (c *GCounter) Merge(other State) (State, error) {
 	o, ok := other.(*GCounter)
 	if !ok {
 		return nil, typeMismatch(c, other)
+	}
+	return c.join(o), nil
+}
+
+func (c *GCounter) join(o *GCounter) *GCounter {
+	switch {
+	case o.le(c):
+		return c
+	case c.le(o):
+		return o
 	}
 	out := &GCounter{slots: cloneStrU64(c.slots)}
 	for k, v := range o.slots {
@@ -61,7 +74,7 @@ func (c *GCounter) Merge(other State) (State, error) {
 			out.slots[k] = v
 		}
 	}
-	return out, nil
+	return out
 }
 
 // Compare implements Algorithm 1's compare: slot-wise ≤.
@@ -70,12 +83,17 @@ func (c *GCounter) Compare(other State) (bool, error) {
 	if !ok {
 		return false, typeMismatch(c, other)
 	}
+	return c.le(o), nil
+}
+
+// le reports c ⊑ o.
+func (c *GCounter) le(o *GCounter) bool {
 	for k, v := range c.slots {
 		if v > o.slots[k] {
-			return false, nil
+			return false
 		}
 	}
-	return true, nil
+	return true
 }
 
 // TypeName implements State.

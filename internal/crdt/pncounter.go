@@ -35,21 +35,21 @@ func (c *PNCounter) Value() int64 {
 	return int64(c.p.Value()) - int64(c.n.Value())
 }
 
-// Merge joins both component G-Counters slot-wise.
+// Merge joins both component G-Counters slot-wise. When one operand
+// already dominates the other it is returned as is, the receiver first;
+// otherwise the result shares any component one side dominates.
 func (c *PNCounter) Merge(other State) (State, error) {
 	o, ok := other.(*PNCounter)
 	if !ok {
 		return nil, typeMismatch(c, other)
 	}
-	p, err := c.p.Merge(o.p)
-	if err != nil {
-		return nil, err
+	switch {
+	case o.le(c):
+		return c, nil
+	case c.le(o):
+		return o, nil
 	}
-	n, err := c.n.Merge(o.n)
-	if err != nil {
-		return nil, err
-	}
-	return &PNCounter{p: p.(*GCounter), n: n.(*GCounter)}, nil
+	return &PNCounter{p: c.p.join(o.p), n: c.n.join(o.n)}, nil
 }
 
 // Compare is the product order: both components must be ≤.
@@ -58,12 +58,10 @@ func (c *PNCounter) Compare(other State) (bool, error) {
 	if !ok {
 		return false, typeMismatch(c, other)
 	}
-	le, err := c.p.Compare(o.p)
-	if err != nil || !le {
-		return false, err
-	}
-	return c.n.Compare(o.n)
+	return c.le(o), nil
 }
+
+func (c *PNCounter) le(o *PNCounter) bool { return c.p.le(o.p) && c.n.le(o.n) }
 
 // TypeName implements State.
 func (c *PNCounter) TypeName() string { return TypePNCounter }

@@ -39,7 +39,8 @@ func (r *LWWRegister) Value() (val string, ts uint64, actor string) {
 // the final tiebreak: two writes that (mis)used the same stamp for
 // different values would otherwise merge receiver-biased, breaking
 // commutativity — and equivalence-by-Compare would disagree with the
-// value a query returns.
+// value a query returns. The larger operand is returned as is, the
+// receiver on a tie.
 func (r *LWWRegister) Merge(other State) (State, error) {
 	o, ok := other.(*LWWRegister)
 	if !ok {
@@ -47,9 +48,9 @@ func (r *LWWRegister) Merge(other State) (State, error) {
 	}
 	if stampLess(r.ts, r.actor, o.ts, o.actor) ||
 		(r.ts == o.ts && r.actor == o.actor && r.val < o.val) {
-		return &LWWRegister{val: o.val, ts: o.ts, actor: o.actor}, nil
+		return o, nil
 	}
-	return &LWWRegister{val: r.val, ts: r.ts, actor: r.actor}, nil
+	return r, nil
 }
 
 // Compare is ≤ on (ts, actor, val) keys — a total order, so any two

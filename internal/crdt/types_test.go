@@ -133,6 +133,33 @@ func TestORSetRemoveOnlyObservedTags(t *testing.T) {
 	}
 }
 
+// TestCounterRegisterMergeAllocs: like TestORSetAllocs, a Merge that
+// learns nothing allocates nothing and returns the receiver itself, and a
+// Merge with a dominating operand returns that operand — the acceptor
+// tells a payload change by pointer.
+func TestCounterRegisterMergeAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name             string
+		s, dominated, up State
+	}{
+		{"g-counter", NewGCounter().Inc("n1", 3).Inc("n2", 1), NewGCounter().Inc("n1", 2), NewGCounter().Inc("n1", 3).Inc("n2", 2)},
+		{"pn-counter", NewPNCounter().Inc("n1", 3).Dec("n2", 1), NewPNCounter().Inc("n1", 3), NewPNCounter().Inc("n1", 3).Dec("n2", 1).Dec("n3", 1)},
+		{"lww-register", NewLWWRegister().Set("b", 2, "n1"), NewLWWRegister().Set("a", 1, "n2"), NewLWWRegister().Set("c", 3, "n1")},
+	} {
+		for _, other := range []State{tc.dominated, tc.s} {
+			if got := testing.AllocsPerRun(50, func() { _, _ = tc.s.Merge(other) }); got != 0 {
+				t.Errorf("%s: dominated or self Merge does %.0f allocs/op, want 0", tc.name, got)
+			}
+			if m, _ := tc.s.Merge(other); m != tc.s {
+				t.Errorf("%s: Merge of a dominated state did not return the receiver itself", tc.name)
+			}
+		}
+		if m, _ := tc.s.Merge(tc.up); m != tc.up {
+			t.Errorf("%s: Merge with a dominating state did not return it", tc.name)
+		}
+	}
+}
+
 func TestRegistryNewUnknownType(t *testing.T) {
 	if _, err := New("definitely-not-registered"); err == nil {
 		t.Fatal("New of unknown type should fail")
