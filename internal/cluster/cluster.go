@@ -8,9 +8,9 @@ import (
 )
 
 // Cluster is a convenience wrapper running one Node per member over a
-// shared in-process Mesh — the deployment used by the examples, the
-// integration tests, and the benchmark harness (the paper's three replicas
-// on a LAN, §4).
+// shared in-process Mesh — the deployment behind the crdtsmr facade (and
+// so the in-process examples) and the integration tests. The daemon, the
+// benchmark and examples/netcluster call NewNode per replica instead.
 type Cluster struct {
 	mesh  *transport.Mesh
 	nodes map[transport.NodeID]*Node

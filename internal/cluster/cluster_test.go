@@ -329,7 +329,7 @@ func TestNodeCloseUnblocksClients(t *testing.T) {
 		_, err := n1.Update(context.Background(), incSelf(n1))
 		errCh <- err
 	}()
-	time.Sleep(50 * time.Millisecond)
+	waitOnLoop(t, n1, DefaultKey, func(s *shard) bool { _, ok := s.busy[DefaultKey]; return ok })
 	if err := n1.Close(); err != nil {
 		t.Fatal(err)
 	}

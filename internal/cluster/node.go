@@ -56,8 +56,10 @@ type Config struct {
 	InitialForKey func(key string) crdt.State
 	// Options are the protocol options (see core.Options).
 	Options core.Options
-	// RetransmitInterval is how long a request waits for its quorum before
-	// re-driving its messages. Default 100 ms.
+	// RetransmitInterval is the period of each shard's retransmit tick: a
+	// request still waiting for its quorum re-drives its messages between
+	// one and two intervals after it was sent, then every interval.
+	// Default 100 ms.
 	RetransmitInterval time.Duration
 	// BatchInterval, when positive, enables §3.6 per-proposer batching:
 	// commands buffer locally per key and flush every interval, one
@@ -181,11 +183,6 @@ type Node struct {
 	// exchanged for that key.
 	cfgMu  sync.RWMutex
 	curCfg core.Config
-	// flushGen numbers the batch-flush cadence. Each (re)start of the
-	// flush chain bumps it and stamps its events; a flush event whose
-	// generation is stale belongs to a superseded cadence (the membership
-	// changed, moving this node's slot in the window) and is dropped.
-	flushGen atomic.Uint64
 
 	// inboundDropped counts replica frames dropped because a shard's
 	// event queue was full; malformedFrames counts frames whose object
@@ -215,10 +212,7 @@ type nodeEvent struct {
 	key       string
 	update    *updateOp
 	query     *queryOp
-	reqID     uint64
 	crash     bool
-	queries   bool                  // evFlush: flush the query batches (else the update batches)
-	gen       uint64                // evFlush: the flush-chain generation this event belongs to
 	reconfig  *reconfigOp           // evReconfig: this node-wide reconfiguration
 	snaps     []persist.KeySnapshot // evRestore: this shard's keys to rehydrate
 	restarted chan error            // evRestartPrep / evRestore: receives the phase result
@@ -243,8 +237,6 @@ const (
 	evInbound eventKind = iota + 1
 	evUpdate
 	evQuery
-	evTimeout
-	evFlush
 	evSetCrashed
 	evRestartPrep // drop volatile state, quiesce the persister, stay crashed
 	evRestore     // rehydrate from the given snapshots and resume serving
@@ -339,39 +331,19 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 			go s.persister()
 		}
 	}
-	n.startFlushChain()
 	return n, nil
 }
 
-// startFlushChain (re)starts the batch-flush cadence under a fresh
-// generation, de-phasing this node's flush cycle from its peers':
-// replicas that flush in lockstep run their query protocols concurrently
-// and deny each other's votes every window. Spreading the phases across
-// the window keeps the per-window protocol runs of different proposers
-// disjoint in time. Called at startup and again whenever the member set
-// changes (the node's slot in the window moves with its member index);
-// events of the superseded generation are dropped by the evFlush handler,
-// so exactly one chain drives each shard.
-func (n *Node) startFlushChain() {
-	if n.cfg.BatchInterval <= 0 {
-		return
-	}
-	gen := n.flushGen.Add(1)
-	offset := flushOffset(n.currentConfig().Members, n.id, n.cfg.BatchInterval)
-	for _, s := range n.shards {
-		s := s
-		time.AfterFunc(offset, func() {
-			s.post(nodeEvent{kind: evFlush, gen: gen})
-		})
-	}
-}
-
 // flushOffset places this node's first flush slot within the batch
-// window, by member index. The first slot starts a fraction of a window
-// in, never at zero — a flush racing node startup could ship a batch the
-// instant a client enqueues it. A node outside the member set (a joiner,
-// or a node a reconfiguration removed) and an empty view get one full
-// window: there is no slot to claim and nothing to de-phase against.
+// window, by member index, de-phasing its flush cycle from its peers':
+// replicas that flush in lockstep run their query protocols concurrently
+// and deny each other's votes every window, so spreading the phases
+// keeps different proposers' per-window protocol runs disjoint in time.
+// The first slot starts a fraction of a window in, never at zero — a
+// flush racing node startup could ship a batch the instant a client
+// enqueues it. A node outside the member set (a joiner, or a node a
+// reconfiguration removed) and an empty view get one full window: there
+// is no slot to claim and nothing to de-phase against.
 func flushOffset(members []transport.NodeID, id transport.NodeID, interval time.Duration) time.Duration {
 	idx := memberIndex(members, id)
 	if len(members) == 0 || idx < 0 {
@@ -399,9 +371,10 @@ func (n *Node) currentConfig() core.Config {
 }
 
 // noteConfig folds one replica's adopted configuration into the node
-// view, keeping the greatest. When the member set actually changed, the
-// batch-flush cadence restarts so this node's flush slot tracks its index
-// in the new membership (and its window length the new member count).
+// view, keeping the greatest. When the member set actually changed, every
+// shard restarts its batch-flush cadence so this node's flush slot tracks
+// its index in the new membership (and its window length the new member
+// count); a restart already requested absorbs this one.
 func (n *Node) noteConfig(cfg core.Config) {
 	n.cfgMu.Lock()
 	if !cfg.Supersedes(n.curCfg) {
@@ -411,8 +384,14 @@ func (n *Node) noteConfig(cfg core.Config) {
 	changed := !sameMembers(n.curCfg.Members, cfg.Members)
 	n.curCfg = cfg
 	n.cfgMu.Unlock()
-	if changed {
-		n.startFlushChain()
+	if !changed {
+		return
+	}
+	for _, s := range n.shards {
+		select {
+		case s.rephase <- struct{}{}: // nil without batching: never ready
+		default:
+		}
 	}
 }
 

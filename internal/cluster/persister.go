@@ -72,7 +72,8 @@ func (s *shard) enqueuePersist(req persistReq) {
 }
 
 // flushOutbox runs after every loop iteration. It collects each dirty
-// key's outbox, disarms the timers of requests that completed, takes a
+// key's outbox, keeps the key in or out of the set the retransmit tick
+// visits (s.busy) by whether it has requests in flight, takes a
 // snapshot record when the node is durable and the key's durable state
 // advanced, and attaches the event's deferred completions to their key's
 // request. A request with nothing to wait for is released here; the rest
@@ -110,7 +111,11 @@ func (s *shard) flushOutbox() {
 				req.envs = append(req.envs, outEnv{to: e.To, frame: wire.PackEnvelope(key, e.Payload)})
 			}
 		}
-		s.disarmCompleted(key, rep)
+		if rep.InFlight() > 0 {
+			s.busy[key] = struct{}{}
+		} else {
+			delete(s.busy, key)
+		}
 		if req.rec != nil || len(req.envs) > 0 {
 			reqIdx[key] = len(reqs)
 			reqs = append(reqs, req)

@@ -24,19 +24,19 @@ type shard struct {
 	n   *Node
 	idx int
 
-	events chan nodeEvent
-	calls  chan func()
+	events  chan nodeEvent
+	calls   chan func()
+	rephase chan struct{} // restart the flush cadence; nil without batching
 
 	// Loop-owned state (accessed only from this shard's event loop).
 	replicas      map[string]*core.Replica
-	timers        map[string]map[uint64]*time.Timer
+	busy          map[string]struct{} // keys with requests in flight: all a retransmit tick visits
 	dirty         []string            // keys whose replica may hold outbox envelopes
 	dirtySet      map[string]struct{} // membership of dirty (one entry per key per event)
 	droppedFrames uint64              // inbound frames dropped before reaching a replica
 	crashed       bool
 	batchUpdates  map[string][]*updateOp
 	batchQueries  map[string][]*queryOp
-	flushTimer    *time.Timer
 	savedVersion  map[string]uint64   // per-key StateVersion last durably persisted
 	inflight      map[string]uint64   // per-key StateVersion submitted to the persister, not yet durable
 	persistBroken map[string]struct{} // keys whose persistence pipeline failed; releases withheld until a save succeeds
@@ -59,7 +59,7 @@ func newShard(n *Node, idx int) *shard {
 		events:        make(chan nodeEvent, 8192),
 		calls:         make(chan func()),
 		replicas:      make(map[string]*core.Replica),
-		timers:        make(map[string]map[uint64]*time.Timer),
+		busy:          make(map[string]struct{}),
 		dirtySet:      make(map[string]struct{}),
 		batchUpdates:  make(map[string][]*updateOp),
 		batchQueries:  make(map[string][]*queryOp),
@@ -71,6 +71,9 @@ func newShard(n *Node, idx int) *shard {
 	if n.store != nil {
 		s.persistq = make(chan persistReq, 1024)
 		s.relSig = make(chan struct{}, 1)
+	}
+	if n.cfg.BatchInterval > 0 {
+		s.rephase = make(chan struct{}, 1)
 	}
 	return s
 }
@@ -110,12 +113,34 @@ func (s *shard) post(ev nodeEvent) {
 	}
 }
 
+// loop is the shard's one goroutine, and it owns the shard's two clocks:
+// the retransmit ticker, which re-drives the requests of every key with
+// some in flight (core.Replica.Tick), and, when batching, the flush timer.
+// The flush keeps the §3.6 cadence: the first update flush at this node's
+// slot in the window (flushOffset), then update and query flushes
+// alternating every BatchInterval/2, restarted at the new slot when the
+// member set changes (Node.noteConfig). The alternation is what batching
+// is for: flushing both kinds at one instant would make every batched
+// query collide with its own node's MERGE broadcast and forfeit the fast
+// path.
 func (s *shard) loop() {
 	defer s.n.wg.Done()
+	tick := time.NewTicker(s.n.cfg.RetransmitInterval)
+	defer tick.Stop()
+	slot := func() time.Duration {
+		return flushOffset(s.n.currentConfig().Members, s.n.id, s.n.cfg.BatchInterval)
+	}
+	var flush *time.Timer
+	var flushC <-chan time.Time // nil (blocks forever) without batching
+	queries := false
+	if s.n.cfg.BatchInterval > 0 {
+		flush = time.NewTimer(slot())
+		defer flush.Stop()
+		flushC = flush.C
+	}
 	for {
 		select {
 		case <-s.n.quit:
-			s.shutdown()
 			return
 		case ev := <-s.events:
 			s.handle(ev)
@@ -123,6 +148,20 @@ func (s *shard) loop() {
 			fn()
 		case <-s.relSig: // nil (blocks forever) without a persister
 			s.processReleases()
+		case <-tick.C:
+			for key := range s.busy {
+				s.markDirty(key)
+				s.replicas[key].Tick()
+			}
+		case <-flushC:
+			if !s.crashed {
+				s.flushBatches(queries)
+			}
+			queries = !queries
+			flush.Reset(s.n.cfg.BatchInterval / 2)
+		case <-s.rephase:
+			queries = false
+			flush.Reset(slot())
 		}
 		s.flushOutbox()
 	}
@@ -208,39 +247,6 @@ func (s *shard) handle(ev nodeEvent) {
 			return
 		}
 		s.startQuery(ev.key, []*queryOp{ev.query})
-	case evTimeout:
-		if s.crashed {
-			return
-		}
-		if _, live := s.timers[ev.key][ev.reqID]; live {
-			if rep, ok := s.replicas[ev.key]; ok {
-				s.markDirty(ev.key)
-				rep.Retransmit(ev.reqID)
-				s.armTimer(ev.key, ev.reqID)
-			}
-		}
-	case evFlush:
-		// A stale generation is a superseded cadence: the membership
-		// changed and startFlushChain began a new chain with this node's
-		// new slot in the window. Dropping the event (instead of re-arming)
-		// is what terminates the old chain.
-		if ev.gen != s.n.flushGen.Load() {
-			return
-		}
-		if !s.crashed {
-			s.flushBatches(ev.queries)
-		}
-		// The update and query batches alternate, each flushing every
-		// BatchInterval but offset by half a window. Flushing them at the
-		// same instant would make every batched query collide with its own
-		// node's MERGE broadcast and forfeit the fast path that batching
-		// exists to enable (§3.6).
-		if s.n.cfg.BatchInterval > 0 {
-			next := !ev.queries
-			s.flushTimer = time.AfterFunc(s.n.cfg.BatchInterval/2, func() {
-				s.post(nodeEvent{kind: evFlush, queries: next, gen: ev.gen})
-			})
-		}
 	case evReconfig:
 		s.startReconfigure(ev.reconfig)
 	case evSetCrashed:
@@ -284,7 +290,7 @@ func (s *shard) startUpdate(key string, ops []*updateOp) {
 	// The completion is deferred to the flush's notify phase: on a
 	// durable node the client must not observe success before the local
 	// snapshot covering the update has hit disk.
-	reqID, err := rep.SubmitUpdate(combined, func(stats core.UpdateStats, err error) {
+	_, err = rep.SubmitUpdate(combined, func(stats core.UpdateStats, err error) {
 		s.notify = append(s.notify, keyedNotify{key: key, fn: func() {
 			for _, op := range ops {
 				op.done <- updateResult{stats: stats, err: err}
@@ -295,10 +301,6 @@ func (s *shard) startUpdate(key string, ops []*updateOp) {
 		for _, op := range ops {
 			op.done <- updateResult{err: err}
 		}
-		return
-	}
-	if rep.Pending(reqID) {
-		s.armTimer(key, reqID)
 	}
 }
 
@@ -310,16 +312,13 @@ func (s *shard) startQuery(key string, ops []*queryOp) {
 		}
 		return
 	}
-	reqID := rep.SubmitQuery(func(st crdt.State, stats core.QueryStats, err error) {
+	rep.SubmitQuery(func(st crdt.State, stats core.QueryStats, err error) {
 		s.notify = append(s.notify, keyedNotify{key: key, fn: func() {
 			for _, op := range ops {
 				op.done <- queryResult{state: st, stats: stats, err: err}
 			}
 		}})
 	})
-	if rep.Pending(reqID) {
-		s.armTimer(key, reqID)
-	}
 }
 
 // reconfigAgg aggregates one shard's per-key reconfiguration outcomes.
@@ -355,7 +354,7 @@ func (a *reconfigAgg) maybeFinish() {
 // moved past), in sorted key order for determinism. Each key runs its own
 // reconfiguration round (configuration is per-key state); the shard
 // reports once, when all of them have committed or failed. Lost RECONFIGs
-// are re-driven by the same retransmit timers as any other request.
+// are re-driven by the retransmit tick like any other request.
 func (s *shard) startReconfigure(op *reconfigOp) {
 	if s.crashed {
 		op.done <- ErrUnavailable
@@ -375,10 +374,9 @@ func (s *shard) startReconfigure(op *reconfigOp) {
 		rep := s.replicas[key]
 		s.markDirty(key)
 		agg.pending++
-		reqID, err := rep.SubmitReconfigure(op.members, func(err error) {
+		if _, err := rep.SubmitReconfigure(op.members, func(err error) {
 			agg.settle(err)
-		})
-		if err != nil {
+		}); err != nil {
 			agg.pending--
 			agg.errs = append(agg.errs, fmt.Errorf("key %q: %w", key, err))
 			continue
@@ -387,9 +385,6 @@ func (s *shard) startReconfigure(op *reconfigOp) {
 		// submission; surface it to the node view right away so keys
 		// instantiated during the round already use the new member set.
 		s.n.noteConfig(rep.ConfigState())
-		if rep.Pending(reqID) {
-			s.armTimer(key, reqID)
-		}
 	}
 	agg.submitted = true
 	agg.maybeFinish()
@@ -412,38 +407,6 @@ func (s *shard) flushBatches(queries bool) {
 	}
 }
 
-func (s *shard) armTimer(key string, reqID uint64) {
-	s.disarmTimer(key, reqID)
-	byReq, ok := s.timers[key]
-	if !ok {
-		byReq = make(map[uint64]*time.Timer)
-		s.timers[key] = byReq
-	}
-	byReq[reqID] = time.AfterFunc(s.n.cfg.RetransmitInterval, func() {
-		s.post(nodeEvent{kind: evTimeout, key: key, reqID: reqID})
-	})
-}
-
-func (s *shard) disarmTimer(key string, reqID uint64) {
-	if t, ok := s.timers[key][reqID]; ok {
-		t.Stop()
-		delete(s.timers[key], reqID)
-		if len(s.timers[key]) == 0 {
-			delete(s.timers, key)
-		}
-	}
-}
-
-// disarmCompleted disarms key's timers whose requests are no longer
-// pending at rep.
-func (s *shard) disarmCompleted(key string, rep *core.Replica) {
-	for reqID := range s.timers[key] {
-		if !rep.Pending(reqID) {
-			s.disarmTimer(key, reqID)
-		}
-	}
-}
-
 func (s *shard) clearDirty() {
 	for _, key := range s.dirty {
 		delete(s.dirtySet, key)
@@ -454,14 +417,9 @@ func (s *shard) clearDirty() {
 // failEverything aborts in-flight and batched requests upon crash; their
 // callers receive ErrAborted / ErrUnavailable.
 func (s *shard) failEverything() {
-	for key, byReq := range s.timers {
-		rep := s.replicas[key]
-		for reqID := range byReq {
-			s.disarmTimer(key, reqID)
-			if rep != nil {
-				rep.Abort(reqID)
-			}
-		}
+	for key := range s.busy {
+		s.replicas[key].AbortAll()
+		delete(s.busy, key)
 	}
 	for key, ops := range s.batchUpdates {
 		delete(s.batchUpdates, key)
@@ -521,13 +479,6 @@ func (s *shard) restartPrep() error {
 		return err
 	}
 	s.failEverything()
-	for key, byReq := range s.timers {
-		for reqID, t := range byReq {
-			t.Stop()
-			delete(byReq, reqID)
-		}
-		delete(s.timers, key)
-	}
 	// The aborts above carry errors, not acknowledgements — nothing about
 	// them needs to be durable, so they bypass the (now empty) pipeline.
 	for _, kn := range s.notify {
@@ -562,17 +513,4 @@ func (s *shard) restore(snaps []persist.KeySnapshot) error {
 	}
 	s.crashed = false
 	return nil
-}
-
-func (s *shard) shutdown() {
-	if s.flushTimer != nil {
-		s.flushTimer.Stop()
-	}
-	for key, byReq := range s.timers {
-		for reqID, t := range byReq {
-			t.Stop()
-			delete(byReq, reqID)
-		}
-		delete(s.timers, key)
-	}
 }

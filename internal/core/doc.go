@@ -12,7 +12,7 @@
 // itself is a single round — no command log, no leader.
 //
 // One file per role: replica.go holds the Replica struct, its constructors,
-// Deliver dispatch, the outbox and Abort; update.go the update proposer;
+// Deliver dispatch, the outbox and AbortAll; update.go the update proposer;
 // query.go the query proposer (its phase table is docs/PROTOCOL.md §1.4);
 // lease.go the round lease; retransmit.go retransmission; acceptor.go the
 // pure acceptor and its message handlers; reconfig.go membership change;

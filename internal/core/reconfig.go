@@ -154,7 +154,7 @@ func (r *Replica) migrateInFlight() {
 	// longer in the group no longer count, ones already gathered from
 	// staying members still do. An update that now has its quorum
 	// completes; one that needs more is re-driven by retransmission
-	// (Retransmit sends full-state MERGEs to every unacked current peer,
+	// (retransmit sends full-state MERGEs to every unacked current peer,
 	// including members that just joined).
 	for _, id := range r.inFlightIDs() {
 		req, ok := r.updates[id]

@@ -291,16 +291,16 @@ func TestReconfigureRetransmitCoversLoss(t *testing.T) {
 	if committed {
 		t.Fatal("committed without any remote ack")
 	}
-	if !r1.Pending(id) {
+	if r1.InFlight() != 1 {
 		t.Fatal("reconfiguration should still be pending")
 	}
-	r1.Retransmit(id)
+	r1.retransmit(id)
 	nw.pump()
 	nw.drain()
 	if !committed {
 		t.Fatal("retransmitted reconfiguration did not commit")
 	}
-	if r1.Pending(id) {
+	if r1.InFlight() != 0 {
 		t.Fatal("committed reconfiguration still pending")
 	}
 }
@@ -315,7 +315,7 @@ func TestReconfigureAbort(t *testing.T) {
 	}
 	nw.pump()
 	nw.drop(ofType(msgReconfig))
-	r1.Abort(id)
+	r1.abort(id)
 	if !errors.Is(got, ErrAborted) {
 		t.Fatalf("aborted reconfiguration: err = %v, want ErrAborted", got)
 	}

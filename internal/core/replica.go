@@ -33,7 +33,7 @@ type Envelope struct {
 }
 
 // ErrAborted is reported to completion callbacks when a request is
-// abandoned by Abort (e.g. client timeout or node shutdown).
+// abandoned by AbortAll (its node crashed).
 var ErrAborted = errors.New("core: request aborted")
 
 // Replica is one protocol participant implementing both roles of
@@ -68,6 +68,7 @@ type Replica struct {
 
 	nextReq  uint64
 	reqCeil  uint64 // request IDs up to here are reserved durably (see newReqID)
+	tickMark uint64 // nextReq at the previous Tick
 	nextSeq  uint64
 	version  uint64 // the proposer's durable transitions (see StateVersion)
 	updates  map[uint64]*updateReq
@@ -265,17 +266,6 @@ func (r *Replica) InFlight() int {
 	return n
 }
 
-// Pending reports whether the given request is still in flight.
-func (r *Replica) Pending(reqID uint64) bool {
-	if _, ok := r.updates[reqID]; ok {
-		return true
-	}
-	if _, ok := r.queries[reqID]; ok {
-		return true
-	}
-	return r.reconfig != nil && r.reconfig.id == reqID
-}
-
 func (r *Replica) send(to transport.NodeID, m *message) {
 	r.sendAll([]transport.NodeID{to}, m)
 }
@@ -367,10 +357,18 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte) {
 	}
 }
 
-// Abort abandons an in-flight request; its completion callback fires with
-// ErrAborted. Aborting an unknown (e.g. already completed) request is a
-// no-op.
-func (r *Replica) Abort(reqID uint64) {
+// AbortAll abandons every in-flight request, as on a crash: each
+// completion callback fires once, with ErrAborted.
+func (r *Replica) AbortAll() {
+	for _, id := range r.inFlightIDs() {
+		r.abort(id)
+	}
+}
+
+// abort abandons one in-flight request; its completion callback fires
+// with ErrAborted. Aborting an unknown (e.g. already completed) request
+// is a no-op.
+func (r *Replica) abort(reqID uint64) {
 	if req, ok := r.updates[reqID]; ok {
 		// The client gives up, but the payload must still reach every peer.
 		r.retire(req, len(req.acked))

@@ -592,14 +592,14 @@ func TestRetransmitUpdateAfterLoss(t *testing.T) {
 	if done {
 		t.Fatal("update completed with no acks")
 	}
-	r1.Retransmit(id)
+	r1.retransmit(id)
 	nw.pump()
 	nw.drain()
 	if !done {
 		t.Fatal("retransmit did not complete the update")
 	}
-	// Retransmit of a completed request is a no-op.
-	r1.Retransmit(id)
+	// retransmit of a completed request is a no-op.
+	r1.retransmit(id)
 	nw.pump()
 	if len(nw.pool) != 0 {
 		t.Fatal("retransmit of completed request produced messages")
@@ -618,7 +618,7 @@ func TestRetransmitQueryAfterLoss(t *testing.T) {
 	})
 	nw.pump()
 	nw.drop(func(env) bool { return true }) // all PREPAREs lost
-	r1.Retransmit(id)
+	r1.retransmit(id)
 	nw.pump()
 	nw.drain()
 	if got == nil {
@@ -632,7 +632,7 @@ func TestAbortQuery(t *testing.T) {
 	var gotErr error
 	id := r1.SubmitQuery(func(s crdt.State, st QueryStats, err error) { gotErr = err })
 	nw.pump()
-	r1.Abort(id)
+	r1.abort(id)
 	if !errors.Is(gotErr, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", gotErr)
 	}
@@ -655,11 +655,108 @@ func TestAbortUpdate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1.Abort(id)
+	r1.abort(id)
 	if !errors.Is(gotErr, ErrAborted) {
 		t.Fatalf("err = %v, want ErrAborted", gotErr)
 	}
-	r1.Abort(9999) // unknown: no-op
+	r1.abort(9999) // unknown: no-op
+}
+
+// TestTickRedrivesRequestsOlderThanOneTick pins Tick's contract for each
+// kind of request: one submitted since the previous Tick is never re-sent,
+// an older one is re-sent on every Tick until it completes, and a
+// completed one never is.
+func TestTickRedrivesRequestsOlderThanOneTick(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		typ    msgType // what the request sends to each peer
+		submit func(r *Replica, done func()) error
+	}{
+		{"update", msgMerge, func(r *Replica, done func()) error {
+			_, err := r.SubmitUpdate(incAt(r), func(UpdateStats, error) { done() })
+			return err
+		}},
+		{"query", msgPrepare, func(r *Replica, done func()) error {
+			r.SubmitQuery(func(crdt.State, QueryStats, error) { done() })
+			return nil
+		}},
+		{"reconfig", msgReconfig, func(r *Replica, done func()) error {
+			_, err := r.SubmitReconfigure(members("n1", "n2", "n3"), func(error) { done() })
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			nw := newNet(t, 3, DefaultOptions())
+			r1 := nw.reps["n1"]
+			r1.Tick()
+			completions := 0
+			if err := tc.submit(r1, func() { completions++ }); err != nil {
+				t.Fatal(err)
+			}
+			nw.pump()
+			if n := nw.drop(ofType(tc.typ)); n != 2 {
+				t.Fatalf("submission sent %d messages, want 2", n)
+			}
+			r1.Tick()
+			nw.pump()
+			if len(nw.pool) != 0 {
+				t.Fatalf("a request younger than one Tick was re-sent: %d messages", len(nw.pool))
+			}
+			for i := 1; i <= 3; i++ {
+				r1.Tick()
+				nw.pump()
+				if n := nw.drop(ofType(tc.typ)); n != 2 || len(nw.pool) != 0 {
+					t.Fatalf("Tick %d re-sent %d messages (%d others), want 2", i, n, len(nw.pool))
+				}
+			}
+			r1.Tick()
+			nw.pump()
+			nw.drain()
+			if completions != 1 {
+				t.Fatalf("%d completions after a delivered re-drive, want 1", completions)
+			}
+			r1.Tick()
+			r1.Tick()
+			nw.pump()
+			if len(nw.pool) != 0 {
+				t.Fatalf("a completed request was re-sent: %d messages", len(nw.pool))
+			}
+		})
+	}
+}
+
+// TestAbortAllFiresEachCallbackOnce: a crash aborts every kind of
+// in-flight request, each completion fires exactly once with ErrAborted,
+// and neither a second AbortAll nor the late replies fire any again.
+func TestAbortAllFiresEachCallbackOnce(t *testing.T) {
+	nw := newNet(t, 3, DefaultOptions())
+	r1 := nw.reps["n1"]
+	got := map[string][]error{}
+	if _, err := r1.SubmitUpdate(incAt(r1), func(_ UpdateStats, err error) {
+		got["update"] = append(got["update"], err)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	r1.SubmitQuery(func(_ crdt.State, _ QueryStats, err error) {
+		got["query"] = append(got["query"], err)
+	})
+	if _, err := r1.SubmitReconfigure(members("n1", "n2", "n3"), func(err error) {
+		got["reconfig"] = append(got["reconfig"], err)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	r1.AbortAll()
+	if r1.InFlight() != 0 {
+		t.Fatalf("%d requests in flight after AbortAll", r1.InFlight())
+	}
+	r1.AbortAll()
+	nw.drain()
+	for _, kind := range []string{"update", "query", "reconfig"} {
+		if errs := got[kind]; len(errs) != 1 || !errors.Is(errs[0], ErrAborted) {
+			t.Errorf("%s completions = %v, want one ErrAborted", kind, errs)
+		}
+	}
 }
 
 func TestQuerySurvivesMinorityCrash(t *testing.T) {

@@ -2,8 +2,7 @@ package core
 
 import "sort"
 
-// Retransmit re-drives an in-flight request after a runtime timeout,
-// covering message loss. Updates re-broadcast MERGE to acceptors that have
+// retransmit re-drives an in-flight request, covering message loss. Updates re-broadcast MERGE to acceptors that have
 // not acknowledged (idempotent: merge is) — always as the full payload,
 // since a lost digest or delta frame is indistinguishable from a receiver
 // that could not use it. Queries re-send the current attempt's outstanding
@@ -11,7 +10,7 @@ import "sort"
 // is not burned, and no retry is recorded — re-delivery is idempotent at
 // the acceptor, and an acceptor that moved on answers NACK, which drives
 // the normal retry machinery.
-func (r *Replica) Retransmit(reqID uint64) {
+func (r *Replica) retransmit(reqID uint64) {
 	if req, ok := r.updates[reqID]; ok {
 		m := req.fullMerge()
 		for _, p := range r.peers {
@@ -70,12 +69,28 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 	}
 }
 
-// RetransmitAll re-drives every in-flight request in request-ID order.
-// Deterministic runtimes (the interleaving checker) use it in place of
-// per-request timers when the network goes quiescent under loss.
+// Tick is the runtime's retransmit clock: it re-drives every request
+// already in flight at the previous Tick, in request-ID order, so a
+// request is first re-driven one to two tick intervals after it was sent,
+// then every interval. IDs only grow (newReqID), so the last ID issued
+// before the previous Tick marks which requests those are.
+func (r *Replica) Tick() {
+	mark := r.tickMark
+	r.tickMark = r.nextReq
+	for _, id := range r.inFlightIDs() {
+		if id <= mark {
+			r.retransmit(id)
+		}
+	}
+}
+
+// RetransmitAll re-drives every in-flight request in request-ID order,
+// however young. Deterministic runtimes (the interleaving checker, the
+// shootout Sim) use it in place of Tick when the network goes quiescent
+// under loss.
 func (r *Replica) RetransmitAll() {
 	for _, id := range r.inFlightIDs() {
-		r.Retransmit(id)
+		r.retransmit(id)
 	}
 }
 

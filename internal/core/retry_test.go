@@ -85,7 +85,7 @@ func TestRetransmitQueryKeepsAttempt(t *testing.T) {
 	nw.pump()
 	nw.drop(ofType(msgPrepare)) // both broadcast PREPAREs lost
 
-	n1.Retransmit(id)
+	n1.retransmit(id)
 	nw.pump()
 	if n := nw.deliver(ofType(msgPrepare)); n != 2 {
 		t.Fatalf("retransmit re-sent %d PREPAREs, want 2", n)
@@ -131,7 +131,7 @@ func TestRetransmitQueryVotePhase(t *testing.T) {
 	nw.deliver(ofType(msgAck))
 	nw.drop(ofType(msgVote)) // the VOTE broadcast is lost
 
-	n2.Retransmit(id)
+	n2.retransmit(id)
 	nw.pump()
 	if n := nw.deliver(ofType(msgVote)); n == 0 {
 		t.Fatal("retransmit sent no VOTEs")
@@ -154,7 +154,7 @@ func TestRetransmitQueryVotePhase(t *testing.T) {
 // that never answers (crashed or silently partitioned — the proposer
 // cannot tell) is undecidable: re-sending the VOTE cannot help, because
 // the denial stands until the round moves. The retransmit timeout is the
-// only escape, so Retransmit must retry the query instead of re-sending,
+// only escape, so retransmit must retry the query instead of re-sending,
 // or a minority partition wedges every in-flight read forever.
 func TestRetransmitVoteGrace(t *testing.T) {
 	opts := DefaultOptions()
@@ -196,7 +196,7 @@ func TestRetransmitVoteGrace(t *testing.T) {
 		t.Fatal("query decided without a vote quorum")
 	}
 
-	n2.Retransmit(id)
+	n2.retransmit(id)
 	nw.pump()
 	nw.drop(toNode("n1")) // n1 stays silent; the quorum is {n2, n3}
 	nw.drain()
@@ -256,7 +256,7 @@ func TestRetransmitVoteGraceLeased(t *testing.T) {
 		t.Fatal("leased query decided without a vote quorum")
 	}
 
-	n2.Retransmit(id)
+	n2.retransmit(id)
 	nw.pump()
 	nw.drop(toNode("n1"))
 	nw.drain()
@@ -313,7 +313,7 @@ func TestAbortedUpdateStillServesFullPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	nw.pump()
-	n1.Abort(id)
+	n1.abort(id)
 	if !aborted {
 		t.Fatal("abort did not fire the completion")
 	}

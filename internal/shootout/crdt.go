@@ -21,7 +21,9 @@ func CRDTSpec(opts core.Options, batch time.Duration) Spec {
 // crdtBackend races the paper's protocol: per-key log-free core.Replica
 // rounds, multiplexed over one fabric connection per node with the same
 // object-ID envelope cluster.Node uses. A periodic virtual timer drives
-// RetransmitAll for loss recovery, mirroring the node runtime.
+// RetransmitAll for loss recovery: on each tick the Sim re-drives every
+// in-flight request, however young, where the node runtime's Tick
+// re-drives only those already in flight at its previous tick.
 type crdtBackend struct {
 	sim   *Sim
 	opts  core.Options

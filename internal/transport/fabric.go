@@ -34,7 +34,7 @@ type Fabric struct {
 	delayMin time.Duration
 	delayMax time.Duration
 	now      time.Duration
-	stats    Stats
+	dropped  uint64
 	links    linkTable
 }
 
@@ -165,11 +165,11 @@ func (f *Fabric) Step() bool {
 
 		h, ok := f.eps[msg.to]
 		if !ok || f.down[msg.to] || f.down[msg.from] || f.blocks[[2]NodeID{msg.from, msg.to}] {
-			f.stats.Dropped++
+			f.dropped++
 			continue
 		}
 		if f.loss > 0 && f.rng.Float64() < f.loss {
-			f.stats.Dropped++
+			f.dropped++
 			continue
 		}
 		if f.dup > 0 && f.rng.Float64() < f.dup {
@@ -178,8 +178,6 @@ func (f *Fabric) Step() bool {
 			}
 			f.pending = append(f.pending, msg)
 		}
-		f.stats.Delivered++
-		f.stats.Bytes += uint64(len(msg.payload))
 		f.links.delivered(msg.from, msg.to, len(msg.payload))
 		h(msg.from, msg.payload)
 		return true
@@ -209,11 +207,7 @@ func (f *Fabric) Drain(bound int) int {
 }
 
 // Stats returns the fabric's counters.
-func (f *Fabric) Stats() Stats {
-	out := f.stats
-	out.Links = f.links.snapshot()
-	return out
-}
+func (f *Fabric) Stats() Stats { return f.links.stats(f.dropped) }
 
 // FabricConn is a node's endpoint into a Fabric.
 type FabricConn struct {
@@ -231,8 +225,6 @@ func (c *FabricConn) ID() NodeID { return c.id }
 // virtual send instant.
 func (c *FabricConn) Send(to NodeID, payload []byte) {
 	f := c.fabric
-	f.stats.Sent++
-	f.stats.BytesSent += uint64(len(payload))
 	f.links.sent(c.id, to, len(payload))
 	msg := pendingMsg{from: c.id, to: to, payload: payload}
 	if f.delayed {

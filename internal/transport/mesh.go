@@ -27,12 +27,8 @@ type Mesh struct {
 	rngMu sync.Mutex
 	rng   *rand.Rand
 
-	sent      atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	bytes     atomic.Uint64
-	bytesSent atomic.Uint64
-	links     linkTable
+	dropped atomic.Uint64
+	links   linkTable
 }
 
 // meshInbox is the per-endpoint inbound queue length. When an inbox
@@ -158,16 +154,7 @@ func (m *Mesh) Heal() {
 }
 
 // Stats returns the current transport counters.
-func (m *Mesh) Stats() Stats {
-	return Stats{
-		Sent:      m.sent.Load(),
-		Delivered: m.delivered.Load(),
-		Dropped:   m.dropped.Load(),
-		Bytes:     m.bytes.Load(),
-		BytesSent: m.bytesSent.Load(),
-		Links:     m.links.snapshot(),
-	}
-}
+func (m *Mesh) Stats() Stats { return m.links.stats(m.dropped.Load()) }
 
 // Close shuts down every endpoint and waits for delivery goroutines.
 func (m *Mesh) Close() {
@@ -188,8 +175,6 @@ func (m *Mesh) Close() {
 }
 
 func (m *Mesh) route(from, to NodeID, payload []byte) {
-	m.sent.Add(1)
-	m.bytesSent.Add(uint64(len(payload)))
 	m.links.sent(from, to, len(payload))
 	m.mu.RLock()
 	dst, ok := m.eps[to]
@@ -290,8 +275,6 @@ func (c *MeshConn) deliverLoop() {
 		case <-c.quit:
 			return
 		case msg := <-c.inbox:
-			c.mesh.delivered.Add(1)
-			c.mesh.bytes.Add(uint64(len(msg.payload)))
 			c.mesh.links.delivered(msg.from, c.id, len(msg.payload))
 			c.handler(msg.from, msg.payload)
 		}

@@ -31,12 +31,8 @@ type TCP struct {
 	wg     sync.WaitGroup
 	closed sync.Once
 
-	sent      atomic.Uint64
-	delivered atomic.Uint64
-	dropped   atomic.Uint64
-	bytes     atomic.Uint64
-	bytesSent atomic.Uint64
-	links     linkTable
+	dropped atomic.Uint64
+	links   linkTable
 }
 
 var _ Conn = (*TCP)(nil)
@@ -125,8 +121,6 @@ func (t *TCP) ID() NodeID { return t.id }
 // Send implements Conn. Loopback sends are dispatched inline on a separate
 // goroutine to preserve non-blocking semantics.
 func (t *TCP) Send(to NodeID, payload []byte) {
-	t.sent.Add(1)
-	t.bytesSent.Add(uint64(len(payload)))
 	t.links.sent(t.id, to, len(payload))
 	if to == t.id {
 		msg := make([]byte, len(payload))
@@ -137,8 +131,6 @@ func (t *TCP) Send(to NodeID, payload []byte) {
 			select {
 			case <-t.quit:
 			default:
-				t.delivered.Add(1)
-				t.bytes.Add(uint64(len(msg)))
 				t.links.delivered(t.id, t.id, len(msg))
 				t.handler(t.id, msg)
 			}
@@ -158,16 +150,7 @@ func (t *TCP) Send(to NodeID, payload []byte) {
 
 // Stats returns the endpoint's counters. Links covers the links this
 // endpoint terminates: outbound (From == ID) and inbound (To == ID).
-func (t *TCP) Stats() Stats {
-	return Stats{
-		Sent:      t.sent.Load(),
-		Delivered: t.delivered.Load(),
-		Dropped:   t.dropped.Load(),
-		Bytes:     t.bytes.Load(),
-		BytesSent: t.bytesSent.Load(),
-		Links:     t.links.snapshot(),
-	}
-}
+func (t *TCP) Stats() Stats { return t.links.stats(t.dropped.Load()) }
 
 // Close implements Conn: it stops the listener, closes every connection,
 // and waits for reader goroutines to drain.
@@ -323,8 +306,6 @@ func (t *TCP) readLoop(conn net.Conn) {
 			t.learnPeer(from, string(payload[len(helloMagic):]), conn)
 			continue
 		}
-		t.delivered.Add(1)
-		t.bytes.Add(uint64(len(payload)))
 		t.links.delivered(from, t.id, len(payload))
 		t.handler(from, payload)
 	}

@@ -34,7 +34,8 @@ var ErrClosed = errors.New("transport: closed")
 // Stats aggregates transport-level counters, used by the evaluation to
 // report message and byte overhead. All three substrates (Mesh, Fabric,
 // TCP) fill every field, so byte-level comparisons — e.g. the
-// benchmark's wire_bytes_per_op — read identically everywhere.
+// benchmark's wire_bytes_per_op — read identically everywhere. Every
+// total but Dropped is the sum of its column over Links.
 type Stats struct {
 	Sent      uint64 // messages submitted to Send
 	Delivered uint64 // messages handed to handlers
@@ -96,17 +97,23 @@ func (t *linkTable) delivered(from, to NodeID, n int) {
 	c.bytesDelivered.Add(uint64(n))
 }
 
-// snapshot copies the table for a Stats result.
-func (t *linkTable) snapshot() map[Link]LinkStats {
-	out := make(map[Link]LinkStats)
+// stats copies the table into a Stats result, summing the totals over
+// its links. Dropped has no link, so the substrate counts it itself.
+func (t *linkTable) stats(dropped uint64) Stats {
+	out := Stats{Dropped: dropped, Links: make(map[Link]LinkStats)}
 	t.m.Range(func(k, v any) bool {
 		c := v.(*linkCounters)
-		out[k.(Link)] = LinkStats{
+		l := LinkStats{
 			Sent:           c.sent.Load(),
 			Delivered:      c.delivered.Load(),
 			BytesSent:      c.bytesSent.Load(),
 			BytesDelivered: c.bytesDelivered.Load(),
 		}
+		out.Links[k.(Link)] = l
+		out.Sent += l.Sent
+		out.Delivered += l.Delivered
+		out.Bytes += l.BytesDelivered
+		out.BytesSent += l.BytesSent
 		return true
 	})
 	return out

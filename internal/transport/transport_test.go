@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -752,5 +753,96 @@ func TestFabricDelayDuplicationDrawsFreshDeadline(t *testing.T) {
 	}
 	if f.Now() != 2*time.Millisecond {
 		t.Fatalf("duplicate kept the old deadline: clock %v, want 2ms", f.Now())
+	}
+}
+
+// TestStatsTotalsAreLinkSums checks, on every substrate, that each total
+// but Dropped is the sum of its column over Links, and that the totals
+// count what was sent and delivered: a→b three times, b→a twice, one
+// loopback a→a and one send to a peer nobody can reach (counted as sent
+// and dropped).
+func TestStatsTotalsAreLinkSums(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// run sends the traffic and returns every endpoint's Stats once it
+		// is delivered.
+		run func(t *testing.T, send func(Conn, NodeID, int)) []Stats
+	}{
+		{"mesh", func(t *testing.T, send func(Conn, NodeID, int)) []Stats {
+			m := NewMesh()
+			defer m.Close()
+			var got collect
+			a, b := m.Join("a", got.handler), m.Join("b", got.handler)
+			send(a, "b", 3)
+			send(b, "a", 2)
+			send(a, "a", 1)
+			send(a, "nobody", 1)
+			waitFor(t, func() bool { return got.len() == 6 })
+			return []Stats{m.Stats()}
+		}},
+		{"fabric", func(t *testing.T, send func(Conn, NodeID, int)) []Stats {
+			f := NewFabric(1)
+			var got collect
+			a, b := f.Join("a", got.handler), f.Join("b", got.handler)
+			send(a, "b", 3)
+			send(b, "a", 2)
+			send(a, "a", 1)
+			send(a, "nobody", 1)
+			f.Drain(100)
+			return []Stats{f.Stats()}
+		}},
+		{"tcp", func(t *testing.T, send func(Conn, NodeID, int)) []Stats {
+			var gotA, gotB collect
+			b, err := NewTCP("b", "127.0.0.1:0", nil, gotB.handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			a, err := NewTCP("a", "127.0.0.1:0", map[NodeID]string{"b": b.Addr()}, gotA.handler)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer a.Close()
+			send(a, "b", 3)
+			waitFor(t, func() bool { return gotB.len() == 3 }) // b has learned a's address
+			send(b, "a", 2)
+			send(a, "a", 1)
+			send(a, "nobody", 1)
+			waitFor(t, func() bool { return gotA.len() == 3 })
+			return []Stats{a.Stats(), b.Stats()}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var sends, bytes uint64
+			send := func(c Conn, to NodeID, times int) {
+				for i := 0; i < times; i++ {
+					c.Send(to, make([]byte, 10+i))
+					sends++
+					bytes += uint64(10 + i)
+				}
+			}
+			var sum Stats
+			for _, st := range tc.run(t, send) {
+				var links Stats
+				for _, l := range st.Links {
+					links.Sent += l.Sent
+					links.Delivered += l.Delivered
+					links.Bytes += l.BytesDelivered
+					links.BytesSent += l.BytesSent
+				}
+				links.Dropped, links.Links = st.Dropped, st.Links
+				if !reflect.DeepEqual(st, links) {
+					t.Errorf("totals %+v, want the link sums %+v", st, links)
+				}
+				sum.Sent += st.Sent
+				sum.Delivered += st.Delivered
+				sum.Dropped += st.Dropped
+				sum.BytesSent += st.BytesSent
+			}
+			if sum.Sent != sends || sum.BytesSent != bytes || sum.Delivered != 6 || sum.Dropped != 1 {
+				t.Errorf("sent %d (%d B), delivered %d, dropped %d; want %d (%d B), 6, 1",
+					sum.Sent, sum.BytesSent, sum.Delivered, sum.Dropped, sends, bytes)
+			}
+		})
 	}
 }
