@@ -49,14 +49,15 @@ package crdtsmr
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"crdtsmr/internal/cluster"
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
+	"crdtsmr/internal/wire"
 )
 
 // Re-exported core types, so downstream code only imports this package.
@@ -136,10 +137,6 @@ type Cluster struct {
 	mesh  *transport.Mesh
 	clust *cluster.Cluster
 	ids   []NodeID
-	// seq numbers the or-set add tags of every handle. Like the server's,
-	// it is seeded from the wall clock, so tags of different clusters
-	// differ too.
-	seq atomic.Uint64
 }
 
 // NewLocalCluster starts n replicas in this process connected by an
@@ -174,9 +171,7 @@ func NewLocalCluster(n int, initial State, opts ...Option) (*Cluster, error) {
 		mesh.Close()
 		return nil, err
 	}
-	c := &Cluster{mesh: mesh, clust: clust, ids: ids}
-	c.seq.Store(uint64(time.Now().UnixNano()))
-	return c, nil
+	return &Cluster{mesh: mesh, clust: clust, ids: ids}, nil
 }
 
 // NodeIDs returns the replica IDs in order.
@@ -253,6 +248,21 @@ func (o *Object) Update(ctx context.Context, at NodeID, fu Update) error {
 	return err
 }
 
+// mutate builds the named mutation of a typed handle at the named replica
+// (cluster.Node.Mutation, the one mutation table) and applies it.
+func (o *Object) mutate(ctx context.Context, at NodeID, crdtType, mutation string, operand []byte) error {
+	n, err := o.c.node(at)
+	if err != nil {
+		return err
+	}
+	fu, _, err := n.Mutation(ctx, o.key, crdtType, mutation, [][]byte{operand})
+	if err != nil {
+		return err
+	}
+	_, err = n.UpdateKey(ctx, o.key, fu)
+	return err
+}
+
 // Query learns a linearizable state of this object at the named replica.
 func (o *Object) Query(ctx context.Context, at NodeID) (State, QueryStats, error) {
 	n, err := o.c.node(at)
@@ -295,14 +305,7 @@ type Counter struct {
 
 // Inc increments the counter by n.
 func (h *Counter) Inc(ctx context.Context, n uint64) error {
-	slot := string(h.at)
-	return h.obj.Update(ctx, h.at, func(s State) (State, error) {
-		g, ok := s.(*GCounter)
-		if !ok {
-			return nil, fmt.Errorf("crdtsmr: payload of %q is %T, not a G-Counter", h.obj.key, s)
-		}
-		return g.Inc(slot, n), nil
-	})
+	return h.obj.mutate(ctx, h.at, crdt.TypeGCounter, wire.MutInc, binary.AppendUvarint(nil, n))
 }
 
 // Value reads the counter.
@@ -331,18 +334,11 @@ type Set struct {
 }
 
 // Add inserts an element (add-wins on concurrent removal). Its tag is the
-// replica ID and a number from the cluster's counter, unique across every
-// handle, so a re-add after a remove is never hidden by the remove's
-// tombstones.
+// replica ID and a number from that replica's tag counter, the one its
+// network server uses too, so a re-add after a remove is never hidden by
+// the remove's tombstones.
 func (h *Set) Add(ctx context.Context, element string) error {
-	seq := h.obj.c.seq.Add(1)
-	return h.obj.Update(ctx, h.at, func(s State) (State, error) {
-		set, ok := s.(*ORSet)
-		if !ok {
-			return nil, fmt.Errorf("crdtsmr: payload of %q is %T, not an OR-Set", h.obj.key, s)
-		}
-		return set.Add(element, string(h.at), seq), nil
-	})
+	return h.obj.mutate(ctx, h.at, crdt.TypeORSet, wire.MutAdd, []byte(element))
 }
 
 // Remove deletes the element's observed additions. It observes first: the
@@ -351,22 +347,7 @@ func (h *Set) Add(ctx context.Context, element string) error {
 // removes what that saw. A remove therefore costs one more round trip than
 // an add.
 func (h *Set) Remove(ctx context.Context, element string) error {
-	learned, _, err := h.obj.Query(ctx, h.at)
-	if err != nil {
-		return err
-	}
-	observed, ok := learned.(*ORSet)
-	if !ok {
-		return fmt.Errorf("crdtsmr: payload of %q is %T, not an OR-Set", h.obj.key, learned)
-	}
-	removed := observed.Remove(element)
-	return h.obj.Update(ctx, h.at, func(s State) (State, error) {
-		merged, err := s.Merge(removed)
-		if err != nil {
-			return nil, fmt.Errorf("crdtsmr: payload of %q is %T, not an OR-Set", h.obj.key, s)
-		}
-		return merged.(*ORSet).Remove(element), nil
-	})
+	return h.obj.mutate(ctx, h.at, crdt.TypeORSet, wire.MutRemove, []byte(element))
 }
 
 // Elements reads the membership, linearizably.
@@ -391,15 +372,7 @@ type Register struct {
 // Store writes the register. Concurrent writes resolve last-writer-wins by
 // wall-clock timestamp with the replica ID as tie-breaker.
 func (h *Register) Store(ctx context.Context, value string) error {
-	ts := uint64(time.Now().UnixNano())
-	actor := string(h.at)
-	return h.obj.Update(ctx, h.at, func(s State) (State, error) {
-		reg, ok := s.(*LWWRegister)
-		if !ok {
-			return nil, fmt.Errorf("crdtsmr: payload of %q is %T, not an LWW-Register", h.obj.key, s)
-		}
-		return reg.Set(value, ts, actor), nil
-	})
+	return h.obj.mutate(ctx, h.at, crdt.TypeLWWRegister, wire.MutSet, []byte(value))
 }
 
 // Load reads the register, linearizably. ok is false if the register was

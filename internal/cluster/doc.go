@@ -20,7 +20,10 @@
 // routes them to the right instance. Replicas are instantiated lazily on
 // first touch — locally by a command, remotely by the first inbound
 // message for the key. Node.UpdateKey and Node.QueryKey are the keyed
-// store's whole API. Cluster starts n nodes over one in-process Mesh for
+// store's whole API. Node.Mutation is the one mutation table: it turns a
+// named mutation ("inc", "add", ...) into the update function a front
+// end then submits, for the network server and the crdtsmr facade alike,
+// and it owns the node's one or-set tag counter. Cluster starts n nodes over one in-process Mesh for
 // the crdtsmr facade and the tests; the daemon (cmd/crdtsmrd), the
 // benchmark and examples/netcluster start each node with NewNode.
 //

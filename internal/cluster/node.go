@@ -195,6 +195,10 @@ type Node struct {
 	// RecoverIgnoreCorrupt, across startup and every Restart. Written at
 	// startup and from Restart's caller goroutine, hence atomic.
 	skippedSnaps atomic.Uint64
+	// seq numbers the or-set add tags this node builds (Mutation), for
+	// the server and the facade alike. It is seeded from the wall clock,
+	// so tags stay unique across restarts of the same replica ID.
+	seq atomic.Uint64
 }
 
 // keyedNotify is one deferred client completion, tagged with the object
@@ -275,6 +279,7 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 		cfg:  cfg,
 		quit: make(chan struct{}),
 	}
+	n.seq.Store(uint64(time.Now().UnixNano()))
 	if !cfg.Joining {
 		n.curCfg = core.Config{Members: append([]transport.NodeID(nil), cfg.Members...)}
 	}

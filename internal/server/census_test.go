@@ -13,7 +13,8 @@ import (
 )
 
 // TestEveryRegisteredTypeIsServed is the type census: a payload type is
-// registered only if the mutation table can change it. A type added to the
+// registered only if the mutation table (cluster.Node.Mutation) can change
+// it. A type added to the
 // codec registry without a served mutation, or a served type dropped from
 // it, fails here.
 func TestEveryRegisteredTypeIsServed(t *testing.T) {
@@ -33,8 +34,7 @@ func TestEveryRegisteredTypeIsServed(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cl.Close()
-	s := New(cl.Node("n1"), Options{})
-	defer s.Close()
+	node := cl.Node("n1")
 
 	// Remove comes last: it is the one mutation that queries before it
 	// writes, and every type that has it has add as well.
@@ -43,8 +43,7 @@ func TestEveryRegisteredTypeIsServed(t *testing.T) {
 	for _, name := range crdt.Names() {
 		served := false
 		for _, mut := range mutations {
-			req := &wire.Request{Key: name + "/census", CRDTType: name, Mutation: mut, Args: [][]byte{operand}}
-			if _, _, err := s.updateFor(context.Background(), req); err == nil {
+			if _, _, err := node.Mutation(context.Background(), name+"/census", name, mut, [][]byte{operand}); err == nil {
 				served = true
 				break
 			}

@@ -14,9 +14,10 @@
 // declared CRDT type rather than as opaque functions: the update
 // functions of the replication protocol are Go closures applied at the
 // local replica (they never cross the replica wire, §3.2 of the paper),
-// so the client protocol names them and the server builds the closure.
-// The mutation table lives in ops.go; docs/PROTOCOL.md lists the
-// supported mutations per payload type.
+// so the client protocol names them and the node builds the closure.
+// The mutation table is cluster.Node.Mutation, shared with the crdtsmr
+// facade's typed handles; docs/PROTOCOL.md lists the supported mutations
+// per payload type.
 //
 // Every response carries a status that tells the client whether a failed
 // operation is safe to retry elsewhere: StatusUnavailable means the

@@ -98,10 +98,6 @@ type Server struct {
 	closed sync.Once
 	wg     sync.WaitGroup
 
-	// seq feeds observed-remove add tags; seeded from the wall clock so
-	// tags stay unique across server restarts of the same replica ID.
-	seq atomic.Uint64
-
 	served atomic.Uint64 // requests answered, all statuses
 
 	inflight     atomic.Int64  // requests executing across all connections
@@ -125,7 +121,6 @@ func New(node *cluster.Node, opts Options) *Server {
 	for id, addr := range opts.MemberAddrs {
 		s.memberAddrs[id] = addr
 	}
-	s.seq.Store(uint64(time.Now().UnixNano()))
 	return s
 }
 
@@ -380,7 +375,7 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 
 	switch req.Op {
 	case wire.OpUpdate:
-		fu, observeRTTs, err := s.updateFor(ctx, req)
+		fu, observeRTTs, err := s.node.Mutation(ctx, req.Key, req.CRDTType, req.Mutation, req.Args)
 		if err != nil {
 			return fail(resp, err, true) // nothing submitted yet
 		}
@@ -505,6 +500,16 @@ func (s *Server) handleAdmin(ctx context.Context, req *wire.Request, resp *wire.
 	return resp
 }
 
+// errBadRequest marks a malformed admin command, answered
+// StatusBadRequest like a malformed mutation (cluster.ErrBadMutation).
+type errBadRequest struct{ msg string }
+
+func (e errBadRequest) Error() string { return e.msg }
+
+func badRequestf(format string, args ...any) error {
+	return errBadRequest{msg: fmt.Sprintf(format, args...)}
+}
+
 // membersPayload encodes the node's current configuration: the epoch,
 // then each member's ID and client-facing address (empty when the
 // registry has none).
@@ -556,7 +561,7 @@ func fail(resp *wire.Response, err error, readOnly bool) *wire.Response {
 		} else {
 			resp.Status = wire.StatusUncertain
 		}
-	case errors.As(err, &bad):
+	case errors.Is(err, cluster.ErrBadMutation), errors.As(err, &bad):
 		resp.Status = wire.StatusBadRequest
 	default:
 		resp.Status = wire.StatusError

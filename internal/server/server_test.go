@@ -361,13 +361,13 @@ func TestServeInFlightLimits(t *testing.T) {
 	for id := uint64(1); id <= 4; id++ {
 		sendRaw(t, ncA, incReq(id, "hits"))
 	}
-	time.Sleep(200 * time.Millisecond) // let A's first two enter execution
+	waitInFlight(t, servers[0], 2) // A's first two are executing
 
 	// Connection B: its first update takes the last server-wide slot; the
 	// second must be shed with StatusBusy echoing its request ID.
 	ncB, brB := dialRaw(t, addrs[0])
 	sendRaw(t, ncB, incReq(10, "hits"))
-	time.Sleep(100 * time.Millisecond)
+	waitInFlight(t, servers[0], 3)
 	sendRaw(t, ncB, incReq(11, "hits"))
 	resp := readRaw(t, ncB, brB, 5*time.Second)
 	if resp.ID != 11 || resp.Status != wire.StatusBusy {
@@ -397,6 +397,62 @@ func TestServeInFlightLimits(t *testing.T) {
 	if resp := readRaw(t, ncB, brB, 20*time.Second); resp.ID != 10 || resp.Status != wire.StatusOK {
 		t.Fatalf("B's admitted update got %+v, want ID 10 OK", resp)
 	}
+}
+
+// waitInFlight waits until exactly want requests execute on s.
+func waitInFlight(t *testing.T, s *server.Server, want int64) {
+	t.Helper()
+	deadline := time.After(10 * time.Second)
+	tick := time.NewTicker(time.Millisecond)
+	defer tick.Stop()
+	for s.InFlight() != want {
+		select {
+		case <-deadline:
+			t.Fatalf("in flight = %d, want %d", s.InFlight(), want)
+		case <-tick.C:
+		}
+	}
+}
+
+// TestUpdateStatusClasses pins the status a failed update is answered
+// with, which is what the client's retry policy keys on. A malformed
+// mutation is StatusBadRequest and a payload of another type StatusError,
+// both terminal. With a majority crashed, an or-set remove fails in its
+// observe query, before anything is submitted, so it is StatusUnavailable;
+// an add times out after submission, so its fate is StatusUncertain.
+func TestUpdateStatusClasses(t *testing.T) {
+	addrs, _, cl, stop := startClusterOpts(t, 3, server.Options{RequestTimeout: 300 * time.Millisecond})
+	defer stop()
+	nc, br := dialRaw(t, addrs[0])
+	var id uint64
+	update := func(key, crdtType, mutation string, args ...[]byte) *wire.Response {
+		t.Helper()
+		id++
+		sendRaw(t, nc, &wire.Request{Op: wire.OpUpdate, ID: id, Key: key, CRDTType: crdtType, Mutation: mutation, Args: args})
+		resp := readRaw(t, nc, br, 10*time.Second)
+		if resp.ID != id {
+			t.Fatalf("response ID %d, want %d", resp.ID, id)
+		}
+		return resp
+	}
+	one := binary.AppendUvarint(nil, 1)
+	check := func(what string, resp *wire.Response, want byte) {
+		t.Helper()
+		if resp.Status != want {
+			t.Errorf("%s: status %d (%s), want %d", what, resp.Status, resp.Msg, want)
+		}
+	}
+
+	check("unknown mutation", update("hits", crdt.TypeGCounter, "frobnicate", one), wire.StatusBadRequest)
+	check("non-uvarint operand", update("hits", crdt.TypeGCounter, wire.MutInc, []byte{0x80}), wire.StatusBadRequest)
+	check("missing operand", update("hits", crdt.TypeGCounter, wire.MutInc), wire.StatusBadRequest)
+	check("mismatched type", update("or-set/s", crdt.TypeGCounter, wire.MutInc, one), wire.StatusError)
+	check("add", update("or-set/s", crdt.TypeORSet, wire.MutAdd, []byte("x")), wire.StatusOK)
+
+	cl.Crash("n2")
+	cl.Crash("n3")
+	check("remove without a quorum", update("or-set/s", crdt.TypeORSet, wire.MutRemove, []byte("x")), wire.StatusUnavailable)
+	check("add without a quorum", update("or-set/s", crdt.TypeORSet, wire.MutAdd, []byte("y")), wire.StatusUncertain)
 }
 
 // TestServeUnavailable checks the NACK path: a crashed replica's server
