@@ -59,7 +59,9 @@ func (c *Client) update(ctx context.Context, key, crdtType, mutation string, arg
 }
 
 // Query learns a linearizable state of the object stored under key. The
-// payload type must be registered (all built-in types are).
+// payload type must be registered (all built-in types are). An OR-Set's
+// strings share one buffer copied out of the response, which stays alive
+// while any of them does: strings.Clone the few you keep past the state.
 func (c *Client) Query(ctx context.Context, key string) (State, QueryInfo, error) {
 	resp, err := c.do(ctx, &wire.Request{Op: wire.OpQuery, Key: key}, true)
 	if err != nil {
@@ -306,7 +308,8 @@ func (h *Set) Remove(ctx context.Context, element string) error {
 	return h.c.update(ctx, h.key, crdt.TypeORSet, wire.MutRemove, []byte(element))
 }
 
-// Elements reads the membership, linearizably.
+// Elements reads the membership, linearizably. The elements share one
+// buffer, as Query's strings do: strings.Clone the few you keep.
 func (h *Set) Elements(ctx context.Context) ([]string, error) {
 	st, _, err := h.c.Query(ctx, h.key)
 	if err != nil {

@@ -38,9 +38,15 @@ type State interface {
 	// in the codec registry (see Names). It must be constant per type.
 	TypeName() string
 
-	// MarshalBinary encodes the payload in the type's deterministic wire
-	// format. Two equivalent states encode to identical bytes.
-	MarshalBinary() ([]byte, error)
+	// AppendBinary appends the payload's encoding in the type's
+	// deterministic wire format to b (encoding.BinaryAppender). Two
+	// equivalent states encode to identical bytes.
+	AppendBinary(b []byte) ([]byte, error)
+
+	// binaryLen is the exact length of that encoding, so Marshal builds a
+	// frame in one exactly sized buffer. Being unexported, it keeps State
+	// implementable only by this package's fixed table of types.
+	binaryLen() int
 }
 
 // Update is a monotonically non-decreasing update function u with s ⊑ u(s)

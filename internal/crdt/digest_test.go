@@ -89,7 +89,7 @@ func TestEquivalentCountersMarshalIdentically(t *testing.T) {
 	sameBytes(MustMerge(zero, NewGCounter()), MustMerge(NewGCounter(), zero))
 	sameBytes(NewPNCounter().Inc("n1", 0).Dec("n2", 0), NewPNCounter())
 
-	spelled, err := (&GCounter{slots: map[string]uint64{"n1": 0, "n2": 3}}).MarshalBinary()
+	spelled, err := (&GCounter{slots: map[string]uint64{"n1": 0, "n2": 3}}).AppendBinary(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

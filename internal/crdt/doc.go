@@ -11,6 +11,15 @@
 // (see ORSet) — which is safe for exactly as long as nobody writes to a
 // State after building it.
 //
+// Marshal builds a frame in one exactly sized buffer (AppendBinary).
+// Unmarshal never aliases its input: each type copies out what it keeps,
+// and an OR-Set copies its frame out exactly once, into one arena that
+// holds every string of the decoded state. A merge that builds a new union
+// clones whatever it takes from a decoded argument, so a union keeping one
+// entry does not pin the rest of the frame; a union shares a decoded
+// receiver's strings, since it keeps all of its elements, and a merge that
+// returns the decoded state itself keeps the arena, all of which it uses.
+//
 // The package ships exactly the four types the server serves: the G-Counter
 // of the paper's Algorithm 1, the PN-Counter, the OR-Set and the
 // LWW-Register. A type is registered only if a served mutation can change

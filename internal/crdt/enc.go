@@ -16,15 +16,11 @@ import (
 
 var errTruncated = errors.New("crdt: truncated payload")
 
+// encBuf appends an encoding to b. Encoders size b exactly first (the
+// *Len helpers below), so a frame is built in one buffer, in one pass.
 type encBuf struct {
 	b []byte
 }
-
-func newEncBuf(sizeHint int) *encBuf {
-	return &encBuf{b: make([]byte, 0, sizeHint)}
-}
-
-func (e *encBuf) bytes() []byte { return e.b }
 
 func (e *encBuf) uvarint(v uint64) {
 	e.b = binary.AppendUvarint(e.b, v)
@@ -33,11 +29,6 @@ func (e *encBuf) uvarint(v uint64) {
 func (e *encBuf) str(s string) {
 	e.uvarint(uint64(len(s)))
 	e.b = append(e.b, s...)
-}
-
-func (e *encBuf) raw(p []byte) {
-	e.uvarint(uint64(len(p)))
-	e.b = append(e.b, p...)
 }
 
 // strU64Map encodes a map[string]uint64 deterministically.
@@ -59,79 +50,106 @@ func (e *encBuf) strs(xs []string) {
 }
 
 // uvarintLen is the encoded size of a non-negative length or count.
-func uvarintLen(n int) int { return (bits.Len64(uint64(n)|1) + 6) / 7 }
+func uvarintLen(n int) int { return uvarint64Len(uint64(n)) }
+
+// uvarint64Len is the encoded size of v.
+func uvarint64Len(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// strLen is the encoded size of str(s).
+func strLen(s string) int { return uvarintLen(len(s)) + len(s) }
 
 // strsLen is the encoded size of strs(xs).
 func strsLen(xs []string) int {
 	size := uvarintLen(len(xs))
 	for _, x := range xs {
-		size += uvarintLen(len(x)) + len(x)
+		size += strLen(x)
 	}
 	return size
 }
 
+// strU64MapLen is the encoded size of strU64Map(m).
+func strU64MapLen(m map[string]uint64) int {
+	size := uvarintLen(len(m))
+	for k, v := range m {
+		size += strLen(k) + uvarint64Len(v)
+	}
+	return size
+}
+
+// decBuf reads the wire format by index.
 type decBuf struct {
 	b []byte
+	i int // read position in b
+	// arena, when set, is one copy of b: str then returns its substrings
+	// instead of copying each string.
+	arena string
 }
 
 func newDecBuf(p []byte) *decBuf { return &decBuf{b: p} }
 
 func (d *decBuf) done() error {
-	if len(d.b) != 0 {
-		return fmt.Errorf("crdt: %d trailing bytes in payload", len(d.b))
+	if d.i != len(d.b) {
+		return fmt.Errorf("crdt: %d trailing bytes in payload", len(d.b)-d.i)
 	}
 	return nil
 }
 
 func (d *decBuf) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(d.b)
+	v, n := binary.Uvarint(d.b[d.i:])
 	if n <= 0 {
 		return 0, errTruncated
 	}
-	d.b = d.b[n:]
+	d.i += n
 	return v, nil
 }
 
-// count reads the element count of a length-prefixed collection. Every
-// element occupies at least one byte, so a count above the bytes remaining
-// can only come from a truncated or hostile frame; rejecting it here keeps
-// a decoder from sizing an allocation by a number read off the wire.
+// count reads the element count of a length-prefixed collection, or the
+// length of a string. Every element occupies at least one byte, so a count
+// above the bytes remaining can only come from a truncated or hostile
+// frame; rejecting it here keeps a decoder from sizing an allocation by a
+// number read off the wire. A one-byte count, which is every length and
+// count below 128, is read without a call.
 func (d *decBuf) count() (int, error) {
+	if i := d.i; i < len(d.b) && d.b[i] < 0x80 && int(d.b[i]) < len(d.b)-i {
+		d.i++
+		return int(d.b[i]), nil
+	}
+	return d.countLong()
+}
+
+func (d *decBuf) countLong() (int, error) {
 	n, err := d.uvarint()
 	if err != nil {
 		return 0, err
 	}
-	if n > uint64(len(d.b)) {
+	if n > uint64(len(d.b)-d.i) {
 		return 0, errTruncated
 	}
 	return int(n), nil
 }
 
-func (d *decBuf) str() (string, error) {
-	n, err := d.uvarint()
-	if err != nil {
-		return "", err
-	}
-	if uint64(len(d.b)) < n {
-		return "", errTruncated
-	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, nil
-}
-
-func (d *decBuf) raw() ([]byte, error) {
-	n, err := d.uvarint()
+// span reads a length-prefixed byte string. The result aliases the frame.
+func (d *decBuf) span() ([]byte, error) {
+	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(d.b)) < n {
-		return nil, errTruncated
+	d.i += n
+	return d.b[d.i-n : d.i : d.i], nil
+}
+
+// str reads a length-prefixed string: a copy of its own, or in arena mode
+// the arena's substring at the same offset.
+func (d *decBuf) str() (string, error) {
+	n, err := d.count()
+	if err != nil {
+		return "", err
 	}
-	p := make([]byte, n)
-	copy(p, d.b[:n])
-	d.b = d.b[n:]
-	return p, nil
+	d.i += n
+	if d.arena != "" {
+		return d.arena[d.i-n : d.i], nil
+	}
+	return string(d.b[d.i-n : d.i]), nil
 }
 
 // strU64Map decodes a counter slot map. Zero values are dropped: a slot
@@ -160,29 +178,28 @@ func (d *decBuf) strU64Map() (map[string]uint64, error) {
 }
 
 // sortedStrs decodes a string collection into an ascending, duplicate-free
-// slice. Input in any order and with repeats is accepted; only input that is
-// not already strictly ascending is sorted.
-func (d *decBuf) sortedStrs() ([]string, error) {
+// slice carved, capped, from the front of buf, and returns the rest of buf.
+// buf must have room for the collection's count. Input in any order and
+// with repeats is accepted; only input that is not already strictly
+// ascending is sorted.
+func (d *decBuf) sortedStrs(buf []string) (xs, rest []string, err error) {
 	n, err := d.count()
-	if err != nil {
-		return nil, err
+	if err != nil || n == 0 {
+		return nil, buf, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	xs := make([]string, n)
+	xs, rest = buf[:n:n], buf[n:]
 	ascending := true
 	for i := range xs {
 		if xs[i], err = d.str(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		ascending = ascending && (i == 0 || xs[i-1] < xs[i])
 	}
 	if !ascending {
 		slices.Sort(xs)
-		xs = slices.Compact(xs)
+		xs = slices.Clip(slices.Compact(xs))
 	}
-	return xs, nil
+	return xs, rest, nil
 }
 
 func sortedKeys(m map[string]uint64) []string {

@@ -99,12 +99,14 @@ func (c *GCounter) le(o *GCounter) bool {
 // TypeName implements State.
 func (c *GCounter) TypeName() string { return TypeGCounter }
 
-// MarshalBinary implements State.
-func (c *GCounter) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(8 * (len(c.slots) + 1))
+// AppendBinary implements State.
+func (c *GCounter) AppendBinary(b []byte) ([]byte, error) {
+	e := encBuf{b: b}
 	e.strU64Map(c.slots)
-	return e.bytes(), nil
+	return e.b, nil
 }
+
+func (c *GCounter) binaryLen() int { return strU64MapLen(c.slots) }
 
 // UnmarshalBinary implements Unmarshaler.
 func (c *GCounter) UnmarshalBinary(data []byte) error {

@@ -177,10 +177,10 @@ func TestUnmarshalRejectsGarbage(t *testing.T) {
 		t.Fatal("Unmarshal(garbage) succeeded")
 	}
 	// Valid envelope, unregistered type.
-	e := newEncBuf(16)
+	var e encBuf
 	e.str("no-such-type")
-	e.raw(nil)
-	if _, err := Unmarshal(e.bytes()); err == nil {
+	e.str("")
+	if _, err := Unmarshal(e.b); err == nil {
 		t.Fatal("Unmarshal of unregistered type succeeded")
 	}
 	// Truncated payloads of every registered type.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // goldenORSetScript is a fixed add/remove/merge history that touches every
@@ -65,7 +66,8 @@ func TestORSetGoldenBytes(t *testing.T) {
 // TestORSetOperandsImmutable: results share slices with their operands, so
 // the one thing that must never happen is a write through a shared slice.
 // Every operand is marshalled before and after each operation of a random
-// history; the bytes must not move.
+// history; the bytes must not move. Decoded states (one arena each) join the
+// pool too, so merges clone out of arenas as well as share.
 func TestORSetOperandsImmutable(t *testing.T) {
 	r := rand.New(rand.NewSource(22))
 	pool := []*ORSet{NewORSet()}
@@ -74,7 +76,7 @@ func TestORSetOperandsImmutable(t *testing.T) {
 		a, b := pick(), pick()
 		beforeA, beforeB := mustMarshal(t, a), mustMarshal(t, b)
 		var out *ORSet
-		switch op := r.Intn(4); op {
+		switch op := r.Intn(5); op {
 		case 0:
 			out = a.Add(fmt.Sprintf("e%d", r.Intn(12)), fmt.Sprintf("a%d", r.Intn(3)), uint64(r.Intn(40)))
 		case 1:
@@ -92,6 +94,12 @@ func TestORSetOperandsImmutable(t *testing.T) {
 				t.Fatalf("step %d: Delta wrote to its receiver", step)
 			}
 			out = d.(*ORSet)
+		case 4:
+			d, err := Unmarshal(beforeA)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = d.(*ORSet)
 		}
 		if !bytes.Equal(beforeA, mustMarshal(t, a)) || !bytes.Equal(beforeB, mustMarshal(t, b)) {
 			t.Fatalf("step %d: an operand changed under the operation", step)
@@ -106,17 +114,17 @@ func TestORSetOperandsImmutable(t *testing.T) {
 // orsetFrame hand-encodes an or-set frame from entries and tombstones in
 // exactly the order given, which the package's own encoder never does.
 func orsetFrame(entries []orEntry, tombs []string) []byte {
-	e := newEncBuf(64)
+	var e encBuf
 	e.uvarint(uint64(len(entries)))
 	for _, x := range entries {
 		e.str(x.elem)
 		e.strs(x.tags)
 	}
 	e.strs(tombs)
-	out := newEncBuf(64)
+	var out encBuf
 	out.str(TypeORSet)
-	out.raw(e.bytes())
-	return out.bytes()
+	out.str(string(e.b))
+	return out.b
 }
 
 func TestORSetDecodesNonCanonicalInput(t *testing.T) {
@@ -159,10 +167,10 @@ func TestORSetDecodesNonCanonicalInput(t *testing.T) {
 func TestUnmarshalRejectsOversizedCounts(t *testing.T) {
 	huge := []byte{0xff, 0xff, 0xff, 0x7f}
 	frame := func(name string, payload ...[]byte) []byte {
-		e := newEncBuf(32)
+		var e encBuf
 		e.str(name)
-		e.raw(bytes.Join(payload, nil))
-		return e.bytes()
+		e.str(string(bytes.Join(payload, nil)))
+		return e.b
 	}
 	for name, raw := range map[string][]byte{
 		"pn-counter slots":  []byte("\npn-counter\x0e\xff\xff\xff\x7f0000000000"),
@@ -194,6 +202,7 @@ func TestORSetAllocs(t *testing.T) {
 	oneTag := NewORSet().Add("elem-000500x", "n2", 1)
 	grown := s.Add("elem-000500x", "n2", 1)
 	var dominated State = bigORSet(999)
+	frame, deltaFrame := mustMarshal(t, s), mustMarshal(t, oneTag)
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -205,6 +214,10 @@ func TestORSetAllocs(t *testing.T) {
 		{"Merge full state one tag ahead", 4, func() { _, _ = s.Merge(grown) }},
 		{"Merge dominated state", 0, func() { _, _ = s.Merge(dominated) }},
 		{"Merge self", 0, func() { _, _ = s.Merge(s) }},
+		// The state, its type name, one arena, one entry array and one
+		// []string for every tag list: not one allocation per string.
+		{"Unmarshal 1,000-element frame", 8, func() { _, _ = Unmarshal(frame) }},
+		{"Unmarshal one-tag delta frame", 7, func() { _, _ = Unmarshal(deltaFrame) }},
 	} {
 		if got := testing.AllocsPerRun(50, tc.op); got > tc.max {
 			t.Errorf("%s: %.0f allocs/op, want at most %.0f", tc.name, got, tc.max)
@@ -212,6 +225,98 @@ func TestORSetAllocs(t *testing.T) {
 	}
 	if m, _ := s.Merge(dominated); m != State(s) {
 		t.Error("Merge of a dominated state did not return the receiver itself")
+	}
+}
+
+// TestUnmarshalCopiesOut: a decoded state owns its bytes, so the caller may
+// reuse the frame the moment Unmarshal returns (a network read buffer, a
+// file block).
+func TestUnmarshalCopiesOut(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	states := []State{bigORSet(1000)}
+	for _, name := range Names() {
+		states = append(states, generators[name](r))
+	}
+	for _, s := range states {
+		frame := mustMarshal(t, s)
+		want := bytes.Clone(frame)
+		got, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range frame {
+			frame[i] = 0xa5
+		}
+		if raw := mustMarshal(t, got); !bytes.Equal(raw, want) {
+			t.Errorf("%s: overwriting the frame changed the decoded state", s.TypeName())
+		}
+	}
+}
+
+// eachStr calls f on every non-empty string of s.
+func eachStr(s *ORSet, f func(string)) {
+	note := func(x string) {
+		if x != "" {
+			f(x)
+		}
+	}
+	for _, x := range s.adds {
+		note(x.elem)
+		for _, tag := range x.tags {
+			note(tag)
+		}
+	}
+	for _, tomb := range s.tombs {
+		note(tomb)
+	}
+}
+
+func strAddr(x string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(x))) }
+
+// TestORSetMergeDoesNotPinArena: a decoded 1,000-element frame that adds
+// one element merges into a receiver that holds the other 999 and one entry
+// of its own, so neither side dominates. The union keeps one entry of the
+// frame, and must not keep it inside the frame's arena. The other way round
+// the union keeps every element of the decoded receiver, so it shares them
+// and stays marked. A merge that returns the decoded state itself keeps the
+// arena.
+func TestORSetMergeDoesNotPinArena(t *testing.T) {
+	full := bigORSet(1000).Remove("elem-000007")
+	dec, err := Unmarshal(mustMarshal(t, full))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := ^uintptr(0), uintptr(0) // the arena, or the part of it dec's strings span
+	eachStr(dec.(*ORSet), func(x string) {
+		lo, hi = min(lo, strAddr(x)), max(hi, strAddr(x)+uintptr(len(x)))
+	})
+	recv := bigORSet(999).Remove("elem-000007").Add("local", "n2", 1)
+	want := full.Add("local", "n2", 1)
+	m := MustMerge(recv, dec)
+	if eq, err := Equivalent(m, want); err != nil || !eq {
+		t.Fatalf("merge = %v, want %v (err=%v)", m, want, err)
+	}
+	pinned := 0
+	eachStr(m.(*ORSet), func(x string) {
+		if p := strAddr(x); p >= lo && p < hi {
+			pinned++
+		}
+	})
+	if pinned > 0 {
+		t.Errorf("%d strings of the result lie in the decoded frame's arena", pinned)
+	}
+	if m.(*ORSet).arena {
+		t.Error("a union that cloned everything it took from the arena is still marked")
+	}
+	back := MustMerge(dec, recv)
+	if eq, err := Equivalent(back, want); err != nil || !eq {
+		t.Fatalf("reverse merge = %v, want %v (err=%v)", back, want, err)
+	}
+	if !back.(*ORSet).arena {
+		t.Error("a union sharing a decoded receiver's strings is not marked")
+	}
+	if m := MustMerge(bigORSet(999), dec); m != dec {
+		t.Error("a merge the decoded state dominates did not return it")
 	}
 }
 

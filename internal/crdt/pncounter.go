@@ -66,13 +66,15 @@ func (c *PNCounter) le(o *PNCounter) bool { return c.p.le(o.p) && c.n.le(o.n) }
 // TypeName implements State.
 func (c *PNCounter) TypeName() string { return TypePNCounter }
 
-// MarshalBinary implements State.
-func (c *PNCounter) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(16 * (len(c.p.slots) + len(c.n.slots) + 1))
+// AppendBinary implements State.
+func (c *PNCounter) AppendBinary(b []byte) ([]byte, error) {
+	e := encBuf{b: b}
 	e.strU64Map(c.p.slots)
 	e.strU64Map(c.n.slots)
-	return e.bytes(), nil
+	return e.b, nil
 }
+
+func (c *PNCounter) binaryLen() int { return c.p.binaryLen() + c.n.binaryLen() }
 
 // UnmarshalBinary implements Unmarshaler.
 func (c *PNCounter) UnmarshalBinary(data []byte) error {

@@ -77,13 +77,17 @@ func (r *LWWRegister) String() string {
 	return fmt.Sprintf("LWWRegister(%q @%d by %s)", r.val, r.ts, r.actor)
 }
 
-// MarshalBinary implements State.
-func (r *LWWRegister) MarshalBinary() ([]byte, error) {
-	e := newEncBuf(len(r.val) + len(r.actor) + 12)
+// AppendBinary implements State.
+func (r *LWWRegister) AppendBinary(b []byte) ([]byte, error) {
+	e := encBuf{b: b}
 	e.str(r.val)
 	e.uvarint(r.ts)
 	e.str(r.actor)
-	return e.bytes(), nil
+	return e.b, nil
+}
+
+func (r *LWWRegister) binaryLen() int {
+	return strLen(r.val) + uvarint64Len(r.ts) + strLen(r.actor)
 }
 
 // UnmarshalBinary implements Unmarshaler.

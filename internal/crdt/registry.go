@@ -10,8 +10,9 @@ import (
 // Marshal. It is a fixed table of exactly the types the server serves.
 
 // Unmarshaler is implemented by payload types that can decode themselves
-// from the bytes produced by their MarshalBinary. Factories in the registry
-// produce values implementing both State and Unmarshaler.
+// from the bytes produced by their AppendBinary. UnmarshalBinary copies
+// out everything the decoded state keeps: it never aliases data. Factories
+// in the registry produce values implementing both State and Unmarshaler.
 type Unmarshaler interface {
 	UnmarshalBinary(data []byte) error
 }
@@ -55,26 +56,33 @@ func Names() []string {
 }
 
 // Marshal encodes a state in the self-describing wire format
-// [name][payload] used by the replication protocols.
+// [name][payload] used by the replication protocols: one exactly sized
+// buffer, the payload appended in place.
 func Marshal(s State) ([]byte, error) {
-	payload, err := s.MarshalBinary()
+	name, n := s.TypeName(), s.binaryLen()
+	e := encBuf{b: make([]byte, 0, strLen(name)+uvarintLen(n)+n)}
+	e.str(name)
+	e.uvarint(uint64(n))
+	b, err := s.AppendBinary(e.b)
 	if err != nil {
-		return nil, fmt.Errorf("crdt: marshal %s: %w", s.TypeName(), err)
+		return nil, fmt.Errorf("crdt: marshal %s: %w", name, err)
 	}
-	e := newEncBuf(len(payload) + len(s.TypeName()) + 2)
-	e.str(s.TypeName())
-	e.raw(payload)
-	return e.bytes(), nil
+	if len(b) != cap(e.b) {
+		return nil, fmt.Errorf("crdt: marshal %s: payload is %d bytes, sized %d", name, len(b)-len(e.b), n)
+	}
+	return b, nil
 }
 
-// Unmarshal decodes a state previously encoded with Marshal.
+// Unmarshal decodes a state previously encoded with Marshal. The payload
+// is handed to the type's UnmarshalBinary uncopied; every type copies out
+// what it keeps, so data may be reused once Unmarshal returns.
 func Unmarshal(data []byte) (State, error) {
 	d := newDecBuf(data)
 	name, err := d.str()
 	if err != nil {
 		return nil, fmt.Errorf("crdt: unmarshal type name: %w", err)
 	}
-	payload, err := d.raw()
+	payload, err := d.span()
 	if err != nil {
 		return nil, fmt.Errorf("crdt: unmarshal %s payload: %w", name, err)
 	}

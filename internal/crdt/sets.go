@@ -24,9 +24,23 @@ import (
 // untouched entry, tag list and tombstone list of their operands. Merge even
 // returns an operand itself when that operand already is the join. Nothing
 // may therefore modify an ORSet in place, inside or outside this package.
+//
+// A decoded state lives in one arena: UnmarshalBinary copies the frame
+// once, every element, tag and tombstone is a substring of that copy, and
+// every tag list and the tombstone list are capped windows of one []string.
+// One live string keeps the whole arena alive, so such a state is marked
+// (arena), and so are the Add, Remove and Delta results that share its
+// strings. A Merge that returns a marked operand itself keeps its arena, all
+// of whose strings it still holds. A Merge that builds a new union keeps
+// every element string of its receiver, so it shares a marked receiver's
+// strings and keeps its mark; from the argument it may take one entry of
+// many, so it clones every string and tag list it takes from a marked
+// argument, and a join that keeps one entry of a 43 KB frame does not pin
+// the other 999.
 type ORSet struct {
 	adds  []orEntry
 	tombs []string
+	arena bool // strings may lie in a decoded frame's arena
 }
 
 // orEntry is one element with every tag it was ever added under.
@@ -69,7 +83,7 @@ func (s *ORSet) Add(e, actor string, seq uint64) *ORSet {
 	}
 	adds := make([]orEntry, 0, len(s.adds)+1)
 	adds = append(append(adds, s.adds[:i]...), entry)
-	return &ORSet{adds: append(adds, rest...), tombs: s.tombs}
+	return &ORSet{adds: append(adds, rest...), tombs: s.tombs, arena: s.arena}
 }
 
 // Remove returns a set with every currently observed tag of e tombstoned.
@@ -79,11 +93,11 @@ func (s *ORSet) Remove(e string) *ORSet {
 	if !found {
 		return s
 	}
-	tombs := unionStrs(s.tombs, s.adds[i].tags)
+	tombs := unionStrs(s.tombs, s.adds[i].tags, false)
 	if sameStrs(tombs, s.tombs) {
 		return s
 	}
-	return &ORSet{adds: s.adds, tombs: tombs}
+	return &ORSet{adds: s.adds, tombs: tombs, arena: s.arena}
 }
 
 // live reports whether at least one of an entry's tags is not tombstoned.
@@ -134,7 +148,8 @@ func (s *ORSet) le(o *ORSet) bool {
 // Merge unions the (element, tag) pairs and the tombstones. When one
 // operand already dominates the other it is returned as is; otherwise the
 // result is a new top-level value that shares every entry and tag list only
-// one side contributed to.
+// one side contributed to, except that what it takes from an argument
+// marked arena is cloned (see ORSet).
 func (s *ORSet) Merge(other State) (State, error) {
 	o, ok := other.(*ORSet)
 	if !ok {
@@ -146,7 +161,11 @@ func (s *ORSet) Merge(other State) (State, error) {
 	case s.le(o):
 		return o, nil
 	}
-	return &ORSet{adds: unionEntries(s.adds, o.adds), tombs: unionStrs(s.tombs, o.tombs)}, nil
+	return &ORSet{
+		adds:  unionEntries(s.adds, o.adds, o.arena),
+		tombs: unionStrs(s.tombs, o.tombs, o.arena),
+		arena: s.arena,
+	}, nil
 }
 
 // Compare is component-wise inclusion of tags and tombstones.
@@ -161,42 +180,56 @@ func (s *ORSet) Compare(other State) (bool, error) {
 // TypeName implements State.
 func (s *ORSet) TypeName() string { return TypeORSet }
 
-// MarshalBinary implements State. The slices are already in wire order, so
-// encoding is a sizing walk and a copying walk.
-func (s *ORSet) MarshalBinary() ([]byte, error) {
-	size := uvarintLen(len(s.adds)) + strsLen(s.tombs)
-	for _, x := range s.adds {
-		size += uvarintLen(len(x.elem)) + len(x.elem) + strsLen(x.tags)
-	}
-	e := newEncBuf(size)
+// AppendBinary implements State. The slices are already in wire order, so
+// encoding is one copying walk (after binaryLen's sizing walk in Marshal).
+func (s *ORSet) AppendBinary(b []byte) ([]byte, error) {
+	e := encBuf{b: b}
 	e.uvarint(uint64(len(s.adds)))
 	for _, x := range s.adds {
 		e.str(x.elem)
 		e.strs(x.tags)
 	}
 	e.strs(s.tombs)
-	return e.bytes(), nil
+	return e.b, nil
+}
+
+func (s *ORSet) binaryLen() int {
+	size := uvarintLen(len(s.adds)) + strsLen(s.tombs)
+	for _, x := range s.adds {
+		size += strLen(x.elem) + strsLen(x.tags)
+	}
+	return size
 }
 
 // UnmarshalBinary implements Unmarshaler. It accepts elements, tags and
 // tombstones in any order and with repeats (a repeated element contributes
 // the union of its tag lists, an element without tags contributes nothing),
 // and pays for sorting only when the input is not in canonical order.
+//
+// A counting walk validates the frame and sizes every backing array
+// exactly; then the frame is copied once into the state's arena and a
+// second walk carves the state out of it: one string copy, one entry
+// array and one []string for all tag lists and the tombstones.
 func (s *ORSet) UnmarshalBinary(data []byte) error {
-	d := newDecBuf(data)
+	entries, strs, err := orsetCounts(data)
+	if err != nil {
+		return err
+	}
+	d := &decBuf{b: data, arena: string(data)}
 	n, err := d.count()
 	if err != nil {
 		return err
 	}
-	adds := make([]orEntry, 0, n)
+	adds := make([]orEntry, 0, entries)
+	buf := make([]string, strs)
 	canonical := true
 	for i := 0; i < n; i++ {
 		el, err := d.str()
 		if err != nil {
 			return err
 		}
-		tags, err := d.sortedStrs()
-		if err != nil {
+		var tags []string
+		if tags, buf, err = d.sortedStrs(buf); err != nil {
 			return err
 		}
 		if len(tags) == 0 {
@@ -207,11 +240,8 @@ func (s *ORSet) UnmarshalBinary(data []byte) error {
 		}
 		adds = append(adds, orEntry{elem: el, tags: tags})
 	}
-	tombs, err := d.sortedStrs()
+	tombs, _, err := d.sortedStrs(buf)
 	if err != nil {
-		return err
-	}
-	if err := d.done(); err != nil {
 		return err
 	}
 	if !canonical {
@@ -219,15 +249,53 @@ func (s *ORSet) UnmarshalBinary(data []byte) error {
 		out := adds[:1]
 		for _, x := range adds[1:] {
 			if last := &out[len(out)-1]; last.elem == x.elem {
-				last.tags = unionStrs(last.tags, x.tags)
+				last.tags = unionStrs(last.tags, x.tags, false)
 			} else {
 				out = append(out, x)
 			}
 		}
 		adds = out
 	}
-	s.adds, s.tombs = adds, tombs
+	s.adds, s.tombs, s.arena = adds, tombs, true
 	return nil
+}
+
+// orsetCounts validates an or-set payload without allocating and returns
+// how many of its entries carry tags and how many tag and tombstone
+// strings it holds. Every count is bounded by the frame's length
+// (decBuf.count).
+func orsetCounts(data []byte) (entries, strs int, err error) {
+	d := decBuf{b: data}
+	skip := func() error { // one string
+		n, err := d.count()
+		d.i += n
+		return err
+	}
+	n, err := d.count()
+	if err != nil {
+		return 0, 0, err
+	}
+	for i := 0; i <= n; i++ { // n elements with their tag lists, then the tombstones
+		if i < n {
+			if err := skip(); err != nil {
+				return 0, 0, err
+			}
+		}
+		k, err := d.count()
+		if err != nil {
+			return 0, 0, err
+		}
+		for j := 0; j < k; j++ {
+			if err := skip(); err != nil {
+				return 0, 0, err
+			}
+		}
+		if i < n && k > 0 {
+			entries++
+		}
+		strs += k
+	}
+	return entries, strs, d.done()
 }
 
 // String renders the set for logs and test failures.
@@ -252,7 +320,7 @@ func (s *ORSet) Delta(base State) (State, error) {
 			n++
 		}
 	}
-	out := &ORSet{adds: make([]orEntry, 0, n), tombs: diffStrs(s.tombs, b.tombs)}
+	out := &ORSet{adds: make([]orEntry, 0, n), tombs: diffStrs(s.tombs, b.tombs), arena: s.arena}
 	j = 0
 	for _, x := range s.adds {
 		if have := tagsAt(b.adds, &j, x.elem); len(have) < len(x.tags) {
@@ -313,8 +381,9 @@ func insertStr(a []string, x string) []string {
 }
 
 // unionStrs returns a ∪ b: a itself when b adds nothing, b itself when a
-// adds nothing, otherwise one exactly sized new slice.
-func unionStrs(a, b []string) []string {
+// adds nothing, otherwise one exactly sized new slice. With cloneB set (b
+// lies in an arena) whatever the result takes from b is a copy.
+func unionStrs(a, b []string, cloneB bool) []string {
 	common, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		c := strings.Compare(a[i], b[j])
@@ -332,7 +401,7 @@ func unionStrs(a, b []string) []string {
 	case len(b):
 		return a
 	case len(a):
-		return b
+		return cloneStrs(b, cloneB)
 	}
 	out := make([]string, 0, len(a)+len(b)-common)
 	i, j = 0, 0
@@ -342,13 +411,13 @@ func unionStrs(a, b []string) []string {
 			out = append(out, a[i])
 			i++
 		} else {
-			out = append(out, b[j])
+			out = append(out, cloneStr(b[j], cloneB))
 		}
 		if c >= 0 {
 			j++
 		}
 	}
-	return append(append(out, a[i:]...), b[j:]...)
+	return appendStrs(append(out, a[i:]...), b[j:], cloneB)
 }
 
 // diffStrs returns a \ b for b ⊆ a: nil when nothing is left, a itself when
@@ -375,8 +444,9 @@ func diffStrs(a, b []string) []string {
 // unionEntries merges two element-ordered entry lists into one exactly
 // sized new slice. Entries only one side has are shared whole; an element
 // both sides have gets the union of its tag lists, which is again shared
-// when one side's list covers the other's.
-func unionEntries(a, b []orEntry) []orEntry {
+// when one side's list covers the other's. With cloneB set whatever the
+// result takes from b is a copy, as in unionStrs.
+func unionEntries(a, b []orEntry, cloneB bool) []orEntry {
 	common, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		c := strings.Compare(a[i].elem, b[j].elem)
@@ -398,13 +468,67 @@ func unionEntries(a, b []orEntry) []orEntry {
 			out = append(out, a[i])
 			i++
 		case c > 0:
-			out = append(out, b[j])
+			out = append(out, cloneEntry(b[j], cloneB))
 			j++
 		default:
-			out = append(out, orEntry{elem: a[i].elem, tags: unionStrs(a[i].tags, b[j].tags)})
+			out = append(out, orEntry{elem: a[i].elem, tags: unionStrs(a[i].tags, b[j].tags, cloneB)})
 			i++
 			j++
 		}
 	}
-	return append(append(out, a[i:]...), b[j:]...)
+	return appendEntries(append(out, a[i:]...), b[j:], cloneB)
+}
+
+// cloneStr returns x, or a copy of it when clone is set.
+func cloneStr(x string, clone bool) string {
+	if clone {
+		return strings.Clone(x)
+	}
+	return x
+}
+
+// cloneStrs returns xs, or a copy of the list and its strings when clone is
+// set.
+func cloneStrs(xs []string, clone bool) []string {
+	if !clone || len(xs) == 0 {
+		return xs
+	}
+	return appendStrs(make([]string, 0, len(xs)), xs, true)
+}
+
+// appendStrs appends xs to out, copying each string when clone is set.
+func appendStrs(out, xs []string, clone bool) []string {
+	if !clone {
+		return append(out, xs...)
+	}
+	for _, x := range xs {
+		out = append(out, strings.Clone(x))
+	}
+	return out
+}
+
+// cloneEntry returns x, or a copy of its element and tag list when clone is
+// set.
+func cloneEntry(x orEntry, clone bool) orEntry {
+	if clone {
+		return copyEntry(x)
+	}
+	return x
+}
+
+// copyEntry is cloneEntry's copying half, kept apart so that the path that
+// copies nothing inlines into unionEntries' loop.
+func copyEntry(x orEntry) orEntry {
+	return orEntry{elem: strings.Clone(x.elem), tags: cloneStrs(x.tags, true)}
+}
+
+// appendEntries appends xs to out, copying each entry when clone is set.
+func appendEntries(out, xs []orEntry, clone bool) []orEntry {
+	if !clone {
+		return append(out, xs...)
+	}
+	for _, x := range xs {
+		out = append(out, copyEntry(x))
+	}
+	return out
 }
