@@ -446,8 +446,8 @@ func (p *pool) close() {
 type conn struct {
 	nc net.Conn
 
-	wmu sync.Mutex // serializes frame writes
-	bw  *bufio.Writer
+	wsem chan struct{} // holds one token per frame write; serializes writes
+	bw   *bufio.Writer
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -458,6 +458,7 @@ type conn struct {
 func newConn(nc net.Conn) *conn {
 	c := &conn{
 		nc:      nc,
+		wsem:    make(chan struct{}, 1),
 		bw:      bufio.NewWriter(nc),
 		pending: make(map[uint64]chan *wire.Response),
 	}
@@ -540,12 +541,31 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 
 	r := *req
 	r.ID = id
-	c.wmu.Lock()
+	// The write runs under ctx: waiting for another caller's write gives
+	// up when ctx ends (nothing was sent), and ctx's end interrupts a write
+	// to a server that stops reading, failing the connection.
+	select {
+	case c.wsem <- struct{}{}:
+	case <-ctx.Done():
+		c.mu.Lock()
+		delete(c.pending, id)
+		c.mu.Unlock()
+		return nil, fmt.Errorf("%w: %w", errNotSent, ctx.Err())
+	}
+	interrupted := make(chan struct{})
+	stop := context.AfterFunc(ctx, func() {
+		_ = c.nc.SetWriteDeadline(time.Unix(1, 0))
+		close(interrupted)
+	})
 	err := wire.WriteFrame(c.bw, r.Encode())
 	if err == nil {
 		err = c.bw.Flush()
 	}
-	c.wmu.Unlock()
+	if !stop() {
+		<-interrupted
+		_ = c.nc.SetWriteDeadline(time.Time{})
+	}
+	<-c.wsem
 	if err != nil {
 		if errors.Is(err, wire.ErrFrameTooLarge) {
 			// Local size check, nothing written: the request is bad, the
@@ -556,6 +576,14 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 			return nil, err
 		}
 		c.fail(fmt.Errorf("client: write: %w", err))
+		// A write cut short by the busy-close handshake went to a
+		// connection the server never read: provably not executed.
+		c.mu.Lock()
+		cerr := c.err
+		c.mu.Unlock()
+		if errors.Is(cerr, ErrBusy) {
+			return nil, cerr
+		}
 		return nil, err
 	}
 

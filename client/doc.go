@@ -22,7 +22,8 @@
 // Every operation takes a context.Context first and runs under its
 // deadline and cancellation, retries included. When the caller's context
 // has no deadline, the WithRequestTimeout fallback (default 10 s)
-// applies, so no operation can block forever by accident. A deadline
+// applies, so no operation can block forever by accident, not even on a
+// frame write to a server that stops reading. A deadline
 // expiry returns an error matching both ErrTimeout and
 // context.DeadlineExceeded.
 //

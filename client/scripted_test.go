@@ -279,6 +279,79 @@ func TestInFlightTimeoutIsUncertain(t *testing.T) {
 	}
 }
 
+// TestWriteHonoursDeadline: a server that accepts connections but never
+// reads lets the socket buffers fill, after which a frame write blocks.
+// The write runs under the request's context, so each of several callers
+// sharing one connection, the writer and those queued behind it, returns
+// ErrTimeout at its 200 ms deadline.
+func TestWriteHonoursDeadline(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 16)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	// release closes the server side, unblocking any write stuck on it.
+	release := sync.OnceFunc(func() {
+		_ = ln.Close()
+		for {
+			select {
+			case conn := <-accepted:
+				_ = conn.Close()
+			default:
+				return
+			}
+		}
+	})
+	defer release()
+	c, err := client.New([]string{ln.Addr().String()}, client.WithPool(1),
+		client.WithRetryPolicy(client.RetryPolicy{MaxAttempts: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const callers, timeout = 3, 200 * time.Millisecond
+	big := string(make([]byte, 3<<20)) // one frame larger than the socket buffers
+	type result struct {
+		err     error
+		elapsed time.Duration
+	}
+	results := make(chan result, callers)
+	for range callers {
+		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
+			start := time.Now()
+			err := c.Register("k").Store(ctx, big)
+			results <- result{err, time.Since(start)}
+		}()
+	}
+	guard := time.After(20 * time.Second)
+	for range callers {
+		select {
+		case r := <-results:
+			if !errors.Is(r.err, client.ErrTimeout) {
+				t.Errorf("write to a server that never reads: %v, want ErrTimeout", r.err)
+			}
+			if r.elapsed > timeout+time.Second {
+				t.Errorf("call took %v against a %v context", r.elapsed, timeout)
+			}
+		case <-guard:
+			release()
+			t.Fatal("a write to a server that never reads outlived its context")
+		}
+	}
+}
+
 // TestStatusErrorRoundTripsEveryCode: every non-OK status code of
 // docs/PROTOCOL.md §2.5 — and an unknown future code, which rule §2.7/3
 // says clients must treat as terminal — must surface as a *StatusError

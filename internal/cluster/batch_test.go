@@ -164,7 +164,7 @@ func TestCrashFailsBatchedCommands(t *testing.T) {
 		_, err := n1.Update(context.Background(), incSelf(n1))
 		errCh <- err
 	}()
-	waitOnLoop(t, n1, DefaultKey, func(s *shard) bool { return len(s.batchUpdates[DefaultKey]) == 1 })
+	waitOnLoop(t, n1, DefaultKey, func(s *shard) bool { return len(s.keys[DefaultKey].updates) == 1 })
 	n1.SetCrashed(true)
 	select {
 	case err := <-errCh:

@@ -57,15 +57,7 @@ func TestClocksOwnedByShardLoop(t *testing.T) {
 // isShardLoop reports whether decl is the method (*shard).loop.
 func isShardLoop(decl ast.Decl) bool {
 	fn, ok := decl.(*ast.FuncDecl)
-	if !ok || fn.Name.Name != "loop" || fn.Recv == nil || len(fn.Recv.List) != 1 {
-		return false
-	}
-	star, ok := fn.Recv.List[0].Type.(*ast.StarExpr)
-	if !ok {
-		return false
-	}
-	id, ok := star.X.(*ast.Ident)
-	return ok && id.Name == "shard"
+	return ok && fn.Name.Name == "loop" && isShardMethod(fn)
 }
 
 // waitOnLoop polls cond on the loop of key's shard until it holds: a

@@ -10,7 +10,9 @@
 // one flush timer. Shards share nothing on the hot path — per-object
 // independence means replicas of different keys never interact — so
 // different keys' protocol work spreads across cores
-// (docs/ARCHITECTURE.md, "Threading model").
+// (docs/ARCHITECTURE.md, "Threading model"). A shard keeps one record
+// per key (keyState): the key's replica and all of the loop's
+// bookkeeping about it, in the shard's only map keyed by object key.
 //
 // A node is not limited to one replicated object: because the protocol
 // keeps no cross-command log, replication instances compose per key. Each

@@ -263,9 +263,9 @@ func TestReconfigureCoversKeyInstantiatedMidFanOut(t *testing.T) {
 	home, away := n1.shardOf(DefaultKey), n1.shardOf(k)
 	keyConfig := func(s *shard) (cfg core.Config, ok bool) {
 		s.call(func() {
-			var rep *core.Replica
-			if rep, ok = s.replicas[k]; ok {
-				cfg = rep.ConfigState()
+			var ks *keyState
+			if ks, ok = s.keys[k]; ok {
+				cfg = ks.rep.ConfigState()
 			}
 		})
 		return cfg, ok

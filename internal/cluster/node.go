@@ -201,14 +201,6 @@ type Node struct {
 	seq atomic.Uint64
 }
 
-// keyedNotify is one deferred client completion, tagged with the object
-// key whose event produced it so a failed snapshot write can withhold
-// exactly that key's completions.
-type keyedNotify struct {
-	key string
-	fn  func()
-}
-
 type nodeEvent struct {
 	kind      eventKind
 	from      transport.NodeID
@@ -311,7 +303,7 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 	if err != nil {
 		return nil, err
 	}
-	n.shardOf(DefaultKey).replicas[DefaultKey] = rep
+	n.shardOf(DefaultKey).add(DefaultKey, rep)
 	// Rehydrate before joining the transport: once the first message can
 	// arrive, every key's acceptor must already hold its pre-crash round.
 	// The shards' loops have not started, so installing directly is safe.
@@ -509,8 +501,8 @@ func (n *Node) Counters() core.Counters {
 	var sum core.Counters
 	for _, s := range n.shards {
 		s.call(func() {
-			for _, rep := range s.replicas {
-				sum.Add(rep.Counters())
+			for _, ks := range s.keys {
+				sum.Add(ks.rep.Counters())
 			}
 			sum.MalformedMsgs += s.droppedFrames
 		})
@@ -527,7 +519,7 @@ func (n *Node) Keys() []string {
 	var keys []string
 	for _, s := range n.shards {
 		s.call(func() {
-			for k := range s.replicas {
+			for k := range s.keys {
 				keys = append(keys, k)
 			}
 		})
@@ -540,7 +532,7 @@ func (n *Node) Keys() []string {
 func (n *Node) Objects() int {
 	count := 0
 	for _, s := range n.shards {
-		s.call(func() { count += len(s.replicas) })
+		s.call(func() { count += len(s.keys) })
 	}
 	return count
 }
@@ -608,8 +600,8 @@ func (n *Node) QueryKey(ctx context.Context, key string) (crdt.State, core.Query
 func (n *Node) ForgetPeer(id transport.NodeID) {
 	for _, s := range n.shards {
 		s.call(func() {
-			for _, rep := range s.replicas {
-				rep.ForgetPeer(id)
+			for _, ks := range s.keys {
+				ks.rep.ForgetPeer(id)
 			}
 		})
 	}

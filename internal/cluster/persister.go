@@ -24,9 +24,10 @@ import (
 // failed write marks its key broken — that key's releases are withheld,
 // degrading it to a lossy link, until a later save succeeds — while every
 // other key's releases proceed. A request with no record for a key with
-// no request in the pipeline (s.queued) has nothing to wait for, so the
-// loop releases it at once instead of queueing it behind other keys'
-// batches: an update's completion at its proposer is the common case.
+// no request in the pipeline (keyState.queued) has nothing to wait for,
+// so the loop releases it at once instead of queueing it behind other
+// keys' batches: an update's completion at its proposer is the common
+// case.
 // On a volatile node every request is such a request, and there is no
 // persister.
 //
@@ -46,7 +47,7 @@ type outEnv struct {
 // completions that must not be released before it (and everything queued
 // ahead of it for this key) is durable.
 type persistReq struct {
-	key     string
+	ks      *keyState
 	rec     *persist.Record // nil when the key's durable state did not advance
 	version uint64          // StateVersion rec covers
 	envs    []outEnv
@@ -71,83 +72,64 @@ func (s *shard) enqueuePersist(req persistReq) {
 	}
 }
 
-// flushOutbox runs after every loop iteration. It collects each dirty
-// key's outbox, keeps the key in or out of the set the retransmit tick
-// visits (s.busy) by whether it has requests in flight, takes a
-// snapshot record when the node is durable and the key's durable state
-// advanced, and attaches the event's deferred completions to their key's
-// request. A request with nothing to wait for is released here; the rest
-// go to the persister and are released by processReleases once the disk
-// confirms. Only dirty keys are visited, so per-event cost is independent
-// of the size of the keyspace.
+// flushOutbox runs after every loop iteration and visits each dirty key
+// once. It collects the key's outbox, keeps the key in or out of the set
+// the retransmit tick visits (s.busy) by whether it has requests in
+// flight, takes a snapshot record when the node is durable and the key's
+// durable state advanced, and packs these with the key's deferred
+// completions into one request. A request with nothing to wait for is
+// released here; the rest go to the persister and are released by
+// processReleases once the disk confirms. Only dirty keys are visited, so
+// per-event cost is independent of the size of the keyspace.
 func (s *shard) flushOutbox() {
-	if len(s.dirty) == 0 && len(s.notify) == 0 {
-		return
-	}
-	reqs := make([]persistReq, 0, len(s.dirty))
-	reqIdx := make(map[string]int, len(s.dirty))
-	for _, key := range s.dirty {
-		rep, ok := s.replicas[key]
-		if !ok {
-			continue
-		}
-		out := rep.TakeOutbox()
-		req := persistReq{key: key}
+	for i, ks := range s.dirty {
+		s.dirty[i] = nil
+		ks.dirty = false
+		// Completions ride their key's request, even an otherwise empty
+		// one, so a completion for a key with an earlier write still in
+		// flight waits its turn in the FIFO.
+		req := persistReq{ks: ks, notify: ks.notify}
+		ks.notify = nil
+		out := ks.rep.TakeOutbox()
 		if !s.crashed {
-			if v := rep.StateVersion(); s.n.store != nil && v != s.savedVersion[key] && v != s.inflight[key] {
-				rec, err := persist.FromSnapshot(key, rep.Snapshot())
+			if v := ks.rep.StateVersion(); s.n.store != nil && v != ks.saved && v != ks.inflight {
+				rec, err := persist.FromSnapshot(ks.key, ks.rep.Snapshot())
 				if err != nil {
 					// Marshal failure is a persist failure: the key degrades
 					// to a lossy link until a later snapshot encodes.
 					s.persistErrs++
-					s.persistBroken[key] = struct{}{}
+					ks.broken = true
 				} else {
 					req.rec = &rec
 					req.version = v
-					s.inflight[key] = v
+					ks.inflight = v
 				}
 			}
 			for _, e := range out {
-				req.envs = append(req.envs, outEnv{to: e.To, frame: wire.PackEnvelope(key, e.Payload)})
+				req.envs = append(req.envs, outEnv{to: e.To, frame: wire.PackEnvelope(ks.key, e.Payload)})
 			}
 		}
-		if rep.InFlight() > 0 {
-			s.busy[key] = struct{}{}
+		if ks.rep.InFlight() > 0 {
+			s.busy[ks] = struct{}{}
 		} else {
-			delete(s.busy, key)
+			delete(s.busy, ks)
 		}
-		if req.rec != nil || len(req.envs) > 0 {
-			reqIdx[key] = len(reqs)
-			reqs = append(reqs, req)
+		if req.rec == nil && len(req.envs) == 0 && len(req.notify) == 0 {
+			continue
 		}
-	}
-	s.clearDirty()
-	// Completions ride their key's request — or an empty one, so a
-	// completion for a key with an earlier write still in flight waits
-	// its turn in the FIFO.
-	for _, kn := range s.notify {
-		i, ok := reqIdx[kn.key]
-		if !ok {
-			i = len(reqs)
-			reqIdx[kn.key] = i
-			reqs = append(reqs, persistReq{key: kn.key})
-		}
-		reqs[i].notify = append(reqs[i].notify, kn.fn)
-	}
-	s.notify = s.notify[:0]
-	for _, req := range reqs {
-		// A request with nothing to write waits for no disk when its key has
-		// nothing in the pipeline: every write ordered before it has landed.
-		// This always holds on a volatile node, which must never reach
-		// enqueuePersist: its persistq is nil, and a send on it would block
-		// until Close.
-		if _, broken := s.persistBroken[req.key]; req.rec == nil && s.queued[req.key] == 0 && !broken {
+		if req.rec == nil && ks.queued == 0 && !ks.broken {
+			// Nothing to write and nothing in the key's pipeline: every
+			// write ordered before it has landed, so it waits for no disk.
+			// This always holds on a volatile node, which must never reach
+			// enqueuePersist: its persistq is nil, and a send on it would
+			// block until Close.
 			s.release(req)
 			continue
 		}
-		s.queued[req.key]++
+		ks.queued++
 		s.enqueuePersist(req)
 	}
+	s.dirty = s.dirty[:0]
 }
 
 // persister runs as this shard's dedicated persistence goroutine: take
@@ -185,8 +167,8 @@ func (s *shard) persister() {
 // SaveBatch may have landed some keys' records but vouches for none, so
 // a failure fails every request carrying a record in this batch (the
 // torn-batch keys); record-less requests for other keys ride through
-// unharmed, and the loop's persistBroken tracking withholds releases for
-// any key whose disk state is behind.
+// unharmed, and keyState.broken withholds releases for any key whose
+// disk state is behind.
 func (s *shard) commitBatch(batch []persistReq) {
 	var recs []persist.Record
 	for _, req := range batch {
@@ -239,27 +221,23 @@ func (s *shard) processReleases() {
 	s.rel = nil
 	s.relMu.Unlock()
 	for _, d := range dones {
-		key := d.req.key
-		if s.queued[key]--; s.queued[key] == 0 {
-			delete(s.queued, key)
-		}
+		ks := d.req.ks
+		ks.queued--
 		if d.req.rec != nil {
 			if d.ok {
-				s.savedVersion[key] = d.req.version
-				if s.inflight[key] == d.req.version {
-					delete(s.inflight, key)
+				ks.saved = d.req.version
+				if ks.inflight == d.req.version {
+					ks.inflight = 0
 				}
-				delete(s.persistBroken, key)
 			} else {
 				s.persistErrs++
-				delete(s.inflight, key)
-				s.persistBroken[key] = struct{}{}
+				ks.inflight = 0
 			}
+			ks.broken = !d.ok
 		}
-		if _, broken := s.persistBroken[key]; broken || (d.req.rec != nil && !d.ok) {
-			continue
+		if !ks.broken {
+			s.release(d.req)
 		}
-		s.release(d.req)
 	}
 }
 
@@ -279,11 +257,11 @@ func (s *shard) release(req persistReq) {
 // behind every pending request, and the loop processes releases until
 // the barrier reports all of them committed. Called on the loop
 // (restartPrep); no new requests can be enqueued meanwhile because the
-// loop is here.
+// loop is here, so once it returns no request refers to a record.
 func (s *shard) drainPersister() error {
 	b := make(chan struct{})
 	select {
-	case s.persistq <- persistReq{key: "", barrier: b}:
+	case s.persistq <- persistReq{barrier: b}:
 	case <-s.n.quit:
 		return ErrStopped
 	}

@@ -156,7 +156,9 @@ func TestGroupCommitTornBatchUncertainty(t *testing.T) {
 		behind := 0
 		sh.call(func() {
 			for _, key := range tornKeys[1:] {
-				behind += min(sh.queued[key], 1)
+				if ks := sh.keys[key]; ks != nil {
+					behind += min(ks.queued, 1)
+				}
 			}
 		})
 		return behind == len(tornKeys)-1
@@ -258,7 +260,10 @@ func TestReleaseWithoutWriteSkipsStalledDisk(t *testing.T) {
 	sh := n1.shardOf("fast")
 	waitFor(t, "n1's write of fast to land", func() bool {
 		saved := false
-		sh.call(func() { saved = sh.savedVersion["fast"] > 0 })
+		sh.call(func() {
+			ks := sh.keys["fast"]
+			saved = ks != nil && ks.saved > 0
+		})
 		return saved
 	})
 
@@ -348,9 +353,9 @@ func TestLeasedReadSkipsStalledDisk(t *testing.T) {
 		for _, id := range members(3) {
 			sh := c.Node(id).shardOf(key)
 			sh.call(func() {
-				rep := sh.replicas[key]
-				idle = idle && rep != nil && rep.InFlight() == 0 && sh.queued[key] == 0 &&
-					rep.StateVersion() == sh.savedVersion[key]
+				ks := sh.keys[key]
+				idle = idle && ks != nil && ks.rep.InFlight() == 0 && ks.queued == 0 &&
+					ks.rep.StateVersion() == ks.saved
 			})
 		}
 		return idle

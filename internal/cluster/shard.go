@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
@@ -29,20 +30,14 @@ type shard struct {
 	rephase chan struct{} // restart the flush cadence; nil without batching
 
 	// Loop-owned state (accessed only from this shard's event loop).
-	replicas      map[string]*core.Replica
-	busy          map[string]struct{} // keys with requests in flight: all a retransmit tick visits
-	dirty         []string            // keys whose replica may hold outbox envelopes
-	dirtySet      map[string]struct{} // membership of dirty (one entry per key per event)
-	droppedFrames uint64              // inbound frames dropped before reaching a replica
-	crashed       bool
-	batchUpdates  map[string][]*updateOp
-	batchQueries  map[string][]*queryOp
-	savedVersion  map[string]uint64   // per-key StateVersion last durably persisted
-	inflight      map[string]uint64   // per-key StateVersion submitted to the persister, not yet durable
-	persistBroken map[string]struct{} // keys whose persistence pipeline failed; releases withheld until a save succeeds
-	queued        map[string]int      // per-key requests handed to the persister and not yet through processReleases
-	persistErrs   uint64              // failed snapshot writes (outbox + completions dropped)
-	notify        []keyedNotify       // client completions deferred past persistence
+	keys           map[string]*keyState   // every instantiated key; the shard's only per-key map
+	dirty          []*keyState            // keys whose replica may hold outbox envelopes or completions
+	busy           map[*keyState]struct{} // keys with requests in flight: all a retransmit tick visits
+	batchedUpdates []*keyState            // keys with buffered updates, in enqueue order
+	batchedQueries []*keyState            // keys with buffered queries, in enqueue order
+	droppedFrames  uint64                 // inbound frames dropped before reaching a replica
+	crashed        bool
+	persistErrs    uint64 // failed snapshot writes (outbox + completions dropped)
 
 	// Group-commit persistence pipeline; nil on volatile nodes (see
 	// persister.go).
@@ -52,21 +47,33 @@ type shard struct {
 	relSig   chan struct{}
 }
 
+// keyState is everything a shard knows about one object key: the key's
+// replica, which holds the paper's whole per-object state (payload and
+// round), and the loop's bookkeeping around it. Dropping the record drops
+// all of it.
+type keyState struct {
+	key string
+	rep *core.Replica
+
+	dirty   bool        // on shard.dirty
+	updates []*updateOp // §3.6 batch buffers, started by flushBatches
+	queries []*queryOp
+	notify  []func() // client completions deferred past persistence
+
+	saved    uint64 // StateVersion last durably persisted
+	inflight uint64 // StateVersion submitted to the persister, not yet durable; 0 when none
+	queued   int    // requests handed to the persister and not yet through processReleases
+	broken   bool   // the persistence pipeline failed; releases withheld until a save succeeds
+}
+
 func newShard(n *Node, idx int) *shard {
 	s := &shard{
-		n:             n,
-		idx:           idx,
-		events:        make(chan nodeEvent, 8192),
-		calls:         make(chan func()),
-		replicas:      make(map[string]*core.Replica),
-		busy:          make(map[string]struct{}),
-		dirtySet:      make(map[string]struct{}),
-		batchUpdates:  make(map[string][]*updateOp),
-		batchQueries:  make(map[string][]*queryOp),
-		savedVersion:  make(map[string]uint64),
-		inflight:      make(map[string]uint64),
-		persistBroken: make(map[string]struct{}),
-		queued:        make(map[string]int),
+		n:      n,
+		idx:    idx,
+		events: make(chan nodeEvent, 8192),
+		calls:  make(chan func()),
+		keys:   make(map[string]*keyState),
+		busy:   make(map[*keyState]struct{}),
 	}
 	if n.store != nil {
 		s.persistq = make(chan persistReq, 1024)
@@ -149,9 +156,9 @@ func (s *shard) loop() {
 		case <-s.relSig: // nil (blocks forever) without a persister
 			s.processReleases()
 		case <-tick.C:
-			for key := range s.busy {
-				s.markDirty(key)
-				s.replicas[key].Tick()
+			for ks := range s.busy {
+				s.markDirty(ks)
+				ks.rep.Tick()
 			}
 		case <-flushC:
 			if !s.crashed {
@@ -167,30 +174,36 @@ func (s *shard) loop() {
 	}
 }
 
-// markDirty records that key's replica may hold outbox envelopes, once:
-// one event can touch the same replica many times (deliver, retransmit,
-// submit), and re-scanning the key's outbox and snapshot version per
-// touch is pure waste.
-func (s *shard) markDirty(key string) {
-	if _, ok := s.dirtySet[key]; ok {
-		return
+// markDirty puts ks on the dirty list, once: one event can touch the same
+// replica many times (deliver, retransmit, submit), and re-scanning the
+// key's outbox and snapshot version per touch is pure waste.
+func (s *shard) markDirty(ks *keyState) {
+	if !ks.dirty {
+		ks.dirty = true
+		s.dirty = append(s.dirty, ks)
 	}
-	s.dirtySet[key] = struct{}{}
-	s.dirty = append(s.dirty, key)
 }
 
-// replicaFor returns the replica owning key, instantiating it on first
-// touch. The key is marked dirty so its outbox is drained after the event.
-//
-// A fresh replica starts from the node's configuration view, not the
-// boot-time Config.Members: after a reconfiguration, a lazily created key
-// must address the current member set, not the group the node booted
-// with.
-func (s *shard) replicaFor(key string) (*core.Replica, error) {
-	if rep, ok := s.replicas[key]; ok {
-		s.markDirty(key)
-		return rep, nil
+// record returns key's record, instantiating it on first touch. The
+// record is marked dirty so its outbox is drained after the event.
+func (s *shard) record(key string) (*keyState, error) {
+	ks, ok := s.keys[key]
+	if !ok {
+		var err error
+		if ks, err = s.instantiate(key); err != nil {
+			return nil, err
+		}
 	}
+	s.markDirty(ks)
+	return ks, nil
+}
+
+// instantiate creates key's record around a fresh replica holding the
+// key's configured initial state. The replica starts from the node's
+// configuration view, not the boot-time Config.Members: after a
+// reconfiguration, a lazily created key must address the current member
+// set, not the group the node booted with.
+func (s *shard) instantiate(key string) (*keyState, error) {
 	s0, err := s.n.cfg.initialFor(key)
 	if err != nil {
 		return nil, err
@@ -199,9 +212,21 @@ func (s *shard) replicaFor(key string) (*core.Replica, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.replicas[key] = rep
-	s.markDirty(key)
-	return rep, nil
+	return s.add(key, rep), nil
+}
+
+// add installs a record for key around rep.
+func (s *shard) add(key string, rep *core.Replica) *keyState {
+	ks := &keyState{key: key, rep: rep}
+	s.keys[key] = ks
+	return ks
+}
+
+// deferDone queues a client completion on ks; flushOutbox releases it
+// once everything ordered before it for the key is durable.
+func (s *shard) deferDone(ks *keyState, fn func()) {
+	ks.notify = append(ks.notify, fn)
+	s.markDirty(ks)
 }
 
 func (s *shard) handle(ev nodeEvent) {
@@ -210,7 +235,7 @@ func (s *shard) handle(ev nodeEvent) {
 		if s.crashed {
 			return
 		}
-		rep, err := s.replicaFor(ev.key)
+		ks, err := s.record(ev.key)
 		if err != nil {
 			// No agreed initial state for this key: drop, counted — a peer
 			// whose configuration accepts the key would otherwise hang
@@ -222,31 +247,45 @@ func (s *shard) handle(ev nodeEvent) {
 		// RECONFIG, or the anti-entropy repair after an epoch mismatch);
 		// fold any adoption into the node view so later-instantiated keys
 		// start from it.
-		adoptions := rep.Counters().ConfigAdoptions
-		rep.Deliver(ev.from, ev.payload)
-		if rep.Counters().ConfigAdoptions != adoptions {
-			s.n.noteConfig(rep.ConfigState())
+		adoptions := ks.rep.Counters().ConfigAdoptions
+		ks.rep.Deliver(ev.from, ev.payload)
+		if ks.rep.Counters().ConfigAdoptions != adoptions {
+			s.n.noteConfig(ks.rep.ConfigState())
 		}
 	case evUpdate:
 		if s.crashed {
 			ev.update.done <- updateResult{err: ErrUnavailable}
 			return
 		}
-		if s.n.cfg.BatchInterval > 0 {
-			s.batchUpdates[ev.key] = append(s.batchUpdates[ev.key], ev.update)
-			return
+		ks, err := s.record(ev.key)
+		switch {
+		case err != nil:
+			ev.update.done <- updateResult{err: err}
+		case s.n.cfg.BatchInterval == 0:
+			s.startUpdate(ks, []*updateOp{ev.update})
+		default:
+			if len(ks.updates) == 0 {
+				s.batchedUpdates = append(s.batchedUpdates, ks)
+			}
+			ks.updates = append(ks.updates, ev.update)
 		}
-		s.startUpdate(ev.key, []*updateOp{ev.update})
 	case evQuery:
 		if s.crashed {
 			ev.query.done <- queryResult{err: ErrUnavailable}
 			return
 		}
-		if s.n.cfg.BatchInterval > 0 {
-			s.batchQueries[ev.key] = append(s.batchQueries[ev.key], ev.query)
-			return
+		ks, err := s.record(ev.key)
+		switch {
+		case err != nil:
+			ev.query.done <- queryResult{err: err}
+		case s.n.cfg.BatchInterval == 0:
+			s.startQuery(ks, []*queryOp{ev.query})
+		default:
+			if len(ks.queries) == 0 {
+				s.batchedQueries = append(s.batchedQueries, ks)
+			}
+			ks.queries = append(ks.queries, ev.query)
 		}
-		s.startQuery(ev.key, []*queryOp{ev.query})
 	case evReconfig:
 		s.startReconfigure(ev.reconfig)
 	case evSetCrashed:
@@ -259,8 +298,8 @@ func (s *shard) handle(ev nodeEvent) {
 		// serving), other proposers may move the quorum's rounds, and a
 		// resumed lease would skip the prepare that detects that. Dropping
 		// is purely conservative — the next quorum read re-earns it.
-		for _, rep := range s.replicas {
-			rep.DropLease()
+		for _, ks := range s.keys {
+			ks.rep.DropLease()
 		}
 	case evRestartPrep:
 		ev.restarted <- s.restartPrep()
@@ -269,14 +308,8 @@ func (s *shard) handle(ev nodeEvent) {
 	}
 }
 
-func (s *shard) startUpdate(key string, ops []*updateOp) {
-	rep, err := s.replicaFor(key)
-	if err != nil {
-		for _, op := range ops {
-			op.done <- updateResult{err: err}
-		}
-		return
-	}
+func (s *shard) startUpdate(ks *keyState, ops []*updateOp) {
+	s.markDirty(ks)
 	combined := func(st crdt.State) (crdt.State, error) {
 		var err error
 		for _, op := range ops {
@@ -287,15 +320,15 @@ func (s *shard) startUpdate(key string, ops []*updateOp) {
 		}
 		return st, nil
 	}
-	// The completion is deferred to the flush's notify phase: on a
-	// durable node the client must not observe success before the local
-	// snapshot covering the update has hit disk.
-	_, err = rep.SubmitUpdate(combined, func(stats core.UpdateStats, err error) {
-		s.notify = append(s.notify, keyedNotify{key: key, fn: func() {
+	// The completion is deferred to flushOutbox: on a durable node the
+	// client must not observe success before the local snapshot covering
+	// the update has hit disk.
+	_, err := ks.rep.SubmitUpdate(combined, func(stats core.UpdateStats, err error) {
+		s.deferDone(ks, func() {
 			for _, op := range ops {
 				op.done <- updateResult{stats: stats, err: err}
 			}
-		}})
+		})
 	})
 	if err != nil {
 		for _, op := range ops {
@@ -304,20 +337,14 @@ func (s *shard) startUpdate(key string, ops []*updateOp) {
 	}
 }
 
-func (s *shard) startQuery(key string, ops []*queryOp) {
-	rep, err := s.replicaFor(key)
-	if err != nil {
-		for _, op := range ops {
-			op.done <- queryResult{err: err}
-		}
-		return
-	}
-	rep.SubmitQuery(func(st crdt.State, stats core.QueryStats, err error) {
-		s.notify = append(s.notify, keyedNotify{key: key, fn: func() {
+func (s *shard) startQuery(ks *keyState, ops []*queryOp) {
+	s.markDirty(ks)
+	ks.rep.SubmitQuery(func(st crdt.State, stats core.QueryStats, err error) {
+		s.deferDone(ks, func() {
 			for _, op := range ops {
 				op.done <- queryResult{state: st, stats: stats, err: err}
 			}
-		}})
+		})
 	})
 }
 
@@ -361,78 +388,78 @@ func (s *shard) startReconfigure(op *reconfigOp) {
 		return
 	}
 	view := s.n.currentConfig()
-	keys := make([]string, 0, len(s.replicas))
-	for k, rep := range s.replicas {
-		if !op.behindOnly || view.Supersedes(rep.ConfigState()) {
-			keys = append(keys, k)
+	var recs []*keyState
+	for _, ks := range s.keys {
+		if !op.behindOnly || view.Supersedes(ks.rep.ConfigState()) {
+			recs = append(recs, ks)
 		}
 	}
-	sort.Strings(keys)
-	op.swept.Add(int64(len(keys)))
+	slices.SortFunc(recs, func(a, b *keyState) int { return strings.Compare(a.key, b.key) })
+	op.swept.Add(int64(len(recs)))
 	agg := &reconfigAgg{op: op}
-	for _, key := range keys {
-		rep := s.replicas[key]
-		s.markDirty(key)
+	for _, ks := range recs {
+		s.markDirty(ks)
 		agg.pending++
-		if _, err := rep.SubmitReconfigure(op.members, func(err error) {
+		if _, err := ks.rep.SubmitReconfigure(op.members, func(err error) {
 			agg.settle(err)
 		}); err != nil {
 			agg.pending--
-			agg.errs = append(agg.errs, fmt.Errorf("key %q: %w", key, err))
+			agg.errs = append(agg.errs, fmt.Errorf("key %q: %w", ks.key, err))
 			continue
 		}
 		// The proposer self-adopts the candidate configuration on
 		// submission; surface it to the node view right away so keys
 		// instantiated during the round already use the new member set.
-		s.n.noteConfig(rep.ConfigState())
+		s.n.noteConfig(ks.rep.ConfigState())
 	}
 	agg.submitted = true
 	agg.maybeFinish()
 }
 
 // flushBatches starts one protocol run per key holding buffered commands of
-// the given kind — keys batch independently, so a hot key's protocol run
-// does not serialize behind a cold key's.
+// the given kind, in the order the keys were first buffered — keys batch
+// independently, so a hot key's protocol run does not serialize behind a
+// cold key's.
 func (s *shard) flushBatches(queries bool) {
 	if queries {
-		for key, ops := range s.batchQueries {
-			delete(s.batchQueries, key)
-			s.startQuery(key, ops)
+		batched := s.batchedQueries
+		s.batchedQueries = nil
+		for _, ks := range batched {
+			ops := ks.queries
+			ks.queries = nil
+			s.startQuery(ks, ops)
 		}
 		return
 	}
-	for key, ops := range s.batchUpdates {
-		delete(s.batchUpdates, key)
-		s.startUpdate(key, ops)
+	batched := s.batchedUpdates
+	s.batchedUpdates = nil
+	for _, ks := range batched {
+		ops := ks.updates
+		ks.updates = nil
+		s.startUpdate(ks, ops)
 	}
-}
-
-func (s *shard) clearDirty() {
-	for _, key := range s.dirty {
-		delete(s.dirtySet, key)
-	}
-	s.dirty = s.dirty[:0]
 }
 
 // failEverything aborts in-flight and batched requests upon crash; their
 // callers receive ErrAborted / ErrUnavailable.
 func (s *shard) failEverything() {
-	for key := range s.busy {
-		s.replicas[key].AbortAll()
-		delete(s.busy, key)
+	for ks := range s.busy {
+		ks.rep.AbortAll()
+		delete(s.busy, ks)
 	}
-	for key, ops := range s.batchUpdates {
-		delete(s.batchUpdates, key)
-		for _, op := range ops {
+	for _, ks := range s.batchedUpdates {
+		for _, op := range ks.updates {
 			op.done <- updateResult{err: ErrUnavailable}
 		}
+		ks.updates = nil
 	}
-	for key, ops := range s.batchQueries {
-		delete(s.batchQueries, key)
-		for _, op := range ops {
+	for _, ks := range s.batchedQueries {
+		for _, op := range ks.queries {
 			op.done <- queryResult{err: ErrUnavailable}
 		}
+		ks.queries = nil
 	}
+	s.batchedUpdates, s.batchedQueries = nil, nil
 }
 
 // installSnapshot rehydrates one persisted key: the replica is created
@@ -442,36 +469,31 @@ func (s *shard) failEverything() {
 // keyspace the disk remembers but the config denies would be a silent
 // split-brain between configuration and data. Called before the loop
 // starts (NewNode) or on the loop (restore), never concurrently.
-func (s *shard) installSnapshot(ks persist.KeySnapshot) error {
-	rep, ok := s.replicas[ks.Key]
+func (s *shard) installSnapshot(snap persist.KeySnapshot) error {
+	ks, ok := s.keys[snap.Key]
 	if !ok {
-		s0, err := s.n.cfg.initialFor(ks.Key)
-		if err != nil {
-			return fmt.Errorf("cluster: %s: snapshot for unconfigured key %q: %w", s.n.id, ks.Key, err)
+		var err error
+		if ks, err = s.instantiate(snap.Key); err != nil {
+			return fmt.Errorf("cluster: %s: snapshot for key %q: %w", s.n.id, snap.Key, err)
 		}
-		rep, err = core.NewReplicaConfig(s.n.id, s.n.currentConfig(), s0, s.n.cfg.Options)
-		if err != nil {
-			return err
-		}
-		s.replicas[ks.Key] = rep
 	}
-	if err := rep.Restore(ks.Snap); err != nil {
-		return fmt.Errorf("cluster: %s: restore %q: %w", s.n.id, ks.Key, err)
+	if err := ks.rep.Restore(snap.Snap); err != nil {
+		return fmt.Errorf("cluster: %s: restore %q: %w", s.n.id, snap.Key, err)
 	}
 	// The snapshot may carry a configuration newer than the node's view
 	// (the common case at startup: the view is the boot-time member list,
 	// the disk has what this key had actually adopted).
-	if cfg := rep.ConfigState(); len(cfg.Members) > 0 {
+	if cfg := ks.rep.ConfigState(); len(cfg.Members) > 0 {
 		s.n.noteConfig(cfg)
 	}
-	s.savedVersion[ks.Key] = rep.StateVersion()
+	ks.saved = ks.rep.StateVersion()
 	return nil
 }
 
 // restartPrep is restart phase one, on the loop: quiesce the persister
 // (pending group-commit batches land on disk and their surviving
 // completions are delivered — they were promised before the restart),
-// then drop every volatile structure and park crashed until restore.
+// then drop every record and park crashed until restore.
 // Only Node.Restart posts it, and only on a durable node: drainPersister
 // sends on persistq, which a volatile node does not have.
 func (s *shard) restartPrep() error {
@@ -481,15 +503,12 @@ func (s *shard) restartPrep() error {
 	s.failEverything()
 	// The aborts above carry errors, not acknowledgements — nothing about
 	// them needs to be durable, so they bypass the (now empty) pipeline.
-	for _, kn := range s.notify {
-		kn.fn()
+	for _, ks := range s.dirty {
+		for _, fn := range ks.notify {
+			fn()
+		}
 	}
-	s.notify = s.notify[:0]
-	s.replicas = make(map[string]*core.Replica)
-	s.savedVersion = make(map[string]uint64)
-	s.inflight = make(map[string]uint64)
-	s.persistBroken = make(map[string]struct{})
-	s.clearDirty()
+	s.keys, s.dirty = make(map[string]*keyState), nil
 	s.crashed = true
 	return nil
 }
@@ -500,11 +519,9 @@ func (s *shard) restartPrep() error {
 // the disk cannot reproduce what was promised to the quorum.
 func (s *shard) restore(snaps []persist.KeySnapshot) error {
 	if s.n.shardFor(DefaultKey) == s.idx {
-		rep, err := core.NewReplicaConfig(s.n.id, s.n.currentConfig(), s.n.cfg.Initial, s.n.cfg.Options)
-		if err != nil {
+		if _, err := s.instantiate(DefaultKey); err != nil {
 			return err
 		}
-		s.replicas[DefaultKey] = rep
 	}
 	for _, ks := range snaps {
 		if err := s.installSnapshot(ks); err != nil {

@@ -91,7 +91,7 @@ func TestEventualLivenessAfterFiniteUpdates(t *testing.T) {
 			reps[id].SubmitQuery(nil)
 			flush(id)
 		}
-		fabric.Run(10) // deliver only a few messages, leaving chaos behind
+		fabric.Drain(10) // deliver only a few messages, leaving chaos behind
 
 		// The updates are finite (none from here on). A fresh query must
 		// complete purely by message-driven retries during the drain.

@@ -185,16 +185,6 @@ func (f *Fabric) Step() bool {
 	return false
 }
 
-// Run delivers up to maxSteps messages and returns how many were delivered.
-// It stops early when the network is quiescent.
-func (f *Fabric) Run(maxSteps int) int {
-	n := 0
-	for n < maxSteps && f.Step() {
-		n++
-	}
-	return n
-}
-
 // Drain delivers messages until quiescence (no pending messages). It
 // returns the number of delivered messages and gives up after a safety
 // bound to keep broken protocols from looping forever.

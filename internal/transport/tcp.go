@@ -9,13 +9,16 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // TCP is a transport over real sockets for multi-process deployments.
 // Frames are length-prefixed: [uvarint total][uvarint fromLen][from][payload].
 // Outbound connections are dialed lazily and redialed on the next Send after
 // a failure; a failed write drops the message, preserving the unreliable
-// best-effort semantics of Conn.
+// best-effort semantics of Conn. A dial and each frame write are bounded by
+// sendTimeout, so a peer that stops reading, or an address that never
+// answers, delays a Send for a bounded time instead of blocking it forever.
 type TCP struct {
 	id    NodeID
 	peers map[NodeID]string
@@ -36,6 +39,10 @@ type TCP struct {
 }
 
 var _ Conn = (*TCP)(nil)
+
+// sendTimeout bounds one outbound dial and one frame write. A write that
+// misses it drops the message and the connection; the next Send redials.
+const sendTimeout = time.Second
 
 type tcpPeer struct {
 	mu   sync.Mutex
@@ -189,7 +196,7 @@ func (t *TCP) peer(to NodeID) (*tcpPeer, error) {
 	if !ok {
 		return nil, fmt.Errorf("transport: unknown peer %s", to)
 	}
-	conn, err := net.Dial("tcp", addr)
+	conn, err := net.DialTimeout("tcp", addr, sendTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("transport: dial %s: %w", to, err)
 	}
@@ -239,6 +246,9 @@ func (p *tcpPeer) write(from NodeID, payload []byte) error {
 	defer p.mu.Unlock()
 	if p.conn == nil {
 		return io.ErrClosedPipe
+	}
+	if err := p.conn.SetWriteDeadline(time.Now().Add(sendTimeout)); err != nil {
+		return err
 	}
 	if _, err := p.bw.Write(hdr[:n]); err != nil {
 		return err

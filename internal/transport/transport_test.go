@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"net"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -514,6 +515,78 @@ func TestTCPPeerCrashDropsThenRecovers(t *testing.T) {
 		a.Send("b", []byte("again"))
 		return gotB.Load() >= 2
 	})
+}
+
+// TestTCPSendToStalledPeerIsBounded: a peer that accepts a connection but
+// never reads fills the socket buffers, after which a frame write misses
+// sendTimeout. The Send returns within that bound, the message counts as
+// dropped, and the endpoint still delivers to a healthy peer.
+func TestTCPSendToStalledPeerIsBounded(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan net.Conn, 16)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- conn
+		}
+	}()
+	// release closes the stalled side, which unblocks any write still
+	// stuck on it; it must run before a.Close, which waits for writers.
+	release := sync.OnceFunc(func() {
+		_ = ln.Close()
+		for {
+			select {
+			case conn := <-accepted:
+				_ = conn.Close()
+			default:
+				return
+			}
+		}
+	})
+	var gotB collect
+	b, err := NewTCP("b", "127.0.0.1:0", nil, gotB.handler)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	a, err := NewTCP("a", "127.0.0.1:0", map[NodeID]string{"stuck": ln.Addr().String(), "b": b.Addr()}, func(NodeID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer release()
+
+	payload := make([]byte, 1<<20)
+	longest := make(chan time.Duration, 1)
+	go func() {
+		var most time.Duration
+		for i := 0; i < 256 && a.Stats().Dropped == 0; i++ {
+			start := time.Now()
+			a.Send("stuck", payload)
+			most = max(most, time.Since(start))
+		}
+		longest <- most
+	}()
+	select {
+	case most := <-longest:
+		if a.Stats().Dropped == 0 {
+			t.Fatal("256 MiB sent to a peer that never reads, none dropped")
+		}
+		if most > sendTimeout+time.Second {
+			t.Fatalf("longest Send took %v, want at most %v plus slack", most, sendTimeout)
+		}
+	case <-time.After(sendTimeout + 20*time.Second):
+		release()
+		t.Fatal("Send to a peer that never reads blocked")
+	}
+	a.Send("b", []byte("after"))
+	waitFor(t, func() bool { return gotB.len() == 1 })
 }
 
 // --- per-link byte accounting, one test per substrate ---
