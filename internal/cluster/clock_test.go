@@ -15,18 +15,22 @@ import (
 	"crdtsmr/internal/transport"
 )
 
-// TestClocksOwnedByShardLoop is the census gate of the runtime's clock
-// seam: outside shard.loop, no non-test file of the package starts a
-// timer (time.AfterFunc, time.NewTimer, time.NewTicker or time.After).
-// Every clock a node runs is one of the two each shard loop owns, the
-// retransmit tick and the batch flush; a per-request timer, or one that
-// posts to the loop from its own goroutine, fails here.
+// TestClocksOwnedByShardLoop is the census gate of the runtime's clocks:
+// every clock a node runs is owned by its driver. Outside the methods of
+// loopDriver, whose shard loop owns the retransmit tick and the batch
+// flush, no non-test file of the package starts a timer (time.AfterFunc,
+// time.NewTimer, time.NewTicker or time.After); and no stepDriver method
+// touches the wall clock at all (those four, time.Now, time.Since,
+// time.Until, time.Sleep, time.Tick), since a stepped node's only clock is
+// its Clock. A per-request timer, one that posts to the loop from its own
+// goroutine, or a wall-clock read in the step driver fails here.
 func TestClocksOwnedByShardLoop(t *testing.T) {
 	files, err := filepath.Glob("*.go")
 	if err != nil {
 		t.Fatal(err)
 	}
 	timers := map[string]bool{"AfterFunc": true, "NewTimer": true, "NewTicker": true, "After": true}
+	wall := map[string]bool{"Now": true, "Since": true, "Until": true, "Sleep": true, "Tick": true}
 	fset := token.NewFileSet()
 	for _, name := range files {
 		if strings.HasSuffix(name, "_test.go") {
@@ -37,7 +41,8 @@ func TestClocksOwnedByShardLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, decl := range f.Decls {
-			if isShardLoop(decl) {
+			recv := receiverName(decl)
+			if recv == "loopDriver" {
 				continue
 			}
 			ast.Inspect(decl, func(n ast.Node) bool {
@@ -45,8 +50,14 @@ func TestClocksOwnedByShardLoop(t *testing.T) {
 				if !ok {
 					return true
 				}
-				if x, ok := sel.X.(*ast.Ident); ok && x.Name == "time" && timers[sel.Sel.Name] {
-					t.Errorf("%s: time.%s outside shard.loop; the shard loop owns every clock", fset.Position(sel.Pos()), sel.Sel.Name)
+				if x, ok := sel.X.(*ast.Ident); !ok || x.Name != "time" {
+					return true
+				}
+				switch {
+				case timers[sel.Sel.Name]:
+					t.Errorf("%s: time.%s outside loopDriver; the driver owns every clock", fset.Position(sel.Pos()), sel.Sel.Name)
+				case wall[sel.Sel.Name] && recv == "stepDriver":
+					t.Errorf("%s: time.%s in the step driver; a stepped node reads only its Clock", fset.Position(sel.Pos()), sel.Sel.Name)
 				}
 				return true
 			})
@@ -54,11 +65,25 @@ func TestClocksOwnedByShardLoop(t *testing.T) {
 	}
 }
 
-// isShardLoop reports whether decl is the method (*shard).loop.
-func isShardLoop(decl ast.Decl) bool {
+// receiverName returns the receiver type of a method declaration, or ""
+// for any other declaration.
+func receiverName(decl ast.Decl) string {
 	fn, ok := decl.(*ast.FuncDecl)
-	return ok && fn.Name.Name == "loop" && isShardMethod(fn)
+	if !ok || fn.Recv == nil || len(fn.Recv.List) != 1 {
+		return ""
+	}
+	typ := fn.Recv.List[0].Type
+	if star, ok := typ.(*ast.StarExpr); ok {
+		typ = star.X
+	}
+	if id, ok := typ.(*ast.Ident); ok {
+		return id.Name
+	}
+	return ""
 }
+
+// queue returns the event queue of s under the loop driver.
+func (s *shard) queue() chan nodeEvent { return s.n.drv.(*loopDriver).lanes[s.idx].events }
 
 // waitOnLoop polls cond on the loop of key's shard until it holds: a
 // loop-synchronized wait where a sleep could only guess.
@@ -133,7 +158,7 @@ func waitSettled(t *testing.T, c *Cluster, mesh *transport.Mesh) uint64 {
 		quiet := st.Sent == st.Delivered+st.Dropped
 		for _, n := range c.Nodes() {
 			for _, s := range n.shards {
-				s.call(func() { quiet = quiet && len(s.busy) == 0 && len(s.events) == 0 })
+				s.call(func() { quiet = quiet && len(s.busy) == 0 && len(s.queue()) == 0 })
 			}
 		}
 		if quiet && st.Sent == last {

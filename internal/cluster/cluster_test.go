@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -329,7 +330,7 @@ func TestNodeCloseUnblocksClients(t *testing.T) {
 		_, err := n1.Update(context.Background(), incSelf(n1))
 		errCh <- err
 	}()
-	waitOnLoop(t, n1, DefaultKey, func(s *shard) bool { _, ok := s.busy[s.keys[DefaultKey]]; return ok })
+	waitOnLoop(t, n1, DefaultKey, func(s *shard) bool { return slices.Contains(s.busy, s.keys[DefaultKey]) })
 	if err := n1.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -517,7 +518,7 @@ func TestHandleInboundNeverBlocks(t *testing.T) {
 	defer c.Close()
 	n1 := c.Node("n1")
 
-	// Wedge the default key's shard loop on a side-band call. Frames are
+	// Wedge the default key's shard loop on a call. Frames are
 	// routed by envelope key before they reach any loop, so the flood
 	// must target the wedged shard's keys to fill its queue.
 	sh := n1.shardOf(DefaultKey)
@@ -532,7 +533,7 @@ func TestHandleInboundNeverBlocks(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 0; i < 3*cap(sh.events); i++ {
+		for i := 0; i < 3*cap(sh.queue()); i++ {
 			n1.handleInbound("n2", frame)
 		}
 	}()

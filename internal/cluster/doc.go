@@ -21,25 +21,26 @@
 // protocol messages carry an object-ID envelope (internal/wire) that
 // routes them to the right instance. Replicas are instantiated lazily on
 // first touch — locally by a command, remotely by the first inbound
-// message for the key. Node.UpdateKey and Node.QueryKey are the keyed
-// store's whole API. Node.Mutation is the one mutation table: it turns a
-// named mutation ("inc", "add", ...) into the update function a front
-// end then submits, for the network server and the crdtsmr facade alike,
-// and it owns the node's one or-set tag counter. Cluster starts n nodes over one in-process Mesh for
-// the crdtsmr facade and the tests; the daemon (cmd/crdtsmrd), the
-// benchmark and examples/netcluster start each node with NewNode.
+// message for the key. Node.UpdateKey and Node.QueryKey, blocking waits
+// over SubmitUpdate and SubmitQuery, are the keyed store's whole API.
+// Node.Mutation is the one mutation table: it turns a named mutation
+// ("inc", "add", ...) into the update function a front end then submits,
+// and it owns the node's one or-set tag counter. Cluster starts n nodes
+// over one in-process Mesh for the crdtsmr facade and the tests; the
+// daemon, the benchmark and examples/netcluster call NewNode per node.
 //
 // Durable nodes (Config.DataDir) decouple disk latency from the loops:
-// each shard owns a persister goroutine that commits snapshot writes in
-// groups (persist.Store.SaveBatch — one frame appended per key per
-// batch), and the loop releases a key's outbound envelopes and client
-// completions only after the writes ordered before them have landed
-// (persist-before-ack, kept per key). Every node, durable or not, runs
-// the same flush after each event; a request with nothing to wait for,
+// each shard's group commit writes snapshots in batches
+// (persist.Store.SaveBatch — one frame appended per key per batch), and
+// the loop releases a key's outbound envelopes and client completions
+// only after the writes ordered before them have landed
+// (persist-before-ack, kept per key). A request with nothing to wait for,
 // which is every request of a volatile node, is released at once.
 //
-// Both clocks are wall-clock timers, and the shard loop is the only code
-// in the package that starts a timer. Node.ForgetPeer clears what the
-// replicas that exist hold about a peer; a replica created later starts
-// with nothing to clear.
+// A driver runs the shards and owns their clocks. NewNode's loopDriver
+// gives each shard a goroutine with wall-clock timers, plus a persister
+// goroutine when durable; it is the only code that starts a timer.
+// NewSteppedNode's stepDriver runs the same steps inline on a virtual
+// Clock and reads no wall clock: the shootout figures run on it.
+// Node.ForgetPeer clears what existing replicas hold about a peer.
 package cluster

@@ -77,7 +77,7 @@ func TestKeyedLazyInstantiation(t *testing.T) {
 	ctx := ctxWith(t, 10*time.Second)
 
 	// Only the default object exists at startup.
-	if got := st.Node("n1").Objects(); got != 1 {
+	if got := len(st.Node("n1").Keys()); got != 1 {
 		t.Fatalf("objects at start = %d, want 1 (default)", got)
 	}
 
@@ -100,7 +100,7 @@ func TestKeyedLazyInstantiation(t *testing.T) {
 	if got := s.(*crdt.GCounter).Value(); got != 1 {
 		t.Fatalf("value at n3 = %d, want 1", got)
 	}
-	if got := st.Node("n3").Objects(); got != 2 {
+	if got := len(st.Node("n3").Keys()); got != 2 {
 		t.Fatalf("objects at n3 = %d, want 2", got)
 	}
 	all := make(map[string]bool)
@@ -236,7 +236,7 @@ func TestKeyedManyKeysLinearizable(t *testing.T) {
 
 	// All 64 keys multiplexed over each node's one connection and loop.
 	for _, id := range ids {
-		if got := st.Node(id).Objects(); got < nKeys {
+		if got := len(st.Node(id).Keys()); got < nKeys {
 			t.Fatalf("node %s instantiated %d objects, want ≥ %d", id, got, nKeys)
 		}
 	}

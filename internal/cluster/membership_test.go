@@ -190,8 +190,8 @@ func TestFlushOffsetGuards(t *testing.T) {
 		}
 		seen = append(seen, off)
 	}
-	if memberIndex(ids, "stranger") != -1 {
-		t.Fatal("memberIndex of absent id must be -1")
+	if off := flushOffset(ids, "stranger", interval); off != interval {
+		t.Fatalf("flushOffset of a non-member = %v, want one window %v", off, interval)
 	}
 }
 
@@ -271,7 +271,7 @@ func TestReconfigureCoversKeyInstantiatedMidFanOut(t *testing.T) {
 		return cfg, ok
 	}
 
-	// Wedge both shards so the fan-out queues one evReconfig on each.
+	// Wedge both shards so the fan-out queues one reconfiguration event on each.
 	wedge := func(s *shard) func() {
 		started, unblock := make(chan struct{}), make(chan struct{})
 		go s.call(func() { close(started); <-unblock })
@@ -284,11 +284,11 @@ func TestReconfigureCoversKeyInstantiatedMidFanOut(t *testing.T) {
 	reconfigured := make(chan error, 1)
 	go func() { reconfigured <- n1.Reconfigure(ctx, []transport.NodeID{"n1", "n2"}) }()
 	waitFor(t, "the fan-out to queue on both shards", func() bool {
-		return len(home.events) == 1 && len(away.events) == 1
+		return len(home.queue()) == 1 && len(away.queue()) == 1
 	})
 	// Let only the away shard run its (empty) sweep.
 	unwedgeAway()
-	waitFor(t, "the away shard to take its evReconfig", func() bool { return len(away.events) == 0 })
+	waitFor(t, "the away shard to take its reconfiguration event", func() bool { return len(away.queue()) == 0 })
 	away.call(func() {})
 
 	if _, err := c.Node("n2").UpdateKey(ctx, k, incBy("n2", 1)); err != nil {

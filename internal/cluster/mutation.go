@@ -12,7 +12,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"time"
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/wire"
@@ -31,7 +30,7 @@ func badMutation(format string, args ...any) error {
 // payload of type crdtType; it does not submit it. The function checks the
 // payload type when it is applied and fails, naming both types, on any
 // other. An or-set add is tagged with this node's ID and the node's tag
-// counter, an lww-register write is stamped with the wall clock, and an
+// counter, an lww-register write is stamped with the driver's clock, and an
 // or-set remove first observes the set with a linearizable query, whose
 // round trips are observeRTTs (zero for every other mutation). On error
 // nothing was submitted; a malformed request wraps ErrBadMutation.
@@ -100,7 +99,7 @@ func (n *Node) Mutation(ctx context.Context, key, crdtType, mutation string, arg
 			if err != nil {
 				return nil, 0, err
 			}
-			val, ts := string(arg), uint64(time.Now().UnixNano())
+			val, ts := string(arg), uint64(n.drv.now().UnixNano())
 			return typed(key, crdtType, func(r *crdt.LWWRegister) crdt.State { return r.Set(val, ts, slot) }), 0, nil
 		}
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -166,8 +167,7 @@ type Node struct {
 	conn transport.Conn
 
 	shards []*shard
-	quit   chan struct{}
-	wg     sync.WaitGroup
+	drv    driver // runs the shards: goroutines, or steps on a virtual clock
 
 	store *persist.Store // nil when cfg.DataDir is empty
 
@@ -196,22 +196,19 @@ type Node struct {
 	// startup and from Restart's caller goroutine, hence atomic.
 	skippedSnaps atomic.Uint64
 	// seq numbers the or-set add tags this node builds (Mutation), for
-	// the server and the facade alike. It is seeded from the wall clock,
-	// so tags stay unique across restarts of the same replica ID.
+	// the server and the facade alike. It is seeded from the driver's
+	// clock, so tags stay unique across restarts of the same replica ID.
 	seq atomic.Uint64
 }
 
 type nodeEvent struct {
-	kind      eventKind
-	from      transport.NodeID
-	payload   []byte
-	key       string
-	update    *updateOp
-	query     *queryOp
-	crash     bool
-	reconfig  *reconfigOp           // evReconfig: this node-wide reconfiguration
-	snaps     []persist.KeySnapshot // evRestore: this shard's keys to rehydrate
-	restarted chan error            // evRestartPrep / evRestore: receives the phase result
+	kind    eventKind
+	from    transport.NodeID
+	payload []byte
+	key     string
+	update  *updateOp
+	query   *queryOp
+	call    func() // evCall
 }
 
 // reconfigOp is one pass of a node-wide reconfiguration fanned out to
@@ -224,7 +221,6 @@ type reconfigOp struct {
 	members    []transport.NodeID
 	behindOnly bool
 	swept      atomic.Int64 // keys submitted, summed across shards
-	done       chan error   // buffered to the shard count; one send per shard
 }
 
 type eventKind uint8
@@ -233,45 +229,31 @@ const (
 	evInbound eventKind = iota + 1
 	evUpdate
 	evQuery
-	evSetCrashed
-	evRestartPrep // drop volatile state, quiesce the persister, stay crashed
-	evRestore     // rehydrate from the given snapshots and resume serving
-	evReconfig    // drive this shard's keys through a membership change
+	evCall // run a function on the loop: control operations and shard.call
 )
 
 type updateOp struct {
 	fu   crdt.Update
-	done chan updateResult
-}
-
-type updateResult struct {
-	stats core.UpdateStats
-	err   error
+	done func(core.UpdateStats, error)
 }
 
 type queryOp struct {
-	done chan queryResult
-}
-
-type queryResult struct {
-	state crdt.State
-	stats core.QueryStats
-	err   error
+	done func(crdt.State, core.QueryStats, error)
 }
 
 // NewNode creates and starts a node. join binds the node's ID and inbound
 // handler to a transport (e.g. a wrapper around Mesh.Join or NewTCP).
 func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transport.Handler) transport.Conn) (*Node, error) {
+	return newNode(id, cfg, func(n *Node) driver { return newLoopDriver(n) }, join)
+}
+
+// newNode creates a node run by the driver newDriver builds, and starts it.
+func newNode(id transport.NodeID, cfg Config, newDriver func(*Node) driver, join func(transport.NodeID, transport.Handler) transport.Conn) (*Node, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{
-		id:   id,
-		cfg:  cfg,
-		quit: make(chan struct{}),
-	}
-	n.seq.Store(uint64(time.Now().UnixNano()))
+	n := &Node{id: id, cfg: cfg}
 	if !cfg.Joining {
 		n.curCfg = core.Config{Members: append([]transport.NodeID(nil), cfg.Members...)}
 	}
@@ -290,6 +272,8 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 	for i := range n.shards {
 		n.shards[i] = newShard(n, i)
 	}
+	n.drv = newDriver(n)
+	n.seq.Store(uint64(n.drv.now().UnixNano()))
 	// Instantiate the default object eagerly: it validates the member list
 	// and initial state once, at startup, rather than on the first command.
 	// A joiner starts it with the empty configuration instead — it must
@@ -306,7 +290,7 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 	n.shardOf(DefaultKey).add(DefaultKey, rep)
 	// Rehydrate before joining the transport: once the first message can
 	// arrive, every key's acceptor must already hold its pre-crash round.
-	// The shards' loops have not started, so installing directly is safe.
+	// The shards have not started, so installing directly is safe.
 	if n.store != nil {
 		snaps, skipped, err := n.store.LoadAll(cfg.Recover)
 		if err != nil {
@@ -320,14 +304,7 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 		}
 	}
 	n.conn = join(id, n.handleInbound)
-	for _, s := range n.shards {
-		n.wg.Add(1)
-		go s.loop()
-		if s.persistq != nil {
-			n.wg.Add(1)
-			go s.persister()
-		}
-	}
+	n.drv.start(n)
 	return n, nil
 }
 
@@ -342,21 +319,11 @@ func NewNode(id transport.NodeID, cfg Config, join func(transport.NodeID, transp
 // reconfiguration removed) and an empty view get one full window: there
 // is no slot to claim and nothing to de-phase against.
 func flushOffset(members []transport.NodeID, id transport.NodeID, interval time.Duration) time.Duration {
-	idx := memberIndex(members, id)
-	if len(members) == 0 || idx < 0 {
+	idx := slices.Index(members, id)
+	if idx < 0 {
 		return interval
 	}
 	return interval * time.Duration(idx+1) / time.Duration(len(members))
-}
-
-// memberIndex returns id's position in members, or -1 when absent.
-func memberIndex(members []transport.NodeID, id transport.NodeID) int {
-	for i, m := range members {
-		if m == id {
-			return i
-		}
-	}
-	return -1
 }
 
 // currentConfig returns the node's configuration view. The returned
@@ -378,30 +345,15 @@ func (n *Node) noteConfig(cfg core.Config) {
 		n.cfgMu.Unlock()
 		return
 	}
-	changed := !sameMembers(n.curCfg.Members, cfg.Members)
+	changed := !slices.Equal(n.curCfg.Members, cfg.Members)
 	n.curCfg = cfg
 	n.cfgMu.Unlock()
 	if !changed {
 		return
 	}
 	for _, s := range n.shards {
-		select {
-		case s.rephase <- struct{}{}: // nil without batching: never ready
-		default:
-		}
+		n.drv.rephase(s)
 	}
-}
-
-func sameMembers(a, b []transport.NodeID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Members returns the node's current membership view — the member set of
@@ -436,38 +388,41 @@ func (n *Node) Epoch() uint64 { return n.currentConfig().Epoch }
 // a pass finds none.
 func (n *Node) Reconfigure(ctx context.Context, members []transport.NodeID) error {
 	for behindOnly := false; ; behindOnly = true {
-		op := &reconfigOp{
-			members:    append([]transport.NodeID(nil), members...),
-			behindOnly: behindOnly,
-			done:       make(chan error, len(n.shards)),
-		}
-		if err := n.reconfigurePass(ctx, op); err != nil || op.swept.Load() == 0 {
+		op := &reconfigOp{members: append([]transport.NodeID(nil), members...), behindOnly: behindOnly}
+		err := n.fanOut(ctx, func(s *shard, report func(error)) { s.startReconfigure(op, report) })
+		if err != nil || op.swept.Load() == 0 {
 			return err
 		}
 	}
 }
 
-// reconfigurePass fans op out to every shard and joins their errors.
-func (n *Node) reconfigurePass(ctx context.Context, op *reconfigOp) error {
+// fanOut runs fn on every shard's loop, queueing it on all before waiting
+// for any (so shards work concurrently, each in its own event order),
+// then joins the one result each shard's fn reports.
+func (n *Node) fanOut(ctx context.Context, fn func(s *shard, report func(error))) error {
+	errs, done := make(chan error, len(n.shards)), make(chan struct{})
+	var left atomic.Int64
+	left.Store(int64(len(n.shards)))
+	report := func(err error) {
+		errs <- err
+		if left.Add(-1) == 0 {
+			close(done)
+		}
+	}
 	for _, s := range n.shards {
-		if err := s.submit(ctx, nodeEvent{kind: evReconfig, reconfig: op}); err != nil {
+		if err := n.drv.submit(ctx, s, nodeEvent{kind: evCall, call: func() { fn(s, report) }}); err != nil {
 			return err
 		}
 	}
-	var errs []error
-	for range n.shards {
-		select {
-		case err := <-op.done:
-			if err != nil {
-				errs = append(errs, err)
-			}
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-n.quit:
-			return ErrStopped
-		}
+	if err := n.drv.wait(ctx, done); err != nil {
+		return err
 	}
-	return errors.Join(errs...)
+	close(errs)
+	var all []error
+	for err := range errs {
+		all = append(all, err)
+	}
+	return errors.Join(all...)
 }
 
 // ID returns the node's ID.
@@ -492,6 +447,13 @@ func (n *Node) shardFor(key string) int {
 
 func (n *Node) shardOf(key string) *shard { return n.shards[n.shardFor(key)] }
 
+// each runs fn on every shard's loop (shard.call), in index order.
+func (n *Node) each(fn func(*shard)) {
+	for _, s := range n.shards {
+		s.call(func() { fn(s) })
+	}
+}
+
 // Counters returns a loop-synchronized snapshot of the protocol counters,
 // summed across every object instantiated on this node, aggregated shard
 // by shard in index order. Frames dropped before reaching a replica — an
@@ -499,14 +461,12 @@ func (n *Node) shardOf(key string) *shard { return n.shards[n.shardFor(key)] }
 // count toward MalformedMsgs.
 func (n *Node) Counters() core.Counters {
 	var sum core.Counters
-	for _, s := range n.shards {
-		s.call(func() {
-			for _, ks := range s.keys {
-				sum.Add(ks.rep.Counters())
-			}
-			sum.MalformedMsgs += s.droppedFrames
-		})
-	}
+	n.each(func(s *shard) {
+		for _, ks := range s.keys {
+			sum.Add(ks.rep.Counters())
+		}
+		sum.MalformedMsgs += s.droppedFrames
+	})
 	sum.MalformedMsgs += n.malformedFrames.Load()
 	sum.InboundDropped += n.inboundDropped.Load()
 	return sum
@@ -517,28 +477,16 @@ func (n *Node) Counters() core.Counters {
 // protocol message about it.
 func (n *Node) Keys() []string {
 	var keys []string
-	for _, s := range n.shards {
-		s.call(func() {
-			for k := range s.keys {
-				keys = append(keys, k)
-			}
-		})
-	}
+	n.each(func(s *shard) {
+		for k := range s.keys {
+			keys = append(keys, k)
+		}
+	})
 	sort.Strings(keys)
 	return keys
 }
 
-// Objects returns the number of object replicas instantiated on this node.
-func (n *Node) Objects() int {
-	count := 0
-	for _, s := range n.shards {
-		s.call(func() { count += len(s.keys) })
-	}
-	return count
-}
-
-// Update submits an update command against the default object and blocks
-// until it completes or ctx is done.
+// Update is UpdateKey on the default object.
 func (n *Node) Update(ctx context.Context, fu crdt.Update) (core.UpdateStats, error) {
 	return n.UpdateKey(ctx, DefaultKey, fu)
 }
@@ -546,22 +494,29 @@ func (n *Node) Update(ctx context.Context, fu crdt.Update) (core.UpdateStats, er
 // UpdateKey submits an update command against the object stored under key
 // and blocks until it is durable on a quorum or ctx is done.
 func (n *Node) UpdateKey(ctx context.Context, key string, fu crdt.Update) (core.UpdateStats, error) {
-	op := &updateOp{fu: fu, done: make(chan updateResult, 1)}
-	if err := n.shardOf(key).submit(ctx, nodeEvent{kind: evUpdate, key: key, update: op}); err != nil {
+	var stats core.UpdateStats
+	var opErr error
+	done := make(chan struct{})
+	if err := n.SubmitUpdate(ctx, key, fu, func(st core.UpdateStats, err error) {
+		stats, opErr = st, err
+		close(done)
+	}); err != nil {
 		return core.UpdateStats{}, err
 	}
-	select {
-	case res := <-op.done:
-		return res.stats, res.err
-	case <-ctx.Done():
-		return core.UpdateStats{}, ctx.Err()
-	case <-n.quit:
-		return core.UpdateStats{}, ErrStopped
+	if err := n.drv.wait(ctx, done); err != nil {
+		return core.UpdateStats{}, err
 	}
+	return stats, opErr
 }
 
-// Query submits a query command against the default object and blocks until
-// a state is learned or ctx is done.
+// SubmitUpdate hands an update command on key to the key's shard, waiting
+// for room until ctx is done. done runs once on the shard's loop, when the
+// update is durable on a quorum or fails, and must not block.
+func (n *Node) SubmitUpdate(ctx context.Context, key string, fu crdt.Update, done func(core.UpdateStats, error)) error {
+	return n.drv.submit(ctx, n.shardOf(key), nodeEvent{kind: evUpdate, key: key, update: &updateOp{fu: fu, done: done}})
+}
+
+// Query is QueryKey on the default object.
 func (n *Node) Query(ctx context.Context) (crdt.State, core.QueryStats, error) {
 	return n.QueryKey(ctx, DefaultKey)
 }
@@ -570,18 +525,27 @@ func (n *Node) Query(ctx context.Context) (crdt.State, core.QueryStats, error) {
 // blocks until a linearizable state is learned or ctx is done. The returned
 // state must be treated as immutable.
 func (n *Node) QueryKey(ctx context.Context, key string) (crdt.State, core.QueryStats, error) {
-	op := &queryOp{done: make(chan queryResult, 1)}
-	if err := n.shardOf(key).submit(ctx, nodeEvent{kind: evQuery, key: key, query: op}); err != nil {
+	var state crdt.State
+	var stats core.QueryStats
+	var opErr error
+	done := make(chan struct{})
+	if err := n.SubmitQuery(ctx, key, func(s crdt.State, st core.QueryStats, err error) {
+		state, stats, opErr = s, st, err
+		close(done)
+	}); err != nil {
 		return nil, core.QueryStats{}, err
 	}
-	select {
-	case res := <-op.done:
-		return res.state, res.stats, res.err
-	case <-ctx.Done():
-		return nil, core.QueryStats{}, ctx.Err()
-	case <-n.quit:
-		return nil, core.QueryStats{}, ErrStopped
+	if err := n.drv.wait(ctx, done); err != nil {
+		return nil, core.QueryStats{}, err
 	}
+	return state, stats, opErr
+}
+
+// SubmitQuery hands a query command on key to the key's shard, waiting for
+// room until ctx is done. done runs once on the shard's loop with the
+// linearizable state learned (immutable) or an error, and must not block.
+func (n *Node) SubmitQuery(ctx context.Context, key string, done func(crdt.State, core.QueryStats, error)) error {
+	return n.drv.submit(ctx, n.shardOf(key), nodeEvent{kind: evQuery, key: key, query: &queryOp{done: done}})
 }
 
 // ForgetPeer drops the digest/delta caches every object replica on this
@@ -598,13 +562,11 @@ func (n *Node) QueryKey(ctx context.Context, key string) (crdt.State, core.Query
 // lease, and it records an entry about a peer only while handling a frame
 // from that peer.
 func (n *Node) ForgetPeer(id transport.NodeID) {
-	for _, s := range n.shards {
-		s.call(func() {
-			for _, ks := range s.keys {
-				ks.rep.ForgetPeer(id)
-			}
-		})
-	}
+	n.each(func(s *shard) {
+		for _, ks := range s.keys {
+			ks.rep.ForgetPeer(id)
+		}
+	})
 }
 
 // SetCrashed simulates a crash (true) or recovery (false). While crashed
@@ -615,7 +577,7 @@ func (n *Node) ForgetPeer(id transport.NodeID) {
 // SetCrashed returns observe it on every shard.
 func (n *Node) SetCrashed(crashed bool) {
 	for _, s := range n.shards {
-		s.post(nodeEvent{kind: evSetCrashed, crash: crashed})
+		_ = n.drv.submit(context.Background(), s, nodeEvent{kind: evCall, call: func() { s.setCrashed(crashed) }})
 	}
 }
 
@@ -634,18 +596,16 @@ func (n *Node) SetCrashed(crashed bool) {
 // serve is the only safe answer when the disk cannot reproduce what was
 // promised to the quorum — and the error is returned.
 //
-// Restart runs in two phases, both travelling each shard's event channel
-// (never the side-band call path), so it serializes behind an immediately
-// preceding SetCrashed(true): first every shard drops its volatile state,
-// quiesces its persister, and parks crashed; then the snapshot directory
-// is read once and each shard rehydrates its own keys and resumes.
+// Restart runs in two phases, both travelling each shard's event queue,
+// so it serializes behind an immediately preceding SetCrashed(true):
+// first every shard drops its volatile state, quiesces its persister, and
+// parks crashed; then the snapshot directory is read once and each shard
+// rehydrates its own keys and resumes.
 func (n *Node) Restart() error {
 	if n.store == nil {
 		return errors.New("cluster: Restart requires a DataDir (volatile nodes can only Recover)")
 	}
-	if err := n.restartPhase(func(s *shard) nodeEvent {
-		return nodeEvent{kind: evRestartPrep}
-	}); err != nil {
+	if err := n.fanOut(context.Background(), func(s *shard, report func(error)) { report(s.restartPrep()) }); err != nil {
 		return err
 	}
 	// Every shard is parked crashed and every persister drained: the
@@ -660,39 +620,7 @@ func (n *Node) Restart() error {
 		i := n.shardFor(ks.Key)
 		byShard[i] = append(byShard[i], ks)
 	}
-	return n.restartPhase(func(s *shard) nodeEvent {
-		return nodeEvent{kind: evRestore, snaps: byShard[s.idx]}
-	})
-}
-
-// restartPhase posts one restart event to every shard, then collects
-// every result. Posting everywhere before waiting anywhere keeps the
-// phases concurrent across shards while the per-shard event order is
-// preserved.
-func (n *Node) restartPhase(ev func(*shard) nodeEvent) error {
-	chans := make([]chan error, len(n.shards))
-	for i, s := range n.shards {
-		e := ev(s)
-		e.restarted = make(chan error, 1)
-		chans[i] = e.restarted
-		select {
-		case s.events <- e:
-		case <-n.quit:
-			return ErrStopped
-		}
-	}
-	var errs []error
-	for _, ch := range chans {
-		select {
-		case err := <-ch:
-			if err != nil {
-				errs = append(errs, err)
-			}
-		case <-n.quit:
-			return ErrStopped
-		}
-	}
-	return errors.Join(errs...)
+	return n.fanOut(context.Background(), func(s *shard, report func(error)) { report(s.restore(byShard[s.idx])) })
 }
 
 // PersistErrors returns how many snapshot writes have failed. Each
@@ -702,9 +630,7 @@ func (n *Node) restartPhase(ev func(*shard) nodeEvent) error {
 // the disk does not hold.
 func (n *Node) PersistErrors() uint64 {
 	var v uint64
-	for _, s := range n.shards {
-		s.call(func() { v += s.persistErrs })
-	}
+	n.each(func(s *shard) { v += s.persistErrs })
 	return v
 }
 
@@ -720,14 +646,9 @@ func (n *Node) SkippedSnapshots() uint64 {
 // Close stops every shard's event loop and persister and detaches from
 // the transport.
 func (n *Node) Close() error {
-	select {
-	case <-n.quit:
-		n.wg.Wait()
+	if !n.drv.stop() {
 		return nil
-	default:
 	}
-	close(n.quit)
-	n.wg.Wait()
 	return n.conn.Close()
 }
 
@@ -748,11 +669,7 @@ func (n *Node) handleInbound(from transport.NodeID, payload []byte) {
 		n.malformedFrames.Add(1)
 		return
 	}
-	s := n.shardOf(key)
-	select {
-	case s.events <- nodeEvent{kind: evInbound, from: from, key: key, payload: inner}:
-	case <-n.quit:
-	default:
+	if !n.drv.offer(n.shardOf(key), nodeEvent{kind: evInbound, from: from, key: key, payload: inner}) {
 		n.inboundDropped.Add(1)
 	}
 }

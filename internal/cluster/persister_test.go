@@ -348,17 +348,34 @@ func TestLeasedReadSkipsStalledDisk(t *testing.T) {
 		}
 		leased = st.Leased
 	}
-	waitFor(t, "every replica of the key to be durable and idle", func() bool {
+	durableIdle := func() bool {
 		idle := true
 		for _, id := range members(3) {
 			sh := c.Node(id).shardOf(key)
 			sh.call(func() {
 				ks := sh.keys[key]
 				idle = idle && ks != nil && ks.rep.InFlight() == 0 && ks.queued == 0 &&
-					ks.rep.StateVersion() == ks.saved
+					ks.rep.StateVersion() == ks.saved && len(sh.queue()) == 0
 			})
 		}
 		return idle
+	}
+	waitFor(t, "every replica of the key to be durable and idle", durableIdle)
+	// The quorum the lease-acquiring query waited for need not include
+	// every replica: a frame of that query can still be on the mesh, and
+	// the round it carries would be a real durable transition at a replica
+	// that lands it after armed is set. So also wait, on two polls in a
+	// row, for every frame sent to be delivered or dropped and every
+	// replica to be durable and idle.
+	quiet := 0
+	waitFor(t, "the mesh to drain with every replica still durable and idle", func() bool {
+		st := mesh.Stats()
+		if st.Sent == st.Delivered+st.Dropped && durableIdle() {
+			quiet++
+		} else {
+			quiet = 0
+		}
+		return quiet >= 2
 	})
 
 	// Each node's own update of another key stalls its persister (its

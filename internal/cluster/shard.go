@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"crdtsmr/internal/core"
@@ -15,8 +14,8 @@ import (
 )
 
 // shard is one of a node's independent event loops, owning a disjoint
-// slice of the keyspace (Node.shardFor). Everything below the channel
-// fields is loop-owned: accessed only from this shard's loop goroutine,
+// slice of the keyspace (Node.shardFor). Its state is loop-owned: touched
+// only by the node's driver running this shard's steps, one at a time,
 // never locked, never shared with another shard — the per-object
 // independence of the paper's protocol means replicas of different keys
 // have nothing to say to each other, so the shards need no cross-shard
@@ -25,26 +24,16 @@ type shard struct {
 	n   *Node
 	idx int
 
-	events  chan nodeEvent
-	calls   chan func()
-	rephase chan struct{} // restart the flush cadence; nil without batching
-
-	// Loop-owned state (accessed only from this shard's event loop).
-	keys           map[string]*keyState   // every instantiated key; the shard's only per-key map
-	dirty          []*keyState            // keys whose replica may hold outbox envelopes or completions
-	busy           map[*keyState]struct{} // keys with requests in flight: all a retransmit tick visits
-	batchedUpdates []*keyState            // keys with buffered updates, in enqueue order
-	batchedQueries []*keyState            // keys with buffered queries, in enqueue order
-	droppedFrames  uint64                 // inbound frames dropped before reaching a replica
+	keys           map[string]*keyState // every instantiated key; the shard's only per-key map
+	dirty          []*keyState          // keys whose replica may hold outbox envelopes or completions
+	busy           []*keyState          // keys with requests in flight, in the order they became busy: all a retransmit tick visits
+	batchedUpdates []*keyState          // keys with buffered updates, in enqueue order
+	batchedQueries []*keyState          // keys with buffered queries, in enqueue order
+	flushQueries   bool                 // the next batch flush starts queries, not updates
+	droppedFrames  uint64               // inbound frames dropped before reaching a replica
 	crashed        bool
 	persistErrs    uint64 // failed snapshot writes (outbox + completions dropped)
-
-	// Group-commit persistence pipeline; nil on volatile nodes (see
-	// persister.go).
-	persistq chan persistReq
-	relMu    sync.Mutex
-	rel      []persistDone
-	relSig   chan struct{}
+	persisting     int    // requests in the group commit, over all keys
 }
 
 // keyState is everything a shard knows about one object key: the key's
@@ -56,122 +45,59 @@ type keyState struct {
 	rep *core.Replica
 
 	dirty   bool        // on shard.dirty
+	busy    bool        // on shard.busy
 	updates []*updateOp // §3.6 batch buffers, started by flushBatches
 	queries []*queryOp
 	notify  []func() // client completions deferred past persistence
 
 	saved    uint64 // StateVersion last durably persisted
 	inflight uint64 // StateVersion submitted to the persister, not yet durable; 0 when none
-	queued   int    // requests handed to the persister and not yet through processReleases
+	queued   int    // requests handed to the persister and not yet through processDones
 	broken   bool   // the persistence pipeline failed; releases withheld until a save succeeds
 }
 
 func newShard(n *Node, idx int) *shard {
-	s := &shard{
-		n:      n,
-		idx:    idx,
-		events: make(chan nodeEvent, 8192),
-		calls:  make(chan func()),
-		keys:   make(map[string]*keyState),
-		busy:   make(map[*keyState]struct{}),
-	}
-	if n.store != nil {
-		s.persistq = make(chan persistReq, 1024)
-		s.relSig = make(chan struct{}, 1)
-	}
-	if n.cfg.BatchInterval > 0 {
-		s.rephase = make(chan struct{}, 1)
-	}
-	return s
+	return &shard{n: n, idx: idx, keys: make(map[string]*keyState)}
 }
 
-// call runs fn on the shard's event loop and waits for it, for
+// call runs fn as an event on the shard's loop and waits for it, for
 // loop-synchronized inspection. Returns false if the node is stopped.
 func (s *shard) call(fn func()) bool {
 	done := make(chan struct{})
-	select {
-	case s.calls <- func() { fn(); close(done) }:
-		select {
-		case <-done:
-			return true
-		case <-s.n.quit:
-			return false
-		}
-	case <-s.n.quit:
-		return false
-	}
+	ev := nodeEvent{kind: evCall, call: func() { fn(); close(done) }}
+	return s.n.drv.submit(context.Background(), s, ev) == nil && s.n.drv.wait(context.Background(), done) == nil
 }
 
-func (s *shard) submit(ctx context.Context, ev nodeEvent) error {
-	select {
-	case s.events <- ev:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.n.quit:
-		return ErrStopped
+// tick is the retransmit step and returns the delay to the next: it
+// re-drives every key with requests in flight (core.Replica.Tick), in the
+// order the keys became busy, so its messages leave in a fixed order.
+func (s *shard) tick() time.Duration {
+	for _, ks := range s.busy {
+		s.markDirty(ks)
+		ks.rep.Tick()
 	}
+	return s.n.cfg.RetransmitInterval
 }
 
-func (s *shard) post(ev nodeEvent) {
-	select {
-	case s.events <- ev:
-	case <-s.n.quit:
+// flush is the batch-flush step and returns the delay to the next. The
+// §3.6 cadence: the first update flush at this node's slot in the window
+// (rephased, again whenever the member set changes), then update and
+// query flushes alternating every BatchInterval/2. Flushing both kinds at
+// once would make every batched query collide with its own node's MERGE
+// broadcast and forfeit the fast path.
+func (s *shard) flush() time.Duration {
+	if !s.crashed {
+		s.flushBatches(s.flushQueries)
 	}
+	s.flushQueries = !s.flushQueries
+	return s.n.cfg.BatchInterval / 2
 }
 
-// loop is the shard's one goroutine, and it owns the shard's two clocks:
-// the retransmit ticker, which re-drives the requests of every key with
-// some in flight (core.Replica.Tick), and, when batching, the flush timer.
-// The flush keeps the §3.6 cadence: the first update flush at this node's
-// slot in the window (flushOffset), then update and query flushes
-// alternating every BatchInterval/2, restarted at the new slot when the
-// member set changes (Node.noteConfig). The alternation is what batching
-// is for: flushing both kinds at one instant would make every batched
-// query collide with its own node's MERGE broadcast and forfeit the fast
-// path.
-func (s *shard) loop() {
-	defer s.n.wg.Done()
-	tick := time.NewTicker(s.n.cfg.RetransmitInterval)
-	defer tick.Stop()
-	slot := func() time.Duration {
-		return flushOffset(s.n.currentConfig().Members, s.n.id, s.n.cfg.BatchInterval)
-	}
-	var flush *time.Timer
-	var flushC <-chan time.Time // nil (blocks forever) without batching
-	queries := false
-	if s.n.cfg.BatchInterval > 0 {
-		flush = time.NewTimer(slot())
-		defer flush.Stop()
-		flushC = flush.C
-	}
-	for {
-		select {
-		case <-s.n.quit:
-			return
-		case ev := <-s.events:
-			s.handle(ev)
-		case fn := <-s.calls:
-			fn()
-		case <-s.relSig: // nil (blocks forever) without a persister
-			s.processReleases()
-		case <-tick.C:
-			for ks := range s.busy {
-				s.markDirty(ks)
-				ks.rep.Tick()
-			}
-		case <-flushC:
-			if !s.crashed {
-				s.flushBatches(queries)
-			}
-			queries = !queries
-			flush.Reset(s.n.cfg.BatchInterval / 2)
-		case <-s.rephase:
-			queries = false
-			flush.Reset(slot())
-		}
-		s.flushOutbox()
-	}
+// rephased restarts the flush cadence at this node's slot and returns
+// the delay to its first (update) flush.
+func (s *shard) rephased() time.Duration {
+	s.flushQueries = false
+	return flushOffset(s.n.currentConfig().Members, s.n.id, s.n.cfg.BatchInterval)
 }
 
 // markDirty puts ks on the dirty list, once: one event can touch the same
@@ -196,6 +122,15 @@ func (s *shard) record(key string) (*keyState, error) {
 	}
 	s.markDirty(ks)
 	return ks, nil
+}
+
+// command returns the record a client command on key runs against;
+// a crashed shard serves none.
+func (s *shard) command(key string) (*keyState, error) {
+	if s.crashed {
+		return nil, ErrUnavailable
+	}
+	return s.record(key)
 }
 
 // instantiate creates key's record around a fresh replica holding the
@@ -253,14 +188,10 @@ func (s *shard) handle(ev nodeEvent) {
 			s.n.noteConfig(ks.rep.ConfigState())
 		}
 	case evUpdate:
-		if s.crashed {
-			ev.update.done <- updateResult{err: ErrUnavailable}
-			return
-		}
-		ks, err := s.record(ev.key)
+		ks, err := s.command(ev.key)
 		switch {
 		case err != nil:
-			ev.update.done <- updateResult{err: err}
+			ev.update.done(core.UpdateStats{}, err)
 		case s.n.cfg.BatchInterval == 0:
 			s.startUpdate(ks, []*updateOp{ev.update})
 		default:
@@ -270,14 +201,10 @@ func (s *shard) handle(ev nodeEvent) {
 			ks.updates = append(ks.updates, ev.update)
 		}
 	case evQuery:
-		if s.crashed {
-			ev.query.done <- queryResult{err: ErrUnavailable}
-			return
-		}
-		ks, err := s.record(ev.key)
+		ks, err := s.command(ev.key)
 		switch {
 		case err != nil:
-			ev.query.done <- queryResult{err: err}
+			ev.query.done(nil, core.QueryStats{}, err)
 		case s.n.cfg.BatchInterval == 0:
 			s.startQuery(ks, []*queryOp{ev.query})
 		default:
@@ -286,25 +213,24 @@ func (s *shard) handle(ev nodeEvent) {
 			}
 			ks.queries = append(ks.queries, ev.query)
 		}
-	case evReconfig:
-		s.startReconfigure(ev.reconfig)
-	case evSetCrashed:
-		s.crashed = ev.crash
-		if ev.crash {
-			s.failEverything()
-		}
-		// Entering or leaving a crash invalidates every round lease this
-		// node holds: while it was down (or from the instant it stops
-		// serving), other proposers may move the quorum's rounds, and a
-		// resumed lease would skip the prepare that detects that. Dropping
-		// is purely conservative — the next quorum read re-earns it.
-		for _, ks := range s.keys {
-			ks.rep.DropLease()
-		}
-	case evRestartPrep:
-		ev.restarted <- s.restartPrep()
-	case evRestore:
-		ev.restarted <- s.restore(ev.snaps)
+	case evCall:
+		ev.call()
+	}
+}
+
+// setCrashed enters (failing everything in flight) or leaves a crash.
+// Either way it invalidates every round lease this node holds: while it
+// was down (or from the instant it stops serving), other proposers may
+// move the quorum's rounds, and a resumed lease would skip the prepare
+// that detects that. Dropping is purely conservative — the next quorum
+// read re-earns it.
+func (s *shard) setCrashed(crashed bool) {
+	s.crashed = crashed
+	if crashed {
+		s.failEverything()
+	}
+	for _, ks := range s.keys {
+		ks.rep.DropLease()
 	}
 }
 
@@ -326,13 +252,13 @@ func (s *shard) startUpdate(ks *keyState, ops []*updateOp) {
 	_, err := ks.rep.SubmitUpdate(combined, func(stats core.UpdateStats, err error) {
 		s.deferDone(ks, func() {
 			for _, op := range ops {
-				op.done <- updateResult{stats: stats, err: err}
+				op.done(stats, err)
 			}
 		})
 	})
 	if err != nil {
 		for _, op := range ops {
-			op.done <- updateResult{err: err}
+			op.done(core.UpdateStats{}, err)
 		}
 	}
 }
@@ -342,7 +268,7 @@ func (s *shard) startQuery(ks *keyState, ops []*queryOp) {
 	ks.rep.SubmitQuery(func(st crdt.State, stats core.QueryStats, err error) {
 		s.deferDone(ks, func() {
 			for _, op := range ops {
-				op.done <- queryResult{state: st, stats: stats, err: err}
+				op.done(st, stats, err)
 			}
 		})
 	})
@@ -356,7 +282,7 @@ func (s *shard) startQuery(ks *keyState, ops []*queryOp) {
 // key that commits synchronously (a single-member group) cannot conclude
 // the shard while later keys are still being submitted.
 type reconfigAgg struct {
-	op        *reconfigOp
+	report    func(error)
 	pending   int
 	submitted bool
 	errs      []error
@@ -372,7 +298,7 @@ func (a *reconfigAgg) settle(err error) {
 
 func (a *reconfigAgg) maybeFinish() {
 	if a.submitted && a.pending == 0 {
-		a.op.done <- errors.Join(a.errs...)
+		a.report(errors.Join(a.errs...))
 	}
 }
 
@@ -382,9 +308,9 @@ func (a *reconfigAgg) maybeFinish() {
 // reconfiguration round (configuration is per-key state); the shard
 // reports once, when all of them have committed or failed. Lost RECONFIGs
 // are re-driven by the retransmit tick like any other request.
-func (s *shard) startReconfigure(op *reconfigOp) {
+func (s *shard) startReconfigure(op *reconfigOp, report func(error)) {
 	if s.crashed {
-		op.done <- ErrUnavailable
+		report(ErrUnavailable)
 		return
 	}
 	view := s.n.currentConfig()
@@ -396,7 +322,7 @@ func (s *shard) startReconfigure(op *reconfigOp) {
 	}
 	slices.SortFunc(recs, func(a, b *keyState) int { return strings.Compare(a.key, b.key) })
 	op.swept.Add(int64(len(recs)))
-	agg := &reconfigAgg{op: op}
+	agg := &reconfigAgg{report: report}
 	for _, ks := range recs {
 		s.markDirty(ks)
 		agg.pending++
@@ -440,26 +366,26 @@ func (s *shard) flushBatches(queries bool) {
 	}
 }
 
-// failEverything aborts in-flight and batched requests upon crash; their
-// callers receive ErrAborted / ErrUnavailable.
+// failEverything aborts in-flight and batched requests upon crash, in
+// list order; their callers receive ErrAborted / ErrUnavailable.
 func (s *shard) failEverything() {
-	for ks := range s.busy {
+	for _, ks := range s.busy {
 		ks.rep.AbortAll()
-		delete(s.busy, ks)
+		ks.busy = false
 	}
 	for _, ks := range s.batchedUpdates {
 		for _, op := range ks.updates {
-			op.done <- updateResult{err: ErrUnavailable}
+			op.done(core.UpdateStats{}, ErrUnavailable)
 		}
 		ks.updates = nil
 	}
 	for _, ks := range s.batchedQueries {
 		for _, op := range ks.queries {
-			op.done <- queryResult{err: ErrUnavailable}
+			op.done(nil, core.QueryStats{}, ErrUnavailable)
 		}
 		ks.queries = nil
 	}
-	s.batchedUpdates, s.batchedQueries = nil, nil
+	s.busy, s.batchedUpdates, s.batchedQueries = nil, nil, nil
 }
 
 // installSnapshot rehydrates one persisted key: the replica is created
@@ -494,10 +420,8 @@ func (s *shard) installSnapshot(snap persist.KeySnapshot) error {
 // (pending group-commit batches land on disk and their surviving
 // completions are delivered — they were promised before the restart),
 // then drop every record and park crashed until restore.
-// Only Node.Restart posts it, and only on a durable node: drainPersister
-// sends on persistq, which a volatile node does not have.
 func (s *shard) restartPrep() error {
-	if err := s.drainPersister(); err != nil {
+	if err := s.n.drv.drain(s); err != nil {
 		return err
 	}
 	s.failEverything()

@@ -107,7 +107,7 @@ func TestKeyedStoreOverTCP(t *testing.T) {
 
 	// Every node instantiated the keys lazily from inbound TCP frames.
 	for _, n := range nodes {
-		if got := n.Objects(); got < nKeys {
+		if got := len(n.Keys()); got < nKeys {
 			t.Fatalf("node %s holds %d objects, want ≥ %d", n.ID(), got, nKeys)
 		}
 	}

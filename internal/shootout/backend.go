@@ -21,7 +21,8 @@ const (
 	// LeaseDuration is the Paxos leader read-lease window.
 	LeaseDuration = 4 * ElectionTimeout
 	// RetransmitEvery drives the quorum-protocol retransmission timers
-	// (crdtsmr rounds, GLA proposals) that recover from message loss.
+	// (the crdtsmr nodes' RetransmitInterval, GLA proposals) that recover
+	// from message loss.
 	RetransmitEvery = 30 * time.Millisecond
 	// OpTimeout bounds one client operation including internal retries;
 	// afterwards the attempt's fate is unknown (lost or still committing).
@@ -39,8 +40,9 @@ var ErrCrashed = errors.New("shootout: replica crashed")
 
 // Backend is one protocol wired into a Sim: n replicas joined to the
 // fabric, exposing the shared keyed counter/or-set workload surface. Done
-// callbacks fire inside the event loop, exactly once. By convention
-// counter keys start with 'c' and set keys with 's'. Write errors mean
+// callbacks fire inside the event loop, exactly once. Keys follow
+// server.TypedKeyInitial's rule: set keys start with "or-set/", and any
+// other key is a counter. Write errors mean
 // "fate unknown" unless the backend documents otherwise; reads are
 // effect-free and may be retried freely. The paper's protocol and the
 // log-based baselines can also Crash a replica for good.

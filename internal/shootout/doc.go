@@ -11,6 +11,11 @@
 // cross-protocol ratios on a one-core box without flaking. There is no CPU
 // model: an op costs only its message hops.
 //
+// The paper's protocol runs on the node runtime crdtsmrd runs: each
+// replica is a cluster.Node stepped on the Sim's clock
+// (cluster.NewSteppedNode), so the figures measure its shards, retransmit
+// tick, batch cadence and, with a DataDir, its group commit.
+//
 // The package has three consumers:
 //
 //   - internal/bench builds every cmd/bench figure from Session,

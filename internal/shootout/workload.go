@@ -3,7 +3,7 @@ package shootout
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"crdtsmr/internal/core"
@@ -44,9 +44,7 @@ func ReadAfterWrite(spec Spec, n int, net Net, seed int64, sessions, warmup int)
 		out.PerReplica[pin] = st.P50
 		out.Errors += st.Errors
 	}
-	sorted := append([]time.Duration(nil), out.PerReplica...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	out.Median = sorted[len(sorted)/2]
+	out.Median = percentile(out.PerReplica, 50)
 	return out, nil
 }
 
@@ -142,7 +140,7 @@ func Session(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (
 // Workload is the closed loop MixedWorkload offers: Clients clients,
 // pinned round-robin over the replicas, issue Ops ops between them,
 // ReadFrac of them reads, over the counters c0..c<Keys-1> and, with Sets,
-// a quarter of them over the or-sets s0..s<Keys-1>.
+// a quarter of them over the or-sets or-set/0..or-set/<Keys-1>.
 type Workload struct {
 	Clients, Keys, Ops int
 	ReadFrac           float64
@@ -253,12 +251,12 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStat
 			case isRead && !isSet:
 				backend.Read(replica, fmt.Sprintf("c%d", j), func(_ int64, err error) { settle(err, &reads) })
 			case isRead && isSet:
-				backend.Card(replica, fmt.Sprintf("s%d", j), func(_ int64, err error) { settle(err, &reads) })
+				backend.Card(replica, fmt.Sprintf("or-set/%d", j), func(_ int64, err error) { settle(err, &reads) })
 			case !isRead && !isSet:
 				backend.Inc(replica, fmt.Sprintf("c%d", j), func(err error) { settle(err, &updates) })
 			default:
 				elem := fmt.Sprintf("e%d", rng.Intn(64))
-				backend.AddElem(replica, fmt.Sprintf("s%d", j), elem, func(err error) { settle(err, &updates) })
+				backend.AddElem(replica, fmt.Sprintf("or-set/%d", j), elem, func(err error) { settle(err, &updates) })
 			}
 		}
 		next()
@@ -345,11 +343,7 @@ func percentile(samples []time.Duration, p int) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := append([]time.Duration(nil), samples...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	idx := len(s) * p / 100
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	s := slices.Clone(samples)
+	slices.Sort(s)
+	return s[min(len(s)*p/100, len(s)-1)]
 }
