@@ -28,6 +28,17 @@ var errConnFailed = fmt.Errorf("%w: connection failed", ErrUncertain)
 // which is the ErrUnavailable contract, like a dial failure.
 var errNotSent = fmt.Errorf("%w: request not sent", ErrUnavailable)
 
+// errWrite fails a connection whose frame write failed, the writer's own
+// deadline cutting it short, say.
+var errWrite = errors.New("client: write")
+
+// errQueued marks a request that found its connection failed by another
+// caller's write (errWrite) while it waited for its turn to write: nothing
+// was sent, and the endpoint did not refuse it, so do() redials without
+// spending an attempt, as pool.get redials a slot it finds dead. The
+// request's context still bounds the wait.
+var errQueued = fmt.Errorf("%w: connection failed while queued to write", errNotSent)
+
 // errBusyConn marks a connection the server refused at admission with the
 // busy-close handshake (one StatusBusy response on request ID 0, then
 // close; docs/PROTOCOL.md §2.5). The server read nothing on it, so even a
@@ -177,6 +188,17 @@ func ctxErr(ctx context.Context, lastErr error) error {
 	return err
 }
 
+// expired reports whether ctx is done, first waiting out a deadline that
+// has passed but not yet fired: a socket deadline taken from ctx (a dial's,
+// say) can expire a little before ctx's own timer, and the failure it
+// causes is the caller's timeout, not the endpoint's.
+func expired(ctx context.Context) bool {
+	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
+		<-ctx.Done()
+	}
+	return ctx.Err() != nil
+}
+
 // do runs one request with retries. retryInFlight permits retrying after
 // failures that leave the operation's fate unknown (safe for reads and
 // admin commands, not for updates).
@@ -229,7 +251,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 				lastErr = fmt.Errorf("%w: endpoint %s removed", ErrUnavailable, p.addr)
 				continue
 			}
-			if ctx.Err() != nil {
+			if expired(ctx) {
 				return nil, ctxErr(ctx, err)
 			}
 			// Nothing was sent; always safe to try the next address.
@@ -238,7 +260,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 		}
 		resp, err := cn.roundtrip(ctx, req)
 		if err != nil {
-			if ctx.Err() != nil {
+			if expired(ctx) {
 				cerr := ctxErr(ctx, err)
 				// Was the frame already on the wire when the context fired?
 				// errInFlight marks the common case; a connection failure
@@ -261,6 +283,12 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 				// The connection was dead before the frame was written:
 				// like a dial failure, safe to retry any operation.
 				lastErr = err
+				if errors.Is(err, errQueued) {
+					// Another caller's failed write took the connection
+					// down: the endpoint did not refuse this request, so
+					// it costs a redial, not an attempt.
+					attempt--
+				}
 				continue
 			}
 			if errors.Is(err, ErrBusy) {
@@ -527,11 +555,24 @@ func (c *conn) readLoop() {
 // roundtrip sends req (assigning it a connection-unique ID) and waits for
 // the matching response. Concurrent roundtrips on one conn pipeline.
 func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
+	// The write runs under ctx: waiting for another caller's write gives
+	// up when ctx ends (nothing was sent), and ctx's end interrupts a write
+	// to a server that stops reading, failing the connection.
+	select {
+	case c.wsem <- struct{}{}:
+	case <-ctx.Done():
+		return nil, fmt.Errorf("%w: %w", errNotSent, ctx.Err())
+	}
+	// The connection is checked only now, as the previous write left it: a
+	// write that failed while this caller queued took it down first.
 	ch := make(chan *wire.Response, 1)
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err := c.err; err != nil {
 		c.mu.Unlock()
+		<-c.wsem
+		if errors.Is(err, errWrite) {
+			return nil, fmt.Errorf("%w: %v", errQueued, err)
+		}
 		return nil, fmt.Errorf("%w: %v", errNotSent, err)
 	}
 	c.nextID++
@@ -541,17 +582,6 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 
 	r := *req
 	r.ID = id
-	// The write runs under ctx: waiting for another caller's write gives
-	// up when ctx ends (nothing was sent), and ctx's end interrupts a write
-	// to a server that stops reading, failing the connection.
-	select {
-	case c.wsem <- struct{}{}:
-	case <-ctx.Done():
-		c.mu.Lock()
-		delete(c.pending, id)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", errNotSent, ctx.Err())
-	}
 	interrupted := make(chan struct{})
 	stop := context.AfterFunc(ctx, func() {
 		_ = c.nc.SetWriteDeadline(time.Unix(1, 0))
@@ -565,6 +595,11 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 		<-interrupted
 		_ = c.nc.SetWriteDeadline(time.Time{})
 	}
+	// A failed write leaves bw's error sticky: fail the connection before
+	// handing the write slot on, so the next writer finds it dead.
+	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
+		c.fail(fmt.Errorf("%w: %w", errWrite, err))
+	}
 	<-c.wsem
 	if err != nil {
 		if errors.Is(err, wire.ErrFrameTooLarge) {
@@ -575,7 +610,6 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 			c.mu.Unlock()
 			return nil, err
 		}
-		c.fail(fmt.Errorf("client: write: %w", err))
 		// A write cut short by the busy-close handshake went to a
 		// connection the server never read: provably not executed.
 		c.mu.Lock()

@@ -19,7 +19,9 @@ import (
 // together as a synchronized storm.
 type RetryPolicy struct {
 	// MaxAttempts caps tries per operation, first attempt included,
-	// across addresses. 0 means len(addrs) + 1.
+	// across addresses. 0 means len(addrs) + 1. A request whose connection
+	// another caller's failed write took down before it was sent redials
+	// without spending an attempt.
 	MaxAttempts int
 	// Backoff is the base delay before the first retry. 0 means 5 ms.
 	Backoff time.Duration

@@ -282,8 +282,8 @@ func TestInFlightTimeoutIsUncertain(t *testing.T) {
 // TestWriteHonoursDeadline: a server that accepts connections but never
 // reads lets the socket buffers fill, after which a frame write blocks.
 // The write runs under the request's context, so each of several callers
-// sharing one connection and one 200 ms deadline, the writer and those
-// queued behind it, returns ErrTimeout at that deadline.
+// sharing one connection, the writer and those queued behind it, returns
+// ErrTimeout at its 200 ms deadline.
 func TestWriteHonoursDeadline(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -326,12 +326,10 @@ func TestWriteHonoursDeadline(t *testing.T) {
 		elapsed time.Duration
 	}
 	results := make(chan result, callers)
-	// One context, so no caller is still short of its deadline when the
-	// writer's expiry fails the connection under it.
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
 	for range callers {
 		go func() {
+			ctx, cancel := context.WithTimeout(context.Background(), timeout)
+			defer cancel()
 			start := time.Now()
 			err := c.Register("k").Store(ctx, big)
 			results <- result{err, time.Since(start)}

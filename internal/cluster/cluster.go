@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"path/filepath"
-	"slices"
 
 	"crdtsmr/internal/transport"
 )
@@ -29,26 +28,20 @@ func New(mesh *transport.Mesh, cfg Config) (*Cluster, error) {
 		order: append([]transport.NodeID(nil), cfg.Members...),
 	}
 	for _, id := range cfg.Members {
-		if _, err := c.start(id, cfg); err != nil {
+		nodeCfg := cfg
+		if cfg.DataDir != "" {
+			nodeCfg.DataDir = filepath.Join(cfg.DataDir, string(id))
+		}
+		n, err := NewNode(id, nodeCfg, func(id transport.NodeID, h transport.Handler) transport.Conn {
+			return mesh.Join(id, h)
+		})
+		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: start %s: %w", id, err)
 		}
-	}
-	return c, nil
-}
-
-// start runs node id on the mesh, in its own subdirectory of any DataDir.
-func (c *Cluster) start(id transport.NodeID, cfg Config) (*Node, error) {
-	if cfg.DataDir != "" {
-		cfg.DataDir = filepath.Join(cfg.DataDir, string(id))
-	}
-	n, err := NewNode(id, cfg, func(id transport.NodeID, h transport.Handler) transport.Conn {
-		return c.mesh.Join(id, h)
-	})
-	if err == nil {
 		c.nodes[id] = n
 	}
-	return n, err
+	return c, nil
 }
 
 // AddNode starts a new node on the cluster's mesh as a joiner: it comes
@@ -64,10 +57,16 @@ func (c *Cluster) AddNode(id transport.NodeID, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: node %s already exists", id)
 	}
 	cfg.Joining = true
-	n, err := c.start(id, cfg)
+	if cfg.DataDir != "" {
+		cfg.DataDir = filepath.Join(cfg.DataDir, string(id))
+	}
+	n, err := NewNode(id, cfg, func(id transport.NodeID, h transport.Handler) transport.Conn {
+		return c.mesh.Join(id, h)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("cluster: add %s: %w", id, err)
 	}
+	c.nodes[id] = n
 	c.order = append(c.order, id)
 	return n, nil
 }
@@ -82,7 +81,12 @@ func (c *Cluster) RemoveNode(id transport.NodeID) error {
 		return fmt.Errorf("cluster: remove of unknown node %s", id)
 	}
 	delete(c.nodes, id)
-	c.order = slices.DeleteFunc(c.order, func(oid transport.NodeID) bool { return oid == id })
+	for i, oid := range c.order {
+		if oid == id {
+			c.order = append(c.order[:i], c.order[i+1:]...)
+			break
+		}
+	}
 	return n.Close()
 }
 
@@ -110,11 +114,6 @@ func (c *Cluster) Crash(id transport.NodeID) {
 	if n := c.nodes[id]; n != nil {
 		n.SetCrashed(true)
 	}
-	c.forget(id)
-}
-
-// forget drops every other node's transfer caches about id.
-func (c *Cluster) forget(id transport.NodeID) {
 	for oid, n := range c.nodes {
 		if oid != id {
 			n.ForgetPeer(id)
@@ -144,7 +143,11 @@ func (c *Cluster) Restart(id transport.NodeID) error {
 	if n == nil {
 		return fmt.Errorf("cluster: restart of unknown node %s", id)
 	}
-	c.forget(id)
+	for oid, o := range c.nodes {
+		if oid != id {
+			o.ForgetPeer(id)
+		}
+	}
 	if err := n.Restart(); err != nil {
 		return err
 	}

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"slices"
-
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/persist"
 	"crdtsmr/internal/wire"
@@ -88,14 +86,7 @@ func (s *shard) flushOutbox() {
 			}
 			req.envs = out
 		}
-		if busy := ks.rep.InFlight() > 0; busy != ks.busy {
-			ks.busy = busy
-			if busy {
-				s.busy = append(s.busy, ks)
-			} else {
-				s.busy = slices.DeleteFunc(s.busy, func(k *keyState) bool { return k == ks })
-			}
-		}
+		s.setBusy(ks, ks.rep.InFlight() > 0)
 		if req.rec == nil && len(req.envs) == 0 && len(req.notify) == 0 {
 			continue
 		}

@@ -26,7 +26,7 @@ type shard struct {
 
 	keys           map[string]*keyState // every instantiated key; the shard's only per-key map
 	dirty          []*keyState          // keys whose replica may hold outbox envelopes or completions
-	busy           []*keyState          // keys with requests in flight, in the order they became busy: all a retransmit tick visits
+	busy           []*keyState          // keys with requests in flight: all a retransmit tick visits
 	batchedUpdates []*keyState          // keys with buffered updates, in enqueue order
 	batchedQueries []*keyState          // keys with buffered queries, in enqueue order
 	flushQueries   bool                 // the next batch flush starts queries, not updates
@@ -45,7 +45,7 @@ type keyState struct {
 	rep *core.Replica
 
 	dirty   bool        // on shard.dirty
-	busy    bool        // on shard.busy
+	busy    int         // 1 + index on shard.busy; 0 when not on it
 	updates []*updateOp // §3.6 batch buffers, started by flushBatches
 	queries []*queryOp
 	notify  []func() // client completions deferred past persistence
@@ -69,14 +69,30 @@ func (s *shard) call(fn func()) bool {
 }
 
 // tick is the retransmit step and returns the delay to the next: it
-// re-drives every key with requests in flight (core.Replica.Tick), in the
-// order the keys became busy, so its messages leave in a fixed order.
+// re-drives every key with requests in flight (core.Replica.Tick), in
+// s.busy's order, so its messages leave in an order fixed by the events.
 func (s *shard) tick() time.Duration {
 	for _, ks := range s.busy {
 		s.markDirty(ks)
 		ks.rep.Tick()
 	}
 	return s.n.cfg.RetransmitInterval
+}
+
+// setBusy puts ks on s.busy or takes it off. Taking it off moves the last
+// key into its slot: O(1), and the order stays a function of the events.
+func (s *shard) setBusy(ks *keyState, busy bool) {
+	switch {
+	case busy && ks.busy == 0:
+		s.busy = append(s.busy, ks)
+		ks.busy = len(s.busy)
+	case !busy && ks.busy > 0:
+		last := s.busy[len(s.busy)-1]
+		s.busy[ks.busy-1], last.busy = last, ks.busy
+		s.busy[len(s.busy)-1] = nil
+		s.busy = s.busy[:len(s.busy)-1]
+		ks.busy = 0
+	}
 }
 
 // flush is the batch-flush step and returns the delay to the next. The
@@ -371,7 +387,7 @@ func (s *shard) flushBatches(queries bool) {
 func (s *shard) failEverything() {
 	for _, ks := range s.busy {
 		ks.rep.AbortAll()
-		ks.busy = false
+		ks.busy = 0
 	}
 	for _, ks := range s.batchedUpdates {
 		for _, op := range ks.updates {

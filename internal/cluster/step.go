@@ -17,6 +17,8 @@ type Clock interface {
 	// RunUntil runs events until done reports true, and reports whether it
 	// did. The node's blocking methods (UpdateKey, Reconfigure, ...) wait
 	// with it, so only SubmitUpdate and SubmitQuery may run in an event.
+	// Their contexts are polled between events, so a caller passes one with
+	// no wall-clock deadline: the virtual clock bounds the wait instead.
 	RunUntil(done func() bool) bool
 }
 

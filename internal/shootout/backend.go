@@ -34,8 +34,11 @@ const (
 // as abandoned, never blindly retried.
 var ErrOpTimeout = errors.New("shootout: operation timed out")
 
-// ErrCrashed fails an operation submitted at, or still open at, a replica
-// that crashed. A write's fate is unknown, as with ErrOpTimeout.
+// ErrCrashed fails an operation submitted at, or still open at, a
+// log-based baseline's replica that crashed. A write's fate is unknown, as
+// with ErrOpTimeout. The crdtsmr backend reports a crash with the node's
+// own errors instead: core.ErrAborted for an op open there,
+// cluster.ErrUnavailable for one submitted or batched there.
 var ErrCrashed = errors.New("shootout: replica crashed")
 
 // Backend is one protocol wired into a Sim: n replicas joined to the
@@ -45,7 +48,8 @@ var ErrCrashed = errors.New("shootout: replica crashed")
 // other key is a counter. Write errors mean
 // "fate unknown" unless the backend documents otherwise; reads are
 // effect-free and may be retried freely. The paper's protocol and the
-// log-based baselines can also Crash a replica for good.
+// log-based baselines can also Crash a replica for good; see ErrCrashed
+// for the errors that reports.
 type Backend interface {
 	Inc(replica int, key string, done func(err error))
 	Read(replica int, key string, done func(val int64, err error))

@@ -3,11 +3,9 @@ package shootout
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"time"
 
 	"crdtsmr/internal/checker"
-	"crdtsmr/internal/transport"
 )
 
 // ConformConfig parameterizes one conformance run: Ops operations on a
@@ -113,14 +111,24 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 		at := settleTime + window*time.Duration(ep)/time.Duration(cfg.Partitions)
 		minority := (cfg.Replicas - 1) / 2
 		members := Members(cfg.Replicas)
-		var cut []transport.NodeID // at least one replica, even when no minority exists
-		for k := 0; k < max(minority, 1); k++ {
-			cut = append(cut, members[(ep*minority+k)%cfg.Replicas])
+		cut := members[(ep*minority)%cfg.Replicas : (ep*minority)%cfg.Replicas+1]
+		if minority > 1 {
+			lo := (ep * minority) % cfg.Replicas
+			cut = nil
+			for k := 0; k < minority; k++ {
+				cut = append(cut, members[(lo+k)%cfg.Replicas])
+			}
 		}
 		sim.After(at-sim.Now(), func() {
 			for _, a := range cut {
 				for _, m := range members {
-					if !slices.Contains(cut, m) {
+					in := false
+					for _, c := range cut {
+						if c == m {
+							in = true
+						}
+					}
+					if !in {
 						sim.Fab.Block(a, m)
 						sim.Fab.Block(m, a)
 					}

@@ -223,33 +223,40 @@ func (b *logBackend) Crash(replica int) {
 
 // Inc implements Backend.
 func (b *logBackend) Inc(replica int, key string, done func(error)) {
-	b.nodes[replica].execute(rsm.EncodeIncKey(key, 1), false, func(_ []byte, err error) { done(err) })
+	b.nodes[replica].execute(rsm.EncodeIncKey(key, 1), false, func(_ []byte, err error) {
+		done(err)
+	})
 }
 
 // Read implements Backend.
 func (b *logBackend) Read(replica int, key string, done func(int64, error)) {
-	b.nodes[replica].execute(rsm.EncodeReadKey(key), true, decodeValue(done))
-}
-
-// AddElem implements Backend.
-func (b *logBackend) AddElem(replica int, key, elem string, done func(error)) {
-	b.nodes[replica].execute(rsm.EncodeAddKey(key, elem), false, func(_ []byte, err error) { done(err) })
-}
-
-// Card implements Backend.
-func (b *logBackend) Card(replica int, key string, done func(int64, error)) {
-	b.nodes[replica].execute(rsm.EncodeCardKey(key), true, decodeValue(done))
-}
-
-// decodeValue hands a read's decoded result to done.
-func decodeValue(done func(int64, error)) func([]byte, error) {
-	return func(res []byte, err error) {
+	b.nodes[replica].execute(rsm.EncodeReadKey(key), true, func(res []byte, err error) {
 		if err != nil {
 			done(0, err)
 			return
 		}
-		done(rsm.DecodeValue(res))
-	}
+		v, err := rsm.DecodeValue(res)
+		done(v, err)
+	})
+}
+
+// AddElem implements Backend.
+func (b *logBackend) AddElem(replica int, key, elem string, done func(error)) {
+	b.nodes[replica].execute(rsm.EncodeAddKey(key, elem), false, func(_ []byte, err error) {
+		done(err)
+	})
+}
+
+// Card implements Backend.
+func (b *logBackend) Card(replica int, key string, done func(int64, error)) {
+	b.nodes[replica].execute(rsm.EncodeCardKey(key), true, func(res []byte, err error) {
+		if err != nil {
+			done(0, err)
+			return
+		}
+		v, err := rsm.DecodeValue(res)
+		done(v, err)
+	})
 }
 
 // AppliedLog implements AppliedLogger.

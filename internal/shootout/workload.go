@@ -3,7 +3,7 @@ package shootout
 import (
 	"fmt"
 	"math/rand"
-	"slices"
+	"sort"
 	"time"
 
 	"crdtsmr/internal/core"
@@ -44,7 +44,9 @@ func ReadAfterWrite(spec Spec, n int, net Net, seed int64, sessions, warmup int)
 		out.PerReplica[pin] = st.P50
 		out.Errors += st.Errors
 	}
-	out.Median = percentile(out.PerReplica, 50)
+	sorted := append([]time.Duration(nil), out.PerReplica...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	out.Median = sorted[len(sorted)/2]
 	return out, nil
 }
 
@@ -343,7 +345,11 @@ func percentile(samples []time.Duration, p int) time.Duration {
 	if len(samples) == 0 {
 		return 0
 	}
-	s := slices.Clone(samples)
-	slices.Sort(s)
-	return s[min(len(s)*p/100, len(s)-1)]
+	s := append([]time.Duration(nil), samples...)
+	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+	idx := len(s) * p / 100
+	if idx >= len(s) {
+		idx = len(s) - 1
+	}
+	return s[idx]
 }
