@@ -506,13 +506,22 @@ func (c *conn) fail(err error) {
 	c.mu.Lock()
 	if c.err == nil {
 		c.err = err
-		_ = c.nc.Close()
-		for id, ch := range c.pending {
-			delete(c.pending, id)
-			close(ch)
-		}
+	}
+	_ = c.nc.Close()
+	for id, ch := range c.pending {
+		delete(c.pending, id)
+		close(ch)
 	}
 	c.mu.Unlock()
+}
+
+// forget drops request id, with c.mu held. A connection a failed write
+// left dead (roundtrip) closes once no request waits on it.
+func (c *conn) forget(id uint64) {
+	delete(c.pending, id)
+	if c.err != nil && len(c.pending) == 0 {
+		_ = c.nc.Close()
+	}
 }
 
 func (c *conn) readLoop() {
@@ -543,7 +552,7 @@ func (c *conn) readLoop() {
 		c.mu.Lock()
 		ch, ok := c.pending[resp.ID]
 		if ok {
-			delete(c.pending, resp.ID)
+			c.forget(resp.ID)
 		}
 		c.mu.Unlock()
 		if ok {
@@ -595,10 +604,18 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 		<-interrupted
 		_ = c.nc.SetWriteDeadline(time.Time{})
 	}
-	// A failed write leaves bw's error sticky: fail the connection before
-	// handing the write slot on, so the next writer finds it dead.
+	// A write that failed part-way leaves no frame boundary to resume at
+	// (and bw's error sticky): mark the connection dead before handing the
+	// write slot on, so the next writer sees it. Requests whose frames went
+	// out earlier still wait for their responses; the socket closes after
+	// the last of them (forget), or when the server closes it.
 	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
-		c.fail(fmt.Errorf("%w: %w", errWrite, err))
+		c.mu.Lock()
+		if c.err == nil {
+			c.err = fmt.Errorf("%w: %w", errWrite, err)
+		}
+		c.forget(id)
+		c.mu.Unlock()
 	}
 	<-c.wsem
 	if err != nil {
@@ -606,7 +623,7 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 			// Local size check, nothing written: the request is bad, the
 			// connection is fine — don't kill other callers' pipelines.
 			c.mu.Lock()
-			delete(c.pending, id)
+			c.forget(id)
 			c.mu.Unlock()
 			return nil, err
 		}
@@ -632,7 +649,7 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 		return resp, nil
 	case <-ctx.Done():
 		c.mu.Lock()
-		delete(c.pending, id)
+		c.forget(id)
 		c.mu.Unlock()
 		return nil, fmt.Errorf("%w: %w", errInFlight, ctx.Err())
 	}
