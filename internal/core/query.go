@@ -58,6 +58,9 @@ const (
 	phaseVote
 )
 
+// queryRows is the number of rows in the phase table (Counters.Rows).
+const queryRows = 18
+
 type queryReq struct {
 	id      uint64
 	attempt uint32
@@ -120,8 +123,10 @@ func (r *Replica) SubmitQuery(done QueryDone) uint64 {
 	}
 	r.queries[req.id] = req
 	if r.opts.Lease && r.lease != nil {
+		r.counters.Rows[2]++
 		r.startLeaseAttempt(req) // [Q2]
 	} else {
+		r.counters.Rows[1]++
 		r.startAttempt(req, Round{Number: NumberIncremental}) // [Q1]
 	}
 	return req.id
@@ -192,6 +197,7 @@ func (r *Replica) beginPrepare(req *queryReq, round Round) {
 		// [Q4] A fixed prepare below the local round: morph into an
 		// incremental prepare (always self-accepted, so this recurses at
 		// most once).
+		r.counters.Rows[4]++
 		req.gathered = r.mergeGathered(req.gathered, accState)
 		r.beginPrepare(req, Round{Number: NumberIncremental})
 		return
@@ -257,6 +263,9 @@ func (r *Replica) onAck(from transport.NodeID, m *message) {
 	// [Q5]
 	req.acks[from] = ackInfo{round: m.Round, state: state}
 	req.gathered = r.mergeGathered(req.gathered, state)
+	if len(req.acks) < r.quorum {
+		r.counters.Rows[5]++
+	}
 	r.maybeDecidePrepare(req)
 }
 
@@ -298,12 +307,14 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		// converged large state, whose digest-only ACKs all resolve to the
 		// prepared state. Trivially a consistent quorum: skip the O(n)
 		// merge-and-compare sweep.
+		r.counters.Rows[6]++
 		r.finishQuery(req, states[0], LearnConsistentQuorum)
 		return
 	}
 	lub, err := crdt.MergeAll(states...)
 	if err != nil {
 		r.counters.MalformedMsgs++
+		r.counters.Rows[10]++
 		r.restartQuery(req) // [Q10]
 		return
 	}
@@ -318,12 +329,14 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		}
 	}
 	if consistent {
+		r.counters.Rows[6]++
 		r.finishQuery(req, lub, LearnConsistentQuorum)
 		return
 	}
 
 	// (b) [Q7] Consistent rounds: propose ⊔S̆ under the common round.
 	if sameRound {
+		r.counters.Rows[7]++
 		req.phase = phaseVote
 		req.proposed = lub
 		req.votes = make(map[transport.NodeID]bool, len(r.peers)+1)
@@ -336,6 +349,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		reply, _, accState, voteErr := r.acc.handleVote(common, lub)
 		if voteErr == nil && reply != msgVoted {
 			// [Q8]
+			r.counters.Rows[8]++
 			req.gathered = r.mergeGathered(req.gathered, accState)
 			r.restartQuery(req)
 			return
@@ -350,6 +364,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 
 	// (c) [Q9] Inconsistent rounds: retry with a fixed prepare at max(R̆)+1
 	// (lines 19-21), seeded with the gathered LUB.
+	r.counters.Rows[9]++
 	r.startAttempt(req, Round{Number: max.Number + 1})
 }
 
@@ -361,6 +376,9 @@ func (r *Replica) onVoted(from transport.NodeID, m *message) {
 	}
 	// [Q11]
 	req.votes[from] = true
+	if len(req.votes) < r.quorum {
+		r.counters.Rows[11]++
+	}
 	// VOTED to a leased VOTE confirms the peer merged the proposal before
 	// replying, so the proposal is a sound per-peer baseline — the next
 	// leased read or update can build on it.
@@ -372,6 +390,7 @@ func (r *Replica) maybeDecideVote(req *queryReq) {
 	if req.phase == phaseVote && len(req.votes) >= r.quorum {
 		// [Q12] Learned by vote: the proposed state is established in a
 		// quorum.
+		r.counters.Rows[12]++
 		r.finishQuery(req, req.proposed, LearnVote)
 	}
 }
@@ -397,6 +416,7 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 	case phasePrepare:
 		// [Q10] A prepare NACK (fixed prepare below the acceptor's round)
 		// dooms the phase: retry immediately.
+		r.counters.Rows[10]++
 		r.restartQuery(req)
 	case phaseVote:
 		// [Q13] A denied vote may still be outvoted: retry only once a
@@ -407,7 +427,10 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 		replies := len(req.votes) + len(req.denials)
 		outstanding := len(r.peers) + 1 - replies
 		if len(req.votes)+outstanding < r.quorum {
+			r.counters.Rows[14]++
 			r.restartQuery(req) // [Q14]
+		} else {
+			r.counters.Rows[13]++
 		}
 	}
 }

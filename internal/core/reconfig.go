@@ -180,6 +180,7 @@ func (r *Replica) migrateInFlight() {
 	// the lease, so a leased attempt restarts without a fallback.
 	for _, id := range r.inFlightIDs() {
 		if req, ok := r.queries[id]; ok {
+			r.counters.Rows[18]++
 			req.leased = false
 			r.startAttempt(req, Round{Number: NumberIncremental})
 		}

@@ -111,6 +111,10 @@ type Counters struct {
 	ConfigAdoptions    uint64 // configurations adopted (reconfigs, pushes, nacks)
 	ReconfigCommits    uint64 // reconfiguration rounds this replica committed as proposer
 
+	// Rows counts the query transitions taken: Rows[n] is row Qn of the
+	// phase table in docs/PROTOCOL.md §1.4 (slot 0 is unused).
+	Rows [queryRows + 1]uint64
+
 	// Runtime-level overload counters. The replica itself never sets
 	// them; the cluster runtime fills them into its aggregated snapshot
 	// (like the node's malformed-frame count rides MalformedMsgs).
@@ -144,6 +148,9 @@ func (c *Counters) Add(o Counters) {
 	c.EpochNacks += o.EpochNacks
 	c.ConfigAdoptions += o.ConfigAdoptions
 	c.ReconfigCommits += o.ReconfigCommits
+	for i, n := range o.Rows {
+		c.Rows[i] += n
+	}
 	c.InboundDropped += o.InboundDropped
 	c.BudgetDelayed += o.BudgetDelayed
 }

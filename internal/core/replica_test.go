@@ -130,14 +130,20 @@ func TestCountersAddCoversEveryField(t *testing.T) {
 	var in Counters
 	v := reflect.ValueOf(&in).Elem()
 	for i := 0; i < v.NumField(); i++ {
-		v.Field(i).SetUint(uint64(i + 1))
+		if f := v.Field(i); f.Kind() == reflect.Array {
+			for j := 0; j < f.Len(); j++ {
+				f.Index(j).SetUint(uint64(100*(i+1) + j))
+			}
+		} else {
+			f.SetUint(uint64(i + 1))
+		}
 	}
 	var sum Counters
 	sum.Add(in)
 	got := reflect.ValueOf(sum)
 	for i := 0; i < v.NumField(); i++ {
-		if a, b := got.Field(i).Uint(), v.Field(i).Uint(); a != b {
-			t.Errorf("Add(%s = %d) left %d", v.Type().Field(i).Name, b, a)
+		if a, b := got.Field(i).Interface(), v.Field(i).Interface(); a != b {
+			t.Errorf("Add(%s = %v) left %v", v.Type().Field(i).Name, b, a)
 		}
 	}
 }

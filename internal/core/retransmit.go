@@ -39,6 +39,7 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 	switch req.phase {
 	case phasePrepare:
 		// [Q15]
+		r.counters.Rows[15]++
 		m := req.prepareMsg()
 		for _, p := range r.peers {
 			if _, ok := req.acks[p]; !ok {
@@ -54,12 +55,14 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 			// timeout. Re-sending the same VOTE cannot help (the denial
 			// stands until the round moves), so treat the vote as
 			// undecidable and retry through the normal NACK machinery.
+			r.counters.Rows[17]++
 			r.restartQuery(req)
 			return
 		}
 		// [Q16] Always the full proposal, never a digest or delta: a lost
 		// leased VOTE is indistinguishable from a receiver that could not
 		// resolve one.
+		r.counters.Rows[16]++
 		m := req.voteMsg()
 		for _, p := range r.peers {
 			if !req.votes[p] && !req.denials[p] {

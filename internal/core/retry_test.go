@@ -335,3 +335,84 @@ func TestAbortedUpdateStillServesFullPayload(t *testing.T) {
 		t.Fatalf("n2 converged to %d, want 3", v)
 	}
 }
+
+// TestRowsCountScriptedSchedule pins Counters.Rows for one scripted
+// schedule at proposer n2: each query-table transition the schedule
+// takes is counted once, in its row's slot, and no other slot moves.
+func TestRowsCountScriptedSchedule(t *testing.T) {
+	nw := newNet(t, 3, DefaultOptions())
+	n1, n2, n3 := nw.reps["n1"], nw.reps["n2"], nw.reps["n3"]
+	query := func() uint64 {
+		return n2.SubmitQuery(func(_ crdt.State, _ QueryStats, err error) {
+			if err != nil {
+				t.Fatalf("query: %v", err)
+			}
+		})
+	}
+	diverge := func(rep *Replica) { // an update whose MERGEs are lost
+		if _, err := rep.SubmitUpdate(incAt(rep), nil); err != nil {
+			t.Fatal(err)
+		}
+		nw.pump()
+		nw.drop(ofType(msgMerge))
+	}
+	ackFromN1 := func() { // both remotes ACK; only n1's ACK is delivered
+		nw.deliver(ofType(msgPrepare))
+		nw.deliver(func(e env) bool { return e.typ == msgAck && e.from == "n1" })
+	}
+
+	// Q1 → Q6: a clean read installs the lease.
+	query()
+	nw.pump()
+	nw.drain()
+	// Q2 → Q12: a leased hit.
+	query()
+	nw.pump()
+	nw.drain()
+	// Q2 → Q3 → Q6: a foreign update moved the local round, so the local
+	// acceptor denies the leased vote and the fallback reads cleanly.
+	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
+		t.Fatal(err)
+	}
+	nw.pump()
+	nw.drain()
+	query()
+	nw.pump()
+	nw.drain()
+	// Q1 → Q7 → Q8 → Q6: the proposer's own update lands between its
+	// ACK and its vote.
+	n2.DropLease()
+	diverge(n1)
+	query()
+	nw.pump()
+	diverge(n2)
+	ackFromN1()
+	nw.drain()
+	// Q1 → Q15 → Q6: both PREPAREs are lost and re-sent.
+	n2.DropLease()
+	id := query()
+	nw.pump()
+	nw.drop(ofType(msgPrepare))
+	n2.retransmit(id)
+	nw.pump()
+	nw.drain()
+	// Q1 → Q7 → Q13 → Q14 → Q6: updates land on both remote acceptors
+	// mid-vote, so both deny it.
+	n2.DropLease()
+	diverge(n1)
+	query()
+	nw.pump()
+	ackFromN1()
+	diverge(n1)
+	diverge(n3)
+	nw.drain()
+
+	got := n2.Counters().Rows
+	want := [queryRows + 1]uint64{1: 4, 2: 2, 3: 1, 6: 5, 7: 2, 8: 1, 12: 1, 13: 1, 14: 1, 15: 1}
+	if got != want {
+		t.Fatalf("Rows = %v, want %v", got, want)
+	}
+	if c := n2.Counters(); c.Queries != 6 {
+		t.Fatalf("Queries = %d, want 6", c.Queries)
+	}
+}
