@@ -342,10 +342,10 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		req.votes = make(map[transport.NodeID]bool, len(r.peers)+1)
 		req.denials = make(map[transport.NodeID]bool, len(r.peers))
 		req.round = common
-		req.rtts++
 
 		// Local acceptor votes synchronously. A local denial means an
-		// update already intervened here; per §3.2 retry straight away.
+		// update already intervened here; per §3.2 retry straight away,
+		// before the VOTE is sent or counted as a round trip.
 		reply, _, accState, voteErr := r.acc.handleVote(common, lub)
 		if voteErr == nil && reply != msgVoted {
 			// [Q8]
@@ -357,6 +357,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		if voteErr == nil {
 			req.votes[r.id] = true
 		}
+		req.rtts++
 		r.broadcast(req.voteMsg())
 		r.maybeDecideVote(req)
 		return

@@ -24,6 +24,7 @@ type net struct {
 	t    *testing.T
 	reps map[transport.NodeID]*Replica
 	pool []env
+	sent []env // every message pumped, in order
 }
 
 func newNet(t *testing.T, n int, opts Options) *net {
@@ -51,7 +52,9 @@ func (nw *net) pump() {
 			if err != nil {
 				nw.t.Fatalf("undecodable outbound message: %v", err)
 			}
-			nw.pool = append(nw.pool, env{from: rep.ID(), to: e.To, typ: m.Type, payload: e.Payload})
+			out := env{from: rep.ID(), to: e.To, typ: m.Type, payload: e.Payload}
+			nw.pool = append(nw.pool, out)
+			nw.sent = append(nw.sent, out)
 		}
 	}
 }

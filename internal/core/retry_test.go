@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"crdtsmr/internal/crdt"
+	"crdtsmr/internal/transport"
 )
 
 // --- retry accounting (the Retries counter must equal Σ(attempts-1)) ---
@@ -414,5 +415,80 @@ func TestRowsCountScriptedSchedule(t *testing.T) {
 	}
 	if c := n2.Counters(); c.Queries != 6 {
 		t.Fatalf("Queries = %d, want 6", c.Queries)
+	}
+}
+
+// broadcasts counts the distinct PREPARE and VOTE broadcasts from sent
+// for query id: one per (type, attempt), however many peers got it.
+func (nw *net) broadcasts(from transport.NodeID, id uint64) int {
+	type key struct {
+		typ     msgType
+		attempt uint32
+	}
+	seen := map[key]bool{}
+	for _, e := range nw.sent {
+		if e.from != from || (e.typ != msgPrepare && e.typ != msgVote) {
+			continue
+		}
+		m, err := decodeMessage(e.payload)
+		if err != nil {
+			nw.t.Fatal(err)
+		}
+		if m.Req == id {
+			seen[key{m.Type, m.Attempt}] = true
+		}
+	}
+	return len(seen)
+}
+
+// TestRoundTripsCountBroadcastsSent: a query's RoundTrips is the number
+// of PREPARE and VOTE broadcasts it actually sent. A vote the local
+// acceptor denies ([Q8]) restarts before its VOTE is sent, so it is no
+// round trip; a vote the remote acceptors deny ([Q13], [Q14]) was sent,
+// so it is one.
+func TestRoundTripsCountBroadcastsSent(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Lease = false
+	nw := newNet(t, 3, opts)
+	n1, n2, n3 := nw.reps["n1"], nw.reps["n2"], nw.reps["n3"]
+	diverge := func(rep *Replica) { // an update whose MERGEs are lost
+		if _, err := rep.SubmitUpdate(incAt(rep), nil); err != nil {
+			t.Fatal(err)
+		}
+		nw.pump()
+		nw.drop(ofType(msgMerge))
+	}
+	// run reads at n2 while n1 holds an update n2 lacks, so n1's ACK
+	// sends the query to the vote phase; mid runs just before that ACK
+	// is delivered, late just after.
+	run := func(name string, mid, late func()) {
+		var stats QueryStats
+		diverge(n1)
+		id := n2.SubmitQuery(func(_ crdt.State, st QueryStats, err error) {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			stats = st
+		})
+		nw.pump()
+		nw.deliver(ofType(msgPrepare))
+		mid()
+		nw.deliver(func(e env) bool { return e.typ == msgAck && e.from == "n1" })
+		late()
+		nw.drain()
+		if stats.Attempts != 2 {
+			t.Fatalf("%s: stats %+v, want a query that retried once", name, stats)
+		}
+		if sent := nw.broadcasts("n2", id); stats.RoundTrips != sent {
+			t.Fatalf("%s: RoundTrips = %d, want the %d broadcasts sent", name, stats.RoundTrips, sent)
+		}
+	}
+	// [Q8]: the proposer's own update moves its round between its ACK
+	// and its vote.
+	run("local denial", func() { diverge(n2) }, func() {})
+	// [Q13] → [Q14]: updates on both remote acceptors deny the VOTE.
+	run("remote denials", func() {}, func() { diverge(n1); diverge(n3) })
+	if rows := n2.Counters().Rows; rows[8] != 1 || rows[14] != 1 {
+		t.Fatalf("Rows[8], Rows[14] = %d, %d, want 1, 1", rows[8], rows[14])
 	}
 }
