@@ -15,6 +15,7 @@ func TestExploreManySeeds(t *testing.T) {
 	if testing.Short() {
 		seeds = 20
 	}
+	var shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		res, err := Explore(ExploreConfig{
 			Seed:      int64(seed),
@@ -30,21 +31,37 @@ func TestExploreManySeeds(t *testing.T) {
 		if res.UpdatesDone+res.QueriesDone == 0 {
 			t.Fatalf("seed %d: nothing completed", seed)
 		}
+		shared += res.Counters.Rows[19]
+	}
+	requireShared(t, shared)
+}
+
+// requireShared fails a sweep in which no query completed with a
+// younger query's learn (row Q19 of docs/PROTOCOL.md §1.4): its pass
+// would prove nothing about that row.
+func requireShared(t *testing.T, shared uint64) {
+	t.Helper()
+	if shared == 0 {
+		t.Fatal("no query completed with a younger query's learn (row Q19) across the sweep")
 	}
 }
 
 func TestExploreFiveReplicas(t *testing.T) {
+	var shared uint64
 	for seed := 0; seed < 25; seed++ {
-		if _, err := Explore(ExploreConfig{
+		res, err := Explore(ExploreConfig{
 			Seed:      int64(1000 + seed),
 			Replicas:  5,
 			Ops:       40,
 			ReadRatio: 0.4,
 			Options:   core.DefaultOptions(),
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		shared += res.Counters.Rows[19]
 	}
+	requireShared(t, shared)
 }
 
 func TestExploreReadOnlyNeverRetries(t *testing.T) {
@@ -99,17 +116,21 @@ func TestExploreUpdateOnly(t *testing.T) {
 // it gathered (§3.6).
 func TestExploreWithSeededPrepares(t *testing.T) {
 	opts := core.Options{}
+	var shared uint64
 	for seed := 0; seed < 40; seed++ {
-		if _, err := Explore(ExploreConfig{
+		res, err := Explore(ExploreConfig{
 			Seed:      int64(3000 + seed),
 			Replicas:  3,
 			Ops:       50,
 			ReadRatio: 0.5,
 			Options:   opts,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		shared += res.Counters.Rows[19]
 	}
+	requireShared(t, shared)
 }
 
 // TestExploreSmallRunsExactlyLinearizable runs many small explorations and
@@ -120,6 +141,7 @@ func TestExploreSmallRunsExactlyLinearizable(t *testing.T) {
 	if testing.Short() {
 		seeds = 50
 	}
+	var shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		res, err := Explore(ExploreConfig{
 			Seed:      int64(9000 + seed),
@@ -137,7 +159,9 @@ func TestExploreSmallRunsExactlyLinearizable(t *testing.T) {
 		if !BruteForceLinearizable(res.History) {
 			t.Fatalf("seed %d: history not linearizable: %+v", seed, res.History)
 		}
+		shared += res.Counters.Rows[19]
 	}
+	requireShared(t, shared)
 }
 
 func TestExploreDeterministic(t *testing.T) {

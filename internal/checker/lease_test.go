@@ -19,7 +19,7 @@ func TestExploreLeaseEquivalence(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	var hits, fallbacks uint64
+	var hits, fallbacks, shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		for _, size := range stateSizes {
 			var results [2]*ExploreResult
@@ -41,6 +41,7 @@ func TestExploreLeaseEquivalence(t *testing.T) {
 					t.Fatalf("seed %d %s lease=%v: %v", seed, size.name, lease, err)
 				}
 				results[i] = res
+				shared += res.Counters.Rows[19]
 			}
 			off, on := results[0], results[1]
 			if on.UpdatesSubmitted != off.UpdatesSubmitted {
@@ -64,6 +65,7 @@ func TestExploreLeaseEquivalence(t *testing.T) {
 	if fallbacks == 0 {
 		t.Fatal("lease-on sweep never exercised the fallback — steals/denials untested")
 	}
+	requireShared(t, shared)
 }
 
 // TestExploreLeaseEquivalenceUnderChaos repeats the equivalence sweep
@@ -75,7 +77,7 @@ func TestExploreLeaseEquivalenceUnderChaos(t *testing.T) {
 	if testing.Short() {
 		seeds = 6
 	}
-	var hits uint64
+	var hits, shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		var results [2]*ExploreResult
 		for i, lease := range []bool{false, true} {
@@ -100,6 +102,7 @@ func TestExploreLeaseEquivalenceUnderChaos(t *testing.T) {
 				t.Fatalf("seed %d lease=%v: %v (retransmits=%d)", seed, lease, err, res.Retransmits)
 			}
 			results[i] = res
+			shared += res.Counters.Rows[19]
 		}
 		off, on := results[0], results[1]
 		if on.UpdatesSubmitted != off.UpdatesSubmitted {
@@ -115,4 +118,5 @@ func TestExploreLeaseEquivalenceUnderChaos(t *testing.T) {
 	if hits == 0 {
 		t.Fatal("chaos sweep never learned via the fast path")
 	}
+	requireShared(t, shared)
 }

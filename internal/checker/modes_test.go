@@ -30,7 +30,7 @@ func TestExploreStateSizesUnderLossAndDuplication(t *testing.T) {
 	if testing.Short() {
 		seeds = 8
 	}
-	var digestReplies, deltaMerges uint64
+	var digestReplies, deltaMerges, shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		var results [2]*ExploreResult
 		for i, size := range stateSizes {
@@ -49,6 +49,7 @@ func TestExploreStateSizesUnderLossAndDuplication(t *testing.T) {
 				t.Fatalf("seed %d %s: %v (retransmits=%d)", seed, size.name, err, res.Retransmits)
 			}
 			results[i] = res
+			shared += res.Counters.Rows[19]
 		}
 		small, large := results[0], results[1]
 		if large.UpdatesSubmitted != small.UpdatesSubmitted {
@@ -72,6 +73,7 @@ func TestExploreStateSizesUnderLossAndDuplication(t *testing.T) {
 	if deltaMerges == 0 {
 		t.Fatal("large states never shipped a delta across the sweep")
 	}
+	requireShared(t, shared)
 }
 
 // TestExploreLossRetransmitsDeterministic: the loss/duplication drain

@@ -25,6 +25,7 @@ func TestExploreReconfigSweep(t *testing.T) {
 		seeds = 6
 	}
 	var committed, adoptions, epochNacks, abandoned int
+	var shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		for _, size := range stateSizes {
 			base := ExploreConfig{
@@ -41,16 +42,19 @@ func TestExploreReconfigSweep(t *testing.T) {
 			}
 
 			static := base
-			if _, err := Explore(static); err != nil {
+			res, err := Explore(static)
+			if err != nil {
 				t.Fatalf("seed %d %s static: %v", seed, size.name, err)
 			}
+			shared += res.Counters.Rows[19]
 
 			dynamic := base
 			dynamic.Reconfigs = 4
-			res, err := Explore(dynamic)
+			res, err = Explore(dynamic)
 			if err != nil {
 				t.Fatalf("seed %d %s reconfig: %v", seed, size.name, err)
 			}
+			shared += res.Counters.Rows[19]
 			if res.Reconfigs+res.ReconfigFailures != dynamic.Reconfigs {
 				t.Fatalf("seed %d %s: %d committed + %d failed != %d scheduled rounds",
 					seed, size.name, res.Reconfigs, res.ReconfigFailures, dynamic.Reconfigs)
@@ -77,6 +81,7 @@ func TestExploreReconfigSweep(t *testing.T) {
 	if epochNacks == 0 {
 		t.Fatal("no stale-epoch message was ever NACKed across the sweep")
 	}
+	requireShared(t, shared)
 	t.Logf("sweep: %d commits, %d adoptions, %d epoch-nacks, %d abandoned updates",
 		committed, adoptions, epochNacks, abandoned)
 }

@@ -22,6 +22,7 @@ func TestExploreCrashRestartModes(t *testing.T) {
 		seeds = 6
 	}
 	totalRestarts, totalAbandoned := 0, 0
+	var shared uint64
 	for seed := 0; seed < seeds; seed++ {
 		var baseline *ExploreResult
 		for _, size := range stateSizes {
@@ -48,6 +49,7 @@ func TestExploreCrashRestartModes(t *testing.T) {
 				if crashes == 0 && res.Restarts != 0 {
 					t.Fatalf("seed %d %s: crash-free run restarted %d times", seed, size.name, res.Restarts)
 				}
+				shared += res.Counters.Rows[19]
 				if baseline == nil {
 					baseline = res
 					continue
@@ -74,6 +76,7 @@ func TestExploreCrashRestartModes(t *testing.T) {
 	if totalAbandoned == 0 {
 		t.Fatal("no crash ever abandoned an in-flight update across the sweep")
 	}
+	requireShared(t, shared)
 }
 
 // TestExploreCrashRestartDeterministic: crash/restart runs must stay

@@ -53,8 +53,7 @@ func (r *Replica) startLeaseAttempt(req *queryReq) {
 		// [Q3] Nothing was gathered from the wire yet, so the fallback
 		// starts like a fresh first attempt: unseeded (§3.6 — the local
 		// payload is never shipped in a first prepare).
-		r.counters.Rows[3]++
-		r.restartQuery(req)
+		r.restartQuery(req, 3)
 		return
 	}
 	req.votes[r.id] = true

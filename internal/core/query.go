@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/transport"
@@ -40,10 +41,12 @@ type QueryStats struct {
 	RoundTrips int
 	// Attempts counts protocol attempts (1 = no retry).
 	Attempts int
-	// Path is the learn path of the final, successful attempt.
+	// Path is the learn path of the final, successful attempt — for a
+	// query completed by a younger one's learn ([Q19]), that query's path.
 	Path LearnPath
 	// Leased reports that the query took the prepare-skip fast path
-	// (docs/PROTOCOL.md §5) and learned without falling back.
+	// (docs/PROTOCOL.md §5) and learned without falling back; never for a
+	// query completed by a younger one's learn.
 	Leased bool
 }
 
@@ -59,7 +62,7 @@ const (
 )
 
 // queryRows is the number of rows in the phase table (Counters.Rows).
-const queryRows = 18
+const queryRows = 19
 
 type queryReq struct {
 	id      uint64
@@ -150,8 +153,9 @@ func (r *Replica) startAttempt(req *queryReq, round Round) {
 // everything seen so far, which guarantees eventual liveness (§3.2): each
 // failed iteration folds at least one more acceptor's updates into the
 // seed (§3.5). A leased attempt first falls back, dropping the lease
-// (docs/PROTOCOL.md §5.4).
-func (r *Replica) restartQuery(req *queryReq) {
+// (docs/PROTOCOL.md §5.4). row is the table row that restarts it.
+func (r *Replica) restartQuery(req *queryReq, row int) {
+	r.counters.Rows[row]++
 	if req.leased {
 		r.counters.LeaseFallbacks++
 		r.lease = nil
@@ -314,8 +318,7 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 	lub, err := crdt.MergeAll(states...)
 	if err != nil {
 		r.counters.MalformedMsgs++
-		r.counters.Rows[10]++
-		r.restartQuery(req) // [Q10]
+		r.restartQuery(req, 10) // [Q10]
 		return
 	}
 
@@ -349,9 +352,8 @@ func (r *Replica) maybeDecidePrepare(req *queryReq) {
 		reply, _, accState, voteErr := r.acc.handleVote(common, lub)
 		if voteErr == nil && reply != msgVoted {
 			// [Q8]
-			r.counters.Rows[8]++
 			req.gathered = r.mergeGathered(req.gathered, accState)
-			r.restartQuery(req)
+			r.restartQuery(req, 8)
 			return
 		}
 		if voteErr == nil {
@@ -417,8 +419,7 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 	case phasePrepare:
 		// [Q10] A prepare NACK (fixed prepare below the acceptor's round)
 		// dooms the phase: retry immediately.
-		r.counters.Rows[10]++
-		r.restartQuery(req)
+		r.restartQuery(req, 10)
 	case phaseVote:
 		// [Q13] A denied vote may still be outvoted: retry only once a
 		// quorum of VOTED can no longer arrive from acceptors that have not
@@ -428,8 +429,7 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 		replies := len(req.votes) + len(req.denials)
 		outstanding := len(r.peers) + 1 - replies
 		if len(req.votes)+outstanding < r.quorum {
-			r.counters.Rows[14]++
-			r.restartQuery(req) // [Q14]
+			r.restartQuery(req, 14) // [Q14]
 		} else {
 			r.counters.Rows[13]++
 		}
@@ -437,13 +437,6 @@ func (r *Replica) onNack(from transport.NodeID, m *message) {
 }
 
 func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath) {
-	delete(r.queries, req.id)
-	r.counters.Queries++
-	if path == LearnConsistentQuorum {
-		r.counters.ConsistentQuorum++
-	} else {
-		r.counters.ByVote++
-	}
 	r.settleLease(req, learned)
 
 	// GLA-Stability (§3.4): remember the largest learned state; return the
@@ -459,7 +452,37 @@ func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath)
 		learned = r.learned
 	}
 
+	// [Q19] Every older query still in flight here completes with the
+	// same state, after req and in ascending ID order: req's learn point
+	// lies inside its interval (docs/PROTOCOL.md §1.4). The IDs are
+	// collected first, since a callback may abort or answer one of them.
+	var older []uint64
+	for id := range r.queries {
+		if id < req.id {
+			older = append(older, id)
+		}
+	}
+	slices.Sort(older)
+	r.completeQuery(req, learned, QueryStats{RoundTrips: req.rtts, Attempts: int(req.attempt), Path: path, Leased: req.leased})
+	for _, id := range older {
+		if o, ok := r.queries[id]; ok {
+			r.counters.Rows[19]++
+			r.completeQuery(o, learned, QueryStats{RoundTrips: o.rtts, Attempts: int(o.attempt), Path: path})
+		}
+	}
+}
+
+// completeQuery retires a query that learned (or shared a learn) and
+// answers it.
+func (r *Replica) completeQuery(req *queryReq, learned crdt.State, stats QueryStats) {
+	delete(r.queries, req.id)
+	r.counters.Queries++
+	if stats.Path == LearnConsistentQuorum {
+		r.counters.ConsistentQuorum++
+	} else {
+		r.counters.ByVote++
+	}
 	if req.done != nil {
-		req.done(learned, QueryStats{RoundTrips: req.rtts, Attempts: int(req.attempt), Path: path, Leased: req.leased}, nil)
+		req.done(learned, stats, nil)
 	}
 }

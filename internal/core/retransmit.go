@@ -55,8 +55,7 @@ func (r *Replica) retransmitQuery(req *queryReq) {
 			// timeout. Re-sending the same VOTE cannot help (the denial
 			// stands until the round moves), so treat the vote as
 			// undecidable and retry through the normal NACK machinery.
-			r.counters.Rows[17]++
-			r.restartQuery(req)
+			r.restartQuery(req, 17)
 			return
 		}
 		// [Q16] Always the full proposal, never a digest or delta: a lost
