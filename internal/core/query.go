@@ -41,8 +41,8 @@ type QueryStats struct {
 	RoundTrips int
 	// Attempts counts protocol attempts (1 = no retry).
 	Attempts int
-	// Path is the learn path of the final, successful attempt — for a
-	// query completed by a younger one's learn ([Q19]), that query's path.
+	// Path is the learn path of the final, successful attempt; a query
+	// completed by a younger one's learn ([Q19]) takes the younger one's.
 	Path LearnPath
 	// Leased reports that the query took the prepare-skip fast path
 	// (docs/PROTOCOL.md §5) and learned without falling back; never for a
