@@ -337,6 +337,15 @@ func TestAbortedUpdateStillServesFullPayload(t *testing.T) {
 	}
 }
 
+// diverge submits an update at rep whose MERGEs are all lost.
+func (nw *net) diverge(rep *Replica) {
+	if _, err := rep.SubmitUpdate(incAt(rep), nil); err != nil {
+		nw.t.Fatal(err)
+	}
+	nw.pump()
+	nw.drop(ofType(msgMerge))
+}
+
 // TestRowsCountScriptedSchedule pins Counters.Rows for one scripted
 // schedule at proposer n2: each query-table transition the schedule
 // takes is counted once, in its row's slot, and no other slot moves.
@@ -349,13 +358,6 @@ func TestRowsCountScriptedSchedule(t *testing.T) {
 				t.Fatalf("query: %v", err)
 			}
 		})
-	}
-	diverge := func(rep *Replica) { // an update whose MERGEs are lost
-		if _, err := rep.SubmitUpdate(incAt(rep), nil); err != nil {
-			t.Fatal(err)
-		}
-		nw.pump()
-		nw.drop(ofType(msgMerge))
 	}
 	ackFromN1 := func() { // both remotes ACK; only n1's ACK is delivered
 		nw.deliver(ofType(msgPrepare))
@@ -383,10 +385,10 @@ func TestRowsCountScriptedSchedule(t *testing.T) {
 	// Q1 → Q7 → Q8 → Q6: the proposer's own update lands between its
 	// ACK and its vote.
 	n2.DropLease()
-	diverge(n1)
+	nw.diverge(n1)
 	query()
 	nw.pump()
-	diverge(n2)
+	nw.diverge(n2)
 	ackFromN1()
 	nw.drain()
 	// Q1 → Q15 → Q6: both PREPAREs are lost and re-sent.
@@ -400,12 +402,12 @@ func TestRowsCountScriptedSchedule(t *testing.T) {
 	// Q1 → Q7 → Q13 → Q14 → Q6: updates land on both remote acceptors
 	// mid-vote, so both deny it.
 	n2.DropLease()
-	diverge(n1)
+	nw.diverge(n1)
 	query()
 	nw.pump()
 	ackFromN1()
-	diverge(n1)
-	diverge(n3)
+	nw.diverge(n1)
+	nw.diverge(n3)
 	nw.drain()
 
 	got := n2.Counters().Rows
@@ -451,19 +453,12 @@ func TestRoundTripsCountBroadcastsSent(t *testing.T) {
 	opts.Lease = false
 	nw := newNet(t, 3, opts)
 	n1, n2, n3 := nw.reps["n1"], nw.reps["n2"], nw.reps["n3"]
-	diverge := func(rep *Replica) { // an update whose MERGEs are lost
-		if _, err := rep.SubmitUpdate(incAt(rep), nil); err != nil {
-			t.Fatal(err)
-		}
-		nw.pump()
-		nw.drop(ofType(msgMerge))
-	}
 	// run reads at n2 while n1 holds an update n2 lacks, so n1's ACK
 	// sends the query to the vote phase; mid runs just before that ACK
 	// is delivered, late just after.
 	run := func(name string, mid, late func()) {
 		var stats QueryStats
-		diverge(n1)
+		nw.diverge(n1)
 		id := n2.SubmitQuery(func(_ crdt.State, st QueryStats, err error) {
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
@@ -485,9 +480,9 @@ func TestRoundTripsCountBroadcastsSent(t *testing.T) {
 	}
 	// [Q8]: the proposer's own update moves its round between its ACK
 	// and its vote.
-	run("local denial", func() { diverge(n2) }, func() {})
+	run("local denial", func() { nw.diverge(n2) }, func() {})
 	// [Q13] → [Q14]: updates on both remote acceptors deny the VOTE.
-	run("remote denials", func() {}, func() { diverge(n1); diverge(n3) })
+	run("remote denials", func() {}, func() { nw.diverge(n1); nw.diverge(n3) })
 	if rows := n2.Counters().Rows; rows[8] != 1 || rows[14] != 1 {
 		t.Fatalf("Rows[8], Rows[14] = %d, %d, want 1, 1", rows[8], rows[14])
 	}

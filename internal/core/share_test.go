@@ -51,11 +51,7 @@ func TestOlderQueryCompletesWhenYoungerLearns(t *testing.T) {
 	nw.drop(nw.forReq(oldID)) // its ACKs are lost
 
 	// n1 holds an update n2 lacks, so the younger query learns by vote.
-	if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
-		t.Fatal(err)
-	}
-	nw.pump()
-	nw.drop(ofType(msgMerge))
+	nw.diverge(n1)
 	n2.SubmitQuery(younger.done)
 	nw.pump()
 	nw.deliver(func(e env) bool { return e.typ == msgPrepare && e.to == "n1" })
