@@ -59,9 +59,11 @@ func (c *Client) update(ctx context.Context, key, crdtType, mutation string, arg
 }
 
 // Query learns a linearizable state of the object stored under key. The
-// payload type must be registered (all built-in types are). An OR-Set's
-// strings share one buffer copied out of the response, which stays alive
-// while any of them does: strings.Clone the few you keep past the state.
+// payload type must be registered (all built-in types are). The state is
+// decoded straight from the response frame, one copy off the socket. An
+// OR-Set's strings share one buffer copied out of that frame, which stays
+// alive while any of them does: strings.Clone the few you keep past the
+// state.
 func (c *Client) Query(ctx context.Context, key string) (State, QueryInfo, error) {
 	resp, err := c.do(ctx, &wire.Request{Op: wire.OpQuery, Key: key}, true)
 	if err != nil {

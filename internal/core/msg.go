@@ -139,8 +139,9 @@ type message struct {
 	Baseline crdt.Digest // delta baseline digest
 
 	// StateRaw is State marshaled: kept by the decoder exactly as
-	// received, and set by a sender that already encoded State so that
-	// encode does not marshal it again.
+	// received (a view of the inbound frame, which nobody writes), and
+	// set by a sender that already encoded State so that encode does not
+	// marshal it again.
 	StateRaw []byte
 
 	// wire is the message as encoded by its first send, reused by every

@@ -2,6 +2,7 @@ package crdt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -59,18 +60,37 @@ func Names() []string {
 // [name][payload] used by the replication protocols: one exactly sized
 // buffer, the payload appended in place.
 func Marshal(s State) ([]byte, error) {
-	name, n := s.TypeName(), s.binaryLen()
-	e := encBuf{b: make([]byte, 0, strLen(name)+uvarintLen(n)+n)}
+	n := s.binaryLen()
+	return appendMarshal(make([]byte, 0, marshaledLen(s.TypeName(), n)), s, n)
+}
+
+// AppendMarshal appends Marshal's encoding of s to b, growing b at most
+// once, so a caller that sizes b by MarshaledLen encodes the state
+// straight into its own frame. On error it returns b unchanged.
+func AppendMarshal(b []byte, s State) ([]byte, error) {
+	return appendMarshal(b, s, s.binaryLen())
+}
+
+// MarshaledLen is the exact length of Marshal's encoding of s.
+func MarshaledLen(s State) int { return marshaledLen(s.TypeName(), s.binaryLen()) }
+
+func marshaledLen(name string, n int) int { return strLen(name) + uvarintLen(n) + n }
+
+// appendMarshal is the one encoder: the type name, the payload length n
+// (s.binaryLen()), then the payload.
+func appendMarshal(b []byte, s State, n int) ([]byte, error) {
+	name := s.TypeName()
+	e := encBuf{b: slices.Grow(b, marshaledLen(name, n))}
 	e.str(name)
 	e.uvarint(uint64(n))
-	b, err := s.AppendBinary(e.b)
+	out, err := s.AppendBinary(e.b)
 	if err != nil {
-		return nil, fmt.Errorf("crdt: marshal %s: %w", name, err)
+		return b, fmt.Errorf("crdt: marshal %s: %w", name, err)
 	}
-	if len(b) != cap(e.b) {
-		return nil, fmt.Errorf("crdt: marshal %s: payload is %d bytes, sized %d", name, len(b)-len(e.b), n)
+	if got := len(out) - len(e.b); got != n {
+		return b, fmt.Errorf("crdt: marshal %s: payload is %d bytes, sized %d", name, got, n)
 	}
-	return b, nil
+	return out, nil
 }
 
 // Unmarshal decodes a state previously encoded with Marshal. The payload

@@ -62,7 +62,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Record is one key's decoded snapshot: the object key plus the replica's
 // durable state with the payload and learned states still in their
 // marshaled form, so the byte-level codec stays independent of the CRDT
-// registry (the fuzz target exercises it on arbitrary bytes).
+// registry (the fuzz target exercises it on arbitrary bytes). A decoded
+// record's State and Learned are views of the bytes it was decoded from.
 type Record struct {
 	Key     string
 	Round   core.Round

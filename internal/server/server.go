@@ -103,6 +103,8 @@ type Server struct {
 	inflight     atomic.Int64  // requests executing across all connections
 	shedConns    atomic.Uint64 // connections refused at accept (StatusBusy handshake)
 	shedRequests atomic.Uint64 // requests answered StatusBusy over MaxTotalInFlight
+
+	frames framePool // response frame buffers, shared by every connection
 }
 
 // New returns a server for node. The node is owned by the caller and must
@@ -259,11 +261,11 @@ func (s *Server) refuseConn(conn net.Conn) {
 		Status: wire.StatusBusy,
 		Msg:    "server: connection limit reached",
 	}
-	bw := bufio.NewWriter(conn)
-	if wire.WriteFrame(bw, resp.Encode()) != nil {
+	frame, err := resp.AppendFrame(nil)
+	if err != nil {
 		return
 	}
-	if bw.Flush() != nil {
+	if _, err := conn.Write(frame); err != nil {
 		return
 	}
 	if tc, ok := conn.(*net.TCPConn); ok {
@@ -274,25 +276,89 @@ func (s *Server) refuseConn(conn net.Conn) {
 }
 
 // connWriter serializes response frames onto one connection. Responses
-// are written in completion order; the request ID correlates them. Every
-// write runs under a deadline so a non-reading client cannot pin the
-// connection's responders once its receive window fills.
+// are written in completion order; the request ID correlates them. Each
+// frame is built whole in a pooled buffer, outside the lock, and goes
+// out in one write. Every write runs under a deadline so a non-reading
+// client cannot pin the connection's responders once its receive window
+// fills.
 type connWriter struct {
-	mu sync.Mutex
-	nc net.Conn
-	bw *bufio.Writer
+	mu     sync.Mutex
+	nc     net.Conn
+	frames *framePool
 }
 
-func (w *connWriter) send(resp *wire.Response) error {
+// send writes resp as one frame. An OK query's state is st, encoded once,
+// straight into the frame; resp.State is not used then. A state that
+// cannot be framed (larger than wire.MaxFrame) is answered with a
+// terminal error instead of dropping the connection, so the key stays
+// diagnosable. The buffer returns to the pool once the write is done,
+// whatever its outcome.
+func (w *connWriter) send(resp *wire.Response, st crdt.State) error {
+	bp := w.frames.get()
+	frame, err := appendResponse((*bp)[:0], resp, st)
+	if err != nil && st != nil {
+		fail(resp, err, true)
+		frame, err = resp.AppendFrame((*bp)[:0])
+	}
+	if err == nil {
+		err = w.write(frame)
+	}
+	*bp = frame[:0]
+	w.frames.put(bp)
+	return err
+}
+
+func (w *connWriter) write(frame []byte) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if err := w.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
 		return err
 	}
-	if err := wire.WriteFrame(w.bw, resp.Encode()); err != nil {
-		return err
+	_, err := w.nc.Write(frame)
+	return err
+}
+
+// appendResponse appends resp to b as one length-prefixed frame. With a
+// state st, resp is an OK query response and st its state: the frame
+// limit is checked on crdt.MarshaledLen before anything is encoded, and
+// the state is encoded into b in place, growing b at most once. The
+// bytes equal those WriteFrame writes for resp.Encode() with resp.State
+// set to crdt.Marshal(st).
+func appendResponse(b []byte, resp *wire.Response, st crdt.State) ([]byte, error) {
+	if st == nil {
+		return resp.AppendFrame(b)
 	}
-	return w.bw.Flush()
+	n := crdt.MarshaledLen(st)
+	b, err := resp.AppendFrameHead(b, n)
+	if err != nil {
+		return b, fmt.Errorf("server: state of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrame)
+	}
+	return crdt.AppendMarshal(b, st)
+}
+
+// framePool recycles response frame buffers across connections, so a
+// steady stream of large reads encodes into buffers that already exist.
+type framePool struct {
+	pool sync.Pool    // of *[]byte
+	out  atomic.Int64 // buffers taken and not yet put back
+}
+
+// minFrameBuf is a fresh buffer's capacity: any frame head, and every
+// small response whole.
+const minFrameBuf = 512
+
+func (p *framePool) get() *[]byte {
+	p.out.Add(1)
+	if bp, ok := p.pool.Get().(*[]byte); ok {
+		return bp
+	}
+	b := make([]byte, 0, minFrameBuf)
+	return &b
+}
+
+func (p *framePool) put(bp *[]byte) {
+	p.out.Add(-1)
+	p.pool.Put(bp)
 }
 
 // serveConn reads request frames and dispatches each on its own goroutine
@@ -312,7 +378,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	}()
 
 	br := bufio.NewReader(conn)
-	cw := &connWriter{nc: conn, bw: bufio.NewWriter(conn)}
+	cw := &connWriter{nc: conn, frames: &s.frames}
 	sem := make(chan struct{}, s.opts.MaxInFlight)
 	for {
 		frame, err := wire.ReadFrame(br)
@@ -347,7 +413,7 @@ func (s *Server) serveConn(conn net.Conn) {
 				Status: wire.StatusBusy,
 				Msg:    "server: in-flight request limit reached",
 			}
-			if cw.send(busy) != nil {
+			if cw.send(busy, nil) != nil {
 				return
 			}
 			continue
@@ -355,9 +421,9 @@ func (s *Server) serveConn(conn net.Conn) {
 		reqs.Add(1)
 		go func() {
 			defer func() { s.inflight.Add(-1); <-sem; reqs.Done() }()
-			resp := s.handle(req)
+			resp, st := s.handle(req)
 			s.served.Add(1)
-			if cw.send(resp) != nil {
+			if cw.send(resp, st) != nil {
 				// The client can no longer receive responses; closing the
 				// connection unblocks the frame-read loop so the server
 				// stops executing requests whose answers are undeliverable.
@@ -367,9 +433,11 @@ func (s *Server) serveConn(conn net.Conn) {
 	}
 }
 
-// handle executes one request against the node and renders the response.
-func (s *Server) handle(req *wire.Request) *wire.Response {
-	resp := &wire.Response{Op: req.Op | wire.RespBit, ID: req.ID}
+// handle executes one request against the node and renders the
+// response. An OK query's state comes back unencoded, as st: send
+// encodes it straight into the response frame.
+func (s *Server) handle(req *wire.Request) (resp *wire.Response, st crdt.State) {
+	resp = &wire.Response{Op: req.Op | wire.RespBit, ID: req.ID}
 	ctx, cancel := context.WithTimeout(s.ctx, s.opts.RequestTimeout)
 	defer cancel()
 
@@ -377,11 +445,11 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 	case wire.OpUpdate:
 		fu, observeRTTs, err := s.node.Mutation(ctx, req.Key, req.CRDTType, req.Mutation, req.Args)
 		if err != nil {
-			return fail(resp, err, true) // nothing submitted yet
+			return fail(resp, err, true), nil // nothing submitted yet
 		}
 		stats, err := s.node.UpdateKey(ctx, req.Key, fu)
 		if err != nil {
-			return fail(resp, err, false)
+			return fail(resp, err, false), nil
 		}
 		resp.Status = wire.StatusOK
 		resp.RoundTrips = uint64(observeRTTs + stats.RoundTrips)
@@ -389,28 +457,18 @@ func (s *Server) handle(req *wire.Request) *wire.Response {
 	case wire.OpQuery:
 		st, stats, err := s.node.QueryKey(ctx, req.Key)
 		if err != nil {
-			return fail(resp, err, true)
-		}
-		enc, err := crdt.Marshal(st)
-		if err != nil {
-			return fail(resp, err, true)
-		}
-		if len(enc)+64 > wire.MaxFrame {
-			// Answer terminally instead of letting the oversized response
-			// frame silently drop the connection: the key stays diagnosable
-			// even when its state outgrows the frame limit.
-			return fail(resp, fmt.Errorf("server: state of %q (%d bytes) exceeds the %d-byte frame limit", req.Key, len(enc), wire.MaxFrame), true)
+			return fail(resp, err, true), nil
 		}
 		resp.Status = wire.StatusOK
 		resp.RoundTrips = uint64(stats.RoundTrips)
 		resp.Attempts = uint64(stats.Attempts)
 		resp.Path = byte(stats.Path)
-		resp.State = enc
+		return resp, st
 
 	case wire.OpAdmin:
-		return s.handleAdmin(ctx, req, resp)
+		return s.handleAdmin(ctx, req, resp), nil
 	}
-	return resp
+	return resp, nil
 }
 
 // handleAdmin executes one admin command. The command string is a

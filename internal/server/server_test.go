@@ -7,6 +7,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -509,5 +511,55 @@ func TestRemoveObservesAcknowledgedAdd(t *testing.T) {
 	mesh.Unblock("n1", "n2")
 	if elems, err := via1.Elements(ctx); err != nil || len(elems) != 1 || elems[0] != "bob" {
 		t.Fatalf("after the link healed, set = %v, %v; want [bob]", elems, err)
+	}
+}
+
+// TestPipelinedQueriesGetTheirOwnState pipelines many queries of distinct
+// multi-kilobyte sets on one connection, so their response frames are
+// built concurrently in pooled buffers. Every answer must carry its own
+// key's state: a buffer reused while its write is in flight would hand
+// one key's bytes to another (and, under -race, report the race).
+func TestPipelinedQueriesGetTheirOwnState(t *testing.T) {
+	addrs, _, stop := startCluster(t, 3)
+	defer stop()
+	c := newClient(t, addrs[0])
+	ctx := context.Background()
+	const keys, rounds = 12, 8
+	want := make([][]string, keys)
+	for k := range want {
+		for e := 0; e < 3; e++ {
+			elem := fmt.Sprintf("k%02d-e%d-%s", k, e, strings.Repeat("x", 2000))
+			if err := c.Set(fmt.Sprintf("or-set/pipe/%d", k)).Add(ctx, elem); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = append(want[k], elem)
+		}
+	}
+
+	nc, br := dialRaw(t, addrs[0])
+	var frames []byte
+	for id := uint64(1); id <= keys*rounds; id++ {
+		req := &wire.Request{Op: wire.OpQuery, ID: id, Key: fmt.Sprintf("or-set/pipe/%d", id%keys)}
+		frames = binary.AppendUvarint(frames, uint64(len(req.Encode())))
+		frames = append(frames, req.Encode()...)
+	}
+	if _, err := nc.Write(frames); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[uint64]bool)
+	for range keys * rounds {
+		resp := readRaw(t, nc, br, 10*time.Second)
+		if resp.Status != wire.StatusOK || seen[resp.ID] {
+			t.Fatalf("response %d: status %d (%s), repeated %v", resp.ID, resp.Status, resp.Msg, seen[resp.ID])
+		}
+		seen[resp.ID] = true
+		st, err := crdt.Unmarshal(resp.State)
+		if err != nil {
+			t.Fatalf("response %d: %v", resp.ID, err)
+		}
+		set, ok := st.(*crdt.ORSet)
+		if !ok || !slices.Equal(set.Elements(), want[resp.ID%keys]) {
+			t.Fatalf("response %d carries another key's state", resp.ID)
+		}
 	}
 }

@@ -234,13 +234,14 @@ func (t *TCP) dropConn(to NodeID, p *tcpPeer) {
 	t.mu.Unlock()
 }
 
+// write sends one frame, [uvarint total][uvarint fromLen][from][payload],
+// straight into the peer's bufio.Writer under its lock: the header is
+// built in the writer's own free space, the payload is copied once, by
+// bufio (or handed to the socket uncopied when it does not fit), and
+// nothing is allocated.
 func (p *tcpPeer) write(from NodeID, payload []byte) error {
-	frame := make([]byte, 0, len(payload)+len(from)+12)
-	frame = binary.AppendUvarint(frame, uint64(len(from)))
-	frame = append(frame, from...)
-	frame = append(frame, payload...)
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
+	var fromLen [binary.MaxVarintLen64]byte
+	f := binary.PutUvarint(fromLen[:], uint64(len(from)))
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -250,12 +251,11 @@ func (p *tcpPeer) write(from NodeID, payload []byte) error {
 	if err := p.conn.SetWriteDeadline(time.Now().Add(sendTimeout)); err != nil {
 		return err
 	}
-	if _, err := p.bw.Write(hdr[:n]); err != nil {
-		return err
-	}
-	if _, err := p.bw.Write(frame); err != nil {
-		return err
-	}
+	hdr := binary.AppendUvarint(p.bw.AvailableBuffer(), uint64(f+len(from)+len(payload)))
+	hdr = append(append(hdr, fromLen[:f]...), from...)
+	// bufio's errors are sticky: a write cut short fails the Flush.
+	_, _ = p.bw.Write(hdr)
+	_, _ = p.bw.Write(payload)
 	return p.bw.Flush()
 }
 

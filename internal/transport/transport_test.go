@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
+	"io"
 	"net"
 	"reflect"
 	"sync"
@@ -917,5 +920,85 @@ func TestStatsTotalsAreLinkSums(t *testing.T) {
 					sum.Sent, sum.BytesSent, sum.Delivered, sum.Dropped, sends, bytes)
 			}
 		})
+	}
+}
+
+// TestTCPFrameBytes pins the replica wire's framing byte for byte:
+// [uvarint total][uvarint fromLen][from][payload], the hello frame first.
+func TestTCPFrameBytes(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	a, err := NewTCP("node-a", "127.0.0.1:0", map[NodeID]string{"sink": ln.Addr().String()}, func(NodeID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	frame := func(payload []byte) []byte {
+		body := append([]byte{byte(len("node-a"))}, "node-a"...)
+		body = append(body, payload...)
+		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	}
+	large := make([]byte, 70_000) // larger than bufio's buffer, and a 3-byte length
+	for i := range large {
+		large[i] = byte(i)
+	}
+	payloads := [][]byte{[]byte("x"), {}, large, []byte("after")}
+	want := frame(append(append([]byte{}, helloMagic...), a.Addr()...))
+	for _, p := range payloads {
+		want = append(want, frame(p)...)
+	}
+	got := make(chan []byte, 1)
+	go func() {
+		buf := make([]byte, len(want))
+		conn, err := ln.Accept()
+		if err == nil {
+			defer conn.Close()
+			_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			n, _ := io.ReadFull(conn, buf)
+			buf = buf[:n]
+		}
+		got <- buf
+	}()
+	for _, p := range payloads {
+		a.Send("sink", p)
+	}
+	if stream := <-got; !bytes.Equal(stream, want) {
+		t.Fatalf("stream differs from the frame layout: %d bytes, want %d", len(stream), len(want))
+	}
+}
+
+// TestTCPSendAllocs pins a Send to a connected peer at zero allocations:
+// the frame's header is built in the peer's bufio.Writer and the payload
+// copied in after it (a copy of the frame per Send used to cost two).
+func TestTCPSendAllocs(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_, _ = io.Copy(io.Discard, conn) // reads into a pooled buffer: no allocation per frame
+	}()
+	addr := ln.Addr().String()
+	a, err := NewTCP("a", "127.0.0.1:0", map[NodeID]string{"sink": addr}, func(NodeID, []byte) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	payload := make([]byte, 512)
+	a.Send("sink", payload) // dial, hello
+	if got := testing.AllocsPerRun(200, func() { a.Send("sink", payload) }); got != 0 {
+		t.Fatalf("%.1f allocs per Send, want 0", got)
+	}
+	if a.Stats().Dropped != 0 {
+		t.Fatalf("%d sends dropped", a.Stats().Dropped)
 	}
 }

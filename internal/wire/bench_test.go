@@ -1,12 +1,19 @@
 package wire
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"crdtsmr/internal/crdt"
+)
 
 // The hot encode paths — protocol messages, state frames, envelopes —
 // promise exactly one allocation per encoded frame: the output buffer
-// itself. These tests pin that promise with AllocsPerRun so a regression
-// (an escaping Writer, an undersized buffer forcing append to grow) fails
-// the suite, and the benchmarks report allocs/op for the CI bench-smoke
+// itself. A query response frame appended into a reused buffer promises
+// none, and decoding one allocates only the Response. These tests pin
+// those promises with AllocsPerRun so a regression (an escaping Writer,
+// an undersized buffer forcing append to grow, a copied state) fails the
+// suite, and the benchmarks report allocs/op for the CI bench-smoke
 // guard (`go test -bench . -benchmem ./internal/wire/`).
 
 // encodeRepresentative builds a frame shaped like the protocol's VOTE
@@ -26,9 +33,36 @@ func encodeRepresentative(proposer string, payload []byte) []byte {
 	return w.Bytes()
 }
 
+// bigSet is a 1,000-element or-set, the large-set workload's state.
+func bigSet() crdt.State {
+	s := crdt.NewORSet()
+	for i := 0; i < 1000; i++ {
+		s = s.Add(fmt.Sprintf("elem-%06d", i), "n1", uint64(i+1))
+	}
+	return s
+}
+
+// appendQueryFrame builds an OK query response frame the way the server
+// does: the head sized by crdt.MarshaledLen, then the state encoded in
+// place.
+func appendQueryFrame(b []byte, st crdt.State) []byte {
+	r := Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2}
+	b, err := r.AppendFrameHead(b, crdt.MarshaledLen(st))
+	if err != nil {
+		panic(err)
+	}
+	if b, err = crdt.AppendMarshal(b, st); err != nil {
+		panic(err)
+	}
+	return b
+}
+
 func TestEncodeAllocs(t *testing.T) {
 	payload := make([]byte, 512)
 	frame := PackEnvelope("accounts/alice", payload)
+	set := bigSet()
+	buf := appendQueryFrame(nil, set)
+	resp := (&Response{Op: OpQuery | RespBit, ID: 1, Status: StatusOK, State: make([]byte, 44_000)}).Encode()
 	cases := []struct {
 		name string
 		want float64
@@ -39,6 +73,12 @@ func TestEncodeAllocs(t *testing.T) {
 		// Unpacking borrows the frame's tail for the payload; its single
 		// allocation is the objectID string.
 		{"unpack", 1, func() { _, _, _ = UnpackEnvelope(frame) }},
+		// A query response frame is appended into a reused buffer, the
+		// state encoded in place: nothing is allocated.
+		{"query-frame", 0, func() { buf = appendQueryFrame(buf[:0], set) }},
+		// Decoding borrows the frame for the state; the one allocation is
+		// the Response.
+		{"decode-response", 1, func() { _, _ = DecodeResponse(resp) }},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -83,5 +123,29 @@ func BenchmarkStateFrameAppend(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := MakeWriter(make([]byte, 0, 1+2*DigestSize+8+len(payload)))
 		StateFrame{Kind: StateDelta, State: payload, Digest: digest, Baseline: baseline}.Append(&w)
+	}
+}
+
+func BenchmarkAppendQueryFrame(b *testing.B) {
+	set := bigSet()
+	buf := appendQueryFrame(nil, set)
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendQueryFrame(buf[:0], set)
+	}
+}
+
+func BenchmarkDecodeResponse(b *testing.B) {
+	r := NewReader(appendQueryFrame(nil, bigSet()))
+	r.Uvarint() // the frame length
+	body := r.Rest()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := DecodeResponse(body); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

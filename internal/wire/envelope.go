@@ -9,9 +9,10 @@ package wire
 //
 // Layout: [objectID str][payload...] — the payload is the unprefixed tail
 // of the frame, so unpacking returns a subslice of the input with no copy.
-// Both Mesh and TCP allocate a fresh frame per delivery, so borrowing the
-// tail is safe; callers treating payloads as immutable (as all decoders in
-// this repository do) see no aliasing.
+// TCP reads every delivery into a fresh frame, and Mesh and Fabric hand
+// every receiver the sender's own buffer, which nobody writes once sent,
+// so borrowing the tail is safe; callers treating payloads as immutable
+// (as all decoders in this repository do) see no aliasing.
 
 // PackEnvelope prefixes a protocol message with its object ID. It costs
 // exactly one allocation — the returned frame.

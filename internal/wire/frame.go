@@ -187,40 +187,114 @@ type Response struct {
 	RoundTrips uint64
 	Attempts   uint64 // query only
 	Path       byte   // query only: core.LearnPath
-	State      []byte // query only: crdt.Marshal encoding
+	State      []byte // query only: crdt.Marshal encoding; decoded, a subslice of the frame
 	Payload    []byte // admin only
 
 	// Non-OK bodies.
 	Msg string
 }
 
+// maxRespHead bounds a response body's fields before the bytes of its
+// trailing one: four one-byte fields and four varints.
+const maxRespHead = 4 + 4*binary.MaxVarintLen64
+
 // Encode renders the response as a frame body.
 func (r *Response) Encode() []byte {
-	w := NewWriter(32 + len(r.State) + len(r.Payload))
-	w.Byte(FrameVersion)
-	w.Byte(r.Op)
-	w.Uvarint(r.ID)
-	w.Byte(r.Status)
+	n := r.tailLen()
+	return r.appendTail(r.appendHead(make([]byte, 0, maxRespHead+n), n))
+}
+
+// AppendFrame appends the response to b as one length-prefixed frame: the
+// bytes WriteFrame(w, r.Encode()) writes. It fails with ErrFrameTooLarge,
+// returning b unchanged, when the body exceeds MaxFrame.
+func (r *Response) AppendFrame(b []byte) ([]byte, error) {
+	b, err := r.AppendFrameHead(b, r.tailLen())
+	if err != nil {
+		return b, err
+	}
+	return r.appendTail(b), nil
+}
+
+// AppendFrameHead appends the response's frame up to the bytes of its
+// trailing field, which the caller appends next and which must be
+// exactly tailLen bytes long: the frame length, the header and the
+// trailing field's length prefix. The trailing field is the message of
+// a failure, the state of a query and the payload of an admin answer;
+// an OK update has none, and its tailLen must be 0. A server builds an
+// OK query's frame this way, AppendFrameHead(b, crdt.MarshaledLen(st))
+// and then crdt.AppendMarshal, so the state is encoded once, in place,
+// into bytes equal to AppendFrame's with State set to crdt.Marshal(st).
+// It fails with ErrFrameTooLarge, returning b unchanged, when the body
+// would exceed MaxFrame, before anything is encoded.
+func (r *Response) AppendFrameHead(b []byte, tailLen int) ([]byte, error) {
+	var buf [maxRespHead]byte
+	head := r.appendHead(buf[:0], tailLen)
+	n := len(head) + tailLen
+	if n > MaxFrame {
+		return b, ErrFrameTooLarge
+	}
+	b = binary.AppendUvarint(b, uint64(n))
+	return append(b, head...), nil
+}
+
+// appendHead appends the body's fields up to the bytes of its trailing
+// one, ending with that field's length prefix, tailLen. It is the one
+// field writer behind Encode and AppendFrameHead. (It appends to a slice
+// rather than a Writer so AppendFrameHead's head stays on the stack.)
+func (r *Response) appendHead(b []byte, tailLen int) []byte {
+	b = append(b, FrameVersion, r.Op)
+	b = binary.AppendUvarint(b, r.ID)
+	b = append(b, r.Status)
 	if r.Status != StatusOK {
-		w.Str(r.Msg)
-		return w.Bytes()
+		return binary.AppendUvarint(b, uint64(tailLen)) // Msg
 	}
 	switch r.Op &^ RespBit {
 	case OpUpdate:
-		w.Uvarint(r.RoundTrips)
+		b = binary.AppendUvarint(b, r.RoundTrips)
 	case OpQuery:
-		w.Uvarint(r.RoundTrips)
-		w.Uvarint(r.Attempts)
-		w.Byte(r.Path)
-		w.Raw(r.State)
+		b = binary.AppendUvarint(b, r.RoundTrips)
+		b = binary.AppendUvarint(b, r.Attempts)
+		b = append(b, r.Path)
+		b = binary.AppendUvarint(b, uint64(tailLen)) // State
 	case OpAdmin:
-		w.Raw(r.Payload)
+		b = binary.AppendUvarint(b, uint64(tailLen)) // Payload
 	}
-	return w.Bytes()
+	return b
+}
+
+// tailLen is the length of the body's trailing field (see appendTail).
+func (r *Response) tailLen() int {
+	if r.Status != StatusOK {
+		return len(r.Msg)
+	}
+	switch r.Op &^ RespBit {
+	case OpQuery:
+		return len(r.State)
+	case OpAdmin:
+		return len(r.Payload)
+	}
+	return 0
+}
+
+// appendTail appends the bytes of the body's trailing field: Msg, State
+// or Payload by status and op, nothing for an OK update.
+func (r *Response) appendTail(b []byte) []byte {
+	if r.Status != StatusOK {
+		return append(b, r.Msg...)
+	}
+	switch r.Op &^ RespBit {
+	case OpQuery:
+		return append(b, r.State...)
+	case OpAdmin:
+		return append(b, r.Payload...)
+	}
+	return b
 }
 
 // DecodeResponse parses a response frame body. Like DecodeRequest it
-// errors, never panics, on malformed input.
+// errors, never panics, on malformed input. A query's State is a
+// subslice of frame, not a copy (Reader.Span): the caller owns frame, as
+// ReadFrame's result, and must not modify it while State is in use.
 func DecodeResponse(frame []byte) (*Response, error) {
 	if len(frame) > MaxFrame {
 		return nil, ErrFrameTooLarge
@@ -254,7 +328,7 @@ func DecodeResponse(frame []byte) (*Response, error) {
 		resp.RoundTrips = r.Uvarint()
 		resp.Attempts = r.Uvarint()
 		resp.Path = r.Byte()
-		resp.State = r.Raw()
+		resp.State = r.Span() // the frame is the client's own: no second copy
 	case OpAdmin:
 		resp.Payload = r.Raw()
 	}

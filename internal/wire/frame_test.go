@@ -226,6 +226,8 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add((&Response{Op: OpUpdate | RespBit, ID: 8, Status: StatusBusy, Msg: "in-flight limit"}).Encode())
 	f.Add((&Response{Op: OpAdmin | RespBit, ID: 0, Status: StatusBusy, Msg: "connection limit"}).Encode())
 	f.Add((&Response{Op: OpUpdate | RespBit, ID: 7, Status: StatusUnavailable}).Encode())
+	// A large query state: its length takes a three-byte varint.
+	f.Add((&Response{Op: OpQuery | RespBit, ID: 9, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: bytes.Repeat([]byte("elem-000001"), 4000)}).Encode())
 	f.Add([]byte{FrameVersion})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		resp, err := DecodeResponse(frame)
@@ -242,4 +244,80 @@ func FuzzDecodeResponse(f *testing.F) {
 			t.Fatalf("encode/decode not idempotent:\n first  %+v\n second %+v", *resp, *again)
 		}
 	})
+}
+
+// responseShapes covers every response body: an OK answer of each op, a
+// failure of each op, and an empty-bodied OK query.
+func responseShapes() []Response {
+	return []Response{
+		{Op: OpUpdate | RespBit, ID: 7, Status: StatusOK, RoundTrips: 1},
+		{Op: OpQuery | RespBit, ID: 1 << 40, Status: StatusOK, RoundTrips: 300, Attempts: 2, Path: 1, State: []byte{1, 2, 3}},
+		{Op: OpQuery | RespBit, ID: 9, Status: StatusOK, State: bytes.Repeat([]byte{5}, 70_000)},
+		{Op: OpQuery | RespBit, ID: 10, Status: StatusOK},
+		{Op: OpAdmin | RespBit, ID: 1, Status: StatusOK, Payload: []byte("pong")},
+		{Op: OpUpdate | RespBit, ID: 4, Status: StatusUncertain, Msg: "timed out"},
+		{Op: OpQuery | RespBit, ID: 5, Status: StatusError, Msg: "type mismatch"},
+		{Op: OpAdmin | RespBit, ID: 0, Status: StatusBusy, Msg: "connection limit"},
+	}
+}
+
+// TestAppendFrameMatchesWriteFrame: AppendFrame, and AppendFrameHead
+// followed by the trailing field's bytes, write exactly the bytes
+// WriteFrame writes for Encode, into the tail of the caller's buffer.
+func TestAppendFrameMatchesWriteFrame(t *testing.T) {
+	for _, r := range responseShapes() {
+		var want bytes.Buffer
+		if err := WriteFrame(&want, r.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		prefix := []byte("kept")
+		got, err := r.AppendFrame(append([]byte{}, prefix...))
+		if err != nil {
+			t.Fatalf("%+v: %v", r.Op, err)
+		}
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
+			t.Fatalf("op %#x status %d: AppendFrame differs from WriteFrame(Encode())", r.Op, r.Status)
+		}
+		if r.Status == StatusOK && r.Op == OpQuery|RespBit {
+			state := r.State
+			r.State = nil // the head must not read the state it is told the length of
+			head, err := r.AppendFrameHead(nil, len(state))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(append(head, state...), want.Bytes()) {
+				t.Fatalf("query of %d state bytes: AppendFrameHead + state differs from WriteFrame(Encode())", len(state))
+			}
+		}
+	}
+}
+
+func TestAppendFrameHeadRejectsOversizedBeforeEncoding(t *testing.T) {
+	r := Response{Op: OpQuery | RespBit, ID: 3, Status: StatusOK}
+	b := []byte("kept")
+	got, err := r.AppendFrameHead(b, MaxFrame)
+	if !errors.Is(err, ErrFrameTooLarge) || !bytes.Equal(got, b) {
+		t.Fatalf("got %q, %v; want b unchanged and ErrFrameTooLarge", got, err)
+	}
+	if _, err := r.AppendFrameHead(nil, MaxFrame-16); err != nil {
+		t.Fatalf("a state that fits: %v", err)
+	}
+}
+
+// TestDecodeResponseStateAliasesFrame: a decoded query's State is a
+// capped subslice of the frame, so reading a response copies its state
+// once, off the socket.
+func TestDecodeResponseStateAliasesFrame(t *testing.T) {
+	frame := (&Response{Op: OpQuery | RespBit, ID: 1, Status: StatusOK, State: []byte("abc")}).Encode()
+	resp, err := DecodeResponse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[len(frame)-1] = 'z'
+	if string(resp.State) != "abz" {
+		t.Fatalf("State = %q, want a view of the frame", resp.State)
+	}
+	if cap(resp.State) != len(resp.State) {
+		t.Fatalf("State cap %d, want %d: an append could write into the frame", cap(resp.State), len(resp.State))
+	}
 }

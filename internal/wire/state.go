@@ -104,21 +104,23 @@ func (f StateFrame) Append(w *Writer) {
 }
 
 // ReadStateFrame decodes one state frame from r. Errors (truncation,
-// unknown kind) surface through r.Err.
+// unknown kind) surface through r.Err. The frame's State is a subslice of
+// r's input (Reader.Span), not a copy: replica payloads are read-only
+// once sent, and crdt.Unmarshal copies out what the decoded state keeps.
 func ReadStateFrame(r *Reader) StateFrame {
 	f := StateFrame{Kind: StateKind(r.Byte())}
 	switch f.Kind {
 	case StateNone:
 	case StateFull:
-		f.State = r.Raw()
+		f.State = r.Span()
 	case StateDigest:
 		r.Fixed(f.Digest[:])
 	case StateDelta:
 		r.Fixed(f.Baseline[:])
 		r.Fixed(f.Digest[:])
-		f.State = r.Raw()
+		f.State = r.Span()
 	case StateFullDigest:
-		f.State = r.Raw()
+		f.State = r.Span()
 		r.Fixed(f.Digest[:])
 	default:
 		r.failf("wire: unknown state frame kind %d", uint8(f.Kind))

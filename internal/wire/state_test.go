@@ -41,6 +41,25 @@ func TestStateFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStateFrameStateAliasesInput: a decoded state frame's payload is a
+// view of the message, not a copy; crdt.Unmarshal makes the one copy.
+func TestStateFrameStateAliasesInput(t *testing.T) {
+	for _, f := range stateFrameCases() {
+		if !f.Kind.HasPayload() || len(f.State) == 0 {
+			continue
+		}
+		w := NewWriter(64)
+		f.Append(w)
+		buf := w.Bytes()
+		got := ReadStateFrame(NewReader(buf))
+		i := bytes.Index(buf, f.State)
+		buf[i] ^= 0xFF
+		if got.State[0] != buf[i] {
+			t.Fatalf("%v: State is a copy, want a view of the input", f.Kind)
+		}
+	}
+}
+
 // TestStateFrameNoneAndFullBytes pins the two kinds a full-mode cluster
 // emits: none is the single byte 00, full is 01 followed by the raw state.
 func TestStateFrameNoneAndFullBytes(t *testing.T) {

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -65,7 +66,12 @@ func (w *Writer) Raw(p []byte) {
 // width (e.g. state digests).
 func (w *Writer) Fixed(p []byte) { w.b = append(w.b, p...) }
 
-// Reader decodes a wire-encoded message produced by Writer.
+// Reader decodes a wire-encoded message produced by Writer. Str and Raw
+// return copies that outlive the input; Span and Rest return views of
+// it. A decoder takes a view only when its caller owns a freshly read
+// buffer that nobody writes again (a client response frame, a replica
+// message): the bytes are then copied once, off the socket, instead of
+// twice.
 type Reader struct {
 	b   []byte
 	err error
@@ -178,15 +184,25 @@ func (r *Reader) Fixed(dst []byte) {
 	r.b = r.b[len(dst):]
 }
 
-// Raw reads a length-prefixed byte slice. The returned slice is a copy.
-func (r *Reader) Raw() []byte {
+// Raw reads a length-prefixed byte slice. The returned slice is a copy:
+// use it for a field that outlives its input, or whose input buffer is
+// reused (a pooled or recycled frame).
+func (r *Reader) Raw() []byte { return bytes.Clone(r.Span()) }
+
+// Span reads a length-prefixed byte slice like Raw, but returns a
+// subslice of the reader's input instead of a copy, capped so that an
+// append to it cannot write into the input. Use it for a field decoded
+// out of a freshly allocated frame that nobody mutates afterwards, such
+// as a state the caller decodes again (crdt.Unmarshal copies out what it
+// keeps): the frame then costs one copy instead of two. The field pins
+// the whole input while it is alive.
+func (r *Reader) Span() []byte {
 	n := r.Uvarint()
 	if r.err != nil || uint64(len(r.b)) < n {
 		r.fail()
 		return nil
 	}
-	p := make([]byte, n)
-	copy(p, r.b[:n])
+	p := r.b[:n:n]
 	r.b = r.b[n:]
 	return p
 }

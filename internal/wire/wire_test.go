@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 	"testing/quick"
 )
@@ -125,5 +126,30 @@ func TestRawCopies(t *testing.T) {
 	buf[len(buf)-1] = 99 // mutate the source
 	if got[2] != 3 {
 		t.Fatal("Raw must return a copy independent of the input buffer")
+	}
+}
+
+// TestSpanAliases: Span reads the same field as Raw, as a capped view of
+// the input rather than a copy.
+func TestSpanAliases(t *testing.T) {
+	w := NewWriter(8)
+	w.Raw([]byte{1, 2, 3})
+	w.Byte(9)
+	buf := w.Bytes()
+	r := NewReader(buf)
+	got := r.Span()
+	if r.Byte() != 9 || r.Done() != nil {
+		t.Fatal("Span must consume exactly the length-prefixed field")
+	}
+	buf[1] = 7
+	if got[0] != 7 {
+		t.Fatal("Span must return a view of the input, not a copy")
+	}
+	if cap(got) != 3 {
+		t.Fatalf("Span cap %d, want 3: an append could write into the input", cap(got))
+	}
+	short := NewReader([]byte{5, 1})
+	if p := short.Span(); p != nil || !errors.Is(short.Err(), ErrTruncated) {
+		t.Fatalf("truncated Span = %v, %v", p, short.Err())
 	}
 }
