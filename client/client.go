@@ -475,7 +475,7 @@ type conn struct {
 	nc net.Conn
 
 	wsem chan struct{} // holds one token per frame write; serializes writes
-	bw   *bufio.Writer
+	wbuf []byte        // the frame being written; owned by wsem's holder
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -487,7 +487,6 @@ func newConn(nc net.Conn) *conn {
 	c := &conn{
 		nc:      nc,
 		wsem:    make(chan struct{}, 1),
-		bw:      bufio.NewWriter(nc),
 		pending: make(map[uint64]chan *wire.Response),
 	}
 	go c.readLoop()
@@ -596,19 +595,20 @@ func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response
 		_ = c.nc.SetWriteDeadline(time.Unix(1, 0))
 		close(interrupted)
 	})
-	err := wire.WriteFrame(c.bw, r.Encode())
+	frame, err := r.AppendFrame(c.wbuf[:0])
 	if err == nil {
-		err = c.bw.Flush()
+		_, err = c.nc.Write(frame)
+		c.wbuf = frame[:0]
 	}
 	if !stop() {
 		<-interrupted
 		_ = c.nc.SetWriteDeadline(time.Time{})
 	}
-	// A write that failed part-way leaves no frame boundary to resume at
-	// (and bw's error sticky): mark the connection dead before handing the
-	// write slot on, so the next writer sees it. Requests whose frames went
-	// out earlier still wait for their responses; the socket closes after
-	// the last of them (forget), or when the server closes it.
+	// A write that failed part-way leaves no frame boundary to resume at:
+	// mark the connection dead before handing the write slot on, so the
+	// next writer sees it. Requests whose frames went out earlier still
+	// wait for their responses; the socket closes after the last of them
+	// (forget), or when the server closes it.
 	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
 		c.mu.Lock()
 		if c.err == nil {

@@ -77,7 +77,11 @@ func startFakeServer(t *testing.T) *fakeServer {
 					if req.Op == wire.OpQuery {
 						resp.State = state
 					}
-					if wire.WriteFrame(conn, resp.Encode()) != nil {
+					out, err := resp.AppendFrame(nil)
+					if err != nil {
+						return
+					}
+					if _, err := conn.Write(out); err != nil {
 						return
 					}
 				}

@@ -8,6 +8,7 @@ package client_test
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"net"
 	"sync"
@@ -68,7 +69,8 @@ func startScripted(t *testing.T, reply func(req *wire.Request) []byte) *scripted
 					if body == nil {
 						continue
 					}
-					if err := wire.WriteFrame(conn, body); err != nil {
+					out := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+					if _, err := conn.Write(out); err != nil {
 						return
 					}
 				}

@@ -33,8 +33,8 @@ type ExploreConfig struct {
 	// Duplication re-enqueues it for a second delivery. Under either,
 	// the exploration stands in for the runtime's retransmit timers:
 	// whenever the network goes quiescent with requests still in flight,
-	// every replica re-drives them (RetransmitAll) before the drain
-	// continues.
+	// every replica ticks (Tick) before the drain continues; a request
+	// younger than the last tick is re-driven at the next quiescent step.
 	Loss        float64
 	Duplication float64
 
@@ -433,7 +433,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 		} else if injected >= cfg.Ops && inFlight() > 0 {
 			res.Retransmits++
 			for _, id := range all {
-				replicas[id].RetransmitAll()
+				replicas[id].Tick()
 				flush(id)
 			}
 		}
@@ -503,7 +503,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 			} else if inFlight() > 0 {
 				res.Retransmits++
 				for _, id := range all {
-					replicas[id].RetransmitAll()
+					replicas[id].Tick()
 					flush(id)
 				}
 			}

@@ -208,8 +208,10 @@ func TestStaleEpochTrafficIsRefusedAndRepaired(t *testing.T) {
 	if r3.Epoch() != 1 {
 		t.Fatalf("n3 epoch = %d after repair, want 1", r3.Epoch())
 	}
-	// The refused update converges once n3 retransmits at the new epoch.
-	r3.RetransmitAll()
+	// The refused update converges once n3 retransmits at the new epoch:
+	// its second tick re-drives what the first found in flight.
+	r3.Tick()
+	r3.Tick()
 	nw.pump()
 	nw.drain()
 	if v := counterValue(t, r1.LocalState()); v != 1 {
@@ -353,9 +355,11 @@ func TestInFlightQueryRestartsAcrossReconfiguration(t *testing.T) {
 	nw.drain()
 	// The restarted PREPARE may race ahead of the RECONFIG to the peer and
 	// be refused at the old epoch; the runtime's retransmit timer covers
-	// that, modeled here by one retransmission sweep.
+	// that, modeled here by two ticks: the second re-drives what the first
+	// found in flight.
 	if !done {
-		r1.RetransmitAll()
+		r1.Tick()
+		r1.Tick()
 		nw.pump()
 		nw.drain()
 	}

@@ -86,16 +86,6 @@ func (r *Replica) Tick() {
 	}
 }
 
-// RetransmitAll re-drives every in-flight request in request-ID order,
-// however young. Deterministic runtimes (the interleaving checker, the
-// shootout Sim) use it in place of Tick when the network goes quiescent
-// under loss.
-func (r *Replica) RetransmitAll() {
-	for _, id := range r.inFlightIDs() {
-		r.retransmit(id)
-	}
-}
-
 // inFlightIDs returns the IDs of every in-flight request — updates,
 // queries and the pending reconfiguration — in ascending order: the one
 // deterministic order every sweep over in-flight requests uses.

@@ -65,14 +65,11 @@ func Marshal(s State) ([]byte, error) {
 }
 
 // AppendMarshal appends Marshal's encoding of s to b, growing b at most
-// once, so a caller that sizes b by MarshaledLen encodes the state
-// straight into its own frame. On error it returns b unchanged.
+// once, so a caller encodes the state straight into its own frame. On
+// error it returns b unchanged.
 func AppendMarshal(b []byte, s State) ([]byte, error) {
 	return appendMarshal(b, s, s.binaryLen())
 }
-
-// MarshaledLen is the exact length of Marshal's encoding of s.
-func MarshaledLen(s State) int { return marshaledLen(s.TypeName(), s.binaryLen()) }
 
 func marshaledLen(name string, n int) int { return strLen(name) + uvarintLen(n) + n }
 

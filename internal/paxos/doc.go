@@ -10,5 +10,6 @@
 // As with internal/core and internal/raft, Replica is a pure,
 // single-threaded protocol state machine. It satisfies rsm.Replica, so the
 // shootout's virtual-time logNode adds the event loop, election/heartbeat
-// timers, and the lease clock.
+// timers, and the lease clock. Command forwarding, duplicate suppression
+// and the outbox are the embedded rsm.Commands, shared with internal/raft.
 package paxos

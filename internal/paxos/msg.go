@@ -3,6 +3,7 @@ package paxos
 import (
 	"fmt"
 
+	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/transport"
 	"crdtsmr/internal/wire"
 )
@@ -65,6 +66,17 @@ type message struct {
 	Sent     int64     // Heartbeat: leader send time (unix nanos), echoed in the ack
 }
 
+// forwarding builds the shared command layer's forward messages.
+type forwarding struct{}
+
+func (forwarding) Forward(reqID uint64, cmd []byte, read bool) rsm.Message {
+	return &message{Type: mForward, ReqID: reqID, Cmd: cmd, Read: read}
+}
+
+func (forwarding) Reply(reqID uint64, result []byte, err string) rsm.Message {
+	return &message{Type: mForwardResp, ReqID: reqID, Data: result, Err: err}
+}
+
 func encodeBallot(w *wire.Writer, b Ballot) {
 	w.Uvarint(b.N)
 	w.Str(string(b.ID))
@@ -74,7 +86,7 @@ func decodeBallot(r *wire.Reader) Ballot {
 	return Ballot{N: r.Uvarint(), ID: transport.NodeID(r.Str())}
 }
 
-func (m *message) encode() []byte {
+func (m *message) Encode() []byte {
 	w := wire.NewWriter(64 + 24*len(m.Accepted))
 	w.Byte(byte(m.Type))
 	encodeBallot(w, m.Ballot)

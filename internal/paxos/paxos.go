@@ -1,9 +1,7 @@
 package paxos
 
 import (
-	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"crdtsmr/internal/rsm"
@@ -31,12 +29,13 @@ type slot struct {
 	committed bool
 }
 
-// Replica is the pure Multi-Paxos state machine.
+// Replica is the pure Multi-Paxos state machine. The embedded command
+// layer holds its ID, peers and quorum, its outbox and command
+// forwarding.
 type Replica struct {
-	id     transport.NodeID
-	peers  []transport.NodeID
-	quorum int
-	sm     rsm.StateMachine
+	rsm.Commands
+
+	sm rsm.StateMachine
 
 	promised Ballot
 	role     role
@@ -70,16 +69,6 @@ type Replica struct {
 	// entries that were already committed and acknowledged to clients.
 	readBarrier uint64
 
-	// Client forwarding (origin side).
-	forwards      map[uint64]rsm.Done
-	nextForwardID uint64
-
-	// Forward dedup (receiver side): request IDs already seen per origin.
-	// The network may duplicate a forwarded command; without this a leader
-	// would append — and commit — the same non-idempotent command twice.
-	forwardSeen map[transport.NodeID]map[uint64]struct{}
-	forwardMax  map[transport.NodeID]uint64
-
 	// LeaseDuration bounds both the leader's local-read window and the
 	// followers' promise-withholding window. Must be identical clusterwide.
 	LeaseDuration time.Duration
@@ -89,8 +78,6 @@ type Replica struct {
 	// truncate past a follower that is more than this many slots behind,
 	// falling back to snapshot transfer when it returns (0 = never).
 	MaxRetained int
-
-	outbox []rsm.Envelope
 }
 
 type proposal struct {
@@ -102,36 +89,20 @@ var _ rsm.Replica = (*Replica)(nil)
 
 // NewReplica creates a Multi-Paxos participant. members must include id.
 func NewReplica(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (*Replica, error) {
-	peers := make([]transport.NodeID, 0, len(members)-1)
-	self := false
-	for _, m := range members {
-		if m == id {
-			self = true
-			continue
-		}
-		peers = append(peers, m)
-	}
-	if !self {
-		return nil, fmt.Errorf("paxos: %s not in member list %v", id, members)
+	cmds, err := rsm.NewCommands(id, members, ErrNoLeader, forwarding{})
+	if err != nil {
+		return nil, fmt.Errorf("paxos: %w", err)
 	}
 	return &Replica{
-		id:            id,
-		peers:         peers,
-		quorum:        len(members)/2 + 1,
+		Commands:      cmds,
 		sm:            sm,
 		role:          follower,
 		base:          1,
 		nextSlot:      1,
-		forwards:      make(map[uint64]rsm.Done),
-		forwardSeen:   make(map[transport.NodeID]map[uint64]struct{}),
-		forwardMax:    make(map[transport.NodeID]uint64),
 		LeaseDuration: 500 * time.Millisecond,
 		CompactEvery:  4096,
 	}, nil
 }
-
-// ID returns the replica ID.
-func (r *Replica) ID() transport.NodeID { return r.id }
 
 // IsLeader reports whether this replica currently leads.
 func (r *Replica) IsLeader() bool { return r.role == leading }
@@ -139,30 +110,13 @@ func (r *Replica) IsLeader() bool { return r.role == leading }
 // Leader returns the best-known leader, or "".
 func (r *Replica) Leader() transport.NodeID {
 	if r.role == leading {
-		return r.id
+		return r.ID()
 	}
 	return r.leader
 }
 
 // LogLen returns the number of retained slots (for truncation tests).
 func (r *Replica) LogLen() int { return len(r.slots) }
-
-// TakeOutbox returns and clears pending outbound messages.
-func (r *Replica) TakeOutbox() []rsm.Envelope {
-	out := r.outbox
-	r.outbox = nil
-	return out
-}
-
-func (r *Replica) send(to transport.NodeID, m *message) {
-	r.outbox = append(r.outbox, rsm.Envelope{To: to, Payload: m.encode()})
-}
-
-func (r *Replica) broadcast(m *message) {
-	for _, p := range r.peers {
-		r.send(p, m)
-	}
-}
 
 func (r *Replica) slotAt(n uint64) *slot {
 	if n < r.base {
@@ -194,12 +148,12 @@ func (r *Replica) ElectionTimeout(now time.Time) {
 		// change — fail them as fate-unknown, exactly like stepDown does.
 		r.failProposals()
 	}
-	r.prepareBallot = Ballot{N: r.promised.N + 1, ID: r.id}
+	r.prepareBallot = Ballot{N: r.promised.N + 1, ID: r.ID()}
 	r.promised = r.prepareBallot
 	r.role = preparing
 	r.leader = ""
-	r.promises = map[transport.NodeID]*message{r.id: r.selfPromise()}
-	r.broadcast(&message{Type: mPrepare, Ballot: r.prepareBallot, From: r.base})
+	r.promises = map[transport.NodeID]*message{r.ID(): r.selfPromise()}
+	r.Broadcast(&message{Type: mPrepare, Ballot: r.prepareBallot, From: r.base})
 	r.maybeLead()
 }
 
@@ -219,14 +173,14 @@ func (r *Replica) acceptedFrom(from uint64) []slotCmd {
 }
 
 func (r *Replica) maybeLead() {
-	if r.role != preparing || len(r.promises) < r.quorum {
+	if r.role != preparing || len(r.promises) < r.Quorum() {
 		return
 	}
 	r.role = leading
-	r.leader = r.id
+	r.leader = r.ID()
 	r.accepts = make(map[uint64]map[transport.NodeID]bool)
 	r.proposals = make(map[uint64]*proposal)
-	r.applied = map[transport.NodeID]uint64{r.id: r.lastApplied}
+	r.applied = map[transport.NodeID]uint64{r.ID(): r.lastApplied}
 	r.leaseAcked = make(map[transport.NodeID]time.Time)
 
 	// Adopt the highest-ballot accepted command per slot and re-propose the
@@ -280,10 +234,7 @@ func (r *Replica) submit(cmd []byte, read bool, done rsm.Done) {
 		r.nextSlot++
 		r.proposeSlot(n, cmd, done)
 	case r.leader != "":
-		r.nextForwardID++
-		fid := r.nextForwardID
-		r.forwards[fid] = done
-		r.send(r.leader, &message{Type: mForward, ReqID: fid, Cmd: cmd, Read: read})
+		r.Forward(r.leader, cmd, read, done)
 	default:
 		done(nil, ErrNoLeader)
 	}
@@ -309,15 +260,7 @@ func (r *Replica) leaseValid(now time.Time) bool {
 			count++
 		}
 	}
-	return count >= r.quorum
-}
-
-// FailForwards aborts forwarded commands awaiting a (possibly dead) leader.
-func (r *Replica) FailForwards() {
-	for id, done := range r.forwards {
-		delete(r.forwards, id)
-		done(nil, ErrNoLeader)
-	}
+	return count >= r.Quorum()
 }
 
 func (r *Replica) proposeSlot(n uint64, cmd []byte, done rsm.Done) {
@@ -327,8 +270,8 @@ func (r *Replica) proposeSlot(n uint64, cmd []byte, done rsm.Done) {
 	if done != nil {
 		r.proposals[n] = &proposal{ballot: r.prepareBallot, done: done}
 	}
-	r.accepts[n] = map[transport.NodeID]bool{r.id: true}
-	r.broadcast(&message{Type: mAccept, Ballot: r.prepareBallot, Slot: n, Cmd: cmd, UpTo: r.commitUpTo})
+	r.accepts[n] = map[transport.NodeID]bool{r.ID(): true}
+	r.Broadcast(&message{Type: mAccept, Ballot: r.prepareBallot, Slot: n, Cmd: cmd, UpTo: r.commitUpTo})
 	r.maybeChoose(n)
 }
 
@@ -348,7 +291,7 @@ func (r *Replica) HeartbeatTick(now time.Time) {
 			trunc = floor
 		}
 	}
-	r.broadcast(&message{
+	r.Broadcast(&message{
 		Type:     mHeartbeat,
 		Ballot:   r.prepareBallot,
 		UpTo:     r.commitUpTo,
@@ -370,9 +313,9 @@ func (r *Replica) HeartbeatTick(now time.Time) {
 		if s == nil || s.committed || s.cmd == nil {
 			continue
 		}
-		for _, p := range r.peers {
+		for _, p := range r.Peers() {
 			if !acks[p] {
-				r.send(p, &message{Type: mAccept, Ballot: r.prepareBallot, Slot: n, Cmd: s.cmd, UpTo: r.commitUpTo})
+				r.Send(p, &message{Type: mAccept, Ballot: r.prepareBallot, Slot: n, Cmd: s.cmd, UpTo: r.commitUpTo})
 			}
 		}
 	}
@@ -381,7 +324,7 @@ func (r *Replica) HeartbeatTick(now time.Time) {
 
 func (r *Replica) minApplied() uint64 {
 	min := r.lastApplied
-	for _, p := range r.peers {
+	for _, p := range r.Peers() {
 		if r.applied[p] < min {
 			min = r.applied[p]
 		}
@@ -429,7 +372,7 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte, now time.Time) 
 	case mForward:
 		r.onForward(from, m, now)
 	case mForwardResp:
-		r.onForwardResp(m)
+		r.Resolve(m.ReqID, m.Data, m.Err)
 	}
 	return false
 }
@@ -453,19 +396,9 @@ func (r *Replica) stepDown(b Ballot, leaderID transport.NodeID) {
 }
 
 // failProposals fails every in-flight proposal with ErrLostLeadership, in
-// slot order — the callbacks can send messages or arm timers, so the
-// order must be deterministic for same-seed runs to decide identically.
+// slot order.
 func (r *Replica) failProposals() {
-	slots := make([]uint64, 0, len(r.proposals))
-	for n := range r.proposals {
-		slots = append(slots, n)
-	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i] < slots[j] })
-	for _, n := range slots {
-		p := r.proposals[n]
-		delete(r.proposals, n)
-		p.done(nil, ErrLostLeadership)
-	}
+	rsm.FailAll(r.proposals, func(p *proposal) { p.done(nil, ErrLostLeadership) })
 }
 
 func (r *Replica) onPrepare(from transport.NodeID, m *message, now time.Time) bool {
@@ -474,19 +407,19 @@ func (r *Replica) onPrepare(from transport.NodeID, m *message, now time.Time) bo
 	// window has passed — this is what makes leader local reads safe. The
 	// leader likewise defends its own valid lease.
 	if now.Before(r.leaseHoldUntil) && from != r.leader {
-		r.send(from, &message{Type: mReject, Ballot: r.promised})
+		r.Send(from, &message{Type: mReject, Ballot: r.promised})
 		return false
 	}
 	if r.role == leading && r.leaseValid(now) {
-		r.send(from, &message{Type: mReject, Ballot: r.promised})
+		r.Send(from, &message{Type: mReject, Ballot: r.promised})
 		return false
 	}
 	if !r.promised.Less(m.Ballot) {
-		r.send(from, &message{Type: mReject, Ballot: r.promised})
+		r.Send(from, &message{Type: mReject, Ballot: r.promised})
 		return false
 	}
 	r.stepDown(m.Ballot, from)
-	r.send(from, &message{
+	r.Send(from, &message{
 		Type:     mPromise,
 		Ballot:   m.Ballot,
 		Accepted: r.acceptedFrom(m.From),
@@ -515,7 +448,7 @@ func (r *Replica) onReject(m *message) {
 
 func (r *Replica) onAccept(from transport.NodeID, m *message, now time.Time) bool {
 	if m.Ballot.Less(r.promised) {
-		r.send(from, &message{Type: mReject, Ballot: r.promised})
+		r.Send(from, &message{Type: mReject, Ballot: r.promised})
 		return false
 	}
 	if r.role != follower || r.leader != from || r.promised.Less(m.Ballot) {
@@ -527,7 +460,7 @@ func (r *Replica) onAccept(from transport.NodeID, m *message, now time.Time) boo
 		s.ballot = m.Ballot
 		s.cmd = m.Cmd
 	}
-	r.send(from, &message{Type: mAccepted, Ballot: m.Ballot, Slot: m.Slot})
+	r.Send(from, &message{Type: mAccepted, Ballot: m.Ballot, Slot: m.Slot})
 	r.commitTo(m.UpTo, from)
 	return true
 }
@@ -546,7 +479,7 @@ func (r *Replica) onAccepted(from transport.NodeID, m *message) {
 
 func (r *Replica) maybeChoose(n uint64) {
 	acks := r.accepts[n]
-	if acks == nil || len(acks) < r.quorum {
+	if acks == nil || len(acks) < r.Quorum() {
 		return
 	}
 	delete(r.accepts, n)
@@ -563,7 +496,7 @@ func (r *Replica) maybeChoose(n uint64) {
 		r.commitUpTo++
 	}
 	r.applyCommitted()
-	r.broadcast(&message{Type: mCommit, UpTo: r.commitUpTo})
+	r.Broadcast(&message{Type: mCommit, UpTo: r.commitUpTo})
 }
 
 func (r *Replica) commitTo(upTo uint64, leaderID transport.NodeID) {
@@ -584,7 +517,7 @@ func (r *Replica) commitTo(upTo uint64, leaderID transport.NodeID) {
 		s.committed = true
 	}
 	if missing {
-		r.send(leaderID, &message{Type: mCatchup, From: r.commitUpTo + 1})
+		r.Send(leaderID, &message{Type: mCatchup, From: r.commitUpTo + 1})
 	}
 	for {
 		next := r.slotAt(r.commitUpTo + 1)
@@ -615,13 +548,13 @@ func (r *Replica) applyCommitted() {
 		}
 	}
 	if r.role == leading {
-		r.applied[r.id] = r.lastApplied
+		r.applied[r.ID()] = r.lastApplied
 	}
 }
 
 func (r *Replica) onHeartbeat(from transport.NodeID, m *message, now time.Time) bool {
 	if m.Ballot.Less(r.promised) {
-		r.send(from, &message{Type: mReject, Ballot: r.promised})
+		r.Send(from, &message{Type: mReject, Ballot: r.promised})
 		return false
 	}
 	if r.role != follower || r.leader != from || r.promised.Less(m.Ballot) {
@@ -630,7 +563,7 @@ func (r *Replica) onHeartbeat(from transport.NodeID, m *message, now time.Time) 
 	r.leaseHoldUntil = now.Add(r.LeaseDuration)
 	r.commitTo(m.UpTo, from)
 	r.maybeCompact(m.Truncate)
-	r.send(from, &message{Type: mHeartbeatAck, Ballot: m.Ballot, Applied: r.lastApplied, Sent: m.Sent})
+	r.Send(from, &message{Type: mHeartbeatAck, Ballot: m.Ballot, Applied: r.lastApplied, Sent: m.Sent})
 	return true
 }
 
@@ -649,7 +582,7 @@ func (r *Replica) onHeartbeatAck(from transport.NodeID, m *message, now time.Tim
 	r.applied[from] = m.Applied
 	// A follower that fell behind the truncation horizon needs a snapshot.
 	if m.Applied+1 < r.base {
-		r.send(from, &message{Type: mSnapshot, Ballot: r.prepareBallot, UpTo: r.lastApplied, Data: r.sm.Snapshot()})
+		r.Send(from, &message{Type: mSnapshot, Ballot: r.prepareBallot, UpTo: r.lastApplied, Data: r.sm.Snapshot()})
 	}
 }
 
@@ -658,10 +591,10 @@ func (r *Replica) onCatchup(from transport.NodeID, m *message) {
 		return
 	}
 	if m.From < r.base {
-		r.send(from, &message{Type: mSnapshot, Ballot: r.prepareBallot, UpTo: r.lastApplied, Data: r.sm.Snapshot()})
+		r.Send(from, &message{Type: mSnapshot, Ballot: r.prepareBallot, UpTo: r.lastApplied, Data: r.sm.Snapshot()})
 		return
 	}
-	r.send(from, &message{
+	r.Send(from, &message{
 		Type:     mCatchup,
 		Ballot:   r.prepareBallot,
 		Accepted: r.acceptedFrom(m.From),
@@ -693,80 +626,24 @@ func (r *Replica) maybeCompact(truncate uint64) {
 	r.base = truncate + 1
 }
 
-// forwardDedupWindow is how far behind an origin's highest-seen request ID
-// a remembered ID is kept. Request IDs increase per origin, so anything
-// this far back can no longer be a late first delivery.
-const forwardDedupWindow = 1 << 12
-
-// dupForward records (origin, reqID) and reports whether it was already
-// seen. Duplicates are dropped silently: the first delivery's response
-// path answers the origin, and the origin ignores unknown request IDs.
-func (r *Replica) dupForward(origin transport.NodeID, reqID uint64) bool {
-	seen := r.forwardSeen[origin]
-	if seen == nil {
-		seen = make(map[uint64]struct{})
-		r.forwardSeen[origin] = seen
-	}
-	if _, ok := seen[reqID]; ok {
-		return true
-	}
-	seen[reqID] = struct{}{}
-	if reqID > r.forwardMax[origin] {
-		r.forwardMax[origin] = reqID
-	}
-	if len(seen) > 2*forwardDedupWindow {
-		max := r.forwardMax[origin]
-		for id := range seen {
-			if id+forwardDedupWindow < max {
-				delete(seen, id)
-			}
-		}
-	}
-	return false
-}
-
 func (r *Replica) onForward(from transport.NodeID, m *message, now time.Time) {
-	if r.dupForward(from, m.ReqID) {
+	reply, ok := r.Accept(from, m.ReqID)
+	if !ok {
 		return
 	}
 	if r.role != leading {
-		r.send(from, &message{Type: mForwardResp, ReqID: m.ReqID, Err: ErrNoLeader.Error()})
+		reply(nil, ErrNoLeader)
 		return
 	}
-	origin := from
-	reqID := m.ReqID
 	// Forwarded reads are served from the leader's lease when valid —
 	// one forwarding round trip, no log entry.
 	if m.Read {
 		if result, ok := r.ReadLocal(now, m.Cmd); ok {
-			r.send(origin, &message{Type: mForwardResp, ReqID: reqID, Data: result})
+			reply(result, nil)
 			return
 		}
 	}
-	r.Propose(m.Cmd, func(result []byte, err error) {
-		resp := &message{Type: mForwardResp, ReqID: reqID, Data: result}
-		if err != nil {
-			resp.Err = err.Error()
-		}
-		r.send(origin, resp)
-	})
-}
-
-func (r *Replica) onForwardResp(m *message) {
-	done, ok := r.forwards[m.ReqID]
-	if !ok {
-		return
-	}
-	delete(r.forwards, m.ReqID)
-	if m.Err != "" {
-		if m.Err == ErrNoLeader.Error() {
-			done(nil, ErrNoLeader)
-		} else {
-			done(nil, errors.New(m.Err))
-		}
-		return
-	}
-	done(m.Data, nil)
+	r.Propose(m.Cmd, reply)
 }
 
 // handleCatchupReply processes the accepted suffix returned by onCatchup;

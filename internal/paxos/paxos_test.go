@@ -306,6 +306,35 @@ func TestStaleLeaderStepsDown(t *testing.T) {
 	}
 }
 
+// TestForwardedLostLeadershipStaysTyped: a forwarded command whose
+// leader is deposed before it is chosen fails at its origin with
+// ErrLostLeadership, not with an untyped copy of its text.
+func TestForwardedLostLeadershipStaysTyped(t *testing.T) {
+	nw := newPNet(t, 3)
+	nw.elect("n1")
+	var gotErr error
+	fired := false
+	nw.reps["n3"].Propose(incCmd(1), func(res []byte, err error) { fired, gotErr = true, err })
+	nw.pump()
+	nw.deliver(func(e penv) bool { return e.typ == mForward })
+	nw.drop(func(penv) bool { return true }) // n1's accepts are lost
+
+	nw.advance(nw.reps["n1"].LeaseDuration + time.Millisecond)
+	nw.reps["n2"].ElectionTimeout(nw.now)
+	nw.pump()
+	nw.drainDropping(func(e penv) bool { return e.to == "n1" || e.from == "n1" })
+	if !nw.reps["n2"].IsLeader() || fired {
+		t.Fatalf("n2 leads %v, forward settled early %v", nw.reps["n2"].IsLeader(), fired)
+	}
+	// n2's heartbeat deposes n1, which fails the forwarded command.
+	nw.reps["n2"].HeartbeatTick(nw.now)
+	nw.pump()
+	nw.drain()
+	if !fired || !errors.Is(gotErr, ErrLostLeadership) {
+		t.Fatalf("fired %v, err = %v, want ErrLostLeadership", fired, gotErr)
+	}
+}
+
 func TestProposeNoLeaderFailsFast(t *testing.T) {
 	nw := newPNet(t, 3)
 	var gotErr error
@@ -423,7 +452,7 @@ func TestMessageCodec(t *testing.T) {
 		Accepted: []slotCmd{{Slot: 4, Ballot: Ballot{N: 2, ID: "n1"}, Cmd: incCmd(1)}},
 		Applied:  3,
 	}
-	out, err := decodeMessage(in.encode())
+	out, err := decodeMessage(in.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

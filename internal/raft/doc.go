@@ -8,5 +8,7 @@
 //
 // Like internal/core, the Replica here is a pure single-threaded state
 // machine. It satisfies rsm.Replica, so the shootout's virtual-time logNode
-// drives it with an event loop and timers.
+// drives it with an event loop and timers. Command forwarding, duplicate
+// suppression and the outbox are the embedded rsm.Commands, shared with
+// internal/paxos.
 package raft

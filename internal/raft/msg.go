@@ -3,6 +3,7 @@ package raft
 import (
 	"fmt"
 
+	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/wire"
 )
 
@@ -45,7 +46,19 @@ type message struct {
 	Err       string // ForwardResp error
 }
 
-func (m *message) encode() []byte {
+// forwarding builds the shared command layer's forward messages. A
+// forwarded read rides the log like any command, so read is not sent.
+type forwarding struct{}
+
+func (forwarding) Forward(reqID uint64, cmd []byte, _ bool) rsm.Message {
+	return &message{Type: mForward, ReqID: reqID, Cmd: cmd}
+}
+
+func (forwarding) Reply(reqID uint64, result []byte, err string) rsm.Message {
+	return &message{Type: mForwardResp, ReqID: reqID, Data: result, Err: err}
+}
+
+func (m *message) Encode() []byte {
 	w := wire.NewWriter(64 + 16*len(m.Entries))
 	w.Byte(byte(m.Type))
 	w.Uvarint(m.Term)

@@ -1,7 +1,6 @@
 package raft
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -25,12 +24,13 @@ const (
 )
 
 // Replica is the pure Raft state machine. All methods must be called from
-// one goroutine; outbound messages accumulate in the outbox.
+// one goroutine; outbound messages accumulate in the outbox. The embedded
+// command layer holds its ID, peers and quorum, its outbox and command
+// forwarding.
 type Replica struct {
-	id     transport.NodeID
-	peers  []transport.NodeID
-	quorum int
-	sm     rsm.StateMachine
+	rsm.Commands
+
+	sm rsm.StateMachine
 
 	term     uint64
 	votedFor transport.NodeID
@@ -57,22 +57,11 @@ type Replica struct {
 	matchIndex map[transport.NodeID]uint64
 	inflight   map[transport.NodeID]bool
 
-	// Client plumbing.
-	proposals     map[uint64]*proposal // by log index (leader side)
-	forwards      map[uint64]rsm.Done  // by forward request ID (origin side)
-	nextForwardID uint64
-
-	// Forward dedup (receiver side): request IDs already seen per origin.
-	// The network may duplicate a forwarded command; without this a leader
-	// would append — and commit — the same non-idempotent command twice.
-	forwardSeen map[transport.NodeID]map[uint64]struct{}
-	forwardMax  map[transport.NodeID]uint64
+	proposals map[uint64]*proposal // by log index (leader side)
 
 	// CompactEvery triggers a snapshot after this many applied entries
 	// beyond the last snapshot (0 disables compaction).
 	CompactEvery int
-
-	outbox []rsm.Envelope
 }
 
 type proposal struct {
@@ -84,34 +73,18 @@ var _ rsm.Replica = (*Replica)(nil)
 
 // NewReplica creates a Raft participant. members must include id.
 func NewReplica(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (*Replica, error) {
-	peers := make([]transport.NodeID, 0, len(members)-1)
-	self := false
-	for _, m := range members {
-		if m == id {
-			self = true
-			continue
-		}
-		peers = append(peers, m)
-	}
-	if !self {
-		return nil, fmt.Errorf("raft: %s not in member list %v", id, members)
+	cmds, err := rsm.NewCommands(id, members, ErrNoLeader, forwarding{})
+	if err != nil {
+		return nil, fmt.Errorf("raft: %w", err)
 	}
 	return &Replica{
-		id:           id,
-		peers:        peers,
-		quorum:       len(members)/2 + 1,
+		Commands:     cmds,
 		sm:           sm,
 		role:         follower,
 		proposals:    make(map[uint64]*proposal),
-		forwards:     make(map[uint64]rsm.Done),
-		forwardSeen:  make(map[transport.NodeID]map[uint64]struct{}),
-		forwardMax:   make(map[transport.NodeID]uint64),
 		CompactEvery: 4096,
 	}, nil
 }
-
-// ID returns the replica ID.
-func (r *Replica) ID() transport.NodeID { return r.id }
 
 // IsLeader reports whether this replica currently believes it leads.
 func (r *Replica) IsLeader() bool { return r.role == leader }
@@ -119,7 +92,7 @@ func (r *Replica) IsLeader() bool { return r.role == leader }
 // Leader returns the best-known leader, or "".
 func (r *Replica) Leader() transport.NodeID {
 	if r.role == leader {
-		return r.id
+		return r.ID()
 	}
 	return r.leader
 }
@@ -129,17 +102,6 @@ func (r *Replica) Term() uint64 { return r.term }
 
 // LogLen returns the number of live (uncompacted) log entries.
 func (r *Replica) LogLen() int { return len(r.log) }
-
-// TakeOutbox returns and clears pending outbound messages.
-func (r *Replica) TakeOutbox() []rsm.Envelope {
-	out := r.outbox
-	r.outbox = nil
-	return out
-}
-
-func (r *Replica) send(to transport.NodeID, m *message) {
-	r.outbox = append(r.outbox, rsm.Envelope{To: to, Payload: m.encode()})
-}
 
 func (r *Replica) lastIndex() uint64 { return r.snapIndex + uint64(len(r.log)) }
 
@@ -175,18 +137,15 @@ func (r *Replica) ElectionTimeout(time.Time) {
 	}
 	r.term++
 	r.role = candidate
-	r.votedFor = r.id
+	r.votedFor = r.ID()
 	r.leader = ""
-	r.votes = map[transport.NodeID]bool{r.id: true}
-	m := &message{
+	r.votes = map[transport.NodeID]bool{r.ID(): true}
+	r.Broadcast(&message{
 		Type:      mRequestVote,
 		Term:      r.term,
 		LastIndex: r.lastIndex(),
 		LastTerm:  r.termAt(r.lastIndex()),
-	}
-	for _, p := range r.peers {
-		r.send(p, m)
-	}
+	})
 	r.maybeWinElection()
 }
 
@@ -195,7 +154,7 @@ func (r *Replica) HeartbeatTick(time.Time) {
 	if r.role != leader {
 		return
 	}
-	for _, p := range r.peers {
+	for _, p := range r.Peers() {
 		r.inflight[p] = false // retransmit window: response lost or slow
 		r.replicateTo(p)
 	}
@@ -209,7 +168,7 @@ func (r *Replica) replicateTo(p transport.NodeID) {
 	next := r.nextIndex[p]
 	if next <= r.snapIndex {
 		// The follower is behind the snapshot horizon.
-		r.send(p, &message{
+		r.Send(p, &message{
 			Type:      mSnapshot,
 			Term:      r.term,
 			LastIndex: r.snapIndex,
@@ -219,7 +178,7 @@ func (r *Replica) replicateTo(p transport.NodeID) {
 		return
 	}
 	prev := next - 1
-	r.send(p, &message{
+	r.Send(p, &message{
 		Type:      mAppend,
 		Term:      r.term,
 		PrevIndex: prev,
@@ -240,10 +199,7 @@ func (r *Replica) Propose(cmd []byte, done rsm.Done) {
 	case r.role == leader:
 		r.appendLocal(cmd, done)
 	case r.leader != "":
-		r.nextForwardID++
-		fid := r.nextForwardID
-		r.forwards[fid] = done
-		r.send(r.leader, &message{Type: mForward, ReqID: fid, Cmd: cmd})
+		r.Forward(r.leader, cmd, false, done)
 	default:
 		done(nil, ErrNoLeader)
 	}
@@ -256,26 +212,17 @@ func (r *Replica) ProposeRead(cmd []byte, done rsm.Done) { r.Propose(cmd, done) 
 // ReadLocal never serves: there is no read lease.
 func (r *Replica) ReadLocal(time.Time, []byte) ([]byte, bool) { return nil, false }
 
-// FailForwards aborts forwarded commands still waiting for a leader reply;
-// the runtime calls this on retry timeouts.
-func (r *Replica) FailForwards() {
-	for id, done := range r.forwards {
-		delete(r.forwards, id)
-		done(nil, ErrNoLeader)
-	}
-}
-
 func (r *Replica) appendLocal(cmd []byte, done rsm.Done) {
 	r.log = append(r.log, Entry{Term: r.term, Cmd: cmd})
 	idx := r.lastIndex()
 	if done != nil {
 		r.proposals[idx] = &proposal{term: r.term, done: done}
 	}
-	r.matchIndex[r.id] = idx
-	if r.quorum == 1 {
+	r.matchIndex[r.ID()] = idx
+	if r.Quorum() == 1 {
 		r.advanceCommit()
 	}
-	for _, p := range r.peers {
+	for _, p := range r.Peers() {
 		r.replicateTo(p)
 	}
 }
@@ -309,7 +256,7 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte, _ time.Time) bo
 	case mForward:
 		r.onForward(from, m)
 	case mForwardResp:
-		r.onForwardResp(m)
+		r.Resolve(m.ReqID, m.Data, m.Err)
 	}
 	return false
 }
@@ -332,11 +279,10 @@ func (r *Replica) Crash() {
 	r.failProposals()
 }
 
+// failProposals fails every in-flight proposal with ErrLostLeadership, in
+// log-index order.
 func (r *Replica) failProposals() {
-	for idx, p := range r.proposals {
-		delete(r.proposals, idx)
-		p.done(nil, ErrLostLeadership)
-	}
+	rsm.FailAll(r.proposals, func(p *proposal) { p.done(nil, ErrLostLeadership) })
 }
 
 func (r *Replica) onRequestVote(from transport.NodeID, m *message) bool {
@@ -350,7 +296,7 @@ func (r *Replica) onRequestVote(from transport.NodeID, m *message) bool {
 			r.votedFor = from
 		}
 	}
-	r.send(from, &message{Type: mVote, Term: r.term, Granted: grant})
+	r.Send(from, &message{Type: mVote, Term: r.term, Granted: grant})
 	return grant
 }
 
@@ -363,15 +309,15 @@ func (r *Replica) onVote(from transport.NodeID, m *message) {
 }
 
 func (r *Replica) maybeWinElection() {
-	if r.role != candidate || len(r.votes) < r.quorum {
+	if r.role != candidate || len(r.votes) < r.Quorum() {
 		return
 	}
 	r.role = leader
-	r.leader = r.id
-	r.nextIndex = make(map[transport.NodeID]uint64, len(r.peers))
-	r.matchIndex = make(map[transport.NodeID]uint64, len(r.peers)+1)
-	r.inflight = make(map[transport.NodeID]bool, len(r.peers))
-	for _, p := range r.peers {
+	r.leader = r.ID()
+	r.nextIndex = make(map[transport.NodeID]uint64, len(r.Peers()))
+	r.matchIndex = make(map[transport.NodeID]uint64, len(r.Peers())+1)
+	r.inflight = make(map[transport.NodeID]bool, len(r.Peers()))
+	for _, p := range r.Peers() {
 		r.nextIndex[p] = r.lastIndex() + 1
 	}
 	// Commit barrier: a no-op in the new term lets the leader commit
@@ -381,7 +327,7 @@ func (r *Replica) maybeWinElection() {
 
 func (r *Replica) onAppend(from transport.NodeID, m *message) bool {
 	if m.Term < r.term {
-		r.send(from, &message{Type: mAppendResp, Term: r.term, Success: false, Match: 0})
+		r.Send(from, &message{Type: mAppendResp, Term: r.term, Success: false, Match: 0})
 		return false
 	}
 	if r.role != follower || r.leader != from {
@@ -394,7 +340,7 @@ func (r *Replica) onAppend(from transport.NodeID, m *message) bool {
 		if m.PrevIndex <= hint {
 			hint = m.PrevIndex - 1
 		}
-		r.send(from, &message{Type: mAppendResp, Term: r.term, Success: false, Match: hint})
+		r.Send(from, &message{Type: mAppendResp, Term: r.term, Success: false, Match: hint})
 		return true
 	}
 	// Append entries, truncating conflicts.
@@ -417,7 +363,7 @@ func (r *Replica) onAppend(from transport.NodeID, m *message) bool {
 		r.commitIndex = min(m.Commit, r.lastIndex())
 		r.applyCommitted()
 	}
-	r.send(from, &message{Type: mAppendResp, Term: r.term, Success: true, Match: last})
+	r.Send(from, &message{Type: mAppendResp, Term: r.term, Success: true, Match: last})
 	return true
 }
 
@@ -458,12 +404,12 @@ func (r *Replica) advanceCommit() {
 			break // only entries of the current term commit by counting
 		}
 		count := 1 // self
-		for _, p := range r.peers {
+		for _, p := range r.Peers() {
 			if r.matchIndex[p] >= n {
 				count++
 			}
 		}
-		if count >= r.quorum {
+		if count >= r.Quorum() {
 			r.commitIndex = n
 			r.applyCommitted()
 			break
@@ -509,7 +455,7 @@ func (r *Replica) onSnapshot(from transport.NodeID, m *message) bool {
 		r.becomeFollower(m.Term, from)
 	}
 	if m.LastIndex <= r.snapIndex {
-		r.send(from, &message{Type: mSnapshotResp, Term: r.term, Match: r.snapIndex})
+		r.Send(from, &message{Type: mSnapshotResp, Term: r.term, Match: r.snapIndex})
 		return true
 	}
 	if err := r.sm.Restore(m.Data); err != nil {
@@ -521,7 +467,7 @@ func (r *Replica) onSnapshot(from transport.NodeID, m *message) bool {
 	r.log = nil
 	r.commitIndex = m.LastIndex
 	r.lastApplied = m.LastIndex
-	r.send(from, &message{Type: mSnapshotResp, Term: r.term, Match: m.LastIndex})
+	r.Send(from, &message{Type: mSnapshotResp, Term: r.term, Match: m.LastIndex})
 	return true
 }
 
@@ -539,70 +485,14 @@ func (r *Replica) onSnapshotResp(from transport.NodeID, m *message) {
 	}
 }
 
-// forwardDedupWindow is how far behind an origin's highest-seen request ID
-// a remembered ID is kept. Request IDs increase per origin, so anything
-// this far back can no longer be a late first delivery.
-const forwardDedupWindow = 1 << 12
-
-// dupForward records (origin, reqID) and reports whether it was already
-// seen. Duplicates are dropped silently: the first delivery's response
-// path answers the origin, and the origin ignores unknown request IDs.
-func (r *Replica) dupForward(origin transport.NodeID, reqID uint64) bool {
-	seen := r.forwardSeen[origin]
-	if seen == nil {
-		seen = make(map[uint64]struct{})
-		r.forwardSeen[origin] = seen
-	}
-	if _, ok := seen[reqID]; ok {
-		return true
-	}
-	seen[reqID] = struct{}{}
-	if reqID > r.forwardMax[origin] {
-		r.forwardMax[origin] = reqID
-	}
-	if len(seen) > 2*forwardDedupWindow {
-		max := r.forwardMax[origin]
-		for id := range seen {
-			if id+forwardDedupWindow < max {
-				delete(seen, id)
-			}
-		}
-	}
-	return false
-}
-
 func (r *Replica) onForward(from transport.NodeID, m *message) {
-	if r.dupForward(from, m.ReqID) {
-		return
-	}
-	if r.role != leader {
-		r.send(from, &message{Type: mForwardResp, ReqID: m.ReqID, Err: ErrNoLeader.Error()})
-		return
-	}
-	origin := from
-	reqID := m.ReqID
-	r.appendLocal(m.Cmd, func(result []byte, err error) {
-		resp := &message{Type: mForwardResp, ReqID: reqID, Data: result}
-		if err != nil {
-			resp.Err = err.Error()
-		}
-		r.send(origin, resp)
-	})
-}
-
-func (r *Replica) onForwardResp(m *message) {
-	done, ok := r.forwards[m.ReqID]
+	reply, ok := r.Accept(from, m.ReqID)
 	if !ok {
 		return
 	}
-	delete(r.forwards, m.ReqID)
-	if m.Err != "" {
-		if m.Err == ErrNoLeader.Error() {
-			done(nil, ErrNoLeader)
-		} else {
-			done(nil, errors.New(m.Err))
-		}
+	if r.role != leader {
+		reply(nil, ErrNoLeader)
 		return
 	}
-	done(m.Data, nil)
+	r.appendLocal(m.Cmd, reply)
 }

@@ -273,6 +273,32 @@ func TestUncommittedEntriesFailOnLeaderChange(t *testing.T) {
 	}
 }
 
+// TestForwardedLostLeadershipStaysTyped: a forwarded command whose
+// leader loses its term before the entry commits fails at its origin with
+// ErrLostLeadership, not with an untyped copy of its text.
+func TestForwardedLostLeadershipStaysTyped(t *testing.T) {
+	nw := newRNet(t, 3)
+	nw.elect("n1")
+	var gotErr error
+	fired := false
+	nw.reps["n3"].Propose(incCmd(9), func(res []byte, err error) { fired, gotErr = true, err })
+	nw.pump()
+	nw.deliver(func(e renv) bool { return e.typ == mForward })
+	nw.drop(func(renv) bool { return true }) // n1's appends are lost
+
+	nw.reps["n2"].ElectionTimeout(time.Time{})
+	nw.pump()
+	nw.deliver(func(e renv) bool { return e.to == "n3" || e.from == "n3" })
+	if !nw.reps["n2"].IsLeader() || fired {
+		t.Fatalf("n2 leads %v, forward settled early %v", nw.reps["n2"].IsLeader(), fired)
+	}
+	// n1 learns the new term and fails the forwarded entry.
+	nw.drain()
+	if !fired || !errors.Is(gotErr, ErrLostLeadership) {
+		t.Fatalf("fired %v, err = %v, want ErrLostLeadership", fired, gotErr)
+	}
+}
+
 func TestConflictingSuffixTruncated(t *testing.T) {
 	nw := newRNet(t, 3)
 	nw.elect("n1")
@@ -400,7 +426,7 @@ func TestMessageCodec(t *testing.T) {
 		Commit:    4,
 		Entries:   []Entry{{Term: 9, Cmd: incCmd(2)}, {Term: 9, Cmd: readCmd()}},
 	}
-	out, err := decodeMessage(in.encode())
+	out, err := decodeMessage(in.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,15 +295,16 @@ type connWriter struct {
 // whatever its outcome.
 func (w *connWriter) send(resp *wire.Response, st crdt.State) error {
 	bp := w.frames.get()
-	frame, err := appendResponse((*bp)[:0], resp, st)
+	frame, buf, err := appendResponse((*bp)[:0], resp, st)
 	if err != nil && st != nil {
 		fail(resp, err, true)
-		frame, err = resp.AppendFrame((*bp)[:0])
+		frame, err = resp.AppendFrame(buf[:0])
+		buf = frame
 	}
 	if err == nil {
 		err = w.write(frame)
 	}
-	*bp = frame[:0]
+	*bp = buf[:0]
 	w.frames.put(bp)
 	return err
 }
@@ -318,22 +319,26 @@ func (w *connWriter) write(frame []byte) error {
 	return err
 }
 
-// appendResponse appends resp to b as one length-prefixed frame. With a
-// state st, resp is an OK query response and st its state: the frame
-// limit is checked on crdt.MarshaledLen before anything is encoded, and
-// the state is encoded into b in place, growing b at most once. The
-// bytes equal those WriteFrame writes for resp.Encode() with resp.State
-// set to crdt.Marshal(st).
-func appendResponse(b []byte, resp *wire.Response, st crdt.State) ([]byte, error) {
+// appendResponse appends resp to b as one length-prefixed frame and
+// returns it with the buffer holding it, which it may start inside. An
+// OK query's state st is encoded once, wire.MaxFrameHead bytes past b's
+// end, with the head written in front of it; the frame limit is checked
+// after encoding, and a state over it returns b, so the pool never keeps
+// its buffer. The bytes are the length prefix and resp.Encode() with
+// resp.State set to crdt.Marshal(st).
+func appendResponse(b []byte, resp *wire.Response, st crdt.State) (frame, buf []byte, err error) {
 	if st == nil {
-		return resp.AppendFrame(b)
+		frame, err = resp.AppendFrame(b)
+		return frame, frame, err
 	}
-	n := crdt.MarshaledLen(st)
-	b, err := resp.AppendFrameHead(b, n)
-	if err != nil {
-		return b, fmt.Errorf("server: state of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrame)
+	off := len(b) + wire.MaxFrameHead
+	if buf, err = crdt.AppendMarshal(append(b, make([]byte, wire.MaxFrameHead)...), st); err != nil {
+		return nil, b, err
 	}
-	return crdt.AppendMarshal(b, st)
+	if frame, err = resp.PrependFrameHead(buf, off); err != nil {
+		return nil, b, fmt.Errorf("server: state of %d bytes exceeds the %d-byte frame limit", len(buf)-off, wire.MaxFrame)
+	}
+	return frame, buf, nil
 }
 
 // framePool recycles response frame buffers across connections, so a

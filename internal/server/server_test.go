@@ -234,7 +234,7 @@ func TestServeClosesOnGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
-	if err := wire.WriteFrame(nc, []byte{0xff, 0xfe, 0xfd}); err != nil {
+	if _, err := nc.Write([]byte{3, 0xff, 0xfe, 0xfd}); err != nil { // a 3-byte frame
 		t.Fatal(err)
 	}
 	_ = nc.SetReadDeadline(time.Now().Add(5 * time.Second))
@@ -257,7 +257,11 @@ func dialRaw(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
 
 func sendRaw(t *testing.T, nc net.Conn, req *wire.Request) {
 	t.Helper()
-	if err := wire.WriteFrame(nc, req.Encode()); err != nil {
+	frame, err := req.AppendFrame(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -29,5 +29,8 @@
 //     backends to assert "same seed, same decided log" determinism.
 //
 // The two log-based backends are one logNode runtime over rsm.Replica, the
-// interface raft.Replica and paxos.Replica satisfy directly.
+// interface raft.Replica and paxos.Replica satisfy directly; both embed
+// the shared client-command layer rsm.Commands. A Conform run, partitions
+// included, replays from its seed for every backend: its op history,
+// applied logs and final reads (TestConformReplaysSeed).
 package shootout

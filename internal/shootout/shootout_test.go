@@ -218,6 +218,36 @@ func TestConformWithPartitions(t *testing.T) {
 	}
 }
 
+// TestConformReplaysSeed: a partitioned conformance run is a pure function
+// of its seed for every backend — the op history, not only the decided
+// logs and final reads. Partitions depose leaders, so this pins the order
+// in which the log baselines fail pending callbacks, which send messages
+// and arm timers.
+func TestConformReplaysSeed(t *testing.T) {
+	for _, spec := range Specs() {
+		spec := spec
+		t.Run(spec.Name, func(t *testing.T) {
+			for seed := int64(1); seed <= 10; seed++ {
+				cfg := ConformConfig{Seed: seed, Replicas: 3, Ops: 120, Net: LAN(), Partitions: 3}
+				a, err := Conform(spec, cfg)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				b, err := Conform(spec, cfg)
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if !reflect.DeepEqual(a.Ops, b.Ops) {
+					t.Errorf("seed %d: op histories differ", seed)
+				}
+				if !reflect.DeepEqual(a.AppliedLogs, b.AppliedLogs) || !reflect.DeepEqual(a.FinalReads, b.FinalReads) {
+					t.Errorf("seed %d: applied logs or final reads differ", seed)
+				}
+			}
+		})
+	}
+}
+
 // TestLeaderFailover kills the leader of each log-based baseline: once a
 // survivor leads, a survivor commits an increment and reads both.
 func TestLeaderFailover(t *testing.T) {

@@ -9,11 +9,11 @@ import (
 
 // The hot encode paths — protocol messages, state frames, envelopes —
 // promise exactly one allocation per encoded frame: the output buffer
-// itself. A query response frame appended into a reused buffer promises
-// none, and decoding one allocates only the Response. These tests pin
-// those promises with AllocsPerRun so a regression (an escaping Writer,
-// an undersized buffer forcing append to grow, a copied state) fails the
-// suite, and the benchmarks report allocs/op for the CI bench-smoke
+// itself. A query response frame, and a request frame, appended into a
+// reused buffer promise none, and decoding a response allocates only the
+// Response. These tests pin those promises with AllocsPerRun so a
+// regression (an escaping Writer, an undersized buffer forcing append to
+// grow, a copied state) fails the suite, and the benchmarks report allocs/op for the CI bench-smoke
 // guard (`go test -bench . -benchmem ./internal/wire/`).
 
 // encodeRepresentative builds a frame shaped like the protocol's VOTE
@@ -43,15 +43,16 @@ func bigSet() crdt.State {
 }
 
 // appendQueryFrame builds an OK query response frame the way the server
-// does: the head sized by crdt.MarshaledLen, then the state encoded in
-// place.
+// does, the state encoded once past a reserve and the head written in
+// front of it, and returns the buffer holding the frame.
 func appendQueryFrame(b []byte, st crdt.State) []byte {
 	r := Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2}
-	b, err := r.AppendFrameHead(b, crdt.MarshaledLen(st))
+	off := len(b) + MaxFrameHead
+	b, err := crdt.AppendMarshal(append(b, make([]byte, MaxFrameHead)...), st)
 	if err != nil {
 		panic(err)
 	}
-	if b, err = crdt.AppendMarshal(b, st); err != nil {
+	if _, err := r.PrependFrameHead(b, off); err != nil {
 		panic(err)
 	}
 	return b
@@ -63,6 +64,8 @@ func TestEncodeAllocs(t *testing.T) {
 	set := bigSet()
 	buf := appendQueryFrame(nil, set)
 	resp := (&Response{Op: OpQuery | RespBit, ID: 1, Status: StatusOK, State: make([]byte, 44_000)}).Encode()
+	req := Request{Op: OpUpdate, ID: 1 << 20, Key: "or-set/7", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("elem-000042")}}
+	reqBuf, _ := req.AppendFrame(nil)
 	cases := []struct {
 		name string
 		want float64
@@ -76,6 +79,8 @@ func TestEncodeAllocs(t *testing.T) {
 		// A query response frame is appended into a reused buffer, the
 		// state encoded in place: nothing is allocated.
 		{"query-frame", 0, func() { buf = appendQueryFrame(buf[:0], set) }},
+		// A request frame is appended into the connection's reused buffer.
+		{"request-frame", 0, func() { reqBuf, _ = req.AppendFrame(reqBuf[:0]) }},
 		// Decoding borrows the frame for the state; the one allocation is
 		// the Response.
 		{"decode-response", 1, func() { _, _ = DecodeResponse(resp) }},

@@ -113,10 +113,30 @@ type Request struct {
 	Cmd string
 }
 
-// Encode renders the request as a frame body (without the outer length
-// prefix; see WriteFrame).
-func (r *Request) Encode() []byte {
-	w := NewWriter(64)
+// Encode renders the request as a frame body, without the outer length
+// prefix (see AppendFrame).
+func (r *Request) Encode() []byte { return r.appendBody(make([]byte, 0, 64)) }
+
+// AppendFrame appends the request to b as one length-prefixed frame:
+// [uvarint len][Encode()]. The body is encoded past a reserve for the
+// prefix and moved down behind it, so the frame needs no buffer of its
+// own. It fails with ErrFrameTooLarge, returning b unchanged, when the
+// body exceeds MaxFrame.
+func (r *Request) AppendFrame(b []byte) ([]byte, error) {
+	start, off := len(b), len(b)+binary.MaxVarintLen64
+	b = r.appendBody(append(b, make([]byte, binary.MaxVarintLen64)...))
+	n := len(b) - off
+	if n > MaxFrame {
+		return b[:start], ErrFrameTooLarge
+	}
+	prefix := binary.PutUvarint(b[start:], uint64(n))
+	copy(b[start+prefix:], b[off:])
+	return b[:start+prefix+n], nil
+}
+
+// appendBody appends the request's frame body to b.
+func (r *Request) appendBody(b []byte) []byte {
+	w := MakeWriter(b)
 	w.Byte(FrameVersion)
 	w.Byte(r.Op)
 	w.Uvarint(r.ID)
@@ -204,9 +224,9 @@ func (r *Response) Encode() []byte {
 	return r.appendTail(r.appendHead(make([]byte, 0, maxRespHead+n), n))
 }
 
-// AppendFrame appends the response to b as one length-prefixed frame: the
-// bytes WriteFrame(w, r.Encode()) writes. It fails with ErrFrameTooLarge,
-// returning b unchanged, when the body exceeds MaxFrame.
+// AppendFrame appends the response to b as one length-prefixed frame:
+// [uvarint len][Encode()]. It fails with ErrFrameTooLarge, returning b
+// unchanged, when the body exceeds MaxFrame.
 func (r *Response) AppendFrame(b []byte) ([]byte, error) {
 	b, err := r.AppendFrameHead(b, r.tailLen())
 	if err != nil {
@@ -220,12 +240,9 @@ func (r *Response) AppendFrame(b []byte) ([]byte, error) {
 // exactly tailLen bytes long: the frame length, the header and the
 // trailing field's length prefix. The trailing field is the message of
 // a failure, the state of a query and the payload of an admin answer;
-// an OK update has none, and its tailLen must be 0. A server builds an
-// OK query's frame this way, AppendFrameHead(b, crdt.MarshaledLen(st))
-// and then crdt.AppendMarshal, so the state is encoded once, in place,
-// into bytes equal to AppendFrame's with State set to crdt.Marshal(st).
-// It fails with ErrFrameTooLarge, returning b unchanged, when the body
-// would exceed MaxFrame, before anything is encoded.
+// an OK update has none, and its tailLen must be 0. It fails with
+// ErrFrameTooLarge, returning b unchanged, when the body would exceed
+// MaxFrame, before anything is encoded.
 func (r *Response) AppendFrameHead(b []byte, tailLen int) ([]byte, error) {
 	var buf [maxRespHead]byte
 	head := r.appendHead(buf[:0], tailLen)
@@ -235,6 +252,30 @@ func (r *Response) AppendFrameHead(b []byte, tailLen int) ([]byte, error) {
 	}
 	b = binary.AppendUvarint(b, uint64(n))
 	return append(b, head...), nil
+}
+
+// MaxFrameHead bounds what AppendFrameHead appends: the frame length and
+// the body's fields before the bytes of its trailing one.
+const MaxFrameHead = binary.MaxVarintLen64 + maxRespHead
+
+// PrependFrameHead completes a frame whose trailing field was encoded
+// first. b[off:] holds the trailing field, and off ≥ MaxFrameHead bytes
+// are reserved in front of it; AppendFrameHead's bytes go into the end of
+// that reserve, and the frame, a subslice of b, is returned. A server
+// builds an OK query's frame this way, encoding the state with
+// crdt.AppendMarshal at the reserved offset, so the state is walked once,
+// into bytes equal to AppendFrame's with State set to crdt.Marshal(st).
+// It fails with ErrFrameTooLarge, returning b, when the body exceeds
+// MaxFrame.
+func (r *Response) PrependFrameHead(b []byte, off int) ([]byte, error) {
+	var buf [MaxFrameHead]byte
+	head, err := r.AppendFrameHead(buf[:0], len(b)-off)
+	if err != nil {
+		return b, err
+	}
+	start := off - len(head)
+	copy(b[start:], head)
+	return b[start:], nil
 }
 
 // appendHead appends the body's fields up to the bytes of its trailing
@@ -336,20 +377,6 @@ func DecodeResponse(frame []byte) (*Response, error) {
 		return nil, err
 	}
 	return resp, nil
-}
-
-// WriteFrame writes one length-prefixed frame: [uvarint len][frame].
-func WriteFrame(w io.Writer, frame []byte) error {
-	if len(frame) > MaxFrame {
-		return ErrFrameTooLarge
-	}
-	var hdr [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(hdr[:], uint64(len(frame)))
-	if _, err := w.Write(hdr[:n]); err != nil {
-		return err
-	}
-	_, err := w.Write(frame)
-	return err
 }
 
 // ReadFrame reads one length-prefixed frame, enforcing MaxFrame before

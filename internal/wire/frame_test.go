@@ -3,10 +3,18 @@ package wire
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// prefixed is the reference framing the frame appenders must match: the
+// body's length as a uvarint, then the body.
+func prefixed(body []byte) []byte {
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
 
 func TestRequestRoundTrip(t *testing.T) {
 	cases := []Request{
@@ -163,9 +171,7 @@ func TestFrameIO(t *testing.T) {
 	var buf bytes.Buffer
 	frames := [][]byte{{1}, bytes.Repeat([]byte{7}, 1000), {}}
 	for _, f := range frames {
-		if err := WriteFrame(&buf, f); err != nil {
-			t.Fatal(err)
-		}
+		buf.Write(prefixed(f))
 	}
 	br := bufio.NewReader(&buf)
 	for i, want := range frames {
@@ -185,8 +191,10 @@ func TestFrameIO(t *testing.T) {
 	if _, err := ReadFrame(bufio.NewReader(&huge)); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("oversized prefix: got %v, want ErrFrameTooLarge", err)
 	}
-	if err := WriteFrame(&huge, make([]byte, MaxFrame+1)); !errors.Is(err, ErrFrameTooLarge) {
-		t.Fatalf("oversized write: got %v, want ErrFrameTooLarge", err)
+	// A body over the limit is refused before anything is appended.
+	big := Request{Op: OpAdmin, Cmd: strings.Repeat("x", MaxFrame)}
+	if got, err := big.AppendFrame([]byte("kept")); !errors.Is(err, ErrFrameTooLarge) || string(got) != "kept" {
+		t.Fatalf("oversized request: got %q, %v; want b unchanged and ErrFrameTooLarge", got, err)
 	}
 }
 
@@ -261,22 +269,33 @@ func responseShapes() []Response {
 	}
 }
 
-// TestAppendFrameMatchesWriteFrame: AppendFrame, and AppendFrameHead
-// followed by the trailing field's bytes, write exactly the bytes
-// WriteFrame writes for Encode, into the tail of the caller's buffer.
+// TestAppendFrameMatchesWriteFrame: a request's and a response's
+// AppendFrame, AppendFrameHead followed by the trailing field's bytes,
+// and PrependFrameHead in front of them write exactly the length prefix
+// followed by Encode, into the tail of the caller's buffer.
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
-	for _, r := range responseShapes() {
-		var want bytes.Buffer
-		if err := WriteFrame(&want, r.Encode()); err != nil {
-			t.Fatal(err)
+	prefix := []byte("kept")
+	for _, r := range []Request{
+		{Op: OpUpdate, ID: 1 << 33, Key: "article/42", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("alice"), nil, bytes.Repeat([]byte{9}, 300)}},
+		{Op: OpQuery, ID: 7, Key: strings.Repeat("k", 200)},
+		{Op: OpAdmin, ID: 0, Cmd: "keys"},
+	} {
+		got, err := r.AppendFrame(append([]byte{}, prefix...))
+		if err != nil {
+			t.Fatalf("request op %#x: %v", r.Op, err)
 		}
-		prefix := []byte("kept")
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], prefixed(r.Encode())) {
+			t.Fatalf("request op %#x: AppendFrame differs from the length prefix and Encode()", r.Op)
+		}
+	}
+	for _, r := range responseShapes() {
+		want := prefixed(r.Encode())
 		got, err := r.AppendFrame(append([]byte{}, prefix...))
 		if err != nil {
 			t.Fatalf("%+v: %v", r.Op, err)
 		}
-		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want.Bytes()) {
-			t.Fatalf("op %#x status %d: AppendFrame differs from WriteFrame(Encode())", r.Op, r.Status)
+		if !bytes.HasPrefix(got, prefix) || !bytes.Equal(got[len(prefix):], want) {
+			t.Fatalf("op %#x status %d: AppendFrame differs from the length prefix and Encode()", r.Op, r.Status)
 		}
 		if r.Status == StatusOK && r.Op == OpQuery|RespBit {
 			state := r.State
@@ -285,8 +304,17 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !bytes.Equal(append(head, state...), want.Bytes()) {
-				t.Fatalf("query of %d state bytes: AppendFrameHead + state differs from WriteFrame(Encode())", len(state))
+			if !bytes.Equal(append(head, state...), want) {
+				t.Fatalf("query of %d state bytes: AppendFrameHead + state differs from the length prefix and Encode()", len(state))
+			}
+			off := len(prefix) + MaxFrameHead
+			b := append(append(append([]byte{}, prefix...), make([]byte, MaxFrameHead)...), state...)
+			frame, err := r.PrependFrameHead(b, off)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(frame, want) || &frame[len(frame)-1] != &b[len(b)-1] {
+				t.Fatalf("query of %d state bytes: PrependFrameHead does not frame the state in place", len(state))
 			}
 		}
 	}
