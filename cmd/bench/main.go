@@ -6,10 +6,10 @@
 // the round-lease fast path and the protocol shootout. bench.Figures is
 // the one table of them; `bench -h` prints it.
 //
-// Every figure runs in virtual time on shootout.Sim, so its output is a
-// pure function of -seed and the scale, on any host. -duration sizes each
-// data point's op count; raise it and -clients to approach the paper's
-// 10-minute, 4096-client runs.
+// Every figure runs in virtual time on a transport.Fabric, so its output
+// is a pure function of -seed and the scale, on any host. -duration sizes
+// each data point's op count; raise it and -clients to approach the
+// paper's 10-minute, 4096-client runs.
 //
 // Usage:
 //
@@ -31,7 +31,7 @@ import (
 	"time"
 
 	"crdtsmr/internal/bench"
-	"crdtsmr/internal/shootout"
+	"crdtsmr/internal/transport"
 )
 
 func main() {
@@ -74,7 +74,7 @@ func run() error {
 		Clients:  sweep,
 		Batch:    *batch,
 		Replicas: *replicas,
-		Net:      shootout.Net{MinDelay: *minDelay, MaxDelay: *maxDelay},
+		Net:      transport.Net{MinDelay: *minDelay, MaxDelay: *maxDelay},
 		Seed:     *seed,
 	}
 

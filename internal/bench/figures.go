@@ -7,17 +7,18 @@ import (
 
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/shootout"
+	"crdtsmr/internal/transport"
 )
 
 // Scale shrinks or grows the experiments relative to the paper's setup.
-// Every figure runs in virtual time on shootout.Sim, so Duration is not a
-// wall-clock budget: it sizes each data point's op count.
+// Every figure runs in virtual time on a transport.Fabric, so Duration is
+// not a wall-clock budget: it sizes each data point's op count.
 type Scale struct {
 	Duration time.Duration // sizes each data point (paper: 10 min)
 	Clients  []int         // client sweep (paper: 1..4096)
 	Batch    time.Duration // batching window (paper: 5 ms)
 	Replicas int           // paper: 3
-	Net      shootout.Net
+	Net      transport.Net
 	Seed     int64
 }
 
@@ -69,9 +70,9 @@ func (s Scale) run(spec shootout.Spec, w shootout.Workload) (shootout.MixedStats
 // that compare protocol round-trip counts: the hops must dominate, and
 // their wide jitter is what puts replication traffic in flight while a
 // read runs.
-func (s Scale) roundTripNet() shootout.Net {
+func (s Scale) roundTripNet() transport.Net {
 	if s.Net.MaxDelay < 500*time.Microsecond {
-		return shootout.LAN()
+		return transport.LAN()
 	}
 	return s.Net
 }

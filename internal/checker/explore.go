@@ -148,7 +148,7 @@ func Explore(cfg ExploreConfig) (*ExploreResult, error) {
 	base := append([]transport.NodeID(nil), members...)
 	all := append([]transport.NodeID(nil), members...)
 	replicas := make(map[transport.NodeID]*core.Replica, cfg.Replicas)
-	conns := make(map[transport.NodeID]*transport.FabricConn, cfg.Replicas)
+	conns := make(map[transport.NodeID]transport.Conn, cfg.Replicas)
 
 	flush := func(id transport.NodeID) {
 		for _, e := range replicas[id].TakeOutbox() {

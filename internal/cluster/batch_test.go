@@ -117,22 +117,17 @@ func TestBatchMixedCommandsLinearizable(t *testing.T) {
 // TestBatchFlushSurvivesIdlePeriods checks that the flush timer keeps
 // rearming with empty batches and still serves commands afterwards.
 func TestBatchFlushSurvivesIdlePeriods(t *testing.T) {
-	mesh := transport.NewMesh()
-	defer mesh.Close()
+	fab := transport.LAN().Fabric(1)
 	cfg := testConfig(3)
 	cfg.BatchInterval = time.Millisecond
-	c, err := New(mesh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := ctxWith(t, 10*time.Second)
+	c := newStepped(t, fab, cfg)
+	ctx := context.Background()
 	n1 := c.Node("n1")
 
 	if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // many empty flush cycles
+	fab.RunFor(20 * time.Millisecond) // many empty flush cycles
 	if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
 		t.Fatal(err)
 	}

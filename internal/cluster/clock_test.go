@@ -104,16 +104,12 @@ func waitOnLoop(t *testing.T, n *Node, key string, cond func(s *shard) bool) {
 // interval leave nothing for the shard ticks to re-drive, so once the
 // traffic they caused has settled, three idle intervals send no frame.
 func TestIdleTicksSendNothing(t *testing.T) {
-	mesh := transport.NewMesh()
-	defer mesh.Close()
+	fab := transport.LAN().Fabric(1)
 	cfg := testConfig(3)
 	cfg.RetransmitInterval = 50 * time.Millisecond
-	c, err := New(mesh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := ctxWith(t, 10*time.Second)
+	cfg.Shards = 2
+	c := newStepped(t, fab, cfg)
+	ctx := context.Background()
 	for i, n := range c.Nodes() {
 		for j := 0; j < 4; j++ {
 			key := fmt.Sprintf("k%d", (i+j)%5)
@@ -125,42 +121,29 @@ func TestIdleTicksSendNothing(t *testing.T) {
 			}
 		}
 	}
-	settled := waitSettled(t, c, mesh)
-	<-time.After(3 * cfg.RetransmitInterval)
-	if st := mesh.Stats(); st.Sent != settled {
+	settled := runSettled(t, c, fab)
+	fab.RunFor(3 * cfg.RetransmitInterval)
+	if st := fab.Stats(); st.Sent != settled {
 		t.Fatalf("three idle intervals sent %d frames, want 0", st.Sent-settled)
 	}
 }
 
-// waitSettled waits until no frame is in transit, no shard of any node
-// has a request in flight or an event queued, and the frame count holds
-// still across three polls; it returns that count.
-func waitSettled(t *testing.T, c *Cluster, mesh *transport.Mesh) uint64 {
+// runSettled runs fab until no frame is in transit and no shard of any
+// node has a request in flight, and returns the frame count then.
+func runSettled(t *testing.T, c *Cluster, fab *transport.Fabric) uint64 {
 	t.Helper()
-	poll := time.NewTicker(2 * time.Millisecond)
-	defer poll.Stop()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	last, still := ^uint64(0), 0
-	for still < 3 {
-		select {
-		case <-poll.C:
-		case <-ctx.Done():
-			t.Fatal("the cluster never settled")
-		}
-		st := mesh.Stats()
-		quiet := st.Sent == st.Delivered+st.Dropped
+	settled := fab.RunUntil(func() bool {
 		for _, n := range c.Nodes() {
 			for _, s := range n.shards {
-				s.call(func() { quiet = quiet && len(s.busy) == 0 && len(s.queue()) == 0 })
+				if len(s.busy) > 0 {
+					return false
+				}
 			}
 		}
-		if quiet && st.Sent == last {
-			still++
-		} else {
-			still = 0
-		}
-		last = st.Sent
+		return fab.Pending() == 0
+	})
+	if !settled {
+		t.Fatal("the cluster never settled")
 	}
-	return last
+	return fab.Stats().Sent
 }

@@ -8,33 +8,36 @@ import (
 )
 
 // Cluster is a convenience wrapper running one Node per member over a
-// shared in-process Mesh — the deployment behind the crdtsmr facade (and
-// so the in-process examples) and the integration tests. The daemon, the
-// benchmark and examples/netcluster call NewNode per replica instead.
+// shared in-process Network — the deployment behind the crdtsmr facade
+// (and so the in-process examples) and the integration tests. The daemon,
+// the benchmark and examples/netcluster call NewNode per replica instead.
 type Cluster struct {
-	mesh  *transport.Mesh
+	net   Network
 	nodes map[transport.NodeID]*Node
 	order []transport.NodeID
 }
 
-// New starts a node for every member of cfg over the given mesh. When
+// Network is the in-process network a Cluster runs on. Its nodes run
+// their shards on goroutines and the wall clock (NewNode), or, when the
+// network is also their Clock, as a transport.Fabric is, as steps on its
+// virtual clock (NewSteppedNode), which needs an explicit cfg.Shards.
+type Network interface {
+	Join(transport.NodeID, transport.Handler) transport.Conn
+	SetDown(transport.NodeID, bool)
+}
+
+// New starts a node for every member of cfg over the given network. When
 // cfg.DataDir is set, every node persists into its own subdirectory
 // (<DataDir>/<id>), mirroring one process per replica each with its own
 // -data-dir.
-func New(mesh *transport.Mesh, cfg Config) (*Cluster, error) {
+func New(net Network, cfg Config) (*Cluster, error) {
 	c := &Cluster{
-		mesh:  mesh,
+		net:   net,
 		nodes: make(map[transport.NodeID]*Node, len(cfg.Members)),
 		order: append([]transport.NodeID(nil), cfg.Members...),
 	}
 	for _, id := range cfg.Members {
-		nodeCfg := cfg
-		if cfg.DataDir != "" {
-			nodeCfg.DataDir = filepath.Join(cfg.DataDir, string(id))
-		}
-		n, err := NewNode(id, nodeCfg, func(id transport.NodeID, h transport.Handler) transport.Conn {
-			return mesh.Join(id, h)
-		})
+		n, err := c.start(id, cfg)
 		if err != nil {
 			c.Close()
 			return nil, fmt.Errorf("cluster: start %s: %w", id, err)
@@ -44,9 +47,21 @@ func New(mesh *transport.Mesh, cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// AddNode starts a new node on the cluster's mesh as a joiner: it comes
-// up with an empty member set, refuses client commands, and serves no
-// quorums until an existing member reconfigures it in with
+// start creates node id on the cluster's network, in its own
+// subdirectory of any DataDir.
+func (c *Cluster) start(id transport.NodeID, cfg Config) (*Node, error) {
+	if cfg.DataDir != "" {
+		cfg.DataDir = filepath.Join(cfg.DataDir, string(id))
+	}
+	if clock, ok := c.net.(Clock); ok {
+		return NewSteppedNode(id, cfg, clock, c.net.Join)
+	}
+	return NewNode(id, cfg, c.net.Join)
+}
+
+// AddNode starts a new node on the cluster's network as a joiner: it
+// comes up with an empty member set, refuses client commands, and serves
+// no quorums until an existing member reconfigures it in with
 // Node.Reconfigure — which also bootstraps its per-key state from the
 // configuration pushes. cfg is the node's configuration (typically the
 // same one the cluster was created with); its Members field is ignored
@@ -57,12 +72,7 @@ func (c *Cluster) AddNode(id transport.NodeID, cfg Config) (*Node, error) {
 		return nil, fmt.Errorf("cluster: node %s already exists", id)
 	}
 	cfg.Joining = true
-	if cfg.DataDir != "" {
-		cfg.DataDir = filepath.Join(cfg.DataDir, string(id))
-	}
-	n, err := NewNode(id, cfg, func(id transport.NodeID, h transport.Handler) transport.Conn {
-		return c.mesh.Join(id, h)
-	})
+	n, err := c.start(id, cfg)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: add %s: %w", id, err)
 	}
@@ -71,7 +81,7 @@ func (c *Cluster) AddNode(id transport.NodeID, cfg Config) (*Node, error) {
 	return n, nil
 }
 
-// RemoveNode stops the named node and detaches it from the mesh. The
+// RemoveNode stops the named node and detaches it from the network. The
 // caller is expected to have reconfigured it out of the member set first
 // (Node.Reconfigure on a survivor); removing a current member is a crash,
 // which the protocol tolerates but the operator presumably did not mean.
@@ -104,26 +114,31 @@ func (c *Cluster) Nodes() []*Node {
 	return out
 }
 
-// Crash simulates a crash of the named node: the mesh drops its traffic
-// and the node fails its commands. Internal state is retained
-// (crash-recovery model, §2.1). The survivors drop their digest/delta
-// transfer caches about the crashed node — peer-down is the signal that
-// bounds how stale those caches can get.
+// Crash simulates a crash of the named node: the network drops its
+// traffic and the node fails its commands. Internal state is retained
+// (crash-recovery model, §2.1). The survivors, in member order, drop
+// their digest/delta transfer caches about the crashed node — peer-down
+// is the signal that bounds how stale those caches can get.
 func (c *Cluster) Crash(id transport.NodeID) {
-	c.mesh.SetDown(id, true)
+	c.net.SetDown(id, true)
 	if n := c.nodes[id]; n != nil {
 		n.SetCrashed(true)
 	}
-	for oid, n := range c.nodes {
+	c.forget(id)
+}
+
+// forget has every other node, in member order, drop its caches about id.
+func (c *Cluster) forget(id transport.NodeID) {
+	for _, oid := range c.order {
 		if oid != id {
-			n.ForgetPeer(id)
+			c.nodes[oid].ForgetPeer(id)
 		}
 	}
 }
 
 // Recover brings a crashed node back with its retained state.
 func (c *Cluster) Recover(id transport.NodeID) {
-	c.mesh.SetDown(id, false)
+	c.net.SetDown(id, false)
 	if n := c.nodes[id]; n != nil {
 		n.SetCrashed(false)
 	}
@@ -143,21 +158,19 @@ func (c *Cluster) Restart(id transport.NodeID) error {
 	if n == nil {
 		return fmt.Errorf("cluster: restart of unknown node %s", id)
 	}
-	for oid, o := range c.nodes {
-		if oid != id {
-			o.ForgetPeer(id)
-		}
-	}
+	c.forget(id)
 	if err := n.Restart(); err != nil {
 		return err
 	}
-	c.mesh.SetDown(id, false)
+	c.net.SetDown(id, false)
 	return nil
 }
 
-// Close stops every node.
+// Close stops every node, in member order.
 func (c *Cluster) Close() {
-	for _, n := range c.nodes {
-		_ = n.Close()
+	for _, id := range c.order {
+		if n := c.nodes[id]; n != nil {
+			_ = n.Close()
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -32,6 +33,22 @@ func testConfig(n int) Config {
 		Options:            core.DefaultOptions(),
 		RetransmitInterval: 20 * time.Millisecond,
 	}
+}
+
+// newStepped starts cfg's cluster on fab, its nodes stepped on the
+// fabric's clock with one shard each unless cfg sets Shards, and closes it
+// with the test. Its blocking calls run the fabric until they complete.
+func newStepped(t *testing.T, fab *transport.Fabric, cfg Config) *Cluster {
+	t.Helper()
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
+	c, err := New(fab, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Close)
+	return c
 }
 
 func incSelf(n *Node) crdt.Update {
@@ -262,16 +279,10 @@ func TestClusterCrashRecoveryKeepsState(t *testing.T) {
 }
 
 func TestClusterLossyNetwork(t *testing.T) {
-	mesh := transport.NewMesh(transport.WithLoss(0.15), transport.WithSeed(11))
-	defer mesh.Close()
 	cfg := testConfig(3)
 	cfg.RetransmitInterval = 10 * time.Millisecond
-	c, err := New(mesh, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := ctxWith(t, 30*time.Second)
+	c := newStepped(t, transport.Net{Loss: 0.15}.Fabric(11), cfg)
+	ctx := context.Background()
 
 	n1, n2 := c.Node("n1"), c.Node("n2")
 	for i := 0; i < 10; i++ {
@@ -365,22 +376,17 @@ func TestClusterContextCancel(t *testing.T) {
 }
 
 func TestClusterQueryStatsPaths(t *testing.T) {
-	mesh := transport.NewMesh()
-	defer mesh.Close()
-	c, err := New(mesh, testConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	ctx := ctxWith(t, 10*time.Second)
+	fab := transport.LAN().Fabric(1)
+	c := newStepped(t, fab, testConfig(3))
+	ctx := context.Background()
 
 	n1 := c.Node("n1")
 	if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
 		t.Fatal(err)
 	}
-	// Give the third MERGE a moment to land everywhere, then a quiet-state
-	// query must use the consistent-quorum fast path.
-	time.Sleep(50 * time.Millisecond)
+	// Let the third MERGE land everywhere, then a quiet-state query must
+	// use the consistent-quorum fast path.
+	fab.RunFor(50 * time.Millisecond)
 	_, stats, err := n1.Query(ctx)
 	if err != nil {
 		t.Fatal(err)
@@ -427,78 +433,105 @@ func TestNewClusterRejectsBadConfig(t *testing.T) {
 // switch; reads of such keys subtract its value, padSlots.
 const padSlots = 128
 
-// TestClusterStateSizes runs a mixed workload over the mesh below and
-// above the replica wire's size switch and requires identical
+// stateSizes are TestClusterStateSizes's two initial payloads, below and
+// above the replica wire's size switch.
+var stateSizes = []struct {
+	name    string
+	initial *crdt.GCounter
+}{{"small", crdt.NewGCounter()}, {"large", checker.PaddedCounter(padSlots)}}
+
+// TestClusterStateSizes runs a mixed workload over a stepped cluster below
+// and above the replica wire's size switch and requires identical
 // linearizable results, with the fast-path counters proving which frames
 // were used, and a crash/recover cycle (which drops the survivors' digest
 // caches via ForgetPeer) surviving on both sides.
 func TestClusterStateSizes(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		initial *crdt.GCounter
-	}{{"small", crdt.NewGCounter()}, {"large", checker.PaddedCounter(padSlots)}} {
+	for _, tc := range stateSizes {
+		t.Run(tc.name, func(t *testing.T) { runStateSizes(t, tc.initial, 5) })
+	}
+}
+
+// TestClusterStateSizesReplays: a stepped cluster is a pure function of
+// its seed, so two runs of TestClusterStateSizes's scenario give the same
+// transcript — every op's result and stats, the virtual end time and
+// Fabric.Stats(). Crash's ForgetPeer fan-out walking the node map would
+// break it.
+func TestClusterStateSizesReplays(t *testing.T) {
+	for _, tc := range stateSizes {
 		t.Run(tc.name, func(t *testing.T) {
-			mesh := transport.NewMesh(transport.WithSeed(5))
-			defer mesh.Close()
-			cfg := testConfig(3)
-			cfg.Initial = tc.initial
-			offset := tc.initial.Value()
-			c, err := New(mesh, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-
-			ctx := ctxWith(t, 20*time.Second)
-			n1, n2, n3 := c.Node("n1"), c.Node("n2"), c.Node("n3")
-			for i := 0; i < 6; i++ {
-				if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
-					t.Fatal(err)
-				}
-				if s, _, err := n2.Query(ctx); err != nil {
-					t.Fatal(err)
-				} else if v := s.(*crdt.GCounter).Value() - offset; v != uint64(i+1) {
-					t.Fatalf("read %d after %d updates", v, i+1)
-				}
-			}
-
-			// Crash n3 (survivors forget it), keep working, recover, and
-			// require it to catch up and serve.
-			c.Crash("n3")
-			if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
-				t.Fatal(err)
-			}
-			c.Recover("n3")
-			var v uint64
-			deadline := time.Now().Add(10 * time.Second)
-			for {
-				s, _, err := n3.Query(ctx)
-				if err == nil {
-					v = s.(*crdt.GCounter).Value() - offset
-					break
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("n3 never recovered: %v", err)
-				}
-				time.Sleep(10 * time.Millisecond)
-			}
-			if v != 7 {
-				t.Fatalf("recovered read = %d, want 7", v)
-			}
-
-			counters := n1.Counters()
-			counters.Add(n2.Counters())
-			counters.Add(n3.Counters())
-			if offset == 0 {
-				if counters.DigestReplies != 0 || counters.DeltaMerges != 0 || counters.DigestMerges != 0 {
-					t.Fatalf("a small state used digest frames: %+v", counters)
-				}
-			} else if counters.DigestReplies == 0 || counters.DeltaMerges == 0 {
-				t.Fatalf("large-state fast paths unused: digestReplies=%d deltaMerges=%d",
-					counters.DigestReplies, counters.DeltaMerges)
+			if a, b := runStateSizes(t, tc.initial, 5), runStateSizes(t, tc.initial, 5); a != b {
+				t.Fatalf("two runs of seed 5 differ:\n%s\n---\n%s", a, b)
 			}
 		})
 	}
+}
+
+// runStateSizes runs TestClusterStateSizes's scenario from seed and
+// returns its transcript.
+func runStateSizes(t *testing.T, initial *crdt.GCounter, seed int64) string {
+	t.Helper()
+	fab := transport.LAN().Fabric(seed)
+	cfg := testConfig(3)
+	cfg.Initial = initial
+	offset := initial.Value()
+	c := newStepped(t, fab, cfg)
+	var out strings.Builder
+	ctx := context.Background()
+	n1, n2, n3 := c.Node("n1"), c.Node("n2"), c.Node("n3")
+	for i := 0; i < 6; i++ {
+		ust, err := n1.Update(ctx, incSelf(n1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s, qst, err := n2.Query(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := s.(*crdt.GCounter).Value() - offset
+		if v != uint64(i+1) {
+			t.Fatalf("read %d after %d updates", v, i+1)
+		}
+		fmt.Fprintf(&out, "update %+v, read %d %+v at %v\n", ust, v, qst, fab.Now())
+	}
+
+	// Crash n3 (survivors forget it), keep working, recover, and require
+	// it to catch up and serve.
+	c.Crash("n3")
+	if _, err := n1.Update(ctx, incSelf(n1)); err != nil {
+		t.Fatal(err)
+	}
+	c.Recover("n3")
+	var v uint64
+	deadline := fab.Now() + 10*time.Second
+	for {
+		s, _, err := n3.Query(ctx)
+		if err == nil {
+			v = s.(*crdt.GCounter).Value() - offset
+			break
+		}
+		if fab.Now() > deadline {
+			t.Fatalf("n3 never recovered: %v", err)
+		}
+		fmt.Fprintf(&out, "n3 read: %v at %v\n", err, fab.Now())
+		fab.RunFor(10 * time.Millisecond)
+	}
+	if v != 7 {
+		t.Fatalf("recovered read = %d, want 7", v)
+	}
+
+	counters := n1.Counters()
+	counters.Add(n2.Counters())
+	counters.Add(n3.Counters())
+	if offset == 0 {
+		if counters.DigestReplies != 0 || counters.DeltaMerges != 0 || counters.DigestMerges != 0 {
+			t.Fatalf("a small state used digest frames: %+v", counters)
+		}
+	} else if counters.DigestReplies == 0 || counters.DeltaMerges == 0 {
+		t.Fatalf("large-state fast paths unused: digestReplies=%d deltaMerges=%d",
+			counters.DigestReplies, counters.DeltaMerges)
+	}
+	fmt.Fprintf(&out, "n3 read %d\ncounters %+v\nend %v\nstats %+v\n", v, counters, fab.Now(), fab.Stats())
+	return out.String()
 }
 
 // TestHandleInboundNeverBlocks is the regression test for the

@@ -26,8 +26,10 @@
 // Node.Mutation is the one mutation table: it turns a named mutation
 // ("inc", "add", ...) into the update function a front end then submits,
 // and it owns the node's one or-set tag counter. Cluster starts n nodes
-// over one in-process Mesh for the crdtsmr facade and the tests; the
-// daemon, the benchmark and examples/netcluster call NewNode per node.
+// over one in-process network: a Mesh for the crdtsmr facade and the
+// tests, or a transport.Fabric, whose nodes step on its virtual clock,
+// for the shootout figures and the tests that must replay; the daemon,
+// the benchmark and examples/netcluster call NewNode per node.
 //
 // Durable nodes (Config.DataDir) decouple disk latency from the loops:
 // each shard's group commit writes snapshots in batches
@@ -41,6 +43,6 @@
 // gives each shard a goroutine with wall-clock timers, plus a persister
 // goroutine when durable; it is the only code that starts a timer.
 // NewSteppedNode's stepDriver runs the same steps inline on a virtual
-// Clock and reads no wall clock: the shootout figures run on it.
+// Clock (a transport.Fabric) and reads no wall clock.
 // Node.ForgetPeer clears what existing replicas hold about a peer.
 package cluster

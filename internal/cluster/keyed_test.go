@@ -482,6 +482,6 @@ func TestClusterCloseLeavesNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, %d before start:\n%s",
 				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
 		}
-		time.Sleep(5 * time.Millisecond)
+		runtime.Gosched()
 	}
 }

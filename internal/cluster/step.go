@@ -8,12 +8,14 @@ import (
 	"crdtsmr/internal/transport"
 )
 
-// Clock is the virtual clock of a stepped node (NewSteppedNode). Its
-// methods, and the node's, run on the simulation's one goroutine.
+// Clock is the virtual clock of a stepped node (NewSteppedNode), as a
+// transport.Fabric keeps one. Its methods, and the node's, run on the
+// simulation's one goroutine.
 type Clock interface {
 	Now() time.Duration
-	// Schedule runs fn once, as a simulation event, d after Now.
-	Schedule(d time.Duration, fn func())
+	// Schedule runs fn once, as a simulation event, d after Now; stop
+	// cancels it.
+	Schedule(d time.Duration, fn func()) (stop func())
 	// RunUntil runs events until done reports true, and reports whether it
 	// did. The node's blocking methods (UpdateKey, Reconfigure, ...) wait
 	// with it, so only SubmitUpdate and SubmitQuery may run in an event.
@@ -26,7 +28,7 @@ type Clock interface {
 // caller's goroutine: a group commit waits cfg.PersistWriteDelay of
 // virtual time, and the node reads no wall clock. cfg.Shards must be set
 // (its default follows the host), and join must deliver on the same
-// goroutine, as a transport.Fabric does.
+// goroutine, as a transport.Fabric does. New builds these on a Fabric.
 func NewSteppedNode(id transport.NodeID, cfg Config, clock Clock, join func(transport.NodeID, transport.Handler) transport.Conn) (*Node, error) {
 	if cfg.Shards <= 0 {
 		return nil, errors.New("cluster: a stepped node needs an explicit Shards")

@@ -59,7 +59,7 @@ func TestEventualLivenessAfterFiniteUpdates(t *testing.T) {
 		fabric := transport.NewFabric(seed)
 		members := []transport.NodeID{"n1", "n2", "n3", "n4", "n5"}
 		reps := make(map[transport.NodeID]*Replica, len(members))
-		conns := make(map[transport.NodeID]*transport.FabricConn, len(members))
+		conns := make(map[transport.NodeID]transport.Conn, len(members))
 		flush := func(id transport.NodeID) {
 			for _, e := range reps[id].TakeOutbox() {
 				conns[id].Send(e.To, e.Payload)

@@ -209,7 +209,7 @@ type glaFabric struct {
 	fab   *transport.Fabric
 	ids   []transport.NodeID
 	reps  map[transport.NodeID]*Replica
-	conns map[transport.NodeID]*transport.FabricConn
+	conns map[transport.NodeID]transport.Conn
 }
 
 func newGLAFabric(t *testing.T, n int, seed int64, onLearn func(transport.NodeID, CmdSet)) *glaFabric {
@@ -217,7 +217,7 @@ func newGLAFabric(t *testing.T, n int, seed int64, onLearn func(transport.NodeID
 	g := &glaFabric{
 		fab:   transport.NewFabric(seed),
 		reps:  make(map[transport.NodeID]*Replica),
-		conns: make(map[transport.NodeID]*transport.FabricConn),
+		conns: make(map[transport.NodeID]transport.Conn),
 	}
 	members := make([]transport.NodeID, n)
 	for i := range members {

@@ -12,6 +12,7 @@ import (
 	"crdtsmr/internal/checker"
 	"crdtsmr/internal/rsm"
 	"crdtsmr/internal/shootout"
+	"crdtsmr/internal/transport"
 )
 
 func paxosSpec(t *testing.T) shootout.Spec {
@@ -32,7 +33,7 @@ func TestPaxosLinearizableUnderLossAndDuplication(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		net := shootout.LAN()
+		net := transport.LAN()
 		net.Loss, net.Dup = 0.15, 0.15
 		res, err := shootout.Conform(paxosSpec(t), shootout.ConformConfig{
 			Seed: seed, Replicas: 3, Ops: 60, Net: net,
@@ -56,7 +57,7 @@ func TestPaxosLinearizableUnderPartitions(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, seed := range []int64{10, 11, 12} {
-		net := shootout.LAN()
+		net := transport.LAN()
 		net.Loss = 0.05
 		res, err := shootout.Conform(paxosSpec(t), shootout.ConformConfig{
 			Seed: seed, Replicas: 3, Ops: 80, Net: net, Partitions: 2,
@@ -75,7 +76,7 @@ func TestPaxosLinearizableUnderPartitions(t *testing.T) {
 // run every pair of replica logs is prefix-consistent (no divergence).
 func TestPaxosSameSeedSameDecisions(t *testing.T) {
 	run := func() *shootout.ConformResult {
-		net := shootout.LAN()
+		net := transport.LAN()
 		net.Loss, net.Dup = 0.1, 0.1
 		res, err := shootout.Conform(paxosSpec(t), shootout.ConformConfig{
 			Seed: 42, Replicas: 3, Ops: 50, Net: net,

@@ -11,6 +11,7 @@ import (
 
 	"crdtsmr/internal/checker"
 	"crdtsmr/internal/shootout"
+	"crdtsmr/internal/transport"
 )
 
 func raftSpec(t *testing.T) shootout.Spec {
@@ -31,7 +32,7 @@ func TestRaftLinearizableUnderLossAndDuplication(t *testing.T) {
 		seeds = seeds[:2]
 	}
 	for _, seed := range seeds {
-		net := shootout.LAN()
+		net := transport.LAN()
 		net.Loss, net.Dup = 0.15, 0.15
 		res, err := shootout.Conform(raftSpec(t), shootout.ConformConfig{
 			Seed: seed, Replicas: 3, Ops: 60, Net: net,
@@ -55,7 +56,7 @@ func TestRaftLinearizableUnderPartitions(t *testing.T) {
 		t.Skip("short mode")
 	}
 	for _, seed := range []int64{10, 11, 12} {
-		net := shootout.LAN()
+		net := transport.LAN()
 		net.Loss = 0.05
 		res, err := shootout.Conform(raftSpec(t), shootout.ConformConfig{
 			Seed: seed, Replicas: 3, Ops: 80, Net: net, Partitions: 2,
@@ -74,7 +75,7 @@ func TestRaftLinearizableUnderPartitions(t *testing.T) {
 // run every pair of replica logs is prefix-consistent (no divergence).
 func TestRaftSameSeedSameDecisions(t *testing.T) {
 	run := func() *shootout.ConformResult {
-		net := shootout.LAN()
+		net := transport.LAN()
 		net.Loss, net.Dup = 0.1, 0.1
 		res, err := shootout.Conform(raftSpec(t), shootout.ConformConfig{
 			Seed: 42, Replicas: 3, Ops: 50, Net: net,

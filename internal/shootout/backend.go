@@ -41,9 +41,10 @@ var ErrOpTimeout = errors.New("shootout: operation timed out")
 // cluster.ErrUnavailable for one submitted or batched there.
 var ErrCrashed = errors.New("shootout: replica crashed")
 
-// Backend is one protocol wired into a Sim: n replicas joined to the
-// fabric, exposing the shared keyed counter/or-set workload surface. Done
-// callbacks fire inside the event loop, exactly once. Keys follow
+// Backend is one protocol wired into a delay-mode transport.Fabric: n
+// replicas joined to it and timed by its clock, exposing the shared keyed
+// counter/or-set workload surface. Done callbacks fire inside the event
+// loop, exactly once. Keys follow
 // server.TypedKeyInitial's rule: set keys start with "or-set/", and any
 // other key is a counter. Write errors mean
 // "fate unknown" unless the backend documents otherwise; reads are
@@ -64,10 +65,11 @@ type AppliedLogger interface {
 	AppliedLog(replica int) []string
 }
 
-// Spec names a backend constructor for sweeps.
+// Spec names a backend constructor for sweeps. New derives any seeded
+// choice of its own, such as election jitter, from seed.
 type Spec struct {
 	Name string
-	New  func(s *Sim, n int) (Backend, error)
+	New  func(f *transport.Fabric, seed int64, n int) (Backend, error)
 }
 
 // Specs returns every raced configuration: the paper's protocol (default

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"crdtsmr/internal/checker"
+	"crdtsmr/internal/transport"
 )
 
 // ConformConfig parameterizes one conformance run: Ops operations on a
@@ -16,7 +17,7 @@ type ConformConfig struct {
 	Replicas int
 	Ops      int
 	ReadFrac float64 // fraction of ops that are reads (default 0.5)
-	Net      Net
+	Net      transport.Net
 
 	// Partitions > 0 inserts that many partition episodes into the run:
 	// a rotating minority is cut off from the rest for partitionFor, then
@@ -56,8 +57,8 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 	if cfg.ReadFrac == 0 {
 		cfg.ReadFrac = 0.5
 	}
-	sim := NewSim(cfg.Seed, cfg.Net)
-	backend, err := spec.New(sim, cfg.Replicas)
+	fab := cfg.Net.Fabric(cfg.Seed)
+	backend, err := spec.New(fab, cfg.Seed, cfg.Replicas)
 	if err != nil {
 		return nil, err
 	}
@@ -76,7 +77,7 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 		at := settleTime + time.Duration(i)*gap
 		replica := rng.Intn(cfg.Replicas)
 		isRead := rng.Float64() < cfg.ReadFrac
-		sim.After(at-sim.Now(), func() {
+		fab.Schedule(at-fab.Now(), func() {
 			if isRead {
 				id := hist.Begin(checker.OpRead)
 				backend.Read(replica, key, func(val int64, err error) {
@@ -119,7 +120,7 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 				cut = append(cut, members[(lo+k)%cfg.Replicas])
 			}
 		}
-		sim.After(at-sim.Now(), func() {
+		fab.Schedule(at-fab.Now(), func() {
 			for _, a := range cut {
 				for _, m := range members {
 					in := false
@@ -129,16 +130,16 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 						}
 					}
 					if !in {
-						sim.Fab.Block(a, m)
-						sim.Fab.Block(m, a)
+						fab.Block(a, m)
+						fab.Block(m, a)
 					}
 				}
 			}
-			sim.After(partitionFor, func() {
+			fab.Schedule(partitionFor, func() {
 				for _, a := range cut {
 					for _, m := range members {
-						sim.Fab.Unblock(a, m)
-						sim.Fab.Unblock(m, a)
+						fab.Unblock(a, m)
+						fab.Unblock(m, a)
 					}
 				}
 			})
@@ -146,17 +147,17 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 	}
 
 	// Drain: every op settles by its OpTimeout guard, so this terminates.
-	if !sim.RunUntilDone(virtualCap, func() bool { return settled == cfg.Ops }) {
+	if !fab.RunUntil(func() bool { return settled == cfg.Ops }) {
 		return nil, fmt.Errorf("%s: conform run stalled (%d/%d ops settled)", spec.Name, settled, cfg.Ops)
 	}
 	// Quiesce past any last partition heal and in-flight retransmissions.
-	sim.RunUntil(sim.Now() + 2*LeaseDuration)
+	fab.RunFor(2 * LeaseDuration)
 
 	// Final sequential reads, one per replica, each completing before the
 	// next begins — these join the history, so the checker also enforces
 	// that post-quiescence reads are mutually consistent with everything.
 	for r := 0; r < cfg.Replicas; r++ {
-		val, err := finalRead(sim, backend, hist, r, key)
+		val, err := finalRead(fab, backend, hist, r, key)
 		if err != nil {
 			return nil, fmt.Errorf("%s: final read at replica %d: %w", spec.Name, r, err)
 		}
@@ -172,9 +173,9 @@ func Conform(spec Spec, cfg ConformConfig) (*ConformResult, error) {
 	return res, nil
 }
 
-// finalRead issues one read and runs the sim until it settles, retrying a
+// finalRead issues one read and runs the fabric until it settles, retrying a
 // few times (bounded) on error — by quiescence reads should succeed.
-func finalRead(sim *Sim, backend Backend, hist *checker.History, replica int, key string) (int64, error) {
+func finalRead(fab *transport.Fabric, backend Backend, hist *checker.History, replica int, key string) (int64, error) {
 	var lastErr error
 	for attempt := 0; attempt < 5; attempt++ {
 		done := false
@@ -184,7 +185,7 @@ func finalRead(sim *Sim, backend Backend, hist *checker.History, replica int, ke
 		backend.Read(replica, key, func(v int64, err error) {
 			done, val, opErr = true, v, err
 		})
-		if !sim.RunUntilDone(virtualCap, func() bool { return done }) {
+		if !fab.RunUntil(func() bool { return done }) {
 			hist.Discard(id)
 			return 0, fmt.Errorf("read stalled")
 		}
@@ -194,7 +195,7 @@ func finalRead(sim *Sim, backend Backend, hist *checker.History, replica int, ke
 		}
 		hist.Discard(id)
 		lastErr = opErr
-		sim.RunUntil(sim.Now() + 2*ElectionTimeout)
+		fab.RunFor(2 * ElectionTimeout)
 	}
 	return 0, lastErr
 }

@@ -2,7 +2,6 @@ package shootout
 
 import (
 	"context"
-	"path/filepath"
 	"time"
 
 	"crdtsmr/internal/cluster"
@@ -16,29 +15,24 @@ import (
 // CRDTSpec races the paper's protocol with opts, with §3.6 batching
 // (cluster.Config.BatchInterval) when batch is positive.
 func CRDTSpec(opts core.Options, batch time.Duration) Spec {
-	return Spec{Name: "crdtsmr", New: func(s *Sim, n int) (Backend, error) {
-		return newCRDTBackend(s, n, cluster.Config{Options: opts, BatchInterval: batch})
+	return Spec{Name: "crdtsmr", New: func(f *transport.Fabric, _ int64, n int) (Backend, error) {
+		return newCRDTBackend(f, n, cluster.Config{Options: opts, BatchInterval: batch})
 	}}
 }
 
-// crdtBackend races the paper's protocol on crdtsmrd's runtime: one
-// cluster.Node per replica, stepped on the Sim's clock over a FabricConn,
-// with server.TypedKeyInitial's key rule.
+// crdtBackend races the paper's protocol on crdtsmrd's runtime: a
+// cluster.Cluster over the fabric, so one cluster.Node per replica stepped
+// on the fabric's clock, with server.TypedKeyInitial's key rule.
 type crdtBackend struct {
-	sim   *Sim
+	fab   *transport.Fabric
+	c     *cluster.Cluster
 	nodes []*cluster.Node
 	rtts  map[int]int // client reads answered, by the round trips their query took
 }
 
-// simClock runs stepped nodes on a Sim.
-type simClock struct{ *Sim }
-
-func (c simClock) Schedule(d time.Duration, fn func()) { c.After(d, fn) }
-func (c simClock) RunUntil(done func() bool) bool      { return c.RunUntilDone(c.Now()+virtualCap, done) }
-
 // newCRDTBackend starts n stepped nodes from cfg, one shard each unless it
-// sets Shards, each in its own subdirectory of any DataDir (as cluster.New).
-func newCRDTBackend(s *Sim, n int, cfg cluster.Config) (*crdtBackend, error) {
+// sets Shards.
+func newCRDTBackend(f *transport.Fabric, n int, cfg cluster.Config) (*crdtBackend, error) {
 	cfg.Members = Members(n)
 	cfg.Initial = crdt.NewGCounter()
 	cfg.InitialForKey = server.TypedKeyInitial(crdt.TypeGCounter)
@@ -46,39 +40,29 @@ func newCRDTBackend(s *Sim, n int, cfg cluster.Config) (*crdtBackend, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	b := &crdtBackend{sim: s, rtts: make(map[int]int)}
-	for _, id := range cfg.Members {
-		nodeCfg := cfg
-		if cfg.DataDir != "" {
-			nodeCfg.DataDir = filepath.Join(cfg.DataDir, string(id))
-		}
-		node, err := cluster.NewSteppedNode(id, nodeCfg, simClock{s}, func(id transport.NodeID, h transport.Handler) transport.Conn {
-			return s.Fab.Join(id, h)
-		})
-		if err != nil {
-			return nil, err
-		}
-		b.nodes = append(b.nodes, node)
+	c, err := cluster.New(f, cfg)
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	return &crdtBackend{fab: f, c: c, nodes: c.Nodes(), rtts: make(map[int]int)}, nil
 }
 
 // submit runs one op at replica, a query when fu is nil; done fires once,
 // with its outcome or, if OpTimeout passes first, ErrOpTimeout.
 func (b *crdtBackend) submit(replica int, key string, fu crdt.Update, done func(crdt.State, error)) {
 	settled := false
-	var guard *Timer
+	var stopGuard func()
 	settle := func(st crdt.State, stats core.QueryStats, err error) {
 		if !settled {
 			settled = true
-			guard.Stop()
+			stopGuard()
 			if err == nil && fu == nil {
 				b.rtts[stats.RoundTrips]++
 			}
 			done(st, err)
 		}
 	}
-	guard = b.sim.After(OpTimeout, func() { settle(nil, core.QueryStats{}, ErrOpTimeout) })
+	stopGuard = b.fab.Schedule(OpTimeout, func() { settle(nil, core.QueryStats{}, ErrOpTimeout) })
 	node, ctx := b.nodes[replica], context.Background()
 	var err error
 	if fu == nil {

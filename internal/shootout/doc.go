@@ -4,15 +4,15 @@
 // workload over one latency-emulated transport.Fabric.
 //
 // Everything runs in virtual time: the fabric stamps per-message delivery
-// deadlines from the seeded rng, a deterministic event loop (Sim)
-// interleaves message deliveries with protocol timers, and every latency,
+// deadlines from the seeded rng, its deterministic event loop interleaves
+// message deliveries with protocol timers, and every latency,
 // throughput, or wire-byte figure is a pure function of the seed. That
 // makes the numbers latency-bound rather than CPU-bound, so CI can assert
 // cross-protocol ratios on a one-core box without flaking. There is no CPU
 // model: an op costs only its message hops.
 //
-// The paper's protocol runs on the node runtime crdtsmrd runs: each
-// replica is a cluster.Node stepped on the Sim's clock
+// The paper's protocol runs on the node runtime crdtsmrd runs: a
+// cluster.Cluster over the fabric, whose nodes step on the fabric's clock
 // (cluster.NewSteppedNode), so the figures measure its shards, retransmit
 // tick, batch cadence and, with a DataDir, its group commit.
 //

@@ -23,7 +23,7 @@ import (
 //	a:<key>:<elem>:<node>:<seq>
 //	r:<node>:<seq>
 type glaBackend struct {
-	sim   *Sim
+	fab   *transport.Fabric
 	nodes []*glaNode
 }
 
@@ -42,8 +42,8 @@ type glaOp struct {
 	fire    func(learned gla.CmdSet)
 }
 
-func newGLABackend(s *Sim, n int) (Backend, error) {
-	b := &glaBackend{sim: s}
+func newGLABackend(f *transport.Fabric, _ int64, n int) (Backend, error) {
+	b := &glaBackend{fab: f}
 	members := Members(n)
 	for _, id := range members {
 		node := &glaNode{b: b, id: id}
@@ -52,7 +52,7 @@ func newGLABackend(s *Sim, n int) (Backend, error) {
 			return nil, err
 		}
 		node.rep = rep
-		node.conn = s.Fab.Join(id, func(from transport.NodeID, payload []byte) {
+		node.conn = f.Join(id, func(from transport.NodeID, payload []byte) {
 			node.rep.Deliver(from, payload)
 			node.flush()
 		})
@@ -63,7 +63,7 @@ func newGLABackend(s *Sim, n int) (Backend, error) {
 }
 
 func (b *glaBackend) scheduleRetransmit(node *glaNode) {
-	b.sim.After(RetransmitEvery, func() {
+	b.fab.Schedule(RetransmitEvery, func() {
 		if node.rep.InFlight() {
 			node.rep.Retransmit()
 			node.flush()
@@ -106,7 +106,7 @@ func (node *glaNode) onLearn(val gla.CmdSet, _ uint64) {
 func (node *glaNode) submit(cmd string, fire func(gla.CmdSet), fail func(error)) {
 	op := &glaOp{cmd: cmd, fire: fire}
 	node.pending = append(node.pending, op)
-	node.b.sim.After(OpTimeout, func() {
+	node.b.fab.Schedule(OpTimeout, func() {
 		if !op.settled {
 			op.settled = true
 			fail(ErrOpTimeout) // the command may still be learned later

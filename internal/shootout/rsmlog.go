@@ -20,24 +20,23 @@ var epoch = time.Unix(0, 0)
 // election timer with seeded jitter, heartbeat cadence, and outbox flushing
 // after every replica interaction.
 type logNode struct {
-	sim   *Sim
+	fab   *transport.Fabric
 	id    transport.NodeID
 	rep   rsm.Replica
 	rec   *rsm.Recorder
 	store *rsm.Store
 	conn  transport.Conn
 	rng   *rand.Rand
-	elect *Timer
+	elect func() // stops the election timer
 	down  bool
 }
 
 type logBackend struct {
-	sim   *Sim
 	nodes []*logNode
 }
 
-func newPaxosBackend(s *Sim, n int) (Backend, error) {
-	return newLogBackend(s, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (rsm.Replica, error) {
+func newPaxosBackend(f *transport.Fabric, seed int64, n int) (Backend, error) {
+	return newLogBackend(f, seed, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (rsm.Replica, error) {
 		rep, err := paxos.NewReplica(id, members, sm)
 		if err != nil {
 			return nil, err
@@ -47,15 +46,18 @@ func newPaxosBackend(s *Sim, n int) (Backend, error) {
 	})
 }
 
-func newRaftBackend(s *Sim, n int) (Backend, error) {
-	return newLogBackend(s, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (rsm.Replica, error) {
+func newRaftBackend(f *transport.Fabric, seed int64, n int) (Backend, error) {
+	return newLogBackend(f, seed, n, func(id transport.NodeID, members []transport.NodeID, sm rsm.StateMachine) (rsm.Replica, error) {
 		return raft.NewReplica(id, members, sm)
 	})
 }
 
-func newLogBackend(s *Sim, n int, mk func(transport.NodeID, []transport.NodeID, rsm.StateMachine) (rsm.Replica, error)) (Backend, error) {
-	b := &logBackend{sim: s}
+func newLogBackend(f *transport.Fabric, seed int64, n int, mk func(transport.NodeID, []transport.NodeID, rsm.StateMachine) (rsm.Replica, error)) (Backend, error) {
+	b := &logBackend{}
 	members := Members(n)
+	// A stream apart from the fabric's keeps election jitter decoupled
+	// from message-delay draws.
+	seeds := rand.New(rand.NewSource(seed ^ 0x5f00d))
 	for _, id := range members {
 		store := rsm.NewStore()
 		rec := rsm.NewRecorder(store)
@@ -64,18 +66,18 @@ func newLogBackend(s *Sim, n int, mk func(transport.NodeID, []transport.NodeID, 
 			return nil, err
 		}
 		node := &logNode{
-			sim:   s,
+			fab:   f,
 			id:    id,
 			rep:   rep,
 			rec:   rec,
 			store: store,
-			rng:   rand.New(rand.NewSource(s.Rng().Int63())),
+			rng:   rand.New(rand.NewSource(seeds.Int63())),
 		}
-		node.conn = s.Fab.Join(id, func(from transport.NodeID, payload []byte) {
+		node.conn = f.Join(id, func(from transport.NodeID, payload []byte) {
 			if node.down {
 				return
 			}
-			if node.rep.Deliver(from, payload, epoch.Add(s.Now())) {
+			if node.rep.Deliver(from, payload, epoch.Add(f.Now())) {
 				node.resetElection()
 			}
 			node.flush()
@@ -97,11 +99,13 @@ func (n *logNode) flush() {
 }
 
 func (n *logNode) resetElection() {
-	n.elect.Stop()
+	if n.elect != nil {
+		n.elect()
+	}
 	d := ElectionTimeout + time.Duration(n.rng.Int63n(int64(ElectionTimeout)))
-	n.elect = n.sim.After(d, func() {
+	n.elect = n.fab.Schedule(d, func() {
 		if !n.down {
-			n.rep.ElectionTimeout(epoch.Add(n.sim.Now()))
+			n.rep.ElectionTimeout(epoch.Add(n.fab.Now()))
 			n.rep.FailForwards()
 			n.flush()
 		}
@@ -110,9 +114,9 @@ func (n *logNode) resetElection() {
 }
 
 func (n *logNode) scheduleHeartbeat() {
-	n.sim.After(HeartbeatInterval, func() {
+	n.fab.Schedule(HeartbeatInterval, func() {
 		if !n.down {
-			n.rep.HeartbeatTick(epoch.Add(n.sim.Now()))
+			n.rep.HeartbeatTick(epoch.Add(n.fab.Now()))
 			n.flush()
 		}
 		n.scheduleHeartbeat()
@@ -127,7 +131,7 @@ func (n *logNode) scheduleHeartbeat() {
 // try-timeout surfaces to the caller, because the command may still
 // commit. Reads have no effects and retry freely until the op deadline.
 func (n *logNode) execute(cmd []byte, read bool, done func([]byte, error)) {
-	deadline := n.sim.Now() + OpTimeout
+	deadline := n.fab.Now() + OpTimeout
 	n.attempt(cmd, read, deadline, done)
 }
 
@@ -137,14 +141,14 @@ func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done fu
 		return
 	}
 	if read {
-		if res, ok := n.rep.ReadLocal(epoch.Add(n.sim.Now()), cmd); ok {
+		if res, ok := n.rep.ReadLocal(epoch.Add(n.fab.Now()), cmd); ok {
 			done(res, nil)
 			return
 		}
 	}
 	var (
 		settled  bool
-		guard    *Timer
+		guard    = func() {} // stops the try timer
 		sync     = true
 		syncErr  error
 		syncRes  []byte
@@ -152,23 +156,23 @@ func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done fu
 	)
 	retryLater := func() {
 		backoff := HeartbeatInterval
-		if n.sim.Now()+backoff >= deadline {
+		if n.fab.Now()+backoff >= deadline {
 			done(nil, ErrOpTimeout)
 			return
 		}
-		n.sim.After(backoff, func() { n.attempt(cmd, read, deadline, done) })
+		n.fab.Schedule(backoff, func() { n.attempt(cmd, read, deadline, done) })
 	}
 	handle := func(res []byte, err error) {
 		if settled {
 			return
 		}
 		settled = true
-		guard.Stop()
+		guard()
 		if err == nil {
 			done(res, nil)
 			return
 		}
-		if read && n.sim.Now() < deadline {
+		if read && n.fab.Now() < deadline {
 			retryLater() // reads are effect-free: always safe to retry
 			return
 		}
@@ -199,12 +203,12 @@ func (n *logNode) attempt(cmd []byte, read bool, deadline time.Duration, done fu
 		done(syncRes, syncErr)
 		return
 	}
-	guard = n.sim.After(2*ElectionTimeout, func() {
+	guard = n.fab.Schedule(2*ElectionTimeout, func() {
 		if settled {
 			return
 		}
 		settled = true
-		if read && n.sim.Now() < deadline {
+		if read && n.fab.Now() < deadline {
 			retryLater()
 			return
 		}

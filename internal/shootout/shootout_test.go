@@ -1,7 +1,6 @@
 package shootout
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -11,62 +10,13 @@ import (
 	"crdtsmr/internal/transport"
 )
 
-// TestSimTimersInterleaveWithMessages pins the event-loop contract: timers
-// and deliveries pop in deadline order, with timers winning ties, and the
-// virtual clock is monotone through both.
-func TestSimTimersInterleaveWithMessages(t *testing.T) {
-	sim := NewSim(1, Net{MinDelay: time.Millisecond, MaxDelay: time.Millisecond})
-	var log []string
-	conn := sim.Fab.Join("a", func(from transport.NodeID, p []byte) {})
-	sim.Fab.Join("b", func(from transport.NodeID, p []byte) {
-		log = append(log, fmt.Sprintf("msg@%v", sim.Now()))
-	})
-	sim.After(500*time.Microsecond, func() { log = append(log, fmt.Sprintf("t1@%v", sim.Now())) })
-	sim.After(time.Millisecond, func() { log = append(log, fmt.Sprintf("t2@%v", sim.Now())) })
-	conn.Send("b", []byte{1}) // delivers at 1ms, after t1, tied with t2 (timer wins)
-	sim.RunUntil(10 * time.Millisecond)
-	want := []string{"t1@500µs", "t2@1ms", "msg@1ms"}
-	if !reflect.DeepEqual(log, want) {
-		t.Fatalf("log = %v, want %v", log, want)
-	}
-	if sim.Now() != 10*time.Millisecond {
-		t.Fatalf("Now() = %v after RunUntil(10ms)", sim.Now())
-	}
-}
-
-// TestSimDeterministic pins that two sims with the same seed produce the
-// same timer/message interleaving and clock readings.
-func TestSimDeterministic(t *testing.T) {
-	run := func() []string {
-		sim := NewSim(99, LAN())
-		var log []string
-		var conns [3]*transport.FabricConn
-		for i := 0; i < 3; i++ {
-			i := i
-			conns[i] = sim.Fab.Join(transport.NodeID(fmt.Sprintf("n%d", i+1)), func(from transport.NodeID, p []byte) {
-				log = append(log, fmt.Sprintf("%d<-%s@%v", i, from, sim.Now()))
-			})
-		}
-		for i := 0; i < 10; i++ {
-			conns[i%3].Send(transport.NodeID(fmt.Sprintf("n%d", (i+1)%3+1)), []byte{byte(i)})
-		}
-		sim.After(2*time.Millisecond, func() { log = append(log, fmt.Sprintf("t@%v", sim.Now())) })
-		sim.RunUntil(20 * time.Millisecond)
-		return log
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same seed diverged:\n%v\n%v", a, b)
-	}
-}
-
 // TestAllBackendsServeWorkload smoke-runs every raced configuration on a
 // small mixed workload over a clean network and checks basic sanity.
 func TestAllBackendsServeWorkload(t *testing.T) {
 	for _, spec := range Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			st, err := MixedWorkload(spec, 3, LAN(), 7, Workload{Clients: 6, Keys: 4, Ops: 60, ReadFrac: 0.8, Sets: true})
+			st, err := MixedWorkload(spec, 3, transport.LAN(), 7, Workload{Clients: 6, Keys: 4, Ops: 60, ReadFrac: 0.8, Sets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,11 +42,11 @@ func TestMixedWorkloadDeterministic(t *testing.T) {
 	for _, spec := range Specs() {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
-			a, err := MixedWorkload(spec, 3, LAN(), 21, Workload{Clients: 6, Keys: 4, Ops: 40, ReadFrac: 0.8, Sets: true})
+			a, err := MixedWorkload(spec, 3, transport.LAN(), 21, Workload{Clients: 6, Keys: 4, Ops: 40, ReadFrac: 0.8, Sets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := MixedWorkload(spec, 3, LAN(), 21, Workload{Clients: 6, Keys: 4, Ops: 40, ReadFrac: 0.8, Sets: true})
+			b, err := MixedWorkload(spec, 3, transport.LAN(), 21, Workload{Clients: 6, Keys: 4, Ops: 40, ReadFrac: 0.8, Sets: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -121,7 +71,7 @@ func TestReadAfterWriteLatencyOrdering(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st, err := ReadAfterWrite(sp, 3, LAN(), 5, 20, 4)
+		st, err := ReadAfterWrite(sp, 3, transport.LAN(), 5, 20, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +102,7 @@ func TestConformAllProtocols(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			for _, seed := range seeds {
-				net := LAN()
+				net := transport.LAN()
 				net.Loss, net.Dup = 0.1, 0.1
 				res, err := Conform(spec, ConformConfig{
 					Seed:     seed,
@@ -197,7 +147,7 @@ func TestConformWithPartitions(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			net := LAN()
+			net := transport.LAN()
 			net.Loss = 0.05
 			res, err := Conform(spec, ConformConfig{
 				Seed:       11,
@@ -228,7 +178,7 @@ func TestConformReplaysSeed(t *testing.T) {
 		spec := spec
 		t.Run(spec.Name, func(t *testing.T) {
 			for seed := int64(1); seed <= 10; seed++ {
-				cfg := ConformConfig{Seed: seed, Replicas: 3, Ops: 120, Net: LAN(), Partitions: 3}
+				cfg := ConformConfig{Seed: seed, Replicas: 3, Ops: 120, Net: transport.LAN(), Partitions: 3}
 				a, err := Conform(spec, cfg)
 				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
@@ -258,8 +208,8 @@ func TestLeaderFailover(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sim := NewSim(1, LAN())
-			backend, err := spec.New(sim, 3)
+			fab := transport.LAN().Fabric(1)
+			backend, err := spec.New(fab, 1, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -274,7 +224,7 @@ func TestLeaderFailover(t *testing.T) {
 				} else {
 					b.Inc(replica, "c0", func(err error) { settled, opErr = true, err })
 				}
-				if !sim.RunUntilDone(virtualCap, func() bool { return settled }) {
+				if !fab.RunUntil(func() bool { return settled }) {
 					t.Fatal("op stalled")
 				}
 				if opErr != nil {
@@ -282,7 +232,7 @@ func TestLeaderFailover(t *testing.T) {
 				}
 				return val
 			}
-			sim.RunUntil(settleTime)
+			fab.RunFor(settleTime)
 			do(0, false)
 			leader := -1
 			for i, node := range b.nodes {
@@ -294,7 +244,7 @@ func TestLeaderFailover(t *testing.T) {
 				t.Fatal("no leader after the first commit")
 			}
 			b.Crash(leader)
-			if !sim.RunUntilDone(virtualCap, func() bool {
+			if !fab.RunUntil(func() bool {
 				for i, node := range b.nodes {
 					if i != leader && node.rep.IsLeader() {
 						return true
@@ -324,12 +274,12 @@ func TestBatchedReadsShareOneQuery(t *testing.T) {
 		sent    uint64
 	}
 	run := func(reads int) outcome {
-		sim := NewSim(3, LAN())
-		backend, err := CRDTSpec(core.DefaultOptions(), 5*time.Millisecond).New(sim, 3)
+		fab := transport.LAN().Fabric(3)
+		backend, err := CRDTSpec(core.DefaultOptions(), 5*time.Millisecond).New(fab, 3, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim.RunUntil(settleTime)
+		fab.RunFor(settleTime)
 		done := 0
 		for i := 0; i < reads; i++ {
 			backend.Read(0, "c0", func(_ int64, err error) {
@@ -339,10 +289,10 @@ func TestBatchedReadsShareOneQuery(t *testing.T) {
 				done++
 			})
 		}
-		if !sim.RunUntilDone(virtualCap, func() bool { return done == reads }) {
+		if !fab.RunUntil(func() bool { return done == reads }) {
 			t.Fatalf("%d/%d reads completed", done, reads)
 		}
-		return outcome{backend.(*crdtBackend).Counters().Queries, sim.Now(), sim.Fab.Stats().Sent}
+		return outcome{backend.(*crdtBackend).Counters().Queries, fab.Now(), fab.Stats().Sent}
 	}
 	one, many := run(1), run(16)
 	if one.queries != 1 || many != one {
@@ -355,7 +305,7 @@ func TestBatchedReadsShareOneQuery(t *testing.T) {
 // of the timeline still completes ops.
 func TestCrashMovesClients(t *testing.T) {
 	const clients, ops = 9, 900
-	st, err := MixedWorkload(CRDTSpec(core.DefaultOptions(), 0), 3, LAN(), 4, Workload{
+	st, err := MixedWorkload(CRDTSpec(core.DefaultOptions(), 0), 3, transport.LAN(), 4, Workload{
 		Clients: clients, Keys: 1, Ops: ops, ReadFrac: 0.9, CrashAfter: ops / 2, Intervals: 4,
 	})
 	if err != nil {

@@ -21,7 +21,7 @@ import (
 var wholeNodeOutcome string
 
 // TestWholeNodeSeeded runs three durable cluster.Nodes, stepped on one
-// Sim, through a keyed counter and or-set workload under message loss and
+// Fabric, through a keyed counter and or-set workload under message loss and
 // duplication: a crash of n3 with ops open there, a Restart of n3 from its
 // DataDir, and a Reconfigure that removes n2, all from one seed. Every
 // acknowledged update must survive into the final reads at the two
@@ -49,8 +49,8 @@ func TestWholeNodeSeeded(t *testing.T) {
 // runWholeNode runs the scenario once and returns its outcome.
 func runWholeNode(t *testing.T, seed int64) string {
 	t.Helper()
-	sim := NewSim(seed, Net{MinDelay: 500 * time.Microsecond, MaxDelay: 4 * time.Millisecond, Loss: 0.05, Dup: 0.05})
-	b, err := newCRDTBackend(sim, 3, cluster.Config{
+	fab := transport.Net{MinDelay: 500 * time.Microsecond, MaxDelay: 4 * time.Millisecond, Loss: 0.05, Dup: 0.05}.Fabric(seed)
+	b, err := newCRDTBackend(fab, 3, cluster.Config{
 		Options:           core.DefaultOptions(),
 		Shards:            2,
 		DataDir:           t.TempDir(),
@@ -59,11 +59,7 @@ func runWholeNode(t *testing.T, seed int64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		for _, n := range b.nodes {
-			_ = n.Close()
-		}
-	}()
+	defer b.c.Close()
 
 	counters, sets := []string{"c0", "c1", "c2"}, []string{"or-set/0", "or-set/1"}
 	keys := append(slices.Clone(counters), sets...)
@@ -75,11 +71,11 @@ func runWholeNode(t *testing.T, seed int64) string {
 	const ops, gap = 240, 2 * time.Millisecond
 	settled := 0
 	for i := 0; i < ops; i++ {
-		sim.After(settleTime+time.Duration(i)*gap, func() {
+		fab.Schedule(settleTime+time.Duration(i)*gap, func() {
 			r, key, read := live[rng.Intn(len(live))], keys[rng.Intn(len(keys))], rng.Intn(3) == 0
 			done := func(what string, err error) {
 				settled++
-				fmt.Fprintf(&out, "op %d n%d %s %s err=%v at %v\n", i, r+1, key, what, err, sim.Now())
+				fmt.Fprintf(&out, "op %d n%d %s %s err=%v at %v\n", i, r+1, key, what, err, fab.Now())
 			}
 			switch {
 			case read && strings.HasPrefix(key, "or-set/"):
@@ -107,28 +103,25 @@ func runWholeNode(t *testing.T, seed int64) string {
 		})
 	}
 
-	sim.RunUntil(settleTime + 80*gap)
+	fab.RunFor(settleTime + 80*gap)
 	b.Crash(2)
 	live = []int{0, 1}
-	sim.RunUntil(settleTime + 140*gap)
-	for _, n := range b.nodes[:2] {
-		n.ForgetPeer("n3")
-	}
-	if err := b.nodes[2].Restart(); err != nil {
+	fab.RunFor(60 * gap)
+	if err := b.c.Restart("n3"); err != nil {
 		t.Fatalf("restart n3: %v", err)
 	}
 	live = []int{0, 1, 2}
-	sim.RunUntil(settleTime + 180*gap)
+	fab.RunFor(40 * gap)
 	live = []int{0, 2}
 	ctx := context.Background()
 	if err := b.nodes[0].Reconfigure(ctx, []transport.NodeID{"n1", "n3"}); err != nil {
 		t.Fatalf("reconfigure: %v", err)
 	}
-	fmt.Fprintf(&out, "reconfigured at %v\n", sim.Now())
-	if !sim.RunUntilDone(virtualCap, func() bool { return settled == ops }) {
+	fmt.Fprintf(&out, "reconfigured at %v\n", fab.Now())
+	if !fab.RunUntil(func() bool { return settled == ops }) {
 		t.Fatalf("%d/%d ops settled", settled, ops)
 	}
-	sim.RunUntil(sim.Now() + 2*LeaseDuration)
+	fab.RunFor(2 * LeaseDuration)
 
 	for _, r := range []int{0, 2} {
 		for _, key := range keys {
@@ -151,7 +144,7 @@ func runWholeNode(t *testing.T, seed int64) string {
 			}
 		}
 	}
-	fmt.Fprintf(&out, "end %v\nstats %+v\n", sim.Now(), sim.Fab.Stats())
+	fmt.Fprintf(&out, "end %v\nstats %+v\n", fab.Now(), fab.Stats())
 	return out.String()
 }
 

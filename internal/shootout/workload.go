@@ -15,9 +15,6 @@ import (
 // trip) and for the Paxos lease to validate off heartbeats.
 const settleTime = 400 * time.Millisecond
 
-// virtualCap aborts a run whose backend stopped making progress.
-const virtualCap = 5 * time.Minute
-
 // SessionStats is the hot-key read-after-write figure for one backend.
 type SessionStats struct {
 	// PerReplica holds the session p50 with the client pinned at each
@@ -34,7 +31,7 @@ type SessionStats struct {
 }
 
 // ReadAfterWrite runs the paper's hot-key Session at every pin.
-func ReadAfterWrite(spec Spec, n int, net Net, seed int64, sessions, warmup int) (SessionStats, error) {
+func ReadAfterWrite(spec Spec, n int, net transport.Net, seed int64, sessions, warmup int) (SessionStats, error) {
 	out := SessionStats{PerReplica: make([]time.Duration, n)}
 	for pin := 0; pin < n; pin++ {
 		st, err := Session(spec, n, net, seed, pin, sessions, warmup)
@@ -63,19 +60,19 @@ type PinStats struct {
 // Session runs the hot-key session with the client pinned at one replica:
 // fire an increment, read the same key 100µs later (virtual), wait for
 // both; repeat. The first warmup sessions are discarded.
-func Session(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (PinStats, error) {
-	sim := NewSim(seed, net)
-	backend, err := spec.New(sim, n)
+func Session(spec Spec, n int, net transport.Net, seed int64, pin, sessions, warmup int) (PinStats, error) {
+	fab := net.Fabric(seed)
+	backend, err := spec.New(fab, seed, n)
 	if err != nil {
 		return PinStats{}, err
 	}
 	const key = "c-hot"
 	// Settle: elections, then one priming read at the pin so per-key state
 	// and leases exist before measurement.
-	sim.RunUntil(settleTime)
+	fab.RunFor(settleTime)
 	primed := false
 	backend.Read(pin, key, func(int64, error) { primed = true })
-	if !sim.RunUntilDone(virtualCap, func() bool { return primed }) {
+	if !fab.RunUntil(func() bool { return primed }) {
 		return PinStats{}, fmt.Errorf("priming read never completed")
 	}
 
@@ -88,7 +85,7 @@ func Session(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (
 			return
 		}
 		idx := completed
-		t0 := sim.Now()
+		t0 := fab.Now()
 		var readLat time.Duration
 		incDone, readDone, failed := false, false, false
 		finish := func() {
@@ -99,7 +96,7 @@ func Session(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (
 			if failed {
 				out.Errors++
 			} else if idx >= warmup {
-				samples = append(samples, sim.Now()-t0)
+				samples = append(samples, fab.Now()-t0)
 				reads = append(reads, readLat)
 			}
 			start()
@@ -113,20 +110,20 @@ func Session(spec Spec, n int, net Net, seed int64, pin, sessions, warmup int) (
 		})
 		// The read trails the write by a virtual beat so it snapshots a
 		// state with the increment in flight — the read-after-write race.
-		sim.After(100*time.Microsecond, func() {
-			t1 := sim.Now()
+		fab.Schedule(100*time.Microsecond, func() {
+			t1 := fab.Now()
 			backend.Read(pin, key, func(_ int64, err error) {
 				if err != nil {
 					failed = true
 				}
-				readLat = sim.Now() - t1
+				readLat = fab.Now() - t1
 				readDone = true
 				finish()
 			})
 		})
 	}
 	start()
-	if !sim.RunUntilDone(virtualCap, func() bool { return completed >= sessions }) {
+	if !fab.RunUntil(func() bool { return completed >= sessions }) {
 		return PinStats{}, fmt.Errorf("stalled after %d/%d sessions", completed, sessions)
 	}
 	if len(samples) == 0 {
@@ -190,9 +187,9 @@ type sample struct{ at, lat time.Duration }
 // client whose op fails moves on to the next replica, as a client library
 // would. Latencies, throughput, and wire bytes are all virtual-time and
 // byte-counter based — deterministic for a given seed.
-func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStats, error) {
-	sim := NewSim(seed, net)
-	backend, err := spec.New(sim, n)
+func MixedWorkload(spec Spec, n int, net transport.Net, seed int64, w Workload) (MixedStats, error) {
+	fab := net.Fabric(seed)
+	backend, err := spec.New(fab, seed, n)
 	if err != nil {
 		return MixedStats{}, err
 	}
@@ -200,12 +197,12 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStat
 	if w.CrashAfter > 0 && !canCrash {
 		return MixedStats{}, fmt.Errorf("%s: backend cannot crash a replica", spec.Name)
 	}
-	sim.RunUntil(settleTime)
+	fab.RunFor(settleTime)
 	primed := 0
 	for r := 0; r < n; r++ {
 		backend.Read(r, "c0", func(int64, error) { primed++ })
 	}
-	if !sim.RunUntilDone(virtualCap, func() bool { return primed == n }) {
+	if !fab.RunUntil(func() bool { return primed == n }) {
 		return MixedStats{}, fmt.Errorf("%s: priming reads stalled", spec.Name)
 	}
 	rtts, countsRTTs := backend.(interface{ TakeReadRTTs() map[int]int })
@@ -213,8 +210,8 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStat
 		rtts.TakeReadRTTs() // the priming reads
 	}
 
-	base := sim.Fab.Stats()
-	t0 := sim.Now()
+	base := fab.Stats()
+	t0 := fab.Now()
 	var reads, updates []sample
 	completed, failed, done := 0, 0, 0
 	crashedAt := time.Duration(-1)
@@ -231,7 +228,7 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStat
 				return
 			}
 			issued++
-			t1 := sim.Now()
+			t1 := fab.Now()
 			isRead := rng.Float64() < w.ReadFrac
 			isSet := w.Sets && rng.Intn(4) == 0
 			j := rng.Intn(w.Keys)
@@ -241,9 +238,9 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStat
 					replica = (replica + 1) % n
 				} else {
 					completed++
-					*into = append(*into, sample{at: t1 - t0, lat: sim.Now() - t1})
+					*into = append(*into, sample{at: t1 - t0, lat: fab.Now() - t1})
 					if completed == w.CrashAfter {
-						crashedAt = sim.Now() - t0
+						crashedAt = fab.Now() - t0
 						crasher.Crash(n - 1)
 					}
 				}
@@ -263,14 +260,14 @@ func MixedWorkload(spec Spec, n int, net Net, seed int64, w Workload) (MixedStat
 		}
 		next()
 	}
-	if !sim.RunUntilDone(virtualCap, func() bool { return done == w.Clients }) {
+	if !fab.RunUntil(func() bool { return done == w.Clients }) {
 		return MixedStats{}, fmt.Errorf("%s: workload stalled (%d/%d clients done)", spec.Name, done, w.Clients)
 	}
-	elapsed := sim.Now() - t0
+	elapsed := fab.Now() - t0
 	if elapsed <= 0 || completed == 0 {
 		return MixedStats{}, fmt.Errorf("%s: empty measurement window", spec.Name)
 	}
-	stats := sim.Fab.Stats()
+	stats := fab.Stats()
 	bytesDelta := float64(stats.BytesSent - base.BytesSent)
 	readLats, updateLats := latencies(reads), latencies(updates)
 	out := MixedStats{

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"container/heap"
 	"math/rand"
 	"time"
 )
@@ -12,20 +13,30 @@ import (
 // seed. This is the "protocol scheduler that enforces random interleavings
 // of incoming messages" the paper used to validate its implementation (§4).
 //
-// With SetDelay the fabric switches from adversarial random-order delivery
-// to latency emulation on a virtual clock: each message is stamped with a
-// delivery deadline drawn from the seeded delay window, Step delivers the
-// earliest deadline first, and Now advances to that deadline. Virtual time
-// makes latency and throughput measurements deterministic functions of the
-// seed — independent of wall-clock scheduling and host CPU — which is what
-// lets the protocol-shootout figures assert latency bounds in CI.
+// With SetDelay (or Net.Fabric) the fabric switches from adversarial
+// random-order delivery to latency emulation on a virtual clock: each
+// message is stamped with a delivery deadline drawn from the seeded delay
+// window, Step delivers the earliest deadline first, and Now advances to
+// that deadline. The fabric also keeps a queue of timers (Schedule), and
+// its run loop (RunFor, RunUntil) interleaves them with deliveries in
+// deadline order, timers first on ties, so protocol timers, workload
+// logic and stepped cluster nodes (it is a cluster.Clock) all run as
+// events of one simulation. Virtual time makes latency and throughput
+// measurements deterministic functions of the seed — independent of
+// wall-clock scheduling and host CPU — which is what lets the
+// protocol-shootout figures assert latency bounds in CI. In random-order
+// mode messages take no virtual time: the run loop delivers every pending
+// one before the next timer.
 //
-// Fabric is not safe for concurrent use: the scheduler, the handlers it
-// invokes, and any client-operation injection must run on one goroutine.
+// Fabric is not safe for concurrent use: the scheduler, the handlers and
+// timers it invokes, and any client-operation injection must run on one
+// goroutine.
 type Fabric struct {
 	rng      *rand.Rand
 	eps      map[NodeID]Handler
 	pending  []pendingMsg
+	timers   timerQueue
+	timerSeq uint64
 	down     map[NodeID]bool
 	blocks   map[[2]NodeID]bool
 	loss     float64
@@ -42,6 +53,38 @@ type pendingMsg struct {
 	from, to NodeID
 	payload  []byte
 	at       time.Duration // virtual delivery deadline; meaningful in delay mode only
+}
+
+// runCap bounds RunUntil: a run whose protocols stopped making progress
+// gives up after this much virtual time.
+const runCap = 5 * time.Minute
+
+// Net describes an emulated network: per-message delay drawn uniformly
+// from [MinDelay, MaxDelay], plus optional loss and duplication.
+type Net struct {
+	MinDelay time.Duration
+	MaxDelay time.Duration
+	Loss     float64
+	Dup      float64
+}
+
+// LAN is a datacenter-ish profile; the protocol gaps it produces are
+// round-trip multiples, so any latency floor works.
+func LAN() Net {
+	return Net{MinDelay: 500 * time.Microsecond, MaxDelay: 4 * time.Millisecond}
+}
+
+// Fabric returns a fabric seeded with seed that emulates n in delay mode,
+// over LAN's delay window when n sets no MaxDelay.
+func (n Net) Fabric(seed int64) *Fabric {
+	if n.MaxDelay <= 0 {
+		n.MinDelay, n.MaxDelay = LAN().MinDelay, LAN().MaxDelay
+	}
+	f := NewFabric(seed)
+	f.SetDelay(n.MinDelay, n.MaxDelay)
+	f.SetLoss(n.Loss)
+	f.SetDuplication(n.Dup)
+	return f
 }
 
 // NewFabric creates a deterministic network seeded with seed.
@@ -78,23 +121,23 @@ func (f *Fabric) SetDelay(min, max time.Duration) {
 	f.delayMin, f.delayMax = min, max
 }
 
-// Now returns the virtual clock, which starts at zero and advances only in
-// delay mode, to each delivered (or dropped) message's deadline.
+// Now returns the virtual clock, which starts at zero and advances, in
+// delay mode, to each delivered (or dropped) message's deadline and, in
+// either mode, to each timer's.
 func (f *Fabric) Now() time.Duration { return f.now }
 
-// AdvanceTo moves the virtual clock forward to t (never backward). Drivers
-// use it to account for timer events that fall between message deadlines.
-func (f *Fabric) AdvanceTo(t time.Duration) {
+// advanceTo moves the virtual clock forward to t (never backward).
+func (f *Fabric) advanceTo(t time.Duration) {
 	if t > f.now {
 		f.now = t
 	}
 }
 
-// NextDeadline returns the earliest pending delivery deadline. The second
-// result is false when no message is pending or the fabric is not in delay
-// mode.
-func (f *Fabric) NextDeadline() (time.Duration, bool) {
-	if !f.delayed || len(f.pending) == 0 {
+// nextDeadline returns the earliest pending delivery deadline, which is
+// zero for every message in random-order mode. The second result is false
+// when no message is pending.
+func (f *Fabric) nextDeadline() (time.Duration, bool) {
+	if len(f.pending) == 0 {
 		return 0, false
 	}
 	at := f.pending[0].at
@@ -104,6 +147,87 @@ func (f *Fabric) NextDeadline() (time.Duration, bool) {
 		}
 	}
 	return at, true
+}
+
+// timer is one Schedule call: fn runs at at unless stopped first.
+type timer struct {
+	at      time.Duration
+	seq     uint64
+	fn      func()
+	stopped bool
+}
+
+// timerQueue is a heap of timers by deadline, FIFO among equal ones.
+type timerQueue []*timer
+
+func (q timerQueue) Len() int { return len(q) }
+func (q timerQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q timerQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *timerQueue) Push(x any)   { *q = append(*q, x.(*timer)) }
+func (q *timerQueue) Pop() any {
+	old := *q
+	t := old[len(old)-1]
+	old[len(old)-1] = nil
+	*q = old[:len(old)-1]
+	return t
+}
+
+// Schedule runs fn once, as an event of the run loop, d after Now (at Now
+// when d is negative). Calling stop before then cancels it.
+func (f *Fabric) Schedule(d time.Duration, fn func()) (stop func()) {
+	f.timerSeq++
+	t := &timer{at: f.now + max(d, 0), seq: f.timerSeq, fn: fn}
+	heap.Push(&f.timers, t)
+	return func() { t.stopped = true }
+}
+
+// step runs the earliest event due by limit and reports whether there was
+// one: a timer, or else a Step, timers first on equal deadlines.
+func (f *Fabric) step(limit time.Duration) bool {
+	for len(f.timers) > 0 && f.timers[0].stopped {
+		heap.Pop(&f.timers)
+	}
+	mAt, hasM := f.nextDeadline()
+	if len(f.timers) > 0 && (!hasM || f.timers[0].at <= mAt) {
+		if f.timers[0].at > limit {
+			return false
+		}
+		t := heap.Pop(&f.timers).(*timer)
+		f.advanceTo(t.at)
+		t.fn()
+		return true
+	}
+	if !hasM || mAt > limit {
+		return false
+	}
+	f.Step()
+	return true
+}
+
+// RunFor runs every event due within d of Now and leaves the clock at
+// Now()+d.
+func (f *Fabric) RunFor(d time.Duration) {
+	end := f.now + d
+	for f.step(end) {
+	}
+	f.advanceTo(end)
+}
+
+// RunUntil runs events until done reports true, and reports whether it
+// did: it gives up when no event is left within runCap of virtual time.
+func (f *Fabric) RunUntil(done func() bool) bool {
+	limit := f.now + runCap
+	for !done() {
+		if !f.step(limit) {
+			return done()
+		}
+	}
+	return true
 }
 
 // drawDelay picks one message's in-flight latency from the delay window.
@@ -116,9 +240,9 @@ func (f *Fabric) drawDelay() time.Duration {
 }
 
 // Join registers a node.
-func (f *Fabric) Join(id NodeID, h Handler) *FabricConn {
+func (f *Fabric) Join(id NodeID, h Handler) Conn {
 	f.eps[id] = h
-	return &FabricConn{fabric: f, id: id}
+	return &fabricConn{fabric: f, id: id}
 }
 
 // SetDown marks a node crashed or recovered. Pending messages to a crashed
@@ -154,7 +278,7 @@ func (f *Fabric) Step() bool {
 			// so delivery order is a pure function of deadlines and send
 			// order, not of pool layout.
 			f.pending = append(f.pending[:i], f.pending[i+1:]...)
-			f.AdvanceTo(msg.at)
+			f.advanceTo(msg.at)
 		} else {
 			i := f.rng.Intn(len(f.pending))
 			msg = f.pending[i]
@@ -199,21 +323,19 @@ func (f *Fabric) Drain(bound int) int {
 // Stats returns the fabric's counters.
 func (f *Fabric) Stats() Stats { return f.links.stats(f.dropped) }
 
-// FabricConn is a node's endpoint into a Fabric.
-type FabricConn struct {
+// fabricConn is a node's endpoint into a Fabric.
+type fabricConn struct {
 	fabric *Fabric
 	id     NodeID
 }
 
-var _ Conn = (*FabricConn)(nil)
-
 // ID implements Conn.
-func (c *FabricConn) ID() NodeID { return c.id }
+func (c *fabricConn) ID() NodeID { return c.id }
 
 // Send implements Conn: the message joins the pending pool and is delivered
 // by a future Step. In delay mode the deadline is stamped here, at the
 // virtual send instant.
-func (c *FabricConn) Send(to NodeID, payload []byte) {
+func (c *fabricConn) Send(to NodeID, payload []byte) {
 	f := c.fabric
 	f.links.sent(c.id, to, len(payload))
 	msg := pendingMsg{from: c.id, to: to, payload: payload}
@@ -224,7 +346,7 @@ func (c *FabricConn) Send(to NodeID, payload []byte) {
 }
 
 // Close implements Conn.
-func (c *FabricConn) Close() error {
+func (c *fabricConn) Close() error {
 	delete(c.fabric.eps, c.id)
 	return nil
 }

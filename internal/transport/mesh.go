@@ -11,15 +11,15 @@ import (
 // delivery goroutine, so handlers run serially per node but concurrently
 // across nodes — the same execution model as one OS process per replica.
 //
-// The failure model is configured with options: per-message delay
-// (uniformly distributed between min and max, which also causes
-// reordering), independent loss and duplication probabilities, and
-// explicit link blocking or node crash via SetDown/Block.
+// The failure model is a per-message delay option (uniformly distributed
+// between min and max, which also causes reordering) plus explicit link
+// blocking or node crash via SetDown/Block. Seeded loss and duplication
+// are the Fabric's.
 type Mesh struct {
 	cfg meshConfig
 
 	mu     sync.RWMutex
-	eps    map[NodeID]*MeshConn
+	eps    map[NodeID]*meshConn
 	down   map[NodeID]bool
 	blocks map[[2]NodeID]bool
 	closed bool
@@ -37,11 +37,9 @@ type Mesh struct {
 const meshInbox = 16384
 
 type meshConfig struct {
-	minDelay  time.Duration
-	maxDelay  time.Duration
-	loss      float64
-	duplicate float64
-	seed      int64
+	minDelay time.Duration
+	maxDelay time.Duration
+	seed     int64
 }
 
 // MeshOption configures a Mesh.
@@ -53,17 +51,7 @@ func WithDelay(min, max time.Duration) MeshOption {
 	return func(c *meshConfig) { c.minDelay, c.maxDelay = min, max }
 }
 
-// WithLoss drops each message independently with probability p.
-func WithLoss(p float64) MeshOption {
-	return func(c *meshConfig) { c.loss = p }
-}
-
-// WithDuplication delivers each message twice with probability p.
-func WithDuplication(p float64) MeshOption {
-	return func(c *meshConfig) { c.duplicate = p }
-}
-
-// WithSeed fixes the RNG seed for reproducible delay/loss decisions.
+// WithSeed fixes the RNG seed for reproducible delay draws.
 func WithSeed(seed int64) MeshOption {
 	return func(c *meshConfig) { c.seed = seed }
 }
@@ -76,7 +64,7 @@ func NewMesh(opts ...MeshOption) *Mesh {
 	}
 	return &Mesh{
 		cfg:    cfg,
-		eps:    make(map[NodeID]*MeshConn),
+		eps:    make(map[NodeID]*meshConn),
 		down:   make(map[NodeID]bool),
 		blocks: make(map[[2]NodeID]bool),
 		rng:    rand.New(rand.NewSource(cfg.seed)),
@@ -85,8 +73,8 @@ func NewMesh(opts ...MeshOption) *Mesh {
 
 // Join registers a node and starts its delivery goroutine. The handler is
 // invoked serially, one message at a time.
-func (m *Mesh) Join(id NodeID, h Handler) *MeshConn {
-	c := &MeshConn{
+func (m *Mesh) Join(id NodeID, h Handler) Conn {
+	c := &meshConn{
 		mesh:    m,
 		id:      id,
 		handler: h,
@@ -164,7 +152,7 @@ func (m *Mesh) Close() {
 		return
 	}
 	m.closed = true
-	eps := make([]*MeshConn, 0, len(m.eps))
+	eps := make([]*meshConn, 0, len(m.eps))
 	for _, c := range m.eps {
 		eps = append(eps, c)
 	}
@@ -185,35 +173,20 @@ func (m *Mesh) route(from, to NodeID, payload []byte) {
 		return
 	}
 
-	copies := 1
+	msg := inbound{from: from, payload: payload}
 	var delay time.Duration
-	if m.cfg.loss > 0 || m.cfg.duplicate > 0 || m.cfg.maxDelay > 0 {
+	if m.cfg.maxDelay > 0 {
 		m.rngMu.Lock()
-		if m.cfg.loss > 0 && m.rng.Float64() < m.cfg.loss {
-			copies = 0
-		} else if m.cfg.duplicate > 0 && m.rng.Float64() < m.cfg.duplicate {
-			copies = 2
-		}
-		if m.cfg.maxDelay > 0 {
-			delay = m.cfg.minDelay
-			if jitter := m.cfg.maxDelay - m.cfg.minDelay; jitter > 0 {
-				delay += time.Duration(m.rng.Int63n(int64(jitter)))
-			}
+		delay = m.cfg.minDelay
+		if jitter := m.cfg.maxDelay - m.cfg.minDelay; jitter > 0 {
+			delay += time.Duration(m.rng.Int63n(int64(jitter)))
 		}
 		m.rngMu.Unlock()
 	}
-	if copies == 0 {
-		m.dropped.Add(1)
-		return
-	}
-
-	msg := inbound{from: from, payload: payload}
-	for i := 0; i < copies; i++ {
-		if delay > 0 {
-			time.AfterFunc(delay, func() { dst.enqueue(msg) })
-		} else {
-			dst.enqueue(msg)
-		}
+	if delay > 0 {
+		time.AfterFunc(delay, func() { dst.enqueue(msg) })
+	} else {
+		dst.enqueue(msg)
 	}
 }
 
@@ -222,8 +195,8 @@ type inbound struct {
 	payload []byte
 }
 
-// MeshConn is a node's endpoint into a Mesh.
-type MeshConn struct {
+// meshConn is a node's endpoint into a Mesh.
+type meshConn struct {
 	mesh    *Mesh
 	id      NodeID
 	handler Handler
@@ -233,20 +206,18 @@ type MeshConn struct {
 	closed  sync.Once
 }
 
-var _ Conn = (*MeshConn)(nil)
-
 // ID implements Conn.
-func (c *MeshConn) ID() NodeID { return c.id }
+func (c *meshConn) ID() NodeID { return c.id }
 
 // Send implements Conn. Self-sends are delivered through the same path as
 // remote sends so that delivery order relative to other messages is
 // preserved.
-func (c *MeshConn) Send(to NodeID, payload []byte) {
+func (c *meshConn) Send(to NodeID, payload []byte) {
 	c.mesh.route(c.id, to, payload)
 }
 
 // Close implements Conn.
-func (c *MeshConn) Close() error {
+func (c *meshConn) Close() error {
 	c.closed.Do(func() {
 		close(c.quit)
 		c.mesh.mu.Lock()
@@ -257,7 +228,7 @@ func (c *MeshConn) Close() error {
 	return nil
 }
 
-func (c *MeshConn) enqueue(msg inbound) {
+func (c *meshConn) enqueue(msg inbound) {
 	select {
 	case <-c.quit:
 		c.mesh.dropped.Add(1)
@@ -268,7 +239,7 @@ func (c *MeshConn) enqueue(msg inbound) {
 	}
 }
 
-func (c *MeshConn) deliverLoop() {
+func (c *meshConn) deliverLoop() {
 	defer c.wg.Done()
 	for {
 		select {

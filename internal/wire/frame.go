@@ -228,14 +228,14 @@ func (r *Response) Encode() []byte {
 // [uvarint len][Encode()]. It fails with ErrFrameTooLarge, returning b
 // unchanged, when the body exceeds MaxFrame.
 func (r *Response) AppendFrame(b []byte) ([]byte, error) {
-	b, err := r.AppendFrameHead(b, r.tailLen())
+	b, err := r.appendFrameHead(b, r.tailLen())
 	if err != nil {
 		return b, err
 	}
 	return r.appendTail(b), nil
 }
 
-// AppendFrameHead appends the response's frame up to the bytes of its
+// appendFrameHead appends the response's frame up to the bytes of its
 // trailing field, which the caller appends next and which must be
 // exactly tailLen bytes long: the frame length, the header and the
 // trailing field's length prefix. The trailing field is the message of
@@ -243,7 +243,7 @@ func (r *Response) AppendFrame(b []byte) ([]byte, error) {
 // an OK update has none, and its tailLen must be 0. It fails with
 // ErrFrameTooLarge, returning b unchanged, when the body would exceed
 // MaxFrame, before anything is encoded.
-func (r *Response) AppendFrameHead(b []byte, tailLen int) ([]byte, error) {
+func (r *Response) appendFrameHead(b []byte, tailLen int) ([]byte, error) {
 	var buf [maxRespHead]byte
 	head := r.appendHead(buf[:0], tailLen)
 	n := len(head) + tailLen
@@ -254,13 +254,13 @@ func (r *Response) AppendFrameHead(b []byte, tailLen int) ([]byte, error) {
 	return append(b, head...), nil
 }
 
-// MaxFrameHead bounds what AppendFrameHead appends: the frame length and
+// MaxFrameHead bounds what appendFrameHead appends: the frame length and
 // the body's fields before the bytes of its trailing one.
 const MaxFrameHead = binary.MaxVarintLen64 + maxRespHead
 
 // PrependFrameHead completes a frame whose trailing field was encoded
 // first. b[off:] holds the trailing field, and off ≥ MaxFrameHead bytes
-// are reserved in front of it; AppendFrameHead's bytes go into the end of
+// are reserved in front of it; appendFrameHead's bytes go into the end of
 // that reserve, and the frame, a subslice of b, is returned. A server
 // builds an OK query's frame this way, encoding the state with
 // crdt.AppendMarshal at the reserved offset, so the state is walked once,
@@ -269,7 +269,7 @@ const MaxFrameHead = binary.MaxVarintLen64 + maxRespHead
 // MaxFrame.
 func (r *Response) PrependFrameHead(b []byte, off int) ([]byte, error) {
 	var buf [MaxFrameHead]byte
-	head, err := r.AppendFrameHead(buf[:0], len(b)-off)
+	head, err := r.appendFrameHead(buf[:0], len(b)-off)
 	if err != nil {
 		return b, err
 	}
@@ -280,8 +280,8 @@ func (r *Response) PrependFrameHead(b []byte, off int) ([]byte, error) {
 
 // appendHead appends the body's fields up to the bytes of its trailing
 // one, ending with that field's length prefix, tailLen. It is the one
-// field writer behind Encode and AppendFrameHead. (It appends to a slice
-// rather than a Writer so AppendFrameHead's head stays on the stack.)
+// field writer behind Encode and appendFrameHead. (It appends to a slice
+// rather than a Writer so appendFrameHead's head stays on the stack.)
 func (r *Response) appendHead(b []byte, tailLen int) []byte {
 	b = append(b, FrameVersion, r.Op)
 	b = binary.AppendUvarint(b, r.ID)

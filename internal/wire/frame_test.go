@@ -270,7 +270,7 @@ func responseShapes() []Response {
 }
 
 // TestAppendFrameMatchesWriteFrame: a request's and a response's
-// AppendFrame, AppendFrameHead followed by the trailing field's bytes,
+// AppendFrame, appendFrameHead followed by the trailing field's bytes,
 // and PrependFrameHead in front of them write exactly the length prefix
 // followed by Encode, into the tail of the caller's buffer.
 func TestAppendFrameMatchesWriteFrame(t *testing.T) {
@@ -300,12 +300,12 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		if r.Status == StatusOK && r.Op == OpQuery|RespBit {
 			state := r.State
 			r.State = nil // the head must not read the state it is told the length of
-			head, err := r.AppendFrameHead(nil, len(state))
+			head, err := r.appendFrameHead(nil, len(state))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(append(head, state...), want) {
-				t.Fatalf("query of %d state bytes: AppendFrameHead + state differs from the length prefix and Encode()", len(state))
+				t.Fatalf("query of %d state bytes: appendFrameHead + state differs from the length prefix and Encode()", len(state))
 			}
 			off := len(prefix) + MaxFrameHead
 			b := append(append(append([]byte{}, prefix...), make([]byte, MaxFrameHead)...), state...)
@@ -323,11 +323,11 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 func TestAppendFrameHeadRejectsOversizedBeforeEncoding(t *testing.T) {
 	r := Response{Op: OpQuery | RespBit, ID: 3, Status: StatusOK}
 	b := []byte("kept")
-	got, err := r.AppendFrameHead(b, MaxFrame)
+	got, err := r.appendFrameHead(b, MaxFrame)
 	if !errors.Is(err, ErrFrameTooLarge) || !bytes.Equal(got, b) {
 		t.Fatalf("got %q, %v; want b unchanged and ErrFrameTooLarge", got, err)
 	}
-	if _, err := r.AppendFrameHead(nil, MaxFrame-16); err != nil {
+	if _, err := r.appendFrameHead(nil, MaxFrame-16); err != nil {
 		t.Fatalf("a state that fits: %v", err)
 	}
 }
