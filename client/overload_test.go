@@ -29,9 +29,14 @@ import (
 
 // startOverloadCluster runs n replicas with deliberately small admission
 // limits, returning the servers so the test can read the shed counters.
+// Every replica hop takes 1–2 ms, so an admitted operation holds its
+// server's slot for at least a round trip while the other workers keep
+// offering. On an undelayed mesh a CPU-starved host could finish each
+// operation before the next worker ran, and the server-wide cap never
+// engaged.
 func startOverloadCluster(t *testing.T, n int, opts server.Options) (addrs []string, servers []*server.Server, cl *cluster.Cluster) {
 	t.Helper()
-	mesh := transport.NewMesh(transport.WithSeed(23))
+	mesh := transport.NewMesh(transport.WithSeed(23), transport.WithDelay(time.Millisecond, 2*time.Millisecond))
 	ids := make([]transport.NodeID, n)
 	for i := range ids {
 		ids[i] = transport.NodeID(fmt.Sprintf("n%d", i+1))

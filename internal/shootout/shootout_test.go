@@ -1,6 +1,7 @@
 package shootout
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -9,6 +10,30 @@ import (
 	"crdtsmr/internal/core"
 	"crdtsmr/internal/transport"
 )
+
+// TestSimTimersInterleaveWithMessages pins the ordering every backend's
+// guards and retries rely on: on the fabric a workload builds from its
+// Net, a timer scheduled through Schedule and a message due at the same
+// virtual instant run timer first, and RunFor leaves the clock at its end.
+func TestSimTimersInterleaveWithMessages(t *testing.T) {
+	fab := transport.Net{MinDelay: time.Millisecond, MaxDelay: time.Millisecond}.Fabric(1)
+	var log []string
+	conn := fab.Join("a", func(transport.NodeID, []byte) {})
+	fab.Join("b", func(transport.NodeID, []byte) {
+		log = append(log, fmt.Sprintf("msg@%v", fab.Now()))
+	})
+	fab.Schedule(500*time.Microsecond, func() { log = append(log, fmt.Sprintf("t1@%v", fab.Now())) })
+	fab.Schedule(time.Millisecond, func() { log = append(log, fmt.Sprintf("t2@%v", fab.Now())) })
+	conn.Send("b", []byte{1}) // delivers at 1ms, after t1, tied with t2 (timer wins)
+	fab.RunFor(10 * time.Millisecond)
+	want := []string{"t1@500µs", "t2@1ms", "msg@1ms"}
+	if !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	if fab.Now() != 10*time.Millisecond {
+		t.Fatalf("Now() = %v after RunFor(10ms)", fab.Now())
+	}
+}
 
 // TestAllBackendsServeWorkload smoke-runs every raced configuration on a
 // small mixed workload over a clean network and checks basic sanity.

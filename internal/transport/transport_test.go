@@ -826,6 +826,30 @@ func TestFabricDelayDeterministicAndJittered(t *testing.T) {
 	}
 }
 
+// TestFabricAdvanceToMonotone checks the run loop's two clock helpers
+// directly: nextDeadline reports the earliest pending deadline (none when
+// nothing is pending), and advanceTo never moves the clock backward.
+func TestFabricAdvanceToMonotone(t *testing.T) {
+	f := NewFabric(1)
+	if _, ok := f.nextDeadline(); ok {
+		t.Fatal("an empty fabric reported a deadline")
+	}
+	f.SetDelay(time.Millisecond, time.Millisecond)
+	f.advanceTo(3 * time.Millisecond)
+	if f.Now() != 3*time.Millisecond {
+		t.Fatalf("Now = %v", f.Now())
+	}
+	f.advanceTo(time.Millisecond) // never backward
+	if f.Now() != 3*time.Millisecond {
+		t.Fatalf("clock moved backward to %v", f.Now())
+	}
+	a := f.Join("a", func(NodeID, []byte) {})
+	a.Send("a", nil)
+	if at, ok := f.nextDeadline(); !ok || at != 4*time.Millisecond {
+		t.Fatalf("nextDeadline = %v, %v; want 4ms, true", at, ok)
+	}
+}
+
 func TestFabricDelayDuplicationDrawsFreshDeadline(t *testing.T) {
 	f := NewFabric(3)
 	f.SetDelay(time.Millisecond, time.Millisecond)
