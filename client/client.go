@@ -66,6 +66,8 @@ type Client struct {
 	mu     sync.Mutex
 	pools  []*pool
 	closed bool
+
+	reads readCache // per key, the last large state a query returned
 }
 
 // New returns a client for the given cluster addresses (the replicas'

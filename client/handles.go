@@ -10,6 +10,7 @@ package client
 import (
 	"context"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -41,6 +42,10 @@ type QueryInfo struct {
 	RoundTrips int
 	Attempts   int
 	Path       LearnPath
+	// Unchanged reports that the server answered by digest alone: the
+	// learned state is the one this client's earlier read of the key
+	// returned, and Query returned that state again.
+	Unchanged bool
 }
 
 func uvarintArg(n uint64) []byte {
@@ -58,26 +63,53 @@ func (c *Client) update(ctx context.Context, key, crdtType, mutation string, arg
 	return err
 }
 
+// errUnchangedUnheld fails a query answered "unchanged" by digest when
+// the request did not carry that digest: the reply names no state this
+// client holds, so it is a protocol error, never a nil or stale state.
+var errUnchangedUnheld = errors.New("client: \"unchanged\" reply names a state the request did not hold")
+
 // Query learns a linearizable state of the object stored under key. The
 // payload type must be registered (all built-in types are). The state is
 // decoded straight from the response frame, one copy off the socket. An
 // OR-Set's strings share one buffer copied out of that frame, which stays
 // alive while any of them does: strings.Clone the few you keep past the
 // state.
+//
+// Every read runs the full linearizable protocol; only its answer may be
+// shortened. The client keeps the last large state (≥ wire.LargeState
+// bytes encoded) it read of a few keys, and sends its digest with the
+// key's next query; when the learned state has that digest, the server
+// answers "unchanged" and Query returns the held state again
+// (QueryInfo.Unchanged). States are immutable, so sharing one between
+// reads is safe.
 func (c *Client) Query(ctx context.Context, key string) (State, QueryInfo, error) {
-	resp, err := c.do(ctx, &wire.Request{Op: wire.OpQuery, Key: key}, true)
+	req := &wire.Request{Op: wire.OpQuery, Key: key}
+	held, holds := c.reads.get(key)
+	if holds {
+		req.Have = held.digest
+	}
+	resp, err := c.do(ctx, req, true)
 	if err != nil {
 		return nil, QueryInfo{}, err
-	}
-	st, err := crdt.Unmarshal(resp.State)
-	if err != nil {
-		return nil, QueryInfo{}, fmt.Errorf("client: decode state: %w", err)
 	}
 	info := QueryInfo{
 		RoundTrips: int(resp.RoundTrips),
 		Attempts:   int(resp.Attempts),
 		Path:       LearnPath(resp.Path),
 	}
+	if resp.Unchanged() {
+		// The state this request named, not whatever the cache holds now.
+		if !holds || resp.Digest != held.digest {
+			return nil, QueryInfo{}, errUnchangedUnheld
+		}
+		info.Unchanged = true
+		return held.state, info, nil
+	}
+	st, err := crdt.Unmarshal(resp.State)
+	if err != nil {
+		return nil, QueryInfo{}, fmt.Errorf("client: decode state: %w", err)
+	}
+	c.reads.store(key, holds, st, resp)
 	return st, info, nil
 }
 

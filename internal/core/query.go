@@ -48,6 +48,12 @@ type QueryStats struct {
 	// (docs/PROTOCOL.md §5) and learned without falling back; never for a
 	// query completed by a younger one's learn.
 	Leased bool
+	// Digest is the learned state's digest when the replica already knew
+	// it for that very state, else zero: completing a query never hashes.
+	// Replicas digest large states only (docs/PROTOCOL.md §3), so a small
+	// key's reads report zero. The server answers a client that already
+	// holds the state with it (docs/PROTOCOL.md §2.4).
+	Digest crdt.Digest
 }
 
 // QueryDone is invoked exactly once when a query learns a state. The state
@@ -463,11 +469,12 @@ func (r *Replica) finishQuery(req *queryReq, learned crdt.State, path LearnPath)
 		}
 	}
 	slices.Sort(older)
-	r.completeQuery(req, learned, QueryStats{RoundTrips: req.rtts, Attempts: int(req.attempt), Path: path, Leased: req.leased})
+	digest := r.knownDigest(learned)
+	r.completeQuery(req, learned, QueryStats{RoundTrips: req.rtts, Attempts: int(req.attempt), Path: path, Leased: req.leased, Digest: digest})
 	for _, id := range older {
 		if o, ok := r.queries[id]; ok {
 			r.counters.Rows[19]++
-			r.completeQuery(o, learned, QueryStats{RoundTrips: o.rtts, Attempts: int(o.attempt), Path: path})
+			r.completeQuery(o, learned, QueryStats{RoundTrips: o.rtts, Attempts: int(o.attempt), Path: path, Digest: digest})
 		}
 	}
 }

@@ -13,7 +13,7 @@ import (
 // a digest. At or above it, a converged read ships digests, and an update
 // or leased VOTE a delta. Receivers decode every frame kind whatever the
 // sender chose.
-const largeState = 1 << 10
+const largeState = wire.LargeState
 
 // digested is a state a proposer ships or announces, with its digest when
 // the state is at or above largeState (ok).
@@ -130,6 +130,12 @@ func (r *Replica) digestIfLarge(s crdt.State) digested {
 	d, err := r.xfer.digests.Of(s)
 	return digested{state: s, digest: d, ok: err == nil}
 }
+
+// knownDigest returns s's digest when the replica already holds it for
+// that very state (the memo of a MERGE, a leased VOTE, a PREPARE's
+// announcement or a state frame), and zero otherwise: it never hashes. A
+// query reports its learned state's digest this way (QueryStats.Digest).
+func (r *Replica) knownDigest(s crdt.State) crdt.Digest { return r.xfer.digests.Known(s) }
 
 // withDigest adds d's digest, when it has one, to m's state frame: a
 // full+digest frame when m carries a state (a large MERGE or leased VOTE,

@@ -84,6 +84,53 @@ func (nw *net) kinds(match func(env) bool) []wire.StateKind {
 	return out
 }
 
+// TestQueryStatsDigest: a read of a converged large state reports the
+// learned state's digest, by consistent quorum and by leased vote alike,
+// and a small state's read reports none.
+func TestQueryStatsDigest(t *testing.T) {
+	query := func(nw *net, rep *Replica) (crdt.State, QueryStats) {
+		var learned crdt.State
+		var stats QueryStats
+		rep.SubmitQuery(func(s crdt.State, st QueryStats, err error) {
+			if err != nil {
+				t.Fatalf("query: %v", err)
+			}
+			learned, stats = s, st
+		})
+		nw.pump()
+		nw.drain()
+		if learned == nil {
+			t.Fatal("query did not complete")
+		}
+		return learned, stats
+	}
+	for _, large := range []bool{true, false} {
+		nw := newNet(t, 3, DefaultOptions())
+		if large {
+			nw = newLargeNet(t, 3)
+		}
+		n1 := nw.reps["n1"]
+		if _, err := n1.SubmitUpdate(incAt(n1), nil); err != nil {
+			t.Fatal(err)
+		}
+		nw.pump()
+		nw.drain()
+		for i := 0; i < 3; i++ {
+			learned, stats := query(nw, n1)
+			want, err := crdt.DigestOf(learned)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if large && stats.Digest != want || !large && !stats.Digest.IsZero() {
+				t.Fatalf("large %v, read %d (%+v): Digest %v, want %v", large, i, stats, stats.Digest, want)
+			}
+			if large && i > 0 && !stats.Leased {
+				t.Fatalf("read %d was not leased: %+v", i, stats)
+			}
+		}
+	}
+}
+
 // TestDigestModeConvergedQuery: once a large state is converged, a
 // query's remote ACKs must carry only digests, and the query must still
 // learn the correct state by consistent quorum in one round trip.

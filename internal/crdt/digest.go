@@ -80,6 +80,15 @@ func (m *MemoDigest) Lookup(d Digest) (State, bool) {
 	return m.last, m.last != nil && m.digest == d
 }
 
+// Known returns the memoized digest if s is the memoized state itself,
+// and the zero Digest otherwise, without hashing anything.
+func (m *MemoDigest) Known(s State) Digest {
+	if s == nil || s != m.last {
+		return Digest{}
+	}
+	return m.digest
+}
+
 // Note records d as the digest of s, for a caller that already hashed
 // s's encoding (DigestOfMarshaled) or received the digest alongside it.
 func (m *MemoDigest) Note(s State, d Digest) {

@@ -263,9 +263,14 @@ func (r *Replica) Deliver(from transport.NodeID, payload []byte, _ time.Time) bo
 
 func (r *Replica) becomeFollower(term uint64, leaderID transport.NodeID) {
 	wasLeader := r.role == leader
-	r.term = term
+	if term > r.term {
+		// A vote is per term: only a new term frees it. Dropping it on a
+		// same-term step-down would let this replica vote twice in one
+		// term and elect two leaders.
+		r.term = term
+		r.votedFor = ""
+	}
 	r.role = follower
-	r.votedFor = ""
 	r.leader = leaderID
 	r.votes = nil
 	if wasLeader {

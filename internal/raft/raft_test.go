@@ -379,6 +379,45 @@ func TestVoteDeniedToStaleLog(t *testing.T) {
 	}
 }
 
+// TestOneVotePerTerm: a follower that granted its vote in a term keeps
+// it when the winner's first append fails the log check. Another
+// candidate of that term must not collect it too, or the term has two
+// leaders.
+func TestOneVotePerTerm(t *testing.T) {
+	nw := newRNet(t, 3)
+	nw.elect("n1")
+	// n2 holds an entry n3 lacks, so n3 is behind both n1 and n2.
+	nw.reps["n1"].Propose(incCmd(1), nil)
+	nw.pump()
+	nw.drop(func(e renv) bool { return e.to == "n3" })
+	nw.drain()
+	// n3's failed campaign moves everyone to term 2, leaderless.
+	nw.reps["n3"].ElectionTimeout(time.Time{})
+	nw.pump()
+	nw.drain()
+	// n1 and n2 both campaign for term 3.
+	nw.reps["n1"].ElectionTimeout(time.Time{})
+	nw.reps["n2"].ElectionTimeout(time.Time{})
+	nw.pump()
+	msg := func(from, to transport.NodeID, typ msgType) func(renv) bool {
+		return func(e renv) bool { return e.from == from && e.to == to && e.typ == typ }
+	}
+	for _, step := range []func(renv) bool{
+		msg("n1", "n3", mRequestVote), // n3 votes for n1 in term 3
+		msg("n3", "n1", mVote),        // n1 wins term 3
+		msg("n1", "n3", mAppend),      // n3 follows n1, but lacks the entry before the new ones
+		msg("n2", "n3", mRequestVote), // n2 asks n3 for the same term's vote
+	} {
+		if nw.deliver(step) != 1 {
+			t.Fatal("scripted message missing")
+		}
+	}
+	nw.deliver(msg("n3", "n2", mVote))
+	if term := nw.reps["n1"].Term(); !nw.reps["n1"].IsLeader() || nw.reps["n2"].IsLeader() || term != 3 {
+		t.Fatalf("term %d leaders: n1 %v, n2 %v; want n1 alone in term 3", term, nw.reps["n1"].IsLeader(), nw.reps["n2"].IsLeader())
+	}
+}
+
 func TestCompactionAndSnapshotCatchUp(t *testing.T) {
 	nw := newRNet(t, 3)
 	nw.elect("n1")

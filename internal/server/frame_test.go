@@ -33,6 +33,8 @@ func servedStates() []crdt.State {
 // TestAppendResponseMatchesWriteFrame: the frame the server builds in
 // place is byte for byte the length prefix followed by Encode with the
 // state marshaled first, for every response shape, into a reused buffer.
+// A query's digest follows a large state and is dropped for a small one;
+// an "unchanged" answer carries the digest alone.
 func TestAppendResponseMatchesWriteFrame(t *testing.T) {
 	type answer struct {
 		resp wire.Response
@@ -45,9 +47,13 @@ func TestAppendResponseMatchesWriteFrame(t *testing.T) {
 	for _, op := range []byte{wire.OpUpdate, wire.OpQuery, wire.OpAdmin} {
 		answers = append(answers, answer{wire.Response{Op: op | wire.RespBit, ID: 9, Status: wire.StatusUnavailable, Msg: "cluster: node unavailable"}, nil})
 	}
+	digest := [wire.DigestSize]byte{0: 0xd1, wire.DigestSize - 1: 0x9e}
 	for _, st := range servedStates() {
-		answers = append(answers, answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 33, Status: wire.StatusOK, RoundTrips: 2, Attempts: 1, Path: 3}, st})
+		answers = append(answers,
+			answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 33, Status: wire.StatusOK, RoundTrips: 2, Attempts: 1, Path: 3}, st},
+			answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 34, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: digest}, st})
 	}
+	answers = append(answers, answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 10, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: digest}, nil})
 	buf := []byte("stale bytes of an earlier frame")
 	for _, a := range answers {
 		want := a.resp
@@ -57,6 +63,9 @@ func TestAppendResponseMatchesWriteFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			want.State = enc
+			if len(enc) < wire.LargeState {
+				want.Digest = [wire.DigestSize]byte{}
+			}
 		}
 		body := want.Encode()
 		ref := append(binary.AppendUvarint(nil, uint64(len(body))), body...)
@@ -65,7 +74,7 @@ func TestAppendResponseMatchesWriteFrame(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, ref) {
+		if !bytes.Equal(got, ref) || resp.Digest != want.Digest {
 			t.Fatalf("op %#x status %d (%d-byte frame): server frame differs from the length prefix and Encode()", resp.Op, resp.Status, len(ref))
 		}
 		buf = held

@@ -322,10 +322,11 @@ func (w *connWriter) write(frame []byte) error {
 // appendResponse appends resp to b as one length-prefixed frame and
 // returns it with the buffer holding it, which it may start inside. An
 // OK query's state st is encoded once, wire.MaxFrameHead bytes past b's
-// end, with the head written in front of it; the frame limit is checked
-// after encoding, and a state over it returns b, so the pool never keeps
-// its buffer. The bytes are the length prefix and resp.Encode() with
-// resp.State set to crdt.Marshal(st).
+// end, followed by resp.Digest when the state is large (a small state's
+// digest is cleared), with the head written in front of it; the frame
+// limit is checked after encoding, and a state over it returns b, so the
+// pool never keeps its buffer. The bytes are the length prefix and
+// resp.Encode() with resp.State set to crdt.Marshal(st).
 func appendResponse(b []byte, resp *wire.Response, st crdt.State) (frame, buf []byte, err error) {
 	if st == nil {
 		frame, err = resp.AppendFrame(b)
@@ -335,8 +336,16 @@ func appendResponse(b []byte, resp *wire.Response, st crdt.State) (frame, buf []
 	if buf, err = crdt.AppendMarshal(append(b, make([]byte, wire.MaxFrameHead)...), st); err != nil {
 		return nil, b, err
 	}
+	n := len(buf) - off
+	if resp.Digest != ([wire.DigestSize]byte{}) {
+		if n >= wire.LargeState {
+			buf = append(buf, resp.Digest[:]...)
+		} else {
+			resp.Digest = [wire.DigestSize]byte{}
+		}
+	}
 	if frame, err = resp.PrependFrameHead(buf, off); err != nil {
-		return nil, b, fmt.Errorf("server: state of %d bytes exceeds the %d-byte frame limit", len(buf)-off, wire.MaxFrame)
+		return nil, b, fmt.Errorf("server: state of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrame)
 	}
 	return frame, buf, nil
 }
@@ -468,6 +477,12 @@ func (s *Server) handle(req *wire.Request) (resp *wire.Response, st crdt.State) 
 		resp.RoundTrips = uint64(stats.RoundTrips)
 		resp.Attempts = uint64(stats.Attempts)
 		resp.Path = byte(stats.Path)
+		resp.Digest = stats.Digest
+		if !stats.Digest.IsZero() && stats.Digest == req.Have {
+			// The client holds exactly the learned state (equal digests
+			// are equal encodings): answer "unchanged", with no state.
+			return resp, nil
+		}
 		return resp, st
 
 	case wire.OpAdmin:

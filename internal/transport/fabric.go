@@ -187,7 +187,10 @@ func (f *Fabric) Schedule(d time.Duration, fn func()) (stop func()) {
 }
 
 // step runs the earliest event due by limit and reports whether there was
-// one: a timer, or else a Step, timers first on equal deadlines.
+// one: a timer, or else one pending message, delivered or dropped, timers
+// first on equal deadlines. A dropped message is an event of its own, so
+// the clock never passes a due timer or the limit to reach the message
+// after it.
 func (f *Fabric) step(limit time.Duration) bool {
 	for len(f.timers) > 0 && f.timers[0].stopped {
 		heap.Pop(&f.timers)
@@ -205,7 +208,7 @@ func (f *Fabric) step(limit time.Duration) bool {
 	if !hasM || mAt > limit {
 		return false
 	}
-	f.Step()
+	f.next()
 	return true
 }
 
@@ -264,49 +267,61 @@ func (f *Fabric) Pending() int { return len(f.pending) }
 // ties) and the virtual clock advances to it. Handlers run inline and may
 // send further messages, which join the pool.
 func (f *Fabric) Step() bool {
-	for len(f.pending) > 0 {
-		var msg pendingMsg
-		if f.delayed {
-			i := 0
-			for j := 1; j < len(f.pending); j++ {
-				if f.pending[j].at < f.pending[i].at {
-					i = j
-				}
-			}
-			msg = f.pending[i]
-			// Order-preserving removal keeps equal-deadline messages FIFO,
-			// so delivery order is a pure function of deadlines and send
-			// order, not of pool layout.
-			f.pending = append(f.pending[:i], f.pending[i+1:]...)
-			f.advanceTo(msg.at)
-		} else {
-			i := f.rng.Intn(len(f.pending))
-			msg = f.pending[i]
-			last := len(f.pending) - 1
-			f.pending[i] = f.pending[last]
-			f.pending = f.pending[:last]
+	for {
+		pending, delivered := f.next()
+		if !pending || delivered {
+			return pending
 		}
-
-		h, ok := f.eps[msg.to]
-		if !ok || f.down[msg.to] || f.down[msg.from] || f.blocks[[2]NodeID{msg.from, msg.to}] {
-			f.dropped++
-			continue
-		}
-		if f.loss > 0 && f.rng.Float64() < f.loss {
-			f.dropped++
-			continue
-		}
-		if f.dup > 0 && f.rng.Float64() < f.dup {
-			if f.delayed {
-				msg.at = f.now + f.drawDelay()
-			}
-			f.pending = append(f.pending, msg)
-		}
-		f.links.delivered(msg.from, msg.to, len(msg.payload))
-		h(msg.from, msg.payload)
-		return true
 	}
-	return false
+}
+
+// next takes one pending message, as Step chooses it, and delivers it
+// unless the network drops it. It reports whether a message was pending
+// and whether it was delivered.
+func (f *Fabric) next() (pending, delivered bool) {
+	if len(f.pending) == 0 {
+		return false, false
+	}
+	var msg pendingMsg
+	if f.delayed {
+		i := 0
+		for j := 1; j < len(f.pending); j++ {
+			if f.pending[j].at < f.pending[i].at {
+				i = j
+			}
+		}
+		msg = f.pending[i]
+		// Order-preserving removal keeps equal-deadline messages FIFO,
+		// so delivery order is a pure function of deadlines and send
+		// order, not of pool layout.
+		f.pending = append(f.pending[:i], f.pending[i+1:]...)
+		f.advanceTo(msg.at)
+	} else {
+		i := f.rng.Intn(len(f.pending))
+		msg = f.pending[i]
+		last := len(f.pending) - 1
+		f.pending[i] = f.pending[last]
+		f.pending = f.pending[:last]
+	}
+
+	h, ok := f.eps[msg.to]
+	if !ok || f.down[msg.to] || f.down[msg.from] || f.blocks[[2]NodeID{msg.from, msg.to}] {
+		f.dropped++
+		return true, false
+	}
+	if f.loss > 0 && f.rng.Float64() < f.loss {
+		f.dropped++
+		return true, false
+	}
+	if f.dup > 0 && f.rng.Float64() < f.dup {
+		if f.delayed {
+			msg.at = f.now + f.drawDelay()
+		}
+		f.pending = append(f.pending, msg)
+	}
+	f.links.delivered(msg.from, msg.to, len(msg.payload))
+	h(msg.from, msg.payload)
+	return true, true
 }
 
 // Drain delivers messages until quiescence (no pending messages). It

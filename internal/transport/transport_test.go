@@ -766,6 +766,37 @@ func TestFabricTimersInterleaveWithMessages(t *testing.T) {
 
 // TestFabricTimersDeterministic pins that two fabrics with the same seed
 // produce the same timer/message interleaving and clock readings.
+// TestFabricDroppedMessageDoesNotAdvanceClock: a message dropped on a
+// blocked link is one event of the run loop. The clock stops at its
+// deadline, so a timer due before the next delivery fires at its own
+// instant, and RunFor's limit holds.
+func TestFabricDroppedMessageDoesNotAdvanceClock(t *testing.T) {
+	f := Net{MinDelay: time.Millisecond, MaxDelay: time.Millisecond}.Fabric(1)
+	var log []string
+	note := func(what string) { log = append(log, fmt.Sprintf("%s@%v", what, f.Now())) }
+	conn := f.Join("a", func(NodeID, []byte) {})
+	f.Join("b", func(NodeID, []byte) { note("b") })
+	f.Join("c", func(NodeID, []byte) { note("c") })
+	f.Block("a", "b")
+	// The message to b is due at 1 ms and dropped; the one to c, sent at
+	// 0.8 ms, is due at 1.8 ms, after the timer.
+	conn.Send("b", []byte{1})
+	f.Schedule(800*time.Microsecond, func() { conn.Send("c", []byte{2}) })
+	f.Schedule(1500*time.Microsecond, func() { note("timer") })
+
+	f.RunFor(1200 * time.Microsecond)
+	if f.Now() != 1200*time.Microsecond || len(log) != 0 {
+		t.Fatalf("after RunFor(1.2ms): Now() = %v, log %v; want 1.2ms and nothing run", f.Now(), log)
+	}
+	f.RunFor(time.Millisecond)
+	if want := []string{"timer@1.5ms", "c@1.8ms"}; !reflect.DeepEqual(log, want) {
+		t.Fatalf("log = %v, want %v", log, want)
+	}
+	if st := f.Stats(); st.Dropped != 1 {
+		t.Fatalf("dropped %d, want 1", st.Dropped)
+	}
+}
+
 func TestFabricTimersDeterministic(t *testing.T) {
 	run := func() []string {
 		f := LAN().Fabric(99)

@@ -66,6 +66,12 @@ func TestEncodeAllocs(t *testing.T) {
 	resp := (&Response{Op: OpQuery | RespBit, ID: 1, Status: StatusOK, State: make([]byte, 44_000)}).Encode()
 	req := Request{Op: OpUpdate, ID: 1 << 20, Key: "or-set/7", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("elem-000042")}}
 	reqBuf, _ := req.AppendFrame(nil)
+	small := crdt.NewORSet().Add("elem-000042", "n1", 1)
+	smallBuf := appendQueryFrame(nil, small)
+	unchanged := Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: [DigestSize]byte{1}}
+	unchangedBuf, _ := unchanged.AppendFrame(nil)
+	query := Request{Op: OpQuery, ID: 1 << 20, Key: "or-set/7", Have: [DigestSize]byte{1}}
+	queryBuf, _ := query.AppendFrame(nil)
 	cases := []struct {
 		name string
 		want float64
@@ -79,6 +85,11 @@ func TestEncodeAllocs(t *testing.T) {
 		// A query response frame is appended into a reused buffer, the
 		// state encoded in place: nothing is allocated.
 		{"query-frame", 0, func() { buf = appendQueryFrame(buf[:0], set) }},
+		{"small-query-frame", 0, func() { smallBuf = appendQueryFrame(smallBuf[:0], small) }},
+		// An "unchanged" answer is a head and a digest: no state at all.
+		{"unchanged-frame", 0, func() { unchangedBuf, _ = unchanged.AppendFrame(unchangedBuf[:0]) }},
+		// A query naming the state its client holds.
+		{"query-request-frame", 0, func() { queryBuf, _ = query.AppendFrame(queryBuf[:0]) }},
 		// A request frame is appended into the connection's reused buffer.
 		{"request-frame", 0, func() { reqBuf, _ = req.AppendFrame(reqBuf[:0]) }},
 		// Decoding borrows the frame for the state; the one allocation is
@@ -143,9 +154,11 @@ func BenchmarkAppendQueryFrame(b *testing.B) {
 }
 
 func BenchmarkDecodeResponse(b *testing.B) {
-	r := NewReader(appendQueryFrame(nil, bigSet()))
-	r.Uvarint() // the frame length
-	body := r.Rest()
+	state, err := crdt.Marshal(bigSet())
+	if err != nil {
+		b.Fatal(err)
+	}
+	body := (&Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, State: state}).Encode()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -32,6 +32,12 @@ const FrameVersion = 1
 // both sides against corrupt or hostile length prefixes.
 const MaxFrame = 4 << 20
 
+// LargeState is the encoded state size, in bytes, from which a state is
+// named by digest on either wire: a query's trailing digest here
+// (docs/PROTOCOL.md §2.4) and the replica wire's digest and delta frames
+// (§3). Below it a state is cheaper to ship than to fingerprint.
+const LargeState = 1 << 10
+
 // MaxArgs bounds the operand count of an update request; encoders must
 // enforce it (the decoder rejects it, and the server answers an
 // undecodable frame by dropping the connection).
@@ -111,6 +117,11 @@ type Request struct {
 
 	// Admin field.
 	Cmd string
+
+	// Query field: the digest of the state the client holds for Key from
+	// an earlier large read, or zero for none. A server whose learned
+	// state has this digest answers "unchanged" (Response.Unchanged).
+	Have [DigestSize]byte
 }
 
 // Encode renders the request as a frame body, without the outer length
@@ -151,6 +162,9 @@ func (r *Request) appendBody(b []byte) []byte {
 		}
 	case OpQuery:
 		w.Str(r.Key)
+		if r.Have != ([DigestSize]byte{}) {
+			w.Fixed(r.Have[:])
+		}
 	case OpAdmin:
 		w.Str(r.Cmd)
 	}
@@ -182,6 +196,7 @@ func DecodeRequest(frame []byte) (*Request, error) {
 		}
 	case OpQuery:
 		req.Key = r.Str()
+		optDigest(r, &req.Have)
 	case OpAdmin:
 		req.Cmd = r.Str()
 	default:
@@ -197,6 +212,17 @@ func DecodeRequest(frame []byte) (*Request, error) {
 	return req, nil
 }
 
+// optDigest reads an optional trailing digest into dst: the next
+// DigestSize bytes when that many remain, else nothing (fewer bytes are
+// trailing bytes, ignored like any others). A zero digest reads as
+// absent, so an encoder that appends a later field writes zeros here
+// when it has no digest.
+func optDigest(r *Reader, dst *[DigestSize]byte) {
+	if r.err == nil && len(r.b) >= DigestSize {
+		r.Fixed(dst[:])
+	}
+}
+
 // Response is one decoded client response frame.
 type Response struct {
 	Op     byte // request op with RespBit set
@@ -210,8 +236,19 @@ type Response struct {
 	State      []byte // query only: crdt.Marshal encoding; decoded, a subslice of the frame
 	Payload    []byte // admin only
 
+	// Digest is a query's state digest (crdt.DigestOf), or zero. A server
+	// sets it only for a state of at least LargeState bytes; with an empty
+	// State it means "unchanged" (Unchanged).
+	Digest [DigestSize]byte
+
 	// Non-OK bodies.
 	Msg string
+}
+
+// Unchanged reports whether r is an OK query answered by digest alone: the
+// learned state is the one whose digest the request carried as Have.
+func (r *Response) Unchanged() bool {
+	return r.Status == StatusOK && r.Op == OpQuery|RespBit && len(r.State) == 0 && r.Digest != [DigestSize]byte{}
 }
 
 // maxRespHead bounds a response body's fields before the bytes of its
@@ -221,7 +258,7 @@ const maxRespHead = 4 + 4*binary.MaxVarintLen64
 // Encode renders the response as a frame body.
 func (r *Response) Encode() []byte {
 	n := r.tailLen()
-	return r.appendTail(r.appendHead(make([]byte, 0, maxRespHead+n), n))
+	return r.appendTail(r.appendHead(make([]byte, 0, maxRespHead+n+r.digestLen()), n))
 }
 
 // AppendFrame appends the response to b as one length-prefixed frame:
@@ -237,16 +274,17 @@ func (r *Response) AppendFrame(b []byte) ([]byte, error) {
 
 // appendFrameHead appends the response's frame up to the bytes of its
 // trailing field, which the caller appends next and which must be
-// exactly tailLen bytes long: the frame length, the header and the
-// trailing field's length prefix. The trailing field is the message of
-// a failure, the state of a query and the payload of an admin answer;
-// an OK update has none, and its tailLen must be 0. It fails with
-// ErrFrameTooLarge, returning b unchanged, when the body would exceed
-// MaxFrame, before anything is encoded.
+// exactly tailLen bytes long, followed by the query's digest when it has
+// one: the frame length, the header and the trailing field's length
+// prefix. The trailing field is the message of a failure, the state of a
+// query and the payload of an admin answer; an OK update has none, and
+// its tailLen must be 0. It fails with ErrFrameTooLarge, returning b
+// unchanged, when the body would exceed MaxFrame, before anything is
+// encoded.
 func (r *Response) appendFrameHead(b []byte, tailLen int) ([]byte, error) {
 	var buf [maxRespHead]byte
 	head := r.appendHead(buf[:0], tailLen)
-	n := len(head) + tailLen
+	n := len(head) + tailLen + r.digestLen()
 	if n > MaxFrame {
 		return b, ErrFrameTooLarge
 	}
@@ -259,17 +297,17 @@ func (r *Response) appendFrameHead(b []byte, tailLen int) ([]byte, error) {
 const MaxFrameHead = binary.MaxVarintLen64 + maxRespHead
 
 // PrependFrameHead completes a frame whose trailing field was encoded
-// first. b[off:] holds the trailing field, and off ≥ MaxFrameHead bytes
-// are reserved in front of it; appendFrameHead's bytes go into the end of
-// that reserve, and the frame, a subslice of b, is returned. A server
-// builds an OK query's frame this way, encoding the state with
-// crdt.AppendMarshal at the reserved offset, so the state is walked once,
-// into bytes equal to AppendFrame's with State set to crdt.Marshal(st).
-// It fails with ErrFrameTooLarge, returning b, when the body exceeds
-// MaxFrame.
+// first. b[off:] holds the trailing field, then r.Digest when it is set,
+// and off ≥ MaxFrameHead bytes are reserved in front of it;
+// appendFrameHead's bytes go into the end of that reserve, and the frame,
+// a subslice of b, is returned. A server builds an OK query's frame this
+// way, encoding the state with crdt.AppendMarshal at the reserved offset,
+// so the state is walked once, into bytes equal to AppendFrame's with
+// State set to crdt.Marshal(st). It fails with ErrFrameTooLarge,
+// returning b, when the body exceeds MaxFrame.
 func (r *Response) PrependFrameHead(b []byte, off int) ([]byte, error) {
 	var buf [MaxFrameHead]byte
-	head, err := r.appendFrameHead(buf[:0], len(b)-off)
+	head, err := r.appendFrameHead(buf[:0], len(b)-off-r.digestLen())
 	if err != nil {
 		return b, err
 	}
@@ -317,15 +355,26 @@ func (r *Response) tailLen() int {
 	return 0
 }
 
+// digestLen is the length of the digest that follows an OK query's state:
+// DigestSize when Digest is set, else 0.
+func (r *Response) digestLen() int {
+	if r.Status != StatusOK || r.Op&^RespBit != OpQuery || r.Digest == [DigestSize]byte{} {
+		return 0
+	}
+	return DigestSize
+}
+
 // appendTail appends the bytes of the body's trailing field: Msg, State
-// or Payload by status and op, nothing for an OK update.
+// or Payload by status and op, nothing for an OK update; an OK query's
+// digest, when set, follows its state.
 func (r *Response) appendTail(b []byte) []byte {
 	if r.Status != StatusOK {
 		return append(b, r.Msg...)
 	}
 	switch r.Op &^ RespBit {
 	case OpQuery:
-		return append(b, r.State...)
+		b = append(b, r.State...)
+		return append(b, r.Digest[:r.digestLen()]...)
 	case OpAdmin:
 		return append(b, r.Payload...)
 	}
@@ -370,6 +419,7 @@ func DecodeResponse(frame []byte) (*Response, error) {
 		resp.Attempts = r.Uvarint()
 		resp.Path = r.Byte()
 		resp.State = r.Span() // the frame is the client's own: no second copy
+		optDigest(r, &resp.Digest)
 	case OpAdmin:
 		resp.Payload = r.Raw()
 	}

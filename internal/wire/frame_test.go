@@ -21,6 +21,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpUpdate, ID: 7, Key: "article/42", CRDTType: "g-counter", Mutation: "inc", Args: [][]byte{{5}}},
 		{Op: OpUpdate, ID: 0, Key: "", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("alice"), nil}},
 		{Op: OpQuery, ID: 1 << 40, Key: "sessions/eu"},
+		{Op: OpQuery, ID: 2, Key: "or-set/big", Have: testDigest(7)},
 		{Op: OpAdmin, ID: 3, Cmd: "ping"},
 	}
 	for _, in := range cases {
@@ -49,6 +50,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	cases := []Response{
 		{Op: OpUpdate | RespBit, ID: 7, Status: StatusOK, RoundTrips: 1},
 		{Op: OpQuery | RespBit, ID: 9, Status: StatusOK, RoundTrips: 2, Attempts: 1, Path: 1, State: []byte{1, 2, 3}},
+		{Op: OpQuery | RespBit, ID: 10, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, State: bytes.Repeat([]byte{4}, LargeState), Digest: testDigest(1)},
+		{Op: OpQuery | RespBit, ID: 11, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: testDigest(2)},
 		{Op: OpAdmin | RespBit, ID: 1, Status: StatusOK, Payload: []byte("pong")},
 		{Op: OpUpdate | RespBit, ID: 4, Status: StatusUnavailable, Msg: "node crashed"},
 		{Op: OpQuery | RespBit, ID: 5, Status: StatusError, Msg: "type mismatch"},
@@ -69,10 +72,61 @@ func TestResponseRoundTrip(t *testing.T) {
 		}
 		if got.Op != in.Op || got.ID != in.ID || got.Status != in.Status ||
 			got.RoundTrips != in.RoundTrips || got.Attempts != in.Attempts ||
-			got.Path != in.Path || got.Msg != in.Msg ||
+			got.Path != in.Path || got.Msg != in.Msg || got.Digest != in.Digest ||
 			!bytes.Equal(got.State, in.State) || !bytes.Equal(got.Payload, in.Payload) {
 			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, *got)
 		}
+		if want := in.Status == StatusOK && len(in.State) == 0 && in.Digest != ([DigestSize]byte{}); got.Unchanged() != want {
+			t.Fatalf("op %#x id %d: Unchanged() = %v, want %v", in.Op, in.ID, got.Unchanged(), want)
+		}
+	}
+}
+
+// testDigest returns a digest whose every byte is b.
+func testDigest(b byte) [DigestSize]byte {
+	var d [DigestSize]byte
+	for i := range d {
+		d[i] = b
+	}
+	return d
+}
+
+// TestOptionalDigestFields: a query request's Have and a query response's
+// Digest are trailing fields. Absent, the frame is byte for byte what it
+// was before they existed; a zero digest is not written; fewer than
+// DigestSize trailing bytes are ignored; and a decoder that predates the
+// fields reads the rest of the frame unchanged.
+func TestOptionalDigestFields(t *testing.T) {
+	plain := (&Request{Op: OpQuery, ID: 5, Key: "k"}).Encode()
+	if want := []byte{FrameVersion, OpQuery, 5, 1, 'k'}; !bytes.Equal(plain, want) {
+		t.Fatalf("digestless query = % x, want % x", plain, want)
+	}
+	with := (&Request{Op: OpQuery, ID: 5, Key: "k", Have: testDigest(3)}).Encode()
+	if !bytes.Equal(with[:len(plain)], plain) || len(with) != len(plain)+DigestSize {
+		t.Fatalf("query with Have = % x, want the digestless frame plus %d bytes", with, DigestSize)
+	}
+	short, err := DecodeRequest(append(plain, make([]byte, DigestSize-1)...))
+	if err != nil || short.Have != ([DigestSize]byte{}) {
+		t.Fatalf("%d trailing bytes: Have %x, err %v; want ignored", DigestSize-1, short.Have, err)
+	}
+
+	full := Response{Op: OpQuery | RespBit, ID: 5, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: []byte("state")}
+	bare := full.Encode()
+	full.Digest = testDigest(4)
+	digested := full.Encode()
+	if !bytes.Equal(digested[:len(bare)], bare) || len(digested) != len(bare)+DigestSize {
+		t.Fatalf("response with Digest = % x, want the digestless frame plus %d bytes", digested, DigestSize)
+	}
+	unchanged := (&Response{Op: OpQuery | RespBit, ID: 5, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, Digest: testDigest(4)}).Encode()
+	// A decoder that knows no digest sees an empty state and ignores the
+	// rest; a server sends this form only to a request that carried Have.
+	r := NewReader(unchanged)
+	r.Fixed(make([]byte, 4)) // version, op, id, status
+	r.Uvarint()
+	r.Uvarint()
+	r.Byte()
+	if st := r.Span(); r.Err() != nil || len(st) != 0 {
+		t.Fatalf("unchanged reply's state field = %q, %v; want empty", st, r.Err())
 	}
 }
 
@@ -204,6 +258,8 @@ func TestFrameIO(t *testing.T) {
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add((&Request{Op: OpUpdate, ID: 1, Key: "k", CRDTType: "g-counter", Mutation: "inc", Args: [][]byte{{1}}}).Encode())
 	f.Add((&Request{Op: OpQuery, ID: 2, Key: "obj/1"}).Encode())
+	f.Add((&Request{Op: OpQuery, ID: 2, Key: "or-set/1", Have: testDigest(9)}).Encode())
+	f.Add(append((&Request{Op: OpQuery, ID: 2, Key: "obj/1"}).Encode(), 1, 2, 3))
 	f.Add((&Request{Op: OpAdmin, ID: 3, Cmd: "keys"}).Encode())
 	f.Add([]byte{FrameVersion, OpUpdate})
 	f.Add([]byte{})
@@ -236,6 +292,10 @@ func FuzzDecodeResponse(f *testing.F) {
 	f.Add((&Response{Op: OpUpdate | RespBit, ID: 7, Status: StatusUnavailable}).Encode())
 	// A large query state: its length takes a three-byte varint.
 	f.Add((&Response{Op: OpQuery | RespBit, ID: 9, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: bytes.Repeat([]byte("elem-000001"), 4000)}).Encode())
+	// A large state with its digest, and the "unchanged" reply: a digest
+	// and no state.
+	f.Add((&Response{Op: OpQuery | RespBit, ID: 10, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, State: bytes.Repeat([]byte("elem-000001"), 100), Digest: testDigest(5)}).Encode())
+	f.Add((&Response{Op: OpQuery | RespBit, ID: 11, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: testDigest(6)}).Encode())
 	f.Add([]byte{FrameVersion})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		resp, err := DecodeResponse(frame)
@@ -248,7 +308,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if again.Op != resp.Op || again.ID != resp.ID || again.Status != resp.Status || again.Msg != resp.Msg ||
 			again.RoundTrips != resp.RoundTrips || again.Attempts != resp.Attempts || again.Path != resp.Path ||
-			!bytes.Equal(again.State, resp.State) || !bytes.Equal(again.Payload, resp.Payload) {
+			again.Digest != resp.Digest || !bytes.Equal(again.State, resp.State) || !bytes.Equal(again.Payload, resp.Payload) {
 			t.Fatalf("encode/decode not idempotent:\n first  %+v\n second %+v", *resp, *again)
 		}
 	})
@@ -262,6 +322,8 @@ func responseShapes() []Response {
 		{Op: OpQuery | RespBit, ID: 1 << 40, Status: StatusOK, RoundTrips: 300, Attempts: 2, Path: 1, State: []byte{1, 2, 3}},
 		{Op: OpQuery | RespBit, ID: 9, Status: StatusOK, State: bytes.Repeat([]byte{5}, 70_000)},
 		{Op: OpQuery | RespBit, ID: 10, Status: StatusOK},
+		{Op: OpQuery | RespBit, ID: 11, Status: StatusOK, State: bytes.Repeat([]byte{6}, 2000), Digest: testDigest(1)},
+		{Op: OpQuery | RespBit, ID: 12, Status: StatusOK, Digest: testDigest(2)},
 		{Op: OpAdmin | RespBit, ID: 1, Status: StatusOK, Payload: []byte("pong")},
 		{Op: OpUpdate | RespBit, ID: 4, Status: StatusUncertain, Msg: "timed out"},
 		{Op: OpQuery | RespBit, ID: 5, Status: StatusError, Msg: "type mismatch"},
@@ -278,6 +340,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 	for _, r := range []Request{
 		{Op: OpUpdate, ID: 1 << 33, Key: "article/42", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("alice"), nil, bytes.Repeat([]byte{9}, 300)}},
 		{Op: OpQuery, ID: 7, Key: strings.Repeat("k", 200)},
+		{Op: OpQuery, ID: 8, Key: "or-set/big", Have: testDigest(3)},
 		{Op: OpAdmin, ID: 0, Cmd: "keys"},
 	} {
 		got, err := r.AppendFrame(append([]byte{}, prefix...))
@@ -298,9 +361,10 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 			t.Fatalf("op %#x status %d: AppendFrame differs from the length prefix and Encode()", r.Op, r.Status)
 		}
 		if r.Status == StatusOK && r.Op == OpQuery|RespBit {
-			state := r.State
+			// The state, then the digest when there is one.
+			state := append(append([]byte{}, r.State...), r.Digest[:r.digestLen()]...)
 			r.State = nil // the head must not read the state it is told the length of
-			head, err := r.appendFrameHead(nil, len(state))
+			head, err := r.appendFrameHead(nil, len(state)-r.digestLen())
 			if err != nil {
 				t.Fatal(err)
 			}
