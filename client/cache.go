@@ -25,7 +25,8 @@ type cachedRead struct {
 // query that returned a state of at least wire.LargeState bytes with a
 // digest. The digest goes out with the key's next query, and a server
 // whose learned state has it answers "unchanged" instead of shipping the
-// state again (docs/PROTOCOL.md §2.4). It holds at most readCacheSize
+// state again, or one that still holds the named state answers with the
+// delta from it (docs/PROTOCOL.md §2.4). It holds at most readCacheSize
 // entries, evicting the least recently used.
 type readCache struct {
 	mu      sync.Mutex
@@ -47,12 +48,13 @@ func (c *readCache) get(key string) (cachedRead, bool) {
 	return *e, true
 }
 
-// store records a query's answer for key: resp's state, decoded as st,
-// when it is large and named by digest. Any other answer drops the entry
-// the query found (held), which can only name an older state; a small
-// key's read, which found none, takes no lock here.
-func (c *readCache) store(key string, held bool, st State, resp *wire.Response) {
-	large := len(resp.State) >= wire.LargeState && resp.Digest != [wire.DigestSize]byte{}
+// store records a query's answer for key: the state st it returned, when
+// the answer named it by digest (a large state, whole or as a delta).
+// Any other answer, a zero digest, drops the entry the query found
+// (held), which can only name an older state; a small key's read, which
+// found none, takes no lock here.
+func (c *readCache) store(key string, held bool, st State, digest [wire.DigestSize]byte) {
+	large := digest != [wire.DigestSize]byte{}
 	if !large && !held {
 		return
 	}
@@ -64,7 +66,7 @@ func (c *readCache) store(key string, held bool, st State, resp *wire.Response) 
 	}
 	c.clock++
 	if e, ok := c.entries[key]; ok {
-		e.state, e.digest, e.used = st, resp.Digest, c.clock
+		e.state, e.digest, e.used = st, digest, c.clock
 		return
 	}
 	if c.entries == nil {
@@ -80,5 +82,5 @@ func (c *readCache) store(key string, held bool, st State, resp *wire.Response) 
 		}
 		delete(c.entries, oldest)
 	}
-	c.entries[key] = &cachedRead{state: st, digest: resp.Digest, used: c.clock}
+	c.entries[key] = &cachedRead{state: st, digest: digest, used: c.clock}
 }

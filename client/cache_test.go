@@ -1,8 +1,8 @@
 package client_test
 
 // The client's read cache against the scripted server: which state an
-// "unchanged" reply returns, when such a reply is an error, and what the
-// cache holds.
+// "unchanged" or delta reply returns, when such a reply is an error, and
+// what the cache holds.
 
 import (
 	"context"
@@ -36,6 +36,38 @@ func largeSet(t *testing.T, tag string, n int) ([]byte, [wire.DigestSize]byte) {
 // it the "unchanged" reply.
 func stateReply(req *wire.Request, state []byte, digest [wire.DigestSize]byte) []byte {
 	return (&wire.Response{Op: req.Op | wire.RespBit, ID: req.ID, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: state, Digest: digest}).Encode()
+}
+
+// deltaReply answers a query with delta, the learned state's delta against
+// the state named base, and the learned state's digest.
+func deltaReply(req *wire.Request, delta []byte, digest, base [wire.DigestSize]byte) []byte {
+	return (&wire.Response{Op: req.Op | wire.RespBit, ID: req.ID, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: delta, Digest: digest, Base: base}).Encode()
+}
+
+// grown returns the or-set encoded in raw with elements added, its delta
+// against raw's set and its digest.
+func grown(t *testing.T, raw []byte, elems ...string) (full, delta []byte, digest [wire.DigestSize]byte) {
+	t.Helper()
+	st, err := crdt.Unmarshal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := st.(*crdt.ORSet)
+	for i, e := range elems {
+		s = s.Add(e, "n2", uint64(i+1))
+	}
+	d, err := s.Delta(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err = crdt.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if delta, err = crdt.Marshal(d); err != nil {
+		t.Fatal(err)
+	}
+	return full, delta, crdt.DigestOfMarshaled(full)
 }
 
 func elements(t *testing.T, st client.State) []string {
@@ -222,5 +254,112 @@ func TestClientsShareNoCacheEntries(t *testing.T) {
 	}
 	if n := client.ReadCacheLen(clients[1]); n != 1 {
 		t.Fatalf("second client holds %d entries, want its own one", n)
+	}
+}
+
+// TestDeltaMergesIntoTheStateItsRequestNamed: a read holding X takes a
+// delta and its reply is held back; a second read meanwhile replaces X
+// with Y in the cache. The held reply's delta is against X, so the first
+// read returns X joined with it, the state the server learned, not Y
+// joined with it; and the key's next read names that state's digest.
+func TestDeltaMergesIntoTheStateItsRequestNamed(t *testing.T) {
+	x, dx := largeSet(t, "x", 100)
+	y, dy := largeSet(t, "y", 100)
+	z, delta, dz := grown(t, x, "x-new")
+	release := make(chan struct{})
+	var withX atomic.Int32
+	var lastHave atomic.Value
+	s := startScripted(t, func(req *wire.Request) []byte {
+		lastHave.Store(req.Have)
+		switch {
+		case req.Have == dx && req.AcceptDelta && withX.Add(1) == 1:
+			<-release // the pipelined read: held until the cache moved on
+			return deltaReply(req, delta, dz, dx)
+		case req.Have == dx:
+			return stateReply(req, y, dy)
+		}
+		return stateReply(req, x, dx) // the first read, and any without a held state
+	})
+	c, err := client.New([]string{s.addr()}, client.WithPool(2), client.WithRequestTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if _, _, err := c.Query(ctx, "or-set/k"); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		st   client.State
+		info client.QueryInfo
+		err  error
+	}
+	held := make(chan result, 1)
+	go func() {
+		st, info, err := c.Query(ctx, "or-set/k")
+		held <- result{st, info, err}
+	}()
+	for withX.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	if newer, _, err := c.Query(ctx, "or-set/k"); err != nil || elements(t, newer)[0] != "y-0000" {
+		t.Fatalf("second read: %v, err %v; want the y state", newer, err)
+	}
+	close(release)
+	r := <-held
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if !r.info.Delta || r.info.Unchanged {
+		t.Fatalf("held read: info %+v, want a delta answer", r.info)
+	}
+	got, err := crdt.Marshal(r.st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(z) {
+		t.Fatalf("held read returned %d elements, not X joined with its delta", len(elements(t, r.st)))
+	}
+	if _, _, err := c.Query(ctx, "or-set/k"); err != nil {
+		t.Fatal(err)
+	}
+	if have := lastHave.Load().([wire.DigestSize]byte); have != dz {
+		t.Fatal("the read after a delta answer did not name the joined state's digest")
+	}
+}
+
+// TestDeltaWithoutItsBaseIsAnError: a delta reply to a request that did
+// not take one, or against a base that is not the request's have, cannot
+// be joined into any state the client knows. It is an error, never a nil
+// or stale state.
+func TestDeltaWithoutItsBaseIsAnError(t *testing.T) {
+	x, dx := largeSet(t, "x", 100)
+	_, delta, dz := grown(t, x, "x-new")
+	var other [wire.DigestSize]byte
+	other[0] = 1
+	s := startScripted(t, func(req *wire.Request) []byte {
+		switch {
+		case req.Key == "or-set/fresh":
+			return deltaReply(req, delta, dz, dx)
+		case req.Have == dx:
+			return deltaReply(req, delta, dz, other)
+		default:
+			return stateReply(req, x, dx)
+		}
+	})
+	c, err := client.New([]string{s.addr()}, client.WithRequestTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ctx := context.Background()
+	if st, _, err := c.Query(ctx, "or-set/fresh"); err == nil || st != nil {
+		t.Fatalf("delta reply to a request that did not opt in: state %v, err %v; want an error", st, err)
+	}
+	if _, _, err := c.Query(ctx, "or-set/held"); err != nil {
+		t.Fatal(err)
+	}
+	if st, _, err := c.Query(ctx, "or-set/held"); err == nil || st != nil {
+		t.Fatalf("delta reply against another base: state %v, err %v; want an error", st, err)
 	}
 }

@@ -217,7 +217,8 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 
 	// Each attempt re-snapshots the pool list so a concurrent SetAddrs
 	// takes effect mid-retry (failing over onto endpoints that still
-	// exist). Only keyless requests advance the shared cursor.
+	// exist). Only keyless requests advance the shared cursor; a keyed
+	// one starts past the suspect pools at the top of its key's ranking.
 	var start uint64
 	if req.Key == "" {
 		start = c.next.Add(1)
@@ -238,6 +239,9 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 		if err != nil {
 			return nil, err
 		}
+		if attempt == 0 && req.Key != "" {
+			start = skipSuspects(pools, req.Key)
+		}
 		p := pick(pools, req.Key, start, attempt)
 		cn, err := p.get(ctx)
 		if err != nil {
@@ -257,6 +261,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 				return nil, ctxErr(ctx, err)
 			}
 			// Nothing was sent; always safe to try the next address.
+			p.suspect()
 			lastErr = err
 			continue
 		}
@@ -290,6 +295,8 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 					// down: the endpoint did not refuse this request, so
 					// it costs a redial, not an attempt.
 					attempt--
+				} else {
+					p.suspect()
 				}
 				continue
 			}
@@ -301,6 +308,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 				lastErr = err
 				continue
 			}
+			p.suspect()
 			if !retryInFlight {
 				return nil, fmt.Errorf("%w: %v", errConnFailed, err)
 			}
@@ -318,6 +326,8 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 		lastErr = &StatusError{Status: Status(resp.Status), Msg: resp.Msg, readOnly: retryInFlight}
 		switch resp.Status {
 		case byte(StatusUnavailable):
+			// The endpoint refused the operation, or timed out on a read.
+			p.suspect()
 			continue // provably not applied: retry anywhere
 		case byte(StatusBusy):
 			// Shed at admission, provably not applied: retry anywhere —
@@ -325,6 +335,8 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 			// server from drowning in its own retries.
 			continue
 		case byte(StatusUncertain):
+			// The endpoint timed out on an update, or aborted it.
+			p.suspect()
 			if retryInFlight {
 				continue
 			}
@@ -339,21 +351,23 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 // --- key routing ---
 
 // pick returns the pool for attempt n (from 0) of a request. A keyed
-// request goes to the pools in the key's rendezvous order: the first
-// attempt to the pool scoring highest, the key's home, and each retry to
-// the next. Sending a key to one replica gives it one proposer, so its
-// queries stop invalidating each other's rounds and its round lease
-// stays where it was installed. The home is only a routing hint: every
+// request goes to the pools in the key's rendezvous order from position
+// start (skipSuspects): the first attempt to the pool scoring highest,
+// the key's home, unless it is suspect, and each retry to the next.
+// Sending a key to one replica gives it one proposer, so its queries stop
+// invalidating each other's rounds and its round lease stays where it was
+// installed. The home is only a routing hint: every
 // replica serves every key, and changing the address set re-homes only
 // the keys of the addresses that left or now outscore the old home. A
 // keyless request rotates from the cursor position start.
 func pick(pools []*pool, key string, start uint64, n int) *pool {
+	// Reduce modulo the pool count while still in uint64, so the int
+	// conversion can never go negative (32-bit platforms).
+	i := int((start + uint64(n)) % uint64(len(pools)))
 	if key == "" {
-		// Reduce modulo the pool count while still in uint64, so the int
-		// conversion can never go negative (32-bit platforms).
-		return pools[int((start+uint64(n))%uint64(len(pools)))]
+		return pools[i]
 	}
-	if n%len(pools) == 0 {
+	if i == 0 {
 		home, best := pools[0], pools[0].score(key)
 		for _, p := range pools[1:] {
 			if s := p.score(key); s > best {
@@ -364,7 +378,25 @@ func pick(pools []*pool, key string, start uint64, n int) *pool {
 	}
 	order := slices.Clone(pools)
 	slices.SortStableFunc(order, func(a, b *pool) int { return cmp.Compare(b.score(key), a.score(key)) })
-	return order[n%len(order)]
+	return order[i]
+}
+
+// skipSuspects returns where a keyed request's first attempt starts in the
+// key's rendezvous order (pick's start): at the first pool that is not
+// suspect, or at the home when every pool is, or when the home is not.
+// Only when some pool is suspect does it look for the home.
+func skipSuspects(pools []*pool, key string) uint64 {
+	now := time.Now()
+	if !slices.ContainsFunc(pools, func(p *pool) bool { return p.suspected(now) }) ||
+		!pick(pools, key, 0, 0).suspected(now) {
+		return 0
+	}
+	for n := 1; n < len(pools); n++ {
+		if !pick(pools, key, 0, n).suspected(now) {
+			return uint64(n)
+		}
+	}
+	return 0
 }
 
 // FNV-1a, 64 bit.
@@ -397,10 +429,20 @@ func (p *pool) score(key string) uint64 {
 
 // --- connection pool ---
 
+// suspectWindow is how long a keyed request's first attempt avoids an
+// endpoint after an attempt there failed through the endpoint's own
+// fault: a failed dial or connection, or an unavailable or uncertain
+// answer. A partitioned home then costs its server timeout once per
+// window, not once per operation; the window is short so that a healed
+// home gets its keys back soon.
+const suspectWindow = time.Second
+
 type pool struct {
 	addr string
 	seed uint64 // FNV-1a state after hashing addr and a 0 byte (score)
 	cfg  config
+
+	suspectUntil atomic.Int64 // Unix nanoseconds; see suspectWindow
 
 	mu     sync.Mutex
 	conns  []*conn // fixed-size slots, nil or dead until (re)dialed
@@ -459,6 +501,12 @@ func (p *pool) get(ctx context.Context) (*conn, error) {
 	p.conns[slot] = cn
 	return cn, nil
 }
+
+// suspect marks the endpoint as failing for suspectWindow.
+func (p *pool) suspect() { p.suspectUntil.Store(time.Now().Add(suspectWindow).UnixNano()) }
+
+// suspected reports whether the endpoint failed within suspectWindow of now.
+func (p *pool) suspected(now time.Time) bool { return now.UnixNano() < p.suspectUntil.Load() }
 
 func (p *pool) close() {
 	p.mu.Lock()

@@ -9,3 +9,13 @@ func ReadCacheLen(c *Client) int {
 	defer c.reads.mu.Unlock()
 	return len(c.reads.entries)
 }
+
+// KeyHome returns the address c sends key's requests to first when no
+// endpoint is suspect.
+func KeyHome(c *Client, key string) string {
+	pools, err := c.snapshotPools()
+	if err != nil {
+		return ""
+	}
+	return pick(pools, key, 0, 0).addr
+}

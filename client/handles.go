@@ -46,6 +46,10 @@ type QueryInfo struct {
 	// learned state is the one this client's earlier read of the key
 	// returned, and Query returned that state again.
 	Unchanged bool
+	// Delta reports that the server answered with what the learned state
+	// adds to the one this client's earlier read of the key returned, and
+	// Query returned the join of the two: the learned state.
+	Delta bool
 }
 
 func uvarintArg(n uint64) []byte {
@@ -68,6 +72,12 @@ func (c *Client) update(ctx context.Context, key, crdtType, mutation string, arg
 // client holds, so it is a protocol error, never a nil or stale state.
 var errUnchangedUnheld = errors.New("client: \"unchanged\" reply names a state the request did not hold")
 
+// errDeltaUnheld fails a query answered by delta when the request did not
+// take one, when the delta's base is not the state the request held, or
+// when the reply names no learned state: such a delta cannot be joined
+// into a state this client knows and kept.
+var errDeltaUnheld = errors.New("client: delta reply is against a state the request did not hold")
+
 // Query learns a linearizable state of the object stored under key. The
 // payload type must be registered (all built-in types are). The state is
 // decoded straight from the response frame, one copy off the socket. An
@@ -78,15 +88,18 @@ var errUnchangedUnheld = errors.New("client: \"unchanged\" reply names a state t
 // Every read runs the full linearizable protocol; only its answer may be
 // shortened. The client keeps the last large state (≥ wire.LargeState
 // bytes encoded) it read of a few keys, and sends its digest with the
-// key's next query; when the learned state has that digest, the server
+// key's next query. When the learned state has that digest, the server
 // answers "unchanged" and Query returns the held state again
-// (QueryInfo.Unchanged). States are immutable, so sharing one between
-// reads is safe.
+// (QueryInfo.Unchanged). When the server still holds the state the
+// digest names, it may instead answer with the learned state's delta
+// against it, and Query returns the held state joined with the delta
+// (QueryInfo.Delta). States are immutable, so sharing one between reads
+// is safe.
 func (c *Client) Query(ctx context.Context, key string) (State, QueryInfo, error) {
 	req := &wire.Request{Op: wire.OpQuery, Key: key}
 	held, holds := c.reads.get(key)
 	if holds {
-		req.Have = held.digest
+		req.Have, req.AcceptDelta = held.digest, true
 	}
 	resp, err := c.do(ctx, req, true)
 	if err != nil {
@@ -97,8 +110,9 @@ func (c *Client) Query(ctx context.Context, key string) (State, QueryInfo, error
 		Attempts:   int(resp.Attempts),
 		Path:       LearnPath(resp.Path),
 	}
+	// An unchanged or delta answer is read against the state this request
+	// named, not against whatever the cache holds by now.
 	if resp.Unchanged() {
-		// The state this request named, not whatever the cache holds now.
 		if !holds || resp.Digest != held.digest {
 			return nil, QueryInfo{}, errUnchangedUnheld
 		}
@@ -109,7 +123,19 @@ func (c *Client) Query(ctx context.Context, key string) (State, QueryInfo, error
 	if err != nil {
 		return nil, QueryInfo{}, fmt.Errorf("client: decode state: %w", err)
 	}
-	c.reads.store(key, holds, st, resp)
+	digest := resp.Digest
+	if resp.Delta() {
+		if !req.AcceptDelta || resp.Base != held.digest || digest == ([wire.DigestSize]byte{}) {
+			return nil, QueryInfo{}, errDeltaUnheld
+		}
+		if st, err = held.state.Merge(st); err != nil {
+			return nil, QueryInfo{}, fmt.Errorf("client: join delta: %w", err)
+		}
+		info.Delta = true
+	} else if len(resp.State) < wire.LargeState {
+		digest = [wire.DigestSize]byte{}
+	}
+	c.reads.store(key, holds, st, digest)
 	return st, info, nil
 }
 

@@ -154,7 +154,8 @@ func servedBy(t *testing.T, what string, order []*fakeServer, want ...int32) {
 // are both served by the second-ranked address — nothing was sent, so any
 // operation may move on. With the home reading a request and then hanging
 // up, a query still fails over, while an update keeps its ErrUncertain
-// class and is not re-sent.
+// class and is not re-sent. A client whose request failed at the home
+// sends its next keyed request straight to the second-ranked address.
 func TestHomeFailover(t *testing.T) {
 	const key = "g-counter/views"
 	opts := []Option{
@@ -184,11 +185,21 @@ func TestHomeFailover(t *testing.T) {
 			t.Fatalf("query with the home hanging up: %v", err)
 		}
 		servedBy(t, "query", order, 1, 1, 0)
-		err := c.Counter(key).Inc(ctx, 1)
+		if err := c.Counter(key).Inc(ctx, 1); err != nil {
+			t.Fatalf("update after the home hung up: %v", err)
+		}
+		servedBy(t, "update skipping the suspect home", order, 1, 2, 0)
+		// A client that has seen no failure still sends the update home.
+		fresh, err := New(c.Addrs(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer fresh.Close()
+		err = fresh.Counter(key).Inc(ctx, 1)
 		if !errors.Is(err, ErrUncertain) || errors.Is(err, ErrUnavailable) {
 			t.Fatalf("update the home read and dropped: %v, want ErrUncertain only", err)
 		}
-		servedBy(t, "update", order, 2, 1, 0)
+		servedBy(t, "update", order, 2, 2, 0)
 	})
 }
 

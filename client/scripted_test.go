@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -466,5 +467,53 @@ func TestBusyExhaustedSurfacesErrBusy(t *testing.T) {
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Status != client.StatusBusy || se.Msg != "scripted: permanently shedding" {
 		t.Fatalf("busy error %v lost its StatusError", err)
+	}
+}
+
+// TestSuspectHomeCostsItsDelayOnce: a key's home answers every request
+// "unavailable" only after a delay, as a replica partitioned from its
+// quorum does once its server timeout runs out. The first operation pays
+// that delay and fails over; the next ones skip the suspect home and go
+// straight to the next address, so the delay is paid once, not once per
+// operation.
+func TestSuspectHomeCostsItsDelayOnce(t *testing.T) {
+	const delay = 200 * time.Millisecond
+	var slowServed, fastServed atomic.Int32
+	slow := startScripted(t, func(req *wire.Request) []byte {
+		slowServed.Add(1)
+		time.Sleep(delay)
+		return statusReply(req, wire.StatusUnavailable, "scripted: timed out without a quorum")
+	})
+	fast := startScripted(t, func(req *wire.Request) []byte {
+		fastServed.Add(1)
+		return (&wire.Response{Op: req.Op | wire.RespBit, ID: req.ID, Status: wire.StatusOK, RoundTrips: 1}).Encode()
+	})
+	c, err := client.New([]string{slow.addr(), fast.addr()}, client.WithRequestTimeout(5*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	key := ""
+	for i := 0; key == ""; i++ {
+		if k := fmt.Sprintf("g-counter/%d", i); client.KeyHome(c, k) == slow.addr() {
+			key = k
+		}
+	}
+	const ops = 10
+	start := time.Now()
+	for i := 0; i < ops; i++ {
+		if err := c.Counter(key).Inc(context.Background(), 1); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	elapsed := time.Since(start)
+	if n := slowServed.Load(); n != 1 {
+		t.Fatalf("the slow home read %d requests, want 1: later ones should skip it", n)
+	}
+	if n := fastServed.Load(); n != ops {
+		t.Fatalf("the next address served %d ops, want %d", n, ops)
+	}
+	if elapsed > ops/2*delay {
+		t.Fatalf("%d ops took %v with a %v home: the delay was paid per op", ops, elapsed, delay)
 	}
 }

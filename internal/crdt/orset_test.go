@@ -203,6 +203,10 @@ func TestORSetAllocs(t *testing.T) {
 	grown := s.Add("elem-000500x", "n2", 1)
 	var dominated State = bigORSet(999)
 	frame, deltaFrame := mustMarshal(t, s), mustMarshal(t, oneTag)
+	decodedDelta, err := Unmarshal(deltaFrame)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, tc := range []struct {
 		name string
 		max  float64
@@ -214,6 +218,9 @@ func TestORSetAllocs(t *testing.T) {
 		{"Merge full state one tag ahead", 4, func() { _, _ = s.Merge(grown) }},
 		{"Merge dominated state", 0, func() { _, _ = s.Merge(dominated) }},
 		{"Merge self", 0, func() { _, _ = s.Merge(s) }},
+		// The result's entry array and top-level value, plus copies of
+		// the decoded delta's element, tag list and tag.
+		{"Merge decoded one-tag delta", 5, func() { _, _ = s.Merge(decodedDelta) }},
 		// The state, its type name, one arena, one entry array and one
 		// []string for every tag list: not one allocation per string.
 		{"Unmarshal 1,000-element frame", 8, func() { _, _ = Unmarshal(frame) }},
@@ -321,6 +328,22 @@ func TestORSetMergeDoesNotPinArena(t *testing.T) {
 }
 
 var benchSink State
+
+// BenchmarkORSetMergeDelta1000 is a large read's join on the client and an
+// acceptor's join of a MERGE delta: a one-tag delta, decoded off the wire,
+// merged into a 1,000-element state.
+func BenchmarkORSetMergeDelta1000(b *testing.B) {
+	base := bigORSet(1000)
+	delta, err := Unmarshal(mustMarshal(b, NewORSet().Add("elem-000500x", "n2", 1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink, _ = base.Merge(delta)
+	}
+}
 
 // BenchmarkORSetMerge1000 is the acceptor's step on the large-set workload:
 // a 1,000-element state meets a peer's copy that is one add ahead in one

@@ -16,7 +16,12 @@ import (
 // element and holds each element's tags in ascending order without
 // duplicates (an entry always has at least one tag); tombs is ascending and
 // duplicate-free. That is the order the wire format emits, so marshalling
-// never sorts, and Merge, Compare and Delta are each one two-pointer walk.
+// never sorts. Delta, and Merge and Compare of states of similar size,
+// walk both states in step. When one side of a comparison or join is
+// sparseRatio times shorter (a one-tag delta against a 1,000-element
+// state), its entries are binary searched in the longer side instead; and
+// a state compared with itself, or with an Add or Remove result that
+// shares its entries, is answered without a walk.
 //
 // States are immutable, and results may share with operands: no slice is
 // written once the value that holds it has been built, so Add, Remove, Merge
@@ -58,9 +63,11 @@ var (
 // NewORSet returns the empty (bottom) set.
 func NewORSet() *ORSet { return &ORSet{} }
 
-// find returns the position of e in s.adds, or where it would be inserted.
+// find returns the position of e in s.adds, or where it would be inserted,
+// and whether e is there.
 func (s *ORSet) find(e string) (int, bool) {
-	return slices.BinarySearchFunc(s.adds, e, func(x orEntry, e string) int { return strings.Compare(x.elem, e) })
+	i := searchEntries(s.adds, e)
+	return i, i < len(s.adds) && s.adds[i].elem == e
 }
 
 // Add returns a set with e added under a fresh tag derived from the actor
@@ -127,22 +134,61 @@ func (s *ORSet) Elements() []string {
 	return out
 }
 
-// le reports s ⊑ o in one pass over both states.
+// sparseRatio is how many times shorter one sorted list must be than the
+// other before le and unionEntries stop walking the longer one and binary
+// search it once per entry of the shorter one instead. Joining a one-tag
+// delta into, or comparing one with, a 1,000-element state then costs a
+// few searches, not a walk of 1,000 entries.
+const sparseRatio = 16
+
+// le reports s ⊑ o: at once when s's entries are o's (the same value, or
+// an Add or Remove result and its base share them), else in one pass over
+// the shorter side of each list, searching the longer one when it is
+// sparseRatio times longer.
 func (s *ORSet) le(o *ORSet) bool {
+	if s == o {
+		return true
+	}
 	if len(s.adds) > len(o.adds) || len(s.tombs) > len(o.tombs) {
 		return false
 	}
+	return entriesLE(s.adds, o.adds) && subsetStrs(s.tombs, o.tombs)
+}
+
+// entriesLE reports that every entry of a is in b with a subset of its
+// tags, for len(a) ≤ len(b). Lists that start at one backing array hold
+// the same entries, as states are immutable, so that answer is immediate.
+func entriesLE(a, b []orEntry) bool {
+	if len(a) == 0 || &a[0] == &b[0] {
+		return true
+	}
+	sparse := len(a)*sparseRatio <= len(b)
 	j := 0
-	for _, x := range s.adds {
-		for j < len(o.adds) && o.adds[j].elem < x.elem {
-			j++
+	for _, x := range a {
+		switch {
+		case j < len(b) && b[j].elem == x.elem:
+			// Lists of one lineage share their element strings, and
+			// equal strings at one address compare without reading them.
+		case sparse:
+			j += searchEntries(b[j:], x.elem)
+		default:
+			for j < len(b) && b[j].elem < x.elem {
+				j++
+			}
 		}
-		if j == len(o.adds) || o.adds[j].elem != x.elem || !subsetStrs(x.tags, o.adds[j].tags) {
+		if j == len(b) || b[j].elem != x.elem || !subsetStrs(x.tags, b[j].tags) {
 			return false
 		}
 		j++
 	}
-	return subsetStrs(s.tombs, o.tombs)
+	return true
+}
+
+// searchEntries returns the position of e in b, or where it would be
+// inserted.
+func searchEntries(b []orEntry, e string) int {
+	i, _ := slices.BinarySearchFunc(b, e, func(x orEntry, e string) int { return strings.Compare(x.elem, e) })
+	return i
 }
 
 // Merge unions the (element, tag) pairs and the tombstones. When one
@@ -309,16 +355,30 @@ func (s *ORSet) Delta(base State) (State, error) {
 	if !ok {
 		return nil, typeMismatch(s, base)
 	}
-	if !b.le(s) {
+	if len(b.adds) > len(s.adds) || !subsetStrs(b.tombs, s.tombs) {
 		return nil, errNotDominated(s)
 	}
-	// b ⊑ s, so an entry of s differs from its counterpart in b exactly when
-	// it has more tags; count those first to size the result.
+	// One walk of s checks b ⊑ s and, to size the result, counts the
+	// entries of s that b lacks or holds with fewer tags.
 	n, j := 0, 0
 	for _, x := range s.adds {
-		if len(tagsAt(b.adds, &j, x.elem)) < len(x.tags) {
+		switch {
+		case j < len(b.adds) && b.adds[j].elem == x.elem:
+			if !subsetStrs(b.adds[j].tags, x.tags) {
+				return nil, errNotDominated(s)
+			}
+			if len(b.adds[j].tags) < len(x.tags) {
+				n++
+			}
+			j++
+		case j < len(b.adds) && b.adds[j].elem < x.elem:
+			return nil, errNotDominated(s) // an element s lacks
+		default:
 			n++
 		}
+	}
+	if j < len(b.adds) {
+		return nil, errNotDominated(s)
 	}
 	out := &ORSet{adds: make([]orEntry, 0, n), tombs: diffStrs(s.tombs, b.tombs), arena: s.arena}
 	j = 0
@@ -349,7 +409,8 @@ func sameStrs(a, b []string) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
-// subsetStrs reports a ⊆ b.
+// subsetStrs reports a ⊆ b, searching b for each string of a when b is
+// sparseRatio times longer (a delta's tombstones against a state's).
 func subsetStrs(a, b []string) bool {
 	if len(a) > len(b) {
 		return false
@@ -357,8 +418,13 @@ func subsetStrs(a, b []string) bool {
 	if sameStrs(a, b) {
 		return true
 	}
+	sparse := len(a)*sparseRatio <= len(b)
 	j := 0
 	for _, x := range a {
+		if sparse {
+			i, _ := slices.BinarySearch(b[j:], x)
+			j += i
+		}
 		for j < len(b) && b[j] < x {
 			j++
 		}
@@ -445,8 +511,12 @@ func diffStrs(a, b []string) []string {
 // sized new slice. Entries only one side has are shared whole; an element
 // both sides have gets the union of its tag lists, which is again shared
 // when one side's list covers the other's. With cloneB set whatever the
-// result takes from b is a copy, as in unionStrs.
+// result takes from b is a copy, as in unionStrs. When one list is
+// sparseRatio times shorter, unionSparse builds the same slice.
 func unionEntries(a, b []orEntry, cloneB bool) []orEntry {
+	if len(a)*sparseRatio <= len(b) || len(b)*sparseRatio <= len(a) {
+		return unionSparse(a, b, cloneB)
+	}
 	common, i, j := 0, 0, 0
 	for i < len(a) && j < len(b) {
 		c := strings.Compare(a[i].elem, b[j].elem)
@@ -477,6 +547,43 @@ func unionEntries(a, b []orEntry, cloneB bool) []orEntry {
 		}
 	}
 	return appendEntries(append(out, a[i:]...), b[j:], cloneB)
+}
+
+// unionSparse is unionEntries for lists of very different lengths: it
+// searches the longer list for each entry of the shorter one, twice (to
+// size the result, then to build it), and copies the runs of the longer
+// list between those entries whole.
+func unionSparse(a, b []orEntry, cloneB bool) []orEntry {
+	small, big, bigIsB := a, b, true
+	if len(b) < len(a) {
+		small, big, bigIsB = b, a, false
+	}
+	common, k := 0, 0
+	for _, x := range small {
+		k += searchEntries(big[k:], x.elem)
+		if k < len(big) && big[k].elem == x.elem {
+			common++
+			k++
+		}
+	}
+	out := make([]orEntry, 0, len(a)+len(b)-common)
+	k = 0
+	for _, x := range small {
+		n := k + searchEntries(big[k:], x.elem)
+		out = appendEntries(out, big[k:n], cloneB && bigIsB)
+		k = n
+		if k == len(big) || big[k].elem != x.elem {
+			out = append(out, cloneEntry(x, cloneB && !bigIsB))
+			continue
+		}
+		ax, bx := x, big[k]
+		if !bigIsB {
+			ax, bx = bx, ax
+		}
+		out = append(out, orEntry{elem: ax.elem, tags: unionStrs(ax.tags, bx.tags, cloneB)})
+		k++
+	}
+	return appendEntries(out, big[k:], cloneB && bigIsB)
 }
 
 // cloneStr returns x, or a copy of it when clone is set.

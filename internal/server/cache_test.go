@@ -47,8 +47,9 @@ func (c countingConn) Write(p []byte) (int, error) {
 
 // TestUnchangedReadsWriteNoState counts the client-wire bytes of large
 // reads: a 1,000-element or-set read 50 times, added to once, then read
-// 50 times more. Only the first read of each state ships it; every other
-// read is answered "unchanged" in a frame of a few dozen bytes, and every
+// 50 times more. Only the first read ships the state whole; the first
+// read after the add is answered with the one-element delta, and every
+// other read "unchanged", each in a frame of a few dozen bytes. Every
 // read returns the state a direct QueryKey learns.
 func TestUnchangedReadsWriteNoState(t *testing.T) {
 	mesh := transport.NewMesh(transport.WithSeed(1))
@@ -112,11 +113,15 @@ func TestUnchangedReadsWriteNoState(t *testing.T) {
 				t.Logf("%s read %d: %d bytes", phase, i, bytes)
 			}
 			switch {
-			case i == 0:
-				if bytes < wire.LargeState || info.Unchanged {
-					t.Fatalf("%s read 0: %d bytes, unchanged %v; want the full state", phase, bytes, info.Unchanged)
+			case i == 0 && full == 0:
+				if bytes < wire.LargeState || info.Unchanged || info.Delta {
+					t.Fatalf("%s read 0: %d bytes, %+v; want the full state", phase, bytes, info)
 				}
 				full++
+			case i == 0:
+				if bytes > 256 || !info.Delta {
+					t.Fatalf("%s read 0: %d bytes, %+v; want a delta reply of ≤ 256 B", phase, bytes, info)
+				}
 			case bytes > 128 || !info.Unchanged:
 				t.Fatalf("%s read %d: %d bytes, unchanged %v; want an unchanged reply of ≤ 128 B", phase, i, bytes, info.Unchanged)
 			}
@@ -127,7 +132,7 @@ func TestUnchangedReadsWriteNoState(t *testing.T) {
 		t.Fatal(err)
 	}
 	read("after the add", 50)
-	if full != 2 {
-		t.Fatalf("%d reads shipped a full state, want 2", full)
+	if full != 1 {
+		t.Fatalf("%d reads shipped a full state, want 1", full)
 	}
 }

@@ -51,7 +51,9 @@ func TestAppendResponseMatchesWriteFrame(t *testing.T) {
 	for _, st := range servedStates() {
 		answers = append(answers,
 			answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 33, Status: wire.StatusOK, RoundTrips: 2, Attempts: 1, Path: 3}, st},
-			answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 34, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: digest}, st})
+			answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 34, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: digest}, st},
+			// A delta answer keeps both digests whatever the delta's size.
+			answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1 << 35, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, Digest: digest, Base: [wire.DigestSize]byte{0: 0xba}}, st})
 	}
 	answers = append(answers, answer{wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 10, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: digest}, nil})
 	buf := []byte("stale bytes of an earlier frame")
@@ -63,7 +65,7 @@ func TestAppendResponseMatchesWriteFrame(t *testing.T) {
 				t.Fatal(err)
 			}
 			want.State = enc
-			if len(enc) < wire.LargeState {
+			if len(enc) < wire.LargeState && !want.Delta() {
 				want.Digest = [wire.DigestSize]byte{}
 			}
 		}

@@ -104,7 +104,8 @@ type Server struct {
 	shedConns    atomic.Uint64 // connections refused at accept (StatusBusy handshake)
 	shedRequests atomic.Uint64 // requests answered StatusBusy over MaxTotalInFlight
 
-	frames framePool // response frame buffers, shared by every connection
+	frames  framePool  // response frame buffers, shared by every connection
+	answers answerMemo // large states answered by digest, for delta answers
 }
 
 // New returns a server for node. The node is owned by the caller and must
@@ -322,10 +323,10 @@ func (w *connWriter) write(frame []byte) error {
 // appendResponse appends resp to b as one length-prefixed frame and
 // returns it with the buffer holding it, which it may start inside. An
 // OK query's state st is encoded once, wire.MaxFrameHead bytes past b's
-// end, followed by resp.Digest when the state is large (a small state's
-// digest is cleared), with the head written in front of it; the frame
-// limit is checked after encoding, and a state over it returns b, so the
-// pool never keeps its buffer. The bytes are the length prefix and
+// end, followed by resp's digests when the state is large or a delta
+// (a small full state's digest is cleared), with the head written in
+// front of it; the frame limit is checked after encoding, and a state
+// over it returns b, so the pool never keeps its buffer. The bytes are the length prefix and
 // resp.Encode() with resp.State set to crdt.Marshal(st).
 func appendResponse(b []byte, resp *wire.Response, st crdt.State) (frame, buf []byte, err error) {
 	if st == nil {
@@ -337,13 +338,10 @@ func appendResponse(b []byte, resp *wire.Response, st crdt.State) (frame, buf []
 		return nil, b, err
 	}
 	n := len(buf) - off
-	if resp.Digest != ([wire.DigestSize]byte{}) {
-		if n >= wire.LargeState {
-			buf = append(buf, resp.Digest[:]...)
-		} else {
-			resp.Digest = [wire.DigestSize]byte{}
-		}
+	if n < wire.LargeState && !resp.Delta() {
+		resp.Digest = [wire.DigestSize]byte{}
 	}
+	buf = resp.AppendDigests(buf)
 	if frame, err = resp.PrependFrameHead(buf, off); err != nil {
 		return nil, b, fmt.Errorf("server: state of %d bytes exceeds the %d-byte frame limit", n, wire.MaxFrame)
 	}
@@ -478,10 +476,24 @@ func (s *Server) handle(req *wire.Request) (resp *wire.Response, st crdt.State) 
 		resp.Attempts = uint64(stats.Attempts)
 		resp.Path = byte(stats.Path)
 		resp.Digest = stats.Digest
-		if !stats.Digest.IsZero() && stats.Digest == req.Have {
+		if stats.Digest.IsZero() {
+			return resp, st
+		}
+		if stats.Digest == req.Have {
 			// The client holds exactly the learned state (equal digests
 			// are equal encodings): answer "unchanged", with no state.
 			return resp, nil
+		}
+		var d crdt.State
+		if req.AcceptDelta {
+			// When the client holds a state this server answered with,
+			// and the learned state dominates it, answer what it lacks.
+			d = s.answers.deltaAnswer(st, req.Have)
+		}
+		s.answers.add(stats.Digest, st)
+		if d != nil {
+			resp.Base = req.Have
+			return resp, d
 		}
 		return resp, st
 

@@ -43,15 +43,19 @@ func bigSet() crdt.State {
 }
 
 // appendQueryFrame builds an OK query response frame the way the server
-// does, the state encoded once past a reserve and the head written in
-// front of it, and returns the buffer holding the frame.
+// does, the state encoded once past a reserve, then r's digests, and the
+// head written in front of it, and returns the buffer holding the frame.
 func appendQueryFrame(b []byte, st crdt.State) []byte {
-	r := Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2}
+	return appendQueryFrameOf(b, &Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2}, st)
+}
+
+func appendQueryFrameOf(b []byte, r *Response, st crdt.State) []byte {
 	off := len(b) + MaxFrameHead
 	b, err := crdt.AppendMarshal(append(b, make([]byte, MaxFrameHead)...), st)
 	if err != nil {
 		panic(err)
 	}
+	b = r.AppendDigests(b)
 	if _, err := r.PrependFrameHead(b, off); err != nil {
 		panic(err)
 	}
@@ -70,8 +74,10 @@ func TestEncodeAllocs(t *testing.T) {
 	smallBuf := appendQueryFrame(nil, small)
 	unchanged := Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: [DigestSize]byte{1}}
 	unchangedBuf, _ := unchanged.AppendFrame(nil)
-	query := Request{Op: OpQuery, ID: 1 << 20, Key: "or-set/7", Have: [DigestSize]byte{1}}
+	query := Request{Op: OpQuery, ID: 1 << 20, Key: "or-set/7", Have: [DigestSize]byte{1}, AcceptDelta: true}
 	queryBuf, _ := query.AppendFrame(nil)
+	delta := &Response{Op: OpQuery | RespBit, ID: 1 << 20, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: [DigestSize]byte{2}, Base: [DigestSize]byte{1}}
+	deltaBuf := appendQueryFrameOf(nil, delta, small)
 	cases := []struct {
 		name string
 		want float64
@@ -88,7 +94,9 @@ func TestEncodeAllocs(t *testing.T) {
 		{"small-query-frame", 0, func() { smallBuf = appendQueryFrame(smallBuf[:0], small) }},
 		// An "unchanged" answer is a head and a digest: no state at all.
 		{"unchanged-frame", 0, func() { unchangedBuf, _ = unchanged.AppendFrame(unchangedBuf[:0]) }},
-		// A query naming the state its client holds.
+		// A delta answer: the delta encoded in place, then both digests.
+		{"delta-frame", 0, func() { deltaBuf = appendQueryFrameOf(deltaBuf[:0], delta, small) }},
+		// A query naming the state its client holds and taking a delta.
 		{"query-request-frame", 0, func() { queryBuf, _ = query.AppendFrame(queryBuf[:0]) }},
 		// A request frame is appended into the connection's reused buffer.
 		{"request-frame", 0, func() { reqBuf, _ = req.AppendFrame(reqBuf[:0]) }},

@@ -118,11 +118,21 @@ type Request struct {
 	// Admin field.
 	Cmd string
 
-	// Query field: the digest of the state the client holds for Key from
-	// an earlier large read, or zero for none. A server whose learned
-	// state has this digest answers "unchanged" (Response.Unchanged).
-	Have [DigestSize]byte
+	// Query fields: the digest of the state the client holds for Key from
+	// an earlier large read, or zero for none, and whether the client
+	// takes a delta against that state. A server whose learned state has
+	// the digest Have answers "unchanged" (Response.Unchanged); with
+	// AcceptDelta set, one that holds the state Have names may answer
+	// with the learned state's delta against it (Response.Delta).
+	Have        [DigestSize]byte
+	AcceptDelta bool
 }
+
+// Query flags, the optional byte after a query's have.
+const (
+	// QueryAcceptDelta: the client takes a delta answer (Response.Delta).
+	QueryAcceptDelta byte = 0x01
+)
 
 // Encode renders the request as a frame body, without the outer length
 // prefix (see AppendFrame).
@@ -162,8 +172,11 @@ func (r *Request) appendBody(b []byte) []byte {
 		}
 	case OpQuery:
 		w.Str(r.Key)
-		if r.Have != ([DigestSize]byte{}) {
+		if r.Have != ([DigestSize]byte{}) || r.AcceptDelta {
 			w.Fixed(r.Have[:])
+		}
+		if r.AcceptDelta {
+			w.Byte(QueryAcceptDelta)
 		}
 	case OpAdmin:
 		w.Str(r.Cmd)
@@ -196,7 +209,9 @@ func DecodeRequest(frame []byte) (*Request, error) {
 		}
 	case OpQuery:
 		req.Key = r.Str()
-		optDigest(r, &req.Have)
+		if optDigest(r, &req.Have) && len(r.b) > 0 {
+			req.AcceptDelta = r.Byte()&QueryAcceptDelta != 0
+		}
 	case OpAdmin:
 		req.Cmd = r.Str()
 	default:
@@ -212,15 +227,17 @@ func DecodeRequest(frame []byte) (*Request, error) {
 	return req, nil
 }
 
-// optDigest reads an optional trailing digest into dst: the next
-// DigestSize bytes when that many remain, else nothing (fewer bytes are
-// trailing bytes, ignored like any others). A zero digest reads as
-// absent, so an encoder that appends a later field writes zeros here
-// when it has no digest.
-func optDigest(r *Reader, dst *[DigestSize]byte) {
-	if r.err == nil && len(r.b) >= DigestSize {
-		r.Fixed(dst[:])
+// optDigest reads an optional trailing digest into dst and reports
+// whether it did: the next DigestSize bytes when that many remain, else
+// nothing (fewer bytes are trailing bytes, ignored like any others). A
+// zero digest reads as absent, so an encoder that appends a later field
+// writes zeros here when it has no digest.
+func optDigest(r *Reader, dst *[DigestSize]byte) bool {
+	if r.err != nil || len(r.b) < DigestSize {
+		return false
 	}
+	r.Fixed(dst[:])
+	return true
 }
 
 // Response is one decoded client response frame.
@@ -240,6 +257,10 @@ type Response struct {
 	// sets it only for a state of at least LargeState bytes; with an empty
 	// State it means "unchanged" (Unchanged).
 	Digest [DigestSize]byte
+	// Base is set only in a delta answer (Delta): it is the digest of the
+	// state the request held (its Have), and State is the learned state's
+	// delta against that state. Digest names the learned state.
+	Base [DigestSize]byte
 
 	// Non-OK bodies.
 	Msg string
@@ -248,8 +269,17 @@ type Response struct {
 // Unchanged reports whether r is an OK query answered by digest alone: the
 // learned state is the one whose digest the request carried as Have.
 func (r *Response) Unchanged() bool {
-	return r.Status == StatusOK && r.Op == OpQuery|RespBit && len(r.State) == 0 && r.Digest != [DigestSize]byte{}
+	return r.okQuery() && len(r.State) == 0 && r.Digest != [DigestSize]byte{} && r.Base == [DigestSize]byte{}
 }
+
+// Delta reports whether r is an OK query answered by delta: the learned
+// state, whose digest is Digest, is the join of the state named Base,
+// which the request carried as Have, and State.
+func (r *Response) Delta() bool {
+	return r.okQuery() && r.Base != [DigestSize]byte{}
+}
+
+func (r *Response) okQuery() bool { return r.Status == StatusOK && r.Op == OpQuery|RespBit }
 
 // maxRespHead bounds a response body's fields before the bytes of its
 // trailing one: four one-byte fields and four varints.
@@ -274,8 +304,8 @@ func (r *Response) AppendFrame(b []byte) ([]byte, error) {
 
 // appendFrameHead appends the response's frame up to the bytes of its
 // trailing field, which the caller appends next and which must be
-// exactly tailLen bytes long, followed by the query's digest when it has
-// one: the frame length, the header and the trailing field's length
+// exactly tailLen bytes long, followed by the query's digests when it has
+// any: the frame length, the header and the trailing field's length
 // prefix. The trailing field is the message of a failure, the state of a
 // query and the payload of an admin answer; an OK update has none, and
 // its tailLen must be 0. It fails with ErrFrameTooLarge, returning b
@@ -297,9 +327,9 @@ func (r *Response) appendFrameHead(b []byte, tailLen int) ([]byte, error) {
 const MaxFrameHead = binary.MaxVarintLen64 + maxRespHead
 
 // PrependFrameHead completes a frame whose trailing field was encoded
-// first. b[off:] holds the trailing field, then r.Digest when it is set,
-// and off ≥ MaxFrameHead bytes are reserved in front of it;
-// appendFrameHead's bytes go into the end of that reserve, and the frame,
+// first. b[off:] holds the trailing field, then r's digests
+// (AppendDigests), and off ≥ MaxFrameHead bytes are reserved in front of
+// it; appendFrameHead's bytes go into the end of that reserve, and the frame,
 // a subslice of b, is returned. A server builds an OK query's frame this
 // way, encoding the state with crdt.AppendMarshal at the reserved offset,
 // so the state is walked once, into bytes equal to AppendFrame's with
@@ -355,28 +385,46 @@ func (r *Response) tailLen() int {
 	return 0
 }
 
-// digestLen is the length of the digest that follows an OK query's state:
-// DigestSize when Digest is set, else 0.
+// digestLen is the length of the digests that follow an OK query's state:
+// two when Base is set (Digest, then Base), one when only Digest is,
+// else none.
 func (r *Response) digestLen() int {
-	if r.Status != StatusOK || r.Op&^RespBit != OpQuery || r.Digest == [DigestSize]byte{} {
+	switch {
+	case r.Status != StatusOK || r.Op&^RespBit != OpQuery:
 		return 0
+	case r.Base != [DigestSize]byte{}:
+		return 2 * DigestSize
+	case r.Digest != [DigestSize]byte{}:
+		return DigestSize
 	}
-	return DigestSize
+	return 0
 }
 
 // appendTail appends the bytes of the body's trailing field: Msg, State
 // or Payload by status and op, nothing for an OK update; an OK query's
-// digest, when set, follows its state.
+// digests, when set, follow its state (AppendDigests).
 func (r *Response) appendTail(b []byte) []byte {
 	if r.Status != StatusOK {
 		return append(b, r.Msg...)
 	}
 	switch r.Op &^ RespBit {
 	case OpQuery:
-		b = append(b, r.State...)
-		return append(b, r.Digest[:r.digestLen()]...)
+		return r.AppendDigests(append(b, r.State...))
 	case OpAdmin:
 		return append(b, r.Payload...)
+	}
+	return b
+}
+
+// AppendDigests appends what follows an OK query's state: Digest when it
+// is set, then Base when that is set, or nothing. A server that encodes
+// the state itself (PrependFrameHead) appends these after it.
+func (r *Response) AppendDigests(b []byte) []byte {
+	switch r.digestLen() {
+	case DigestSize:
+		return append(b, r.Digest[:]...)
+	case 2 * DigestSize:
+		return append(append(b, r.Digest[:]...), r.Base[:]...)
 	}
 	return b
 }
@@ -419,7 +467,9 @@ func DecodeResponse(frame []byte) (*Response, error) {
 		resp.Attempts = r.Uvarint()
 		resp.Path = r.Byte()
 		resp.State = r.Span() // the frame is the client's own: no second copy
-		optDigest(r, &resp.Digest)
+		if optDigest(r, &resp.Digest) {
+			optDigest(r, &resp.Base)
+		}
 	case OpAdmin:
 		resp.Payload = r.Raw()
 	}

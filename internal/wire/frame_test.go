@@ -22,6 +22,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpUpdate, ID: 0, Key: "", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("alice"), nil}},
 		{Op: OpQuery, ID: 1 << 40, Key: "sessions/eu"},
 		{Op: OpQuery, ID: 2, Key: "or-set/big", Have: testDigest(7)},
+		{Op: OpQuery, ID: 2, Key: "or-set/big", Have: testDigest(7), AcceptDelta: true},
 		{Op: OpAdmin, ID: 3, Cmd: "ping"},
 	}
 	for _, in := range cases {
@@ -52,6 +53,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		{Op: OpQuery | RespBit, ID: 9, Status: StatusOK, RoundTrips: 2, Attempts: 1, Path: 1, State: []byte{1, 2, 3}},
 		{Op: OpQuery | RespBit, ID: 10, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, State: bytes.Repeat([]byte{4}, LargeState), Digest: testDigest(1)},
 		{Op: OpQuery | RespBit, ID: 11, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: testDigest(2)},
+		{Op: OpQuery | RespBit, ID: 12, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, State: []byte{7, 8}, Digest: testDigest(2), Base: testDigest(1)},
 		{Op: OpAdmin | RespBit, ID: 1, Status: StatusOK, Payload: []byte("pong")},
 		{Op: OpUpdate | RespBit, ID: 4, Status: StatusUnavailable, Msg: "node crashed"},
 		{Op: OpQuery | RespBit, ID: 5, Status: StatusError, Msg: "type mismatch"},
@@ -72,12 +74,15 @@ func TestResponseRoundTrip(t *testing.T) {
 		}
 		if got.Op != in.Op || got.ID != in.ID || got.Status != in.Status ||
 			got.RoundTrips != in.RoundTrips || got.Attempts != in.Attempts ||
-			got.Path != in.Path || got.Msg != in.Msg || got.Digest != in.Digest ||
+			got.Path != in.Path || got.Msg != in.Msg || got.Digest != in.Digest || got.Base != in.Base ||
 			!bytes.Equal(got.State, in.State) || !bytes.Equal(got.Payload, in.Payload) {
 			t.Fatalf("round trip mismatch:\n in  %+v\n out %+v", in, *got)
 		}
 		if want := in.Status == StatusOK && len(in.State) == 0 && in.Digest != ([DigestSize]byte{}); got.Unchanged() != want {
 			t.Fatalf("op %#x id %d: Unchanged() = %v, want %v", in.Op, in.ID, got.Unchanged(), want)
+		}
+		if want := in.Status == StatusOK && in.Base != ([DigestSize]byte{}); got.Delta() != want {
+			t.Fatalf("op %#x id %d: Delta() = %v, want %v", in.Op, in.ID, got.Delta(), want)
 		}
 	}
 }
@@ -109,6 +114,12 @@ func TestOptionalDigestFields(t *testing.T) {
 	if err != nil || short.Have != ([DigestSize]byte{}) {
 		t.Fatalf("%d trailing bytes: Have %x, err %v; want ignored", DigestSize-1, short.Have, err)
 	}
+	// The opt-in flag is one byte after Have; an old server reads Have and
+	// ignores it.
+	optIn := (&Request{Op: OpQuery, ID: 5, Key: "k", Have: testDigest(3), AcceptDelta: true}).Encode()
+	if !bytes.Equal(optIn[:len(with)], with) || !bytes.Equal(optIn[len(with):], []byte{QueryAcceptDelta}) {
+		t.Fatalf("opting-in query = % x, want the query with Have plus % x", optIn, QueryAcceptDelta)
+	}
 
 	full := Response{Op: OpQuery | RespBit, ID: 5, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: []byte("state")}
 	bare := full.Encode()
@@ -127,6 +138,11 @@ func TestOptionalDigestFields(t *testing.T) {
 	r.Byte()
 	if st := r.Span(); r.Err() != nil || len(st) != 0 {
 		t.Fatalf("unchanged reply's state field = %q, %v; want empty", st, r.Err())
+	}
+	// A delta answer is the full form's bytes plus the base's digest.
+	full.Base = testDigest(5)
+	if delta := full.Encode(); !bytes.Equal(delta[:len(digested)], digested) || len(delta) != len(digested)+DigestSize {
+		t.Fatalf("delta answer = % x, want the digested frame plus %d bytes", delta, DigestSize)
 	}
 }
 
@@ -259,6 +275,8 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add((&Request{Op: OpUpdate, ID: 1, Key: "k", CRDTType: "g-counter", Mutation: "inc", Args: [][]byte{{1}}}).Encode())
 	f.Add((&Request{Op: OpQuery, ID: 2, Key: "obj/1"}).Encode())
 	f.Add((&Request{Op: OpQuery, ID: 2, Key: "or-set/1", Have: testDigest(9)}).Encode())
+	f.Add((&Request{Op: OpQuery, ID: 2, Key: "or-set/1", Have: testDigest(9), AcceptDelta: true}).Encode())
+	f.Add(append((&Request{Op: OpQuery, ID: 2, Key: "or-set/1", Have: testDigest(9), AcceptDelta: true}).Encode(), 0xfe, 1))
 	f.Add(append((&Request{Op: OpQuery, ID: 2, Key: "obj/1"}).Encode(), 1, 2, 3))
 	f.Add((&Request{Op: OpAdmin, ID: 3, Cmd: "keys"}).Encode())
 	f.Add([]byte{FrameVersion, OpUpdate})
@@ -268,8 +286,12 @@ func FuzzDecodeRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if _, err := DecodeRequest(req.Encode()); err != nil {
+		again, err := DecodeRequest(req.Encode())
+		if err != nil {
 			t.Fatalf("accepted frame re-encodes undecodably: %v", err)
+		}
+		if again.Key != req.Key || again.Have != req.Have || again.AcceptDelta != req.AcceptDelta {
+			t.Fatalf("query fields not idempotent:\n first  %+v\n second %+v", *req, *again)
 		}
 	})
 }
@@ -296,6 +318,9 @@ func FuzzDecodeResponse(f *testing.F) {
 	// and no state.
 	f.Add((&Response{Op: OpQuery | RespBit, ID: 10, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, State: bytes.Repeat([]byte("elem-000001"), 100), Digest: testDigest(5)}).Encode())
 	f.Add((&Response{Op: OpQuery | RespBit, ID: 11, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 2, Digest: testDigest(6)}).Encode())
+	// A delta answer: a small state, the learned state's digest and the
+	// base's.
+	f.Add((&Response{Op: OpQuery | RespBit, ID: 12, Status: StatusOK, RoundTrips: 1, Attempts: 1, Path: 1, State: []byte("elem-000001"), Digest: testDigest(7), Base: testDigest(6)}).Encode())
 	f.Add([]byte{FrameVersion})
 	f.Fuzz(func(t *testing.T, frame []byte) {
 		resp, err := DecodeResponse(frame)
@@ -308,7 +333,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		}
 		if again.Op != resp.Op || again.ID != resp.ID || again.Status != resp.Status || again.Msg != resp.Msg ||
 			again.RoundTrips != resp.RoundTrips || again.Attempts != resp.Attempts || again.Path != resp.Path ||
-			again.Digest != resp.Digest || !bytes.Equal(again.State, resp.State) || !bytes.Equal(again.Payload, resp.Payload) {
+			again.Digest != resp.Digest || again.Base != resp.Base || !bytes.Equal(again.State, resp.State) || !bytes.Equal(again.Payload, resp.Payload) {
 			t.Fatalf("encode/decode not idempotent:\n first  %+v\n second %+v", *resp, *again)
 		}
 	})
@@ -324,6 +349,7 @@ func responseShapes() []Response {
 		{Op: OpQuery | RespBit, ID: 10, Status: StatusOK},
 		{Op: OpQuery | RespBit, ID: 11, Status: StatusOK, State: bytes.Repeat([]byte{6}, 2000), Digest: testDigest(1)},
 		{Op: OpQuery | RespBit, ID: 12, Status: StatusOK, Digest: testDigest(2)},
+		{Op: OpQuery | RespBit, ID: 13, Status: StatusOK, State: []byte{7}, Digest: testDigest(3), Base: testDigest(2)},
 		{Op: OpAdmin | RespBit, ID: 1, Status: StatusOK, Payload: []byte("pong")},
 		{Op: OpUpdate | RespBit, ID: 4, Status: StatusUncertain, Msg: "timed out"},
 		{Op: OpQuery | RespBit, ID: 5, Status: StatusError, Msg: "type mismatch"},
@@ -341,6 +367,7 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 		{Op: OpUpdate, ID: 1 << 33, Key: "article/42", CRDTType: "or-set", Mutation: "add", Args: [][]byte{[]byte("alice"), nil, bytes.Repeat([]byte{9}, 300)}},
 		{Op: OpQuery, ID: 7, Key: strings.Repeat("k", 200)},
 		{Op: OpQuery, ID: 8, Key: "or-set/big", Have: testDigest(3)},
+		{Op: OpQuery, ID: 9, Key: "or-set/big", Have: testDigest(3), AcceptDelta: true},
 		{Op: OpAdmin, ID: 0, Cmd: "keys"},
 	} {
 		got, err := r.AppendFrame(append([]byte{}, prefix...))
@@ -361,8 +388,8 @@ func TestAppendFrameMatchesWriteFrame(t *testing.T) {
 			t.Fatalf("op %#x status %d: AppendFrame differs from the length prefix and Encode()", r.Op, r.Status)
 		}
 		if r.Status == StatusOK && r.Op == OpQuery|RespBit {
-			// The state, then the digest when there is one.
-			state := append(append([]byte{}, r.State...), r.Digest[:r.digestLen()]...)
+			// The state, then the digests when there are any.
+			state := r.AppendDigests(append([]byte{}, r.State...))
 			r.State = nil // the head must not read the state it is told the length of
 			head, err := r.appendFrameHead(nil, len(state)-r.digestLen())
 			if err != nil {
