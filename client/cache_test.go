@@ -29,7 +29,27 @@ func largeSet(t *testing.T, tag string, n int) ([]byte, [wire.DigestSize]byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return raw, crdt.DigestOfMarshaled(raw)
+	return raw, digestOf(t, s)
+}
+
+func digestOf(t *testing.T, s crdt.State) [wire.DigestSize]byte {
+	t.Helper()
+	d, err := crdt.DigestOf(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// awaitHeld waits until the scripted server closes held on taking the
+// read it holds back, and fails the test if it never does.
+func awaitHeld(t *testing.T, held <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the scripted server never saw the read it holds back")
+	}
 }
 
 // stateReply answers a query with state and digest; an empty state makes
@@ -67,7 +87,7 @@ func grown(t *testing.T, raw []byte, elems ...string) (full, delta []byte, diges
 	if delta, err = crdt.Marshal(d); err != nil {
 		t.Fatal(err)
 	}
-	return full, delta, crdt.DigestOfMarshaled(full)
+	return full, delta, digestOf(t, s)
 }
 
 func elements(t *testing.T, st client.State) []string {
@@ -87,13 +107,14 @@ func elements(t *testing.T, st client.State) []string {
 func TestUnchangedCacheReturnsTheStateItsRequestNamed(t *testing.T) {
 	x, dx := largeSet(t, "x", 100)
 	y, dy := largeSet(t, "y", 100)
-	release := make(chan struct{})
+	release, holding := make(chan struct{}), make(chan struct{})
 	var withX atomic.Int32
 	s := startScripted(t, func(req *wire.Request) []byte {
 		if req.Have != dx {
 			return stateReply(req, x, dx) // the first read
 		}
 		if withX.Add(1) == 1 {
+			close(holding)
 			<-release // the pipelined read: held until the cache moved on
 			return stateReply(req, nil, dx)
 		}
@@ -120,9 +141,7 @@ func TestUnchangedCacheReturnsTheStateItsRequestNamed(t *testing.T) {
 		st, info, err := c.Query(ctx, "or-set/k")
 		held <- result{st, info, err}
 	}()
-	for withX.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitHeld(t, holding)
 	newer, _, err := c.Query(ctx, "or-set/k")
 	if err != nil {
 		t.Fatal(err)
@@ -266,13 +285,14 @@ func TestDeltaMergesIntoTheStateItsRequestNamed(t *testing.T) {
 	x, dx := largeSet(t, "x", 100)
 	y, dy := largeSet(t, "y", 100)
 	z, delta, dz := grown(t, x, "x-new")
-	release := make(chan struct{})
+	release, holding := make(chan struct{}), make(chan struct{})
 	var withX atomic.Int32
 	var lastHave atomic.Value
 	s := startScripted(t, func(req *wire.Request) []byte {
 		lastHave.Store(req.Have)
 		switch {
 		case req.Have == dx && req.AcceptDelta && withX.Add(1) == 1:
+			close(holding)
 			<-release // the pipelined read: held until the cache moved on
 			return deltaReply(req, delta, dz, dx)
 		case req.Have == dx:
@@ -299,9 +319,7 @@ func TestDeltaMergesIntoTheStateItsRequestNamed(t *testing.T) {
 		st, info, err := c.Query(ctx, "or-set/k")
 		held <- result{st, info, err}
 	}()
-	for withX.Load() == 0 {
-		time.Sleep(time.Millisecond)
-	}
+	awaitHeld(t, holding)
 	if newer, _, err := c.Query(ctx, "or-set/k"); err != nil || elements(t, newer)[0] != "y-0000" {
 		t.Fatalf("second read: %v, err %v; want the y state", newer, err)
 	}

@@ -139,9 +139,9 @@ type message struct {
 	Baseline crdt.Digest // delta baseline digest
 
 	// StateRaw is State marshaled: kept by the decoder exactly as
-	// received (a view of the inbound frame, which nobody writes), and
-	// set by a sender that already encoded State so that encode does not
-	// marshal it again.
+	// received (a view of the inbound frame, which nobody writes), set by
+	// a sender that already encoded State so that encode does not marshal
+	// it again, and set by encode when it marshals State.
 	StateRaw []byte
 
 	// wire is the message as encoded by its first send, reused by every
@@ -176,6 +176,7 @@ func (m *message) encode() ([]byte, error) {
 			if raw, err = crdt.Marshal(m.State); err != nil {
 				return nil, fmt.Errorf("core: encode %s: %w", m.Type, err)
 			}
+			m.StateRaw = raw
 		}
 		frame.State = raw
 	}

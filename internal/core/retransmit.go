@@ -18,6 +18,7 @@ func (r *Replica) retransmit(reqID uint64) {
 				r.send(p, m)
 			}
 		}
+		req.raw = m.StateRaw
 		return
 	}
 	if req, ok := r.queries[reqID]; ok {

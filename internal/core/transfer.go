@@ -103,21 +103,24 @@ func (r *Replica) observe(m *message) {
 
 // --- proposer side ---
 
-// marshalShipped encodes s, a state about to be shipped in full, once:
-// its size decides its form, a large state is digested over these very
-// bytes, and every peer that gets it in full shares the encoding.
+// marshalShipped names s, a state about to be shipped, by its size and,
+// when large, its digest. Its size comes from crdt.MarshaledLen and a
+// large state's digest from the memo (an or-set's Merkle root rehashes
+// only the chunks the update changed), so a large state is not encoded
+// here: its full frame is encoded only when some peer needs it (see
+// updateReq.fullMerge). A small state is encoded at once, and every peer
+// it goes to shares that encoding.
 func (r *Replica) marshalShipped(s crdt.State) (digested, []byte) {
-	raw, err := crdt.Marshal(s)
-	if err != nil {
-		return digested{state: s}, nil
-	}
-	r.xfer.size = len(raw)
-	if len(raw) < largeState {
+	r.xfer.size = crdt.MarshaledLen(s)
+	if r.xfer.size < largeState {
+		raw, err := crdt.Marshal(s)
+		if err != nil {
+			return digested{state: s}, nil
+		}
 		return digested{state: s}, raw
 	}
-	d := crdt.DigestOfMarshaled(raw)
-	r.xfer.digests.Note(s, d)
-	return digested{state: s, digest: d, ok: true}, raw
+	d, err := r.xfer.digests.Of(s)
+	return digested{state: s, digest: d, ok: err == nil}, nil
 }
 
 // digestIfLarge names s, a state whose encoding is not at hand (a

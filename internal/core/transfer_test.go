@@ -1,11 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -713,6 +715,140 @@ func TestTransferModesByteReduction(t *testing.T) {
 	if 100*got.read > stateLen {
 		t.Errorf("1000-element read ships %d B, not ≪ one %d B state", got.read, stateLen)
 	}
+}
+
+// TestUpdateEncodesFullStateOnlySent: an update encodes a large payload
+// only for a peer that takes it whole. Once both peers hold views, a
+// one-tag add to a 1,000-element or-set ships two deltas, encodes no
+// full state and allocates ~3 KB at the proposer (~67 KB when every
+// update copied, marshalled and hashed its whole 20 KB payload). A peer
+// without a view, a retransmit and a MERGE-NACK fallback each get the
+// full frame, byte for byte crdt.Marshal of the payload, and the update
+// encodes it once.
+func TestUpdateEncodesFullStateOnlySent(t *testing.T) {
+	nw := newNetWith(t, 3, DefaultOptions(), func() crdt.State { return crdt.NewORSet() })
+	n1 := nw.reps["n1"]
+	seq := uint64(0)
+	add := func(s crdt.State) (crdt.State, error) {
+		seq++
+		return s.(*crdt.ORSet).Add(fmt.Sprintf("new-%06d", seq), "w", seq), nil
+	}
+	submit := func(rep *Replica, fu crdt.Update) *updateReq {
+		t.Helper()
+		id, err := rep.SubmitUpdate(fu, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.updates[id]
+	}
+	full := orSetOf(1000)
+	submit(n1, func(s crdt.State) (crdt.State, error) { return s.Merge(full) })
+	nw.pump()
+	nw.drain()
+	for _, id := range []transport.NodeID{"n1", "n2", "n3"} {
+		submit(nw.reps[id], func(s crdt.State) (crdt.State, error) { return s, nil })
+		nw.pump()
+		nw.drain()
+	}
+	merges := func(to transport.NodeID) func(env) bool {
+		return func(e env) bool { return e.typ == msgMerge && e.to == to }
+	}
+	// fullTo checks that every pooled MERGE to peer is the full frame of
+	// req's payload, and that req kept that encoding.
+	fullTo := func(what string, peer transport.NodeID, req *updateReq) {
+		t.Helper()
+		want, err := crdt.Marshal(req.payload.state)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := 0
+		for _, e := range nw.pool {
+			if !merges(peer)(e) {
+				continue
+			}
+			m, err := decodeMessage(e.payload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.Kind != wire.StateFullDigest || !bytes.Equal(m.StateRaw, want) {
+				t.Errorf("%s: MERGE to %s is a %v frame, not the payload's full encoding", what, peer, m.Kind)
+			}
+			found++
+		}
+		if found == 0 {
+			t.Errorf("%s: no MERGE to %s", what, peer)
+		}
+		if !bytes.Equal(req.raw, want) {
+			t.Errorf("%s: the update did not keep the encoding it sent", what)
+		}
+	}
+
+	var req *updateReq
+	if got := allocatedBytes(func() { req = submit(n1, add) }); got > 16<<10 {
+		t.Errorf("a one-tag add with both peers' views allocated %d B at the proposer, want at most 16 KiB", got)
+	}
+	if req.raw != nil {
+		t.Error("the update encoded its full payload though every peer takes a delta")
+	}
+	nw.pump()
+	if got := nw.kinds(ofType(msgMerge)); len(got) != 2 || got[0] != wire.StateDelta || got[1] != wire.StateDelta {
+		t.Fatalf("MERGE kinds %v, want two deltas", got)
+	}
+	nw.drain()
+
+	// First contact: n2 has no view.
+	n1.unlearn("n2")
+	req = submit(n1, add)
+	nw.pump()
+	fullTo("peer without a view", "n2", req)
+	if got := nw.kinds(merges("n3")); len(got) != 1 || got[0] != wire.StateDelta {
+		t.Errorf("MERGE kinds to n3 %v, want a delta", got)
+	}
+	nw.drain()
+
+	// Retransmit: every MERGE was lost.
+	req = submit(n1, add)
+	nw.pump()
+	nw.drop(ofType(msgMerge))
+	n1.retransmit(req.id)
+	nw.pump()
+	fullTo("retransmit", "n2", req)
+	fullTo("retransmit", "n3", req)
+	kept := req.raw
+	nw.drop(ofType(msgMerge))
+	n1.retransmit(req.id)
+	nw.pump()
+	if &req.raw[0] != &kept[0] {
+		t.Error("a second retransmit encoded the payload again")
+	}
+	nw.drain()
+
+	// MERGE-NACK fallback: n2 forgets n1's digests and moves past n1's
+	// baseline with an update n1 never sees, so it refuses n1's delta.
+	n2 := nw.reps["n2"]
+	n2.ForgetPeer("n1")
+	submit(n2, add)
+	nw.pump()
+	nw.drop(func(e env) bool { return e.from == "n2" && e.typ == msgMerge })
+	req = submit(n1, add)
+	nw.pump()
+	nw.deliver(merges("n2"))
+	if got := nw.kinds(ofType(msgMergeNack)); len(got) != 1 {
+		t.Fatalf("%d MERGE-NACKs, want 1", len(got))
+	}
+	nw.deliver(ofType(msgMergeNack))
+	fullTo("MERGE-NACK fallback", "n2", req)
+	nw.drain()
+}
+
+// allocatedBytes returns the heap bytes one call of f allocates.
+func allocatedBytes(f func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestStateFrameKindsChosenInTransfer is the census gate of the one

@@ -23,7 +23,8 @@ type updateReq struct {
 	lease   bool     // this update was issued while holding the lease
 	acked   map[transport.NodeID]bool
 	done    UpdateDone
-	pending int // remote MERGED replies still needed
+	pending int    // remote MERGED replies still needed
+	raw     []byte // the payload's encoding, once a full MERGE carried it
 }
 
 // SubmitUpdate starts an update command (Algorithm 2, lines 1-6): the
@@ -63,22 +64,24 @@ func (r *Replica) SubmitUpdate(fu crdt.Update, done UpdateDone) (uint64, error) 
 		return req.id, nil
 	}
 	r.updates[req.id] = req
-	var raw []byte
-	req.payload, raw = r.marshalShipped(s)
+	req.payload, req.raw = r.marshalShipped(s)
 	full := req.fullMerge()
-	full.StateRaw = raw
 	for _, p := range r.peers {
 		r.send(p, r.encode(p, full))
 	}
+	req.raw = full.StateRaw
 	return req.id, nil
 }
 
 // fullMerge is the update's MERGE with the complete payload: the first
 // contact with a peer, every retransmit and every MERGE-NACK fallback. A
 // large state's digest rides along, so the receiver records it as a delta
-// baseline without hashing the payload again.
+// baseline without hashing the payload again. The payload is encoded when
+// the first full MERGE is sent, and its senders keep that encoding in
+// req.raw, so an update encodes its payload at most once and not at all
+// when every peer takes a digest or a delta.
 func (req *updateReq) fullMerge() *message {
-	return withDigest(&message{Type: msgMerge, Req: req.id, State: req.payload.state, Round: req.round, Lease: req.lease}, req.payload)
+	return withDigest(&message{Type: msgMerge, Req: req.id, State: req.payload.state, StateRaw: req.raw, Round: req.round, Lease: req.lease}, req.payload)
 }
 
 func (r *Replica) onMerged(from transport.NodeID, m *message) {
@@ -143,7 +146,9 @@ func (r *Replica) onMergeNack(from transport.NodeID, m *message) {
 	}
 	r.unlearn(from)
 	r.counters.MergeFallbacks++
-	r.send(from, req.fullMerge())
+	full := req.fullMerge()
+	r.send(from, full)
+	req.raw = full.StateRaw
 }
 
 func (r *Replica) completeUpdate(req *updateReq) {

@@ -6,10 +6,15 @@ import (
 	"fmt"
 )
 
-// State digests give every payload state a short canonical name: the
-// SHA-256 of its deterministic Marshal encoding. Because equivalent states
-// marshal to identical bytes (the codec's determinism contract, enforced
-// by the property tests), digest equality is state equality, and a replica
+// State digests give every payload state a short canonical name. For the
+// counters and the register it is the SHA-256 of the deterministic Marshal
+// encoding. For an ORSet it is a Merkle root: a domain-separated SHA-256
+// over the SHA-256s of its content-defined chunks (see ORSet), which a
+// state shares with the states it was derived from, so digesting a state
+// one update ahead of a digested one hashes one chunk and the root, not the
+// whole encoding. Because equivalent states marshal to identical bytes and
+// cut into identical chunks (the codec's determinism contract, enforced by
+// the property tests), digest equality is state equality, and a replica
 // that recognizes a peer's digest can skip receiving the payload entirely.
 // The replication protocol uses digests to suppress redundant state
 // transfer on the replica wire (docs/PROTOCOL.md §3).
@@ -17,9 +22,9 @@ import (
 // DigestSize is the byte length of a Digest (SHA-256).
 const DigestSize = 32
 
-// Digest is the canonical fingerprint of a payload state: the SHA-256 of
-// Marshal(s). Two states have equal digests iff they are equivalent (up to
-// hash collision, which SHA-256 makes negligible).
+// Digest is the canonical fingerprint of a payload state (DigestOf). Two
+// states have equal digests iff they are equivalent (up to hash collision,
+// which SHA-256 makes negligible).
 type Digest [DigestSize]byte
 
 // IsZero reports whether d is the zero digest (no digest computed). The
@@ -30,20 +35,17 @@ func (d Digest) IsZero() bool { return d == Digest{} }
 // String renders an abbreviated digest for logs and test failures.
 func (d Digest) String() string { return hex.EncodeToString(d[:6]) }
 
-// DigestOf computes the digest of a state: SHA-256 over Marshal(s).
+// DigestOf computes the digest of a state: the Merkle root of an ORSet,
+// SHA-256 over Marshal(s) for every other type.
 func DigestOf(s State) (Digest, error) {
+	if o, ok := s.(*ORSet); ok {
+		return o.merkleRoot(), nil
+	}
 	raw, err := Marshal(s)
 	if err != nil {
 		return Digest{}, err
 	}
 	return Digest(sha256.Sum256(raw)), nil
-}
-
-// DigestOfMarshaled computes the digest of an already-marshaled state.
-// Receivers of full-state messages use it to fingerprint the sender's
-// state from the wire bytes without re-encoding the decoded payload.
-func DigestOfMarshaled(raw []byte) Digest {
-	return Digest(sha256.Sum256(raw))
 }
 
 // MemoDigest memoizes the digest of the most recently digested state,
@@ -89,8 +91,8 @@ func (m *MemoDigest) Known(s State) Digest {
 	return m.digest
 }
 
-// Note records d as the digest of s, for a caller that already hashed
-// s's encoding (DigestOfMarshaled) or received the digest alongside it.
+// Note records d as the digest of s, for a caller that received the
+// digest alongside s or knows it otherwise.
 func (m *MemoDigest) Note(s State, d Digest) {
 	m.last, m.digest = s, d
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -41,14 +40,6 @@ func (e *encBuf) strU64Map(m map[string]uint64) {
 	}
 }
 
-// strs encodes an ascending string slice.
-func (e *encBuf) strs(xs []string) {
-	e.uvarint(uint64(len(xs)))
-	for _, x := range xs {
-		e.str(x)
-	}
-}
-
 // uvarintLen is the encoded size of a non-negative length or count.
 func uvarintLen(n int) int { return uvarint64Len(uint64(n)) }
 
@@ -57,15 +48,6 @@ func uvarint64Len(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // strLen is the encoded size of str(s).
 func strLen(s string) int { return uvarintLen(len(s)) + len(s) }
-
-// strsLen is the encoded size of strs(xs).
-func strsLen(xs []string) int {
-	size := uvarintLen(len(xs))
-	for _, x := range xs {
-		size += strLen(x)
-	}
-	return size
-}
 
 // strU64MapLen is the encoded size of strU64Map(m).
 func strU64MapLen(m map[string]uint64) int {
@@ -175,31 +157,6 @@ func (d *decBuf) strU64Map() (map[string]uint64, error) {
 		}
 	}
 	return m, nil
-}
-
-// sortedStrs decodes a string collection into an ascending, duplicate-free
-// slice carved, capped, from the front of buf, and returns the rest of buf.
-// buf must have room for the collection's count. Input in any order and
-// with repeats is accepted; only input that is not already strictly
-// ascending is sorted.
-func (d *decBuf) sortedStrs(buf []string) (xs, rest []string, err error) {
-	n, err := d.count()
-	if err != nil || n == 0 {
-		return nil, buf, err
-	}
-	xs, rest = buf[:n:n], buf[n:]
-	ascending := true
-	for i := range xs {
-		if xs[i], err = d.str(); err != nil {
-			return nil, nil, err
-		}
-		ascending = ascending && (i == 0 || xs[i-1] < xs[i])
-	}
-	if !ascending {
-		slices.Sort(xs)
-		xs = slices.Clip(slices.Compact(xs))
-	}
-	return xs, rest, nil
 }
 
 func sortedKeys(m map[string]uint64) []string {

@@ -41,10 +41,16 @@ var generators = map[string]genState{
 		}
 		return l
 	},
+	// One or-set in three spans several chunks (~16 items each), with
+	// removes, so that joins, comparisons and digests cross chunk cuts.
 	TypeORSet: func(r *rand.Rand) State {
 		s := NewORSet()
-		for i := 0; i < r.Intn(6); i++ {
-			e := fmt.Sprintf("e%d", r.Intn(10))
+		ops, pool := r.Intn(6), 10
+		if r.Intn(3) == 0 {
+			ops, pool = 40+r.Intn(160), 120
+		}
+		for i := 0; i < ops; i++ {
+			e := fmt.Sprintf("e%d", r.Intn(pool))
 			if r.Intn(3) == 0 {
 				s = s.Remove(e)
 			} else {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 )
@@ -111,16 +112,28 @@ func TestORSetOperandsImmutable(t *testing.T) {
 	}
 }
 
+// frameEntry is an element and its tags as orsetFrame writes them.
+type frameEntry struct {
+	elem string
+	tags []string
+}
+
 // orsetFrame hand-encodes an or-set frame from entries and tombstones in
 // exactly the order given, which the package's own encoder never does.
-func orsetFrame(entries []orEntry, tombs []string) []byte {
+func orsetFrame(entries []frameEntry, tombs []string) []byte {
 	var e encBuf
+	strs := func(xs []string) {
+		e.uvarint(uint64(len(xs)))
+		for _, x := range xs {
+			e.str(x)
+		}
+	}
 	e.uvarint(uint64(len(entries)))
 	for _, x := range entries {
 		e.str(x.elem)
-		e.strs(x.tags)
+		strs(x.tags)
 	}
-	e.strs(tombs)
+	strs(tombs)
 	var out encBuf
 	out.str(TypeORSet)
 	out.str(string(e.b))
@@ -131,18 +144,40 @@ func TestORSetDecodesNonCanonicalInput(t *testing.T) {
 	canonical := NewORSet().Add("a", "n1", 1).Add("a", "n2", 1).Add("b", "n1", 2).Add("c", "n3", 7).Remove("b").Add("b", "n2", 5)
 	want := mustMarshal(t, canonical)
 	cases := map[string][]byte{
-		"shuffled elements": orsetFrame([]orEntry{
+		"shuffled elements": orsetFrame([]frameEntry{
 			{"c", []string{"n3#7"}}, {"a", []string{"n1#1", "n2#1"}}, {"b", []string{"n1#2", "n2#5"}},
 		}, []string{"n1#2"}),
-		"shuffled and repeated tags": orsetFrame([]orEntry{
+		"shuffled and repeated tags": orsetFrame([]frameEntry{
 			{"a", []string{"n2#1", "n1#1", "n2#1"}}, {"b", []string{"n2#5", "n1#2"}}, {"c", []string{"n3#7", "n3#7"}},
 		}, []string{"n1#2", "n1#2"}),
-		"repeated element with split tags": orsetFrame([]orEntry{
+		"repeated element with split tags": orsetFrame([]frameEntry{
 			{"b", []string{"n2#5"}}, {"a", []string{"n1#1"}}, {"c", []string{"n3#7"}}, {"a", []string{"n2#1"}}, {"b", []string{"n1#2"}},
 		}, []string{"n1#2"}),
-		"element without tags": orsetFrame([]orEntry{
+		"element without tags": orsetFrame([]frameEntry{
 			{"a", []string{"n1#1", "n2#1"}}, {"aa", nil}, {"b", []string{"n1#2", "n2#5"}}, {"c", []string{"n3#7"}},
 		}, []string{"n1#2"}),
+		// Ascending tags, but c's tag count spelled in two bytes: a tag
+		// list kept as its encoding must be re-encoded, not kept as sent.
+		"overlong tag count": func() []byte {
+			var p, out encBuf
+			p.uvarint(3)
+			for _, x := range []frameEntry{{"a", []string{"n1#1", "n2#1"}}, {"b", []string{"n1#2", "n2#5"}}, {"c", []string{"n3#7"}}} {
+				p.str(x.elem)
+				if x.elem == "c" {
+					p.b = append(p.b, 0x81, 0x00)
+				} else {
+					p.uvarint(uint64(len(x.tags)))
+				}
+				for _, tag := range x.tags {
+					p.str(tag)
+				}
+			}
+			p.uvarint(1)
+			p.str("n1#2")
+			out.str(TypeORSet)
+			out.str(string(p.b))
+			return out.b
+		}(),
 	}
 	for name, frame := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -218,11 +253,13 @@ func TestORSetAllocs(t *testing.T) {
 		{"Merge full state one tag ahead", 4, func() { _, _ = s.Merge(grown) }},
 		{"Merge dominated state", 0, func() { _, _ = s.Merge(dominated) }},
 		{"Merge self", 0, func() { _, _ = s.Merge(s) }},
-		// The result's entry array and top-level value, plus copies of
-		// the decoded delta's element, tag list and tag.
+		// The rebuilt chunk (a block with its items), the new set (a
+		// block with its chunk lists) and one copy of the decoded delta's
+		// element with its tags; an insert whose key cuts its chunk in
+		// two costs one more.
 		{"Merge decoded one-tag delta", 5, func() { _, _ = s.Merge(decodedDelta) }},
-		// The state, its type name, one arena, one entry array and one
-		// []string for every tag list: not one allocation per string.
+		// The state, its type name, one arena, one item array and one
+		// array of chunks with its list: not one allocation per string.
 		{"Unmarshal 1,000-element frame", 8, func() { _, _ = Unmarshal(frame) }},
 		{"Unmarshal one-tag delta frame", 7, func() { _, _ = Unmarshal(deltaFrame) }},
 	} {
@@ -233,6 +270,37 @@ func TestORSetAllocs(t *testing.T) {
 	if m, _ := s.Merge(dominated); m != State(s) {
 		t.Error("Merge of a dominated state did not return the receiver itself")
 	}
+
+	// Bytes, not only allocations: an update costs the chunk it changes
+	// and the list of chunk pointers, not a copy of the 20 KB state. The
+	// sorted entry array this representation replaced cost ~41 KB for
+	// each of the first two.
+	for _, tc := range []struct {
+		name string
+		op   func()
+	}{
+		{"Add new element", func() { s.Add("elem-000500x", "n2", 1) }},
+		{"Merge decoded one-tag delta", func() { _, _ = s.Merge(decodedDelta) }},
+		{"Delta against a base one add behind", func() { _, _ = grown.Delta(s) }},
+	} {
+		if got := bytesPerRun(50, tc.op); got > 4<<10 {
+			t.Errorf("%s: %.0f B/op, want at most 4 KiB", tc.name, got)
+		}
+	}
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the average heap bytes
+// one call of f allocates, after a warm-up call.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestUnmarshalCopiesOut: a decoded state owns its bytes, so the caller may
@@ -267,15 +335,24 @@ func eachStr(s *ORSet, f func(string)) {
 			f(x)
 		}
 	}
-	for _, x := range s.adds {
-		note(x.elem)
-		for _, tag := range x.tags {
-			note(tag)
+	for _, c := range append(s.adds[:len(s.adds):len(s.adds)], s.tombs...) {
+		for _, x := range c.items {
+			note(x.elem)
+			for _, tag := range x.tags.strs(nil) {
+				note(tag)
+			}
 		}
 	}
-	for _, tomb := range s.tombs {
-		note(tomb)
+}
+
+// marked reports whether some chunk of s is marked arena.
+func marked(s *ORSet) bool {
+	for _, c := range append(s.adds[:len(s.adds):len(s.adds)], s.tombs...) {
+		if c.arena {
+			return true
+		}
 	}
+	return false
 }
 
 func strAddr(x string) uintptr { return uintptr(unsafe.Pointer(unsafe.StringData(x))) }
@@ -312,14 +389,14 @@ func TestORSetMergeDoesNotPinArena(t *testing.T) {
 	if pinned > 0 {
 		t.Errorf("%d strings of the result lie in the decoded frame's arena", pinned)
 	}
-	if m.(*ORSet).arena {
+	if marked(m.(*ORSet)) {
 		t.Error("a union that cloned everything it took from the arena is still marked")
 	}
 	back := MustMerge(dec, recv)
 	if eq, err := Equivalent(back, want); err != nil || !eq {
 		t.Fatalf("reverse merge = %v, want %v (err=%v)", back, want, err)
 	}
-	if !back.(*ORSet).arena {
+	if !marked(back.(*ORSet)) {
 		t.Error("a union sharing a decoded receiver's strings is not marked")
 	}
 	if m := MustMerge(bigORSet(999), dec); m != dec {

@@ -71,6 +71,10 @@ func AppendMarshal(b []byte, s State) ([]byte, error) {
 	return appendMarshal(b, s, s.binaryLen())
 }
 
+// MarshaledLen returns len(Marshal(s)) without encoding s: for an ORSet,
+// from the sizes its chunks keep.
+func MarshaledLen(s State) int { return marshaledLen(s.TypeName(), s.binaryLen()) }
+
 func marshaledLen(name string, n int) int { return strLen(name) + uvarintLen(n) + n }
 
 // appendMarshal is the one encoder: the type name, the payload length n

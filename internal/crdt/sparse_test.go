@@ -18,12 +18,18 @@ type orModel struct {
 
 func modelOf(s *ORSet) orModel {
 	var m orModel
-	for _, x := range s.adds {
-		for _, tag := range x.tags {
-			m.pairs = append(m.pairs, x.elem+"\x00"+tag)
+	for _, c := range s.adds {
+		for _, x := range c.items {
+			for _, tag := range x.tags.strs(nil) {
+				m.pairs = append(m.pairs, x.elem+"\x00"+tag)
+			}
 		}
 	}
-	m.tombs = slices.Clone(s.tombs)
+	for _, c := range s.tombs {
+		for _, x := range c.items {
+			m.tombs = append(m.tombs, x.elem)
+		}
+	}
 	slices.Sort(m.pairs)
 	return m
 }
@@ -58,32 +64,54 @@ func flatMinus(a, b []string) []string {
 
 // set builds the canonical ORSet of m directly, without Add or Merge.
 func (m orModel) set() *ORSet {
-	s := &ORSet{tombs: m.tombs}
-	for _, p := range m.pairs {
+	var adds, tombs []orEntry
+	var tags []string
+	for i, p := range m.pairs {
 		e, tag, _ := strings.Cut(p, "\x00")
-		if n := len(s.adds); n > 0 && s.adds[n-1].elem == e {
-			s.adds[n-1].tags = append(s.adds[n-1].tags, tag)
-		} else {
-			s.adds = append(s.adds, orEntry{elem: e, tags: []string{tag}})
+		tags = append(tags, tag)
+		if i+1 == len(m.pairs) || !strings.HasPrefix(m.pairs[i+1], e+"\x00") {
+			adds = append(adds, orEntry{elem: e, tags: tagsOf(tags)})
+			tags = tags[:0]
 		}
 	}
-	return s
+	for _, tomb := range m.tombs {
+		tombs = append(tombs, orEntry{elem: tomb})
+	}
+	return fromItems(adds, tombs)
+}
+
+// fromItems chunks two canonical item lists item by item, as the builder
+// cuts them, into a set that shares nothing with any other.
+func fromItems(adds, tombs []orEntry) *ORSet {
+	build := func(xs []orEntry) []*chunk {
+		var b builder
+		for _, x := range xs {
+			b.item(x, false, cutsChunk(x.elem))
+		}
+		return b.done()
+	}
+	return newSet(build(adds), build(tombs))
 }
 
 // sparseBase builds an n-element set directly, one tag per element, with
 // every third element removed: tombstone lists long enough for a delta's
 // few tombstones to take the sparse path.
 func sparseBase(n int) *ORSet {
-	s := &ORSet{adds: make([]orEntry, n)}
-	for i := range s.adds {
+	adds := make([]orEntry, n)
+	var tombs []string
+	for i := range adds {
 		tag := fmt.Sprintf("b#%d", i)
-		s.adds[i] = orEntry{elem: fmt.Sprintf("e%05d", 2*i), tags: []string{tag}}
+		adds[i] = orEntry{elem: fmt.Sprintf("e%05d", 2*i), tags: tagsOf([]string{tag})}
 		if i%3 == 0 {
-			s.tombs = append(s.tombs, tag)
+			tombs = append(tombs, tag)
 		}
 	}
-	slices.Sort(s.tombs)
-	return s
+	slices.Sort(tombs)
+	items := make([]orEntry, len(tombs))
+	for i, tomb := range tombs {
+		items[i] = orEntry{elem: tomb}
+	}
+	return fromItems(adds, items)
 }
 
 // apply runs a program on s: each byte adds (high bit clear) or removes
@@ -181,12 +209,14 @@ func checkPair(t *testing.T, i, j int, c, s *ORSet, cm, sm orModel) {
 	}
 }
 
-// TestORSetSparseSharesAndSizes pins what the sparse join keeps of the
-// dense one: an exactly sized result that shares every entry of the large
-// side it did not touch, and clones what it takes from an arena argument.
+// TestORSetSparseSharesAndSizes pins what a join of a small delta keeps
+// of a large state: every chunk of the large side that holds none of the
+// delta's elements is shared by pointer, only the chunks around them are
+// new, and what the join takes from an arena argument is cloned.
 func TestORSetSparseSharesAndSizes(t *testing.T) {
 	s := bigORSet(1000)
-	delta, err := Unmarshal(mustMarshal(t, NewORSet().Add("elem-000500x", "n2", 1).Add("elem-000001", "n2", 2)))
+	keys := []string{"elem-000500x", "elem-000001"}
+	delta, err := Unmarshal(mustMarshal(t, NewORSet().Add(keys[0], "n2", 1).Add(keys[1], "n2", 2)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,11 +225,25 @@ func TestORSetSparseSharesAndSizes(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := m.(*ORSet)
-	if len(got.adds) != 1001 || cap(got.adds) != 1001 {
-		t.Fatalf("len %d cap %d, want an exactly sized 1,001 entries", len(got.adds), cap(got.adds))
+	if n := count(got.adds); n != 1001 {
+		t.Fatalf("%d entries, want 1,001", n)
 	}
-	if &got.adds[0].tags[0] != &s.adds[0].tags[0] || &got.adds[999].tags[0] != &s.adds[998].tags[0] {
-		t.Error("untouched entries of the receiver were copied, not shared")
+	touched := map[int]bool{}
+	for _, k := range keys {
+		ci, _, _ := locate(s.adds, k)
+		touched[ci] = true
+	}
+	kept := map[*chunk]bool{}
+	for _, c := range got.adds {
+		kept[c] = true
+	}
+	for ci, c := range s.adds {
+		if !touched[ci] && !kept[c] {
+			t.Errorf("chunk %d of the receiver holds no delta element but was copied, not shared", ci)
+		}
+	}
+	if fresh := len(got.adds) - (len(s.adds) - len(touched)); fresh > 2*len(keys) {
+		t.Errorf("%d new chunks for %d new elements", fresh, len(keys))
 	}
 	lo, hi := ^uintptr(0), uintptr(0)
 	eachStr(delta.(*ORSet), func(x string) {
@@ -210,7 +254,7 @@ func TestORSetSparseSharesAndSizes(t *testing.T) {
 			t.Errorf("%q lies in the argument's arena", x)
 		}
 	})
-	if !got.Contains("elem-000500x") || !got.Contains("elem-000001") {
+	if !got.Contains(keys[0]) || !got.Contains(keys[1]) {
 		t.Error("the delta's entries are missing from the join")
 	}
 
@@ -225,10 +269,13 @@ func TestORSetSparseSharesAndSizes(t *testing.T) {
 	eachStr(big.(*ORSet), func(x string) {
 		lo, hi = min(lo, strAddr(x)), max(hi, strAddr(x)+uintptr(len(x)))
 	})
-	small := NewORSet().Add("elem-000500x", "n2", 1).Add("elem-000001", "n2", 2)
+	small := NewORSet().Add(keys[0], "n2", 1).Add(keys[1], "n2", 2)
 	back := MustMerge(small, big).(*ORSet)
-	if len(back.adds) != 1001 || cap(back.adds) != 1001 {
-		t.Fatalf("len %d cap %d, want an exactly sized 1,001 entries", len(back.adds), cap(back.adds))
+	if n := count(back.adds); n != 1001 {
+		t.Fatalf("%d entries, want 1,001", n)
+	}
+	if !bytes.Equal(mustMarshal(t, back), mustMarshal(t, got)) {
+		t.Error("the two joins differ")
 	}
 	pinned := 0
 	eachStr(back, func(x string) {
