@@ -1,7 +1,6 @@
 package client
 
 import (
-	"bufio"
 	"cmp"
 	"context"
 	"errors"
@@ -176,13 +175,33 @@ func (c *Client) snapshotPools() ([]*pool, error) {
 	return c.pools, nil
 }
 
-// ctxErr classifies a context failure: deadline expiry additionally
-// matches ErrTimeout, so callers can distinguish "took too long" from
-// their own cancellation without inspecting the context themselves.
-func ctxErr(ctx context.Context, lastErr error) error {
-	err := ctx.Err()
-	if errors.Is(err, context.DeadlineExceeded) {
-		err = fmt.Errorf("%w: %w", ErrTimeout, err)
+// call is one operation's bounds: the caller's context and, when that
+// has no deadline, the WithRequestTimeout fallback deadline (zero when
+// there is none), which the connection's deadline list enforces
+// (conn.await) instead of a derived context.
+type call struct {
+	ctx      context.Context
+	deadline time.Time
+}
+
+// expired reports whether the call is over, first waiting out a context
+// deadline that has passed but not yet fired: a socket deadline taken from
+// ctx (a dial's, say) can expire a little before ctx's own timer, and the
+// failure it causes is the caller's timeout, not the endpoint's.
+func (cl call) expired() bool {
+	if dl, ok := cl.ctx.Deadline(); ok && !time.Now().Before(dl) {
+		<-cl.ctx.Done()
+	}
+	return cl.ctx.Err() != nil || !cl.deadline.IsZero() && !time.Now().Before(cl.deadline)
+}
+
+// err classifies an expired call: a deadline, the caller's or the
+// fallback's, also matches ErrTimeout, so callers can distinguish "took
+// too long" from their own cancellation without inspecting the context.
+func (cl call) err(lastErr error) error {
+	err := cl.ctx.Err()
+	if err == nil || errors.Is(err, context.DeadlineExceeded) {
+		err = fmt.Errorf("%w: %w", ErrTimeout, context.DeadlineExceeded)
 	}
 	if lastErr != nil {
 		return fmt.Errorf("%w (last attempt: %v)", err, lastErr)
@@ -190,15 +209,18 @@ func ctxErr(ctx context.Context, lastErr error) error {
 	return err
 }
 
-// expired reports whether ctx is done, first waiting out a deadline that
-// has passed but not yet fired: a socket deadline taken from ctx (a dial's,
-// say) can expire a little before ctx's own timer, and the failure it
-// causes is the caller's timeout, not the endpoint's.
-func expired(ctx context.Context) bool {
-	if dl, ok := ctx.Deadline(); ok && !time.Now().Before(dl) {
-		<-ctx.Done()
+// sleep waits d, or less when the call ends first; it reports whether the
+// call is still live.
+func (cl call) sleep(d time.Duration) bool {
+	if !cl.deadline.IsZero() {
+		d = min(d, time.Until(cl.deadline))
 	}
-	return ctx.Err() != nil
+	select {
+	case <-time.After(d):
+		return !cl.expired()
+	case <-cl.ctx.Done():
+		return false
+	}
 }
 
 // do runs one request with retries. retryInFlight permits retrying after
@@ -209,10 +231,9 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 		return nil, err
 	}
 
+	cl := call{ctx: ctx}
 	if _, ok := ctx.Deadline(); !ok && c.cfg.requestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, c.cfg.requestTimeout)
-		defer cancel()
+		cl.deadline = time.Now().Add(c.cfg.requestTimeout)
 	}
 
 	// Each attempt re-snapshots the pool list so a concurrent SetAddrs
@@ -229,10 +250,8 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 			// Capped exponential backoff with jitter (RetryPolicy.delay):
 			// under overload the retry pressure must shrink, not hold
 			// steady, or shed requests return as a synchronized storm.
-			select {
-			case <-time.After(c.cfg.retry.delay(attempt)):
-			case <-ctx.Done():
-				return nil, ctxErr(ctx, lastErr)
+			if !cl.sleep(c.cfg.retry.delay(attempt)) {
+				return nil, cl.err(lastErr)
 			}
 		}
 		pools, err := c.snapshotPools()
@@ -243,7 +262,7 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 			start = skipSuspects(pools, req.Key)
 		}
 		p := pick(pools, req.Key, start, attempt)
-		cn, err := p.get(ctx)
+		cn, err := p.get(cl)
 		if err != nil {
 			if errors.Is(err, ErrClosed) {
 				if _, serr := c.snapshotPools(); serr != nil {
@@ -257,18 +276,18 @@ func (c *Client) do(ctx context.Context, req *wire.Request, retryInFlight bool) 
 				lastErr = fmt.Errorf("%w: endpoint %s removed", ErrUnavailable, p.addr)
 				continue
 			}
-			if expired(ctx) {
-				return nil, ctxErr(ctx, err)
+			if cl.expired() {
+				return nil, cl.err(err)
 			}
 			// Nothing was sent; always safe to try the next address.
 			p.suspect()
 			lastErr = err
 			continue
 		}
-		resp, err := cn.roundtrip(ctx, req)
+		resp, err := cn.roundtrip(cl, req)
 		if err != nil {
-			if expired(ctx) {
-				cerr := ctxErr(ctx, err)
+			if cl.expired() {
+				cerr := cl.err(err)
 				// Was the frame already on the wire when the context fired?
 				// errInFlight marks the common case; a connection failure
 				// that is neither pre-write (errNotSent) nor a local size
@@ -457,7 +476,7 @@ func newPool(addr string, cfg config) *pool {
 
 // get returns a live connection from the pool, dialing the slot if its
 // connection is absent or dead.
-func (p *pool) get(ctx context.Context) (*conn, error) {
+func (p *pool) get(cl call) (*conn, error) {
 	p.mu.Lock()
 	if p.closed {
 		p.mu.Unlock()
@@ -475,7 +494,11 @@ func (p *pool) get(ctx context.Context) (*conn, error) {
 	if dialer == nil {
 		dialer = &net.Dialer{}
 	}
-	dctx, cancel := context.WithTimeout(ctx, p.cfg.dialTimeout)
+	timeout := p.cfg.dialTimeout
+	if !cl.deadline.IsZero() {
+		timeout = min(timeout, time.Until(cl.deadline))
+	}
+	dctx, cancel := context.WithTimeout(cl.ctx, timeout)
 	nc, err := dialer.DialContext(dctx, "tcp", p.addr)
 	cancel()
 	if err != nil {
@@ -516,191 +539,5 @@ func (p *pool) close() {
 		if cn != nil {
 			cn.fail(ErrClosed)
 		}
-	}
-}
-
-// --- one pipelined connection ---
-
-type conn struct {
-	nc net.Conn
-
-	wsem chan struct{} // holds one token per frame write; serializes writes
-	wbuf []byte        // the frame being written; owned by wsem's holder
-
-	mu      sync.Mutex
-	nextID  uint64
-	pending map[uint64]chan *wire.Response
-	err     error // non-nil once dead
-}
-
-func newConn(nc net.Conn) *conn {
-	c := &conn{
-		nc:      nc,
-		wsem:    make(chan struct{}, 1),
-		pending: make(map[uint64]chan *wire.Response),
-	}
-	go c.readLoop()
-	return c
-}
-
-func (c *conn) isDead() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.err != nil
-}
-
-// fail marks the connection dead and unblocks every pending request. A
-// dead connection is never handed out again: the pool redials its slot.
-func (c *conn) fail(err error) {
-	c.mu.Lock()
-	if c.err == nil {
-		c.err = err
-	}
-	_ = c.nc.Close()
-	for id, ch := range c.pending {
-		delete(c.pending, id)
-		close(ch)
-	}
-	c.mu.Unlock()
-}
-
-// forget drops request id, with c.mu held. A connection a failed write
-// left dead (roundtrip) closes once no request waits on it.
-func (c *conn) forget(id uint64) {
-	delete(c.pending, id)
-	if c.err != nil && len(c.pending) == 0 {
-		_ = c.nc.Close()
-	}
-}
-
-func (c *conn) readLoop() {
-	br := bufio.NewReader(c.nc)
-	for {
-		frame, err := wire.ReadFrame(br)
-		if err != nil {
-			c.fail(fmt.Errorf("client: read: %w", err))
-			return
-		}
-		resp, err := wire.DecodeResponse(frame)
-		if err != nil {
-			// A peer speaking garbage is a connection-level error: no
-			// response on this conn can be trusted to correlate.
-			c.fail(fmt.Errorf("client: decode response: %w", err))
-			return
-		}
-		if resp.ID == 0 && resp.Status == byte(StatusBusy) {
-			// The busy-close handshake: request IDs start at 1, so ID 0
-			// addresses the connection itself — the server refused it at
-			// admission, before reading anything, and is about to close
-			// it. Fail every pending request with the retry-anywhere
-			// busy class rather than the uncertain one a bare close
-			// would imply.
-			c.fail(errBusyConn)
-			return
-		}
-		c.mu.Lock()
-		ch, ok := c.pending[resp.ID]
-		if ok {
-			c.forget(resp.ID)
-		}
-		c.mu.Unlock()
-		if ok {
-			ch <- resp
-		}
-	}
-}
-
-// roundtrip sends req (assigning it a connection-unique ID) and waits for
-// the matching response. Concurrent roundtrips on one conn pipeline.
-func (c *conn) roundtrip(ctx context.Context, req *wire.Request) (*wire.Response, error) {
-	// The write runs under ctx: waiting for another caller's write gives
-	// up when ctx ends (nothing was sent), and ctx's end interrupts a write
-	// to a server that stops reading, failing the connection.
-	select {
-	case c.wsem <- struct{}{}:
-	case <-ctx.Done():
-		return nil, fmt.Errorf("%w: %w", errNotSent, ctx.Err())
-	}
-	// The connection is checked only now, as the previous write left it: a
-	// write that failed while this caller queued took it down first.
-	ch := make(chan *wire.Response, 1)
-	c.mu.Lock()
-	if err := c.err; err != nil {
-		c.mu.Unlock()
-		<-c.wsem
-		if errors.Is(err, errWrite) {
-			return nil, fmt.Errorf("%w: %v", errQueued, err)
-		}
-		return nil, fmt.Errorf("%w: %v", errNotSent, err)
-	}
-	c.nextID++
-	id := c.nextID
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	r := *req
-	r.ID = id
-	interrupted := make(chan struct{})
-	stop := context.AfterFunc(ctx, func() {
-		_ = c.nc.SetWriteDeadline(time.Unix(1, 0))
-		close(interrupted)
-	})
-	frame, err := r.AppendFrame(c.wbuf[:0])
-	if err == nil {
-		_, err = c.nc.Write(frame)
-		c.wbuf = frame[:0]
-	}
-	if !stop() {
-		<-interrupted
-		_ = c.nc.SetWriteDeadline(time.Time{})
-	}
-	// A write that failed part-way leaves no frame boundary to resume at:
-	// mark the connection dead before handing the write slot on, so the
-	// next writer sees it. Requests whose frames went out earlier still
-	// wait for their responses; the socket closes after the last of them
-	// (forget), or when the server closes it.
-	if err != nil && !errors.Is(err, wire.ErrFrameTooLarge) {
-		c.mu.Lock()
-		if c.err == nil {
-			c.err = fmt.Errorf("%w: %w", errWrite, err)
-		}
-		c.forget(id)
-		c.mu.Unlock()
-	}
-	<-c.wsem
-	if err != nil {
-		if errors.Is(err, wire.ErrFrameTooLarge) {
-			// Local size check, nothing written: the request is bad, the
-			// connection is fine — don't kill other callers' pipelines.
-			c.mu.Lock()
-			c.forget(id)
-			c.mu.Unlock()
-			return nil, err
-		}
-		// A write cut short by the busy-close handshake went to a
-		// connection the server never read: provably not executed.
-		c.mu.Lock()
-		cerr := c.err
-		c.mu.Unlock()
-		if errors.Is(cerr, ErrBusy) {
-			return nil, cerr
-		}
-		return nil, err
-	}
-
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			c.mu.Lock()
-			err := c.err
-			c.mu.Unlock()
-			return nil, err
-		}
-		return resp, nil
-	case <-ctx.Done():
-		c.mu.Lock()
-		c.forget(id)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %w", errInFlight, ctx.Err())
 	}
 }

@@ -29,8 +29,9 @@ type scriptedServer struct {
 	ln    net.Listener
 	reply func(req *wire.Request) []byte
 
-	conns  atomic.Int32 // connections accepted so far
-	closed atomic.Int32 // connections that reached EOF/error
+	conns  atomic.Int32  // connections accepted so far
+	closed atomic.Int32  // connections that reached EOF/error
+	gone   chan struct{} // a send per connection that reached EOF/error
 
 	wg sync.WaitGroup
 }
@@ -41,7 +42,7 @@ func startScripted(t *testing.T, reply func(req *wire.Request) []byte) *scripted
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &scriptedServer{ln: ln, reply: reply}
+	s := &scriptedServer{ln: ln, reply: reply, gone: make(chan struct{}, 64)}
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -55,7 +56,13 @@ func startScripted(t *testing.T, reply func(req *wire.Request) []byte) *scripted
 			go func() {
 				defer s.wg.Done()
 				defer conn.Close()
-				defer s.closed.Add(1)
+				defer func() {
+					s.closed.Add(1)
+					select {
+					case s.gone <- struct{}{}:
+					default:
+					}
+				}()
 				br := bufio.NewReader(conn)
 				for {
 					frame, err := wire.ReadFrame(br)
@@ -98,8 +105,11 @@ func statusReply(req *wire.Request, status byte, msg string) []byte {
 // with an error matching context.Canceled.
 func TestRetryHonoursCancellation(t *testing.T) {
 	var served atomic.Int32
+	retried := make(chan struct{})
 	s := startScripted(t, func(req *wire.Request) []byte {
-		served.Add(1)
+		if served.Add(1) == 3 {
+			close(retried)
+		}
 		return statusReply(req, wire.StatusUnavailable, "scripted: permanently refusing")
 	})
 
@@ -116,11 +126,9 @@ func TestRetryHonoursCancellation(t *testing.T) {
 	go func() { done <- c.Counter("k").Inc(ctx, 1) }()
 
 	// Let a few retries happen, then cancel mid-loop.
-	deadline := time.Now().Add(5 * time.Second)
-	for served.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if served.Load() < 3 {
+	select {
+	case <-retried:
+	case <-time.After(5 * time.Second):
 		t.Fatal("server saw no retries")
 	}
 	cancel()
@@ -136,9 +144,18 @@ func TestRetryHonoursCancellation(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("retry loop ignored cancellation")
 	}
-	// The retry loop must stop consuming the server after cancellation.
+	// The retry loop must stop consuming the server after cancellation:
+	// once the client's connections are closed and the server has read
+	// them to the end, it has seen every request it ever will.
 	settled := served.Load()
-	time.Sleep(50 * time.Millisecond)
+	_ = c.Close()
+	for range s.conns.Load() {
+		select {
+		case <-s.gone:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the server never saw the client's connections close")
+		}
+	}
 	if served.Load() > settled+1 {
 		t.Fatalf("server still being retried after cancellation (%d → %d)", settled, served.Load())
 	}
@@ -173,11 +190,9 @@ func TestNoReuseAfterDecodeError(t *testing.T) {
 	}
 	// The poisoned connection must have been closed by the client, not
 	// parked in the pool.
-	deadline := time.Now().Add(5 * time.Second)
-	for s.closed.Load() < 1 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if s.closed.Load() < 1 {
+	select {
+	case <-s.gone:
+	case <-time.After(5 * time.Second):
 		t.Fatal("client kept the undecodable connection open")
 	}
 }
@@ -471,19 +486,21 @@ func TestBusyExhaustedSurfacesErrBusy(t *testing.T) {
 }
 
 // TestSuspectHomeCostsItsDelayOnce: a key's home answers every request
-// "unavailable" only after a delay, as a replica partitioned from its
-// quorum does once its server timeout runs out. The first operation pays
-// that delay and fails over; the next ones skip the suspect home and go
-// straight to the next address, so the delay is paid once, not once per
-// operation.
+// "unavailable" only once the test releases it, as a replica partitioned
+// from its quorum does once its server timeout runs out. The first
+// operation waits for that answer and fails over; the next ones skip the
+// suspect home and go straight to the next address, so the wait is paid
+// once, not once per operation.
 func TestSuspectHomeCostsItsDelayOnce(t *testing.T) {
-	const delay = 200 * time.Millisecond
 	var slowServed, fastServed atomic.Int32
+	arrived, release := make(chan struct{}, 16), make(chan struct{})
 	slow := startScripted(t, func(req *wire.Request) []byte {
 		slowServed.Add(1)
-		time.Sleep(delay)
+		arrived <- struct{}{}
+		<-release
 		return statusReply(req, wire.StatusUnavailable, "scripted: timed out without a quorum")
 	})
+	defer close(release)
 	fast := startScripted(t, func(req *wire.Request) []byte {
 		fastServed.Add(1)
 		return (&wire.Response{Op: req.Op | wire.RespBit, ID: req.ID, Status: wire.StatusOK, RoundTrips: 1}).Encode()
@@ -500,8 +517,21 @@ func TestSuspectHomeCostsItsDelayOnce(t *testing.T) {
 		}
 	}
 	const ops = 10
+	first := make(chan error, 1)
+	go func() { first <- c.Counter(key).Inc(context.Background(), 1) }()
+	select {
+	case <-arrived:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the first op never reached the home")
+	}
+	release <- struct{}{} // the home's timeout runs out: it answers "unavailable"
+	if err := <-first; err != nil {
+		t.Fatalf("op 0: %v", err)
+	}
+	// The home is held from here on: an op sent there would wait out the
+	// client's 5 s timeout.
 	start := time.Now()
-	for i := 0; i < ops; i++ {
+	for i := 1; i < ops; i++ {
 		if err := c.Counter(key).Inc(context.Background(), 1); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
@@ -513,7 +543,7 @@ func TestSuspectHomeCostsItsDelayOnce(t *testing.T) {
 	if n := fastServed.Load(); n != ops {
 		t.Fatalf("the next address served %d ops, want %d", n, ops)
 	}
-	if elapsed > ops/2*delay {
-		t.Fatalf("%d ops took %v with a %v home: the delay was paid per op", ops, elapsed, delay)
+	if elapsed > time.Second {
+		t.Fatalf("%d ops after the first took %v: they waited on the suspect home", ops-1, elapsed)
 	}
 }

@@ -248,18 +248,14 @@ func (o *Object) Update(ctx context.Context, at NodeID, fu Update) error {
 	return err
 }
 
-// mutate builds the named mutation of a typed handle at the named replica
-// (cluster.Node.Mutation, the one mutation table) and applies it.
+// mutate applies the named mutation of a typed handle at the named replica
+// (cluster.Node.Mutate, the one mutation table).
 func (o *Object) mutate(ctx context.Context, at NodeID, crdtType, mutation string, operand []byte) error {
 	n, err := o.c.node(at)
 	if err != nil {
 		return err
 	}
-	fu, _, err := n.Mutation(ctx, o.key, crdtType, mutation, [][]byte{operand})
-	if err != nil {
-		return err
-	}
-	_, err = n.UpdateKey(ctx, o.key, fu)
+	_, _, err = n.Mutate(ctx, o.key, crdtType, mutation, [][]byte{operand})
 	return err
 }
 

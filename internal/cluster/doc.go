@@ -23,9 +23,11 @@
 // first touch — locally by a command, remotely by the first inbound
 // message for the key. Node.UpdateKey and Node.QueryKey, blocking waits
 // over SubmitUpdate and SubmitQuery, are the keyed store's whole API.
-// Node.Mutation is the one mutation table: it turns a named mutation
-// ("inc", "add", ...) into the update function a front end then submits,
-// and it owns the node's one or-set tag counter. Cluster starts n nodes
+// Node.SubmitMutation (and Mutate, its blocking wait) is the one mutation
+// table: it turns a named mutation ("inc", "add", ...) into the update
+// function it submits, chains an or-set remove's update onto its
+// observing query on the key's shard loop, and owns the node's one or-set
+// tag counter. Cluster starts n nodes
 // over one in-process network: a Mesh for the crdtsmr facade and the
 // tests, or a transport.Fabric, whose nodes step on its virtual clock,
 // for the shootout figures and the tests that must replay; the daemon,

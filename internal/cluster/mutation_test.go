@@ -33,7 +33,7 @@ func typedConfig(n int) Config {
 }
 
 // TestMutationTable applies every named mutation of every served type
-// through Node.Mutation and checks the state a linearizable read returns.
+// through Node.Mutate and checks the state a linearizable read returns.
 func TestMutationTable(t *testing.T) {
 	mesh := transport.NewMesh()
 	defer mesh.Close()
@@ -66,15 +66,12 @@ func TestMutationTable(t *testing.T) {
 	}
 	for i, r := range rows {
 		typ, _, _ := strings.Cut(r.key, "/")
-		fu, rtts, err := r.node.Mutation(ctx, r.key, typ, r.mut, [][]byte{r.arg})
+		_, rtts, err := r.node.Mutate(ctx, r.key, typ, r.mut, [][]byte{r.arg})
 		if err != nil {
 			t.Fatalf("row %d %s/%s: %v", i, typ, r.mut, err)
 		}
 		if (rtts > 0) != r.wantObserveRTTs {
 			t.Fatalf("row %d %s/%s: observeRTTs = %d", i, typ, r.mut, rtts)
-		}
-		if _, err := r.node.UpdateKey(ctx, r.key, fu); err != nil {
-			t.Fatalf("row %d %s/%s: update: %v", i, typ, r.mut, err)
 		}
 		st, _, err := cl.Node("n3").QueryKey(ctx, r.key)
 		if err != nil {
@@ -105,18 +102,14 @@ func TestMutationRejects(t *testing.T) {
 	n := cl.Node("n1")
 
 	// Wrong payload type: the function builds, the update fails.
-	fu, _, err := n.Mutation(ctx, "or-set/typed", crdt.TypeGCounter, wire.MutInc, [][]byte{{1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = n.UpdateKey(ctx, "or-set/typed", fu)
+	_, _, err = n.Mutate(ctx, "or-set/typed", crdt.TypeGCounter, wire.MutInc, [][]byte{{1}})
 	if err == nil || errors.Is(err, ErrBadMutation) ||
 		!strings.Contains(err.Error(), crdt.TypeORSet) || !strings.Contains(err.Error(), crdt.TypeGCounter) {
 		t.Fatalf("g-counter inc on an or-set: %v, want a type error naming both types", err)
 	}
 	// An or-set remove observes first, so its type error comes before
 	// submission.
-	_, _, err = n.Mutation(ctx, "g-counter/typed", crdt.TypeORSet, wire.MutRemove, [][]byte{[]byte("x")})
+	_, _, err = n.Mutate(ctx, "g-counter/typed", crdt.TypeORSet, wire.MutRemove, [][]byte{[]byte("x")})
 	if err == nil || !strings.Contains(err.Error(), crdt.TypeORSet) || !strings.Contains(err.Error(), crdt.TypeGCounter) {
 		t.Fatalf("or-set remove on a g-counter: %v, want a type error naming both types", err)
 	}
@@ -136,9 +129,9 @@ func TestMutationRejects(t *testing.T) {
 	}
 	for _, b := range bad {
 		key := b.typ + "/bad"
-		fu, _, err := n.Mutation(ctx, key, b.typ, b.mut, b.args)
-		if fu != nil || !errors.Is(err, ErrBadMutation) || !strings.Contains(err.Error(), b.want) {
-			t.Errorf("%s: fu %v, err %v; want ErrBadMutation (%s)", b.name, fu != nil, err, b.want)
+		_, _, err := n.Mutate(ctx, key, b.typ, b.mut, b.args)
+		if !errors.Is(err, ErrBadMutation) || !strings.Contains(err.Error(), b.want) {
+			t.Errorf("%s: err %v; want ErrBadMutation (%s)", b.name, err, b.want)
 		}
 		if slices.Contains(n.Keys(), key) {
 			t.Errorf("%s: key %q was touched", b.name, key)
@@ -149,7 +142,7 @@ func TestMutationRejects(t *testing.T) {
 // TestMutationsBuiltOnlyInCluster is the census gate of the mutation
 // table: no non-test file of the root package or internal/server holds a
 // function literal of type func(State) (State, error). A front end names
-// a mutation and Node.Mutation builds its update function, so the
+// a mutation and Node.SubmitMutation builds its update function, so the
 // semantics of each named mutation live in this package only.
 func TestMutationsBuiltOnlyInCluster(t *testing.T) {
 	var files []string
@@ -174,7 +167,7 @@ func TestMutationsBuiltOnlyInCluster(t *testing.T) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			if lit, ok := n.(*ast.FuncLit); ok && isUpdateType(lit.Type) {
-				t.Errorf("%s: update function literal; build named mutations with cluster.Node.Mutation", fset.Position(lit.Pos()))
+				t.Errorf("%s: update function literal; build named mutations with cluster.Node.SubmitMutation", fset.Position(lit.Pos()))
 			}
 			return true
 		})

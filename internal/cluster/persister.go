@@ -58,7 +58,11 @@ type persistDone struct {
 // released by processDones once the disk confirms. Only dirty keys are
 // visited, so per-event cost is independent of the size of the keyspace.
 func (s *shard) flushOutbox() {
-	for i, ks := range s.dirty {
+	// A completion released here can start a command on this loop (an
+	// or-set remove's observation starts its update), which marks its key
+	// dirty again: the walk runs to the list's current end.
+	for i := 0; i < len(s.dirty); i++ {
+		ks := s.dirty[i]
 		s.dirty[i] = nil
 		ks.dirty = false
 		// Completions ride their key's request, even an otherwise empty

@@ -389,6 +389,14 @@ func (s *shard) failEverything() {
 		ks.rep.AbortAll()
 		ks.busy = 0
 	}
+	// A command started since the last flushOutbox is not on s.busy yet:
+	// an or-set remove's update, started by its observation's completion
+	// while restartPrep drained the persister.
+	for _, ks := range s.dirty {
+		if ks.busy == 0 {
+			ks.rep.AbortAll()
+		}
+	}
 	for _, ks := range s.batchedUpdates {
 		for _, op := range ks.updates {
 			op.done(core.UpdateStats{}, ErrUnavailable)

@@ -86,10 +86,7 @@ func TestEquivalentCountersMarshalIdentically(t *testing.T) {
 	sameBytes(MustMerge(zero, NewGCounter()), MustMerge(NewGCounter(), zero))
 	sameBytes(NewPNCounter().Inc("n1", 0).Dec("n2", 0), NewPNCounter())
 
-	spelled, err := (&GCounter{slots: map[string]uint64{"n1": 0, "n2": 3}}).AppendBinary(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	spelled := spellSlots([]slot{{"n1", 0}, {"n2", 3}})
 	var decoded GCounter
 	if err := decoded.UnmarshalBinary(spelled); err != nil {
 		t.Fatal(err)

@@ -5,12 +5,14 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
+	"strings"
+	"sync"
 )
 
-// The wire format used by all payload codecs is deterministic: map keys are
-// emitted in sorted order so that equivalent states marshal to identical
-// bytes. Integers use uvarint encoding; strings and byte slices are
+// The wire format used by all payload codecs is deterministic: keyed
+// entries are emitted in sorted key order so that equivalent states
+// marshal to identical bytes. Integers use uvarint encoding; strings and byte slices are
 // length-prefixed.
 
 var errTruncated = errors.New("crdt: truncated payload")
@@ -30,13 +32,12 @@ func (e *encBuf) str(s string) {
 	e.b = append(e.b, s...)
 }
 
-// strU64Map encodes a map[string]uint64 deterministically.
-func (e *encBuf) strU64Map(m map[string]uint64) {
-	keys := sortedKeys(m)
-	e.uvarint(uint64(len(keys)))
-	for _, k := range keys {
-		e.str(k)
-		e.uvarint(m[k])
+// slots encodes a counter's slots, which are already in replica order.
+func (e *encBuf) slots(slots []slot) {
+	e.uvarint(uint64(len(slots)))
+	for _, s := range slots {
+		e.str(s.replica)
+		e.uvarint(s.n)
 	}
 }
 
@@ -49,11 +50,11 @@ func uvarint64Len(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 // strLen is the encoded size of str(s).
 func strLen(s string) int { return uvarintLen(len(s)) + len(s) }
 
-// strU64MapLen is the encoded size of strU64Map(m).
-func strU64MapLen(m map[string]uint64) int {
-	size := uvarintLen(len(m))
-	for k, v := range m {
-		size += strLen(k) + uvarint64Len(v)
+// slotsLen is the encoded size of slots(slots).
+func slotsLen(slots []slot) int {
+	size := uvarintLen(len(slots))
+	for _, s := range slots {
+		size += strLen(s.replica) + uvarint64Len(s.n)
 	}
 	return size
 }
@@ -134,17 +135,19 @@ func (d *decBuf) str() (string, error) {
 	return string(d.b[d.i-n : d.i]), nil
 }
 
-// strU64Map decodes a counter slot map. Zero values are dropped: a slot
-// holding 0 equals an absent one, so the decoded map is the canonical form
-// strU64Map encodes for every equivalent counter.
-func (d *decBuf) strU64Map() (map[string]uint64, error) {
+// slots decodes a counter's slots into the canonical form slots encodes
+// for every equivalent counter: zero counts dropped, sorted by replica,
+// one slot per replica, the last nonzero count read winning. A frame in
+// that form already, which is every frame an encoder wrote, is decoded in
+// one pass with no sort, and its replica IDs are interned (intern).
+func (d *decBuf) slots() ([]slot, error) {
 	n, err := d.count()
 	if err != nil {
 		return nil, err
 	}
-	m := make(map[string]uint64, n)
-	for i := 0; i < n; i++ {
-		k, err := d.str()
+	out, sorted := make([]slot, 0, n), true
+	for range n {
+		k, err := d.span()
 		if err != nil {
 			return nil, err
 		}
@@ -153,27 +156,44 @@ func (d *decBuf) strU64Map() (map[string]uint64, error) {
 			return nil, err
 		}
 		if v != 0 {
-			m[k] = v
+			sorted = sorted && (len(out) == 0 || out[len(out)-1].replica < string(k))
+			out = append(out, slot{intern(k), v})
 		}
 	}
-	return m, nil
+	if !sorted {
+		// Stable: a replica's slots stay in frame order, so after the
+		// reverse the first of each run is the last read, which Compact
+		// keeps.
+		slices.SortStableFunc(out, func(a, b slot) int { return strings.Compare(a.replica, b.replica) })
+		slices.Reverse(out)
+		out = slices.CompactFunc(out, func(a, b slot) bool { return a.replica == b.replica })
+		slices.Reverse(out)
+	}
+	return out, nil
 }
 
-func sortedKeys(m map[string]uint64) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
+// interned maps the replica IDs decoded so far to one string each, so
+// decoding a counter allocates no string for an ID seen before: a cluster
+// has a handful. It stops growing at maxInterned IDs of at most
+// maxInternLen bytes, so hostile frames cannot grow it without bound.
+var (
+	internMu sync.RWMutex
+	interned = map[string]string{}
+)
 
-// cloneStrU64 deep-copies a map[string]uint64; used by mutators to preserve
-// value semantics.
-func cloneStrU64(m map[string]uint64) map[string]uint64 {
-	out := make(map[string]uint64, len(m))
-	for k, v := range m {
-		out[k] = v
+const maxInterned, maxInternLen = 1024, 64
+
+// intern returns b as a string, the table's copy when it holds one.
+func intern(b []byte) string {
+	internMu.RLock()
+	s, ok := interned[string(b)]
+	internMu.RUnlock()
+	if !ok {
+		s = string(b)
+		if internMu.Lock(); len(b) <= maxInternLen && len(interned) < maxInterned {
+			interned[s] = s
+		}
+		internMu.Unlock()
 	}
-	return out
+	return s
 }

@@ -1,6 +1,10 @@
 package crdt
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+	"strings"
+)
 
 // GCounter is the grow-only counter of the paper's Algorithm 1: the payload
 // is one non-negative slot per replica, the partial order is slot-wise ≤,
@@ -9,9 +13,16 @@ import "fmt"
 //
 // Unlike the fixed-length array of Algorithm 1 the slots are keyed by
 // replica ID, which supports clusters whose membership is not known when a
-// counter is created; the lattice is unchanged.
+// counter is created; the lattice is unchanged. The slots are sorted by
+// replica ID with no zero count (a slot holding 0 equals an absent one),
+// their wire order: join, ≤ and Delta are merge walks.
 type GCounter struct {
-	slots map[string]uint64
+	slots []slot
+}
+
+type slot struct {
+	replica string
+	n       uint64 // never 0
 }
 
 var (
@@ -21,7 +32,12 @@ var (
 
 // NewGCounter returns the counter's bottom element (all slots zero).
 func NewGCounter() *GCounter {
-	return &GCounter{slots: map[string]uint64{}}
+	return &GCounter{}
+}
+
+// find returns the index of replica's slot, or where it would be inserted.
+func (c *GCounter) find(replica string) (int, bool) {
+	return slices.BinarySearchFunc(c.slots, replica, func(s slot, r string) int { return strings.Compare(s.replica, r) })
 }
 
 // Inc returns a copy of the counter with replica's slot incremented by n.
@@ -32,22 +48,31 @@ func (c *GCounter) Inc(replica string, n uint64) *GCounter {
 	if n == 0 {
 		return c
 	}
-	out := &GCounter{slots: cloneStrU64(c.slots)}
-	out.slots[replica] += n
-	return out
+	i, ok := c.find(replica)
+	slots := append(append(make([]slot, 0, len(c.slots)+1), c.slots[:i]...), slot{replica, n})
+	if ok {
+		slots[i].n += c.slots[i].n
+		i++
+	}
+	return &GCounter{slots: append(slots, c.slots[i:]...)}
 }
 
 // Value implements Algorithm 1's query: the sum over all slots.
 func (c *GCounter) Value() uint64 {
 	var sum uint64
-	for _, v := range c.slots {
-		sum += v
+	for _, s := range c.slots {
+		sum += s.n
 	}
 	return sum
 }
 
 // Slot returns the count contributed by a single replica.
-func (c *GCounter) Slot(replica string) uint64 { return c.slots[replica] }
+func (c *GCounter) Slot(replica string) uint64 {
+	if i, ok := c.find(replica); ok {
+		return c.slots[i].n
+	}
+	return 0
+}
 
 // Merge implements Algorithm 1's merge: the slot-wise maximum. When one
 // operand already dominates the other it is returned as is, the receiver
@@ -61,20 +86,40 @@ func (c *GCounter) Merge(other State) (State, error) {
 	return c.join(o), nil
 }
 
+// join is the slot-wise maximum: one walk to find a dominating operand and
+// the result's size, and a second to build it only when neither dominates.
 func (c *GCounter) join(o *GCounter) *GCounter {
+	size, cLE, oLE := 0, true, true
+	walk(c.slots, o.slots, func(_ string, a, b uint64) {
+		size, cLE, oLE = size+1, cLE && a <= b, oLE && b <= a
+	})
 	switch {
-	case o.le(c):
+	case oLE:
 		return c
-	case c.le(o):
+	case cLE:
 		return o
 	}
-	out := &GCounter{slots: cloneStrU64(c.slots)}
-	for k, v := range o.slots {
-		if v > out.slots[k] {
-			out.slots[k] = v
+	out := make([]slot, 0, size)
+	walk(c.slots, o.slots, func(r string, a, b uint64) { out = append(out, slot{r, max(a, b)}) })
+	return &GCounter{slots: out}
+}
+
+// walk calls f with the two counts of every replica that holds a slot in
+// a or b, in replica order; an absent slot counts 0.
+func walk(a, b []slot, f func(replica string, x, y uint64)) {
+	for i, j := 0, 0; i < len(a) || j < len(b); {
+		switch {
+		case j == len(b) || i < len(a) && a[i].replica < b[j].replica:
+			f(a[i].replica, a[i].n, 0)
+			i++
+		case i == len(a) || b[j].replica < a[i].replica:
+			f(b[j].replica, 0, b[j].n)
+			j++
+		default:
+			f(a[i].replica, a[i].n, b[j].n)
+			i, j = i+1, j+1
 		}
 	}
-	return out
 }
 
 // Compare implements Algorithm 1's compare: slot-wise ≤.
@@ -88,37 +133,35 @@ func (c *GCounter) Compare(other State) (bool, error) {
 
 // le reports c ⊑ o.
 func (c *GCounter) le(o *GCounter) bool {
-	for k, v := range c.slots {
-		if v > o.slots[k] {
-			return false
-		}
-	}
-	return true
+	le := true
+	walk(c.slots, o.slots, func(_ string, a, b uint64) { le = le && a <= b })
+	return le
 }
 
 // TypeName implements State.
 func (c *GCounter) TypeName() string { return TypeGCounter }
 
-// AppendBinary implements State.
+// AppendBinary implements State: the slot count, then each slot's replica
+// ID and count, in replica order.
 func (c *GCounter) AppendBinary(b []byte) ([]byte, error) {
 	e := encBuf{b: b}
-	e.strU64Map(c.slots)
+	e.slots(c.slots)
 	return e.b, nil
 }
 
-func (c *GCounter) binaryLen() int { return strU64MapLen(c.slots) }
+func (c *GCounter) binaryLen() int { return slotsLen(c.slots) }
 
 // UnmarshalBinary implements Unmarshaler.
 func (c *GCounter) UnmarshalBinary(data []byte) error {
 	d := newDecBuf(data)
-	m, err := d.strU64Map()
+	slots, err := d.slots()
 	if err != nil {
 		return err
 	}
 	if err := d.done(); err != nil {
 		return err
 	}
-	c.slots = m
+	c.slots = slots
 	return nil
 }
 
@@ -132,7 +175,7 @@ func (c *GCounter) String() string {
 // full state yields the same result as Inc, but the delta's encoding is
 // O(1) instead of O(#replicas); see the delta-merge ablation benchmark.
 func (c *GCounter) IncDelta(replica string, n uint64) *GCounter {
-	return NewGCounter().Inc(replica, c.slots[replica]+n)
+	return NewGCounter().Inc(replica, c.Slot(replica)+n)
 }
 
 var _ DeltaState = (*GCounter)(nil)
@@ -146,20 +189,14 @@ func (c *GCounter) Delta(base State) (State, error) {
 	if !ok {
 		return nil, typeMismatch(c, base)
 	}
-	out := &GCounter{slots: map[string]uint64{}}
-	for k, v := range c.slots {
-		bv := b.slots[k]
-		if bv > v {
-			return nil, errNotDominated(c)
+	out, dominated := &GCounter{}, true
+	walk(c.slots, b.slots, func(r string, v, bv uint64) {
+		if dominated = dominated && bv <= v; v > bv {
+			out.slots = append(out.slots, slot{r, v})
 		}
-		if v > bv {
-			out.slots[k] = v
-		}
-	}
-	for k, bv := range b.slots {
-		if bv > c.slots[k] {
-			return nil, errNotDominated(c)
-		}
+	})
+	if !dominated {
+		return nil, errNotDominated(c)
 	}
 	return out, nil
 }

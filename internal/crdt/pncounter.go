@@ -69,8 +69,8 @@ func (c *PNCounter) TypeName() string { return TypePNCounter }
 // AppendBinary implements State.
 func (c *PNCounter) AppendBinary(b []byte) ([]byte, error) {
 	e := encBuf{b: b}
-	e.strU64Map(c.p.slots)
-	e.strU64Map(c.n.slots)
+	e.slots(c.p.slots)
+	e.slots(c.n.slots)
 	return e.b, nil
 }
 
@@ -79,11 +79,11 @@ func (c *PNCounter) binaryLen() int { return c.p.binaryLen() + c.n.binaryLen() }
 // UnmarshalBinary implements Unmarshaler.
 func (c *PNCounter) UnmarshalBinary(data []byte) error {
 	d := newDecBuf(data)
-	p, err := d.strU64Map()
+	p, err := d.slots()
 	if err != nil {
 		return err
 	}
-	n, err := d.strU64Map()
+	n, err := d.slots()
 	if err != nil {
 		return err
 	}

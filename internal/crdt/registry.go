@@ -99,7 +99,7 @@ func appendMarshal(b []byte, s State, n int) ([]byte, error) {
 // what it keeps, so data may be reused once Unmarshal returns.
 func Unmarshal(data []byte) (State, error) {
 	d := newDecBuf(data)
-	name, err := d.str()
+	name, err := d.span()
 	if err != nil {
 		return nil, fmt.Errorf("crdt: unmarshal type name: %w", err)
 	}
@@ -110,10 +110,11 @@ func Unmarshal(data []byte) (State, error) {
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	s, err := New(name)
-	if err != nil {
-		return nil, err
+	factory, ok := factories[string(name)] // no string is allocated for the lookup
+	if !ok {
+		return nil, fmt.Errorf("crdt: unregistered payload type %q", name)
 	}
+	s := factory()
 	if err := s.(Unmarshaler).UnmarshalBinary(payload); err != nil {
 		return nil, fmt.Errorf("crdt: unmarshal %s: %w", name, err)
 	}

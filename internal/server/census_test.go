@@ -13,7 +13,7 @@ import (
 )
 
 // TestEveryRegisteredTypeIsServed is the type census: a payload type is
-// registered only if the mutation table (cluster.Node.Mutation) can change
+// registered only if the mutation table (cluster.Node.SubmitMutation) can change
 // it. A type added to the
 // codec registry without a served mutation, or a served type dropped from
 // it, fails here.
@@ -43,7 +43,7 @@ func TestEveryRegisteredTypeIsServed(t *testing.T) {
 	for _, name := range crdt.Names() {
 		served := false
 		for _, mut := range mutations {
-			if _, _, err := node.Mutation(context.Background(), name+"/census", name, mut, [][]byte{operand}); err == nil {
+			if _, _, err := node.Mutate(context.Background(), name+"/census", name, mut, [][]byte{operand}); err == nil {
 				served = true
 				break
 			}

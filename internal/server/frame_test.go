@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"crdtsmr/internal/core"
 	"crdtsmr/internal/crdt"
 	"crdtsmr/internal/wire"
 )
@@ -91,17 +92,24 @@ func TestOversizedStateAnswersAndReturnsBuffer(t *testing.T) {
 	srv, cli := net.Pipe()
 	defer srv.Close()
 	defer cli.Close()
-	cw := &connWriter{nc: srv, frames: &s.frames}
+	c := newConn(s, srv)
+	answered := func(id uint64, st crdt.State) *request {
+		return &request{
+			req:  &wire.Request{Op: wire.OpQuery, ID: id},
+			resp: wire.Response{Op: wire.OpQuery | wire.RespBit, ID: id},
+			st:   st,
+			qs:   core.QueryStats{RoundTrips: 1, Attempts: 1},
+		}
+	}
 
 	huge := crdt.NewLWWRegister().Set(strings.Repeat("x", wire.MaxFrame), 1, "n1")
 	sent := make(chan error, 1)
 	go func() {
-		resp := &wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 1, Status: wire.StatusOK, RoundTrips: 1, Attempts: 1}
-		if err := cw.send(resp, huge); err != nil {
+		if err := c.send(answered(1, huge)); err != nil {
 			sent <- err
 			return
 		}
-		sent <- cw.send(&wire.Response{Op: wire.OpQuery | wire.RespBit, ID: 2, Status: wire.StatusOK}, crdt.NewGCounter().Inc("n1", 1))
+		sent <- c.send(answered(2, crdt.NewGCounter().Inc("n1", 1)))
 	}()
 	br := bufio.NewReader(cli)
 	_ = cli.SetReadDeadline(time.Now().Add(10 * time.Second))

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -21,7 +20,7 @@ import (
 
 // writeTimeout bounds one response write. A client that pipelines
 // requests but stops reading would otherwise pin the connection's
-// responder goroutines on a full TCP window forever.
+// writer on a full TCP window forever.
 const writeTimeout = 30 * time.Second
 
 // Options configure a Server.
@@ -82,7 +81,7 @@ type Server struct {
 	opts Options
 	ln   net.Listener
 
-	ctx    context.Context // canceled on Close; bounds request contexts
+	ctx    context.Context // canceled on Close; bounds submissions and admin commands
 	cancel context.CancelFunc
 
 	mu    sync.Mutex
@@ -176,7 +175,8 @@ func (s *Server) ShedConns() uint64 { return s.shedConns.Load() }
 func (s *Server) ShedRequests() uint64 { return s.shedRequests.Load() }
 
 // Close stops accepting, closes every client connection, and waits for
-// in-flight requests to unwind. The underlying node keeps running.
+// their goroutines and for admin commands to unwind, not for requests the
+// node is still running. The underlying node keeps running.
 func (s *Server) Close() error {
 	s.closed.Do(func() {
 		close(s.quit)
@@ -276,50 +276,6 @@ func (s *Server) refuseConn(conn net.Conn) {
 	_, _ = io.Copy(io.Discard, conn)
 }
 
-// connWriter serializes response frames onto one connection. Responses
-// are written in completion order; the request ID correlates them. Each
-// frame is built whole in a pooled buffer, outside the lock, and goes
-// out in one write. Every write runs under a deadline so a non-reading
-// client cannot pin the connection's responders once its receive window
-// fills.
-type connWriter struct {
-	mu     sync.Mutex
-	nc     net.Conn
-	frames *framePool
-}
-
-// send writes resp as one frame. An OK query's state is st, encoded once,
-// straight into the frame; resp.State is not used then. A state that
-// cannot be framed (larger than wire.MaxFrame) is answered with a
-// terminal error instead of dropping the connection, so the key stays
-// diagnosable. The buffer returns to the pool once the write is done,
-// whatever its outcome.
-func (w *connWriter) send(resp *wire.Response, st crdt.State) error {
-	bp := w.frames.get()
-	frame, buf, err := appendResponse((*bp)[:0], resp, st)
-	if err != nil && st != nil {
-		fail(resp, err, true)
-		frame, err = resp.AppendFrame(buf[:0])
-		buf = frame
-	}
-	if err == nil {
-		err = w.write(frame)
-	}
-	*bp = buf[:0]
-	w.frames.put(bp)
-	return err
-}
-
-func (w *connWriter) write(frame []byte) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if err := w.nc.SetWriteDeadline(time.Now().Add(writeTimeout)); err != nil {
-		return err
-	}
-	_, err := w.nc.Write(frame)
-	return err
-}
-
 // appendResponse appends resp to b as one length-prefixed frame and
 // returns it with the buffer holding it, which it may start inside. An
 // OK query's state st is encoded once, wire.MaxFrameHead bytes past b's
@@ -371,136 +327,6 @@ func (p *framePool) get() *[]byte {
 func (p *framePool) put(bp *[]byte) {
 	p.out.Add(-1)
 	p.pool.Put(bp)
-}
-
-// serveConn reads request frames and dispatches each on its own goroutine
-// (bounded by MaxInFlight), which is what lets one connection pipeline.
-// An undecodable frame is a connection-level protocol error: with no
-// trustworthy request ID to correlate an answer, the server closes the
-// connection, like the replica transport does for corrupt framing.
-func (s *Server) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	var reqs sync.WaitGroup
-	defer func() {
-		reqs.Wait()
-		_ = conn.Close()
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
-
-	br := bufio.NewReader(conn)
-	cw := &connWriter{nc: conn, frames: &s.frames}
-	sem := make(chan struct{}, s.opts.MaxInFlight)
-	for {
-		frame, err := wire.ReadFrame(br)
-		if err != nil {
-			return
-		}
-		req, err := wire.DecodeRequest(frame)
-		if err != nil {
-			return
-		}
-		// Per-connection backpressure first: a connection pipelining past
-		// its own MaxInFlight waits here, which only stalls that client's
-		// read loop.
-		select {
-		case sem <- struct{}{}:
-		case <-s.quit:
-			return
-		}
-		// Server-wide cap second, and never by waiting: queuing one
-		// client's requests behind every other client's would turn
-		// overload into unbounded latency for all. Shed with StatusBusy —
-		// answered synchronously from the read loop, whose pace the
-		// response write naturally bounds.
-		if s.inflight.Add(1) > int64(s.opts.MaxTotalInFlight) {
-			s.inflight.Add(-1)
-			<-sem
-			s.shedRequests.Add(1)
-			s.served.Add(1)
-			busy := &wire.Response{
-				Op:     req.Op | wire.RespBit,
-				ID:     req.ID,
-				Status: wire.StatusBusy,
-				Msg:    "server: in-flight request limit reached",
-			}
-			if cw.send(busy, nil) != nil {
-				return
-			}
-			continue
-		}
-		reqs.Add(1)
-		go func() {
-			defer func() { s.inflight.Add(-1); <-sem; reqs.Done() }()
-			resp, st := s.handle(req)
-			s.served.Add(1)
-			if cw.send(resp, st) != nil {
-				// The client can no longer receive responses; closing the
-				// connection unblocks the frame-read loop so the server
-				// stops executing requests whose answers are undeliverable.
-				_ = conn.Close()
-			}
-		}()
-	}
-}
-
-// handle executes one request against the node and renders the
-// response. An OK query's state comes back unencoded, as st: send
-// encodes it straight into the response frame.
-func (s *Server) handle(req *wire.Request) (resp *wire.Response, st crdt.State) {
-	resp = &wire.Response{Op: req.Op | wire.RespBit, ID: req.ID}
-	ctx, cancel := context.WithTimeout(s.ctx, s.opts.RequestTimeout)
-	defer cancel()
-
-	switch req.Op {
-	case wire.OpUpdate:
-		fu, observeRTTs, err := s.node.Mutation(ctx, req.Key, req.CRDTType, req.Mutation, req.Args)
-		if err != nil {
-			return fail(resp, err, true), nil // nothing submitted yet
-		}
-		stats, err := s.node.UpdateKey(ctx, req.Key, fu)
-		if err != nil {
-			return fail(resp, err, false), nil
-		}
-		resp.Status = wire.StatusOK
-		resp.RoundTrips = uint64(observeRTTs + stats.RoundTrips)
-
-	case wire.OpQuery:
-		st, stats, err := s.node.QueryKey(ctx, req.Key)
-		if err != nil {
-			return fail(resp, err, true), nil
-		}
-		resp.Status = wire.StatusOK
-		resp.RoundTrips = uint64(stats.RoundTrips)
-		resp.Attempts = uint64(stats.Attempts)
-		resp.Path = byte(stats.Path)
-		resp.Digest = stats.Digest
-		if stats.Digest.IsZero() {
-			return resp, st
-		}
-		if stats.Digest == req.Have {
-			// The client holds exactly the learned state (equal digests
-			// are equal encodings): answer "unchanged", with no state.
-			return resp, nil
-		}
-		var d crdt.State
-		if req.AcceptDelta {
-			// When the client holds a state this server answered with,
-			// and the learned state dominates it, answer what it lacks.
-			d = s.answers.deltaAnswer(st, req.Have)
-		}
-		s.answers.add(stats.Digest, st)
-		if d != nil {
-			resp.Base = req.Have
-			return resp, d
-		}
-		return resp, st
-
-	case wire.OpAdmin:
-		return s.handleAdmin(ctx, req, resp), nil
-	}
-	return resp, nil
 }
 
 // handleAdmin executes one admin command. The command string is a

@@ -47,16 +47,22 @@ func newCRDTBackend(f *transport.Fabric, n int, cfg cluster.Config) (*crdtBacken
 	return &crdtBackend{fab: f, c: c, nodes: c.Nodes(), rtts: make(map[int]int)}, nil
 }
 
-// submit runs one op at replica, a query when fu is nil; done fires once,
+// mutation names one mutation of a key (cluster.Node.SubmitMutation).
+type mutation struct {
+	crdtType, name string
+	arg            []byte
+}
+
+// submit runs one op at replica, a query when m is nil; done fires once,
 // with its outcome or, if OpTimeout passes first, ErrOpTimeout.
-func (b *crdtBackend) submit(replica int, key string, fu crdt.Update, done func(crdt.State, error)) {
+func (b *crdtBackend) submit(replica int, key string, m *mutation, done func(crdt.State, error)) {
 	settled := false
 	var stopGuard func()
 	settle := func(st crdt.State, stats core.QueryStats, err error) {
 		if !settled {
 			settled = true
 			stopGuard()
-			if err == nil && fu == nil {
+			if err == nil && m == nil {
 				b.rtts[stats.RoundTrips]++
 			}
 			done(st, err)
@@ -65,24 +71,21 @@ func (b *crdtBackend) submit(replica int, key string, fu crdt.Update, done func(
 	stopGuard = b.fab.Schedule(OpTimeout, func() { settle(nil, core.QueryStats{}, ErrOpTimeout) })
 	node, ctx := b.nodes[replica], context.Background()
 	var err error
-	if fu == nil {
+	if m == nil {
 		err = node.SubmitQuery(ctx, key, settle)
 	} else {
-		err = node.SubmitUpdate(ctx, key, fu, func(_ core.UpdateStats, err error) { settle(nil, core.QueryStats{}, err) })
+		err = node.SubmitMutation(ctx, key, m.crdtType, m.name, [][]byte{m.arg}, nil, func(_ core.UpdateStats, _ int, err error) {
+			settle(nil, core.QueryStats{}, err)
+		})
 	}
 	if err != nil {
 		settle(nil, core.QueryStats{}, err)
 	}
 }
 
-// mutate submits the named mutation (cluster.Node.Mutation) of key.
-func (b *crdtBackend) mutate(replica int, key, crdtType, mutation string, arg []byte, done func(error)) {
-	fu, _, err := b.nodes[replica].Mutation(context.Background(), key, crdtType, mutation, [][]byte{arg})
-	if err != nil {
-		done(err)
-		return
-	}
-	b.submit(replica, key, fu, func(_ crdt.State, err error) { done(err) })
+// mutate submits the named mutation (cluster.Node.SubmitMutation) of key.
+func (b *crdtBackend) mutate(replica int, key, crdtType, name string, arg []byte, done func(error)) {
+	b.submit(replica, key, &mutation{crdtType: crdtType, name: name, arg: arg}, func(_ crdt.State, err error) { done(err) })
 }
 
 // read queries key and reports val of the state learned.

@@ -40,14 +40,17 @@ type TCP struct {
 
 var _ Conn = (*TCP)(nil)
 
-// sendTimeout bounds one outbound dial and one frame write. A write that
-// misses it drops the message and the connection; the next Send redials.
+// sendTimeout bounds one outbound dial and one frame write (a write gets
+// between half of it and all of it; see tcpPeer.write). A write that
+// misses its deadline drops the message and the connection; the next Send
+// redials.
 const sendTimeout = time.Second
 
 type tcpPeer struct {
-	mu   sync.Mutex
-	conn net.Conn
-	bw   *bufio.Writer
+	mu       sync.Mutex
+	conn     net.Conn
+	bw       *bufio.Writer
+	deadline time.Time // the connection's write deadline
 }
 
 // NewTCP starts a TCP endpoint listening on listenAddr. peers maps every
@@ -248,8 +251,14 @@ func (p *tcpPeer) write(from NodeID, payload []byte) error {
 	if p.conn == nil {
 		return io.ErrClosedPipe
 	}
-	if err := p.conn.SetWriteDeadline(time.Now().Add(sendTimeout)); err != nil {
-		return err
+	// The deadline is refreshed only when less than half of it remains,
+	// not once per frame: every write still has at least sendTimeout/2,
+	// and a busy link stops paying for a timer reset per message.
+	if now := time.Now(); p.deadline.Sub(now) < sendTimeout/2 {
+		if err := p.conn.SetWriteDeadline(now.Add(sendTimeout)); err != nil {
+			return err
+		}
+		p.deadline = now.Add(sendTimeout)
 	}
 	hdr := binary.AppendUvarint(p.bw.AvailableBuffer(), uint64(f+len(from)+len(payload)))
 	hdr = append(append(hdr, fromLen[:f]...), from...)
@@ -292,6 +301,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 	}()
 	br := bufio.NewReader(conn)
+	var from NodeID // the sender's ID, reused while it is unchanged
 	for {
 		select {
 		case <-t.quit:
@@ -310,7 +320,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 		if n <= 0 || uint64(len(frame)-n) < fromLen {
 			return
 		}
-		from := NodeID(frame[n : n+int(fromLen)])
+		if id := frame[n : n+int(fromLen)]; string(id) != string(from) {
+			from = NodeID(id)
+		}
 		payload := frame[n+int(fromLen):]
 		if bytes.HasPrefix(payload, helloMagic) {
 			t.learnPeer(from, string(payload[len(helloMagic):]), conn)
